@@ -686,8 +686,9 @@ let fuzz_cmd =
          "Seeded fuzzing: random bounded scenarios under invariant oracles \
           (packet conservation, event order, transport state) and \
           differential pairings (batched vs classic datapath, burst limit \
-          1, inert fault plans, worker-domain runs, partitioned per-leaf \
-          domain runs); failures shrink to replayable corpus files")
+          1, inert fault plans, worker-domain runs, partitioned domain \
+          runs on every topology); failures shrink to replayable corpus \
+          files")
     Term.(const run $ cases $ fseed $ corpus $ budget $ replay)
 
 let () =

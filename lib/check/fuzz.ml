@@ -9,9 +9,8 @@
    - default vs single-packet bursts (Datapath.with_burst_limit 1)
    - absent vs never-firing fault plan (when the spec has no faults)
    - inline vs worker-domain execution (Runner.Pool, jobs=2)
-   - inline vs domains: the partitioned intra-scenario runner
-     (Scenario.run_domains on Netsim.Partition + Runner.Epoch) at
-     jobs=1 vs jobs=2, for leaf-spine specs
+   - partitioned: the same scenario built on Netsim.Partition and
+     driven by Runner.Epoch at jobs=1 vs jobs=2, for every topology
 
    The [inject] hook exists for the mutation test: it installs a
    deliberate conservation bug into a built scenario, proving the
@@ -20,18 +19,11 @@
 
 type verdict = Pass | Fail of string
 
-let run_one ?inject ~fault spec =
-  let sc = Scenario.build ~fault spec in
-  (match inject with Some f -> f sc | None -> ());
-  Scenario.run sc;
-  match Scenario.oracle_failures sc with
-  | [] -> Ok (Scenario.digest sc)
-  | fs -> Error (String.concat "; " fs)
-
 let run_case ?inject (spec : Spec.t) =
   let ( let* ) = Result.bind in
+  let run_one fault () = Scenario.outcome ?inject ~fault spec in
   let result =
-    let* base = run_one ?inject ~fault:Scenario.As_spec spec in
+    let* base = run_one Scenario.As_spec () in
     let differential label run =
       let* other = run () in
       Result.map_error
@@ -41,28 +33,21 @@ let run_case ?inject (spec : Spec.t) =
     in
     let* () =
       differential "classic datapath" (fun () ->
-          Netsim.Datapath.with_batching false (fun () ->
-              run_one ?inject ~fault:Scenario.As_spec spec))
+          Netsim.Datapath.with_batching false (run_one Scenario.As_spec))
     in
     let* () =
       differential "burst_limit=1" (fun () ->
-          Netsim.Datapath.with_burst_limit 1 (fun () ->
-              run_one ?inject ~fault:Scenario.As_spec spec))
+          Netsim.Datapath.with_burst_limit 1 (run_one Scenario.As_spec))
     in
     let* () =
       if spec.Spec.faults = [] then
-        differential "noop fault plan" (fun () ->
-            run_one ?inject ~fault:Scenario.Noop spec)
+        differential "noop fault plan" (run_one Scenario.Noop)
       else Ok ()
     in
     (* Worker-domain determinism: the identical scenario rendered on a
        2-domain pool must match the inline baseline byte-for-byte. *)
     let* () =
-      match
-        Runner.Pool.map ~jobs:2
-          (fun () -> run_one ?inject ~fault:Scenario.As_spec spec)
-          [ (); () ]
-      with
+      match Runner.Pool.map ~jobs:2 (run_one Scenario.As_spec) [ (); () ] with
       | [ a; b ] ->
         let* da = Result.map_error (fun m -> "pool worker 1: " ^ m) a in
         let* db = Result.map_error (fun m -> "pool worker 2: " ^ m) b in
@@ -86,17 +71,14 @@ let run_case ?inject (spec : Spec.t) =
        not the single-sim build, whose same-instant tie order a
        partitioned world deliberately does not reproduce. *)
     let* () =
-      if Scenario.domains_applicable spec then
-        let* d1 =
+      if Scenario.partitionable spec then
+        let partitioned jobs =
           Result.map_error
-            (fun m -> "domains jobs=1: " ^ m)
-            (Scenario.run_domains ~jobs:1 spec)
+            (fun m -> Printf.sprintf "domains jobs=%d: %s" jobs m)
+            (Scenario.outcome ~partitioned:true ~jobs spec)
         in
-        let* d2 =
-          Result.map_error
-            (fun m -> "domains jobs=2: " ^ m)
-            (Scenario.run_domains ~jobs:2 spec)
-        in
+        let* d1 = partitioned 1 in
+        let* d2 = partitioned 2 in
         Result.map_error
           (fun msg -> "differential [domains jobs=2]: " ^ msg)
           (Diff.compare_outputs ~expect_label:"domains jobs=1"

@@ -7,24 +7,38 @@
    spec under a paired configuration and compares digests
    byte-for-byte — anything a user could see must appear here, and
    nothing nondeterministic (wall clock, event counts that batching
-   legitimately changes) may. *)
+   legitimately changes) may.
+
+   One build serves the single-sim world and the partitioned one (one
+   partition per leaf or pod, two for the smaller shapes): the
+   topology places every device, and all workload state is kept per
+   partition — each trace buffer, monotone oracle and fault plan
+   belongs to one partition, and a flow's completion slot is written
+   only by its source host's partition.  The ledger and MTP endpoints
+   are read on main after the run.  A partitioned digest concatenates
+   the per-partition traces in partition order, a canonical merge:
+   the single-sim interleave depends on one global heap's tie-breaking,
+   which a partitioned world deliberately does not reproduce, so
+   partitioned digests are compared with each other across [jobs]
+   values, never with the single-sim one. *)
 
 open Netsim
 
 type fault_mode = As_spec | Noop
 
 type t = {
-  sim : Engine.Sim.t;
+  topo : Topology.t;
+  run_world : jobs:int -> until:Engine.Time.t -> unit;
   links : Link.t array;
   switches : Switch.t array;
   host_wraps : Host.t array;
   stacks : Transport_intf.packed array;
   endpoints : Mtp.Endpoint.t list; (* non-empty only for T_mtp *)
-  plan : Fault.t option;
+  plans : Fault.t option array; (* per partition *)
   ledger : Ledger.t;
-  monotone : Oracle.monotone;
+  monotone : Oracle.monotone array; (* per partition *)
   completions : int array;
-  trace : Buffer.t;
+  traces : Buffer.t array; (* per partition *)
   duration : Engine.Time.t;
 }
 
@@ -39,7 +53,10 @@ let make_qdisc spec counter () =
     Qdisc.ecn ~cap_pkts:cap ~mark_threshold:thresh ()
   | Spec.Q_red { cap; min_th; max_th } ->
     let rng = Engine.Rng.create (0x4ED lxor spec.Spec.seed lxor !counter) in
-    Qdisc.red ~rng ~cap_pkts:cap ~min_th ~max_th:(max max_th (min_th + 1)) ()
+    (* Generated thresholds can overshoot the capacity; clamp them
+       into the range [Qdisc.red] accepts. *)
+    let max_th = min cap (max max_th (min_th + 1)) in
+    Qdisc.red ~rng ~cap_pkts:cap ~min_th ~max_th ()
   | Spec.Q_trim cap -> Qdisc.trimming ~cap_pkts:cap ~header_size:64 ()
 
 (* Hosts eligible as flow sources/destinations, in a deterministic
@@ -58,7 +75,8 @@ let build_topology spec topo =
   let q = make_qdisc spec counter in
   match spec.Spec.topo with
   | Spec.Pair ->
-    let a = Topology.host topo "a" and b = Topology.host topo "b" in
+    let a = Topology.host topo "a"
+    and b = Topology.host ~part:(Topology.place topo ~groups:2 1) topo "b" in
     ignore
       (Topology.wire_host_pair topo a b ~rate ~delay ~ab_qdisc:(q ())
          ~ba_qdisc:(q ()) ());
@@ -146,14 +164,41 @@ let attach_stack transport host =
 
 let msg_port = 5001
 
-let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
-  let sim = Engine.Sim.create ~seed:spec.Spec.seed () in
-  let topo = Topology.create sim in
+(* Partitions of the partitioned build: one per leaf or pod, two for
+   the smaller shapes. *)
+let partitions (spec : Spec.t) =
+  match spec.Spec.topo with
+  | Spec.Leaf_spine { leaves; _ } -> leaves
+  | Spec.Fat_tree { k } -> k
+  | Spec.Pair | Spec.Star _ | Spec.Dumbbell _ | Spec.Two_path -> 2
+
+let partitionable (spec : Spec.t) =
+  spec.Spec.delay_us > 0 && partitions spec >= 2
+
+let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
+    (spec : Spec.t) =
+  let topo, run_world =
+    if partitioned then begin
+      if not (partitionable spec) then
+        invalid_arg "Scenario.build: spec is not partitionable";
+      let world =
+        Partition.create ~seed:spec.Spec.seed ~nparts:(partitions spec) ()
+      in
+      ( Partition.topology world,
+        fun ~jobs ~until -> Partition.run ~jobs ~until world )
+    end
+    else
+      let sim = Engine.Sim.create ~seed:spec.Spec.seed () in
+      (Topology.create sim, fun ~jobs:_ ~until -> Engine.Sim.run ~until sim)
+  in
+  let nparts = Topology.nparts topo in
+  let part_of = Topology.part topo in
   let shape, switches = build_topology spec topo in
   let links = collect_links shape.all switches in
-  let trace = Buffer.create 4096 in
-  let tr fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string trace (s ^ "\n")) fmt
+  let link_part = Array.map (fun l -> part_of (Link.sim l)) links in
+  let traces = Array.init nparts (fun _ -> Buffer.create 4096) in
+  let tr p fmt =
+    Printf.ksprintf (fun s -> Buffer.add_string traces.(p) (s ^ "\n")) fmt
   in
   (* Stacks + listeners on every host, creation order = address
      order. *)
@@ -170,9 +215,11 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
   Array.iteri
     (fun i stack ->
       let here = Host.addr host_wraps.(i) in
+      let sim = Node.sim shape.all.(i) in
+      let p = part_of sim in
       Transport_intf.listen stack ~port:msg_port
         ~on_message:(fun d ->
-          tr "rx t=%d at=%d from=%d:%d size=%d lat=%d"
+          tr p "rx t=%d at=%d from=%d:%d size=%d lat=%d"
             (Engine.Sim.now sim) here d.Transport_intf.msg_src
             d.Transport_intf.msg_src_port d.Transport_intf.msg_size
             d.Transport_intf.msg_latency)
@@ -200,6 +247,8 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
           in
           find 0
         in
+        let sim = Node.sim shape.srcs.(src) in
+        let p = part_of sim in
         ignore
           (Engine.Sim.schedule sim ~at:(Engine.Time.us f.Spec.f_start_us)
              (fun () ->
@@ -207,79 +256,101 @@ let build ?(fault : fault_mode = As_spec) (spec : Spec.t) =
                  ~dst_port:msg_port
                  ~on_complete:(fun fct ->
                    completions.(i) <- completions.(i) + 1;
-                   tr "done flow=%d t=%d fct=%d" i (Engine.Sim.now sim) fct)
+                   tr p "done flow=%d t=%d fct=%d" i (Engine.Sim.now sim) fct)
                  ~size:f.Spec.f_size ()))
       end)
     flows;
   (* Fault plan: the spec's faults, or — for the differential pair —
-     a plan that exists but never fires inside the run. *)
+     a plan that exists but never fires inside the run.  One plan per
+     partition that needs one, seeded by (spec seed, partition) so
+     fault randomness is partition-local and jobs-independent. *)
   let duration = Engine.Time.us spec.Spec.duration_us in
   let nlinks = Array.length links in
-  let plan =
-    match (fault, spec.Spec.faults) with
-    | As_spec, [] -> None
-    | As_spec, faults ->
-      let plan = Fault.plan ~seed:(spec.Spec.seed lxor 0xFA171) sim in
-      List.iter
-        (fun f ->
-          match f with
-          | Spec.F_down_up { link; down_us; up_us } ->
-            let l = links.(link mod nlinks) in
-            Fault.link_down plan ~at:(Engine.Time.us down_us) l;
-            Fault.link_up plan ~at:(Engine.Time.us up_us) l
-          | Spec.F_corrupt { link; rate_pct } ->
-            let rate = float_of_int (rate_pct mod 100) /. 100.0 in
-            Fault.corrupt plan ~rate links.(link mod nlinks)
-          | Spec.F_gilbert { link } ->
-            Fault.gilbert_elliott plan links.(link mod nlinks))
-        faults;
-      Some plan
-    | Noop, _ ->
-      (* Present but inert: a link_down scheduled past the horizon and
-         a zero-loss Gilbert-Elliott wrapper.  A conforming simulator
-         produces byte-identical output with or without it. *)
-      let plan = Fault.plan ~seed:(spec.Spec.seed lxor 0xFA171) sim in
-      Fault.link_down plan
-        ~at:(duration + Engine.Time.ms 1)
-        links.(0);
-      Fault.gilbert_elliott plan ~p_gb:0.0 ~loss_good:0.0 ~loss_bad:0.0
-        links.(0);
-      Some plan
+  let plans = Array.make nparts None in
+  let plan_for li =
+    let p = link_part.(li) in
+    match plans.(p) with
+    | Some plan -> plan
+    | None ->
+      let plan =
+        Fault.plan
+          ~seed:(spec.Spec.seed lxor 0xFA171 lxor p)
+          (Topology.sim ~part:p topo)
+      in
+      plans.(p) <- Some plan;
+      plan
   in
+  (match fault with
+  | As_spec ->
+    List.iter
+      (fun f ->
+        match f with
+        | Spec.F_down_up { link; down_us; up_us } ->
+          let li = link mod nlinks in
+          let plan = plan_for li in
+          Fault.link_down plan ~at:(Engine.Time.us down_us) links.(li);
+          Fault.link_up plan ~at:(Engine.Time.us up_us) links.(li)
+        | Spec.F_corrupt { link; rate_pct } ->
+          let li = link mod nlinks in
+          let rate = float_of_int (rate_pct mod 100) /. 100.0 in
+          Fault.corrupt (plan_for li) ~rate links.(li)
+        | Spec.F_gilbert { link } ->
+          let li = link mod nlinks in
+          Fault.gilbert_elliott (plan_for li) links.(li))
+      spec.Spec.faults
+  | Noop ->
+    (* Present but inert: a link_down scheduled past the horizon and
+       a zero-loss Gilbert-Elliott wrapper.  A conforming simulator
+       produces byte-identical output with or without it. *)
+    let plan = plan_for 0 in
+    Fault.link_down plan ~at:(duration + Engine.Time.ms 1) links.(0);
+    Fault.gilbert_elliott plan ~p_gb:0.0 ~loss_good:0.0 ~loss_bad:0.0
+      links.(0));
   (* Oracles attach last, after all qdisc wrapping. *)
   let ledger = Ledger.create () in
   Array.iter (Ledger.watch_link ledger) links;
   Array.iter (Ledger.watch_switch ledger) switches;
-  let monotone = Oracle.monotone () in
-  Array.iter (fun l -> Link.add_tap l (Oracle.tap monotone)) links;
-  Array.iter (fun sw -> Switch.add_tap sw (Oracle.tap monotone)) switches;
+  let monotone = Array.init nparts (fun _ -> Oracle.monotone ()) in
+  Array.iteri
+    (fun i l -> Link.add_tap l (Oracle.tap monotone.(link_part.(i))))
+    links;
+  Array.iter
+    (fun sw ->
+      Switch.add_tap sw (Oracle.tap monotone.(part_of (Switch.sim sw))))
+    switches;
   (* Periodic queue sampler: a dense deterministic probe of queue
-     state for the differential comparison. *)
+     state for the differential comparison, one per partition over
+     its own links, keyed by global link index. *)
   let interval =
     max (Engine.Time.us 40) (duration / 16)
   in
-  ignore
-    (Engine.Sim.periodic sim ~interval (fun () ->
-         Array.iteri
-           (fun i l ->
-             tr "q t=%d link=%d q=%d f=%d b=%d" (Engine.Sim.now sim) i
-               (Link.queued_pkts l) (Link.in_flight_pkts l) (Link.bytes_sent l))
-           links;
-         Engine.Sim.now sim < duration));
-  { sim; links; switches; host_wraps; stacks;
-    endpoints = List.rev !endpoints; plan; ledger; monotone; completions;
-    trace; duration }
+  for p = 0 to nparts - 1 do
+    let sim = Topology.sim ~part:p topo in
+    ignore
+      (Engine.Sim.periodic sim ~interval (fun () ->
+           Array.iteri
+             (fun i l ->
+               if link_part.(i) = p then
+                 tr p "q t=%d link=%d q=%d f=%d b=%d" (Engine.Sim.now sim) i
+                   (Link.queued_pkts l) (Link.in_flight_pkts l)
+                   (Link.bytes_sent l))
+             links;
+           Engine.Sim.now sim < duration))
+  done;
+  { topo; run_world; links; switches; host_wraps; stacks;
+    endpoints = List.rev !endpoints; plans; ledger; monotone; completions;
+    traces; duration }
 
-let run t = Engine.Sim.run ~until:t.duration t.sim
+let run ?(jobs = 1) t = t.run_world ~jobs ~until:t.duration
 
 (* Internal surface for the mutation test's bug injector. *)
 let links t = t.links
-let sim t = t.sim
+let sim t = Topology.sim t.topo
 let duration t = t.duration
 
 let digest t =
   let buf = Buffer.create 4096 in
-  Buffer.add_buffer buf t.trace;
+  Array.iter (Buffer.add_buffer buf) t.traces;
   let line fmt =
     Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
   in
@@ -319,297 +390,34 @@ let digest t =
   (* Rendered whether or not a plan exists: a plan that never fired
      must be indistinguishable from no plan at all. *)
   line "== faults ==";
-  (match t.plan with
-  | Some plan ->
-    line "fault loss=%d blackholed=%d events=%d" (Fault.loss_drops plan)
-      (Fault.blackholed plan)
-      (List.length (Fault.events plan))
-  | None -> line "fault loss=0 blackholed=0 events=0");
+  let sum f =
+    Array.fold_left
+      (fun acc plan -> match plan with Some p -> acc + f p | None -> acc)
+      0 t.plans
+  in
+  line "fault loss=%d blackholed=%d events=%d" (sum Fault.loss_drops)
+    (sum Fault.blackholed)
+    (sum (fun p -> List.length (Fault.events p)));
   line "completions %s"
     (String.concat ","
        (Array.to_list (Array.map string_of_int t.completions)));
-  line "end t=%d" (Engine.Sim.now t.sim);
+  line "end t=%s"
+    (String.concat ","
+       (List.init (Topology.nparts t.topo) (fun p ->
+            string_of_int (Engine.Sim.now (Topology.sim ~part:p t.topo)))));
   Buffer.contents buf
 
-(* ----------------- domain-mode (partitioned) build ------------------ *)
-
-(* The same scenario, built on [Netsim.Partition]: one partition per
-   leaf, spines round-robin, fabric directions that cross partitions
-   realized as conduits with the full propagation delay.  The digest
-   mirrors [digest]'s structure but concatenates the per-partition
-   traces in partition order (a canonical merge — the classic global
-   interleave would require the single-sim heap's tie-breaking, which
-   a partitioned world deliberately does not reproduce).  The
-   differential pairing therefore compares domain-mode against
-   domain-mode: jobs=1 (pure sequential, no domains spawned) is the
-   reference, higher jobs values must render byte-identical output.
-
-   Workload state is strictly partition-confined: each trace buffer,
-   monotone oracle and fault plan belongs to one partition; a flow's
-   completion slot is written only by its source host's partition.
-   The ledger and MTP endpoints are read on main after the run. *)
-
-let domains_applicable (spec : Spec.t) =
-  match spec.Spec.topo with
-  | Spec.Leaf_spine { leaves; _ } -> leaves >= 2
-  | Spec.Fat_tree { k } -> k >= 2 && k mod 2 = 0
-  | _ -> false
-
-let run_domains ?(jobs = 1) (spec : Spec.t) =
-  let rate = Engine.Time.mbps spec.Spec.rate_mbps in
-  let delay = Engine.Time.us spec.Spec.delay_us in
-  let counter = ref 0 in
-  let q = make_qdisc spec counter in
-  (* Per-topology partitioned build: the world, hosts in address
-     order, hosts per partition (pod/leaf size), switches with their
-     owning partitions, and the canonical link array. *)
-  let world, all, hosts_per_part, switches, sw_part, links, link_part =
-    match spec.Spec.topo with
-    | Spec.Leaf_spine { leaves; spines; hosts } when leaves >= 2 ->
-      let pls =
-        Partition.leaf_spine ~seed:spec.Spec.seed ~leaves ~spines
-          ~hosts_per_leaf:hosts ~host_rate:rate ~fabric_rate:rate ~delay
-          ~uplink_qdisc:q ()
-      in
-      ( pls.Partition.pls_world,
-        Array.concat (Array.to_list pls.Partition.pls_hosts),
-        hosts,
-        Array.append pls.Partition.pls_leaves pls.Partition.pls_spines,
-        Array.append
-          (Array.init leaves (fun l -> l))
-          pls.Partition.pls_spine_part,
-        pls.Partition.pls_links,
-        pls.Partition.pls_link_part )
-    | Spec.Fat_tree { k } when k >= 2 && k mod 2 = 0 ->
-      let pft =
-        Partition.fat_tree ~seed:spec.Spec.seed ~k ~host_rate:rate
-          ~fabric_rate:rate ~delay ~uplink_qdisc:q ()
-      in
-      let half = k / 2 in
-      ( pft.Partition.pft_world,
-        pft.Partition.pft_hosts,
-        k * k / 4,
-        Array.concat
-          [ pft.Partition.pft_edges; pft.Partition.pft_aggs;
-            pft.Partition.pft_cores ],
-        Array.concat
-          [ Array.init (k * half) (fun e -> e / half);
-            Array.init (k * half) (fun a -> a / half);
-            pft.Partition.pft_core_part ],
-        pft.Partition.pft_links,
-        pft.Partition.pft_link_part )
-    | _ -> invalid_arg "Scenario.run_domains: spec is not domains_applicable"
-  in
-  let nparts = Partition.nparts world in
-  let duration = Engine.Time.us spec.Spec.duration_us in
-  let traces = Array.init nparts (fun _ -> Buffer.create 1024) in
-  let tr p fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string traces.(p) (s ^ "\n")) fmt
-  in
-  let part_of_host i = i / hosts_per_part in
-  let host_wraps = Array.map (fun n -> Host.create n) all in
-  let endpoints = ref [] in
-  let stacks =
-    Array.map
-      (fun h ->
-        let packed, ep = attach_stack spec.Spec.transport h in
-        (match ep with Some e -> endpoints := e :: !endpoints | None -> ());
-        packed)
-      host_wraps
-  in
-  Array.iteri
-    (fun i stack ->
-      let here = Host.addr host_wraps.(i) in
-      let p = part_of_host i in
-      let psim = Partition.sim world p in
-      Transport_intf.listen stack ~port:msg_port
-        ~on_message:(fun d ->
-          tr p "rx t=%d at=%d from=%d:%d size=%d lat=%d" (Engine.Sim.now psim)
-            here d.Transport_intf.msg_src d.Transport_intf.msg_src_port
-            d.Transport_intf.msg_size d.Transport_intf.msg_latency)
-        ())
-    stacks;
-  let flows = Array.of_list spec.Spec.flows in
-  let completions = Array.make (Array.length flows) 0 in
-  let nhosts = Array.length all in
-  Array.iteri
-    (fun i f ->
-      let src = f.Spec.f_src mod nhosts in
-      let dst = ref (f.Spec.f_dst mod nhosts) in
-      if !dst = src then dst := (!dst + 1) mod nhosts;
-      if !dst <> src then begin
-        let dst_addr = Node.addr all.(!dst) in
-        let p = part_of_host src in
-        let psim = Partition.sim world p in
-        let src_stack = stacks.(src) in
-        ignore
-          (Engine.Sim.schedule psim ~at:(Engine.Time.us f.Spec.f_start_us)
-             (fun () ->
-               Transport_intf.send_message src_stack ~dst:dst_addr
-                 ~dst_port:msg_port
-                 ~on_complete:(fun fct ->
-                   completions.(i) <- completions.(i) + 1;
-                   tr p "done flow=%d t=%d fct=%d" i (Engine.Sim.now psim) fct)
-                 ~size:f.Spec.f_size ()))
-      end)
-    flows;
-  (* Faults: one plan per partition that needs one, seeded by
-     (spec seed, partition) so fault randomness is partition-local and
-     jobs-independent. *)
-  let plans = Array.make nparts None in
-  let plan_for p =
-    match plans.(p) with
-    | Some pl -> pl
-    | None ->
-      let pl =
-        Fault.plan
-          ~seed:(spec.Spec.seed lxor 0xFA171 lxor p)
-          (Partition.sim world p)
-      in
-      plans.(p) <- Some pl;
-      pl
-  in
-  let nlinks = Array.length links in
-  List.iter
-    (fun f ->
-      match f with
-      | Spec.F_down_up { link; down_us; up_us } ->
-        let li = link mod nlinks in
-        let pl = plan_for link_part.(li) in
-        Fault.link_down pl ~at:(Engine.Time.us down_us) links.(li);
-        Fault.link_up pl ~at:(Engine.Time.us up_us) links.(li)
-      | Spec.F_corrupt { link; rate_pct } ->
-        let li = link mod nlinks in
-        let rate = float_of_int (rate_pct mod 100) /. 100.0 in
-        Fault.corrupt (plan_for link_part.(li)) ~rate links.(li)
-      | Spec.F_gilbert { link } ->
-        let li = link mod nlinks in
-        Fault.gilbert_elliott (plan_for link_part.(li)) links.(li))
-    spec.Spec.faults;
-  (* Oracles: ledger baselines on main (read back on main after the
-     run); monotone watchers are per-partition. *)
-  let ledger = Ledger.create () in
-  Array.iter (Ledger.watch_link ledger) links;
-  Array.iter (Ledger.watch_switch ledger) switches;
-  let monos = Array.init nparts (fun _ -> Oracle.monotone ()) in
-  Array.iteri
-    (fun i l -> Link.add_tap l (Oracle.tap monos.(link_part.(i))))
-    links;
-  Array.iteri
-    (fun i sw -> Switch.add_tap sw (Oracle.tap monos.(sw_part.(i))))
-    switches;
-  (* Per-partition queue sampler over the partition's own links,
-     keyed by global link index. *)
-  let interval = max (Engine.Time.us 40) (duration / 16) in
-  for p = 0 to nparts - 1 do
-    let psim = Partition.sim world p in
-    ignore
-      (Engine.Sim.periodic psim ~interval (fun () ->
-           Array.iteri
-             (fun i l ->
-               if link_part.(i) = p then
-                 tr p "q t=%d link=%d q=%d f=%d b=%d" (Engine.Sim.now psim) i
-                   (Link.queued_pkts l) (Link.in_flight_pkts l)
-                   (Link.bytes_sent l))
-             links;
-           Engine.Sim.now psim < duration))
-  done;
-  Partition.run ~jobs ~until:duration world;
-  (* Post-run, all on main. *)
-  let failures =
-    Ledger.failures ledger
-    @ List.concat_map
-        (fun m ->
-          match Oracle.monotone_result m with Ok () -> [] | Error e -> [ e ])
-        (Array.to_list monos)
-    @ (match Oracle.completions_once completions with
-      | Ok () -> []
-      | Error m -> [ m ])
-    @ List.filter_map
-        (fun ep ->
-          match Oracle.endpoint_ok ep with Ok () -> None | Error m -> Some m)
-        (List.rev !endpoints)
-  in
-  match failures with
-  | _ :: _ -> Error (String.concat "; " failures)
-  | [] ->
-    let buf = Buffer.create 4096 in
-    Array.iter (Buffer.add_buffer buf) traces;
-    let line fmt =
-      Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
-    in
-    line "== links ==";
-    Array.iteri
-      (fun i l ->
-        let qd = Link.qdisc l in
-        line
-          "link %d %s sends=%d delivered=%d drops=%d marks=%d trims=%d \
-           fault=%d queued=%d inflight=%d bytes=%d"
-          i (Link.name l) (Link.sends l) (Link.delivered_pkts l)
-          (qd.Qdisc.drops ()) (qd.Qdisc.marks ()) (qd.Qdisc.trims ())
-          (Link.fault_drops l) (Link.queued_pkts l) (Link.in_flight_pkts l)
-          (Link.bytes_sent l))
-      links;
-    line "== switches ==";
-    Array.iter
-      (fun sw ->
-        line "switch %s rx=%d inj=%d fwd=%d drop=%d cons=%d" (Switch.name sw)
-          (Switch.received sw) (Switch.injected sw) (Switch.forwarded sw)
-          (Switch.dropped sw) (Switch.consumed sw))
-      switches;
-    line "== stacks ==";
-    Array.iteri
-      (fun i stack ->
-        let s = Transport_intf.stats stack in
-        line "stack host=%d id=%s tx=%d rx=%d rx_bytes=%d retx=%d"
-          (Host.addr host_wraps.(i))
-          (Transport_intf.id stack) s.Transport_intf.tx_messages
-          s.Transport_intf.rx_messages s.Transport_intf.rx_bytes
-          s.Transport_intf.retransmits)
-      stacks;
-    line "== hosts ==";
-    Array.iter
-      (fun h -> line "host %d unclaimed=%d" (Host.addr h) (Host.unclaimed h))
-      host_wraps;
-    line "== faults ==";
-    let loss, bh, evs =
-      Array.fold_left
-        (fun (l, b, e) pl ->
-          match pl with
-          | None -> (l, b, e)
-          | Some pl ->
-            ( l + Fault.loss_drops pl,
-              b + Fault.blackholed pl,
-              e + List.length (Fault.events pl) ))
-        (0, 0, 0) plans
-    in
-    line "fault loss=%d blackholed=%d events=%d" loss bh evs;
-    line "completions %s"
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int completions)));
-    for p = 0 to nparts - 1 do
-      line "part %d end t=%d" p (Engine.Sim.now (Partition.sim world p))
-    done;
-    Ok (Buffer.contents buf)
-
 let oracle_failures t =
-  let ledger = Ledger.failures t.ledger in
-  let monotone =
-    match Oracle.monotone_result t.monotone with
-    | Ok () -> []
-    | Error msg -> [ msg ]
-  in
-  let completions =
-    match Oracle.completions_once t.completions with
-    | Ok () -> []
-    | Error msg -> [ msg ]
-  in
-  let endpoints =
-    List.filter_map
-      (fun ep ->
-        match Oracle.endpoint_ok ep with
-        | Ok () -> None
-        | Error msg -> Some msg)
-      t.endpoints
-  in
-  ledger @ monotone @ completions @ endpoints
+  let errors = List.filter_map (function Ok () -> None | Error m -> Some m) in
+  Ledger.failures t.ledger
+  @ errors (Array.to_list (Array.map Oracle.monotone_result t.monotone))
+  @ errors [ Oracle.completions_once t.completions ]
+  @ errors (List.map Oracle.endpoint_ok t.endpoints)
+
+let outcome ?inject ?fault ?partitioned ?jobs spec =
+  let t = build ?fault ?partitioned spec in
+  Option.iter (fun f -> f t) inject;
+  run ?jobs t;
+  match oracle_failures t with
+  | [] -> Ok (digest t)
+  | fs -> Error (String.concat "; " fs)

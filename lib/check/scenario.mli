@@ -9,7 +9,16 @@
     deliveries, completions and periodic queue samples, plus final
     per-device/per-stack counters — as one deterministic string; the
     differential runner compares digests across paired configurations
-    byte-for-byte. *)
+    byte-for-byte.
+
+    The same build also makes a partitioned world ([Netsim.Partition]:
+    one partition per leaf or pod, two for the smaller shapes) driven
+    by the conservative epoch runner.  Its digest is a canonical
+    per-partition rendering: compare partitioned runs against each
+    other across [jobs] values — not against a single-sim digest,
+    whose global trace interleaving depends on single-heap tie
+    breaking that a partitioned world deliberately does not
+    reproduce. *)
 
 type fault_mode =
   | As_spec  (** Apply the spec's fault list. *)
@@ -21,12 +30,22 @@ type fault_mode =
 
 type t
 
-val build : ?fault:fault_mode -> Spec.t -> t
-(** Construct the topology, stacks, workload, faults and oracles.
-    Defaults to [As_spec]. *)
+val partitionable : Spec.t -> bool
+(** Whether the spec can be built [~partitioned:true]: a positive
+    link delay (conduit lookahead) and at least two partitions (a
+    leaf-spine needs two leaves). *)
 
-val run : t -> unit
-(** Drive the simulation to the spec's horizon. *)
+val build : ?fault:fault_mode -> ?partitioned:bool -> Spec.t -> t
+(** Construct the topology, stacks, workload, faults and oracles —
+    on one simulator, or on a partitioned world when [partitioned]
+    (default [false]).  Defaults to [As_spec].
+    @raise Invalid_argument when [partitioned] and not
+    {!partitionable}. *)
+
+val run : ?jobs:int -> t -> unit
+(** Drive the simulation to the spec's horizon; a partitioned world
+    runs on [jobs] workers (default 1), with byte-identical results
+    for any value. *)
 
 val digest : t -> string
 (** The rendered observable output (call after {!run}). *)
@@ -35,27 +54,15 @@ val oracle_failures : t -> string list
 (** All oracle violations: conservation, event order, completion
     uniqueness, MTP pathlet/window consistency.  Empty = clean. *)
 
-(** {1 Domain mode}
-
-    The same scenario built on [Netsim.Partition] (one partition per
-    leaf, or per pod for fat-trees) and driven by the conservative
-    epoch runner.  Digests are
-    canonical per-partition renderings: compare domain-mode runs
-    against each other across [jobs] values — not against {!digest},
-    whose global trace interleaving depends on single-heap tie
-    breaking that a partitioned world deliberately does not
-    reproduce. *)
-
-val domains_applicable : Spec.t -> bool
-(** Whether {!run_domains} supports the spec's topology (leaf-spine
-    with at least two leaves, or any valid fat-tree). *)
-
-val run_domains : ?jobs:int -> Spec.t -> (string, string) result
-(** Build the partitioned equivalent, run it to the horizon on [jobs]
-    workers, and return the domain-mode digest — or [Error] with the
-    oracle violations.  Byte-identical output for any [jobs] is the
-    contract the fuzz pairing enforces.
-    @raise Invalid_argument when not {!domains_applicable}. *)
+val outcome :
+  ?inject:(t -> unit) ->
+  ?fault:fault_mode ->
+  ?partitioned:bool ->
+  ?jobs:int ->
+  Spec.t ->
+  (string, string) result
+(** {!build}, apply [inject], {!run}, then the {!digest} — or
+    [Error] with the oracle violations. *)
 
 (**/**)
 

@@ -387,6 +387,7 @@ let set_up t =
 let rate t = t.link_rate
 let delay t = t.link_delay
 let name t = t.link_name
+let sim t = t.sim
 
 let bytes_sent t = t.sent_bytes
 

@@ -105,6 +105,9 @@ val rate : t -> Engine.Time.rate
 val delay : t -> Engine.Time.t
 val name : t -> string
 
+val sim : t -> Engine.Sim.t
+(** The simulator the link transmits in. *)
+
 val bytes_sent : t -> int
 (** Bytes fully serialized onto the wire so far. *)
 

@@ -1,14 +1,15 @@
-(** Domain partitioning over {!Topology} for conservative parallel
-    simulation of {e one} scenario.
+(** Domain partitioning for conservative parallel simulation of
+    {e one} scenario.
 
-    A partitioned world is N single-threaded worlds (private [Sim],
-    {!Topology} with a disjoint address range, devices) stitched by
-    {e conduits} — cross-partition unidirectional edges whose qdisc
-    and serialization live in the source partition and whose
-    propagation delay is paid across the epoch barrier.  Driven by
-    [Runner.Epoch.run] with lookahead = the minimum conduit delay,
-    the result is byte-identical for any [jobs] value; see DESIGN.md
-    "Conservative parallel DES" for the argument.
+    A partitioned world is N single-threaded worlds (private [Sim]s)
+    sharing one {!Topology}: its builders place every device in a
+    partition and wire each cross-partition direction as a
+    {e conduit} — an edge whose qdisc and serialization live in the
+    source partition and whose propagation delay is paid across the
+    epoch barrier.  Driven by [Runner.Epoch.run] with lookahead = the
+    minimum conduit delay, the result is byte-identical for any
+    [jobs] value; see DESIGN.md "Conservative parallel DES" for the
+    argument.
 
     Telemetry note: worker domains never emit telemetry
     ([Telemetry.Ctx] guards are main-domain only), so export files
@@ -17,39 +18,22 @@
 
 type t
 
-val create : ?seed:int -> ?addr_stride:int -> nparts:int -> unit -> t
+val create : ?seed:int -> nparts:int -> unit -> t
 (** [nparts] worlds with per-partition [Sim] seeds derived from
-    [seed] (default 42) via [Engine.Rng.derive], and host addresses
-    allocated from [p * addr_stride] (default [65536]) so ranges never
-    collide. *)
+    [seed] (default 42) via [Engine.Rng.derive]. *)
 
 val nparts : t -> int
 
 val sim : t -> int -> Engine.Sim.t
 (** Partition [p]'s simulator. *)
 
-val topo : t -> int -> Topology.t
-(** Partition [p]'s topology (use its builders for intra-partition
-    devices and wiring). *)
-
-val cross_link :
-  t ->
-  src:int ->
-  dst:int ->
-  name:string ->
-  rate:Engine.Time.rate ->
-  delay:Engine.Time.t ->
-  ?qdisc:Qdisc.t ->
-  deliver:(Packet.t -> unit) ->
-  unit ->
-  Link.t
-(** A unidirectional edge from partition [src] to partition [dst]:
-    the returned link (create it into a switch port or host uplink as
-    usual) serializes in [src] with zero propagation; each delivered
-    packet is parked with arrival stamp [now + delay] and handed to
-    [deliver] in [dst]'s sim at the next epoch barrier.  [delay] must
-    be positive — it bounds the epoch lookahead.  Ownership of the
-    packet moves to [dst]; the source side keeps no reference. *)
+val topology : t -> Topology.t
+(** The world's topology: build any prebuilt network on it, or place
+    devices by hand with [Topology.host ~part]/[Topology.switch ~part]
+    and the [Topology.wire_*] helpers.  Cross-partition links become
+    conduits; their delay must be positive, since it bounds the epoch
+    lookahead.  Ownership of a packet moves to the destination
+    partition with it. *)
 
 val lookahead : t -> Engine.Time.t
 (** Minimum conduit delay — the epoch window length.
@@ -67,14 +51,13 @@ val run : ?jobs:int -> until:Engine.Time.t -> t -> unit
     every barrier.  [jobs = 1] (default) is the sequential reference
     — byte-identical state to any other [jobs] value. *)
 
-(** {1 Partitioned prebuilt networks} *)
+(** {1 Leaf-per-partition Clos} *)
 
 type leaf_spine = {
   pls_world : t;
-  pls_hosts : Node.t array array;  (** [pls_hosts.(leaf).(i)]; same addresses as [Topology.leaf_spine]. *)
+  pls_hosts : Node.t array array;  (** [pls_hosts.(leaf).(i)]. *)
   pls_leaves : Switch.t array;
   pls_spines : Switch.t array;
-  pls_spine_part : int array;  (** Owning partition of each spine ([s mod leaves]). *)
   pls_links : Link.t array;
       (** Canonical link order: per leaf, host up/down pairs; then the
           fabric mesh in (leaf, spine) order, up then down. *)
@@ -92,44 +75,8 @@ val leaf_spine :
   ?uplink_qdisc:(unit -> Qdisc.t) ->
   unit ->
   leaf_spine
-(** The two-tier Clos of [Topology.leaf_spine], partitioned one leaf
-    (hosts + leaf switch) per partition with spines dealt round-robin.
-    Same rates, routing (per-spine ECMP entries at leaves, static at
-    spines), host addresses and per-path latency as the single-sim
-    builder; every fabric direction that crosses partitions is a
-    conduit with the full [delay], so the lookahead equals [delay].
-    Requires [leaves >= 2]. *)
-
-type fat_tree = {
-  pft_world : t;
-  pft_k : int;
-  pft_hosts : Node.t array;
-      (** In address order (host [i] has address [i]); same addresses
-          as [Topology.fat_tree] built at base 0. *)
-  pft_edges : Switch.t array;  (** [pod·k/2 + e], in partition [pod]. *)
-  pft_aggs : Switch.t array;  (** [pod·k/2 + a], in partition [pod]. *)
-  pft_cores : Switch.t array;
-  pft_core_part : int array;  (** Owning partition of each core ([c mod k]). *)
-  pft_links : Link.t array;
-      (** Canonical link order: host up/down pairs in address order;
-          then the edge↔agg mesh in (edge, agg) order, up then down;
-          then agg↔core in (agg, core) order, up then down. *)
-  pft_link_part : int array;  (** Owning partition of each link in {!pft_links}. *)
-}
-
-val fat_tree :
-  ?seed:int ->
-  k:int ->
-  host_rate:Engine.Time.rate ->
-  fabric_rate:Engine.Time.rate ->
-  delay:Engine.Time.t ->
-  ?uplink_qdisc:(unit -> Qdisc.t) ->
-  unit ->
-  fat_tree
-(** The k-ary fat-tree of [Topology.fat_tree], partitioned one pod
-    (hosts + edge + agg switches) per partition with cores dealt
-    round-robin.  Same shape, names, addresses, interval routes and
-    ECMP salts as the single-sim builder; every agg↔core direction
-    that crosses partitions is a conduit with the full [delay], so
-    the lookahead equals [delay].  Requires even [k >= 2] and a
-    positive [delay]. *)
+(** [Topology.leaf_spine] on a world of one partition per leaf (hosts
+    + leaf switch), spine [s] with leaf [s mod leaves]: every fabric
+    direction that crosses partitions is a conduit with the full
+    [delay], so the lookahead equals [delay].  Requires
+    [leaves >= 2]. *)

@@ -1,33 +1,80 @@
+(* One builder for both worlds.  A topology owns one simulator per
+   partition: [create] makes the single-sim case, [partitioned] the
+   world [Partition.create] hands out.  Prebuilt networks put every
+   device somewhere with [place] (always partition 0 when there is only
+   one) and make every link through [connect]: a plain link when both
+   ends share a partition, the world's conduit when they do not.  Names,
+   addresses, routes and salts therefore never depend on the cut. *)
+
+type conduit =
+  src:int ->
+  dst:int ->
+  name:string ->
+  rate:Engine.Time.rate ->
+  delay:Engine.Time.t ->
+  ?qdisc:Qdisc.t ->
+  deliver:(Packet.t -> unit) ->
+  unit ->
+  Link.t
+
 type t = {
-  sim : Engine.Sim.t;
+  sims : Engine.Sim.t array;
+  conduit : conduit;
   mutable next_addr : int;
   mutable all_hosts : Node.t list; (* reverse creation order *)
 }
 
-let create ?(first_addr = 0) sim =
-  { sim; next_addr = first_addr; all_hosts = [] }
+let partitioned sims ~conduit =
+  { sims; conduit; next_addr = 0; all_hosts = [] }
 
-let sim t = t.sim
+let create sim =
+  let no_conduit : conduit =
+   fun ~src:_ ~dst:_ ~name:_ ~rate:_ ~delay:_ ?qdisc:_ ~deliver:_ () ->
+    invalid_arg "Topology: a single-sim topology has no conduits"
+  in
+  partitioned [| sim |] ~conduit:no_conduit
 
-let host t name =
-  let node = Node.create t.sim ~name ~addr:t.next_addr in
+let nparts t = Array.length t.sims
+
+let sim ?(part = 0) t = t.sims.(part)
+
+let part t sim =
+  let rec find p =
+    if p = Array.length t.sims then
+      invalid_arg "Topology.part: simulator not in this topology"
+    else if t.sims.(p) == sim then p
+    else find (p + 1)
+  in
+  find 0
+
+let place t ~groups g = (g mod groups) * nparts t / groups
+
+let host ?(part = 0) t name =
+  let node = Node.create t.sims.(part) ~name ~addr:t.next_addr in
   t.next_addr <- t.next_addr + 1;
   t.all_hosts <- node :: t.all_hosts;
   node
 
-let switch t name = Switch.create t.sim ~name ()
+let switch ?(part = 0) t name = Switch.create t.sims.(part) ~name ()
 
-(* Wire a link into a device through both delivery interfaces: the
-   per-packet destination (used by classic links, and as the fallback)
-   and the burst destination (used by batched links to take a whole
+(* Where a link delivers: the receiving device's simulator, its
+   per-packet entry point (used by classic links, conduits, and as the
+   fallback) and its burst entry point (batched links hand over a whole
    delivery chain in one call). *)
-let to_switch link sw =
-  Link.set_dst link (Switch.receive sw);
-  Link.set_dst_burst link (Switch.receive_burst sw)
+let into_switch sw = (Switch.sim sw, Switch.receive sw, Switch.receive_burst sw)
 
-let to_node link node =
-  Link.set_dst link (Node.receive node);
-  Link.set_dst_burst link (Node.receive_burst node)
+let into_node node = (Node.sim node, Node.receive node, Node.receive_burst node)
+
+let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver, deliver_burst) =
+  if from == into then begin
+    let link = Link.create from ~name ~rate ~delay ?qdisc () in
+    Link.set_dst link deliver;
+    Link.set_dst_burst link deliver_burst;
+    link
+  end
+  else
+    t.conduit ~src:(part t from) ~dst:(part t into) ~name ~rate ~delay ?qdisc
+      ~deliver ()
 
 let hosts t = List.rev t.all_hosts
 
@@ -36,50 +83,44 @@ let host_by_addr t addr =
 
 let wire_host_to_switch t node sw ~rate ~delay ?up_qdisc ?down_qdisc () =
   let up =
-    Link.create t.sim
+    connect t ~from:(Node.sim node)
       ~name:(Node.name node ^ "->" ^ Switch.name sw)
-      ~rate ~delay ?qdisc:up_qdisc ()
+      ~rate ~delay ?qdisc:up_qdisc (into_switch sw)
   in
-  to_switch up sw;
   Node.attach node up;
   let down =
-    Link.create t.sim
+    connect t ~from:(Switch.sim sw)
       ~name:(Switch.name sw ^ "->" ^ Node.name node)
-      ~rate ~delay ?qdisc:down_qdisc ()
+      ~rate ~delay ?qdisc:down_qdisc (into_node node)
   in
-  to_node down node;
   Switch.add_port sw down
 
 let wire_switch_pair t a b ~rate ~delay ?ab_qdisc ?ba_qdisc () =
   let ab =
-    Link.create t.sim
+    connect t ~from:(Switch.sim a)
       ~name:(Switch.name a ^ "->" ^ Switch.name b)
-      ~rate ~delay ?qdisc:ab_qdisc ()
+      ~rate ~delay ?qdisc:ab_qdisc (into_switch b)
   in
-  to_switch ab b;
   let ba =
-    Link.create t.sim
+    connect t ~from:(Switch.sim b)
       ~name:(Switch.name b ^ "->" ^ Switch.name a)
-      ~rate ~delay ?qdisc:ba_qdisc ()
+      ~rate ~delay ?qdisc:ba_qdisc (into_switch a)
   in
-  to_switch ba a;
   let port_a = Switch.add_port a ab in
   let port_b = Switch.add_port b ba in
   (port_a, port_b, ab, ba)
 
 let wire_host_pair t a b ~rate ~delay ?ab_qdisc ?ba_qdisc () =
   let ab =
-    Link.create t.sim
+    connect t ~from:(Node.sim a)
       ~name:(Node.name a ^ "->" ^ Node.name b)
-      ~rate ~delay ?qdisc:ab_qdisc ()
+      ~rate ~delay ?qdisc:ab_qdisc (into_node b)
   in
-  to_node ab b;
   let ba =
-    Link.create t.sim
+    connect t ~from:(Node.sim b)
       ~name:(Node.name b ^ "->" ^ Node.name a)
-      ~rate ~delay ?qdisc:ba_qdisc ()
+      ~rate ~delay ?qdisc:ba_qdisc (into_node a)
   in
-  to_node ba a;
   Node.add_route a (Node.addr b) ab;
   Node.add_route b (Node.addr a) ba;
   (* Also make them each other's default uplink when unattached, so
@@ -97,9 +138,15 @@ type dumbbell = {
 }
 
 let dumbbell t ~n ~edge_rate ~bottleneck_rate ~delay ?bottleneck_qdisc () =
-  let left = switch t "left" and right = switch t "right" in
-  let senders = Array.init n (fun i -> host t (Printf.sprintf "snd%d" i)) in
-  let receivers = Array.init n (fun i -> host t (Printf.sprintf "rcv%d" i)) in
+  let side = place t ~groups:2 in
+  let left = switch ~part:(side 0) t "left"
+  and right = switch ~part:(side 1) t "right" in
+  let senders =
+    Array.init n (fun i -> host ~part:(side 0) t (Printf.sprintf "snd%d" i))
+  in
+  let receivers =
+    Array.init n (fun i -> host ~part:(side 1) t (Printf.sprintf "rcv%d" i))
+  in
   let left_routes = Routing.create () and right_routes = Routing.create () in
   Array.iter
     (fun s ->
@@ -144,30 +191,27 @@ type two_path = {
 
 let two_path t ~rate_a ~rate_b ~delay_a ~delay_b ~edge_rate ?qdisc_a ?qdisc_b
     () =
-  let src = host t "src" and dst = host t "dst" in
-  let ingress = switch t "ingress" and egress = switch t "egress" in
+  let side = place t ~groups:2 in
+  let src = host ~part:(side 0) t "src" and dst = host ~part:(side 1) t "dst" in
+  let ingress = switch ~part:(side 0) t "ingress"
+  and egress = switch ~part:(side 1) t "egress" in
   let src_port = wire_host_to_switch t src ingress ~rate:edge_rate
       ~delay:(Engine.Time.ns 500) () in
   let dst_port = wire_host_to_switch t dst egress ~rate:edge_rate
       ~delay:(Engine.Time.ns 500) () in
-  let link_a =
-    Link.create t.sim ~name:"pathA" ~rate:rate_a ~delay:delay_a
-      ?qdisc:qdisc_a ()
+  let path ~name ~rate ~delay ?qdisc () =
+    connect t ~from:(Switch.sim ingress) ~name ~rate ~delay ?qdisc
+      (into_switch egress)
   in
-  to_switch link_a egress;
-  let link_b =
-    Link.create t.sim ~name:"pathB" ~rate:rate_b ~delay:delay_b
-      ?qdisc:qdisc_b ()
-  in
-  to_switch link_b egress;
+  let link_a = path ~name:"pathA" ~rate:rate_a ~delay:delay_a ?qdisc:qdisc_a () in
+  let link_b = path ~name:"pathB" ~rate:rate_b ~delay:delay_b ?qdisc:qdisc_b () in
   let port_a = Switch.add_port ingress link_a in
   let port_b = Switch.add_port ingress link_b in
   (* Dedicated reverse link so ACKs never queue behind data. *)
   let reverse =
-    Link.create t.sim ~name:"reverse" ~rate:(Engine.Time.gbps 400)
-      ~delay:delay_a ()
+    connect t ~from:(Switch.sim egress) ~name:"reverse"
+      ~rate:(Engine.Time.gbps 400) ~delay:delay_a (into_switch ingress)
   in
-  to_switch reverse ingress;
   let reverse_port = Switch.add_port egress reverse in
   let routes = Routing.create () in
   Routing.add routes (Node.addr dst) port_a;
@@ -191,9 +235,10 @@ type chain = {
 }
 
 let proxy_chain t ~front_rate ~back_rate ~delay ?front_qdisc ?back_qdisc () =
-  let client = host t "client" in
-  let proxy = host t "proxy" in
-  let server = host t "server" in
+  let hop = place t ~groups:3 in
+  let client = host ~part:(hop 0) t "client" in
+  let proxy = host ~part:(hop 1) t "proxy" in
+  let server = host ~part:(hop 2) t "server" in
   let c2p, _p2c =
     wire_host_pair t client proxy ~rate:front_rate ~delay
       ?ab_qdisc:front_qdisc ()
@@ -212,6 +257,19 @@ type star = {
   st_server_port : int;
 }
 
+let mk_qdisc = function Some f -> Some (f ()) | None -> None
+
+(* One switch-to-switch fabric edge: the upward direction gets a fresh
+   [uplink_qdisc], the downward one the default queue.  Returns the
+   upward port at [lower], the downward port at [upper] and the upward
+   link. *)
+let mesh t lower upper ~rate ~delay uplink_qdisc =
+  let up_port, down_port, up, _ =
+    wire_switch_pair t lower upper ~rate ~delay
+      ?ab_qdisc:(mk_qdisc uplink_qdisc) ()
+  in
+  (up_port, down_port, up)
+
 type leaf_spine = {
   ls_hosts : Node.t array array;
   ls_leaves : Switch.t array;
@@ -222,16 +280,20 @@ type leaf_spine = {
 
 let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
     ~delay ?uplink_qdisc () =
+  (* A leaf lives with its hosts; spine [s] with leaf [s mod leaves]. *)
+  let at_leaf l = place t ~groups:leaves l in
   let leaf_sw =
-    Array.init leaves (fun i -> switch t (Printf.sprintf "leaf%d" i))
+    Array.init leaves (fun i ->
+        switch ~part:(at_leaf i) t (Printf.sprintf "leaf%d" i))
   in
   let spine_sw =
-    Array.init spines (fun i -> switch t (Printf.sprintf "spine%d" i))
+    Array.init spines (fun i ->
+        switch ~part:(at_leaf i) t (Printf.sprintf "spine%d" i))
   in
   let hosts =
     Array.init leaves (fun l ->
         Array.init hosts_per_leaf (fun i ->
-            host t (Printf.sprintf "h%d_%d" l i)))
+            host ~part:(at_leaf l) t (Printf.sprintf "h%d_%d" l i)))
   in
   let leaf_routes = Array.init leaves (fun _ -> Routing.create ()) in
   let spine_routes = Array.init spines (fun _ -> Routing.create ()) in
@@ -250,23 +312,10 @@ let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
   let uplinks =
     Array.init leaves (fun l ->
         Array.init spines (fun s ->
-            let qdisc =
-              match uplink_qdisc with Some f -> Some (f ()) | None -> None
+            let up_port, down_port, up =
+              mesh t leaf_sw.(l) spine_sw.(s) ~rate:fabric_rate ~delay
+                uplink_qdisc
             in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "leaf%d->spine%d" l s)
-                ~rate:fabric_rate ~delay ?qdisc ()
-            in
-            to_switch up spine_sw.(s);
-            let up_port = Switch.add_port leaf_sw.(l) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "spine%d->leaf%d" s l)
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down leaf_sw.(l);
-            let down_port = Switch.add_port spine_sw.(s) down in
             (* Remote hosts: one route entry per spine so ECMP spreads;
                spines route statically to the owning leaf. *)
             Array.iteri
@@ -292,11 +341,10 @@ let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
 
 (* Deterministic nonzero ECMP salts for fabric switches: tier builders
    hand switch ordinal [i] here so every table in a fabric hashes
-   flow_hash differently (see Routing.create).  Partition builders use
-   the same ordinals so split worlds forward identically. *)
+   flow_hash differently (see Routing.create).  Ordinals never depend
+   on placement, so a partitioned build forwards exactly like a
+   single-sim one. *)
 let fabric_salt i = 0x5DEECE66D + i
-
-let mk_qdisc = function Some f -> Some (f ()) | None -> None
 
 type fat_tree = {
   ft_k : int;
@@ -323,15 +371,23 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
   let nhosts = pods * half * half in
   let base = t.next_addr in
   let top = base + nhosts - 1 in
+  (* A pod's hosts, edges and aggs share a partition; core [c] lives
+     with pod [c mod k]. *)
+  let at_pod p = place t ~groups:pods p in
   let edges =
     Array.init nedges (fun i ->
-        switch t (Printf.sprintf "edge%d_%d" (i / half) (i mod half)))
+        switch ~part:(at_pod (i / half)) t
+          (Printf.sprintf "edge%d_%d" (i / half) (i mod half)))
   in
   let aggs =
     Array.init naggs (fun i ->
-        switch t (Printf.sprintf "agg%d_%d" (i / half) (i mod half)))
+        switch ~part:(at_pod (i / half)) t
+          (Printf.sprintf "agg%d_%d" (i / half) (i mod half)))
   in
-  let cores = Array.init ncores (fun i -> switch t (Printf.sprintf "core%d" i)) in
+  let cores =
+    Array.init ncores (fun i ->
+        switch ~part:(at_pod i) t (Printf.sprintf "core%d" i))
+  in
   let edge_routes =
     Array.init nedges (fun i -> Routing.create ~salt:(fabric_salt i) ())
   in
@@ -348,7 +404,8 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
     Array.init nhosts (fun i ->
         let pod = i / (half * half) in
         let rem = i mod (half * half) in
-        host t (Printf.sprintf "h%d_%d_%d" pod (rem / half) (rem mod half)))
+        host ~part:(at_pod pod) t
+          (Printf.sprintf "h%d_%d_%d" pod (rem / half) (rem mod half)))
   in
   Array.iteri
     (fun i h ->
@@ -369,23 +426,9 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
         let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
         Array.init half (fun a ->
             let ai = (pod * half) + a in
-            let qdisc = mk_qdisc uplink_qdisc in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name edges.(ei))
-                         (Switch.name aggs.(ai)))
-                ~rate:fabric_rate ~delay ?qdisc ()
+            let up_port, down_port, up =
+              mesh t edges.(ei) aggs.(ai) ~rate:fabric_rate ~delay uplink_qdisc
             in
-            to_switch up aggs.(ai);
-            let up_port = Switch.add_port edges.(ei) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name aggs.(ai))
-                         (Switch.name edges.(ei)))
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down edges.(ei);
-            let down_port = Switch.add_port aggs.(ai) down in
             Routing.add_range agg_routes.(ai) ~lo:my_lo ~hi:my_hi down_port;
             if my_lo > base then
               Routing.add_range edge_routes.(ei) ~lo:base ~hi:(my_lo - 1)
@@ -404,23 +447,9 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
         let pod_hi = base + ((pod + 1) * half * half) - 1 in
         Array.init half (fun j ->
             let ci = (a * half) + j in
-            let qdisc = mk_qdisc uplink_qdisc in
-            let up =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name aggs.(ai))
-                         (Switch.name cores.(ci)))
-                ~rate:fabric_rate ~delay ?qdisc ()
+            let up_port, down_port, up =
+              mesh t aggs.(ai) cores.(ci) ~rate:fabric_rate ~delay uplink_qdisc
             in
-            to_switch up cores.(ci);
-            let up_port = Switch.add_port aggs.(ai) up in
-            let down =
-              Link.create t.sim
-                ~name:(Printf.sprintf "%s->%s" (Switch.name cores.(ci))
-                         (Switch.name aggs.(ai)))
-                ~rate:fabric_rate ~delay ()
-            in
-            to_switch down aggs.(ai);
-            let down_port = Switch.add_port cores.(ci) down in
             Routing.add_range core_routes.(ci) ~lo:pod_lo ~hi:pod_hi
               down_port;
             if pod_lo > base then
@@ -469,16 +498,23 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
   let hosts_per_pod = leaves * hosts_per_leaf in
   let base = t.next_addr in
   let top = base + nhosts - 1 in
+  (* A leaf lives with its hosts; spine [s] of a pod with that pod's
+     leaf [s mod leaves]; super [u] with leaf [u mod nleaves]. *)
+  let at_leaf li = place t ~groups:nleaves li in
   let leaf_sw =
     Array.init nleaves (fun i ->
-        switch t (Printf.sprintf "leaf%d_%d" (i / leaves) (i mod leaves)))
+        switch ~part:(at_leaf i) t
+          (Printf.sprintf "leaf%d_%d" (i / leaves) (i mod leaves)))
   in
   let spine_sw =
     Array.init nspines (fun i ->
-        switch t (Printf.sprintf "spine%d_%d" (i / spines) (i mod spines)))
+        let pod = i / spines and s = i mod spines in
+        switch ~part:(at_leaf ((pod * leaves) + (s mod leaves))) t
+          (Printf.sprintf "spine%d_%d" pod s))
   in
   let super_sw =
-    Array.init supers (fun i -> switch t (Printf.sprintf "super%d" i))
+    Array.init supers (fun i ->
+        switch ~part:(at_leaf i) t (Printf.sprintf "super%d" i))
   in
   let leaf_routes =
     Array.init nleaves (fun i -> Routing.create ~salt:(fabric_salt i) ())
@@ -495,7 +531,7 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     Array.init nhosts (fun i ->
         let pod = i / hosts_per_pod in
         let rem = i mod hosts_per_pod in
-        host t
+        host ~part:(at_leaf (i / hosts_per_leaf)) t
           (Printf.sprintf "h%d_%d_%d" pod (rem / hosts_per_leaf)
              (rem mod hosts_per_leaf)))
   in
@@ -516,23 +552,9 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     let my_hi = my_lo + hosts_per_leaf - 1 in
     for s = 0 to spines - 1 do
       let si = (pod * spines) + s in
-      let qdisc = mk_qdisc uplink_qdisc in
-      let up =
-        Link.create t.sim
-          ~name:(Printf.sprintf "%s->%s" (Switch.name leaf_sw.(li))
-                   (Switch.name spine_sw.(si)))
-          ~rate:fabric_rate ~delay ?qdisc ()
+      let up_port, down_port, _ =
+        mesh t leaf_sw.(li) spine_sw.(si) ~rate:fabric_rate ~delay uplink_qdisc
       in
-      to_switch up spine_sw.(si);
-      let up_port = Switch.add_port leaf_sw.(li) up in
-      let down =
-        Link.create t.sim
-          ~name:(Printf.sprintf "%s->%s" (Switch.name spine_sw.(si))
-                   (Switch.name leaf_sw.(li)))
-          ~rate:fabric_rate ~delay ()
-      in
-      to_switch down leaf_sw.(li);
-      let down_port = Switch.add_port spine_sw.(si) down in
       Routing.add_range spine_routes.(si) ~lo:my_lo ~hi:my_hi down_port;
       if my_lo > base then
         Routing.add_range leaf_routes.(li) ~lo:base ~hi:(my_lo - 1) up_port;
@@ -547,23 +569,10 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
       let pod_lo = base + (pod * hosts_per_pod) in
       let pod_hi = pod_lo + hosts_per_pod - 1 in
       for u = 0 to supers - 1 do
-        let qdisc = mk_qdisc uplink_qdisc in
-        let up =
-          Link.create t.sim
-            ~name:(Printf.sprintf "%s->%s" (Switch.name spine_sw.(si))
-                     (Switch.name super_sw.(u)))
-            ~rate:fabric_rate ~delay ?qdisc ()
+        let up_port, down_port, _ =
+          mesh t spine_sw.(si) super_sw.(u) ~rate:fabric_rate ~delay
+            uplink_qdisc
         in
-        to_switch up super_sw.(u);
-        let up_port = Switch.add_port spine_sw.(si) up in
-        let down =
-          Link.create t.sim
-            ~name:(Printf.sprintf "%s->%s" (Switch.name super_sw.(u))
-                     (Switch.name spine_sw.(si)))
-            ~rate:fabric_rate ~delay ()
-        in
-        to_switch down spine_sw.(si);
-        let down_port = Switch.add_port super_sw.(u) down in
         Routing.add_range super_routes.(u) ~lo:pod_lo ~hi:pod_hi down_port;
         if pod_lo > base then
           Routing.add_range spine_routes.(si) ~lo:base ~hi:(pod_lo - 1)
@@ -588,9 +597,13 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     mt_spine_routes = spine_routes; mt_super_routes = super_routes }
 
 let star t ~n ~rate ~delay ?server_qdisc () =
+  (* The switch stays in partition 0; hosts are dealt out in blocks. *)
+  let at i = place t ~groups:(n + 1) i in
   let sw = switch t "star" in
-  let clients = Array.init n (fun i -> host t (Printf.sprintf "cli%d" i)) in
-  let server = host t "server" in
+  let clients =
+    Array.init n (fun i -> host ~part:(at i) t (Printf.sprintf "cli%d" i))
+  in
+  let server = host ~part:(at n) t "server" in
   let routes = Routing.create () in
   Array.iter
     (fun c ->

@@ -1,20 +1,62 @@
-(** Topology construction: address allocation, duplex wiring helpers,
-    and the prebuilt networks used by the paper's experiments. *)
+(** Topology construction: address allocation, placement, duplex
+    wiring helpers, and the prebuilt networks used by the paper's
+    experiments.
+
+    One builder serves a single simulator and a partitioned world
+    alike.  A topology owns one simulator per partition; every
+    prebuilt network places its devices with {!place} (partition 0
+    when there is only one) and wires every link so that it is a plain
+    {!Link} when both ends share a partition and the world's
+    {!conduit} when they do not.  Names, addresses, routes and ECMP
+    salts never depend on the cut, so a partitioned build forwards
+    exactly like its single-sim counterpart. *)
 
 type t
 
-val create : ?first_addr:int -> Engine.Sim.t -> t
-(** [first_addr] (default 0) starts host address allocation higher —
-    partitioned builds ({!Partition}) give each partition's topology a
-    disjoint address range so a split world reproduces the same
-    addresses as its single-sim counterpart. *)
+type conduit =
+  src:int ->
+  dst:int ->
+  name:string ->
+  rate:Engine.Time.rate ->
+  delay:Engine.Time.t ->
+  ?qdisc:Qdisc.t ->
+  deliver:(Packet.t -> unit) ->
+  unit ->
+  Link.t
+(** How a world realises a link from partition [src] to partition
+    [dst]: the returned link transmits in [src], and each packet it
+    delivers reaches [deliver] in [dst] [delay] later. *)
 
-val sim : t -> Engine.Sim.t
+val create : Engine.Sim.t -> t
+(** A single-sim topology: one partition, no conduits. *)
 
-val host : t -> string -> Node.t
-(** Fresh host with a unique address. *)
+val partitioned : Engine.Sim.t array -> conduit:conduit -> t
+(** One partition per simulator; cross-partition links come from
+    [conduit].  {!Partition.create} makes these. *)
 
-val switch : t -> string -> Switch.t
+val nparts : t -> int
+
+val sim : ?part:int -> t -> Engine.Sim.t
+(** Partition [part]'s simulator (default 0). *)
+
+val part : t -> Engine.Sim.t -> int
+(** The partition a simulator belongs to — e.g. of [Link.sim l] or
+    [Switch.sim sw].
+    @raise Invalid_argument for a foreign simulator. *)
+
+val place : t -> groups:int -> int -> int
+(** [place t ~groups g]: the partition of group [g mod groups] when a
+    network has [groups] natural groups (a leaf with its hosts, a
+    pod, one side of a dumbbell).  Groups go to partitions in
+    contiguous blocks, so [groups = nparts] maps group [g] to
+    partition [g], and a single partition maps everything to 0.
+    Shared switches (spines, cores) are placed as group [i]. *)
+
+val host : ?part:int -> t -> string -> Node.t
+(** Fresh host with a unique address, in partition [part] (default
+    0). *)
+
+val switch : ?part:int -> t -> string -> Switch.t
 
 val hosts : t -> Node.t list
 (** All hosts created so far, in creation order. *)
@@ -186,9 +228,8 @@ val leaf_spine :
 
 val fabric_salt : int -> int
 (** Deterministic nonzero ECMP salt for fabric switch ordinal [i]
-    (see {!Routing.create}); {!fat_tree}, {!multi_leaf_spine} and the
-    {!Partition} builders share it so split worlds forward
-    identically. *)
+    (see {!Routing.create}), shared by {!fat_tree} and
+    {!multi_leaf_spine}. *)
 
 type fat_tree = {
   ft_k : int;

@@ -250,19 +250,20 @@ let test_corpus_replays_clean () =
 
 let test_domains_jobs_invariant () =
   (* The partitioned scenario build must render byte-identical digests
-     at jobs {1, 2, 4} on every leaf-spine spec of a generated batch —
-     the determinism contract of the conservative epoch runner, on
-     real fuzz workloads (mixed transports, faults, samplers). *)
+     at jobs {1, 2, 4} on every spec of a generated batch — the
+     determinism contract of the conservative epoch runner, on real
+     fuzz workloads (mixed topologies, transports, faults,
+     samplers). *)
   let rng = Engine.Rng.create 99 in
   let tested = ref 0 in
   let i = ref 0 in
   while !tested < 4 && !i < 100 do
     incr i;
     let spec = Check.Spec.generate (Engine.Rng.derive rng !i) in
-    if Check.Scenario.domains_applicable spec then begin
+    if Check.Scenario.partitionable spec then begin
       incr tested;
       let at jobs =
-        match Check.Scenario.run_domains ~jobs spec with
+        match Check.Scenario.outcome ~partitioned:true ~jobs spec with
         | Ok digest -> digest
         | Error msg -> Alcotest.failf "spec %d jobs=%d: %s" !i jobs msg
       in
@@ -276,7 +277,7 @@ let test_domains_jobs_invariant () =
       checkb "digest is non-trivial" true (String.length d1 > 100)
     end
   done;
-  checki "found leaf-spine specs to test" 4 !tested
+  checki "found partitionable specs to test" 4 !tested
 
 let test_fat_tree_domains_jobs_invariant () =
   (* Pin the pod-partitioned fat-tree build directly (generation may
@@ -299,10 +300,9 @@ let test_fat_tree_domains_jobs_invariant () =
             (15, 0, 16384, 70) ];
       faults = [] }
   in
-  checkb "fat-tree is domains-applicable" true
-    (Check.Scenario.domains_applicable spec);
+  checkb "fat-tree is partitionable" true (Check.Scenario.partitionable spec);
   let at jobs =
-    match Check.Scenario.run_domains ~jobs spec with
+    match Check.Scenario.outcome ~partitioned:true ~jobs spec with
     | Ok digest -> digest
     | Error msg -> Alcotest.failf "jobs=%d: %s" jobs msg
   in

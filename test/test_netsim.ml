@@ -858,6 +858,118 @@ let test_multi_leaf_spine_connectivity () =
     (fun i c -> checki (Printf.sprintf "host %d full mesh" i) (n - 1) c)
     got
 
+(* ---------------------------- Partitioned -------------------------- *)
+
+(* Every prebuilt network, as (hosts, switches) built on a topology. *)
+let prebuilt =
+  let g = Engine.Time.gbps 10 and d = Engine.Time.us 1 in
+  [ ( "dumbbell",
+      fun topo ->
+        let db =
+          Topology.dumbbell topo ~n:2 ~edge_rate:g ~bottleneck_rate:g ~delay:d ()
+        in
+        ( Array.append db.Topology.db_senders db.Topology.db_receivers,
+          [| db.Topology.db_left; db.Topology.db_right |] ) );
+    ( "two_path",
+      fun topo ->
+        let tp =
+          Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:d ~delay_b:(2 * d)
+            ~edge_rate:g ()
+        in
+        ( [| tp.Topology.tp_src; tp.Topology.tp_dst |],
+          [| tp.Topology.tp_ingress; tp.Topology.tp_egress |] ) );
+    ( "proxy_chain",
+      fun topo ->
+        let ch = Topology.proxy_chain topo ~front_rate:g ~back_rate:g ~delay:d () in
+        ([| ch.Topology.ch_client; ch.Topology.ch_proxy; ch.Topology.ch_server |], [||]) );
+    ( "star",
+      fun topo ->
+        let st = Topology.star topo ~n:3 ~rate:g ~delay:d () in
+        ( Array.append st.Topology.st_clients [| st.Topology.st_server |],
+          [| st.Topology.st_switch |] ) );
+    ( "leaf_spine",
+      fun topo ->
+        let ls =
+          Topology.leaf_spine topo ~leaves:3 ~spines:2 ~hosts_per_leaf:2
+            ~host_rate:g ~fabric_rate:g ~delay:d ()
+        in
+        ( Array.concat (Array.to_list ls.Topology.ls_hosts),
+          Array.append ls.Topology.ls_leaves ls.Topology.ls_spines ) );
+    ( "fat_tree",
+      fun topo ->
+        let ft = Topology.fat_tree topo ~k:4 ~host_rate:g ~fabric_rate:g ~delay:d () in
+        ( ft.Topology.ft_hosts,
+          Array.concat [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] ) );
+    ( "multi_leaf_spine",
+      fun topo ->
+        let mt =
+          Topology.multi_leaf_spine topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
+            ~hosts_per_leaf:2 ~host_rate:g ~fabric_rate:g ~delay:d ()
+        in
+        ( mt.Topology.mt_hosts,
+          Array.concat [ mt.Topology.mt_leaves; mt.Topology.mt_spines; mt.Topology.mt_supers ] ) ) ]
+
+(* Every host sends one packet to every other host; returns what each
+   host and switch received. *)
+let all_pairs (hosts, switches) run =
+  let got = Array.make (Array.length hosts) 0 in
+  Array.iteri (fun i h -> Node.set_handler h (fun _ -> got.(i) <- got.(i) + 1)) hosts;
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if src != dst then
+            Node.send src (pkt ~src:(Node.addr src) ~dst:(Node.addr dst) ()))
+        hosts)
+    hosts;
+  run ();
+  (Array.to_list got, Array.to_list (Array.map Switch.received switches))
+
+let test_partitioned_builds_match_single_sim () =
+  (* One builder, any cut: each prebuilt network on a 2- and a
+     3-partition world delivers exactly what its single-sim build
+     delivers, at jobs 1 and 2. *)
+  List.iter
+    (fun (name, build) ->
+      let sim = Engine.Sim.create () in
+      let single = all_pairs (build (Topology.create sim)) (fun () -> Engine.Sim.run sim) in
+      List.iter
+        (fun (nparts, jobs) ->
+          let world = Partition.create ~nparts () in
+          let got =
+            all_pairs
+              (build (Partition.topology world))
+              (fun () -> Partition.run ~jobs ~until:(Engine.Time.ms 1) world)
+          in
+          Alcotest.(check (pair (list int) (list int)))
+            (Printf.sprintf "%s: %d partitions, jobs=%d" name nparts jobs)
+            single got)
+        [ (2, 1); (2, 2); (3, 1); (3, 2) ])
+    prebuilt
+
+let test_partition_lookahead_is_min_cut_delay () =
+  (* The two-path cut crosses path A (3 us), path B (7 us) and the
+     reverse link (3 us); the 500 ns edge links stay inside their
+     partitions, so the epoch window is 3 us. *)
+  let world = Partition.create ~nparts:2 () in
+  let tp =
+    Topology.two_path (Partition.topology world) ~rate_a:(Engine.Time.gbps 10)
+      ~rate_b:(Engine.Time.gbps 10) ~delay_a:(Engine.Time.us 3)
+      ~delay_b:(Engine.Time.us 7) ~edge_rate:(Engine.Time.gbps 10) ()
+  in
+  checki "lookahead = min conduit delay" (Engine.Time.us 3)
+    (Partition.lookahead world);
+  checkb "src and dst in different partitions" true
+    (Node.sim tp.Topology.tp_src != Node.sim tp.Topology.tp_dst);
+  (* A single partition has nothing to cut. *)
+  let one = Partition.create ~nparts:1 () in
+  ignore
+    (Topology.star (Partition.topology one) ~n:2 ~rate:(Engine.Time.gbps 10)
+       ~delay:(Engine.Time.us 1) ());
+  match Partition.lookahead one with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a one-partition world has no conduit"
+
 (* ------------------------------ Monitor ---------------------------- *)
 
 let test_tracer_records_link_and_switch () =
@@ -1148,6 +1260,10 @@ let suite =
       test_fat_tree_ecmp_uses_all_cores;
     Alcotest.test_case "multi-tier leaf-spine connectivity" `Quick
       test_multi_leaf_spine_connectivity;
+    Alcotest.test_case "partitioned builds match single-sim" `Quick
+      test_partitioned_builds_match_single_sim;
+    Alcotest.test_case "partition lookahead = min cut delay" `Quick
+      test_partition_lookahead_is_min_cut_delay;
     Alcotest.test_case "tracer taps" `Quick test_tracer_records_link_and_switch;
     Alcotest.test_case "tracer protocols" `Quick test_tracer_describes_protocols;
     Alcotest.test_case "tracer bounded" `Quick test_tracer_bounded;
