@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-datapath bench-scale bench-parallel lint lint-typed check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-datapath bench-parallel lint lint-typed check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -10,25 +10,27 @@ build:
 test:
 	dune runtest --force --no-buffer
 
-bench:
-	dune exec bench/main.exe
+# Regenerate test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry
+# trace, metrics and stdout) and print what changed; `dune runtest`
+# fails while the committed digest differs from the current output.
+golden:
+	dune build @test/golden/runtest --auto-promote || dune build @test/golden/runtest
 
-# Datapath guardrails: engine event/timer costs, classic packet
-# forwarding, and the batched breath-loop drain vs its classic twin.
-# Writes BENCH_engine.json; `--guardrail` fails on allocation
-# regressions, on the batched drain dropping below 4x the seed's
-# packets/s, or on batching being slower than classic anywhere.
+# The repo benchmark (BENCHMARK.json): end-to-end and per-layer
+# metrics on five workloads (untraced and traced passes).
+bench:
+	dune exec bench/suite/mtpbench.exe
+
+# Engine guardrails, one program writing every section of
+# BENCH_engine.json: engine event/timer costs, classic packet
+# forwarding, the batched breath-loop drain vs its classic twin, and
+# the 64 -> 4096 host fabric-scale sweep.  `--guardrail` fails on
+# allocation regressions, on the batched drain dropping below 4x the
+# seed's packets/s, on batching being slower than classic anywhere,
+# on minor words/event growing with fabric size (bar 1.15x of the
+# 64-host value), or on a routing lookup allocating.
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
-
-# Fabric-scale guardrails: minor words/event across 64 -> 4096 host
-# fabrics (two-tier Clos, k=16 fat-tree, three-tier Clos) must stay
-# flat (within 1.15x of the 64-host value), the dense routing lookup
-# must allocate zero minor words over 2M calls, and the batched
-# datapath must not be slower than classic at 64 hosts.  Appends the
-# "scale" section to BENCH_engine.json (run bench-datapath first).
-bench-scale:
-	dune exec bench/scale.exe -- --guardrail
 
 # Scaling bench: the fixed fig5 sweep at jobs {1,2,4,8} plus the
 # partitioned single-scenario exhibit at jobs 1 vs 2.  Writes
@@ -67,9 +69,8 @@ fuzz-smoke:
 	dune exec bin/mtp_sim.exe -- fuzz --cases 200 --seed 1 --budget-s 120
 
 # CI gate: full build, the test suite, a quick datapath bench that
-# must produce the allocation/throughput guardrail report, the
-# fabric-scale sweep with its words-stay-flat guardrail, the
-# parallel-runner scaling bench with its not-slower guardrail, a
+# must produce the allocation/throughput and fabric-scale guardrail
+# report, the parallel-runner scaling bench with its not-slower guardrail, a
 # shortened failover run exercising fault injection end to end, a
 # parallel `all --smoke` pass regenerating every exhibit on two
 # domains, a telemetry export check (JSONL parses, same-seed runs
@@ -82,7 +83,6 @@ check:
 	$(MAKE) fuzz-smoke
 	rm -f BENCH_engine.json
 	$(MAKE) bench-datapath
-	$(MAKE) bench-scale
 	test -f BENCH_engine.json
 	$(MAKE) bench-parallel
 	test -f BENCH_parallel.json

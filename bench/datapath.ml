@@ -1,11 +1,15 @@
-(* Datapath guardrail bench: engine event/timer costs, classic
-   packet forwarding, and the batched breath-loop drain.
+(* Engine guardrail bench: engine event/timer costs, classic packet
+   forwarding, the batched breath-loop drain, and the fabric-scale
+   sweep.
 
    Three guardrail workloads (event dispatch, timer re-arm, pooled
    packet forward) are compared against the pre-refactor growth-seed
    baselines; the burst-drain workload measures the batched datapath
-   against its own classic twin and against the seed's packets/s.
-   Results go to stdout and BENCH_engine.json.
+   against its own classic twin and against the seed's packets/s.  The
+   scale sweep drives a raw-packet permutation workload through 64 ->
+   4096 host fabrics and checks that minor words/event stay flat.
+   Results go to stdout and, every section in one pass,
+   BENCH_engine.json.
 
    `--guardrail` additionally enforces the bars (non-zero exit on
    regression) — wired into `make check` and CI next to the parallel
@@ -179,6 +183,211 @@ let datapath_burst ~batched () =
       let secs, words = !best in
       (words /. float_of_int n, float_of_int n /. secs))
 
+(* ------------------------------ Scale ------------------------------ *)
+
+(* Fabric-scale sweep: each point builds an interval-routed fabric
+   (two-tier Clos, k=16 fat-tree, three-tier Clos), then drives a fixed
+   raw-packet permutation workload through pooled packets: 16 spread
+   sources send to hosts half a fabric away at half their line rate,
+   cycling flow_hash so every ECMP table is exercised.  Reported per
+   point: minor words/event, minor words per delivered packet,
+   packets/s, events/s.
+
+   Two more measurements feed the guardrail:
+   - a pure routing-lookup loop (ports_for + ecmp_port on a warmed
+     4096-host edge table) that must allocate nothing at all, and
+   - the 64-host point re-run on the classic (unbatched) datapath as
+     the same-machine not-slower reference. *)
+
+let host_rate = Engine.Time.gbps 10
+let fabric_rate = Engine.Time.gbps 40
+let delay = Engine.Time.us 2
+let sources = 16
+let pkts_per_source = 3_000
+let lookup_calls = 2_000_000
+
+type world = { sim : Engine.Sim.t; hosts : Netsim.Node.t array }
+
+let build_mls ~pods ~leaves ~spines ~supers ~hpl () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let mt =
+    Netsim.Topology.multi_leaf_spine topo ~pods ~leaves ~spines ~supers
+      ~hosts_per_leaf:hpl ~host_rate ~fabric_rate ~delay ()
+  in
+  { sim; hosts = mt.Netsim.Topology.mt_hosts }
+
+let build_ft ~k () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let ft =
+    Netsim.Topology.fat_tree topo ~k ~host_rate ~fabric_rate ~delay ()
+  in
+  { sim; hosts = ft.Netsim.Topology.ft_hosts }
+
+type point_spec = { label : string; nhosts : int; build : unit -> world }
+
+let points =
+  [ { label = "ls-8x8";
+      nhosts = 64;
+      build = build_mls ~pods:1 ~leaves:8 ~spines:4 ~supers:0 ~hpl:8 };
+    { label = "ls-16x16";
+      nhosts = 256;
+      build = build_mls ~pods:1 ~leaves:16 ~spines:8 ~supers:0 ~hpl:16 };
+    { label = "fat-tree-k16"; nhosts = 1024; build = build_ft ~k:16 };
+    { label = "clos-8x16x32";
+      nhosts = 4096;
+      build =
+        build_mls ~pods:8 ~leaves:16 ~spines:8 ~supers:8 ~hpl:32 } ]
+
+(* One workload pass: every source streams [pkts_per_source] packets
+   to its antipodal host at half line rate, with a fresh flow_hash per
+   packet.  Returns delivered count.  Steady state allocates nothing:
+   packets recycle through the pool and timers re-arm in place. *)
+let workload w =
+  let nhosts = Array.length w.hosts in
+  let pool = Netsim.Packet.pool w.sim in
+  let delivered = ref 0 in
+  Array.iter
+    (fun h ->
+      Netsim.Node.set_handler h (fun pkt ->
+          incr delivered;
+          Netsim.Packet.release pool pkt))
+    w.hosts;
+  let gap =
+    2 * Engine.Time.tx_time ~bytes:1500 ~rate:host_rate
+  in
+  let hash = ref 0 in
+  for s = 0 to sources - 1 do
+    let src_idx = s * nhosts / sources in
+    let dst_idx = (src_idx + (nhosts / 2) + 1) mod nhosts in
+    let src = w.hosts.(src_idx) in
+    let dst_addr = Netsim.Node.addr w.hosts.(dst_idx) in
+    let src_addr = Netsim.Node.addr src in
+    let link = Netsim.Node.uplink src in
+    let sent = ref 0 in
+    ignore
+      (Engine.Sim.periodic w.sim ~interval:gap (fun () ->
+           hash := !hash + 1;
+           let h = !hash * 0x9E3779B1 land 0xFFFFFF in
+           Netsim.Link.send link
+             (Netsim.Packet.recycle pool ~flow_hash:h ~src:src_addr
+                ~dst:dst_addr ~size:1500 ());
+           incr sent;
+           !sent < pkts_per_source))
+  done;
+  Engine.Sim.run w.sim;
+  !delivered
+
+type point_out = {
+  p_label : string;
+  p_hosts : int;
+  p_words_per_event : float;
+  p_words_per_packet : float;
+  p_pkt_rate : float;
+  p_ev_rate : float;
+}
+
+(* Build once, warm once (pool fill, route live-set refresh, array
+   sizing), then best-of-N timed passes on the same world. *)
+let run_point spec =
+  let w = spec.build () in
+  ignore (workload w);
+  let best = ref (infinity, infinity, 0, 0) in
+  for _ = 1 to timed_runs do
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    let e0 = Engine.Sim.events_processed w.sim in
+    let t0 = Unix.gettimeofday () in
+    let delivered = workload w in
+    let t1 = Unix.gettimeofday () in
+    let words = Gc.minor_words () -. w0 in
+    let events = Engine.Sim.events_processed w.sim - e0 in
+    if t1 -. t0 < (fun (s, _, _, _) -> s) !best then
+      best := (t1 -. t0, words, events, delivered)
+  done;
+  let secs, words, events, delivered = !best in
+  { p_label = spec.label;
+    p_hosts = spec.nhosts;
+    p_words_per_event = words /. float_of_int (max 1 events);
+    p_words_per_packet = words /. float_of_int (max 1 delivered);
+    p_pkt_rate = float_of_int delivered /. secs;
+    p_ev_rate = float_of_int events /. secs }
+
+(* Pure lookup cost on the biggest table: a warmed edge/leaf table of
+   the 4096-host fabric, 2M ports_for + ecmp_port calls over cycling
+   (dst, flow_hash).  Total minor words must be zero — the lookup is
+   a bounds-checked array index with no hashing and no option or
+   action block. *)
+let run_lookup () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let mt =
+    Netsim.Topology.multi_leaf_spine topo ~pods:8 ~leaves:16 ~spines:8
+      ~supers:8 ~hosts_per_leaf:32 ~host_rate ~fabric_rate ~delay ()
+  in
+  let routes = mt.Netsim.Topology.mt_leaf_routes.(0) in
+  let nhosts = Array.length mt.Netsim.Topology.mt_hosts in
+  let pool = Netsim.Packet.pool sim in
+  let probe = Netsim.Packet.recycle pool ~src:0 ~dst:0 ~size:1500 () in
+  (* Warm every live set once so lazy refreshes are off the clock. *)
+  for d = 0 to nhosts - 1 do
+    ignore (Netsim.Routing.ports_for routes d)
+  done;
+  let sink = ref 0 in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to lookup_calls - 1 do
+    probe.Netsim.Packet.dst <- i mod nhosts;
+    probe.Netsim.Packet.flow_hash <- i;
+    sink := !sink + Netsim.Routing.ecmp_port routes probe
+  done;
+  let t1 = Unix.gettimeofday () in
+  let words = Gc.minor_words () -. w0 in
+  ignore !sink;
+  (words, float_of_int lookup_calls /. (t1 -. t0))
+
+type scale = {
+  pts : point_out list;
+  lookup_words : float;
+  lookup_rate : float;
+  classic64_pkt_rate : float;
+  batched64_pkt_rate : float;
+}
+
+let collect_scale () =
+  let classic64 =
+    Netsim.Datapath.with_batching false (fun () ->
+        run_point (List.hd points))
+  in
+  let pts =
+    Netsim.Datapath.with_batching true (fun () -> List.map run_point points)
+  in
+  let lookup_words, lookup_rate = run_lookup () in
+  { pts;
+    lookup_words;
+    lookup_rate;
+    classic64_pkt_rate = classic64.p_pkt_rate;
+    batched64_pkt_rate = (List.hd pts).p_pkt_rate }
+
+let flatness s =
+  let wpe label =
+    match List.find_opt (fun p -> p.p_label = label) s.pts with
+    | Some p -> p.p_words_per_event
+    | None -> nan
+  in
+  (wpe "ls-8x8", wpe "clos-8x16x32")
+
+let flatness_bar = 1.15
+
+(* Sub-quarter-word/event is allocation-free territory: when both ends
+   of the sweep sit under it, the ratio is noise on noise and the
+   sweep is flat by the absolute criterion. *)
+let flat_floor = 0.25
+
+(* ------------------------------ Report ----------------------------- *)
+
 type report = {
   ev_words : float;
   ev_rate : float;
@@ -190,6 +399,7 @@ type report = {
   burst_words : float;
   burst_rate : float;
   burst_classic_rate : float;
+  scale : scale;
 }
 
 let collect () =
@@ -199,8 +409,9 @@ let collect () =
   let pk_words, pk_rate = datapath_packets ~batched:true () in
   let _, burst_classic_rate = datapath_burst ~batched:false () in
   let burst_words, burst_rate = datapath_burst ~batched:true () in
+  let scale = collect_scale () in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate;
-    pk_classic_rate; burst_words; burst_rate; burst_classic_rate }
+    pk_classic_rate; burst_words; burst_rate; burst_classic_rate; scale }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -222,7 +433,24 @@ let print_report r =
     "speedup" (r.burst_rate /. baseline_packets_per_sec)
     baseline_packets_per_sec
     (r.burst_rate /. Float.max 1e-9 r.pk_classic_rate)
-    (r.burst_rate /. Float.max 1e-9 r.burst_classic_rate)
+    (r.burst_rate /. Float.max 1e-9 r.burst_classic_rate);
+  let s = r.scale in
+  Printf.printf "\n== scale sweep (words stay flat 64 -> 4096 hosts) ==\n";
+  List.iter
+    (fun p ->
+      Printf.printf
+        "%-14s %5d hosts %8.3f words/event %8.3f words/pkt %10.0f pkt/s %11.0f ev/s\n"
+        p.p_label p.p_hosts p.p_words_per_event p.p_words_per_packet
+        p.p_pkt_rate p.p_ev_rate)
+    s.pts;
+  let w64, w4096 = flatness s in
+  Printf.printf "%-14s %.3f -> %.3f words/event (bar %.2fx, floor %.2f)\n"
+    "flatness" w64 w4096 flatness_bar flat_floor;
+  Printf.printf
+    "%-14s %.1f minor words over %d lookups (%.0f lookups/s)\n" "lookup"
+    s.lookup_words lookup_calls s.lookup_rate;
+  Printf.printf "%-14s batched %.0f pkt/s vs classic %.0f pkt/s at 64 hosts\n"
+    "not-slower" s.batched64_pkt_rate s.classic64_pkt_rate
 
 let write_json r =
   let oc = open_out "BENCH_engine.json" in
@@ -252,9 +480,9 @@ let write_json r =
   "reduction": {
     "event_words_factor": %.2f,
     "packet_words_factor": %.2f
-  }
-}
-|}
+  },
+  "scale": {
+    "points": [|}
     baseline_words_per_event baseline_words_per_packet
     baseline_packets_per_sec r.ev_words r.tm_words r.pk_words r.ev_rate
     r.pk_rate r.pk_classic_rate r.burst_rate r.burst_classic_rate
@@ -264,6 +492,20 @@ let write_json r =
     (r.burst_rate /. Float.max 1e-9 r.burst_classic_rate)
     (baseline_words_per_event /. Float.max 1e-9 r.ev_words)
     (baseline_words_per_packet /. Float.max 1e-9 r.pk_words);
+  let s = r.scale in
+  List.iteri
+    (fun i p ->
+      Printf.fprintf oc
+        "%s\n      { \"topo\": %S, \"hosts\": %d, \"minor_words_per_event\": %.3f, \"minor_words_per_packet\": %.3f, \"packets_per_sec\": %.0f, \"events_per_sec\": %.0f }"
+        (if i = 0 then "" else ",")
+        p.p_label p.p_hosts p.p_words_per_event p.p_words_per_packet
+        p.p_pkt_rate p.p_ev_rate)
+    s.pts;
+  let w64, w4096 = flatness s in
+  Printf.fprintf oc
+    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  }\n}\n"
+    w64 w4096 flatness_bar flat_floor s.lookup_words lookup_calls
+    s.lookup_rate s.batched64_pkt_rate s.classic64_pkt_rate;
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
@@ -296,6 +538,21 @@ let guardrail r =
   if r.burst_rate < r.burst_classic_rate then
     fail "batched drain %.0f pkt/s slower than classic twin (%.0f)"
       r.burst_rate r.burst_classic_rate;
+  let s = r.scale in
+  let w64, w4096 = flatness s in
+  if w4096 > Float.max (flatness_bar *. w64) flat_floor then
+    fail
+      "words/event grew with scale: %.3f at 4096 hosts vs %.3f at 64 \
+       (bar %.2fx, floor %.2f)"
+      w4096 w64 flatness_bar flat_floor;
+  (* A single allocation in 2M calls would show as >= 2 words. *)
+  if s.lookup_words > 1.0 then
+    fail "routing lookup allocated %.1f minor words over %d calls"
+      s.lookup_words lookup_calls;
+  if s.batched64_pkt_rate < 0.90 *. s.classic64_pkt_rate then
+    fail
+      "batched fabric %.0f pkt/s below 90%% of classic (%.0f) at 64 hosts"
+      s.batched64_pkt_rate s.classic64_pkt_rate;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

@@ -15,6 +15,36 @@
 open Cmdliner
 open Experiments
 
+(* Numeric flags parse through these converters, one per value class,
+   so an out-of-range value is a usage error (exit 2) before any
+   simulation is built, never an assertion or a hang mid-run. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= lo -> Ok n
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Sizes, counts, intervals, reps, spines, hosts. *)
+let pos_int = int_at_least 1
+
+(* `*-ms` times, and --jobs (0 picks one per core). *)
+let nonneg_int = int_at_least 0
+
+(* Load fractions: (0, 1]. *)
+let fraction =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when x > 0.0 && x <= 1.0 -> Ok x
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "expected a number in (0, 1], got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let dump_series =
   let doc = "Dump every (time_us, value) series row, not just summaries." in
   Arg.(value & flag & info [ "series" ] ~doc)
@@ -26,7 +56,7 @@ let jobs_arg =
      byte-identical for any value.  Values above 1 refuse \
      $(b,--trace)/$(b,--metrics) (telemetry is main-domain only)."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt nonneg_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let seed =
   let doc = "Random seed (experiments are deterministic per seed)." in
@@ -34,7 +64,7 @@ let seed =
 
 let duration_ms default =
   let doc = "Simulated duration in milliseconds." in
-  Arg.(value & opt int default & info [ "duration-ms" ] ~doc)
+  Arg.(value & opt nonneg_int default & info [ "duration-ms" ] ~doc)
 
 let csv_dir =
   let doc = "Also write each series/table to CSV files in $(docv)." in
@@ -75,10 +105,6 @@ let output_opts =
   Term.(
     const (fun dump csv trace metrics jobs ->
         let jobs = if jobs = 0 then Runner.Pool.default_jobs () else jobs in
-        if jobs < 0 then begin
-          Format.eprintf "mtp_sim: --jobs must be >= 0@.";
-          Stdlib.exit 2
-        end;
         (* Telemetry's context is a main-domain singleton (one shared
            event ring, no locks); worker domains would race it, so the
            combination is refused outright rather than exporting a
@@ -147,7 +173,7 @@ let fig2_cmd =
     print_result opts (Fig2_proxy.result ~config ())
   in
   let rwnd =
-    Arg.(value & opt int 256
+    Arg.(value & opt pos_int 256
          & info [ "rwnd-kb" ] ~doc:"Receive-window cap (KB) of the limited variant.")
   in
   Cmd.v
@@ -168,10 +194,10 @@ let fig3_cmd =
     print_result opts (Fig3_one_rpf.result ~config ())
   in
   let hosts =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~doc:"Sender/receiver pairs.")
+    Arg.(value & opt pos_int 4 & info [ "hosts" ] ~doc:"Sender/receiver pairs.")
   in
   let chains =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int 1
          & info [ "chains" ] ~doc:"Concurrent message chains per host.")
   in
   Cmd.v
@@ -225,11 +251,11 @@ let fig5_cmd =
     end
   in
   let flip =
-    Arg.(value & opt int 384
+    Arg.(value & opt pos_int 384
          & info [ "flip-us" ] ~doc:"Path alternation period (us).")
   in
   let reps =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int 1
          & info [ "reps" ]
              ~doc:
                "Replicate the run under this many seeds derived from \
@@ -253,13 +279,13 @@ let fig6_cmd =
     print_result opts (Fig6_loadbalance.result ~config ())
   in
   let max_mb =
-    Arg.(value & opt int 16
+    Arg.(value & opt pos_int 16
          & info [ "max-mb" ]
              ~doc:"Cap (MB) on the 10KB-1GB skewed size mix; raise toward \
                    1000 for the paper's full range (slow).")
   in
   let load =
-    Arg.(value & opt float 0.5 & info [ "load" ] ~doc:"Offered load fraction.")
+    Arg.(value & opt fraction 0.5 & info [ "load" ] ~doc:"Offered load fraction.")
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Load- and request-aware load balancing (tail FCT)")
@@ -278,7 +304,7 @@ let fig7_cmd =
     print_result opts (Fig7_isolation.result ~config ())
   in
   let sources =
-    Arg.(value & opt int 8
+    Arg.(value & opt pos_int 8
          & info [ "tenant2-sources" ] ~doc:"Tenant 2's source count (paper: 8x).")
   in
   Cmd.v
@@ -339,11 +365,11 @@ let messaging_cmd =
     print_result opts (Ext_messaging.result ~config ())
   in
   let size =
-    Arg.(value & opt int 100_000
+    Arg.(value & opt pos_int 100_000
          & info [ "msg-bytes" ] ~doc:"Message size in bytes.")
   in
   let parallel =
-    Arg.(value & opt int 4
+    Arg.(value & opt pos_int 4
          & info [ "parallel" ] ~doc:"Concurrent closed-loop chains.")
   in
   Cmd.v
@@ -356,12 +382,12 @@ let messaging_cmd =
 
 let incast_cmd =
   let run opts seed duration k fanout resp_kb =
-    if k < 2 || k mod 2 <> 0 then begin
-      Format.eprintf "mtp_sim incast: --k must be even and >= 2@.";
+    if k mod 2 <> 0 then begin
+      Format.eprintf "mtp_sim incast: --k must be even@.";
       Stdlib.exit 2
     end;
     let nhosts = k * k * k / 4 in
-    if fanout < 1 || fanout > nhosts - 1 then begin
+    if fanout > nhosts - 1 then begin
       Format.eprintf
         "mtp_sim incast: --fanout must be in 1..%d for k=%d@." (nhosts - 1) k;
       Stdlib.exit 2
@@ -376,15 +402,15 @@ let incast_cmd =
     print_result opts (Ext_incast.result ~config ())
   in
   let k =
-    Arg.(value & opt int 8
+    Arg.(value & opt (int_at_least 2) 8
          & info [ "k" ] ~doc:"Fat-tree arity (even); k^3/4 hosts.")
   in
   let fanout =
-    Arg.(value & opt int 48
+    Arg.(value & opt pos_int 48
          & info [ "fanout" ] ~doc:"Responders answering the aggregator.")
   in
   let resp_kb =
-    Arg.(value & opt int 50
+    Arg.(value & opt pos_int 50
          & info [ "resp-kb" ] ~doc:"Response size per responder (KB).")
   in
   Cmd.v
@@ -412,15 +438,15 @@ let failover_cmd =
     print_result opts (Ext_failover.result ~jobs:opts.jobs ~config ())
   in
   let fail_ms =
-    Arg.(value & opt int 10
+    Arg.(value & opt nonneg_int 10
          & info [ "fail-ms" ] ~doc:"Path A failure time (ms).")
   in
   let detect_ms =
-    Arg.(value & opt int 5
+    Arg.(value & opt nonneg_int 5
          & info [ "detect-ms" ] ~doc:"Routing reconvergence delay (ms).")
   in
   let restore_ms =
-    Arg.(value & opt int 20
+    Arg.(value & opt nonneg_int 20
          & info [ "restore-ms" ] ~doc:"Path A restoration time (ms).")
   in
   Cmd.v
@@ -444,7 +470,7 @@ let sweeps_cmd =
       @ Sweeps.fig6_result_jobs ~reps ~emit:print ())
   in
   let reps =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int 1
          & info [ "reps" ]
              ~doc:
                "Replications per sweep point under seeds derived per \
@@ -462,10 +488,6 @@ let sweeps_cmd =
 
 let par_leafspine_cmd =
   let run opts seed duration transport leaves spines hosts msg_kb =
-    if leaves < 2 then begin
-      Format.eprintf "mtp_sim par-leafspine: --leaves must be >= 2@.";
-      Stdlib.exit 2
-    end;
     let config =
       { Par_leafspine.leaves;
         spines;
@@ -486,17 +508,17 @@ let par_leafspine_cmd =
              ~doc:"Transport on every host: $(b,dctcp) or $(b,mtp).")
   in
   let leaves =
-    Arg.(value & opt int 4
+    Arg.(value & opt (int_at_least 2) 4
          & info [ "leaves" ] ~doc:"Leaf switches (= partitions); >= 2.")
   in
   let spines =
-    Arg.(value & opt int 4 & info [ "spines" ] ~doc:"Spine switches.")
+    Arg.(value & opt pos_int 4 & info [ "spines" ] ~doc:"Spine switches.")
   in
   let hosts =
-    Arg.(value & opt int 8 & info [ "hosts" ] ~doc:"Hosts per leaf.")
+    Arg.(value & opt pos_int 8 & info [ "hosts" ] ~doc:"Hosts per leaf.")
   in
   let msg_kb =
-    Arg.(value & opt int 100
+    Arg.(value & opt pos_int 100
          & info [ "msg-kb" ] ~doc:"Message size (KB) of each chain.")
   in
   Cmd.v
@@ -655,7 +677,7 @@ let fuzz_cmd =
         Stdlib.exit 1)
   in
   let cases =
-    Arg.(value & opt int 200
+    Arg.(value & opt pos_int 200
          & info [ "cases" ] ~docv:"N" ~doc:"Number of random cases to run.")
   in
   let fseed =
@@ -669,7 +691,7 @@ let fuzz_cmd =
              ~doc:"Directory shrunk failing cases are written to.")
   in
   let budget =
-    Arg.(value & opt int 300
+    Arg.(value & opt pos_int 300
          & info [ "budget-s" ] ~docv:"SECONDS"
              ~doc:"Wall-clock cap; the campaign stops between cases once \
                    exceeded.")

@@ -191,18 +191,3 @@ let packet sim ~src ~dst ~entity t =
     ()
 
 let equal a b = a = b
-
-let pp fmt t =
-  if t.is_ack then
-    Format.fprintf fmt "mtp-ack msg=%d sack=%d nack=%d fb=%d" t.msg_id
-      (List.length t.sack) (List.length t.nack)
-      (List.length t.ack_path_feedback)
-  else
-    Format.fprintf fmt "mtp msg=%d pkt=%d/%d len=%d/%d tc=%d pri=%d" t.msg_id
-      t.pkt_num t.msg_pkts t.pkt_len t.msg_len t.msg_tc t.msg_pri
-
-(* Tracer integration: human-readable summaries in packet dumps. *)
-let () =
-  Netsim.Tracer.register_printer (function
-    | Mtp h -> Some (Format.asprintf "%a" pp h)
-    | _ -> None)

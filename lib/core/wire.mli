@@ -101,5 +101,3 @@ val packet :
     ports. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -26,18 +26,3 @@ let packet sim ~src ~dst ~entity seg =
   in
   Netsim.Packet.make ~entity ~flow_hash ~payload:(Tcp seg) sim ~src ~dst
     ~size:(header_bytes + seg.payload) ()
-
-let pp fmt seg =
-  Format.fprintf fmt "tcp %d->%d seq=%d%s ack=%s%s%s%s len=%d rwnd=%d"
-    seg.src_port seg.dst_port seg.seq
-    (if seg.syn then "(SYN)" else if seg.fin then "(FIN)" else "")
-    (if seg.is_ack then string_of_int seg.ack else "-")
-    (if seg.ece then " ECE" else "")
-    (if seg.probe then " PROBE" else "")
-    "" seg.payload seg.rwnd
-
-(* Tracer integration: human-readable summaries in packet dumps. *)
-let () =
-  Netsim.Tracer.register_printer (function
-    | Tcp seg -> Some (Format.asprintf "%a" pp seg)
-    | _ -> None)

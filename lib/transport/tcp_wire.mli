@@ -35,5 +35,3 @@ val packet :
   Netsim.Packet.t
 (** Wrap a segment in a packet with the right wire size and flow
     hash. *)
-
-val pp : Format.formatter -> t -> unit

@@ -450,48 +450,6 @@ let prop_sim_until_boundary =
       Sim.run ~until:limit sim;
       List.for_all (fun t -> t <= limit) !fired && Sim.now sim >= limit)
 
-(* ------------------------------- Trace ----------------------------- *)
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:0 "x";
-  check "nothing recorded" 0 (Trace.length tr)
-
-let test_trace_records_and_finds () =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Trace.record tr ~time:1 "alpha";
-  Trace.recordf tr ~time:2 "beta %d" 42;
-  check "two entries" 2 (Trace.length tr);
-  (match Trace.find tr ~substring:"beta 42" with
-  | Some (t, _) -> check "time kept" 2 t
-  | None -> Alcotest.fail "entry not found");
-  Trace.clear tr;
-  check "cleared" 0 (Trace.length tr)
-
-(* The mli promises that a disabled [recordf] never renders its
-   arguments: %t/%a printers must not run.  (Scalar arguments are still
-   evaluated — that is OCaml application order, not formatting.) *)
-let test_trace_recordf_lazy_when_disabled () =
-  let tr = Trace.create () in
-  let rendered = ref false in
-  let printer fmt = rendered := true; Format.pp_print_string fmt "x" in
-  Trace.recordf tr ~time:1 "side effect: %t" printer;
-  checkb "printer not invoked while disabled" false !rendered;
-  check "nothing recorded" 0 (Trace.length tr);
-  Trace.enable tr;
-  Trace.recordf tr ~time:2 "side effect: %t" printer;
-  checkb "printer invoked once enabled" true !rendered;
-  check "recorded" 1 (Trace.length tr)
-
-let test_trace_capacity_bounded () =
-  let tr = Trace.create ~capacity:10 () in
-  Trace.enable tr;
-  for i = 1 to 100 do
-    Trace.record tr ~time:i "e"
-  done;
-  checkb "bounded" true (Trace.length tr <= 10)
-
 (* ----------------------- burst lookahead --------------------------- *)
 
 let test_try_advance () =
@@ -591,9 +549,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_pop_is_pending_min;
     QCheck_alcotest.to_alcotest prop_rng_derive_streams_independent;
     QCheck_alcotest.to_alcotest prop_sim_deterministic;
-    QCheck_alcotest.to_alcotest prop_sim_until_boundary;
-    Alcotest.test_case "trace off" `Quick test_trace_disabled_by_default;
-    Alcotest.test_case "trace record/find" `Quick test_trace_records_and_finds;
-    Alcotest.test_case "trace recordf lazy" `Quick
-      test_trace_recordf_lazy_when_disabled;
-    Alcotest.test_case "trace bounded" `Quick test_trace_capacity_bounded ]
+    QCheck_alcotest.to_alcotest prop_sim_until_boundary ]

@@ -14,4 +14,5 @@ let () =
       ("experiments", Test_experiments.suite);
       ("oracle", Test_oracle.suite);
       ("check", Test_check.suite);
-      ("lint", Test_lint.suite) ]
+      ("lint", Test_lint.suite);
+      ("cli", Test_cli.suite) ]

@@ -970,92 +970,40 @@ let test_partition_lookahead_is_min_cut_delay () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a one-partition world has no conduit"
 
-(* ------------------------------ Monitor ---------------------------- *)
+(* ------------------------------- Taps ------------------------------ *)
 
-let test_tracer_records_link_and_switch () =
+(* One packet client -> server across a star: the switch tap sees it at
+   ingress, then the server downlink's tap at delivery, in time order. *)
+let test_taps_fire_at_ingress_then_delivery () =
   let sim = Engine.Sim.create () in
   let topo = Topology.create sim in
   let st =
     Topology.star topo ~n:2 ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 1) ()
   in
-  let tr = Tracer.create () in
-  Tracer.tap_switch tr st.Topology.st_switch;
-  Tracer.tap_link tr
-    (Switch.port st.Topology.st_switch st.Topology.st_server_port);
-  Node.set_handler st.Topology.st_server (fun _ -> ());
-  Node.send st.Topology.st_clients.(0)
-    (pkt
-       ~src:(Node.addr st.Topology.st_clients.(0))
-       ~dst:(Node.addr st.Topology.st_server)
-       ());
+  let seen = ref [] in
+  let tap point at p = seen := (point, at, p.Packet.uid) :: !seen in
+  Switch.add_tap st.Topology.st_switch (tap "switch");
+  Link.add_tap
+    (Switch.port st.Topology.st_switch st.Topology.st_server_port)
+    (tap "link");
+  let delivered = ref 0 in
+  Node.set_handler st.Topology.st_server (fun _ -> incr delivered);
+  let p =
+    pkt
+      ~src:(Node.addr st.Topology.st_clients.(0))
+      ~dst:(Node.addr st.Topology.st_server)
+      ()
+  in
+  Node.send st.Topology.st_clients.(0) p;
   Engine.Sim.run sim;
-  (* Seen once at the switch, once on the server downlink. *)
-  checki "two observation points" 2 (Tracer.count tr);
-  let at_switch =
-    Tracer.filter tr ~f:(fun e -> e.Tracer.point = "star")
-  in
-  checki "switch tap" 1 (List.length at_switch);
-  (match Tracer.entries tr with
-  | first :: second :: _ ->
-    checkb "time ordering" true (first.Tracer.at <= second.Tracer.at)
-  | _ -> Alcotest.fail "missing entries");
-  checkb "raw payload described" true
-    (List.for_all (fun e -> e.Tracer.info = "raw") (Tracer.entries tr))
-
-let test_tracer_describes_protocols () =
-  let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let a = Topology.host topo "a" and b = Topology.host topo "b" in
-  let ab, _ =
-    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 1) ()
-  in
-  let tr = Tracer.create () in
-  Tracer.tap_link tr ab;
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
-  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
-  ignore (Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:1000 ());
-  Engine.Sim.run sim;
-  checkb "mtp packets described" true
-    (List.exists
-       (fun e -> Astring_like.contains e.Tracer.info "mtp msg=")
-       (Tracer.entries tr))
-
-let test_tracer_bounded () =
-  let tr = Tracer.create ~capacity:16 () in
-  let sim = Engine.Sim.create () in
-  let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
-  in
-  Link.set_dst link (fun _ -> ());
-  Tracer.tap_link tr link;
-  for _ = 1 to 200 do
-    Link.send link (pkt ())
-  done;
-  Engine.Sim.run sim;
-  checki "all counted" 200 (Tracer.count tr);
-  checkb "retention bounded" true (List.length (Tracer.entries tr) <= 16)
-
-let test_monitor_link_throughput () =
-  let sim = Engine.Sim.create () in
-  let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
-  in
-  Link.set_dst link (fun _ -> ());
-  let series =
-    Monitor.link_throughput sim link ~interval:(Engine.Time.us 10)
-      ~until:(Engine.Time.us 100) ()
-  in
-  (* Saturate the 10 Gbps link. *)
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 1) (fun () ->
-      for _ = 1 to 2 do
-        Link.send link (pkt ())
-      done;
-      Engine.Sim.now sim < Engine.Time.us 100);
-  Engine.Sim.run sim;
-  let mean = Stats.Timeseries.mean series in
-  checkb "near line rate" true (mean > 8.0 && mean < 10.5)
+  checki "delivered" 1 !delivered;
+  match List.rev !seen with
+  | [ ("switch", t_in, u_in); ("link", t_out, u_out) ] ->
+    checki "same packet at both taps" u_in u_out;
+    checki "switch tap saw the sent packet" p.Packet.uid u_in;
+    checkb "ingress strictly before delivery" true (t_in < t_out)
+  | _ -> Alcotest.fail "expected one switch tap then one link tap"
 
 (* ----------------------------- Pktring ----------------------------- *)
 
@@ -1264,7 +1212,5 @@ let suite =
       test_partitioned_builds_match_single_sim;
     Alcotest.test_case "partition lookahead = min cut delay" `Quick
       test_partition_lookahead_is_min_cut_delay;
-    Alcotest.test_case "tracer taps" `Quick test_tracer_records_link_and_switch;
-    Alcotest.test_case "tracer protocols" `Quick test_tracer_describes_protocols;
-    Alcotest.test_case "tracer bounded" `Quick test_tracer_bounded;
-    Alcotest.test_case "monitor throughput" `Quick test_monitor_link_throughput ]
+    Alcotest.test_case "taps fire at ingress then delivery" `Quick
+      test_taps_fire_at_ingress_then_delivery ]
