@@ -10,11 +10,16 @@ build:
 test:
 	dune runtest --force --no-buffer
 
-# Regenerate test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry
-# trace, metrics and stdout) and print what changed; `dune runtest`
-# fails while the committed digest differs from the current output.
+# Regenerate the goldens and print what changed:
+# test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry trace, metrics
+# and stdout; `dune runtest` fails while it differs) and the exhibit
+# stdout goldens all-smoke.expected and failover-smoke.expected
+# (`dune build @test/golden/smoke` fails while they differ).
 golden:
 	dune build @test/golden/runtest --auto-promote || dune build @test/golden/runtest
+	dune build @test/golden/smoke || { \
+	  dune exec bin/mtp_sim.exe -- all --smoke --jobs 2 > test/golden/all-smoke.expected && \
+	  dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11 > test/golden/failover-smoke.expected; }
 
 # The repo benchmark (BENCHMARK.json): end-to-end and per-layer
 # metrics on five workloads (untraced and traced passes).
@@ -71,10 +76,11 @@ fuzz-smoke:
 # CI gate: full build, the test suite, a quick datapath bench that
 # must produce the allocation/throughput and fabric-scale guardrail
 # report, the parallel-runner scaling bench with its not-slower guardrail, a
-# shortened failover run exercising fault injection end to end, a
+# shortened failover run exercising fault injection end to end and a
 # parallel `all --smoke` pass regenerating every exhibit on two
-# domains, a telemetry export check (JSONL parses, same-seed runs
-# byte-identical), and the corpus-replay + seeded-fuzz smoke.
+# domains (both diffed against their stdout goldens), a telemetry
+# export check (JSONL parses, same-seed runs byte-identical), and the
+# corpus-replay + seeded-fuzz smoke.
 check:
 	dune build @all
 	$(MAKE) lint
@@ -86,8 +92,7 @@ check:
 	test -f BENCH_engine.json
 	$(MAKE) bench-parallel
 	test -f BENCH_parallel.json
-	dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11
-	dune exec bin/mtp_sim.exe -- all --smoke --jobs 2 > /dev/null
+	dune build @test/golden/smoke
 	$(MAKE) telemetry-check
 
 # Run one exhibit twice with telemetry export on: the JSONL trace must
