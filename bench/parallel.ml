@@ -40,9 +40,10 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let sweep ~jobs =
-  Experiments.Sweeps.fig5_flip_sweep ~flips_us:fixed_flips
-    ~duration:fixed_duration ~jobs ()
+let sweep ?(flips_us = fixed_flips) ~jobs () =
+  Experiments.Exp_common.collect ~jobs (fun emit ->
+      Experiments.Sweeps.fig5_sweep_jobs ~flips_us ~duration:fixed_duration
+        ~emit ())
 
 let scenario_config =
   { Experiments.Par_leafspine.default with
@@ -117,13 +118,11 @@ let () =
     points cores requested;
   (* One point of warmup settles allocator/code paths so the serial
      measurement is not taxed for going first. *)
-  ignore
-    (Experiments.Sweeps.fig5_flip_sweep ~flips_us:[ 96 ]
-       ~duration:fixed_duration ~jobs:1 ());
+  ignore (sweep ~flips_us:[ 96 ] ~jobs:1 ());
   let runs =
     List.map
       (fun jobs ->
-        let rows, s = wall (fun () -> sweep ~jobs) in
+        let rows, s = wall (fun () -> sweep ~jobs ()) in
         Printf.printf "%-24s %8.2f s\n"
           (Printf.sprintf "sweep --jobs %d" jobs)
           s;

@@ -3,14 +3,15 @@
    `mtp_sim <exhibit> [options]` prints the same rows/series the paper
    reports; `--series` dumps raw (time, value) rows for plotting.
 
-   `--jobs N` runs the parallelizable commands (sweeps, failover,
-   replications, `all`) on N worker domains via Runner.Pool; the
-   multi-point commands submit one flat job grid (points x
-   replications x schemes) so the pool stays saturated.
-   `par-leafspine` instead parallelizes INSIDE one scenario: per-leaf
-   partitions under the conservative epoch runner (Runner.Epoch).
-   Either way the determinism contract makes every byte of output
-   identical for any N; parallelism only buys wall time. *)
+   Every exhibit command runs one job grid (Exp_common) through
+   [run_grid]: a single exhibit is a one-job grid, while the
+   multi-point commands (extensions, sweeps, failover, `all`) submit
+   one flat grid (points x replications x schemes) that `--jobs N`
+   spreads over N worker domains.  `par-leafspine` instead
+   parallelizes INSIDE one scenario: per-leaf partitions under the
+   conservative epoch runner (Runner.Epoch).  Either way the
+   determinism contract makes every byte of output identical for any
+   N; parallelism only buys wall time. *)
 
 open Cmdliner
 open Experiments
@@ -51,16 +52,12 @@ let dump_series =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallelizable commands (sweeps, failover, \
-     replications, all, par-leafspine); 0 picks one per core.  Output is \
+    "Worker domains for parallelizable commands (extensions, sweeps, \
+     failover, all, par-leafspine); 0 picks one per core.  Output is \
      byte-identical for any value.  Values above 1 refuse \
      $(b,--trace)/$(b,--metrics) (telemetry is main-domain only)."
   in
   Arg.(value & opt nonneg_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let seed =
-  let doc = "Random seed (experiments are deterministic per seed)." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
 let duration_ms default =
   let doc = "Simulated duration in milliseconds." in
@@ -104,7 +101,9 @@ type opts = { dump : bool; jobs : int }
 let output_opts =
   Term.(
     const (fun dump csv trace metrics jobs ->
-        let jobs = if jobs = 0 then Runner.Pool.default_jobs () else jobs in
+        let jobs =
+          if jobs = 0 then Domain.recommended_domain_count () else jobs
+        in
         (* Telemetry's context is a main-domain singleton (one shared
            event ring, no locks); worker domains would race it, so the
            combination is refused outright rather than exporting a
@@ -160,17 +159,23 @@ let print_result opts result =
       (Exp_common.write_csv ~dir result)
   | None -> ()
 
+(* The one way a command runs its exhibits: a job grid on --jobs
+   workers, every result printed on the main domain in grid order. *)
+let run_grid opts grid = Exp_common.run_jobs ~jobs:opts.jobs grid
+
+(* A one-job exhibit whose result is printed when it commits. *)
+let single opts mk = Exp_common.job mk ~commit:(print_result opts)
+
 (* ------------------------------- fig2 ------------------------------ *)
 
 let fig2_cmd =
-  let run opts seed duration rwnd_kb =
+  let run opts duration rwnd_kb =
     let config =
       { Fig2_proxy.default with
-        Fig2_proxy.seed;
-        duration = Engine.Time.ms duration;
+        Fig2_proxy.duration = Engine.Time.ms duration;
         rwnd_limit = rwnd_kb * 1000 }
     in
-    print_result opts (Fig2_proxy.result ~config ())
+    run_grid opts [ single opts (fun () -> Fig2_proxy.result ~config ()) ]
   in
   let rwnd =
     Arg.(value & opt pos_int 256
@@ -178,20 +183,19 @@ let fig2_cmd =
   in
   Cmd.v
     (Cmd.info "fig2" ~doc:"TCP termination: proxy buffering vs HOL blocking")
-    Term.(const run $ output_opts $ seed $ duration_ms 4 $ rwnd)
+    Term.(const run $ output_opts $ duration_ms 4 $ rwnd)
 
 (* ------------------------------- fig3 ------------------------------ *)
 
 let fig3_cmd =
-  let run opts seed duration hosts chains =
+  let run opts duration hosts chains =
     let config =
       { Fig3_one_rpf.default with
-        Fig3_one_rpf.seed;
-        duration = Engine.Time.ms duration;
+        Fig3_one_rpf.duration = Engine.Time.ms duration;
         hosts;
         chains_per_host = chains }
     in
-    print_result opts (Fig3_one_rpf.result ~config ())
+    run_grid opts [ single opts (fun () -> Fig3_one_rpf.result ~config ()) ]
   in
   let hosts =
     Arg.(value & opt pos_int 4 & info [ "hosts" ] ~doc:"Sender/receiver pairs.")
@@ -202,68 +206,26 @@ let fig3_cmd =
   in
   Cmd.v
     (Cmd.info "fig3" ~doc:"One request per flow breaks congestion control")
-    Term.(const run $ output_opts $ seed $ duration_ms 3 $ hosts $ chains)
+    Term.(const run $ output_opts $ duration_ms 3 $ hosts $ chains)
 
 (* ------------------------------- fig5 ------------------------------ *)
 
 let fig5_cmd =
-  let run opts seed duration flip_us reps =
+  let run opts duration flip_us =
     let config =
       { Fig5_multipath.default with
-        Fig5_multipath.seed;
-        duration = Engine.Time.ms duration;
+        Fig5_multipath.duration = Engine.Time.ms duration;
         flip_interval = Engine.Time.us flip_us }
     in
-    if reps <= 1 then print_result opts (Fig5_multipath.result ~config ())
-    else begin
-      (* Multi-seed replication: the same operating point under [reps]
-         seeds split from --seed, run as parallel jobs. *)
-      let runs =
-        Exp_common.replicate ~jobs:opts.jobs ~seed ~reps (fun ~seed ->
-            Fig5_multipath.run ~config:{ config with Fig5_multipath.seed } ())
-      in
-      let table =
-        Stats.Table.create
-          ~columns:[ "seed"; "DCTCP (Gbps)"; "MTP (Gbps)"; "MTP/DCTCP" ]
-      in
-      List.iter
-        (fun { Exp_common.rep_seed; rep_value = o } ->
-          Stats.Table.add_rowf table "%d | %.1f | %.1f | %.2f" rep_seed
-            o.Fig5_multipath.dctcp_mean o.Fig5_multipath.mtp_mean
-            o.Fig5_multipath.improvement)
-        runs;
-      let mean, stddev =
-        Exp_common.rep_mean_stddev
-          (List.map
-             (fun r -> r.Exp_common.rep_value.Fig5_multipath.improvement)
-             runs)
-      in
-      print_result opts
-        (Exp_common.make
-           ~title:
-             (Printf.sprintf
-                "Fig 5 replicated over %d derived seeds (base %d)" reps seed)
-           ~table
-           ~notes:
-             [ Printf.sprintf "MTP/DCTCP = %.2fx +/- %.2f across seeds" mean
-                 stddev ]
-           ())
-    end
+    run_grid opts [ single opts (fun () -> Fig5_multipath.result ~config ()) ]
   in
   let flip =
     Arg.(value & opt pos_int 384
          & info [ "flip-us" ] ~doc:"Path alternation period (us).")
   in
-  let reps =
-    Arg.(value & opt pos_int 1
-         & info [ "reps" ]
-             ~doc:
-               "Replicate the run under this many seeds derived from \
-                --seed (parallel jobs; see --jobs).")
-  in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Multipath congestion control under path alternation")
-    Term.(const run $ output_opts $ seed $ duration_ms 8 $ flip $ reps)
+    Term.(const run $ output_opts $ duration_ms 8 $ flip)
 
 (* ------------------------------- fig6 ------------------------------ *)
 
@@ -276,7 +238,15 @@ let fig6_cmd =
         max_message = max_mb * 1_000_000;
         load }
     in
-    print_result opts (Fig6_loadbalance.result ~config ())
+    run_grid opts
+      [ single opts (fun () -> Fig6_loadbalance.result ~config ()) ]
+  in
+  (* Of the exhibit commands only fig6 draws random numbers (message
+     arrivals and sizes), so only it takes a seed. *)
+  let seed =
+    Arg.(value & opt int 42
+         & info [ "seed" ]
+             ~doc:"Seed of the random workload (message arrivals and sizes).")
   in
   let max_mb =
     Arg.(value & opt pos_int 16
@@ -294,14 +264,13 @@ let fig6_cmd =
 (* ------------------------------- fig7 ------------------------------ *)
 
 let fig7_cmd =
-  let run opts seed duration sources =
+  let run opts duration sources =
     let config =
       { Fig7_isolation.default with
-        Fig7_isolation.seed;
-        duration = Engine.Time.ms duration;
+        Fig7_isolation.duration = Engine.Time.ms duration;
         tenant2_sources = sources }
     in
-    print_result opts (Fig7_isolation.result ~config ())
+    run_grid opts [ single opts (fun () -> Fig7_isolation.result ~config ()) ]
   in
   let sources =
     Arg.(value & opt pos_int 8
@@ -309,12 +278,14 @@ let fig7_cmd =
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Per-entity isolation on a shared queue")
-    Term.(const run $ output_opts $ seed $ duration_ms 20 $ sources)
+    Term.(const run $ output_opts $ duration_ms 20 $ sources)
 
 (* ------------------------------ table1 ----------------------------- *)
 
 let table1_cmd =
-  let run opts = print_result opts (Table1_features.result ()) in
+  let run opts =
+    run_grid opts [ single opts (fun () -> Table1_features.result ()) ]
+  in
   Cmd.v
     (Cmd.info "table1" ~doc:"Transport feature matrix with live demos")
     Term.(const run $ output_opts)
@@ -327,22 +298,21 @@ let features_cmd =
 
 (* ---------------------------- extensions --------------------------- *)
 
+(* Eight independent exhibits, one job each; `all` splices the same
+   grid between fig7 and messaging. *)
+let extensions_grid opts =
+  List.map (single opts)
+    [ (fun () -> Ablation_pathlets.result ());
+      (fun () -> Ablation_algorithms.result ());
+      (fun () -> Ablation_trimming.result ());
+      (fun () -> Ablation_exclusion.result ());
+      (fun () -> Ablation_acks.result ());
+      (fun () -> Header_overhead.result ());
+      (fun () -> Coexistence.result ());
+      (fun () -> Ext_leafspine.result ()) ]
+
 let extensions_cmd =
-  let run opts =
-    (* Eight independent exhibits: a job list; collected results print
-       in submission order whatever --jobs is. *)
-    Runner.Pool.map ~jobs:opts.jobs
-      (fun mk -> mk ())
-      [ (fun () -> Ablation_pathlets.result ());
-        (fun () -> Ablation_algorithms.result ());
-        (fun () -> Ablation_trimming.result ());
-        (fun () -> Ablation_exclusion.result ());
-        (fun () -> Ablation_acks.result ());
-        (fun () -> Header_overhead.result ());
-        (fun () -> Coexistence.result ());
-        (fun () -> Ext_leafspine.result ()) ]
-    |> List.iter (print_result opts)
-  in
+  let run opts = run_grid opts (extensions_grid opts) in
   Cmd.v
     (Cmd.info "extensions"
        ~doc:
@@ -354,15 +324,14 @@ let extensions_cmd =
 (* ----------------------------- messaging --------------------------- *)
 
 let messaging_cmd =
-  let run opts seed duration size parallel =
+  let run opts duration size parallel =
     let config =
       { Ext_messaging.default with
-        Ext_messaging.seed;
-        duration = Engine.Time.ms duration;
+        Ext_messaging.duration = Engine.Time.ms duration;
         msg_size = size;
         parallel }
     in
-    print_result opts (Ext_messaging.result ~config ())
+    run_grid opts [ single opts (fun () -> Ext_messaging.result ~config ()) ]
   in
   let size =
     Arg.(value & opt pos_int 100_000
@@ -376,12 +345,12 @@ let messaging_cmd =
     (Cmd.info "messaging"
        ~doc:
          "Drive TCP, DCTCP, UDP, proxied TCP and MTP through the unified           transport interface on identical workloads")
-    Term.(const run $ output_opts $ seed $ duration_ms 10 $ size $ parallel)
+    Term.(const run $ output_opts $ duration_ms 10 $ size $ parallel)
 
 (* ------------------------------ incast ----------------------------- *)
 
 let incast_cmd =
-  let run opts seed duration k fanout resp_kb =
+  let run opts duration k fanout resp_kb =
     if k mod 2 <> 0 then begin
       Format.eprintf "mtp_sim incast: --k must be even@.";
       Stdlib.exit 2
@@ -396,10 +365,9 @@ let incast_cmd =
       { Ext_incast.k;
         fanout;
         resp_bytes = resp_kb * 1000;
-        duration = Engine.Time.ms duration;
-        seed }
+        duration = Engine.Time.ms duration }
     in
-    print_result opts (Ext_incast.result ~config ())
+    run_grid opts [ single opts (fun () -> Ext_incast.result ~config ()) ]
   in
   let k =
     Arg.(value & opt (int_at_least 2) 8
@@ -419,23 +387,26 @@ let incast_cmd =
          "Incast/RPC fan-out on a k-ary fat-tree: every responder answers \
           at t=0 and TCP, DCTCP and MTP race to collect the fan-in \
           (tail FCT and collect time)")
-    Term.(const run $ output_opts $ seed $ duration_ms 50 $ k $ fanout
-          $ resp_kb)
+    Term.(const run $ output_opts $ duration_ms 50 $ k $ fanout $ resp_kb)
 
 (* ----------------------------- failover ---------------------------- *)
 
+(* One job per scheme; the barrier prints the assembled result. *)
+let failover_grid opts config =
+  Ext_failover.jobs ~config
+    ~emit:(fun o -> print_result opts (Ext_failover.assemble config o))
+    ()
+
 let failover_cmd =
-  let run opts seed duration fail_ms detect_ms restore_ms =
+  let run opts duration fail_ms detect_ms restore_ms =
     let scale ms = Engine.Time.ms ms in
-    let config =
-      { Ext_failover.default with
-        Ext_failover.seed;
-        duration = scale duration;
-        t_fail = scale fail_ms;
-        detect = scale detect_ms;
-        t_restore = scale restore_ms }
-    in
-    print_result opts (Ext_failover.result ~jobs:opts.jobs ~config ())
+    run_grid opts
+      (failover_grid opts
+         { Ext_failover.default with
+           Ext_failover.duration = scale duration;
+           t_fail = scale fail_ms;
+           detect = scale detect_ms;
+           t_restore = scale restore_ms })
   in
   let fail_ms =
     Arg.(value & opt nonneg_int 10
@@ -454,28 +425,33 @@ let failover_cmd =
        ~doc:
          "Mid-transfer link failure: TCP/DCTCP vs MTP pathlet failover \
           (recovery time and goodput dip)")
-    Term.(const run $ output_opts $ seed $ duration_ms 30 $ fail_ms
-          $ detect_ms $ restore_ms)
+    Term.(const run $ output_opts $ duration_ms 30 $ fail_ms $ detect_ms
+          $ restore_ms)
 
 (* ------------------------------ sweeps ----------------------------- *)
 
+(* Both sweeps flattened into one grid: every (point, replication)
+   cell is its own job, so no worker idles behind a monolithic sweep.
+   Only the fig6 sweep is seeded, so only it takes replications. *)
+let sweeps_grid opts ?duration5 ?duration6 ?reps () =
+  let print = print_result opts in
+  Sweeps.fig5_sweep_jobs ?duration:duration5
+    ~emit:(fun rows -> print (Sweeps.fig5_rows_result rows))
+    ()
+  @ Sweeps.fig6_sweep_jobs ?reps ?duration:duration6
+      ~emit:(fun rows -> print (Sweeps.fig6_rows_result ?reps rows))
+      ()
+
 let sweeps_cmd =
-  let run opts reps =
-    (* Both sweeps flattened into one pool: every (point, replication)
-       cell is its own job, so the grid is points x reps wide and no
-       worker idles behind a monolithic sweep. *)
-    let print = print_result opts in
-    Exp_common.run_jobs ~jobs:opts.jobs
-      (Sweeps.fig5_result_jobs ~reps ~emit:print ()
-      @ Sweeps.fig6_result_jobs ~reps ~emit:print ())
-  in
+  let run opts reps = run_grid opts (sweeps_grid opts ~reps ()) in
   let reps =
     Arg.(value & opt pos_int 1
          & info [ "reps" ]
              ~doc:
-               "Replications per sweep point under seeds derived per \
+               "Replications per fig6 sweep point under seeds derived per \
                 point (rows report per-point means; parallel jobs, see \
-                --jobs).")
+                --jobs).  The fig5 sweep draws no random numbers and \
+                runs once.")
   in
   Cmd.v
     (Cmd.info "sweeps"
@@ -487,17 +463,18 @@ let sweeps_cmd =
 (* --------------------------- par-leafspine ------------------------- *)
 
 let par_leafspine_cmd =
-  let run opts seed duration transport leaves spines hosts msg_kb =
+  let run opts duration transport leaves spines hosts msg_kb =
     let config =
       { Par_leafspine.leaves;
         spines;
         hosts_per_leaf = hosts;
         message_bytes = msg_kb * 1000;
         duration = Engine.Time.ms duration;
-        seed;
         transport }
     in
-    print_result opts (Par_leafspine.result ~jobs:opts.jobs ~config ())
+    run_grid opts
+      [ single opts (fun () ->
+            Par_leafspine.result ~jobs:opts.jobs ~config ()) ]
   in
   let transport =
     Arg.(value
@@ -528,8 +505,8 @@ let par_leafspine_cmd =
           simulation domains exchange fabric traffic through \
           lookahead-delay conduits with deterministic epoch barriers, so a \
           single scenario uses all --jobs cores with byte-identical output")
-    Term.(const run $ output_opts $ seed $ duration_ms 4 $ transport
-          $ leaves $ spines $ hosts $ msg_kb)
+    Term.(const run $ output_opts $ duration_ms 4 $ transport $ leaves
+          $ spines $ hosts $ msg_kb)
 
 (* -------------------------------- all ------------------------------ *)
 
@@ -547,53 +524,37 @@ let all_cmd =
        long-running exhibits (fig6, failover, both sweeps) so CI can
        exercise the whole pipeline in about a minute; publication
        runs omit it. *)
-    let fig6_config =
-      if smoke then
-        Some
-          { Fig6_loadbalance.default with
-            Fig6_loadbalance.duration = Engine.Time.ms 20 }
-      else None
-    and failover_config =
-      if smoke then
-        Some
-          { Ext_failover.default with
-            Ext_failover.t_fail = Engine.Time.ms 5;
-            detect = Engine.Time.ms 3;
-            t_restore = Engine.Time.ms 11;
-            duration = Engine.Time.ms 16 }
-      else None
-    and sweep5_duration =
-      if smoke then Some (Engine.Time.ms 2) else None
-    and sweep6_duration =
-      if smoke then Some (Engine.Time.ms 16) else None
-    in
-    let print = print_result opts in
-    let single mk = Exp_common.job mk ~commit:print in
-    let grid =
-      [ single (fun () -> Table1_features.result ());
-        single (fun () -> Fig2_proxy.result ());
-        single (fun () -> Fig3_one_rpf.result ());
-        single (fun () -> Fig5_multipath.result ());
-        single (fun () -> Fig6_loadbalance.result ?config:fig6_config ());
-        single (fun () -> Fig7_isolation.result ());
-        single (fun () -> Ablation_pathlets.result ());
-        single (fun () -> Ablation_algorithms.result ());
-        single (fun () -> Ablation_trimming.result ());
-        single (fun () -> Ablation_exclusion.result ());
-        single (fun () -> Ablation_acks.result ());
-        single (fun () -> Header_overhead.result ());
-        single (fun () -> Coexistence.result ());
-        single (fun () -> Ext_leafspine.result ());
-        single (fun () -> Ext_messaging.result ()) ]
-      @ Ext_failover.result_jobs ?config:failover_config ~emit:print ()
-      @ Sweeps.fig5_result_jobs ?duration:sweep5_duration ~emit:print ()
-      @ Sweeps.fig6_result_jobs ?duration:sweep6_duration ~emit:print ()
+    let shorten short = if smoke then Some short else None in
+    let single = single opts in
+    run_grid opts
+      ([ single (fun () -> Table1_features.result ());
+         single (fun () -> Fig2_proxy.result ());
+         single (fun () -> Fig3_one_rpf.result ());
+         single (fun () -> Fig5_multipath.result ());
+         single (fun () ->
+             Fig6_loadbalance.result
+               ?config:
+                 (shorten
+                    { Fig6_loadbalance.default with
+                      Fig6_loadbalance.duration = Engine.Time.ms 20 })
+               ());
+         single (fun () -> Fig7_isolation.result ()) ]
+      @ extensions_grid opts
+      @ [ single (fun () -> Ext_messaging.result ()) ]
+      @ failover_grid opts
+          (if smoke then
+             { Ext_failover.default with
+               Ext_failover.t_fail = Engine.Time.ms 5;
+               detect = Engine.Time.ms 3;
+               t_restore = Engine.Time.ms 11;
+               duration = Engine.Time.ms 16 }
+           else Ext_failover.default)
+      @ sweeps_grid opts
+          ?duration5:(shorten (Engine.Time.ms 2))
+          ?duration6:(shorten (Engine.Time.ms 16))
+          ()
       @ [ single (fun () ->
-              Ext_incast.result
-                ?config:(if smoke then Some Ext_incast.smoke else None)
-                ()) ]
-    in
-    Exp_common.run_jobs ~jobs:opts.jobs grid
+              Ext_incast.result ?config:(shorten Ext_incast.smoke) ()) ])
   in
   let smoke_arg =
     Arg.(

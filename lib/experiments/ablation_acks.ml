@@ -5,8 +5,8 @@ type row = {
   acks_per_data_pkt : float;
 }
 
-let run_variant ~duration ~seed ~ack_every =
-  let sim = Engine.Sim.create ~seed () in
+let run_variant ~duration ~ack_every =
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let a = Netsim.Topology.host topo "a" in
   let b = Netsim.Topology.host topo "b" in
@@ -45,10 +45,8 @@ let run_variant ~duration ~seed ~ack_every =
       float_of_int (Mtp.Endpoint.acks_sent eb)
       /. Float.max 1.0 (float_of_int data_pkts) }
 
-let run ?(duration = Engine.Time.ms 10) ?(seed = 42) () =
-  List.map
-    (fun ack_every -> run_variant ~duration ~seed ~ack_every)
-    [ 1; 4; 16 ]
+let run ?(duration = Engine.Time.ms 10) () =
+  List.map (fun ack_every -> run_variant ~duration ~ack_every) [ 1; 4; 16 ]
 
 let result () =
   let rows = run () in

@@ -15,8 +15,8 @@ let variants rate =
     ("Swift + delay", Mtp.Cc.Swift { target = Engine.Time.us 20 },
      Mtp.Mtp_switch.Delay_report) ]
 
-let run_variant ~rate ~duration ~seed (name, algo, mode) =
-  let sim = Engine.Sim.create ~seed () in
+let run_variant ~rate ~duration (name, algo, mode) =
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let a = Netsim.Topology.host topo "a" in
   let b = Netsim.Topology.host topo "b" in
@@ -60,9 +60,8 @@ let run_variant ~rate ~duration ~seed (name, algo, mode) =
     drops = qd.Netsim.Qdisc.drops ();
     retransmits = Mtp.Endpoint.retransmits ea }
 
-let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 10)
-    ?(seed = 42) () =
-  List.map (run_variant ~rate ~duration ~seed) (variants rate)
+let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 10) () =
+  List.map (run_variant ~rate ~duration) (variants rate)
 
 let result () =
   let outs = run () in

@@ -22,7 +22,6 @@ type algo_out = {
 val run :
   ?rate:Engine.Time.rate ->
   ?duration:Engine.Time.t ->
-  ?seed:int ->
   unit ->
   algo_out list
 

@@ -4,9 +4,9 @@ type output = {
   benefit : float;
 }
 
-let run_variant ~duration ~seed ~fine =
+let run_variant ~duration ~fine =
   let cfg = Fig5_multipath.default in
-  let sim = Engine.Sim.create ~seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   (* Longer links than Fig 5's 1 us: with a 10 us RTT the merged
      window cannot re-grow within a dwell, which is exactly the regime
@@ -56,9 +56,9 @@ let run_variant ~duration ~seed ~fine =
   Exp_common.mean_between (Stats.Meter.series meter) ~lo:(duration / 4)
     ~hi:duration
 
-let run ?(duration = Engine.Time.ms 8) ?(seed = 42) () =
-  let coarse = run_variant ~duration ~seed ~fine:false in
-  let fine = run_variant ~duration ~seed ~fine:true in
+let run ?(duration = Engine.Time.ms 8) () =
+  let coarse = run_variant ~duration ~fine:false in
+  let fine = run_variant ~duration ~fine:true in
   { single_pathlet_gbps = coarse; per_link_pathlets_gbps = fine;
     benefit = fine /. Float.max 1e-9 coarse }
 

@@ -15,6 +15,6 @@ type output = {
   benefit : float;  (** fine / coarse goodput. *)
 }
 
-val run : ?duration:Engine.Time.t -> ?seed:int -> unit -> output
+val run : ?duration:Engine.Time.t -> unit -> output
 
 val result : unit -> Exp_common.result

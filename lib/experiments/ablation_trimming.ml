@@ -8,8 +8,8 @@ type variant_out = {
 
 type output = { droptail : variant_out; trimming : variant_out }
 
-let run_variant ~senders ~message_bytes ~queue_pkts ~seed ~trim =
-  let sim = Engine.Sim.create ~seed () in
+let run_variant ~senders ~message_bytes ~queue_pkts ~trim =
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let qd =
     if trim then Netsim.Qdisc.trimming ~cap_pkts:queue_pkts ~header_size:64 ()
@@ -52,12 +52,9 @@ let run_variant ~senders ~message_bytes ~queue_pkts ~seed ~trim =
        else Stats.Summary.percentile fcts 99.0);
     timeouts; nacks; drops = qd.Netsim.Qdisc.drops () }
 
-let run ?(senders = 16) ?(message_bytes = 8_000) ?(queue_pkts = 16)
-    ?(seed = 42) () =
-  { droptail =
-      run_variant ~senders ~message_bytes ~queue_pkts ~seed ~trim:false;
-    trimming =
-      run_variant ~senders ~message_bytes ~queue_pkts ~seed ~trim:true }
+let run ?(senders = 16) ?(message_bytes = 8_000) ?(queue_pkts = 16) () =
+  { droptail = run_variant ~senders ~message_bytes ~queue_pkts ~trim:false;
+    trimming = run_variant ~senders ~message_bytes ~queue_pkts ~trim:true }
 
 let result () =
   let o = run () in

@@ -21,7 +21,6 @@ val run :
   ?senders:int ->
   ?message_bytes:int ->
   ?queue_pkts:int ->
-  ?seed:int ->
   unit ->
   output
 

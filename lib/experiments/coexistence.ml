@@ -1,8 +1,7 @@
 type output = { tcp_gbps : float; mtp_gbps : float; jain_fairness : float }
 
-let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 20)
-    ?(seed = 42) () =
-  let sim = Engine.Sim.create ~seed () in
+let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 20) () =
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let db =
     Netsim.Topology.dumbbell topo ~n:2 ~edge_rate:(2 * rate)

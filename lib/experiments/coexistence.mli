@@ -13,7 +13,6 @@ type output = {
 }
 
 val run :
-  ?rate:Engine.Time.rate -> ?duration:Engine.Time.t -> ?seed:int -> unit ->
-  output
+  ?rate:Engine.Time.rate -> ?duration:Engine.Time.t -> unit -> output
 
 val result : unit -> Exp_common.result

@@ -38,21 +38,6 @@ let print ?(dump_series = false) fmt r =
 let mean_between data ~lo ~hi =
   Stats.Timeseries.mean (Stats.Timeseries.between data ~lo ~hi)
 
-type 'a replication = { rep_seed : int; rep_value : 'a }
-
-(* Multi-seed replication of one experiment: [reps] closed jobs on the
-   parallel runner, seeded by a SplitMix64 split of [seed] by
-   replication index — the seeds (and so every replication) are a
-   pure function of (seed, reps), not of scheduling or [jobs]. *)
-let replicate ?(jobs = 1) ?(seed = 42) ~reps run =
-  if reps < 1 then invalid_arg "Exp_common.replicate: reps must be >= 1";
-  let base = Engine.Rng.create seed in
-  Runner.Pool.map ~jobs
-    (fun i ->
-      let rep_seed = Engine.Rng.as_seed (Engine.Rng.derive base i) in
-      { rep_seed; rep_value = run ~seed:rep_seed })
-    (List.init reps (fun i -> i))
-
 (* Heterogeneous job grids: the existential packs each job's work
    (runs on a worker domain) with its commit (runs on the main domain,
    in submission order, after the whole pool drains).  Workers return
@@ -74,13 +59,36 @@ let run_jobs ?(jobs = 1) (js : job list) =
     js
   |> List.iter (fun k -> k ())
 
-let rep_mean_stddev xs =
-  let n = float_of_int (List.length xs) in
-  let mean = List.fold_left ( +. ) 0.0 xs /. n in
-  let var =
-    List.fold_left (fun a x -> a +. ((x -. mean) ** 2.0)) 0.0 xs /. n
-  in
-  (mean, sqrt var)
+let collect ?jobs grid =
+  let out = ref None in
+  run_jobs ?jobs (grid (fun v -> out := Some v));
+  match !out with
+  | Some v -> v
+  | None -> invalid_arg "Exp_common.collect: the grid emitted nothing"
+
+(* [points x reps] cell jobs filling [cells], then a barrier that
+   reduces each point's replications with [reduce] and emits the
+   reduced values in point order. *)
+let grid ?(reps = 1) ~points ~cell ~reduce ~emit () =
+  if reps < 1 then invalid_arg "Exp_common.grid: reps must be >= 1";
+  let n = List.length points in
+  let cells = Array.make (max 1 (n * reps)) None in
+  List.concat
+    (List.mapi
+       (fun i p ->
+         List.init reps (fun r ->
+             job
+               (fun () -> cell i r p)
+               ~commit:(fun o -> cells.((i * reps) + r) <- Some o)))
+       points)
+  @ [ barrier (fun () ->
+          emit
+            (List.mapi
+               (fun i p ->
+                 reduce p
+                   (List.init reps (fun r ->
+                        Option.get cells.((i * reps) + r))))
+               points)) ]
 
 let slugify s =
   String.map
@@ -140,10 +148,6 @@ let write_csv ~dir result =
       output_string oc (String.concat "," (List.map csv_escape row));
       output_char oc '\n'
     in
-    (match Stats.Table.rows t with
-    | _ ->
-      (* Header row comes from the table's columns. *)
-      ());
     emit (Stats.Table.columns t);
     List.iter emit (Stats.Table.rows t);
     close_out oc;

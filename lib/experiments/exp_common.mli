@@ -31,29 +31,15 @@ val mean_between :
   Stats.Timeseries.t -> lo:Engine.Time.t -> hi:Engine.Time.t -> float
 (** Mean series value within a window (steady-state extraction). *)
 
-type 'a replication = { rep_seed : int; rep_value : 'a }
-
-val replicate :
-  ?jobs:int -> ?seed:int -> reps:int -> (seed:int -> 'a) ->
-  'a replication list
-(** [replicate ~jobs ~seed ~reps run] runs [run] under [reps]
-    distinct seeds derived from [seed] by a SplitMix64 stream split
-    ({!Engine.Rng.derive} — not [seed + i] arithmetic), as closed
-    jobs on the parallel runner.  Replications return in index order
-    and are byte-identical for any [jobs].  Raises [Invalid_argument]
-    when [reps < 1]. *)
-
-val rep_mean_stddev : float list -> float * float
-(** Population mean and standard deviation of a replication metric. *)
-
 (** {1 Job grids}
 
-    A flat list of heterogeneous closed jobs for one {!Runner.Pool}
-    submission.  This is how multi-exhibit commands saturate the pool:
-    instead of one monolithic job per exhibit (whose inner points run
-    serially), every point/replication/scheme becomes its own job, so
+    A flat list of heterogeneous closed jobs for one {!run_jobs}
+    submission, and the one way exhibits run: a single exhibit is a
+    one-job grid, and multi-point exhibits (sweeps, the failover
+    schemes) put every point/replication/scheme in its own job, so
     [jobs = points x replications] and no worker idles behind one
-    long exhibit. *)
+    long exhibit.  Grids concatenate, which is how multi-exhibit
+    commands share one pool. *)
 
 type job
 (** One closed unit of work paired with a commit continuation. *)
@@ -74,6 +60,26 @@ val run_jobs : ?jobs:int -> job list -> unit
     then run every commit on the calling domain in submission order.
     Commits see every work completed; output is byte-identical for
     any [jobs]. *)
+
+val collect : ?jobs:int -> (('a -> unit) -> job list) -> 'a
+(** [collect ~jobs grid] runs [grid emit] with {!run_jobs} and returns
+    the last value it passed to [emit].  Raises [Invalid_argument] if
+    nothing was emitted. *)
+
+val grid :
+  ?reps:int ->
+  points:'p list ->
+  cell:(int -> int -> 'p -> 'o) ->
+  reduce:('p -> 'o list -> 'r) ->
+  emit:('r list -> unit) ->
+  unit ->
+  job list
+(** [grid ~reps ~points ~cell ~reduce ~emit ()] is [points x reps]
+    cell jobs — [cell i r p] for point [p] at index [i], replication
+    [r] — plus one assembly barrier that reduces each point's
+    replications (in replication order) with [reduce] and passes the
+    reduced values, in point order, to [emit].  [reps] defaults to 1.
+    Raises [Invalid_argument] when [reps < 1]. *)
 
 val write_csv : dir:string -> result -> string list
 (** Write each series of the result to [dir/<slug>.csv] as

@@ -31,7 +31,6 @@ type config = {
   t_restore : Engine.Time.t;  (** Path A comes back. *)
   detect : Engine.Time.t;  (** Routing reconvergence delay. *)
   duration : Engine.Time.t;
-  seed : int;
 }
 
 let default =
@@ -40,7 +39,7 @@ let default =
     msg_size = 100_000; msg_interval = Engine.Time.us 10;
     sample_interval = Engine.Time.us 100; t_fail = Engine.Time.ms 10;
     t_restore = Engine.Time.ms 20; detect = Engine.Time.ms 5;
-    duration = Engine.Time.ms 30; seed = 42 }
+    duration = Engine.Time.ms 30 }
 
 let port = 80
 
@@ -48,14 +47,14 @@ let port = 80
    [t_fail], up at [t_restore], routing withdrawing/restoring its port
    a [detect] delay behind each transition. *)
 let build cfg ~qdisc_a ~qdisc_b =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let tp =
     Netsim.Topology.two_path topo ~rate_a:cfg.path_rate ~rate_b:cfg.path_rate
       ~delay_a:cfg.link_delay ~delay_b:cfg.link_delay ~edge_rate:cfg.edge_rate
       ~qdisc_a ~qdisc_b ()
   in
-  let fault = Netsim.Fault.plan ~seed:cfg.seed sim in
+  let fault = Netsim.Fault.plan sim in
   Netsim.Fault.link_down fault ~at:cfg.t_fail tp.Netsim.Topology.tp_link_a;
   Netsim.Fault.link_up fault ~at:cfg.t_restore tp.Netsim.Topology.tp_link_a;
   Netsim.Fault.reroute fault tp.Netsim.Topology.tp_routes
@@ -194,20 +193,19 @@ let measure cfg label series =
 type output = { schemes : scheme list }
 
 (* The four schemes face the same topology, load and fault plan but
-   are otherwise independent simulations — a natural job list for the
-   parallel runner.  The runner merges in key (= scheme) order, so
-   the output is identical for any [jobs]. *)
-let scheme_list config =
-  [ ("TCP", fun () -> run_tcp config);
-    ("DCTCP", fun () -> run_dctcp config);
-    ("MTP (no exclusion)", fun () -> run_mtp config ~exclusion:false);
-    ("MTP (pathlet exclusion)", fun () -> run_mtp config ~exclusion:true) ]
-
-let run ?(jobs = 1) ?(config = default) () =
-  { schemes =
-      Runner.Pool.map ~jobs
-        (fun (label, scheme_run) -> measure config label (scheme_run ()))
-        (scheme_list config) }
+   are otherwise independent simulations: one grid job per scheme,
+   the schemes emitted in list order whatever [jobs] is. *)
+let jobs ?(config = default) ~emit () =
+  Exp_common.grid
+    ~points:
+      [ ("TCP", fun () -> run_tcp config);
+        ("DCTCP", fun () -> run_dctcp config);
+        ("MTP (no exclusion)", fun () -> run_mtp config ~exclusion:false);
+        ("MTP (pathlet exclusion)", fun () -> run_mtp config ~exclusion:true) ]
+    ~cell:(fun _ _ (label, scheme_run) -> measure config label (scheme_run ()))
+    ~reduce:(fun _ outs -> List.hd outs)
+    ~emit:(fun schemes -> emit { schemes })
+    ()
 
 let recovery_of o label =
   List.find_map
@@ -264,28 +262,3 @@ let assemble cfg o =
          exclusion-carrying MTP headers steer around the dead pathlet \
          after suspect_after consecutive RTOs" ]
     ()
-
-let result ?jobs ?config () =
-  let cfg = Option.value config ~default in
-  assemble cfg (run ?jobs ?config ())
-
-(* The same four schemes as a flat job grid for a shared pool: one
-   job per scheme measuring on a worker, a barrier assembling the
-   table/series result on main.  [jobs = schemes] from the caller's
-   pool instead of one monolithic exhibit job. *)
-let result_jobs ?config ~emit () =
-  let cfg = Option.value config ~default in
-  let schemes = scheme_list cfg in
-  let slots = Array.make (List.length schemes) None in
-  List.mapi
-    (fun i (label, scheme_run) ->
-      Exp_common.job
-        (fun () -> measure cfg label (scheme_run ()))
-        ~commit:(fun s -> slots.(i) <- Some s))
-    schemes
-  @ [ Exp_common.barrier
-        (fun () ->
-          emit
-            (assemble cfg
-               { schemes = List.filter_map Fun.id (Array.to_list slots) }))
-    ]

@@ -25,7 +25,6 @@ type config = {
   t_restore : Engine.Time.t;  (** Path A comes back. *)
   detect : Engine.Time.t;  (** Routing reconvergence delay. *)
   duration : Engine.Time.t;
-  seed : int;
 }
 
 val default : config
@@ -44,20 +43,13 @@ type scheme = {
 
 type output = { schemes : scheme list }
 
-val run : ?jobs:int -> ?config:config -> unit -> output
-(** The four schemes are closed jobs on the parallel runner; [jobs]
-    (default 1) sets the worker-domain count and the output is
-    byte-identical for any value. *)
+val jobs : ?config:config -> emit:(output -> unit) -> unit -> Exp_common.job list
+(** The experiment as an {!Exp_common.grid}: one job per scheme plus a
+    barrier that passes the four schemes, in order, to [emit].  The
+    output is byte-identical for any [jobs]. *)
 
 val recovery_of : output -> string -> Engine.Time.t option
 (** Recovery time of the scheme with this label, if it recovered. *)
 
-val result : ?jobs:int -> ?config:config -> unit -> Exp_common.result
-
-val result_jobs :
-  ?config:config -> emit:(Exp_common.result -> unit) -> unit ->
-  Exp_common.job list
-(** {!result} as a flat job grid for a shared pool: one job per
-    scheme plus a barrier that assembles the result and passes it to
-    [emit].  Lets the [all] command run the four schemes as four pool
-    jobs instead of one monolithic exhibit. *)
+val assemble : config -> output -> Exp_common.result
+(** The table, series and notes of one run under [config]. *)

@@ -10,12 +10,10 @@ type config = {
   fanout : int;
   resp_bytes : int;
   duration : Engine.Time.t;
-  seed : int;
 }
 
 let default =
-  { k = 8; fanout = 48; resp_bytes = 50_000; duration = Engine.Time.ms 50;
-    seed = 42 }
+  { k = 8; fanout = 48; resp_bytes = 50_000; duration = Engine.Time.ms 50 }
 
 let smoke = { default with k = 4; fanout = 12; duration = Engine.Time.ms 20 }
 
@@ -46,7 +44,7 @@ let sender_indices ~nhosts ~fanout =
   Array.init fanout (fun j -> 1 + (j * !step mod m))
 
 let build cfg ~ecn =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let qdisc =
     if ecn then fun () -> Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ()

@@ -15,7 +15,6 @@ type config = {
   fanout : int;  (** Number of responders ([<= k³/4 - 1]). *)
   resp_bytes : int;
   duration : Engine.Time.t;
-  seed : int;
 }
 
 val default : config

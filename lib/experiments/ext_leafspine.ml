@@ -96,8 +96,8 @@ let run_tcp ~duration ~message_bytes ~seed =
 
 let run_mtp ~duration ~message_bytes ~seed =
   let sim, ls = build ~seed in
-  (* Stamp each leaf-0 uplink as its own pathlet (representative; other
-     leaves behave identically by symmetry). *)
+  (* Stamp every leaf's uplinks, each (leaf, spine) link its own
+     pathlet. *)
   Array.iteri
     (fun l row ->
       Array.iteri

@@ -10,13 +10,11 @@ type config = {
   msg_size : int;
   parallel : int;
   duration : Engine.Time.t;
-  seed : int;
 }
 
 let default =
   { rate = Engine.Time.gbps 10; delay = Engine.Time.us 5;
-    msg_size = 100_000; parallel = 4; duration = Engine.Time.ms 10;
-    seed = 42 }
+    msg_size = 100_000; parallel = 4; duration = Engine.Time.ms 10 }
 
 type row = {
   r_id : string;
@@ -66,7 +64,7 @@ let drive cfg sim ~client ~server ~dst ~hosts =
 
 (* Two hosts on a duplex wire, each with a dispatching Host. *)
 let pair cfg ?ab_qdisc () =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let a = Netsim.Topology.host topo "a" in
   let b = Netsim.Topology.host topo "b" in
@@ -137,7 +135,7 @@ let run_mtp cfg =
 (* Proxied TCP needs its middle hop: client ↔ proxy ↔ server, with the
    relay re-originating toward the server's sink port. *)
 let run_proxy cfg =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let ch =
     Netsim.Topology.proxy_chain topo ~front_rate:cfg.rate

@@ -9,7 +9,6 @@ type config = {
   msg_size : int;
   parallel : int;  (** Concurrent closed-loop chains. *)
   duration : Engine.Time.t;
-  seed : int;
 }
 
 val default : config

@@ -5,14 +5,12 @@ type config = {
   rwnd_limit : int;
   duration : Engine.Time.t;
   sample_interval : Engine.Time.t;
-  seed : int;
 }
 
 let default =
   { front_rate = Engine.Time.gbps 100; back_rate = Engine.Time.gbps 40;
     link_delay = Engine.Time.us 2; rwnd_limit = 256_000;
-    duration = Engine.Time.ms 4; sample_interval = Engine.Time.us 32;
-    seed = 42 }
+    duration = Engine.Time.ms 4; sample_interval = Engine.Time.us 32 }
 
 type variant_out = {
   buffer : Stats.Timeseries.t;
@@ -22,7 +20,7 @@ type variant_out = {
 }
 
 let run_variant cfg ~limited =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let ch =
     Netsim.Topology.proxy_chain topo ~front_rate:cfg.front_rate

@@ -15,7 +15,6 @@ type config = {
   rwnd_limit : int;  (** Window/relay cap of the limited variant. *)
   duration : Engine.Time.t;
   sample_interval : Engine.Time.t;
-  seed : int;
 }
 
 val default : config

@@ -16,7 +16,6 @@ type config = {
   chains_per_host : int;  (** Concurrent closed-loop chains per host. *)
   duration : Engine.Time.t;
   sample_interval : Engine.Time.t;  (** Paper: 32 us. *)
-  seed : int;
 }
 
 val default : config

@@ -7,17 +7,16 @@ type config = {
   flip_interval : Engine.Time.t;
   sample_interval : Engine.Time.t;
   duration : Engine.Time.t;
-  seed : int;
 }
 
 let default =
   { fast_rate = Engine.Time.gbps 100; slow_rate = Engine.Time.gbps 10;
     link_delay = Engine.Time.us 1; buffer_pkts = 128; ecn_threshold = 20;
     flip_interval = Engine.Time.us 384; sample_interval = Engine.Time.us 32;
-    duration = Engine.Time.ms 8; seed = 42 }
+    duration = Engine.Time.ms 8 }
 
 let build cfg ~qdisc_a ~qdisc_b =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let tp =
     Netsim.Topology.two_path topo ~rate_a:cfg.fast_rate

@@ -24,7 +24,6 @@ type config = {
   flip_interval : Engine.Time.t;  (** Paper: 384 us. *)
   sample_interval : Engine.Time.t;  (** Paper: 32 us. *)
   duration : Engine.Time.t;
-  seed : int;
 }
 
 val default : config

@@ -6,14 +6,12 @@ type config = {
   ecn_threshold : int;
   duration : Engine.Time.t;
   sample_interval : Engine.Time.t;
-  seed : int;
 }
 
 let default =
   { link_rate = Engine.Time.gbps 100; link_delay = Engine.Time.us 10;
     tenant2_sources = 8; buffer_pkts = 256; ecn_threshold = 40;
-    duration = Engine.Time.ms 20; sample_interval = Engine.Time.us 100;
-    seed = 42 }
+    duration = Engine.Time.ms 20; sample_interval = Engine.Time.us 100 }
 
 type system_out = {
   tenant1_gbps : float;
@@ -26,7 +24,7 @@ type system_out = {
    right switch, one bottleneck between them whose qdisc is the system
    under test. *)
 let build cfg ~qdisc =
-  let sim = Engine.Sim.create ~seed:cfg.seed () in
+  let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let left = Netsim.Topology.switch topo "left" in
   let right = Netsim.Topology.switch topo "right" in

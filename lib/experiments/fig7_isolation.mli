@@ -21,7 +21,6 @@ type config = {
   ecn_threshold : int;
   duration : Engine.Time.t;
   sample_interval : Engine.Time.t;
-  seed : int;
 }
 
 val default : config

@@ -26,7 +26,6 @@ type config = {
   hosts_per_leaf : int;
   message_bytes : int;
   duration : Engine.Time.t;
-  seed : int;
   transport : transport;
 }
 
@@ -36,7 +35,6 @@ let default =
     hosts_per_leaf = 8;
     message_bytes = 100_000;
     duration = Engine.Time.ms 4;
-    seed = 42;
     transport = Dctcp }
 
 type output = {
@@ -61,7 +59,7 @@ let msg_port = 5001
 
 let run ?(jobs = 1) (c : config) =
   let pls =
-    Netsim.Partition.leaf_spine ~seed:c.seed ~leaves:c.leaves ~spines:c.spines
+    Netsim.Partition.leaf_spine ~leaves:c.leaves ~spines:c.spines
       ~hosts_per_leaf:c.hosts_per_leaf
       ~host_rate:(Engine.Time.gbps 10)
       ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 2)

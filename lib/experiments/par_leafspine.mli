@@ -12,7 +12,6 @@ type config = {
   hosts_per_leaf : int;
   message_bytes : int;
   duration : Engine.Time.t;
-  seed : int;
   transport : transport;
 }
 

@@ -5,90 +5,46 @@ type fig5_row = {
   ratio : float;
 }
 
-(* Every sweep cell is a closed job: its own config, its own [Sim],
-   and a seed derived from the base seed by stream index — a proper
-   SplitMix64 split, not [seed + i] arithmetic — so the cell seeds
-   are a pure function of (seed, point index, replication index) and
-   the rows come back in point order whatever [jobs] is.
+(* Every sweep cell is a closed job (its own config, its own [Sim])
+   in one {!Exp_common.grid}, so a multi-point sweep saturates the
+   worker pool and the rows come back in point order whatever [jobs]
+   is.
 
-   With [reps = 1] the cell seed is [derive base i], exactly the
-   historical per-point seed, so single-replication sweeps stay
-   byte-identical to every earlier release.  With [reps > 1] cell
-   (i, r) uses [derive (derive base i) r] — a split of the point's
-   own stream — and each row reports the mean across its
-   replications (a single replication passes through bit-exactly:
-   summing one float and dividing by 1.0 are both identities).
-
-   The sweep is exported as a flat {!Exp_common.job} grid of
-   [points x reps] cells plus one assembly barrier, so a multi-point
-   sweep saturates the worker pool instead of running as one
-   monolithic job. *)
-let point_seed ~seed i =
-  Engine.Rng.as_seed (Engine.Rng.derive (Engine.Rng.create seed) i)
-
+   The fig5 sweep's cells draw no random numbers (its config has no
+   seed), so it runs one cell per point.  The fig6 sweep's workload is
+   seeded: each cell's seed is derived from the base seed by stream
+   index — a proper SplitMix64 split, not [seed + i] arithmetic — so
+   the cell seeds are a pure function of (seed, point index,
+   replication index).  With [reps = 1] the cell seed is
+   [derive base i], exactly the historical per-point seed; with
+   [reps > 1] cell (i, r) uses [derive (derive base i) r] — a split of
+   the point's own stream — and each row reports the mean across its
+   replications. *)
 let cell_seed ~seed ~reps i r =
-  if reps = 1 then point_seed ~seed i
-  else
-    Engine.Rng.as_seed
-      (Engine.Rng.derive (Engine.Rng.derive (Engine.Rng.create seed) i) r)
-
-(* [points x reps] cell jobs filling [cells], then a barrier that
-   reduces each point's replications with [reduce] and emits the
-   rows.  Shared by both sweeps. *)
-let grid ~reps ~points ~cell ~reduce ~emit =
-  if reps < 1 then invalid_arg "Sweeps: reps must be >= 1";
-  let n = List.length points in
-  let cells = Array.make (max 1 (n * reps)) None in
-  let jobs =
-    List.concat
-      (List.mapi
-         (fun i p ->
-           List.init reps (fun r ->
-               Exp_common.job
-                 (fun () -> cell i r p)
-                 ~commit:(fun o -> cells.((i * reps) + r) <- Some o)))
-         points)
-  in
-  jobs
-  @ [ Exp_common.barrier
-        (fun () ->
-          emit
-            (List.mapi
-               (fun i p ->
-                 reduce p
-                   (List.init reps (fun r ->
-                        Option.get cells.((i * reps) + r))))
-               points)) ]
+  let point = Engine.Rng.derive (Engine.Rng.create seed) i in
+  Engine.Rng.as_seed (if reps = 1 then point else Engine.Rng.derive point r)
 
 let mean_over outs f =
   List.fold_left (fun a o -> a +. f o) 0.0 outs
   /. float_of_int (List.length outs)
 
-let fig5_sweep_jobs ?(flips_us = [ 96; 192; 384; 768; 1536 ]) ?(reps = 1)
-    ?(duration = Engine.Time.ms 6) ?(seed = 42) ~emit () =
-  grid ~reps ~points:flips_us
-    ~cell:(fun i r flip_us ->
-      let config =
-        { Fig5_multipath.default with
-          Fig5_multipath.flip_interval = Engine.Time.us flip_us;
-          duration;
-          seed = cell_seed ~seed ~reps i r }
-      in
-      Fig5_multipath.run ~config ())
+let fig5_sweep_jobs ?(flips_us = [ 96; 192; 384; 768; 1536 ])
+    ?(duration = Engine.Time.ms 6) ~emit () =
+  Exp_common.grid ~points:flips_us
+    ~cell:(fun _ _ flip_us ->
+      Fig5_multipath.run
+        ~config:
+          { Fig5_multipath.default with
+            Fig5_multipath.flip_interval = Engine.Time.us flip_us;
+            duration }
+        ())
     ~reduce:(fun flip_us outs ->
+      let o = List.hd outs in
       { flip_us;
-        dctcp_gbps = mean_over outs (fun o -> o.Fig5_multipath.dctcp_mean);
-        mtp_gbps = mean_over outs (fun o -> o.Fig5_multipath.mtp_mean);
-        ratio = mean_over outs (fun o -> o.Fig5_multipath.improvement) })
-    ~emit
-
-let fig5_flip_sweep ?flips_us ?reps ?duration ?seed ?(jobs = 1) () =
-  let out = ref [] in
-  Exp_common.run_jobs ~jobs
-    (fig5_sweep_jobs ?flips_us ?reps ?duration ?seed
-       ~emit:(fun rows -> out := rows)
-       ());
-  !out
+        dctcp_gbps = o.Fig5_multipath.dctcp_mean;
+        mtp_gbps = o.Fig5_multipath.mtp_mean;
+        ratio = o.Fig5_multipath.improvement })
+    ~emit ()
 
 type fig6_row = {
   load : float;
@@ -102,7 +58,7 @@ type fig6_row = {
 
 let fig6_sweep_jobs ?(loads = [ 0.3; 0.5; 0.7 ]) ?(reps = 1)
     ?(duration = Engine.Time.ms 80) ?(seed = 42) ~emit () =
-  grid ~reps ~points:loads
+  Exp_common.grid ~reps ~points:loads
     ~cell:(fun i r load ->
       let config =
         { Fig6_loadbalance.default with
@@ -135,17 +91,9 @@ let fig6_sweep_jobs ?(loads = [ 0.3; 0.5; 0.7 ]) ?(reps = 1)
         mtp_p99_us =
           scheme (fun o -> o.Fig6_loadbalance.mtp)
             (fun s -> s.Fig6_loadbalance.fct_p99_us) })
-    ~emit
+    ~emit ()
 
-let fig6_load_sweep ?loads ?reps ?duration ?seed ?(jobs = 1) () =
-  let out = ref [] in
-  Exp_common.run_jobs ~jobs
-    (fig6_sweep_jobs ?loads ?reps ?duration ?seed
-       ~emit:(fun rows -> out := rows)
-       ());
-  !out
-
-let fig5_rows_result ?(reps = 1) rows =
+let fig5_rows_result rows =
   let table =
     Stats.Table.create
       ~columns:
@@ -161,18 +109,11 @@ let fig5_rows_result ?(reps = 1) rows =
     ~title:"Sweep: Fig 5 vs path-alternation frequency"
     ~table
     ~notes:
-      (Printf.sprintf
-         "MTP's advantage is %.2fx at %dus flips and %.2fx at %dus — \
+      [ Printf.sprintf
+          "MTP's advantage is %.2fx at %dus flips and %.2fx at %dus — \
           per-pathlet state matters most when paths change faster than a \
           single window can re-converge"
-         fastest.ratio fastest.flip_us slowest.ratio slowest.flip_us
-      ::
-      (if reps > 1 then
-         [ Printf.sprintf
-             "each point is the mean of %d seed replications (SplitMix64 \
-              split per point)"
-             reps ]
-       else []))
+         fastest.ratio fastest.flip_us slowest.ratio slowest.flip_us ]
     ()
 
 let fig6_rows_result ?(reps = 1) rows =
@@ -203,21 +144,3 @@ let fig6_rows_result ?(reps = 1) rows =
              reps ]
        else []))
     ()
-
-let fig5_result_jobs ?flips_us ?reps ?duration ?seed ~emit () =
-  fig5_sweep_jobs ?flips_us ?reps ?duration ?seed
-    ~emit:(fun rows -> emit (fig5_rows_result ?reps rows))
-    ()
-
-let fig6_result_jobs ?loads ?reps ?duration ?seed ~emit () =
-  fig6_sweep_jobs ?loads ?reps ?duration ?seed
-    ~emit:(fun rows -> emit (fig6_rows_result ?reps rows))
-    ()
-
-let fig5_result ?flips_us ?reps ?duration ?seed ?(jobs = 1) () =
-  let rows = fig5_flip_sweep ?flips_us ?reps ?duration ?seed ~jobs () in
-  fig5_rows_result ?reps rows
-
-let fig6_result ?loads ?reps ?duration ?seed ?(jobs = 1) () =
-  let rows = fig6_load_sweep ?loads ?reps ?duration ?seed ~jobs () in
-  fig6_rows_result ?reps rows

@@ -4,27 +4,26 @@
     comparisons evolve with the key knob of each experiment, which is
     where the design arguments actually live:
 
-    - {!fig5_flip_sweep}: MTP's advantage over a single-window DCTCP
+    - {!fig5_sweep_jobs}: MTP's advantage over a single-window DCTCP
       grows as path alternation gets faster relative to convergence
       time, and vanishes when flips are slow;
-    - {!fig6_load_sweep}: the gap between message-aware placement and
+    - {!fig6_sweep_jobs}: the gap between message-aware placement and
       ECMP/spraying widens with offered load, spraying degrading
       fastest (reordering costs scale with queueing).
 
-    Every sweep cell (point [i], replication [r]) is a closed job on
-    the parallel runner.  Cell seeds are SplitMix64 stream splits of
-    [seed] ({!Engine.Rng.derive}): with [reps = 1] (the default) the
-    cell seed is [derive base i] — the historical per-point seed, so
-    output is byte-identical to single-replication releases — and
-    with [reps > 1] cell [(i, r)] uses [derive (derive base i) r] and
-    each row reports the per-point mean across replications.
+    Each sweep is one {!Exp_common.grid}: every cell (point [i],
+    replication [r]) is a closed job, and the trailing barrier passes
+    the rows, in point order, to [emit] — byte-identical for any
+    [jobs].  Run a sweep with {!Exp_common.run_jobs} (alone or
+    concatenated with other grids) or {!Exp_common.collect}; render
+    its rows with the matching [_rows_result].
 
-    The [_jobs] variants expose the sweep as a flat {!Exp_common.job}
-    grid ([points x reps] cells plus one assembly barrier) for
-    submission into a larger shared pool (the [all] command); the
-    plain variants run the same grid on a private pool of [jobs]
-    workers.  Rows always come back in point order — byte-identical
-    output for any [jobs]. *)
+    The fig5 sweep draws no random numbers, so it has one cell per
+    point and no seed.  The fig6 sweep's cell seeds are SplitMix64
+    stream splits of [seed] ({!Engine.Rng.derive}): with [reps = 1]
+    (the default) the cell seed is [derive base i], and with
+    [reps > 1] cell [(i, r)] uses [derive (derive base i) r] and each
+    row reports the per-point mean across replications. *)
 
 type fig5_row = {
   flip_us : int;
@@ -33,15 +32,11 @@ type fig5_row = {
   ratio : float;
 }
 
-val fig5_flip_sweep :
-  ?flips_us:int list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  ?jobs:int -> unit -> fig5_row list
-
 val fig5_sweep_jobs :
-  ?flips_us:int list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
+  ?flips_us:int list -> ?duration:Engine.Time.t ->
   emit:(fig5_row list -> unit) -> unit -> Exp_common.job list
-(** The sweep as a flat job grid; [emit] receives the reduced rows
-    from the trailing assembly barrier. *)
+
+val fig5_rows_result : fig5_row list -> Exp_common.result
 
 type fig6_row = {
   load : float;
@@ -53,28 +48,10 @@ type fig6_row = {
   mtp_p99_us : float;
 }
 
-val fig6_load_sweep :
-  ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  ?jobs:int -> unit -> fig6_row list
-
 val fig6_sweep_jobs :
   ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
   emit:(fig6_row list -> unit) -> unit -> Exp_common.job list
 
-val fig5_result :
-  ?flips_us:int list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  ?jobs:int -> unit -> Exp_common.result
-
-val fig6_result :
-  ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  ?jobs:int -> unit -> Exp_common.result
-
-val fig5_result_jobs :
-  ?flips_us:int list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  emit:(Exp_common.result -> unit) -> unit -> Exp_common.job list
-(** {!fig5_result} as a job grid for a shared pool; [emit] receives
-    the assembled result. *)
-
-val fig6_result_jobs :
-  ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
-  emit:(Exp_common.result -> unit) -> unit -> Exp_common.job list
+val fig6_rows_result : ?reps:int -> fig6_row list -> Exp_common.result
+(** With [reps > 1] the result notes that each row is a mean of [reps]
+    seed replications. *)

@@ -46,8 +46,7 @@ let default =
         { s_path = [ "Pool"; "run" ]; s_main_labels = [] };
         { s_path = [ "Pool"; "map" ]; s_main_labels = [] };
         { s_path = [ "Epoch"; "run" ]; s_main_labels = [ "exchange" ] };
-        { s_path = [ "Exp_common"; "job" ]; s_main_labels = [ "commit" ] };
-        { s_path = [ "Exp_common"; "replicate" ]; s_main_labels = [] } ];
+        { s_path = [ "Exp_common"; "job" ]; s_main_labels = [ "commit" ] } ];
     guard_path = [ "Ctx"; "on" ];
     (* Commit-side surfaces that must stay off worker domains: the
        telemetry singleton's mutators and exporters, and Exp_common's

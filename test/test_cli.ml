@@ -6,7 +6,11 @@
 
    `all`, `extensions` and `sweeps` take no --duration-ms, so an
    accepted value there would start a full run; their flags are driven
-   only with values they reject.  `features` has no numeric flag. *)
+   only with values they reject.  `features` has no numeric flag.
+
+   Two more cases keep the flag set honest: a knob that could not
+   change an exhibit's output is not accepted (exit 2), and the one
+   exhibit seed (fig6's) does change the output. *)
 
 let exe = Filename.concat ".." (Filename.concat "bin" "mtp_sim.exe")
 let timeout_s = 10.0
@@ -49,15 +53,16 @@ let rejected_only name good = { name; good; bad = [ "-1"; "x" ] }
 let arg name v =
   if String.length name > 2 then name ^ "=" ^ v else name ^ v
 
-let exhibit extra =
-  [ flag "--seed" "1"; flag "--duration-ms" "1"; flag "--jobs" "1" ] @ extra
+let exhibit extra = [ flag "--duration-ms" "1"; flag "--jobs" "1" ] @ extra
 
 let table =
   [ ("fig2", exhibit [ flag "--rwnd-kb" "256" ]);
     ("fig3", exhibit [ flag "--hosts" "4"; flag "--chains" "1" ]);
-    ("fig5", exhibit [ flag "--flip-us" "384"; flag "--reps" "1" ]);
+    ("fig5", exhibit [ flag "--flip-us" "384" ]);
     ( "fig6",
-      exhibit [ flag "--max-mb" "16"; flag "--load" "0.5" ~extra:[ "-0.5" ] ] );
+      exhibit
+        [ flag "--seed" "1"; flag "--max-mb" "16";
+          flag "--load" "0.5" ~extra:[ "-0.5" ] ] );
     ("fig7", exhibit [ flag "--tenant2-sources" "8" ]);
     ("table1", [ flag "--jobs" "1" ]);
     ("extensions", [ rejected_only "--jobs" "1" ]);
@@ -98,9 +103,36 @@ let check_command (cmd, flags) () =
         f.bad)
     flags
 
+let test_removed_flags () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int)
+        ("mtp_sim " ^ String.concat " " args ^ " is a usage error")
+        2 (status args))
+    [ [ "fig2"; "--seed"; "1" ]; [ "fig5"; "--reps"; "2" ] ]
+
+(* Both runs are started before either is read, so they overlap. *)
+let test_fig6_seed () =
+  let start seed =
+    let args = [ "fig6"; "--duration-ms"; "20"; "--seed"; seed ] in
+    (args, Unix.open_process_args_in exe (Array.of_list (exe :: args)))
+  in
+  let finish (args, ic) =
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> out
+    | _ -> Alcotest.failf "mtp_sim %s failed" (String.concat " " args)
+  in
+  let a = start "7" and b = start "42" in
+  Alcotest.(check bool)
+    "fig6 --seed 7 and --seed 42 print different stdout" false
+    (finish a = finish b)
+
 let suite =
   List.map
     (fun ((cmd, _) as row) ->
       Alcotest.test_case (cmd ^ " numeric flags exit 0 or 2") `Quick
         (check_command row))
     table
+  @ [ Alcotest.test_case "removed flags exit 2" `Quick test_removed_flags;
+      Alcotest.test_case "fig6 seed changes stdout" `Slow test_fig6_seed ]

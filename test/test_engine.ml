@@ -73,6 +73,8 @@ let test_rng_derive_pinned () =
   Alcotest.(check int64) "child 3 first output" 0x99855629a846f58fL (first 3);
   Alcotest.(check int) "as_seed child 0" 2320198762179089453
     (Rng.as_seed (Rng.derive base 0));
+  Alcotest.(check int) "as_seed child 1" 4427880381756340272
+    (Rng.as_seed (Rng.derive base 1));
   Alcotest.(check int) "as_seed child 7" 648424132121196736
     (Rng.as_seed (Rng.derive base 7))
 

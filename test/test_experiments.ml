@@ -276,7 +276,10 @@ let test_failover_shapes () =
       t_restore = Engine.Time.ms 11;
       duration = Engine.Time.ms 16 }
   in
-  let o = Experiments.Ext_failover.run ~config () in
+  let o =
+    Experiments.Exp_common.collect (fun emit ->
+        Experiments.Ext_failover.jobs ~config ~emit ())
+  in
   checki "four schemes" 4 (List.length o.Experiments.Ext_failover.schemes);
   List.iter
     (fun s ->

@@ -10,7 +10,7 @@
    argument validation, smallest-partition-index failures.
 
    End-to-end (the jobs-invariance tests): the fig5/fig6 sweeps, the
-   failover experiment, multi-seed replication and the partitioned
+   failover experiment, sweep replications and the partitioned
    single-scenario exhibit (Par_leafspine) must produce byte-identical
    printed output/digests at [~jobs:1] and wider.  These run the real
    exhibits at reduced scale on real domains. *)
@@ -98,13 +98,19 @@ let check_invariant name make_result =
 
 let test_fig5_sweep_invariant () =
   check_invariant "fig5-sweep" (fun ~jobs ->
-      Experiments.Sweeps.fig5_result ~flips_us:[ 192; 768 ]
-        ~duration:(Engine.Time.ms 1) ~jobs ())
+      Experiments.Sweeps.fig5_rows_result
+        (Experiments.Exp_common.collect ~jobs (fun emit ->
+             Experiments.Sweeps.fig5_sweep_jobs ~flips_us:[ 192; 768 ]
+               ~duration:(Engine.Time.ms 1) ~emit ())))
+
+let fig6_rows ~jobs ?reps loads =
+  Experiments.Exp_common.collect ~jobs (fun emit ->
+      Experiments.Sweeps.fig6_sweep_jobs ~loads ?reps
+        ~duration:(Engine.Time.ms 4) ~emit ())
 
 let test_fig6_sweep_invariant () =
   check_invariant "fig6-sweep" (fun ~jobs ->
-      Experiments.Sweeps.fig6_result ~loads:[ 0.3; 0.5 ]
-        ~duration:(Engine.Time.ms 4) ~jobs ())
+      Experiments.Sweeps.fig6_rows_result (fig6_rows ~jobs [ 0.3; 0.5 ]))
 
 let test_failover_invariant () =
   let config =
@@ -115,37 +121,21 @@ let test_failover_invariant () =
       duration = Engine.Time.ms 10 }
   in
   check_invariant "failover" (fun ~jobs ->
-      Experiments.Ext_failover.result ~jobs ~config ())
-
-let test_replicate_invariant () =
-  let go jobs =
-    Experiments.Exp_common.replicate ~jobs ~seed:42 ~reps:6 (fun ~seed ->
-        seed * 3)
-  in
-  let a = go 1 and b = go 4 in
-  checkb "replications identical at jobs 1 and 4" true (a = b);
-  let seeds = List.map (fun r -> r.Experiments.Exp_common.rep_seed) a in
-  checki "derived seeds all distinct" 6
-    (List.length (List.sort_uniq compare seeds));
-  (* The seed family is pinned (Engine.Rng.derive of base 42); see the
-     engine regression test for the stream pins themselves. *)
-  Alcotest.(check int)
-    "first derived seed" 2320198762179089453 (List.nth seeds 0);
-  Alcotest.(check int)
-    "second derived seed" 4427880381756340272 (List.nth seeds 1)
+      Experiments.Ext_failover.assemble config
+        (Experiments.Exp_common.collect ~jobs (fun emit ->
+             Experiments.Ext_failover.jobs ~config ~emit ())))
 
 let test_sweep_reps () =
-  (* Replicated sweep: jobs-invariant rows, one row per point (the
+  (* Replicated fig6 sweep: jobs-invariant rows, one row per point (the
      mean over reps), and reps < 1 rejected before any cell runs. *)
-  let go jobs =
-    Experiments.Sweeps.fig5_flip_sweep ~flips_us:[ 192 ] ~reps:2
-      ~duration:(Engine.Time.ms 1) ~jobs ()
-  in
-  let a = go 1 and b = go 2 in
+  let a = fig6_rows ~jobs:1 ~reps:2 [ 0.5 ]
+  and b = fig6_rows ~jobs:2 ~reps:2 [ 0.5 ] in
   checkb "reps=2 rows identical at jobs 1 and 2" true (a = b);
   checki "one row per point" 1 (List.length a);
   checkb "reps=0 rejected" true
-    (match Experiments.Sweeps.fig5_flip_sweep ~reps:0 () with
+    (match
+       Experiments.Sweeps.fig6_sweep_jobs ~reps:0 ~emit:ignore ()
+     with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -335,8 +325,6 @@ let suite =
       test_fig6_sweep_invariant;
     Alcotest.test_case "failover jobs-invariant" `Slow
       test_failover_invariant;
-    Alcotest.test_case "replicate jobs-invariant" `Quick
-      test_replicate_invariant;
     Alcotest.test_case "sweep replications" `Slow test_sweep_reps;
     QCheck_alcotest.to_alcotest prop_pool_matches_serial;
     Alcotest.test_case "job grid commit order" `Quick test_run_jobs_order;
