@@ -12,14 +12,18 @@ test:
 
 # Regenerate the goldens and print what changed:
 # test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry trace, metrics
-# and stdout; `dune runtest` fails while it differs) and the exhibit
-# stdout goldens all-smoke.expected and failover-smoke.expected
+# and stdout; `dune runtest` fails while it differs) and the stdout
+# goldens all-smoke.expected, failover-smoke.expected,
+# par-leafspine-{dctcp,mtp}.expected and tenant-isolation.expected
 # (`dune build @test/golden/smoke` fails while they differ).
 golden:
 	dune build @test/golden/runtest --auto-promote || dune build @test/golden/runtest
 	dune build @test/golden/smoke || { \
 	  dune exec bin/mtp_sim.exe -- all --smoke --jobs 2 > test/golden/all-smoke.expected && \
-	  dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11 > test/golden/failover-smoke.expected; }
+	  dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11 > test/golden/failover-smoke.expected && \
+	  dune exec bin/mtp_sim.exe -- par-leafspine --transport dctcp --jobs 2 > test/golden/par-leafspine-dctcp.expected && \
+	  dune exec bin/mtp_sim.exe -- par-leafspine --transport mtp --jobs 2 > test/golden/par-leafspine-mtp.expected && \
+	  dune exec examples/tenant_isolation.exe > test/golden/tenant-isolation.expected; }
 
 # The repo benchmark (BENCHMARK.json): end-to-end and per-layer
 # metrics on five workloads (untraced and traced passes).
@@ -78,7 +82,7 @@ fuzz-smoke:
 # report, the parallel-runner scaling bench with its not-slower guardrail, a
 # shortened failover run exercising fault injection end to end and a
 # parallel `all --smoke` pass regenerating every exhibit on two
-# domains (both diffed against their stdout goldens), a telemetry
+# domains (diffed with the other stdout goldens), a telemetry
 # export check (JSONL parses, same-seed runs byte-identical), and the
 # corpus-replay + seeded-fuzz smoke.
 check:

@@ -46,6 +46,20 @@ let fraction =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* The largest fabric the repo guards is the 4096-host point of
+   BENCH_engine.json's scale sweep; bigger ones can exhaust memory
+   while the topology is built, so they are usage errors too.  [n] is
+   a float so that products of huge flag values cannot overflow past
+   the check. *)
+let max_hosts = 4096
+
+let check_fabric cmd ~what n =
+  if n > float_of_int max_hosts then begin
+    Format.eprintf "mtp_sim %s: %s = %.0f, above the %d-host cap@." cmd what n
+      max_hosts;
+    Stdlib.exit 2
+  end
+
 let dump_series =
   let doc = "Dump every (time_us, value) series row, not just summaries." in
   Arg.(value & flag & info [ "series" ] ~doc)
@@ -189,6 +203,7 @@ let fig2_cmd =
 
 let fig3_cmd =
   let run opts duration hosts chains =
+    check_fabric "fig3" ~what:"2 x --hosts" (2.0 *. float_of_int hosts);
     let config =
       { Fig3_one_rpf.default with
         Fig3_one_rpf.duration = Engine.Time.ms duration;
@@ -198,7 +213,9 @@ let fig3_cmd =
     run_grid opts [ single opts (fun () -> Fig3_one_rpf.result ~config ()) ]
   in
   let hosts =
-    Arg.(value & opt pos_int 4 & info [ "hosts" ] ~doc:"Sender/receiver pairs.")
+    Arg.(value & opt pos_int 4
+         & info [ "hosts" ]
+             ~doc:"Sender/receiver pairs; 2 x N hosts, at most 4096.")
   in
   let chains =
     Arg.(value & opt pos_int 1
@@ -355,6 +372,7 @@ let incast_cmd =
       Format.eprintf "mtp_sim incast: --k must be even@.";
       Stdlib.exit 2
     end;
+    check_fabric "incast" ~what:"k^3/4 hosts" (float_of_int k ** 3.0 /. 4.0);
     let nhosts = k * k * k / 4 in
     if fanout > nhosts - 1 then begin
       Format.eprintf
@@ -371,7 +389,8 @@ let incast_cmd =
   in
   let k =
     Arg.(value & opt (int_at_least 2) 8
-         & info [ "k" ] ~doc:"Fat-tree arity (even); k^3/4 hosts.")
+         & info [ "k" ]
+             ~doc:"Fat-tree arity (even); k^3/4 hosts, at most 4096.")
   in
   let fanout =
     Arg.(value & opt pos_int 48
@@ -464,6 +483,8 @@ let sweeps_cmd =
 
 let par_leafspine_cmd =
   let run opts duration transport leaves spines hosts msg_kb =
+    check_fabric "par-leafspine" ~what:"--leaves x (--hosts + --spines)"
+      (float_of_int leaves *. (float_of_int hosts +. float_of_int spines));
     let config =
       { Par_leafspine.leaves;
         spines;
@@ -486,7 +507,10 @@ let par_leafspine_cmd =
   in
   let leaves =
     Arg.(value & opt (int_at_least 2) 4
-         & info [ "leaves" ] ~doc:"Leaf switches (= partitions); >= 2.")
+         & info [ "leaves" ]
+             ~doc:
+               "Leaf switches (= partitions); >= 2, and leaves x (hosts + \
+                spines) at most 4096.")
   in
   let spines =
     Arg.(value & opt pos_int 4 & info [ "spines" ] ~doc:"Spine switches.")

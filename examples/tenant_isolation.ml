@@ -39,16 +39,12 @@ let run ~fair =
     let port = 8000 + Netsim.Node.addr client in
     Mtp.Endpoint.bind server_ep ~port (fun d ->
         tenant_bytes.(entity) <- tenant_bytes.(entity) + d.Mtp.Endpoint.dl_size);
-    let rec chain () =
-      ignore
-        (Mtp.Endpoint.send ep
-           ~dst:(Netsim.Node.addr st.Netsim.Topology.st_server)
-           ~dst_port:port ~tc:entity
-           ~on_complete:(fun _ -> chain ())
-           ~size:200_000 ())
-    in
-    chain ();
-    chain ()
+    ignore
+      (Workload.Driver.closed_loop ~parallel:2 ~size:200_000
+         (fun ~size ~on_complete ->
+           Mtp.Endpoint.Messaging.send_message ep
+             ~dst:(Netsim.Node.addr st.Netsim.Topology.st_server)
+             ~dst_port:port ~tc:entity ~on_complete ~size ()))
   in
   (* Client 0 is the latency tenant (entity 1); clients 1-6 belong to
      the batch tenant (entity 2). *)

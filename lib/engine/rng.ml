@@ -13,16 +13,14 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = { state = bits64 t }
-
 let derive t i =
   assert (i >= 0);
   (* Child stream [i] off the generator's *current* state: a
      gamma-spaced offset selects the stream, and the extra mix + xor
      of the index separates the children from each other and from the
-     parent's own output sequence (which [split] consumes).  Pure —
-     the parent is not advanced, so [derive t 0 .. derive t (n-1)]
-     form a reproducible family regardless of evaluation order. *)
+     parent's own output sequence.  Pure — the parent is not advanced,
+     so [derive t 0 .. derive t (n-1)] form a reproducible family
+     regardless of evaluation order. *)
   let z = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1))) in
   { state = mix64 (Int64.logxor (mix64 z) (Int64.of_int i)) }
 

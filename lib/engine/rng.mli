@@ -2,7 +2,8 @@
 
     All randomness in the simulator flows through an explicit [Rng.t]
     so experiments are reproducible from a seed alone.  SplitMix64 is
-    small, fast, passes BigCrush, and supports cheap stream splitting. *)
+    small, fast, passes BigCrush, and supports cheap independent child
+    streams ({!derive}). *)
 
 type t
 
@@ -10,13 +11,9 @@ val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds give equal
     streams. *)
 
-val split : t -> t
-(** [split t] is a new generator whose stream is independent of the
-    future of [t] (it is seeded from [t]'s next output). *)
-
 val derive : t -> int -> t
 (** [derive t i] is the [i]-th child stream of [t]'s current state
-    ([i >= 0]).  Unlike {!split} it does not advance [t]: the family
+    ([i >= 0]).  It does not advance [t]: the family
     [derive t 0 .. derive t (n-1)] is a pure function of [t]'s state,
     so per-job seeds drawn from it are identical however (and on
     whichever domain) the jobs are scheduled.  Distinct indices give

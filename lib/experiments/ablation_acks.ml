@@ -22,15 +22,11 @@ let run_variant ~duration ~ack_every =
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->
       Stats.Meter.count_bytes meter d.Mtp.Endpoint.dl_size);
-  let rec chain () =
-    ignore
-      (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr b) ~dst_port:80
-         ~on_complete:(fun _ -> chain ())
-         ~size:500_000 ())
-  in
-  for _ = 1 to 2 do
-    chain ()
-  done;
+  ignore
+    (Workload.Driver.closed_loop ~parallel:2 ~size:500_000
+       (fun ~size ~on_complete ->
+         Mtp.Endpoint.Messaging.send_message ea ~dst:(Netsim.Node.addr b)
+           ~dst_port:80 ~on_complete ~size ()));
   Engine.Sim.run ~until:duration sim;
   Stats.Meter.stop meter;
   let data_pkts =

@@ -33,15 +33,11 @@ let run_variant ~rate ~duration (name, algo, mode) =
   in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->
       Stats.Meter.count_bytes meter d.Mtp.Endpoint.dl_size);
-  let rec chain () =
-    ignore
-      (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr b) ~dst_port:80
-         ~on_complete:(fun _ -> chain ())
-         ~size:250_000 ())
-  in
-  for _ = 1 to 2 do
-    chain ()
-  done;
+  ignore
+    (Workload.Driver.closed_loop ~parallel:2 ~size:250_000
+       (fun ~size ~on_complete ->
+         Mtp.Endpoint.Messaging.send_message ea ~dst:(Netsim.Node.addr b)
+           ~dst_port:80 ~on_complete ~size ()));
   let queue_depth = Stats.Summary.create () in
   let max_queue = ref 0 in
   ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->

@@ -40,17 +40,12 @@ let run_variant ~duration ~fine =
   in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->
       Stats.Meter.count_bytes meter d.Mtp.Endpoint.dl_size);
-  let rec chain () =
-    ignore
-      (Mtp.Endpoint.send ea
-         ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
-         ~dst_port:80
-         ~on_complete:(fun _ -> chain ())
-         ~size:250_000 ())
-  in
-  for _ = 1 to 4 do
-    chain ()
-  done;
+  ignore
+    (Workload.Driver.closed_loop ~parallel:4 ~size:250_000
+       (fun ~size ~on_complete ->
+         Mtp.Endpoint.Messaging.send_message ea
+           ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80
+           ~on_complete ~size ()));
   Engine.Sim.run ~until:duration sim;
   Stats.Meter.stop meter;
   Exp_common.mean_between (Stats.Meter.series meter) ~lo:(duration / 4)

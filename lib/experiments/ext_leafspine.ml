@@ -107,27 +107,24 @@ let run_mtp ~duration ~message_bytes ~seed =
             ~mode:(Mtp.Mtp_switch.Ecn_mark 20))
         row)
     ls.Netsim.Topology.ls_uplinks;
-  let fcts = Stats.Summary.create () in
   let total = ref 0 in
-  List.iter
-    (fun (src, dst) ->
-      let ea = Mtp.Endpoint.create src in
-      let eb = Mtp.Endpoint.create dst in
-      let port = 80 + Netsim.Node.addr src in
-      Mtp.Endpoint.bind eb ~port (fun d ->
-          total := !total + d.Mtp.Endpoint.dl_size);
-      let rec chain () =
-        ignore
-          (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr dst) ~dst_port:port
-             ~on_complete:(fun fct ->
-               Stats.Summary.add fcts (Engine.Time.to_float_us fct);
-               chain ())
-             ~size:message_bytes ())
-      in
-      chain ())
-    (pairs ls);
+  let drivers =
+    List.map
+      (fun (src, dst) ->
+        let ea = Mtp.Endpoint.create src in
+        let eb = Mtp.Endpoint.create dst in
+        let port = 80 + Netsim.Node.addr src in
+        Mtp.Endpoint.bind eb ~port (fun d ->
+            total := !total + d.Mtp.Endpoint.dl_size);
+        Workload.Driver.closed_loop ~size:message_bytes
+          (fun ~size ~on_complete ->
+            Mtp.Endpoint.Messaging.send_message ea ~dst:(Netsim.Node.addr dst)
+              ~dst_port:port ~on_complete ~size ()))
+      (pairs ls)
+  in
   Engine.Sim.run ~until:duration sim;
-  summarize fcts ~total_bytes:!total ~duration ~ls
+  summarize (Workload.Driver.pooled_fcts drivers) ~total_bytes:!total
+    ~duration ~ls
 
 let run ?(duration = Engine.Time.ms 10) ?(message_bytes = 250_000)
     ?(seed = 42) () =

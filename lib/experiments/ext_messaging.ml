@@ -28,29 +28,21 @@ type row = {
 
 let port = 80
 
-(* The generic driver: a closed-loop chain of [parallel] messages,
-   restarted from each completion callback.  Everything here goes
-   through the packed interface — swap the transport, keep the code. *)
+(* [parallel] closed-loop message chains over the packed interface:
+   swap the transport, keep the code. *)
 let drive cfg sim ~client ~server ~dst ~hosts =
   let module T = Netsim.Transport_intf in
-  let fcts = Stats.Summary.create () in
-  let sent = ref 0 in
   T.listen server ~port ();
-  let rec chain () =
-    T.send_message client ~dst ~dst_port:port
-      ~on_complete:(fun fct ->
-        incr sent;
-        Stats.Summary.add fcts (float_of_int fct /. 1_000.0);
-        chain ())
-      ~size:cfg.msg_size ()
+  let driver =
+    Workload.Driver.closed_loop ~parallel:cfg.parallel ~size:cfg.msg_size
+      (fun ~size ~on_complete ->
+        T.send_message client ~dst ~dst_port:port ~on_complete ~size ())
   in
-  for _ = 1 to cfg.parallel do
-    chain ()
-  done;
   Engine.Sim.run ~until:cfg.duration sim;
+  let fcts = Workload.Driver.fcts driver in
   let srv = T.stats server in
   { r_id = T.id client;
-    r_sent = !sent;
+    r_sent = Workload.Driver.completed driver;
     r_rx_messages = srv.T.rx_messages;
     r_goodput_gbps =
       float_of_int srv.T.rx_bytes *. 8.0

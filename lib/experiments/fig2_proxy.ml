@@ -41,7 +41,8 @@ let run_variant cfg ~limited =
   let server = Transport.Tcp.install ch.Netsim.Topology.ch_server in
   let meter = Stats.Meter.create ~name:"server_goodput" sim
       ~interval:cfg.sample_interval () in
-  ignore (Transport.Flowgen.sink ~meter server ~port:90);
+  Transport.Tcp.Messaging.listen server ~port:90
+    ~on_data:(Stats.Meter.count_bytes meter) ();
   let proxy =
     if limited then
       Transport.Proxy.create pstack ~front_port:80
@@ -54,7 +55,7 @@ let run_variant cfg ~limited =
         ~server_port:90 ()
   in
   let conn =
-    Transport.Flowgen.persistent client
+    Transport.Tcp.stream client
       ~dst:(Netsim.Node.addr ch.Netsim.Topology.ch_proxy)
       ~dst_port:80 ()
   in
@@ -69,8 +70,6 @@ let run_variant cfg ~limited =
       Engine.Sim.now sim < cfg.duration);
   Engine.Sim.run ~until:cfg.duration sim;
   Stats.Meter.stop meter;
-  let client_bytes = Transport.Tcp.bytes_delivered conn in
-  ignore client_bytes;
   let client_gbps =
     (* Bytes the client pushed into the proxy over the run. *)
     float_of_int (Transport.Proxy.relayed_bytes proxy * 8)

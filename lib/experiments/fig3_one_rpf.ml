@@ -38,20 +38,22 @@ let run_tcp cfg ~one_rpf =
   Array.iteri
     (fun i snd ->
       let rcv = db.Netsim.Topology.db_receivers.(i) in
+      let dst = Netsim.Node.addr rcv in
       let client = Transport.Tcp.install ~cc ~snd_buf:500_000 snd in
       let server = Transport.Tcp.install ~cc rcv in
-      ignore (Transport.Flowgen.sink ~meter server ~port:80);
+      Transport.Tcp.Messaging.listen server ~port:80
+        ~on_data:(Stats.Meter.count_bytes meter) ();
       if one_rpf then
         ignore
-          (Transport.Flowgen.closed_loop client
-             ~dst:(Netsim.Node.addr rcv) ~dst_port:80
-             ~message_bytes:cfg.message_bytes
-             ~parallel:cfg.chains_per_host ())
+          (Workload.Driver.closed_loop ~parallel:cfg.chains_per_host
+             ~size:cfg.message_bytes (fun ~size ~on_complete ->
+               Transport.Tcp.Messaging.send_message client ~dst ~dst_port:80
+                 ~on_complete ~size ()))
       else
         for _ = 1 to cfg.chains_per_host do
           ignore
-            (Transport.Flowgen.persistent client ~dst:(Netsim.Node.addr rcv)
-               ~dst_port:80 ~chunk:cfg.message_bytes ())
+            (Transport.Tcp.stream client ~dst ~dst_port:80
+               ~chunk:cfg.message_bytes ())
         done)
     db.Netsim.Topology.db_senders;
   Engine.Sim.run ~until:cfg.duration sim;
@@ -60,8 +62,6 @@ let run_tcp cfg ~one_rpf =
 
 let run_mtp cfg =
   let sim, db, meter = build cfg in
-  (* Fixed message sizes: the driver draws nothing from this stream. *)
-  let rng = Engine.Rng.create 42 in
   let receivers = ref [] in
   Array.iteri
     (fun i snd ->
@@ -71,13 +71,11 @@ let run_mtp cfg =
       receivers := eb :: !receivers;
       Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
       ignore
-        (Workload.Driver.closed_loop sim ~rng:(Engine.Rng.split rng)
-           ~size:(Workload.Sizes.fixed cfg.message_bytes)
-           ~parallel:cfg.chains_per_host
-           (fun ~size ~on_complete ->
-             ignore
-               (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr rcv)
-                  ~dst_port:80 ~on_complete ~size ()))))
+        (Workload.Driver.closed_loop ~parallel:cfg.chains_per_host
+           ~size:cfg.message_bytes (fun ~size ~on_complete ->
+             Mtp.Endpoint.Messaging.send_message ea
+               ~dst:(Netsim.Node.addr rcv) ~dst_port:80 ~on_complete ~size
+               ())))
     db.Netsim.Topology.db_senders;
   (* Meter at packet granularity (delivered-byte deltas), like the TCP
      sinks, so binning reflects the wire and not completion lumps. *)

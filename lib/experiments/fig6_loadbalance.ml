@@ -65,26 +65,14 @@ let run_tcp cfg ~route =
     Transport.Tcp.install ~cc ~snd_buf:500_000 tp.Netsim.Topology.tp_src
   in
   let server = Transport.Tcp.install ~cc tp.Netsim.Topology.tp_dst in
-  ignore (Transport.Flowgen.sink server ~port:80);
+  Transport.Tcp.Messaging.listen server ~port:80 ();
   let rng = Engine.Rng.create (cfg.seed + 1) in
   let size_dist = sizes cfg in
   let mean_size = Workload.Dist.mean_estimate size_dist (Engine.Rng.create 7) 20_000 in
-  let total_retransmits = ref 0 in
   let send ~size ~on_complete =
-    let conn =
-      Transport.Tcp.connect client
-        ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80 ()
-    in
-    Transport.Tcp.set_on_close conn (fun conn ->
-        total_retransmits := !total_retransmits + Transport.Tcp.retransmits conn;
-        let fct =
-          match Transport.Tcp.closed_at conn with
-          | Some t -> t - Transport.Tcp.opened_at conn
-          | None -> 0
-        in
-        on_complete fct);
-    Transport.Tcp.send conn size;
-    Transport.Tcp.close conn
+    Transport.Tcp.Messaging.send_message client
+      ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80
+      ~on_complete ~size ()
   in
   let driver =
     Workload.Driver.poisson sim ~rng ~size:size_dist
@@ -97,7 +85,8 @@ let run_tcp cfg ~route =
        (fun () -> Workload.Driver.stop driver));
   (* Let in-flight transfers finish well past the arrival window. *)
   Engine.Sim.run ~until:(cfg.duration * 4) sim;
-  summarize driver ~retransmits:!total_retransmits
+  let stats = Transport.Tcp.Messaging.stats client in
+  summarize driver ~retransmits:stats.Netsim.Transport_intf.retransmits
 
 let run_mtp cfg =
   let sim, tp = build cfg in

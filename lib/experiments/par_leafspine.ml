@@ -13,10 +13,11 @@
    tests and the fuzz pairing both lean on it.
 
    All mutable workload state is partition-local: host (l, i) messages
-   host ((l+1) mod leaves, i), completions fire at the source (leaf l)
-   and deliveries at the destination (leaf l+1), each recorded in that
-   partition's own slot of a per-partition array.  The main domain
-   only reads the slots after the run. *)
+   host ((l+1) mod leaves, i), completions fire at the source (leaf l),
+   in that host's closed-loop driver and leaf l's slot of a
+   per-partition array, and deliveries at the destination (leaf l+1),
+   in that leaf's slot.  The main domain only reads drivers and slots
+   after the run. *)
 
 type transport = Dctcp | Mtp
 
@@ -48,11 +49,9 @@ type output = {
 (* Per-partition workload counters, written only by the owning
    partition's domain during the run and read on main afterwards. *)
 type part_state = {
-  mutable ps_msgs : int; (* completions observed at sources in this leaf *)
   mutable ps_rx_bytes : int; (* delivered bytes at hosts in this leaf *)
-  mutable ps_fct_sum : Engine.Time.t;
+  mutable ps_fct_sum : Engine.Time.t; (* over completions at its sources *)
   mutable ps_fct_max : Engine.Time.t;
-  mutable ps_fcts : Engine.Time.t list; (* reversed; merged for p99 *)
 }
 
 let msg_port = 5001
@@ -70,11 +69,7 @@ let run ?(jobs = 1) (c : config) =
   let world = pls.Netsim.Partition.pls_world in
   let state =
     Array.init c.leaves (fun _ ->
-        { ps_msgs = 0;
-          ps_rx_bytes = 0;
-          ps_fct_sum = 0;
-          ps_fct_max = 0;
-          ps_fcts = [] })
+        { ps_rx_bytes = 0; ps_fct_sum = 0; ps_fct_max = 0 })
   in
   let wraps =
     Array.map
@@ -126,38 +121,37 @@ let run ?(jobs = 1) (c : config) =
   (* Closed-loop permutation chains: (l, i) -> ((l+1) mod leaves, i).
      Every chain's send side (and so its completion callback) lives in
      leaf l's partition. *)
-  for l = 0 to c.leaves - 1 do
-    for i = 0 to c.hosts_per_leaf - 1 do
-      let dst_leaf = (l + 1) mod c.leaves in
-      let dst_addr =
-        Netsim.Node.addr pls.Netsim.Partition.pls_hosts.(dst_leaf).(i)
-      in
-      let src_stack = stacks.(l).(i) in
-      let ps = state.(l) in
-      let rec chain () =
-        Netsim.Transport_intf.send_message src_stack ~dst:dst_addr
-          ~dst_port:msg_port
-          ~on_complete:(fun fct ->
-            ps.ps_msgs <- ps.ps_msgs + 1;
-            ps.ps_fct_sum <- ps.ps_fct_sum + fct;
-            if fct > ps.ps_fct_max then ps.ps_fct_max <- fct;
-            ps.ps_fcts <- fct :: ps.ps_fcts;
-            chain ())
-          ~size:c.message_bytes ()
-      in
-      chain ()
-    done
-  done;
+  let drivers =
+    Array.init c.leaves (fun l ->
+        let ps = state.(l) in
+        Array.init c.hosts_per_leaf (fun i ->
+            let dst =
+              Netsim.Node.addr
+                pls.Netsim.Partition.pls_hosts.((l + 1) mod c.leaves).(i)
+            in
+            Workload.Driver.closed_loop ~size:c.message_bytes
+              (fun ~size ~on_complete ->
+                Netsim.Transport_intf.send_message stacks.(l).(i) ~dst
+                  ~dst_port:msg_port ~size
+                  ~on_complete:(fun fct ->
+                    ps.ps_fct_sum <- ps.ps_fct_sum + fct;
+                    if fct > ps.ps_fct_max then ps.ps_fct_max <- fct;
+                    on_complete fct)
+                  ())))
+  in
   Netsim.Partition.run ~jobs ~until:c.duration world;
   (* Post-run, main domain: merge and render. *)
   let buf = Buffer.create 4096 in
   let line fmt =
     Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
   in
+  let msgs ds =
+    Array.fold_left (fun a d -> a + Workload.Driver.completed d) 0 ds
+  in
   Array.iteri
     (fun l ps ->
-      line "part %d msgs=%d rx_bytes=%d fct_sum=%d fct_max=%d" l ps.ps_msgs
-        ps.ps_rx_bytes ps.ps_fct_sum ps.ps_fct_max)
+      line "part %d msgs=%d rx_bytes=%d fct_sum=%d fct_max=%d" l
+        (msgs drivers.(l)) ps.ps_rx_bytes ps.ps_fct_sum ps.ps_fct_max)
     state;
   Array.iteri
     (fun i l ->
@@ -191,14 +185,11 @@ let run ?(jobs = 1) (c : config) =
   let total_bytes =
     Array.fold_left (fun a ps -> a + ps.ps_rx_bytes) 0 state
   in
-  let messages = Array.fold_left (fun a ps -> a + ps.ps_msgs) 0 state in
-  let fcts = Stats.Summary.create () in
-  Array.iter
-    (fun ps ->
-      List.iter
-        (fun fct -> Stats.Summary.add fcts (Engine.Time.to_float_us fct))
-        (List.rev ps.ps_fcts))
-    state;
+  let messages = Array.fold_left (fun a ds -> a + msgs ds) 0 drivers in
+  let fcts =
+    Workload.Driver.pooled_fcts
+      (List.concat_map Array.to_list (Array.to_list drivers))
+  in
   { digest = Buffer.contents buf;
     goodput_gbps = float_of_int (total_bytes * 8) /. float_of_int c.duration;
     p99_fct_us =

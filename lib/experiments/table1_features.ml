@@ -44,7 +44,7 @@ let demo_tcp_reorder () =
     (Netsim.Routing.spray tp.Netsim.Topology.tp_routes);
   let client = Transport.Tcp.install tp.Netsim.Topology.tp_src in
   let server = Transport.Tcp.install tp.Netsim.Topology.tp_dst in
-  ignore (Transport.Flowgen.sink server ~port:80);
+  Transport.Tcp.Messaging.listen server ~port:80 ();
   let conn =
     Transport.Tcp.connect client
       ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80 ()

@@ -717,6 +717,15 @@ let stall_time conn =
   | Some since ->
     conn.stall_total + (Engine.Sim.now conn.stack.t_sim - since)
 
+(* A backlogged byte stream: refill whenever the send buffer dips
+   below one chunk. *)
+let stream t ~dst ~dst_port ?(chunk = 1_000_000) () =
+  let conn = connect t ~dst ~dst_port () in
+  set_on_drain conn (fun conn ->
+      if send_buffered conn < chunk then send conn chunk);
+  send conn (2 * chunk);
+  conn
+
 (* ------------------------------------------------------------------ *)
 (* Unified transport interface                                          *)
 
@@ -759,14 +768,7 @@ module Messaging = struct
     send conn size;
     close conn
 
-  (* A backlogged byte stream: refill whenever the send buffer dips
-     below one chunk. *)
-  let stream t ~dst ~dst_port ?tc:_ () =
-    let chunk = 1_000_000 in
-    let conn = connect t ~dst ~dst_port () in
-    set_on_drain conn (fun conn ->
-        if send_buffered conn < chunk then send conn chunk);
-    send conn (2 * chunk)
+  let stream t ~dst ~dst_port ?tc:_ () = ignore (stream t ~dst ~dst_port ())
 
   let stats t =
     { Netsim.Transport_intf.tx_messages = t.t_tx_msgs;

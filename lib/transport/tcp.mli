@@ -91,6 +91,17 @@ val close : conn -> unit
 (** Half-close after all buffered data: sends FIN once the buffer
     drains; {!set_on_close} fires when the FIN is acknowledged. *)
 
+val stream :
+  t ->
+  dst:Netsim.Packet.addr ->
+  dst_port:int ->
+  ?chunk:int ->
+  unit ->
+  conn
+(** A long-lived backlogged connection: the send buffer is topped up
+    with [chunk] bytes (default 1 MB) whenever it drains — the
+    persistent flows of Figs. 2 and 3. *)
+
 val read : conn -> int -> unit
 (** Consume [n] bytes from the receive buffer, opening the advertised
     window (a window-update ACK is sent when the window reopens). *)

@@ -12,15 +12,23 @@ let started t = t.n_started
 let completed t = t.n_completed
 let stop t = t.running <- false
 
+let pooled_fcts ts =
+  let all = Stats.Summary.create () in
+  List.iter
+    (fun t -> Array.iter (Stats.Summary.add all) (Stats.Summary.samples t.d_fcts))
+    ts;
+  all
+
+let create () =
+  { d_fcts = Stats.Summary.create (); n_started = 0; n_completed = 0;
+    running = true }
+
 let record t fct =
   t.n_completed <- t.n_completed + 1;
   Stats.Summary.add t.d_fcts (Engine.Time.to_float_us fct)
 
 let poisson sim ~rng ~size ~mean_interarrival ?until send =
-  let t =
-    { d_fcts = Stats.Summary.create (); n_started = 0; n_completed = 0;
-      running = true }
-  in
+  let t = create () in
   let within () =
     match until with None -> true | Some u -> Engine.Sim.now sim <= u
   in
@@ -40,19 +48,14 @@ let poisson sim ~rng ~size ~mean_interarrival ?until send =
   arrival ();
   t
 
-let closed_loop sim ~rng ~size ?(think = 0) ?(parallel = 1)
-    ?(max_transfers = max_int) send =
-  let t =
-    { d_fcts = Stats.Summary.create (); n_started = 0; n_completed = 0;
-      running = true }
-  in
+let closed_loop ?(parallel = 1) ~size send =
+  let t = create () in
   let rec next () =
-    if t.running && t.n_started < max_transfers then begin
+    if t.running then begin
       t.n_started <- t.n_started + 1;
-      send ~size:(Dist.sample_bytes size rng) ~on_complete:(fun fct ->
+      send ~size ~on_complete:(fun fct ->
           record t fct;
-          if think = 0 then next ()
-          else ignore (Engine.Sim.after sim think next))
+          next ())
     end
   in
   for _ = 1 to parallel do

@@ -19,6 +19,10 @@ val completed : t -> int
 
 val stop : t -> unit
 
+val pooled_fcts : t list -> Stats.Summary.t
+(** The completion times of every driver in one summary, e.g. for a
+    percentile across many independent chains. *)
+
 val poisson :
   Engine.Sim.t ->
   rng:Engine.Rng.t ->
@@ -30,18 +34,10 @@ val poisson :
 (** Open-loop: start transfers with exponential interarrivals (sizes
     from [size]) until [until] (or {!stop}). *)
 
-val closed_loop :
-  Engine.Sim.t ->
-  rng:Engine.Rng.t ->
-  size:Dist.t ->
-  ?think:Engine.Time.t ->
-  ?parallel:int ->
-  ?max_transfers:int ->
-  send ->
-  t
-(** Closed-loop: [parallel] (default 1) chains, each starting the next
-    transfer when the previous completes, after an optional fixed
-    [think] time. *)
+val closed_loop : ?parallel:int -> size:int -> send -> t
+(** Closed-loop: [parallel] (default 1) chains of [size]-byte
+    transfers, each starting the next the moment the previous
+    completes, until {!stop}. *)
 
 val load_interarrival :
   rate:Engine.Time.rate -> load:float -> mean_size:float -> Engine.Time.t

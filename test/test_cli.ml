@@ -8,9 +8,11 @@
    accepted value there would start a full run; their flags are driven
    only with values they reject.  `features` has no numeric flag.
 
-   Two more cases keep the flag set honest: a knob that could not
-   change an exhibit's output is not accepted (exit 2), and the one
-   exhibit seed (fig6's) does change the output. *)
+   Three more cases keep the flag set honest: a knob that could not
+   change an exhibit's output is not accepted (exit 2), a fabric above
+   the 4096-host cap is a usage error (exit 2) rather than an
+   out-of-memory crash, and the one exhibit seed (fig6's) does change
+   the output. *)
 
 let exe = Filename.concat ".." (Filename.concat "bin" "mtp_sim.exe")
 let timeout_s = 10.0
@@ -103,13 +105,19 @@ let check_command (cmd, flags) () =
         f.bad)
     flags
 
-let test_removed_flags () =
+let usage_errors cases () =
   List.iter
     (fun args ->
       Alcotest.(check int)
         ("mtp_sim " ^ String.concat " " args ^ " is a usage error")
         2 (status args))
-    [ [ "fig2"; "--seed"; "1" ]; [ "fig5"; "--reps"; "2" ] ]
+    cases
+
+let removed_flags = [ [ "fig2"; "--seed"; "1" ]; [ "fig5"; "--reps"; "2" ] ]
+
+let oversized_fabrics =
+  [ [ "incast"; "-k"; "64" ]; [ "par-leafspine"; "--leaves"; "4096" ];
+    [ "fig3"; "--hosts"; "1000000" ] ]
 
 (* Both runs are started before either is read, so they overlap. *)
 let test_fig6_seed () =
@@ -134,5 +142,8 @@ let suite =
       Alcotest.test_case (cmd ^ " numeric flags exit 0 or 2") `Quick
         (check_command row))
     table
-  @ [ Alcotest.test_case "removed flags exit 2" `Quick test_removed_flags;
-      Alcotest.test_case "fig6 seed changes stdout" `Slow test_fig6_seed ]
+  @ [ Alcotest.test_case "removed flags exit 2" `Quick
+        (usage_errors removed_flags);
+      Alcotest.test_case "fig6 seed changes stdout" `Slow test_fig6_seed;
+      Alcotest.test_case "oversized fabrics exit 2" `Quick
+        (usage_errors oversized_fabrics) ]

@@ -49,11 +49,6 @@ let test_rng_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   checkb "different seeds diverge" true (Rng.bits64 a <> Rng.bits64 b)
 
-let test_rng_split_independent () =
-  let a = Rng.create 3 in
-  let c = Rng.split a in
-  checkb "split diverges from parent" true (Rng.bits64 a <> Rng.bits64 c)
-
 let test_rng_derive_pure () =
   let a = Rng.create 42 and b = Rng.create 42 in
   ignore (Rng.derive a 7);
@@ -521,7 +516,6 @@ let suite =
     Alcotest.test_case "rate_of" `Quick test_rate_of;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng seeds" `Quick test_rng_seed_sensitivity;
-    Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng derive pure" `Quick test_rng_derive_pure;
     Alcotest.test_case "rng derive pinned" `Quick test_rng_derive_pinned;
     Alcotest.test_case "rng derive distinct" `Quick test_rng_derive_distinct;

@@ -1,5 +1,5 @@
 (* Behavioural tests for the TCP/DCTCP implementation, the proxy and
-   the flow generators.  Each builds a small network and runs it. *)
+   the TCP traffic patterns (one flow per message, persistent flow).  Each builds a small network and runs it. *)
 
 open Netsim
 open Transport
@@ -460,34 +460,44 @@ let test_proxy_bounded_buffer_blocks_client () =
   checkb "client window-limited, not cwnd-limited" true
     (Tcp.unacked conn <= 200_000 + Tcp.mss conn)
 
-(* ----------------------------- Flowgen ----------------------------- *)
+(* ------------------------- Messaging drivers ------------------------ *)
+
+(* A metering sink on port 80 of [server]. *)
+let sink server meter =
+  Tcp.Messaging.listen server ~port:80 ~on_data:(Stats.Meter.count_bytes meter)
+    ()
 
 let test_closed_loop_measures_fct () =
   let sim, a, b, _ = two_hosts () in
   let client = Tcp.install a and server = Tcp.install b in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 100) () in
-  ignore (Flowgen.sink ~meter server ~port:80);
-  let fcts = Stats.Summary.create () in
-  let cl =
-    Flowgen.closed_loop client ~dst:(Node.addr b) ~dst_port:80
-      ~message_bytes:16_384 ~max_messages:20
-      ~on_fct:(fun fct -> Stats.Summary.add fcts (Engine.Time.to_float_us fct))
-      ()
+  sink server meter;
+  let driver =
+    Workload.Driver.closed_loop ~size:16_384 (fun ~size ~on_complete ->
+        Tcp.Messaging.send_message client ~dst:(Node.addr b) ~dst_port:80
+          ~on_complete ~size ())
   in
+  ignore
+    (Engine.Sim.schedule sim ~at:(Engine.Time.us 500) (fun () ->
+         Workload.Driver.stop driver));
   Engine.Sim.run ~until:(Engine.Time.ms 20) sim;
-  checki "all messages sent" 20 (Flowgen.messages_sent cl);
-  checki "all FCTs recorded" 20 (Stats.Summary.count fcts);
+  let fcts = Workload.Driver.fcts driver in
+  let n = Workload.Driver.completed driver in
+  checkb "at least 20 messages" true (n >= 20);
+  checki "in-flight message finished after stop" n
+    (Workload.Driver.started driver);
+  checki "all FCTs recorded" n (Stats.Summary.count fcts);
   (* Each flow pays at least handshake (2us+2us) + data. *)
   checkb "FCT includes handshake" true (Stats.Summary.min_value fcts >= 6.0);
   checkb "sink metered bytes" true
-    (Stats.Meter.total_bytes meter >= 20 * 16_384)
+    (Stats.Meter.total_bytes meter >= n * 16_384)
 
 let test_persistent_flow_saturates () =
   let sim, a, b, _ = two_hosts ~rate:(Engine.Time.gbps 10) () in
   let client = Tcp.install a and server = Tcp.install b in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
-  ignore (Flowgen.sink ~meter server ~port:80);
-  ignore (Flowgen.persistent client ~dst:(Node.addr b) ~dst_port:80 ());
+  sink server meter;
+  ignore (Tcp.stream client ~dst:(Node.addr b) ~dst_port:80 ());
   Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
   let mean = Stats.Meter.mean_gbps meter in
   (* Mean over the whole run includes slow start and the one-time

@@ -133,17 +133,21 @@ let test_websearch_range () =
 
 (* ------------------------------ Driver ----------------------------- *)
 
+(* Stop [driver] at [at]: transfers already started still complete. *)
+let stop_at sim driver at =
+  ignore (Engine.Sim.schedule sim ~at (fun () -> Workload.Driver.stop driver))
+
 let test_closed_loop_counts () =
   let sim = Engine.Sim.create () in
   let driver =
-    Workload.Driver.closed_loop sim ~rng:(rng ())
-      ~size:(Workload.Sizes.fixed 1000) ~max_transfers:5
-      (fun ~size ~on_complete ->
+    Workload.Driver.closed_loop ~size:1000 (fun ~size ~on_complete ->
         (* Instant "network": complete after 1 us. *)
         ignore
           (Engine.Sim.after sim (Engine.Time.us 1) (fun () ->
                on_complete (Engine.Time.us size))))
   in
+  (* Starts at 0..4 us; the stop lands before the fifth completion. *)
+  stop_at sim driver (Engine.Time.us 4 + 500);
   Engine.Sim.run sim;
   checki "started" 5 (Workload.Driver.started driver);
   checki "completed" 5 (Workload.Driver.completed driver);
@@ -153,8 +157,7 @@ let test_closed_loop_parallel () =
   let sim = Engine.Sim.create () in
   let active = ref 0 and peak = ref 0 in
   let driver =
-    Workload.Driver.closed_loop sim ~rng:(rng ())
-      ~size:(Workload.Sizes.fixed 1000) ~parallel:3 ~max_transfers:12
+    Workload.Driver.closed_loop ~size:1000 ~parallel:3
       (fun ~size:_ ~on_complete ->
         incr active;
         if !active > !peak then peak := !active;
@@ -163,6 +166,8 @@ let test_closed_loop_parallel () =
                decr active;
                on_complete (Engine.Time.us 10))))
   in
+  (* Four rounds of three start at 0, 10, 20 and 30 us. *)
+  stop_at sim driver (Engine.Time.us 35);
   Engine.Sim.run sim;
   checki "all transfers ran" 12 (Workload.Driver.completed driver);
   checki "parallelism respected" 3 !peak
