@@ -11,8 +11,8 @@
    Transport state: completion callbacks fire at most once per
    message; MTP pathlet tables stay internally consistent (the
    exclusion set is a subset of the known paths, every excluded path
-   really is suspect, in-flight accounting and congestion windows
-   never go negative). *)
+   really is suspect, congestion windows never go negative) and each
+   endpoint's in-flight accounting matches its packets in flight. *)
 
 type monotone = {
   mutable last : Engine.Time.t;
@@ -67,11 +67,6 @@ let pathlets_consistent tbl =
         note
           (Printf.sprintf "path %d: negative congestion window %d"
              r.Mtp.Wire.path_id w);
-      let infl = Mtp.Pathlet.inflight tbl r in
-      if infl < 0 then
-        note
-          (Printf.sprintf "path %d: negative in-flight %d" r.Mtp.Wire.path_id
-             infl);
       let strikes = Mtp.Pathlet.strikes tbl r in
       if strikes < 0 then
         note
@@ -95,6 +90,24 @@ let endpoint_ok ep =
   (match pathlets_consistent (Mtp.Endpoint.pathlets ep) with
   | Ok () -> ()
   | Error msg -> bad := msg :: !bad);
+  (* Flight conservation: [Pathlet.discharge] floors at zero, so a
+     double discharge or a lost one only shows as a mismatch against
+     the packets actually in flight. *)
+  let tbl = Mtp.Endpoint.pathlets ep in
+  let charged = Mtp.Endpoint.charged_flight ep in
+  let expected r = Option.value ~default:0 (List.assoc_opt r charged) in
+  List.iter
+    (fun r ->
+      let infl = Mtp.Pathlet.inflight tbl r and want = expected r in
+      if infl <> want then
+        bad :=
+          Printf.sprintf
+            "path %d/%d: in-flight %d but %d bytes of in-flight packets \
+             charged to it"
+            r.Mtp.Wire.path_id r.Mtp.Wire.path_tc infl want
+          :: !bad)
+    (List.sort_uniq compare
+       (List.map fst charged @ List.map fst (Mtp.Pathlet.known tbl)));
   match !bad with
   | [] -> Ok ()
   | msgs -> Error (String.concat "; " (List.rev msgs))

@@ -28,9 +28,12 @@ val completions_once : int array -> (unit, string) result
 
 val pathlets_consistent : Mtp.Pathlet.t -> (unit, string) result
 (** The pathlet exclusion set is a subset of the known paths, every
-    excluded path is suspect, and windows / in-flight / strike
-    counters are non-negative. *)
+    excluded path is suspect, and windows and strike counters are
+    non-negative.  (In-flight bytes are checked exactly, against the
+    packets, by {!endpoint_ok}.) *)
 
 val endpoint_ok : Mtp.Endpoint.t -> (unit, string) result
-(** All endpoint counters non-negative plus {!pathlets_consistent} on
-    its pathlet table. *)
+(** All endpoint counters non-negative, {!pathlets_consistent} on its
+    pathlet table, and exact flight conservation: every pathlet's
+    in-flight bytes equal the summed payload of the endpoint's
+    in-flight packets charged to it ({!Mtp.Endpoint.charged_flight}). *)

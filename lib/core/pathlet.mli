@@ -1,6 +1,8 @@
 (** The sender-side pathlet table: one congestion controller per
     [(pathlet id, traffic class)] pair, created on first contact, plus
-    per-pathlet in-flight accounting. *)
+    per-pathlet in-flight accounting.  Both fields are the header's
+    wire widths ([path_id] u16, [path_tc] u8): the table keys on
+    [(path_id lsl 8) lor path_tc]. *)
 
 type t
 

@@ -317,6 +317,47 @@ let test_endpoint_deadline_met_no_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Flight conservation: mid-transfer, over a lossy link, every
+   pathlet's in-flight bytes match the packets charged to it; a stray
+   charge breaks the match and the oracle names it. *)
+let test_endpoint_flight_conserved () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  ignore
+    (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
+       ~delay:(Engine.Time.us 2)
+       ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
+       ());
+  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  for i = 1 to 6 do
+    ignore
+      (Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~pri:(i mod 2)
+         ~size:(i * 20_000) ())
+  done;
+  let checks = ref 0 and busy = ref 0 in
+  let rec sample () =
+    incr checks;
+    if Mtp.Endpoint.charged_flight ea <> [] then incr busy;
+    (match Check.Oracle.endpoint_ok ea with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    if Mtp.Endpoint.active_messages ea > 0 then
+      ignore (Engine.Sim.after sim (Engine.Time.us 7) sample)
+  in
+  sample ();
+  Engine.Sim.run ~until:(Engine.Time.ms 20) sim;
+  checkb "sampled mid-transfer" true (!busy > 10);
+  checkb "all done" true (Mtp.Endpoint.completed ea = 6);
+  checkb "nothing in flight once done" true
+    (Mtp.Endpoint.charged_flight ea = []);
+  Mtp.Pathlet.charge (Mtp.Endpoint.pathlets ea)
+    [ { Mtp.Wire.path_id = 0; path_tc = 0 } ]
+    100;
+  checkb "stray charge caught" true
+    (Result.is_error (Check.Oracle.endpoint_ok ea))
+
 (* --------------------------- TCP abort ----------------------------- *)
 
 let test_tcp_max_retries_aborts () =
@@ -379,6 +420,8 @@ let suite =
       test_endpoint_deadline_on_error;
     Alcotest.test_case "endpoint deadline met" `Quick
       test_endpoint_deadline_met_no_error;
+    Alcotest.test_case "endpoint flight conserved" `Quick
+      test_endpoint_flight_conserved;
     Alcotest.test_case "tcp abort" `Quick test_tcp_max_retries_aborts;
     Alcotest.test_case "tcp outage survival" `Quick
       test_tcp_survives_within_retry_budget ]
