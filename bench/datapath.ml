@@ -1,15 +1,16 @@
 (* Engine guardrail bench: engine event/timer costs, classic packet
-   forwarding, the batched breath-loop drain, and the fabric-scale
-   sweep.
+   forwarding, the batched breath-loop drain, the fabric-scale sweep,
+   and the MTP sender's per-ack cost against its backlog.
 
    Three guardrail workloads (event dispatch, timer re-arm, pooled
    packet forward) are compared against the pre-refactor growth-seed
    baselines; the burst-drain workload measures the batched datapath
    against its own classic twin and against the seed's packets/s.  The
    scale sweep drives a raw-packet permutation workload through 64 ->
-   4096 host fabrics and checks that minor words/event stay flat.
-   Results go to stdout and, every section in one pass,
-   BENCH_engine.json.
+   4096 host fabrics and checks that minor words/event stay flat; the
+   mtp section checks the same of minor words per acked packet as one
+   sender's backlog grows from 1 to 128 messages.  Results go to stdout
+   and, every section in one pass, BENCH_engine.json.
 
    `--guardrail` additionally enforces the bars (non-zero exit on
    regression) — wired into `make check` and CI next to the parallel
@@ -386,6 +387,82 @@ let flatness_bar = 1.15
    sweep is flat by the absolute criterion. *)
 let flat_floor = 0.25
 
+(* ------------------------------- MTP ------------------------------- *)
+
+(* The MTP sender's per-ack cost against its backlog: one host keeps
+   [backlog] equal messages outstanding to a peer over a 10G link whose
+   MTP-aware qdisc stamps ECN feedback (a completion starts the next
+   message), until [mtp_messages] have completed.  Every ack runs the
+   send pump over the whole backlog, so this is where per-message
+   scheduling cost shows.  Reported per point: minor words and ns per
+   acked packet, only [Sim.run] on the clock.  Words must stay flat in
+   the backlog (same bar and floor as the scale sweep); ns are recorded
+   but not gated, since a walk over the backlog is expected and
+   absolute times drift with the machine. *)
+
+let mtp_backlogs = [ 1; 16; 128 ]
+let mtp_pkts_per_msg = 16
+let mtp_messages = 2_048
+
+type mtp_point = { m_backlog : int; m_words : float; m_ns : float }
+
+let mtp_pass ~backlog =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let a = Netsim.Topology.host topo "a" and b = Netsim.Topology.host topo "b" in
+  let ab, _ =
+    Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2)
+      ~ab_qdisc:(Netsim.Qdisc.fifo ~cap_pkts:256 ())
+      ()
+  in
+  Mtp.Mtp_switch.stamp sim ab ~path_id:3 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
+  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  let dst = Netsim.Node.addr b in
+  let size = mtp_pkts_per_msg * 1440 in
+  let started = ref 0 in
+  let rec start () =
+    if !started < mtp_messages then begin
+      incr started;
+      ignore
+        (Mtp.Endpoint.send ea ~dst ~dst_port:80
+           ~on_complete:(fun _ -> start ())
+           ~size ())
+    end
+  in
+  for _ = 1 to backlog do
+    start ()
+  done;
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Engine.Sim.run sim;
+  let t1 = Unix.gettimeofday () in
+  let words = Gc.minor_words () -. w0 in
+  assert (Mtp.Endpoint.completed ea = mtp_messages);
+  let acked = float_of_int (mtp_messages * mtp_pkts_per_msg) in
+  (t1 -. t0, words /. acked, (t1 -. t0) *. 1e9 /. acked)
+
+(* Warm once, then best-of-N; words come from the fastest pass. *)
+let run_mtp backlog =
+  ignore (mtp_pass ~backlog);
+  let best = ref (infinity, nan, nan) in
+  for _ = 1 to timed_runs do
+    let ((secs, _, _) as r) = mtp_pass ~backlog in
+    if secs < (fun (s, _, _) -> s) !best then best := r
+  done;
+  let _, words, ns = !best in
+  { m_backlog = backlog; m_words = words; m_ns = ns }
+
+let mtp_flatness pts =
+  let words n =
+    match List.find_opt (fun p -> p.m_backlog = n) pts with
+    | Some p -> p.m_words
+    | None -> nan
+  in
+  (words 1, words 128)
+
 (* ------------------------------ Report ----------------------------- *)
 
 type report = {
@@ -400,6 +477,7 @@ type report = {
   burst_rate : float;
   burst_classic_rate : float;
   scale : scale;
+  mtp : mtp_point list;
 }
 
 let collect () =
@@ -410,8 +488,9 @@ let collect () =
   let _, burst_classic_rate = datapath_burst ~batched:false () in
   let burst_words, burst_rate = datapath_burst ~batched:true () in
   let scale = collect_scale () in
+  let mtp = List.map run_mtp mtp_backlogs in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate;
-    pk_classic_rate; burst_words; burst_rate; burst_classic_rate; scale }
+    pk_classic_rate; burst_words; burst_rate; burst_classic_rate; scale; mtp }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -450,7 +529,16 @@ let print_report r =
     "%-14s %.1f minor words over %d lookups (%.0f lookups/s)\n" "lookup"
     s.lookup_words lookup_calls s.lookup_rate;
   Printf.printf "%-14s batched %.0f pkt/s vs classic %.0f pkt/s at 64 hosts\n"
-    "not-slower" s.batched64_pkt_rate s.classic64_pkt_rate
+    "not-slower" s.batched64_pkt_rate s.classic64_pkt_rate;
+  Printf.printf "\n== mtp sender (words stay flat in the backlog) ==\n";
+  List.iter
+    (fun p ->
+      Printf.printf "backlog %-6d %8.2f words/acked pkt %8.0f ns/acked pkt\n"
+        p.m_backlog p.m_words p.m_ns)
+    r.mtp;
+  let m1, m128 = mtp_flatness r.mtp in
+  Printf.printf "%-14s %.2f -> %.2f words/acked pkt (bar %.2fx, floor %.2f)\n"
+    "flatness" m1 m128 flatness_bar flat_floor
 
 let write_json r =
   let oc = open_out "BENCH_engine.json" in
@@ -503,9 +591,22 @@ let write_json r =
     s.pts;
   let w64, w4096 = flatness s in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  }\n}\n"
+    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  },\n"
     w64 w4096 flatness_bar flat_floor s.lookup_words lookup_calls
     s.lookup_rate s.batched64_pkt_rate s.classic64_pkt_rate;
+  Printf.fprintf oc "  \"mtp\": {\n    \"msg_pkts\": %d,\n    \"messages\": %d,\n    \"points\": ["
+    mtp_pkts_per_msg mtp_messages;
+  List.iteri
+    (fun i p ->
+      Printf.fprintf oc
+        "%s\n      { \"backlog\": %d, \"minor_words_per_acked_pkt\": %.2f, \"ns_per_acked_pkt\": %.0f }"
+        (if i = 0 then "" else ",")
+        p.m_backlog p.m_words p.m_ns)
+    r.mtp;
+  let m1, m128 = mtp_flatness r.mtp in
+  Printf.fprintf oc
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f\n  }\n}\n"
+    m1 m128 flatness_bar flat_floor;
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
@@ -553,6 +654,12 @@ let guardrail r =
     fail
       "batched fabric %.0f pkt/s below 90%% of classic (%.0f) at 64 hosts"
       s.batched64_pkt_rate s.classic64_pkt_rate;
+  let m1, m128 = mtp_flatness r.mtp in
+  if not (m128 <= Float.max (flatness_bar *. m1) flat_floor) then
+    fail
+      "mtp words/acked packet grew with the backlog: %.2f at 128 messages \
+       vs %.2f at 1 (bar %.2fx, floor %.2f)"
+      m128 m1 flatness_bar flat_floor;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";
