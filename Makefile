@@ -32,12 +32,15 @@ bench:
 
 # Engine guardrails, one program writing every section of
 # BENCH_engine.json: engine event/timer costs, classic packet
-# forwarding, the batched breath-loop drain vs its classic twin, and
-# the 64 -> 4096 host fabric-scale sweep.  `--guardrail` fails on
-# allocation regressions, on the batched drain dropping below 4x the
-# seed's packets/s, on batching being slower than classic anywhere,
-# on minor words/event growing with fabric size (bar 1.15x of the
-# 64-host value), or on a routing lookup allocating.
+# forwarding, the batched breath-loop drain vs its classic twin, the
+# 64 -> 4096 host fabric-scale sweep, and the MTP sender's minor words
+# and ns per acked packet at backlogs of 1, 16 and 128 messages.
+# `--guardrail` fails on allocation regressions, on the batched drain
+# dropping below 4x the seed's packets/s, on batching being slower
+# than classic anywhere, on minor words/event growing with fabric size
+# (bar 1.15x of the 64-host value), on a routing lookup allocating, or
+# on MTP words per acked packet growing with the backlog (bar 1.15x of
+# the 1-message value; ns are recorded, not gated).
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
 
