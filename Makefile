@@ -40,7 +40,8 @@ bench:
 # than classic anywhere, on minor words/event growing with fabric size
 # (bar 1.15x of the 64-host value), on a routing lookup allocating, or
 # on MTP words per acked packet growing with the backlog (bar 1.15x of
-# the 1-message value; ns are recorded, not gated).
+# the 1-message value) or, at 1 message, exceeding 1.15x of the value
+# recorded in bench/datapath.ml (ns are recorded, not gated).
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
 

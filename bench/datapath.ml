@@ -396,9 +396,17 @@ let flat_floor = 0.25
    send pump over the whole backlog, so this is where per-message
    scheduling cost shows.  Reported per point: minor words and ns per
    acked packet, only [Sim.run] on the clock.  Words must stay flat in
-   the backlog (same bar and floor as the scale sweep); ns are recorded
-   but not gated, since a walk over the backlog is expected and
-   absolute times drift with the machine. *)
+   the backlog (same bar and floor as the scale sweep), and at a
+   backlog of 1 must stay within [mtp_words_bar] of the recorded
+   [mtp_recorded_words_1]: flatness alone would pass a regression that
+   costs every ack the same.  ns are recorded but not gated, since a
+   walk over the backlog is expected and absolute times drift with the
+   machine. *)
+
+(* Minor words per acked packet at a backlog of 1 when last recorded
+   (allocation is deterministic, so the same on any machine). *)
+let mtp_recorded_words_1 = 137.41
+let mtp_words_bar = 1.15
 
 let mtp_backlogs = [ 1; 16; 128 ]
 let mtp_pkts_per_msg = 16
@@ -538,7 +546,9 @@ let print_report r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.printf "%-14s %.2f -> %.2f words/acked pkt (bar %.2fx, floor %.2f)\n"
-    "flatness" m1 m128 flatness_bar flat_floor
+    "flatness" m1 m128 flatness_bar flat_floor;
+  Printf.printf "%-14s %.2f words/acked pkt at 1 vs recorded %.2f (bar %.2fx)\n"
+    "absolute" m1 mtp_recorded_words_1 mtp_words_bar
 
 let write_json r =
   let oc = open_out "BENCH_engine.json" in
@@ -605,8 +615,8 @@ let write_json r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f\n  }\n}\n"
-    m1 m128 flatness_bar flat_floor;
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f\n  }\n}\n"
+    m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar;
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
@@ -660,6 +670,11 @@ let guardrail r =
       "mtp words/acked packet grew with the backlog: %.2f at 128 messages \
        vs %.2f at 1 (bar %.2fx, floor %.2f)"
       m128 m1 flatness_bar flat_floor;
+  if not (m1 <= mtp_words_bar *. mtp_recorded_words_1) then
+    fail
+      "mtp words/acked packet at a backlog of 1: %.2f exceeds the recorded \
+       %.2f by more than %.2fx"
+      m1 mtp_recorded_words_1 mtp_words_bar;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

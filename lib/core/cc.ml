@@ -4,21 +4,28 @@ type algo =
   | Rcp
   | Swift of { target : Engine.Time.t }
 
+(* The float state lives in an all-float record, which OCaml stores
+   flat: a store writes the unboxed double in place, where a float field
+   of a mixed record would box a fresh float on every update. *)
+type floats = {
+  mutable cwnd : float; (* bytes *)
+  mutable ssthresh : float;
+  mutable alpha : float; (* DCTCP *)
+  mutable srtt_ns : float; (* < 0: no sample *)
+  mutable rttvar_ns : float;
+}
+
 type t = {
   algo : algo;
   c_mss : int;
-  mutable cwnd : float; (* bytes *)
-  mutable ssthresh : float;
+  f : floats;
   (* DCTCP *)
-  mutable alpha : float;
   mutable acked_win : int;
   mutable marked_win : int;
   mutable win_end : Engine.Time.t;
-  (* RCP *)
-  mutable rate_grant_mbps : int option;
-  (* RTT estimation *)
-  mutable srtt_ns : float; (* < 0: no sample *)
-  mutable rttvar_ns : float;
+  (* RCP: the latest grant in Mbps; < 0 before the first (grants are
+     wire u32s, never negative). *)
+  mutable rate_grant_mbps : int;
   (* Once-per-RTT decrease guard & congestion recency *)
   mutable last_decrease : Engine.Time.t;
   mutable last_congested : Engine.Time.t;
@@ -32,10 +39,11 @@ let create ?init_window ?(mss = 1440) algo =
   in
   (* A large negative sentinel that cannot overflow [now - sentinel]. *)
   let never = -1_000_000_000_000_000 in
-  { algo; c_mss = mss; cwnd = init; ssthresh = infinity; alpha = 1.0;
-    acked_win = 0; marked_win = 0; win_end = 0; rate_grant_mbps = None;
-    srtt_ns = -1.0; rttvar_ns = 0.0; last_decrease = never;
-    last_congested = never }
+  { algo; c_mss = mss;
+    f = { cwnd = init; ssthresh = infinity; alpha = 1.0; srtt_ns = -1.0;
+          rttvar_ns = 0.0 };
+    acked_win = 0; marked_win = 0; win_end = 0; rate_grant_mbps = -1;
+    last_decrease = never; last_congested = never }
 
 let algo t = t.algo
 
@@ -44,26 +52,28 @@ let mss t = t.c_mss
 let mssf t = float_of_int t.c_mss
 
 let srtt t =
-  if t.srtt_ns < 0.0 then int_of_float default_srtt
-  else int_of_float t.srtt_ns
+  if t.f.srtt_ns < 0.0 then int_of_float default_srtt
+  else int_of_float t.f.srtt_ns
 
 let rto t =
+  let f = t.f in
   let base =
-    if t.srtt_ns < 0.0 then 2.0 *. default_srtt
-    else t.srtt_ns +. (4.0 *. Float.max t.rttvar_ns (t.srtt_ns /. 4.0))
+    if f.srtt_ns < 0.0 then 2.0 *. default_srtt
+    else f.srtt_ns +. (4.0 *. Float.max f.rttvar_ns (f.srtt_ns /. 4.0))
   in
   max 50_000 (int_of_float base)
 
 let observe_rtt t sample =
+  let f = t.f in
   let r = float_of_int sample in
-  if t.srtt_ns < 0.0 then begin
-    t.srtt_ns <- r;
-    t.rttvar_ns <- r /. 2.0
+  if f.srtt_ns < 0.0 then begin
+    f.srtt_ns <- r;
+    f.rttvar_ns <- r /. 2.0
   end
   else begin
-    t.rttvar_ns <-
-      (0.75 *. t.rttvar_ns) +. (0.25 *. Float.abs (t.srtt_ns -. r));
-    t.srtt_ns <- (0.875 *. t.srtt_ns) +. (0.125 *. r)
+    f.rttvar_ns <-
+      (0.75 *. f.rttvar_ns) +. (0.25 *. Float.abs (f.srtt_ns -. r));
+    f.srtt_ns <- (0.875 *. f.srtt_ns) +. (0.125 *. r)
   end
 
 let srtt_span t = max 10_000 (srtt t)
@@ -72,22 +82,29 @@ let can_decrease t ~now = now - t.last_decrease >= srtt_span t
 
 let multiplicative_decrease t ~now factor =
   if can_decrease t ~now then begin
-    t.cwnd <- Float.max (mssf t) (t.cwnd *. factor);
-    t.ssthresh <- t.cwnd;
+    let f = t.f in
+    f.cwnd <- Float.max (mssf t) (f.cwnd *. factor);
+    f.ssthresh <- f.cwnd;
     t.last_decrease <- now
   end
 
 let additive_increase t acked =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int acked
-  else t.cwnd <- t.cwnd +. (mssf t *. float_of_int acked /. t.cwnd)
+  let f = t.f in
+  if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. float_of_int acked
+  else f.cwnd <- f.cwnd +. (mssf t *. float_of_int acked /. f.cwnd)
+
+(* Leave slow start on the first congestion signal. *)
+let end_slow_start t =
+  if t.f.ssthresh = infinity then t.f.ssthresh <- t.f.cwnd
 
 let dctcp_window_turnover t ~now g =
   if now >= t.win_end && t.acked_win > 0 then begin
-    let f = float_of_int t.marked_win /. float_of_int t.acked_win in
-    t.alpha <- ((1.0 -. g) *. t.alpha) +. (g *. f);
+    let f = t.f in
+    let frac = float_of_int t.marked_win /. float_of_int t.acked_win in
+    f.alpha <- ((1.0 -. g) *. f.alpha) +. (g *. frac);
     if t.marked_win > 0 then begin
-      t.cwnd <- Float.max (mssf t) (t.cwnd *. (1.0 -. (t.alpha /. 2.0)));
-      t.ssthresh <- t.cwnd;
+      f.cwnd <- Float.max (mssf t) (f.cwnd *. (1.0 -. (f.alpha /. 2.0)));
+      f.ssthresh <- f.cwnd;
       t.last_decrease <- now
     end;
     t.acked_win <- 0;
@@ -95,99 +112,99 @@ let dctcp_window_turnover t ~now g =
     t.win_end <- now + srtt_span t
   end
 
-let feedback_congested fbs =
-  List.exists Feedback.is_congested fbs
+type signal = {
+  mutable congested : bool;
+  mutable trimmed : bool;
+  mutable marked : bool;
+  mutable rate : int;
+  mutable delay : int;
+}
 
-let on_ack t ~now ~acked ?rtt fbs =
-  (match rtt with Some r -> observe_rtt t r | None -> ());
-  if feedback_congested fbs then t.last_congested <- now;
+let clear s =
+  s.congested <- false;
+  s.trimmed <- false;
+  s.marked <- false;
+  s.rate <- -1;
+  s.delay <- 0
+
+let signal () =
+  { congested = false; trimmed = false; marked = false; rate = -1; delay = 0 }
+
+let fold s fb =
+  if Feedback.is_congested fb then s.congested <- true;
+  match fb with
+  | Feedback.Ecn b -> if b then s.marked <- true
+  | Feedback.Trimmed -> s.trimmed <- true
+  | Feedback.Rate mbps -> s.rate <- mbps
+  | Feedback.Delay d -> if d > s.delay then s.delay <- d
+  | Feedback.Queue _ -> ()
+
+let on_signal t ~now ~acked ~rtt s =
+  if rtt >= 0 then observe_rtt t rtt;
+  if s.congested then t.last_congested <- now;
   (* A trim is an unambiguous overload signal (the network discarded
      payload): cut immediately, whatever the algorithm — NDP-style. *)
-  if List.mem Feedback.Trimmed fbs then begin
-    if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+  if s.trimmed then begin
+    end_slow_start t;
     multiplicative_decrease t ~now 0.5
   end;
   match t.algo with
   | Aimd ->
-    let congested =
-      List.exists
-        (function
-          | Feedback.Ecn b -> b
-          | Feedback.Trimmed -> true
-          | Feedback.Queue _ | Feedback.Rate _ | Feedback.Delay _ -> false)
-        fbs
-    in
-    if congested then begin
-      (* Leave slow start on the first signal, then halve at most once
-         per RTT. *)
-      if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+    if s.marked || s.trimmed then begin
+      (* Halve at most once per RTT. *)
+      end_slow_start t;
       multiplicative_decrease t ~now 0.5
     end
     else additive_increase t acked
   | Dctcp { g } ->
-    let marked =
-      List.exists
-        (function
-          | Feedback.Ecn b -> b
-          | Feedback.Trimmed | Feedback.Queue _ | Feedback.Rate _
-          | Feedback.Delay _ ->
-            false (* trims were handled above *))
-        fbs
-    in
+    (* Trims were handled above; only ECN marks feed alpha. *)
     t.acked_win <- t.acked_win + acked;
-    if marked then begin
+    if s.marked then begin
       t.marked_win <- t.marked_win + acked;
-      if t.ssthresh = infinity then t.ssthresh <- t.cwnd
-    end;
-    if not marked then additive_increase t acked;
+      end_slow_start t
+    end
+    else additive_increase t acked;
     dctcp_window_turnover t ~now g
   | Rcp ->
-    List.iter
-      (function
-        | Feedback.Rate mbps -> t.rate_grant_mbps <- Some mbps
-        | Feedback.Ecn _ | Feedback.Queue _ | Feedback.Delay _
-        | Feedback.Trimmed ->
-          ())
-      fbs;
+    if s.rate >= 0 then t.rate_grant_mbps <- s.rate;
     (* Between grants, grow conservatively so an idle grant does not
        freeze a cold start. *)
-    if t.rate_grant_mbps = None then additive_increase t acked
+    if t.rate_grant_mbps < 0 then additive_increase t acked
   | Swift { target } ->
-    let delay =
-      List.fold_left
-        (fun acc fb ->
-          match fb with
-          | Feedback.Delay d -> max acc d
-          | Feedback.Ecn _ | Feedback.Queue _ | Feedback.Rate _
-          | Feedback.Trimmed ->
-            acc)
-        (match rtt with
-        | Some r -> max 0 (r - (2 * srtt_span t / 3))
-        | None -> 0)
-        fbs
+    (* Fabric delay: the largest hop report, or what the RTT sample
+       shows above two thirds of the smoothed RTT. *)
+    let from_rtt =
+      if rtt >= 0 then max 0 (rtt - (2 * srtt_span t / 3)) else 0
     in
+    let delay = max from_rtt s.delay in
     if delay > target then begin
       let over = float_of_int (delay - target) /. float_of_int delay in
-      if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+      end_slow_start t;
       multiplicative_decrease t ~now (Float.max 0.5 (1.0 -. (0.8 *. over)))
     end
     else additive_increase t acked
 
+let on_ack t ~now ~acked ?(rtt = -1) fbs =
+  let s = signal () in
+  List.iter (fold s) fbs;
+  on_signal t ~now ~acked ~rtt s
+
 let on_loss t ~now =
+  let f = t.f in
   t.last_congested <- now;
-  t.ssthresh <- Float.max (t.cwnd /. 2.0) (2.0 *. mssf t);
-  t.cwnd <- mssf t;
+  f.ssthresh <- Float.max (f.cwnd /. 2.0) (2.0 *. mssf t);
+  f.cwnd <- mssf t;
   t.last_decrease <- now
 
 let window t =
-  match t.algo, t.rate_grant_mbps with
-  | Rcp, Some mbps ->
+  match t.algo with
+  | Rcp when t.rate_grant_mbps >= 0 ->
     (* rate (Mbps) * srtt (ns) / 8000 = bytes per RTT. *)
     let bytes =
-      float_of_int mbps *. float_of_int (srtt_span t) /. 8000.0
+      float_of_int t.rate_grant_mbps *. float_of_int (srtt_span t) /. 8000.0
     in
     max t.c_mss (int_of_float bytes)
-  | (Aimd | Dctcp _ | Rcp | Swift _), _ -> max t.c_mss (int_of_float t.cwnd)
+  | Aimd | Dctcp _ | Rcp | Swift _ -> max t.c_mss (int_of_float t.f.cwnd)
 
 let congested t ~now =
   t.last_congested >= 0 && now - t.last_congested <= 2 * srtt_span t

@@ -24,6 +24,28 @@ val create : ?init_window:int -> ?mss:int -> algo -> t
 
 val algo : t -> algo
 
+type signal
+(** One pathlet's share of an acknowledgement, folded from its
+    feedback entries: whether any entry signals congestion
+    ({!Feedback.is_congested}), a trim, or an ECN mark, the last rate
+    grant and the largest delay report.  A mutable scratch value: fold
+    into it, feed it to {!on_signal}, clear it for the next pathlet. *)
+
+val signal : unit -> signal
+(** An empty signal (as after {!clear}). *)
+
+val clear : signal -> unit
+
+val fold : signal -> Feedback.t -> unit
+(** Add one feedback entry. *)
+
+val on_signal :
+  t -> now:Engine.Time.t -> acked:int -> rtt:Engine.Time.t -> signal -> unit
+(** The controller's one update: [acked] payload bytes left the
+    network, [rtt] is a fresh sample when the acked packet was not
+    retransmitted ([rtt < 0]: no sample), and the signal holds this
+    pathlet's entries from the ACK. *)
+
 val on_ack :
   t ->
   now:Engine.Time.t ->
@@ -31,10 +53,7 @@ val on_ack :
   ?rtt:Engine.Time.t ->
   Feedback.t list ->
   unit
-(** Feed one acknowledgement worth of feedback: [acked] payload bytes
-    left the network, [rtt] is a fresh sample when the acked packet was
-    not retransmitted, and the list holds this pathlet's entries from
-    the ACK. *)
+(** {!on_signal} with the list's entries folded into a fresh signal. *)
 
 val on_loss : t -> now:Engine.Time.t -> unit
 (** A retransmission timeout attributed to this pathlet. *)

@@ -60,7 +60,10 @@ val create :
     feedback aggregation (paper §4): SACK entries towards a source are
     coalesced until [ack_every] accumulate or [ack_delay] (default
     10 us) elapses; NACKs and message-completing packets always flush
-    immediately. *)
+    immediately.  An ack's SACK count is a u8, so [ack_every] must be
+    in 1..255.
+
+    @raise Invalid_argument when [ack_every] is outside 1..255. *)
 
 val attach :
   ?algo:Cc.algo ->

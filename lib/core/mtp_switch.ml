@@ -36,6 +36,9 @@ let rcp_controller sim link ~capacity =
       true);
   state
 
+let ecn_true = Feedback.Ecn true
+let ecn_false = Feedback.Ecn false
+
 let stamp sim link ~path_id ~mode =
   let rcp =
     match mode with
@@ -43,6 +46,26 @@ let stamp sim link ~path_id ~mode =
     | Ecn_mark _ | Ce_echo | Queue_depth | Delay_report -> None
   in
   let inner = Netsim.Link.qdisc link in
+  (* Headers are immutable, so every packet of a traffic class can share
+     one stamped reference, and every mark one feedback value.  The
+     references are made the first time a class shows up, so a link
+     that only ever sees class 0 holds one. *)
+  let refs = ref [||] in
+  let path_ref tc =
+    let known = !refs in
+    if tc < Array.length known then known.(tc)
+    else if tc land 0xff <> tc then { Wire.path_id; path_tc = tc }
+    else begin
+      let grown =
+        Array.init (tc + 1) (fun i ->
+            if i < Array.length known then known.(i)
+            else { Wire.path_id; path_tc = i })
+      in
+      refs := grown;
+      grown.(tc)
+    end
+  in
+  let ecn b = if b then ecn_true else ecn_false in
   let on_enqueue (pkt : Netsim.Packet.t) =
     match pkt.Netsim.Packet.payload with
     | Wire.Mtp header when not header.Wire.is_ack ->
@@ -50,12 +73,12 @@ let stamp sim link ~path_id ~mode =
       | Some state ->
         state.arrived_bytes <- state.arrived_bytes + pkt.Netsim.Packet.size
       | None -> ());
-      let path = { Wire.path_id; path_tc = header.Wire.msg_tc } in
+      let path = path_ref header.Wire.msg_tc in
       let depth = inner.Netsim.Qdisc.pkt_length () - 1 in
       let fb =
         match mode with
-        | Ecn_mark threshold -> Feedback.Ecn (depth >= threshold)
-        | Ce_echo -> Feedback.Ecn (Netsim.Packet.ecn_ce pkt)
+        | Ecn_mark threshold -> ecn (depth >= threshold)
+        | Ce_echo -> ecn (Netsim.Packet.ecn_ce pkt)
         | Queue_depth -> Feedback.Queue (max 0 depth)
         | Delay_report ->
           let queued = inner.Netsim.Qdisc.byte_length () in

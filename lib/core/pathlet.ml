@@ -5,13 +5,16 @@
 
    A record exists once anything touched the pathlet; its controller
    only once [get] asked for it, so [known] lists exactly the pathlets
-   some caller wanted a window for.  Health: a pathlet that times out
+   some caller wanted a window for.  Those records are also kept in a
+   list sorted by key, so the views over controllers walk it with no
+   fold and no sort.  Health: a pathlet that times out
    [suspect_after] times in a row with no forward progress is declared
    suspect and excluded from steering until a periodic probe (a real
    data packet routed over it) is acked, which clears the flag via
    [note_progress]. *)
 type entry = {
   e_ref : Wire.path_ref;
+  e_one : Wire.path_ref list; (* [[e_ref]], the singleton charging target *)
   mutable cc : Cc.t option;
   mutable flight : int;
   mutable consec_rto : int;
@@ -28,13 +31,16 @@ type t = {
   suspect_after : int;
   probe_interval : Engine.Time.t;
   table : entry Tbl.t;
+  mutable controlled : entry list; (* entries with a controller, by key *)
   mutable n_suspect : int;
+  scratch : Cc.signal; (* [on_ack]'s per-pathlet fold *)
 }
 
 let create ?init_window ?(mss = 1440) ?(suspect_after = 3)
     ?(probe_interval = Engine.Time.us 500) algo =
   { default_algo = algo; init_window; mss; suspect_after; probe_interval;
-    table = Tbl.create 8; n_suspect = 0 }
+    table = Tbl.create 8; controlled = []; n_suspect = 0;
+    scratch = Cc.signal () }
 
 let key (r : Wire.path_ref) = (r.Wire.path_id lsl 8) lor r.Wire.path_tc
 
@@ -44,24 +50,35 @@ let entry t r =
   | e -> e
   | exception Not_found ->
     let e =
-      { e_ref = r; cc = None; flight = 0; consec_rto = 0; suspect = false;
-        last_probe = 0 }
+      { e_ref = r; e_one = [ r ]; cc = None; flight = 0; consec_rto = 0;
+        suspect = false; last_probe = 0 }
     in
     Tbl.add t.table k e;
     e
+
+let rec insert_by_key e = function
+  | [] -> [ e ]
+  | x :: rest as l ->
+    if key x.e_ref > key e.e_ref then e :: l else x :: insert_by_key e rest
+
+let set_cc t e cc =
+  (match e.cc with
+  | None -> t.controlled <- insert_by_key e t.controlled
+  | Some _ -> ());
+  e.cc <- Some cc
 
 let cc_of t e =
   match e.cc with
   | Some cc -> cc
   | None ->
     let cc = Cc.create ?init_window:t.init_window ~mss:t.mss t.default_algo in
-    e.cc <- Some cc;
+    set_cc t e cc;
     cc
 
 let get t r = cc_of t (entry t r)
 
 let set_algo_for t r algo =
-  (entry t r).cc <- Some (Cc.create ?init_window:t.init_window ~mss:t.mss algo)
+  set_cc t (entry t r) (Cc.create ?init_window:t.init_window ~mss:t.mss algo)
 
 let inflight t r =
   match Tbl.find t.table (key r) with e -> e.flight | exception Not_found -> 0
@@ -108,18 +125,61 @@ let note_timeout t refs ~now =
       end)
     refs
 
-let note_progress t refs =
-  List.iter
-    (fun r ->
-      match Tbl.find t.table (key r) with
-      | exception Not_found -> ()
-      | h ->
-        h.consec_rto <- 0;
-        if h.suspect then begin
-          h.suspect <- false;
-          t.n_suspect <- t.n_suspect - 1
-        end)
-    refs
+let progress t r =
+  match Tbl.find t.table (key r) with
+  | exception Not_found -> ()
+  | h ->
+    h.consec_rto <- 0;
+    if h.suspect then begin
+      h.suspect <- false;
+      t.n_suspect <- t.n_suspect - 1
+    end
+
+let rec note_progress t = function
+  | [] -> ()
+  | r :: rest ->
+    progress t r;
+    note_progress t rest
+
+(* Progress is idempotent, so a pathlet named twice is simply reset
+   twice. *)
+let rec note_progress_fb t = function
+  | [] -> ()
+  | { Wire.fb_path; _ } :: rest ->
+    progress t fb_path;
+    note_progress_fb t rest
+
+(* ------------------------- feedback dispatch ----------------------- *)
+
+let rec fold_path s p = function
+  | [] -> ()
+  | { Wire.fb_path; fb } :: rest ->
+    if Wire.same_path fb_path p then Cc.fold s fb;
+    fold_path s p rest
+
+(* Walk [fbs] from the cell [cells]; each pathlet's first entry folds
+   that pathlet's entries (they can only follow it) and fires its
+   controller. *)
+let rec dispatch t ~now ~acked ~rtt fbs cells =
+  match cells with
+  | [] -> ()
+  | { Wire.fb_path; _ } :: rest ->
+    if Wire.first_mention fbs cells then begin
+      Cc.clear t.scratch;
+      fold_path t.scratch fb_path cells;
+      Cc.on_signal (get t fb_path) ~now ~acked ~rtt t.scratch
+    end;
+    dispatch t ~now ~acked ~rtt fbs rest
+
+let on_ack t ~now ~acked ~rtt ~implicit_trim ~tc fbs =
+  match fbs with
+  | [] ->
+    Cc.clear t.scratch;
+    if implicit_trim then Cc.fold t.scratch Feedback.Trimmed;
+    Cc.on_signal
+      (get t { Wire.path_id = 0; path_tc = tc })
+      ~now ~acked ~rtt t.scratch
+  | _ :: _ -> dispatch t ~now ~acked ~rtt fbs fbs
 
 (* Suspect sets and probe choices must not depend on the hash layout:
    the suspect list lands in MTP header exclusion lists, so a
@@ -195,6 +255,15 @@ let rec sum_slack t skip acc = function
 
 let headroom_sum t refs = sum_slack t (skip_suspects t refs) 0 refs
 
+(* Ties keep the earlier pathlet. *)
+let rec best_from t best best_slack = function
+  | [] -> best
+  | r :: rest ->
+    let e = entry t r in
+    let s = slack t e in
+    if s > best_slack then best_from t e s rest
+    else best_from t best best_slack rest
+
 let best_of t refs =
   let refs =
     if skip_suspects t refs then List.filter (fun r -> not (suspect t r)) refs
@@ -206,28 +275,20 @@ let best_of t refs =
     (* The lone candidate is its own singleton: no new list. *)
     ignore (get t r);
     refs
-  | first :: _ ->
-    let slack r = slack t (entry t r) in
-    [ List.fold_left
-        (fun best r -> if slack r > slack best then r else best)
-        first refs ]
+  | first :: rest ->
+    let e = entry t first in
+    (best_from t e (slack t e) rest).e_one
 
 let known t =
-  (* simlint: allow D001 — fold result is sorted by key just below *)
-  Tbl.fold
-    (fun _ e acc -> match e.cc with Some cc -> (e.e_ref, cc) :: acc | None -> acc)
-    t.table []
-  |> List.sort (fun (a, _) (b, _) -> by_key a b)
+  List.filter_map
+    (fun e -> match e.cc with Some cc -> Some (e.e_ref, cc) | None -> None)
+    t.controlled
 
-let congested_paths t ~now =
-  (* simlint: allow D001 — fold result is sorted by key just below *)
-  match
-    Tbl.fold
-      (fun _ e acc ->
-        match e.cc with
-        | Some cc when Cc.congested cc ~now -> e.e_ref :: acc
-        | Some _ | None -> acc)
-      t.table []
-  with
-  | ([] | [ _ ]) as one -> one
-  | many -> List.sort by_key many
+let rec congested_from ~now = function
+  | [] -> []
+  | e :: rest -> (
+    match e.cc with
+    | Some cc when Cc.congested cc ~now -> e.e_ref :: congested_from ~now rest
+    | Some _ | None -> congested_from ~now rest)
+
+let congested_paths t ~now = congested_from ~now t.controlled

@@ -48,6 +48,24 @@ val best_of : t -> Wire.path_ref list -> Wire.path_ref list
     (empty input returns empty).  Suspect pathlets are never chosen
     unless every listed pathlet is suspect. *)
 
+val on_ack :
+  t ->
+  now:Engine.Time.t ->
+  acked:int ->
+  rtt:Engine.Time.t ->
+  implicit_trim:bool ->
+  tc:int ->
+  Wire.path_fb list ->
+  unit
+(** Feed one acknowledgement's path feedback to the controllers it
+    names: each distinct pathlet once, in order of first appearance,
+    with all of its entries folded into one {!Cc.signal} ({!Cc.on_signal}
+    with [acked] and [rtt], [rtt < 0] for no sample).  Allocation-free
+    once the controllers exist.  An empty list (no MTP-aware device
+    annotated the path) evolves the default pathlet
+    [{path_id = 0; path_tc = tc}] instead, seeing a trim when
+    [implicit_trim] (a NACK implies trimming even if no hop said so). *)
+
 (** {1 Pathlet health} *)
 
 val note_timeout : t -> Wire.path_ref list -> now:Engine.Time.t -> unit
@@ -57,6 +75,9 @@ val note_timeout : t -> Wire.path_ref list -> now:Engine.Time.t -> unit
 val note_progress : t -> Wire.path_ref list -> unit
 (** Record forward progress (new data acked) on these pathlets: the
     consecutive-RTO counters reset and any suspect flag clears. *)
+
+val note_progress_fb : t -> Wire.path_fb list -> unit
+(** {!note_progress} on every pathlet the feedback entries name. *)
 
 val suspect : t -> Wire.path_ref -> bool
 

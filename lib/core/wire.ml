@@ -69,6 +69,14 @@ let encode_pkt_ref buf { ref_msg; ref_pkt } =
   add_u32 buf ref_msg;
   add_u32 buf ref_pkt
 
+(* Each list goes out behind a u8 count. *)
+let add_count buf what l =
+  let n = List.length l in
+  if n > 0xff then
+    invalid_arg
+      (Printf.sprintf "Wire.encode: %d %s entries exceed the u8 count" n what);
+  add_u8 buf n
+
 let encode t =
   let buf = Buffer.create 64 in
   add_u16 buf t.src_port;
@@ -84,15 +92,15 @@ let encode t =
   add_u8 buf (if t.is_ack then 1 else 0);
   add_u32 buf t.cookie;
   add_u32 buf t.cookie2;
-  add_u8 buf (List.length t.path_exclude);
+  add_count buf "path_exclude" t.path_exclude;
   List.iter (encode_path_ref buf) t.path_exclude;
-  add_u8 buf (List.length t.path_feedback);
+  add_count buf "path_feedback" t.path_feedback;
   List.iter (encode_path_fb buf) t.path_feedback;
-  add_u8 buf (List.length t.ack_path_feedback);
+  add_count buf "ack_path_feedback" t.ack_path_feedback;
   List.iter (encode_path_fb buf) t.ack_path_feedback;
-  add_u8 buf (List.length t.sack);
+  add_count buf "sack" t.sack;
   List.iter (encode_pkt_ref buf) t.sack;
-  add_u8 buf (List.length t.nack);
+  add_count buf "nack" t.nack;
   List.iter (encode_pkt_ref buf) t.nack;
   Buffer.to_bytes buf
 
@@ -161,20 +169,33 @@ let decode b =
     pkt_offset; pkt_len; is_ack; cookie; cookie2; path_exclude;
     path_feedback; ack_path_feedback; sack; nack }
 
-let data ?(pri = 0) ?(tc = 0) ?(cookie = 0) ?(cookie2 = 0) ?(exclude = [])
-    ~src_port ~dst_port ~msg_id ~msg_len ~msg_pkts ~pkt_num ~pkt_offset
-    ~pkt_len () =
+let data ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port ~msg_id
+    ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len =
   { src_port; dst_port; msg_id; msg_pri = pri; msg_tc = tc; msg_len;
     msg_pkts; pkt_num; pkt_offset; pkt_len; is_ack = false; cookie; cookie2;
     path_exclude = exclude; path_feedback = []; ack_path_feedback = [];
     sack = []; nack = [] }
 
-let ack ?(sack = []) ?(nack = []) ?(tc = 0) ~src_port ~dst_port ~msg_id
-    ~ack_path_feedback () =
+let ack ~sack ~nack ~tc ~src_port ~dst_port ~msg_id ~ack_path_feedback =
   { src_port; dst_port; msg_id; msg_pri = 0; msg_tc = tc; msg_len = 0;
     msg_pkts = 0; pkt_num = 0; pkt_offset = 0; pkt_len = 0; is_ack = true;
     cookie = 0; cookie2 = 0; path_exclude = []; path_feedback = [];
     ack_path_feedback; sack; nack }
+
+let same_path a b = a.path_id = b.path_id && a.path_tc = b.path_tc
+
+(* Whether an entry of [fbs] before its suffix [stop] names [p]. *)
+let rec named_before p stop fbs =
+  if fbs == stop then false
+  else
+    match fbs with
+    | [] -> false
+    | { fb_path; _ } :: rest -> same_path fb_path p || named_before p stop rest
+
+let first_mention fbs cells =
+  match cells with
+  | [] -> false
+  | { fb_path; _ } :: _ -> not (named_before fb_path cells fbs)
 
 let add_feedback t fb_path fb =
   (* simlint: allow H101 — list bounded by paths-per-dst, keeps wire order *)

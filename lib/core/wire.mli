@@ -52,16 +52,18 @@ val encoded_size : t -> int
 (** Exact wire size of the header, without materializing it. *)
 
 val encode : t -> Bytes.t
+(** @raise Invalid_argument when a list holds more than 255 entries,
+    the most its u8 count can say. *)
 
 val decode : Bytes.t -> t
 (** @raise Failure on malformed input. *)
 
 val data :
-  ?pri:int ->
-  ?tc:int ->
-  ?cookie:int ->
-  ?cookie2:int ->
-  ?exclude:path_ref list ->
+  pri:int ->
+  tc:int ->
+  cookie:int ->
+  cookie2:int ->
+  exclude:path_ref list ->
   src_port:int ->
   dst_port:int ->
   msg_id:int ->
@@ -70,21 +72,30 @@ val data :
   pkt_num:int ->
   pkt_offset:int ->
   pkt_len:int ->
-  unit ->
   t
-(** A data-packet header with empty feedback/ack lists. *)
+(** A data-packet header with empty feedback/ack lists.  Every field is
+    a required label: optional arguments would box each one given. *)
 
 val ack :
-  ?sack:pkt_ref list ->
-  ?nack:pkt_ref list ->
-  ?tc:int ->
+  sack:pkt_ref list ->
+  nack:pkt_ref list ->
+  tc:int ->
   src_port:int ->
   dst_port:int ->
   msg_id:int ->
   ack_path_feedback:path_fb list ->
-  unit ->
   t
 (** An acknowledgement header (no payload). *)
+
+val same_path : path_ref -> path_ref -> bool
+(** Structural equality of two pathlet references, without the
+    polymorphic compare. *)
+
+val first_mention : path_fb list -> path_fb list -> bool
+(** [first_mention fbs cells], for [cells] a suffix of [fbs]: whether
+    the head of [cells] is the first entry of [fbs] naming its
+    pathlet.  Walking [fbs] and keeping only these visits each distinct
+    pathlet once, in order of first appearance, allocating nothing. *)
 
 val add_feedback : t -> path_ref -> Feedback.t -> t
 (** Header with one more network-appended feedback entry. *)

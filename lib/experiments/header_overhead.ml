@@ -5,8 +5,9 @@ type row = {
 }
 
 let base_header ~pkt_len =
-  Mtp.Wire.data ~src_port:1 ~dst_port:2 ~msg_id:3 ~msg_len:1_000_000
-    ~msg_pkts:695 ~pkt_num:10 ~pkt_offset:14_400 ~pkt_len ()
+  Mtp.Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:1
+    ~dst_port:2 ~msg_id:3 ~msg_len:1_000_000 ~msg_pkts:695 ~pkt_num:10
+    ~pkt_offset:14_400 ~pkt_len
 
 let with_feedback h n =
   let rec add h i =
@@ -40,11 +41,10 @@ let rows () =
     mk "MTP data, 8 hops stamping" (with_feedback h 8);
     mk "MTP ack, 1 sack + 1 echoed hop"
       (Mtp.Wire.ack ~sack:[ { Mtp.Wire.ref_msg = 3; ref_pkt = 10 } ]
-         ~src_port:2 ~dst_port:1 ~msg_id:3
+         ~nack:[] ~tc:0 ~src_port:2 ~dst_port:1 ~msg_id:3
          ~ack_path_feedback:
            [ { Mtp.Wire.fb_path = { Mtp.Wire.path_id = 1; path_tc = 0 };
-               fb = Mtp.Feedback.Ecn true } ]
-         ()) ]
+               fb = Mtp.Feedback.Ecn true } ]) ]
 
 let goodput_efficiency ~msg_bytes ~hops =
   let mtu = 1440 in
@@ -56,13 +56,12 @@ let goodput_efficiency ~msg_bytes ~hops =
     data_wire := !data_wire + Mtp.Wire.encoded_size h + payload
   done;
   let ack =
-    Mtp.Wire.ack ~sack:[ { Mtp.Wire.ref_msg = 3; ref_pkt = 0 } ] ~src_port:2
-      ~dst_port:1 ~msg_id:3
+    Mtp.Wire.ack ~sack:[ { Mtp.Wire.ref_msg = 3; ref_pkt = 0 } ] ~nack:[]
+      ~tc:0 ~src_port:2 ~dst_port:1 ~msg_id:3
       ~ack_path_feedback:
         (List.init hops (fun i ->
              { Mtp.Wire.fb_path = { Mtp.Wire.path_id = i; path_tc = 0 };
                fb = Mtp.Feedback.Ecn true }))
-      ()
   in
   let ack_wire = npkts * Mtp.Wire.encoded_size ack in
   float_of_int msg_bytes /. float_of_int (!data_wire + ack_wire)

@@ -19,9 +19,9 @@ let ack_worker t (h : Mtp.Wire.t) ~worker =
     Mtp.Wire.ack
       ~sack:[ { Mtp.Wire.ref_msg = h.Mtp.Wire.msg_id;
                 ref_pkt = h.Mtp.Wire.pkt_num } ]
-      ~src_port:h.Mtp.Wire.dst_port ~dst_port:h.Mtp.Wire.src_port
-      ~msg_id:h.Mtp.Wire.msg_id ~ack_path_feedback:h.Mtp.Wire.path_feedback
-      ()
+      ~nack:[] ~tc:0 ~src_port:h.Mtp.Wire.dst_port
+      ~dst_port:h.Mtp.Wire.src_port ~msg_id:h.Mtp.Wire.msg_id
+      ~ack_path_feedback:h.Mtp.Wire.path_feedback
   in
   (* Route the ACK back through normal forwarding. *)
   Netsim.Switch.receive t.sw
@@ -34,7 +34,8 @@ let inject_aggregated t (h : Mtp.Wire.t) ~round =
     match Hashtbl.find_opt t.agg_ids round with
     | Some id -> id
     | None ->
-      let id = (1 lsl 41) + t.next_msg in
+      (* Outside the workers' ids, within the header's u32 field. *)
+      let id = 0x8000_0000 + t.next_msg in
       t.next_msg <- t.next_msg + 1;
       Hashtbl.add t.agg_ids round id;
       id

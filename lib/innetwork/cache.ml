@@ -30,9 +30,10 @@ let remember t ~key ~size =
 let put t ~key ~size = remember t ~key ~size
 
 (* Craft a reply message as the backend would, with message ids from a
-   range the real backend never uses. *)
+   range the real backend never uses: the top quarter of the header's
+   u32 id space. *)
 let inject_reply t ~client ~client_app_port ~key ~size =
-  let msg_id = (1 lsl 40) + t.next_msg in
+  let msg_id = 0xC000_0000 + t.next_msg in
   t.next_msg <- t.next_msg + 1;
   let npkts = (size + t.mtu - 1) / t.mtu in
   let sim = Netsim.Switch.sim t.sw in
@@ -42,10 +43,10 @@ let inject_reply t ~client ~client_app_port ~key ~size =
       if pkt_num < npkts - 1 then t.mtu else size - (t.mtu * (npkts - 1))
     in
     let header =
-      Mtp.Wire.data ~cookie:Kvs.op_reply ~cookie2:key
+      Mtp.Wire.data ~pri:0 ~tc:0 ~cookie:Kvs.op_reply ~cookie2:key ~exclude:[]
         ~src_port:t.server_port ~dst_port:client_app_port ~msg_id
         ~msg_len:size ~msg_pkts:npkts ~pkt_num ~pkt_offset:(pkt_num * t.mtu)
-        ~pkt_len ()
+        ~pkt_len
     in
     let pkt =
       Mtp.Wire.packet sim ~src:t.server ~dst:client ~entity:0 header
@@ -80,9 +81,9 @@ let install sw ~server ~server_port ~client_port_of ?(capacity = 64)
                 ~sack:
                   [ { Mtp.Wire.ref_msg = h.Mtp.Wire.msg_id;
                       ref_pkt = h.Mtp.Wire.pkt_num } ]
-                ~src_port:h.Mtp.Wire.dst_port ~dst_port:h.Mtp.Wire.src_port
-                ~msg_id:h.Mtp.Wire.msg_id
-                ~ack_path_feedback:h.Mtp.Wire.path_feedback ()
+                ~nack:[] ~tc:0 ~src_port:h.Mtp.Wire.dst_port
+                ~dst_port:h.Mtp.Wire.src_port ~msg_id:h.Mtp.Wire.msg_id
+                ~ack_path_feedback:h.Mtp.Wire.path_feedback
             in
             Netsim.Switch.inject t.sw
               ~port:(t.client_port_of pkt.Netsim.Packet.src)

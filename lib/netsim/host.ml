@@ -26,6 +26,7 @@ let create ?pool node =
   t
 
 let register t ~name claim =
+  (* simlint: allow H102 — a stack registers once, at setup *)
   t.h_stacks <- t.h_stacks @ [ { stk_name = name; claim } ]
 
 let node t = t.h_node

@@ -36,16 +36,18 @@ let test_wire_size_matches () =
 
 let test_wire_fixed_size_minimal () =
   let h =
-    Wire.data ~src_port:1 ~dst_port:2 ~msg_id:3 ~msg_len:100 ~msg_pkts:1
-      ~pkt_num:0 ~pkt_offset:0 ~pkt_len:100 ()
+    Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:1
+      ~dst_port:2 ~msg_id:3 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0 ~pkt_offset:0
+      ~pkt_len:100
   in
   checki "no lists -> fixed size" Wire.fixed_size (Wire.encoded_size h);
   checki "encode matches" Wire.fixed_size (Bytes.length (Wire.encode h))
 
 let test_wire_add_feedback_grows () =
   let h =
-    Wire.data ~src_port:1 ~dst_port:2 ~msg_id:3 ~msg_len:100 ~msg_pkts:1
-      ~pkt_num:0 ~pkt_offset:0 ~pkt_len:100 ()
+    Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:1
+      ~dst_port:2 ~msg_id:3 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0 ~pkt_offset:0
+      ~pkt_len:100
   in
   let h' =
     Wire.add_feedback h { Wire.path_id = 4; path_tc = 0 } (Feedback.Ecn true)
@@ -186,7 +188,23 @@ let test_endpoint_rejects_empty_message () =
         (fun () ->
           ignore
             (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~tc ~size:1 ())))
-    [ -1; 256 ]
+    [ -1; 256 ];
+  (* Coalesced SACKs go out behind the ack header's u8 count. *)
+  List.iter
+    (fun ack_every ->
+      Alcotest.check_raises "ack_every outside the u8 SACK count"
+        (Invalid_argument "Endpoint.create: ack_every must be in 1..255")
+        (fun () -> ignore (Endpoint.create ~ack_every b)))
+    [ -1; 0; 256 ];
+  ignore (Endpoint.create ~ack_every:255 b);
+  let sacks n = List.init n (fun i -> { Wire.ref_msg = 1; ref_pkt = i }) in
+  let h = { sample_header with Wire.sack = sacks 255 } in
+  checkb "255 SACKs round-trip" true
+    (Wire.equal h (Wire.decode (Wire.encode h)));
+  Alcotest.check_raises "256 SACKs overflow the u8 count"
+    (Invalid_argument "Wire.encode: 256 sack entries exceed the u8 count")
+    (fun () ->
+      ignore (Wire.encode { sample_header with Wire.sack = sacks 256 }))
 
 let test_policy_rejects_zero_weights () =
   Alcotest.check_raises "weights must be positive"
@@ -314,6 +332,240 @@ let prop_cc_window_bounded =
         events;
       let w = Cc.window cc in
       w >= 1440 && w < max_int / 2)
+
+(* The feedback fold against a reference model: the controller as it
+   was written over feedback lists, fed through per-pathlet grouping.
+   Whatever an ack's feedback holds — one to three pathlets, repeats,
+   every feedback kind, or nothing but a NACK's implied trim —
+   [Pathlet.on_ack] must leave every controller's window, srtt and rto
+   exactly where the reference puts them. *)
+module Ref_cc = struct
+  type t = {
+    algo : Cc.algo;
+    mss : int;
+    mutable cwnd : float;
+    mutable ssthresh : float;
+    mutable alpha : float;
+    mutable acked_win : int;
+    mutable marked_win : int;
+    mutable win_end : int;
+    mutable rate_grant_mbps : int option;
+    mutable srtt_ns : float;
+    mutable rttvar_ns : float;
+    mutable last_decrease : int;
+    mutable last_congested : int;
+  }
+
+  let default_srtt = 100_000.0
+
+  let create algo =
+    let never = -1_000_000_000_000_000 in
+    { algo; mss = 1440; cwnd = float_of_int (10 * 1440); ssthresh = infinity;
+      alpha = 1.0; acked_win = 0; marked_win = 0; win_end = 0;
+      rate_grant_mbps = None; srtt_ns = -1.0; rttvar_ns = 0.0;
+      last_decrease = never; last_congested = never }
+
+  let mssf t = float_of_int t.mss
+
+  let srtt t =
+    int_of_float (if t.srtt_ns < 0.0 then default_srtt else t.srtt_ns)
+
+  let rto t =
+    let base =
+      if t.srtt_ns < 0.0 then 2.0 *. default_srtt
+      else t.srtt_ns +. (4.0 *. Float.max t.rttvar_ns (t.srtt_ns /. 4.0))
+    in
+    max 50_000 (int_of_float base)
+
+  let observe_rtt t sample =
+    let r = float_of_int sample in
+    if t.srtt_ns < 0.0 then begin
+      t.srtt_ns <- r;
+      t.rttvar_ns <- r /. 2.0
+    end
+    else begin
+      t.rttvar_ns <-
+        (0.75 *. t.rttvar_ns) +. (0.25 *. Float.abs (t.srtt_ns -. r));
+      t.srtt_ns <- (0.875 *. t.srtt_ns) +. (0.125 *. r)
+    end
+
+  let srtt_span t = max 10_000 (srtt t)
+
+  let multiplicative_decrease t ~now factor =
+    if now - t.last_decrease >= srtt_span t then begin
+      t.cwnd <- Float.max (mssf t) (t.cwnd *. factor);
+      t.ssthresh <- t.cwnd;
+      t.last_decrease <- now
+    end
+
+  let additive_increase t acked =
+    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int acked
+    else t.cwnd <- t.cwnd +. (mssf t *. float_of_int acked /. t.cwnd)
+
+  let on_ack t ~now ~acked ?rtt fbs =
+    (match rtt with Some r -> observe_rtt t r | None -> ());
+    if List.exists Feedback.is_congested fbs then t.last_congested <- now;
+    if List.mem Feedback.Trimmed fbs then begin
+      if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+      multiplicative_decrease t ~now 0.5
+    end;
+    let ecn = List.exists (function Feedback.Ecn b -> b | _ -> false) fbs in
+    match t.algo with
+    | Cc.Aimd ->
+      if ecn || List.mem Feedback.Trimmed fbs then begin
+        if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+        multiplicative_decrease t ~now 0.5
+      end
+      else additive_increase t acked
+    | Cc.Dctcp { g } ->
+      t.acked_win <- t.acked_win + acked;
+      if ecn then begin
+        t.marked_win <- t.marked_win + acked;
+        if t.ssthresh = infinity then t.ssthresh <- t.cwnd
+      end
+      else additive_increase t acked;
+      if now >= t.win_end && t.acked_win > 0 then begin
+        let f = float_of_int t.marked_win /. float_of_int t.acked_win in
+        t.alpha <- ((1.0 -. g) *. t.alpha) +. (g *. f);
+        if t.marked_win > 0 then begin
+          t.cwnd <- Float.max (mssf t) (t.cwnd *. (1.0 -. (t.alpha /. 2.0)));
+          t.ssthresh <- t.cwnd;
+          t.last_decrease <- now
+        end;
+        t.acked_win <- 0;
+        t.marked_win <- 0;
+        t.win_end <- now + srtt_span t
+      end
+    | Cc.Rcp ->
+      List.iter
+        (function Feedback.Rate m -> t.rate_grant_mbps <- Some m | _ -> ())
+        fbs;
+      if t.rate_grant_mbps = None then additive_increase t acked
+    | Cc.Swift { target } ->
+      let delay =
+        List.fold_left
+          (fun acc fb -> match fb with Feedback.Delay d -> max acc d | _ -> acc)
+          (match rtt with
+          | Some r -> max 0 (r - (2 * srtt_span t / 3))
+          | None -> 0)
+          fbs
+      in
+      if delay > target then begin
+        let over = float_of_int (delay - target) /. float_of_int delay in
+        if t.ssthresh = infinity then t.ssthresh <- t.cwnd;
+        multiplicative_decrease t ~now (Float.max 0.5 (1.0 -. (0.8 *. over)))
+      end
+      else additive_increase t acked
+
+  let window t =
+    match t.algo, t.rate_grant_mbps with
+    | Cc.Rcp, Some mbps ->
+      let bytes = float_of_int mbps *. float_of_int (srtt_span t) /. 8000.0 in
+      max t.mss (int_of_float bytes)
+    | _ -> max t.mss (int_of_float t.cwnd)
+
+  (* The endpoint's former grouping: entries by pathlet, pathlets in
+     order of first appearance. *)
+  let group_feedback entries =
+    let groups = ref [] in
+    List.iter
+      (fun { Wire.fb_path; fb } ->
+        match List.assoc_opt fb_path !groups with
+        | Some fbs -> fbs := fb :: !fbs
+        | None -> groups := (fb_path, ref [ fb ]) :: !groups)
+      entries;
+    List.rev_map (fun (path, fbs) -> (path, List.rev !fbs)) !groups
+end
+
+type ack_event = {
+  ev_gap : int;
+  ev_nack : bool;
+  ev_acked : int;
+  ev_rtt : int option;
+  ev_tc : int;
+  ev_fbs : Wire.path_fb list;
+}
+
+let prop_feedback_fold_matches_reference =
+  let pathlets =
+    [| { Wire.path_id = 1; path_tc = 0 }; { Wire.path_id = 2; path_tc = 0 };
+       { Wire.path_id = 1; path_tc = 1 } |]
+  in
+  let fb_gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun b -> Feedback.Ecn b) bool;
+          map (fun d -> Feedback.Queue (d land 0x3f)) nat;
+          map (fun r -> Feedback.Rate (r land 0xffff)) nat;
+          map (fun d -> Feedback.Delay (d land 0x1ffff)) nat;
+          return Feedback.Trimmed ])
+  in
+  let entry_gen =
+    QCheck.Gen.(
+      map2
+        (fun i fb -> { Wire.fb_path = pathlets.(i); fb })
+        (int_range 0 2) fb_gen)
+  in
+  let event_gen =
+    QCheck.Gen.(
+      map
+        (fun ((gap, nack, acked), (rtt, tc, fbs)) ->
+          { ev_gap = gap; ev_nack = nack;
+            ev_acked = (if nack then 0 else acked);
+            ev_rtt = (if nack then None else rtt); ev_tc = tc; ev_fbs = fbs })
+        (pair
+           (triple (int_range 0 40_000)
+              (frequency [ (4, return false); (1, return true) ])
+              (int_range 1 1440))
+           (triple (opt (int_range 0 200_000)) (int_range 0 1)
+              (list_size (0 -- 5) entry_gen))))
+  in
+  let algo_gen =
+    QCheck.Gen.oneofl
+      [ Cc.Aimd; Cc.Dctcp { g = 0.0625 }; Cc.Rcp;
+        Cc.Swift { target = Engine.Time.us 20 } ]
+  in
+  QCheck.Test.make ~name:"feedback fold matches per-pathlet grouping" ~count:300
+    (QCheck.make QCheck.Gen.(pair algo_gen (list_size (1 -- 80) event_gen)))
+    (fun (algo, events) ->
+      let table = Pathlet.create ~mss:1440 algo in
+      let reference = Hashtbl.create 8 in
+      let ref_get r =
+        match Hashtbl.find_opt reference r with
+        | Some cc -> cc
+        | None ->
+          let cc = Ref_cc.create algo in
+          Hashtbl.add reference r cc;
+          cc
+      in
+      let now = ref 0 in
+      List.for_all
+        (fun ev ->
+          now := !now + ev.ev_gap;
+          let now = !now and acked = ev.ev_acked and rtt = ev.ev_rtt in
+          Pathlet.on_ack table ~now ~acked
+            ~rtt:(Option.value rtt ~default:(-1))
+            ~implicit_trim:ev.ev_nack ~tc:ev.ev_tc ev.ev_fbs;
+          (match Ref_cc.group_feedback ev.ev_fbs with
+          | [] ->
+            Ref_cc.on_ack
+              (ref_get { Wire.path_id = 0; path_tc = ev.ev_tc })
+              ~now ~acked ?rtt
+              (if ev.ev_nack then [ Feedback.Trimmed ] else [])
+          | groups ->
+            List.iter
+              (fun (r, fbs) -> Ref_cc.on_ack (ref_get r) ~now ~acked ?rtt fbs)
+              groups);
+          let known = Pathlet.known table in
+          List.length known = Hashtbl.length reference
+          && List.for_all
+               (fun (r, cc) ->
+                 let m = ref_get r in
+                 Cc.window cc = Ref_cc.window m
+                 && Cc.srtt cc = Ref_cc.srtt m
+                 && Cc.rto cc = Ref_cc.rto m)
+               known)
+        events)
 
 (* ----------------------------- Pathlet ----------------------------- *)
 
@@ -503,6 +755,53 @@ let test_endpoint_tracks_current_path () =
   match Endpoint.current_path ea ~dst:(Node.addr b) with
   | [ { Wire.path_id = 9; _ } ] -> ()
   | _ -> Alcotest.fail "current path not learned from ack feedback"
+
+(* [current_path] lists the pathlets acks named, newest first.  Acks
+   repeating the head of the list in order restamp it in place; any
+   other order rebuilds it; a pathlet silent past its TTL drops out. *)
+let test_endpoint_current_path_order () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  ignore
+    (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+       ~delay:(Engine.Time.us 2) ());
+  (* No endpoint on [b]: the only acks are the ones injected below. *)
+  let ea = Endpoint.create a in
+  let id =
+    Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:(20 * 1440) ()
+  in
+  let pa = { Wire.path_id = 1; path_tc = 0 } in
+  let pb = { Wire.path_id = 2; path_tc = 0 } in
+  let seen = ref [] in
+  let ack_at us pkt named =
+    let fbs =
+      List.map (fun r -> { Wire.fb_path = r; fb = Feedback.Ecn false }) named
+    in
+    let h =
+      Wire.ack ~sack:[ { Wire.ref_msg = id; ref_pkt = pkt } ] ~nack:[] ~tc:0
+        ~src_port:80 ~dst_port:0 ~msg_id:id ~ack_path_feedback:fbs
+    in
+    ignore
+      (Engine.Sim.schedule sim ~at:(Engine.Time.us us) (fun () ->
+           Node.receive a
+             (Wire.packet sim ~src:(Node.addr b) ~dst:(Node.addr a) ~entity:0 h);
+           seen := Endpoint.current_path ea ~dst:(Node.addr b) :: !seen))
+  in
+  ack_at 1 0 [ pa ];
+  ack_at 2 1 [ pa ];
+  ack_at 3 2 [ pb; pa ];
+  ack_at 4 3 [ pa; pb ];
+  ack_at 5 4 [ pa; pb; pa ];
+  (* [pb] was last named at 5 us; its TTL is 20 us. *)
+  ack_at 40 5 [ pa ];
+  ack_at 41 6 [ pb ];
+  Engine.Sim.run ~until:(Engine.Time.us 50) sim;
+  let ids = List.map (List.map (fun r -> r.Wire.path_id)) in
+  Alcotest.(check (list (list int)))
+    "current_path after each ack"
+    [ [ 1 ]; [ 1 ]; [ 2; 1 ]; [ 1; 2 ]; [ 1; 2 ]; [ 1 ]; [ 2; 1 ] ]
+    (ids (List.rev !seen))
 
 (* The pump may skip a message whose next payload is at least one it
    already refused for the same (dst, tc), but never a smaller one: a
@@ -870,10 +1169,10 @@ let test_exclusion_aware_routing () =
   Netsim.Routing.add routes 5 1;
   let port_paths = [ (0, 100); (1, 200) ] in
   let header =
-    Wire.data
+    Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0
       ~exclude:[ { Wire.path_id = 100; path_tc = 0 } ]
       ~src_port:1 ~dst_port:2 ~msg_id:1 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
-      ~pkt_offset:0 ~pkt_len:100 ()
+      ~pkt_offset:0 ~pkt_len:100
   in
   let pkt = Wire.packet sim ~src:1 ~dst:5 ~entity:0 header in
   (match Mtp_switch.exclusion_aware ~port_paths routes pkt with
@@ -881,12 +1180,12 @@ let test_exclusion_aware_routing () =
   | _ -> Alcotest.fail "should avoid excluded pathlet 100 (port 0)");
   (* All excluded: fall back to hashing rather than dropping. *)
   let header_all =
-    Wire.data
+    Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0
       ~exclude:
         [ { Wire.path_id = 100; path_tc = 0 };
           { Wire.path_id = 200; path_tc = 0 } ]
       ~src_port:1 ~dst_port:2 ~msg_id:2 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
-      ~pkt_offset:0 ~pkt_len:100 ()
+      ~pkt_offset:0 ~pkt_len:100
   in
   let pkt_all = Wire.packet sim ~src:1 ~dst:5 ~entity:0 header_all in
   match Mtp_switch.exclusion_aware ~port_paths routes pkt_all with
@@ -962,6 +1261,7 @@ let suite =
     Alcotest.test_case "cc loss" `Quick test_cc_loss_collapses_window;
     Alcotest.test_case "cc congested recency" `Quick test_cc_congested_recency;
     QCheck_alcotest.to_alcotest prop_cc_window_bounded;
+    QCheck_alcotest.to_alcotest prop_feedback_fold_matches_reference;
     Alcotest.test_case "pathlet isolation" `Quick
       test_pathlet_isolation_and_flight;
     Alcotest.test_case "pathlet per-path algos" `Quick
@@ -983,6 +1283,8 @@ let suite =
       test_endpoint_feedback_loop_with_stamping;
     Alcotest.test_case "endpoint path learning" `Quick
       test_endpoint_tracks_current_path;
+    Alcotest.test_case "endpoint current path order" `Quick
+      test_endpoint_current_path_order;
     Alcotest.test_case "endpoint short msg passes blocked" `Quick
       test_endpoint_short_message_passes_blocked_one;
     Alcotest.test_case "endpoint send sequence pinned" `Quick
