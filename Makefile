@@ -12,7 +12,9 @@ test:
 
 # Regenerate the goldens and print what changed:
 # test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry trace, metrics
-# and stdout; `dune runtest` fails while it differs) and the stdout
+# and stdout) and test/golden/corpus.digest (MD5 of every corpus
+# case's single-sim and partitioned jobs=1 outcome; `dune runtest`
+# fails while either differs) and the stdout
 # goldens all-smoke.expected, failover-smoke.expected,
 # par-leafspine-{dctcp,mtp}.expected and tenant-isolation.expected
 # (`dune build @test/golden/smoke` fails while they differ).
@@ -48,9 +50,11 @@ bench-datapath:
 # Scaling bench: the fixed fig5 sweep at jobs {1,2,4,8} plus the
 # partitioned single-scenario exhibit at jobs 1 vs 2.  Writes
 # BENCH_parallel.json (core count, scaling array, single-scenario
-# digest check; see README for the schema).  Always fails if any
-# width's rows or the scenario digests differ (determinism).
-# `--guardrail` additionally enforces, on multi-core hosts, the
+# digest check and jobs=1 minor words per event; see README for the
+# schema).  Always fails if any width's rows or the scenario digests
+# differ (determinism).  `--guardrail` additionally enforces, on any
+# host, that the scenario's words per event stay within 1.15x of the
+# value recorded in bench/parallel.ml, and, on multi-core hosts, the
 # not-slower bound at the requested width and that the jobs=2 speedup
 # has not regressed below the recorded baseline beyond the tolerance;
 # single-core hosts skip the wall-clock checks with a JSON note.

@@ -24,12 +24,24 @@
    --guardrail additionally enforces, on multi-core hosts whose core
    count matches the recorded baseline's, that the jobs=2 speedup has
    not regressed below the previous BENCH_parallel.json figure beyond
-   the same tolerance. *)
+   the same tolerance.  On every host it enforces that the jobs=1
+   scenario's minor words per event stay within [words_bar] of
+   [scenario_recorded_words] — a deterministic count, so this gate
+   holds on one core too. *)
 
 let fixed_flips = [ 64; 96; 128; 192; 256; 384; 768; 1536 ]
 let fixed_duration = Engine.Time.ms 2
 let tolerance = 1.10
 let scaling_widths = [ 1; 2; 4; 8 ]
+
+(* Minor words per event of the jobs=1 single scenario — world build,
+   run and digest, all on the calling domain — read with
+   [Gc.minor_words] (which, unlike [Gc.quick_stat], counts the current
+   minor heap, so the figure is exact).  Recorded from this bench; the
+   guardrail fails above [words_bar] times it.  Re-record it when the
+   partition exchange or the per-event cost changes on purpose. *)
+let scenario_recorded_words = 10.24
+let words_bar = 1.15
 
 let usage () =
   prerr_endline "usage: parallel.exe [--jobs N] [--guardrail]";
@@ -139,7 +151,12 @@ let () =
   (* Single-scenario section: the partitioned leaf-spine world, one
      simulation on 1 vs 2 workers. *)
   ignore (scenario ~jobs:1);
+  let w0 = Gc.minor_words () in
   let sc1, sc1_s = wall (fun () -> scenario ~jobs:1) in
+  let sc1_words =
+    (Gc.minor_words () -. w0)
+    /. float_of_int (max 1 sc1.Experiments.Par_leafspine.events)
+  in
   let sc2, sc2_s = wall (fun () -> scenario ~jobs:2) in
   let sc_speedup = sc1_s /. Float.max 1e-9 sc2_s in
   let digests_identical =
@@ -150,6 +167,8 @@ let () =
   Printf.printf "%-24s %8.2fx\n" "scenario speedup" sc_speedup;
   Printf.printf "%-24s %8s\n" "scenario digests"
     (if digests_identical then "identical" else "DIFFER");
+  Printf.printf "%-24s %8.2f (bar %.2f x %.2f)\n" "scenario words/event"
+    sc1_words words_bar scenario_recorded_words;
   let baseline = read_baseline "BENCH_parallel.json" in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
@@ -185,7 +204,10 @@ let () =
     "jobs1_s": %.3f,
     "jobs2_s": %.3f,
     "speedup": %.2f,
-    "digests_identical": %b
+    "digests_identical": %b,
+    "jobs1_minor_words_per_event": %.2f,
+    "recorded_words_per_event": %.2f,
+    "words_bar": %.2f
   },
   "results_identical": %b,
   "guardrail_tolerance": %.2f,
@@ -204,7 +226,8 @@ let () =
     scenario_config.Experiments.Par_leafspine.leaves
     scenario_config.Experiments.Par_leafspine.spines
     scenario_config.Experiments.Par_leafspine.hosts_per_leaf sc1_s sc2_s
-    sc_speedup digests_identical identical tolerance
+    sc_speedup digests_identical sc1_words scenario_recorded_words words_bar
+    identical tolerance
     (String.concat ", "
        (List.rev_map (fun s -> Printf.sprintf "%S" s) !notes));
   close_out oc;
@@ -219,6 +242,13 @@ let () =
     prerr_endline
       "FAIL: partitioned scenario digest differs between jobs=1 and jobs=2 \
        (epoch determinism contract broken)";
+    exit 1
+  end;
+  if guardrail && sc1_words > words_bar *. scenario_recorded_words then begin
+    Printf.eprintf
+      "FAIL: jobs=1 scenario allocates %.2f minor words per event, above \
+       %.2fx the recorded %.2f\n"
+      sc1_words words_bar scenario_recorded_words;
     exit 1
   end;
   if guardrail && cores > 1 then begin

@@ -600,7 +600,7 @@ let all_cmd =
 (* ------------------------------- fuzz ------------------------------ *)
 
 let fuzz_cmd =
-  let run cases fseed corpus budget_s replay_path =
+  let run cases fseed corpus budget_s replay_path digests =
     match replay_path with
     | Some path ->
       (* Replay a corpus case (or every case in a directory). *)
@@ -616,18 +616,35 @@ let fuzz_cmd =
         Format.eprintf "mtp_sim fuzz: no .case files under %s@." path;
         Stdlib.exit 2
       end;
-      let failed = ref 0 in
-      List.iter
-        (fun f ->
-          match Check.Fuzz.replay f with
-          | Check.Fuzz.Pass -> Format.printf "replay %s: PASS@." f
-          | Check.Fuzz.Fail msg ->
-            incr failed;
-            Format.printf "replay %s: FAIL@.%s@." f msg)
-        files;
-      Format.printf "replayed %d case(s), %d failure(s)@." (List.length files)
-        !failed;
-      if !failed > 0 then Stdlib.exit 1
+      if digests then
+        (* The corpus golden's input: one "case mode md5" line per
+           pinned outcome. *)
+        List.iter
+          (fun f ->
+            match Check.Spec.load f with
+            | Error msg ->
+              Format.eprintf "mtp_sim fuzz: %s: unreadable spec: %s@." f msg;
+              Stdlib.exit 2
+            | Ok spec ->
+              List.iter
+                (fun (mode, md5) ->
+                  Format.printf "%s %s %s@." (Filename.basename f) mode md5)
+                (Check.Fuzz.pinned_digests spec))
+          files
+      else begin
+        let failed = ref 0 in
+        List.iter
+          (fun f ->
+            match Check.Fuzz.replay f with
+            | Check.Fuzz.Pass -> Format.printf "replay %s: PASS@." f
+            | Check.Fuzz.Fail msg ->
+              incr failed;
+              Format.printf "replay %s: FAIL@.%s@." f msg)
+          files;
+        Format.printf "replayed %d case(s), %d failure(s)@."
+          (List.length files) !failed;
+        if !failed > 0 then Stdlib.exit 1
+      end
     | None ->
       (* simlint: allow D002 — wall-clock budget cap, never read in-sim *)
       let t0 = Unix.gettimeofday () in
@@ -687,6 +704,14 @@ let fuzz_cmd =
              ~doc:"Replay one .case file (or every .case in a directory) \
                    instead of generating new cases.")
   in
+  let digests =
+    Arg.(value & flag
+         & info [ "digests" ]
+             ~doc:"With $(b,--replay): print the MD5 of each case's \
+                   single-sim outcome (and of its partitioned jobs=1 \
+                   outcome, when partitionable) instead of running the \
+                   differential pairings.")
+  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
@@ -696,7 +721,7 @@ let fuzz_cmd =
           1, inert fault plans, worker-domain runs, partitioned domain \
           runs on every topology); failures shrink to replayable corpus \
           files")
-    Term.(const run $ cases $ fseed $ corpus $ budget $ replay)
+    Term.(const run $ cases $ fseed $ corpus $ budget $ replay $ digests)
 
 let () =
   let info =

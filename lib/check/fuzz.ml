@@ -185,6 +185,19 @@ let replay path =
   | Error msg -> Fail (Printf.sprintf "%s: unreadable spec: %s" path msg)
   | Ok spec -> run_case spec
 
+(* MD5 of each outcome a corpus golden pins, so a deterministic change
+   of output fails the golden even where every oracle still holds. *)
+let pinned_digests (spec : Spec.t) =
+  let md5 = function
+    | Ok digest -> Digest.to_hex (Digest.string digest)
+    | Error _ -> "oracle-failure"
+  in
+  ("single", md5 (Scenario.outcome spec))
+  ::
+  (if Scenario.partitionable spec then
+     [ ("partitioned-j1", md5 (Scenario.outcome ~partitioned:true ~jobs:1 spec)) ]
+   else [])
+
 let corpus_files dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []

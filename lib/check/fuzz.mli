@@ -27,6 +27,12 @@ val save : dir:string -> name:string -> Spec.t -> string
 val replay : string -> verdict
 (** Load a spec file and {!run_case} it. *)
 
+val pinned_digests : Spec.t -> (string * string) list
+(** The outcomes a corpus golden pins, as [(mode, md5 hex)] pairs:
+    ["single"], plus ["partitioned-j1"] (jobs 1) when
+    {!Scenario.partitionable} holds.  An oracle failure reads
+    ["oracle-failure"] instead of a digest. *)
+
 val corpus_files : string -> string list
 (** Sorted [*.case] paths under a directory ([] if unreadable). *)
 

@@ -94,18 +94,31 @@ let grow_slots t =
   t.free <- free;
   t.free_len <- old_cap
 
-let schedule t ~at action =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule: at=%d is before now=%d" at t.clock);
+(* Seq reservation: the one path by which an event gets its place in
+   the same-instant (FIFO) order.  [schedule] reserves and inserts at
+   once; [plan] and the partition exchange reserve now and insert
+   later ([arm_reserved]), which keeps exactly the tie position an
+   eager [schedule] would have taken, because the heap orders by
+   (time, seq) and never by insertion order. *)
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let insert t ~at ~seq action =
   if t.free_len = 0 then grow_slots t;
   let n = t.free_len - 1 in
   t.free_len <- n;
   let idx = t.free.(n) in
   t.actions.(idx) <- action;
-  Eventqueue.add t.heap ~time:at ~seq:t.next_seq idx;
-  t.next_seq <- t.next_seq + 1;
+  Eventqueue.add t.heap ~time:at ~seq idx;
   (idx lsl gen_bits) lor (t.gens.(idx) land gen_mask)
+
+let schedule t ~at action =
+  if at < t.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule: at=%d is before now=%d" at t.clock);
+  insert t ~at ~seq:(reserve_seq t) action
 
 let after t dt action = schedule t ~at:(t.clock + dt) action
 
@@ -275,17 +288,22 @@ let advance_if_next tm =
    before the reserved (time, seq) and lets the caller run the work
    inline; when something does intervene, [commit_plan] inserts the
    firing as a real event WITH its reserved seq, so it keeps exactly
-   the tie order it would have had if armed eagerly.  The heap only
-   orders by (time, seq); it never assumes seqs arrive in insertion
-   order, so committing an old reservation is safe. *)
+   the tie order it would have had if armed eagerly — the same
+   [reserve_seq]/[arm_reserved] pair the partition exchange uses. *)
+
+let arm_reserved tm ~at ~seq =
+  let t = tm.tm_sim in
+  if at < t.clock then invalid_arg "Sim.arm_reserved: at is before now";
+  if tm.tm_handle >= 0 then cancel t tm.tm_handle;
+  tm.tm_plan_seq <- -1;
+  tm.tm_handle <- insert t ~at ~seq tm.tm_action
 
 let plan tm ~at =
   let t = tm.tm_sim in
   if at < t.clock then
     invalid_arg "Sim.plan: at is before now";
   tm.tm_plan_at <- at;
-  tm.tm_plan_seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1
+  tm.tm_plan_seq <- reserve_seq t
 
 let planned tm = tm.tm_plan_seq >= 0
 
@@ -308,18 +326,8 @@ let run_plan_inline tm =
      end
 
 let commit_plan tm =
-  if tm.tm_plan_seq >= 0 then begin
-    let t = tm.tm_sim in
-    if tm.tm_handle >= 0 then cancel t tm.tm_handle;
-    if t.free_len = 0 then grow_slots t;
-    let n = t.free_len - 1 in
-    t.free_len <- n;
-    let idx = t.free.(n) in
-    t.actions.(idx) <- tm.tm_action;
-    Eventqueue.add t.heap ~time:tm.tm_plan_at ~seq:tm.tm_plan_seq idx;
-    tm.tm_handle <- (idx lsl gen_bits) lor (t.gens.(idx) land gen_mask);
-    tm.tm_plan_seq <- -1
-  end
+  if tm.tm_plan_seq >= 0 then
+    arm_reserved tm ~at:tm.tm_plan_at ~seq:tm.tm_plan_seq
 
 let disarm tm =
   if tm.tm_handle >= 0 then begin

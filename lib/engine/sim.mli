@@ -102,12 +102,28 @@ val advance_if_next : timer -> bool
     when it turns out to still be next it can be run without a
     dispatch. *)
 
+val reserve_seq : t -> int
+(** Take the next scheduling sequence number without scheduling
+    anything: the place in the same-instant (FIFO) order that a
+    {!schedule} call here would have taken.  Every later schedule
+    fires after it among events at the same instant.  Hand it to
+    {!arm_reserved}, once. *)
+
+val arm_reserved : timer -> at:Time.t -> seq:int -> unit
+(** Arm the timer at absolute time [at] with a [seq] taken earlier
+    from {!reserve_seq} on the timer's simulator: the firing takes
+    exactly the tie position an eager {!schedule} at reservation time
+    would have taken, however many events were scheduled in between.
+    Cancels any pending firing and drops a {!plan} reservation, like
+    {!arm}.  Each reserved seq must be armed at most once.
+    @raise Invalid_argument if [at] is before [now]. *)
+
 val plan : timer -> at:Time.t -> unit
 (** Reserve the timer's place in the same-instant (FIFO) event order
     at absolute time [at] {e without touching the heap} — one counter
     bump.  Events scheduled afterwards at the same instant fire after
     the planned firing, exactly as if the timer had been {!arm}ed
-    here.  A subsequent {!run_plan_inline} consumes the reservation
+    here ({!reserve_seq}).  A subsequent {!run_plan_inline} consumes the reservation
     inline; {!commit_plan} turns it into a real heap event; {!arm} and
     {!disarm} discard it.  The steady-state tail of the burst walk:
     together with {!run_plan_inline} it replaces an
@@ -129,7 +145,7 @@ val run_plan_inline : timer -> bool
 
 val commit_plan : timer -> unit
 (** Insert the planned firing into the heap as a real event carrying
-    its reserved seq, preserving the tie order the reservation
+    its reserved seq ({!arm_reserved}), preserving the tie order the reservation
     guaranteed.  No-op when nothing is planned. *)
 
 val drop_plan : timer -> unit

@@ -26,15 +26,16 @@ type t = {
    per-packet path whose allocation behavior is guarded by
    BENCH_engine.json — including the batched breath-loop modules
    (pktring carries every burst, node receives them, datapath gates
-   the walk) and the MTP ack path (endpoint, its pathlet table and
+   the walk), the MTP ack path (endpoint, its pathlet table and
    controllers, and the stamping qdisc hook), guarded by the bench's
-   mtp section.  Matching is by module basename so a future move (say
+   mtp section, and the partition exchange (conduit rings and inbox
+   timers), guarded by bench/parallel.exe's words per event.  Matching is by module basename so a future move (say
    lib/netsim/link.ml -> lib/datapath/link.ml) keeps the rule. *)
 let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "link"; "qdisc"; "switch"; "wire"; "pktring";
         "packet"; "node"; "datapath"; "routing"; "cc"; "pathlet";
-        "mtp_switch"; "endpoint" ];
+        "mtp_switch"; "endpoint"; "partition" ];
     (* bench/ holds measurement drivers (bench/datapath.ml shares a
        basename with the hot module it measures); their report printing
        is not datapath code. *)

@@ -7,11 +7,12 @@
    edges made here.  A conduit's link lives entirely in the source
    partition with zero propagation delay (the qdisc and serialization
    stay where the transmitting device is); the propagation across the
-   cut is modelled by the conduit itself, which timestamps each
-   delivered packet with [arrival = now + delay] and parks it in a
-   per-conduit FIFO.  At every epoch barrier ([exchange], called by
-   [Runner.Epoch.run] on the main domain only) the parked packets are
-   scheduled into their destination sims as ordinary events.
+   cut is modelled by the conduit itself, which stamps each delivered
+   packet with [arrival = now + delay] and pushes it onto the
+   conduit's source-side ring (the outbox).  At every epoch barrier
+   ([exchange], called by [Runner.Epoch.run] on the main domain only)
+   each outbox moves into the conduit's destination-side ring (the
+   inbox), which one re-armable timer in the destination sim drains.
 
    Lookahead: the epoch window length is the minimum conduit delay,
    so a packet emitted inside a window always arrives at or after the
@@ -22,35 +23,114 @@
 
    Packet ownership crosses the cut with the packet: the source
    partition drops every reference when the conduit fires (conduit
-   links carry no pool, and the flit queue is drained at the
-   barrier), and the destination only sees the packet after the
-   barrier's happens-before edge.  Payloads are safe to hand over
-   because the codebase never mutates a payload in place — headers
-   are replaced with freshly built values ([Wire.add_feedback],
-   [Mtp_switch.stamp]) — so no two domains ever race on one.
+   links carry no pool, and the outbox is drained at the barrier), and
+   the destination only sees the packet after the barrier's
+   happens-before edge.  Payloads are safe to hand over because the
+   codebase never mutates a payload in place — headers are replaced
+   with freshly built values ([Wire.add_feedback], [Mtp_switch.stamp])
+   — so no two domains ever race on one.
 
-   Canonical exchange order makes the merge deterministic: flits are
-   gathered per destination in conduit creation order (FIFO within a
-   conduit) and stable-sorted by arrival time, so equal-time arrivals
-   tie-break by (conduit creation index, emission order) — a pure
-   function of simulation state, never of domain scheduling.  See
-   DESIGN.md "Conservative parallel DES". *)
+   Canonical order without a sort.  The exchange walks the conduits in
+   creation order and reserves the destination sim's next seq
+   ([Sim.reserve_seq]) for each flit as it moves it, so:
+   - a barrier's flits take one contiguous seq block in each
+     destination sim, and one seq per flit, so every later event keeps
+     the seq it would have had with an eager [Sim.schedule] per flit;
+   - within the block, equal-time flits are ordered by (conduit
+     creation index, emission order); flits at different times are
+     ordered by time anyway — the order a stable sort by arrival time
+     of the per-destination gathering would give.
+   Only the inbox head is armed ([Sim.arm_reserved] at its stored
+   (arrival, seq)).  When it fires it pops itself and arms the next
+   head before delivering; within a conduit arrivals and seqs both
+   grow in FIFO order, so the next head's key is larger than the key
+   that just fired and smaller than every flit behind it.  Dispatch
+   order and [Sim.next_time] are therefore exactly those of scheduling
+   every flit eagerly — a pure function of simulation state, never of
+   domain scheduling — while the exchange costs O(1) per flit and
+   allocates nothing beyond amortised ring growth.  See DESIGN.md
+   "Conservative parallel DES". *)
 
-type flit = {
-  f_at : Engine.Time.t;
-  f_pkt : Packet.t;
-  f_deliver : Packet.t -> unit;
+(* A FIFO of flits over parallel arrays: arrival time, reserved seq
+   (inbox only) and packet.  Rings own no storage until their first
+   push, since most conduits of a large fabric never carry a packet in
+   a short run; vacated slots are overwritten with [Packet.none]. *)
+type ring = {
+  mutable r_at : Engine.Time.t array;
+  mutable r_seq : int array;
+  mutable r_pkt : Packet.t array;
+  mutable r_head : int;
+  mutable r_len : int;
 }
 
+let ring () = { r_at = [||]; r_seq = [||]; r_pkt = [||]; r_head = 0; r_len = 0 }
+
+let grow r =
+  let cap = Array.length r.r_pkt in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let at = Array.make ncap 0 in
+  let seq = Array.make ncap 0 in
+  let pkt = Array.make ncap Packet.none in
+  for i = 0 to r.r_len - 1 do
+    let j = (r.r_head + i) mod cap in
+    at.(i) <- r.r_at.(j);
+    seq.(i) <- r.r_seq.(j);
+    pkt.(i) <- r.r_pkt.(j)
+  done;
+  r.r_at <- at;
+  r.r_seq <- seq;
+  r.r_pkt <- pkt;
+  r.r_head <- 0
+
+let push r ~at ~seq p =
+  if r.r_len = Array.length r.r_pkt then grow r;
+  let i = r.r_head + r.r_len in
+  let cap = Array.length r.r_pkt in
+  let i = if i >= cap then i - cap else i in
+  r.r_at.(i) <- at;
+  r.r_seq.(i) <- seq;
+  r.r_pkt.(i) <- p;
+  r.r_len <- r.r_len + 1
+
+(* Remove the head flit; read its time and seq first. *)
+let pop r =
+  let h = r.r_head in
+  let p = r.r_pkt.(h) in
+  r.r_pkt.(h) <- Packet.none;
+  r.r_head <- (if h + 1 = Array.length r.r_pkt then 0 else h + 1);
+  r.r_len <- r.r_len - 1;
+  p
+
 type conduit = {
-  c_dst : int;
   c_delay : Engine.Time.t;
-  mutable c_q : flit list; (* reversed emission order *)
+  c_dst : Engine.Sim.t;
+  c_out : ring;  (* source side: filled while a window runs *)
+  c_in : ring;  (* destination side: drained by [c_timer] *)
+  c_deliver : Packet.t -> unit;
+  mutable c_timer : Engine.Sim.timer;  (* armed iff [c_in] is non-empty *)
+}
+
+(* The inbox timer: deliver the head, after arming the next one at its
+   reserved key. *)
+let fire c =
+  let inbox = c.c_in in
+  let p = pop inbox in
+  if inbox.r_len > 0 then
+    Engine.Sim.arm_reserved c.c_timer ~at:inbox.r_at.(inbox.r_head)
+      ~seq:inbox.r_seq.(inbox.r_head);
+  c.c_deliver p
+
+(* Conduits in creation order.  They are made only while a topology is
+   built, so [order] is rebuilt from [rev] only when one was added. *)
+type registry = {
+  mutable rev : conduit list;
+  mutable count : int;
+  mutable order : conduit array;
 }
 
 type t = {
   p_sims : Engine.Sim.t array;
-  p_conduits : conduit list ref; (* reversed creation order *)
+  p_conduits : registry;
   p_topo : Topology.t;
 }
 
@@ -63,25 +143,27 @@ let create ?(seed = 42) ~nparts () =
           ~seed:(Engine.Rng.as_seed (Engine.Rng.derive base p))
           ())
   in
-  let conduits = ref [] in
+  let reg = { rev = []; count = 0; order = [||] } in
+  let unarmed = Engine.Sim.timer sims.(0) ignore in
   let conduit ~src ~dst ~name ~rate ~delay ?qdisc ~deliver () =
     if delay <= 0 then
       invalid_arg "Partition: cross-partition delay must be > 0";
-    let src_sim = sims.(src) in
+    let src_sim = sims.(src) and dst_sim = sims.(dst) in
     let link =
       Link.create src_sim ~name ~rate ~delay:Engine.Time.zero ?qdisc ()
     in
-    let c = { c_dst = dst; c_delay = delay; c_q = [] } in
+    let c =
+      { c_delay = delay; c_dst = dst_sim; c_out = ring (); c_in = ring ();
+        c_deliver = deliver; c_timer = unarmed }
+    in
+    c.c_timer <- Engine.Sim.timer dst_sim (fun () -> fire c);
     Link.set_dst link (fun pkt ->
-        c.c_q <-
-          { f_at = Engine.Sim.now src_sim + c.c_delay;
-            f_pkt = pkt;
-            f_deliver = deliver }
-          :: c.c_q);
-    conduits := c :: !conduits;
+        push c.c_out ~at:(Engine.Sim.now src_sim + c.c_delay) ~seq:0 pkt);
+    reg.rev <- c :: reg.rev;
+    reg.count <- reg.count + 1;
     link
   in
-  { p_sims = sims; p_conduits = conduits;
+  { p_sims = sims; p_conduits = reg;
     p_topo = Topology.partitioned sims ~conduit }
 
 let nparts t = Array.length t.p_sims
@@ -91,41 +173,32 @@ let sim t p = t.p_sims.(p)
 let topology t = t.p_topo
 
 let lookahead t =
-  match !(t.p_conduits) with
+  match t.p_conduits.rev with
   | [] -> invalid_arg "Partition.lookahead: world has no conduit"
   | c :: rest -> List.fold_left (fun acc c -> min acc c.c_delay) c.c_delay rest
 
-(* Drain every conduit into its destination sim.  Runs on the main
-   domain between epochs. *)
+(* Move one conduit's outbox into its inbox, reserving a destination
+   seq per flit, and arm the inbox timer if it was idle. *)
+let move c =
+  let outbox = c.c_out and inbox = c.c_in in
+  if outbox.r_len > 0 then begin
+    let idle = inbox.r_len = 0 in
+    while outbox.r_len > 0 do
+      let at = outbox.r_at.(outbox.r_head) in
+      let p = pop outbox in
+      push inbox ~at ~seq:(Engine.Sim.reserve_seq c.c_dst) p
+    done;
+    if idle then
+      Engine.Sim.arm_reserved c.c_timer ~at:inbox.r_at.(inbox.r_head)
+        ~seq:inbox.r_seq.(inbox.r_head)
+  end
+
+(* Runs on the main domain between epochs. *)
 let exchange t =
-  let conduits = List.rev !(t.p_conduits) in
-  let n = nparts t in
-  for dst = 0 to n - 1 do
-    let flits =
-      List.concat_map
-        (fun c ->
-          if c.c_dst = dst && c.c_q <> [] then begin
-            let q = List.rev c.c_q in
-            c.c_q <- [];
-            q
-          end
-          else [])
-        conduits
-    in
-    match flits with
-    | [] -> ()
-    | flits ->
-      let flits =
-        List.stable_sort (fun a b -> compare (a.f_at : int) b.f_at) flits
-      in
-      let dsim = t.p_sims.(dst) in
-      List.iter
-        (fun f ->
-          ignore
-            (Engine.Sim.schedule dsim ~at:f.f_at (fun () ->
-                 f.f_deliver f.f_pkt)))
-        flits
-  done
+  let reg = t.p_conduits in
+  if Array.length reg.order <> reg.count then
+    reg.order <- Array.of_list (List.rev reg.rev);
+  Array.iter move reg.order
 
 let run ?(jobs = 1) ~until t =
   let lookahead = lookahead t in
@@ -166,6 +239,7 @@ let leaf_spine ?seed ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
       (per_leaf hosts_per_leaf (fun l i ->
            [| Node.uplink ls.Topology.ls_hosts.(l).(i);
               Switch.port ls.Topology.ls_leaves.(l) i |])
+      (* simlint: allow H101 — canonical link listing, built once at setup *)
       @ per_leaf spines (fun l s ->
             [| ls.Topology.ls_uplinks.(l).(s);
                Switch.port ls.Topology.ls_spines.(s) l |]))

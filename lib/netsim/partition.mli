@@ -40,10 +40,13 @@ val lookahead : t -> Engine.Time.t
     @raise Invalid_argument if the world has no conduit. *)
 
 val exchange : t -> unit
-(** Drain all conduit FIFOs into their destination sims, in canonical
-    order (arrival time, then conduit creation order, then emission
-    order).  Called between epochs on the main domain;
-    [run] does this automatically. *)
+(** Move every conduit's outbox into its destination-side inbox,
+    reserving one destination seq per flit in conduit creation order,
+    so deliveries dispatch in canonical order (arrival time, then
+    conduit creation order, then emission order).  O(1) per flit, no
+    sort, and no allocation beyond amortised ring growth.  Called
+    between epochs on the main domain; [run] does this
+    automatically. *)
 
 val run : ?jobs:int -> until:Engine.Time.t -> t -> unit
 (** Drive the whole world to [until] with [Runner.Epoch.run]:

@@ -508,6 +508,47 @@ let test_plan_commit_keeps_tie_order () =
     [ "early"; "planned"; "tie-later" ]
     (List.rev !log)
 
+let test_arm_reserved_takes_eager_tie_position () =
+  (* The same script twice: R is either scheduled eagerly where the
+     reservation is made, or reserved there and armed only later, from
+     inside the event at 50, after B was scheduled at R's instant.
+     Both runs must dispatch in one order. *)
+  let script ~eager =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let note name () = log := name :: !log in
+    let tm = Sim.timer sim (note "R") in
+    ignore (Sim.schedule sim ~at:100 (note "A"));
+    let arm_r =
+      if eager then begin
+        ignore (Sim.schedule sim ~at:100 (note "R"));
+        ignore
+      end
+      else
+        let seq = Sim.reserve_seq sim in
+        fun () -> Sim.arm_reserved tm ~at:100 ~seq
+    in
+    ignore (Sim.schedule sim ~at:100 (note "B"));
+    ignore
+      (Sim.schedule sim ~at:50 (fun () ->
+           note "C" ();
+           arm_r ();
+           ignore (Sim.schedule sim ~at:100 (note "D"))));
+    Sim.run sim;
+    List.rev !log
+  in
+  Alcotest.(check (list string))
+    "eager reference" [ "C"; "A"; "R"; "B"; "D" ] (script ~eager:true);
+  Alcotest.(check (list string))
+    "armed later at the reserved seq" (script ~eager:true)
+    (script ~eager:false);
+  let sim = Sim.create () in
+  Sim.run ~until:10 sim;
+  let tm = Sim.timer sim ignore in
+  match Sim.arm_reserved tm ~at:5 ~seq:(Sim.reserve_seq sim) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "arm_reserved accepted a time in the past"
+
 let suite =
   [ Alcotest.test_case "time units" `Quick test_time_units;
     Alcotest.test_case "tx_time" `Quick test_tx_time;
@@ -541,6 +582,8 @@ let suite =
     Alcotest.test_case "sim plan inline" `Quick test_plan_inline_when_quiet;
     Alcotest.test_case "sim plan commit tie order" `Quick
       test_plan_commit_keeps_tie_order;
+    Alcotest.test_case "sim arm_reserved tie order" `Quick
+      test_arm_reserved_takes_eager_tie_position;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;
     QCheck_alcotest.to_alcotest prop_heap_pop_is_pending_min;
     QCheck_alcotest.to_alcotest prop_rng_derive_streams_independent;

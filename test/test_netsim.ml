@@ -970,6 +970,95 @@ let test_partition_lookahead_is_min_cut_delay () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a one-partition world has no conduit"
 
+let test_partition_equal_time_arrivals_in_creation_order () =
+  (* Hosts a (partition 1) and b (partition 0) each send two packets to
+     r (partition 2) over identical links, so their arrivals tie
+     pairwise.  a's conduit into r is made first, so at each instant
+     a's packet goes first although b sits in the lower partition. *)
+  List.iter
+    (fun jobs ->
+      let world = Partition.create ~nparts:3 () in
+      let topo = Partition.topology world in
+      let a = Topology.host ~part:1 topo "a"
+      and b = Topology.host ~part:0 topo "b"
+      and r = Topology.host ~part:2 topo "r" in
+      let g = Engine.Time.gbps 10 and d = Engine.Time.us 2 in
+      ignore (Topology.wire_host_pair topo a r ~rate:g ~delay:d ());
+      ignore (Topology.wire_host_pair topo b r ~rate:g ~delay:d ());
+      let got = ref [] in
+      Node.set_handler r (fun p ->
+          got := (p.Packet.src, Engine.Sim.now (Node.sim r)) :: !got);
+      List.iter
+        (fun h ->
+          for _ = 1 to 2 do
+            Node.send h
+              (Packet.make (Node.sim h) ~src:(Node.addr h) ~dst:(Node.addr r)
+                 ~size:1500 ())
+          done)
+        [ b; a ];
+      Partition.run ~jobs ~until:(Engine.Time.us 20) world;
+      let t1 = d + Engine.Time.tx_time ~bytes:1500 ~rate:g in
+      let t2 = t1 + Engine.Time.tx_time ~bytes:1500 ~rate:g in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "(src, arrival) at jobs=%d" jobs)
+        [ (Node.addr a, t1); (Node.addr b, t1); (Node.addr a, t2);
+          (Node.addr b, t2) ]
+        (List.rev !got))
+    [ 1; 2 ]
+
+let test_partition_flits_wait_across_windows () =
+  (* Two-path cut with 3 us and 7 us conduits: the window is 3 us, so
+     every path-B flit waits out two or three barriers in its inbox
+     while more flits queue behind it.  Per path, the packets must
+     arrive in FIFO order at exactly the instants of the single-sim
+     build, at jobs 1 and 2. *)
+  let g = Engine.Time.gbps 10 in
+  let run topo go =
+    let tp =
+      Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:(Engine.Time.us 3)
+        ~delay_b:(Engine.Time.us 7) ~edge_rate:g ()
+    in
+    Switch.set_forward tp.Topology.tp_ingress (fun p ->
+        Switch.Forward
+          (if p.Packet.flow_hash land 1 = 0 then tp.Topology.tp_port_a
+           else tp.Topology.tp_port_b));
+    let got = ref [] in
+    let dst = tp.Topology.tp_dst in
+    Node.set_handler dst (fun p ->
+        got := (p.Packet.flow_hash, Engine.Sim.now (Node.sim dst)) :: !got);
+    let src = tp.Topology.tp_src in
+    for i = 0 to 39 do
+      Node.send src
+        (Packet.make ~flow_hash:i (Node.sim src) ~src:(Node.addr src)
+           ~dst:(Node.addr dst) ~size:1500 ())
+    done;
+    go ();
+    let path k = List.filter (fun (h, _) -> h land 1 = k) (List.rev !got) in
+    (path 0, path 1)
+  in
+  let sim = Engine.Sim.create () in
+  let ((a, b) as single) =
+    run (Topology.create sim) (fun () -> Engine.Sim.run sim)
+  in
+  checki "every packet on path A" 20 (List.length a);
+  checki "every packet on path B" 20 (List.length b);
+  List.iter
+    (fun (name, l) ->
+      checkb (name ^ " FIFO") true
+        (List.map fst l = List.sort compare (List.map fst l)))
+    [ ("path A", a); ("path B", b) ];
+  List.iter
+    (fun jobs ->
+      let world = Partition.create ~nparts:2 () in
+      let got =
+        run (Partition.topology world) (fun () ->
+            Partition.run ~jobs ~until:(Engine.Time.ms 1) world)
+      in
+      Alcotest.(check (pair (list (pair int int)) (list (pair int int))))
+        (Printf.sprintf "per-path (packet, arrival) at jobs=%d" jobs)
+        single got)
+    [ 1; 2 ]
+
 (* ------------------------------- Taps ------------------------------ *)
 
 (* One packet client -> server across a star: the switch tap sees it at
@@ -1212,5 +1301,9 @@ let suite =
       test_partitioned_builds_match_single_sim;
     Alcotest.test_case "partition lookahead = min cut delay" `Quick
       test_partition_lookahead_is_min_cut_delay;
+    Alcotest.test_case "partition equal-time arrivals in creation order"
+      `Quick test_partition_equal_time_arrivals_in_creation_order;
+    Alcotest.test_case "partition flits wait across windows" `Quick
+      test_partition_flits_wait_across_windows;
     Alcotest.test_case "taps fire at ingress then delivery" `Quick
       test_taps_fire_at_ingress_then_delivery ]
