@@ -16,8 +16,8 @@ test:
 # case's single-sim and partitioned jobs=1 outcome; `dune runtest`
 # fails while either differs) and the stdout
 # goldens all-smoke.expected, failover-smoke.expected,
-# par-leafspine-{dctcp,mtp}.expected and tenant-isolation.expected
-# (`dune build @test/golden/smoke` fails while they differ).
+# par-leafspine-{dctcp,mtp}.expected and one <example>.expected per
+# example (`dune build @test/golden/smoke` fails while they differ).
 golden:
 	dune build @test/golden/runtest --auto-promote || dune build @test/golden/runtest
 	dune build @test/golden/smoke || { \
@@ -25,7 +25,10 @@ golden:
 	  dune exec bin/mtp_sim.exe -- failover --duration-ms 16 --fail-ms 5 --detect-ms 3 --restore-ms 11 > test/golden/failover-smoke.expected && \
 	  dune exec bin/mtp_sim.exe -- par-leafspine --transport dctcp --jobs 2 > test/golden/par-leafspine-dctcp.expected && \
 	  dune exec bin/mtp_sim.exe -- par-leafspine --transport mtp --jobs 2 > test/golden/par-leafspine-mtp.expected && \
-	  dune exec examples/tenant_isolation.exe > test/golden/tenant-isolation.expected; }
+	  for e in quickstart innetwork_cache multipath_blob tenant_isolation \
+	      ml_aggregation rpc_loadbalancer ndp_incast; do \
+	    dune exec examples/$$e.exe > test/golden/$$(echo $$e | tr _ -).expected || exit 1; \
+	  done; }
 
 # The repo benchmark (BENCHMARK.json): end-to-end and per-layer
 # metrics on five workloads (untraced and traced passes).
