@@ -425,7 +425,8 @@ let mtp_pass ~backlog =
       ()
   in
   Mtp.Mtp_switch.stamp sim ab ~path_id:3 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  let ea = Mtp.Endpoint.attach (Netsim.Host.create a) in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create b) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   let dst = Netsim.Node.addr b in
   let size = mtp_pkts_per_msg * 1440 in

@@ -17,7 +17,9 @@ let run ~with_cache =
     Netsim.Topology.star topo ~n:2 ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 2) ()
   in
-  let server_ep = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let server_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   let server =
     Innetwork.Kvs.server server_ep ~port:6000
       ~service_time:(Engine.Time.us 20)
@@ -34,7 +36,9 @@ let run ~with_cache =
            ~capacity:16 ())
     else None
   in
-  let client_ep = Mtp.Endpoint.create st.Netsim.Topology.st_clients.(0) in
+  let client_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_clients.(0))
+  in
   let kvs = Innetwork.Kvs.client client_ep in
   let latencies = Stats.Summary.create () in
   let rng = Engine.Rng.create 3 in

@@ -19,7 +19,7 @@ let run ~aggregate =
       ~delay:(Engine.Time.us 3) ()
   in
   let ps = st.Netsim.Topology.st_server in
-  let ps_ep = Mtp.Endpoint.create ps in
+  let ps_ep = Mtp.Endpoint.attach (Netsim.Host.create ps) in
   let agg =
     if aggregate then
       Some
@@ -46,7 +46,7 @@ let run ~aggregate =
       if seen = workers then incr rounds_done);
   let worker_eps =
     Array.map
-      (fun w -> Mtp.Endpoint.create w)
+      (fun w -> Mtp.Endpoint.attach (Netsim.Host.create w))
       st.Netsim.Topology.st_clients
   in
   (* Synchronous training: every worker sends its gradient for round r;

@@ -37,8 +37,8 @@ let run ~multipath =
          ~ports:
            [| tp.Netsim.Topology.tp_port_a; tp.Netsim.Topology.tp_port_b |]
          ~fallback:(Netsim.Routing.static tp.Netsim.Topology.tp_routes));
-  let ea = Mtp.Endpoint.create tp.Netsim.Topology.tp_src in
-  let eb = Mtp.Endpoint.create tp.Netsim.Topology.tp_dst in
+  let ea = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_src) in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
   let finished_at = ref 0 in
   ignore
     (Mtp.Blob.receiver eb ~port:9000 (fun ~src:_ ~blob_id:_ ~size:_ ->

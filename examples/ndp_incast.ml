@@ -24,13 +24,15 @@ let run ~trim =
     Netsim.Topology.star topo ~n:workers ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 3) ~server_qdisc:qd ()
   in
-  let aggregator = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let aggregator =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   Mtp.Endpoint.bind aggregator ~port:80 (fun _ -> ());
   let fcts = Stats.Summary.create () in
   let eps =
     Array.map
       (fun w ->
-        let ep = Mtp.Endpoint.create w in
+        let ep = Mtp.Endpoint.attach (Netsim.Host.create w) in
         ignore
           (Mtp.Endpoint.send ep
              ~dst:(Netsim.Node.addr st.Netsim.Topology.st_server)

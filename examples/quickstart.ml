@@ -17,8 +17,8 @@ let () =
        ~rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 5) ());
 
   (* 2. MTP endpoints.  No connections: endpoints just exist. *)
-  let ep_alice = Mtp.Endpoint.create alice in
-  let ep_bob = Mtp.Endpoint.create bob in
+  let ep_alice = Mtp.Endpoint.attach (Netsim.Host.create alice) in
+  let ep_bob = Mtp.Endpoint.attach (Netsim.Host.create bob) in
 
   (* 3. Bob accepts messages on port 7000. *)
   Mtp.Endpoint.bind ep_bob ~port:7000 (fun d ->

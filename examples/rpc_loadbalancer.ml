@@ -25,7 +25,7 @@ let run policy_name policy =
   let replica_ports =
     Array.mapi
       (fun i replica ->
-        let ep = Mtp.Endpoint.create replica in
+        let ep = Mtp.Endpoint.attach (Netsim.Host.create replica) in
         (* Replica 2 is the slow one. *)
         let service =
           if i = 2 then Engine.Time.us 40 else Engine.Time.us 20
@@ -37,12 +37,12 @@ let run policy_name policy =
         (Netsim.Node.addr replica, 4000))
       replicas
   in
-  let lb_ep = Mtp.Endpoint.create lb_host in
+  let lb_ep = Mtp.Endpoint.attach (Netsim.Host.create lb_host) in
   let lb = Innetwork.L7lb.create lb_ep ~port:4000 ~replicas:replica_ports ~policy () in
   let latencies = Stats.Summary.create () in
   Array.iter
     (fun client ->
-      let ep = Mtp.Endpoint.create client in
+      let ep = Mtp.Endpoint.attach (Netsim.Host.create client) in
       let kvs = Innetwork.Kvs.client ep in
       let rec ask remaining =
         if remaining > 0 then

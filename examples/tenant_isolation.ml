@@ -32,10 +32,12 @@ let run ~fair =
       (Netsim.Qdisc.ecn ~cap_pkts:256 ~mark_threshold:32 ());
   Engine.Sim.now sim |> ignore;
   Mtp.Mtp_switch.stamp sim bottleneck ~path_id:1 ~mode:Mtp.Mtp_switch.Ce_echo;
-  let server_ep = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let server_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   let tenant_bytes = Array.make 3 0 in
   let start ~entity client =
-    let ep = Mtp.Endpoint.create ~entity client in
+    let ep = Mtp.Endpoint.attach ~entity (Netsim.Host.create client) in
     let port = 8000 + Netsim.Node.addr client in
     Mtp.Endpoint.bind server_ep ~port (fun d ->
         tenant_bytes.(entity) <- tenant_bytes.(entity) + d.Mtp.Endpoint.dl_size);

@@ -905,52 +905,6 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* Construction & API                                                   *)
 
-let make_endpoint ?(algo = Cc.Dctcp { g = 0.0625 }) ?init_window
-    ?(mtu_payload = 1440) ?(entity = 0) ?(max_msg_bytes = max_int / 4)
-    ?(max_rx_messages = 1 lsl 20) ?(exclusion = true) ?suspect_after
-    ?probe_interval ?(ack_every = 1) ?(ack_delay = Engine.Time.us 10) node =
-  (* Coalesced SACKs go out behind the header's u8 count. *)
-  if ack_every < 1 || ack_every > 0xff then
-    invalid_arg "Endpoint.create: ack_every must be in 1..255";
-  let t =
-    { ep_node = node; ep_sim = Netsim.Node.sim node; entity;
-      mtu = mtu_payload; max_msg_bytes; max_rx_messages; exclusion;
-      path_table =
-        Pathlet.create ?init_window ~mss:mtu_payload ?suspect_after
-          ?probe_interval algo;
-      next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
-      active = [||]; n_active = 0; again = [||]; n_again = 0;
-      nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
-      dests = Hashtbl.create 8; rx_table = Itbl.create 64;
-      recent_done = Itbl.create 4096; recent_queue = Queue.create ();
-      bindings = Hashtbl.create 8; ack_every; ack_delay;
-      ack_acc = Hashtbl.create 8; ticker_running = false; n_completed = 0;
-      n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
-      n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
-  in
-  if Telemetry.Ctx.on () then begin
-    let reg = Telemetry.Ctx.metrics () in
-    (* simlint: allow H101 — one-time gauge naming at create, not per packet *)
-    let pre = Printf.sprintf "mtp.h%d." (Netsim.Node.addr node) in
-    (* simlint: allow H101 — one-time gauge naming at create, not per packet *)
-    let g n f = Telemetry.Registry.set_gauge reg (pre ^ n) f in
-    g "completed" (fun () -> float_of_int t.n_completed);
-    g "failed" (fun () -> float_of_int t.n_failed);
-    g "delivered_msgs" (fun () -> float_of_int t.n_delivered);
-    g "delivered_bytes" (fun () -> float_of_int t.n_delivered_bytes);
-    g "retransmits" (fun () -> float_of_int t.n_retransmits);
-    g "timeouts" (fun () -> float_of_int t.n_timeouts);
-    g "nacks" (fun () -> float_of_int t.n_nacks);
-    g "acks_tx" (fun () -> float_of_int t.n_acks_tx);
-    g "window_sum"
-      (fun () ->
-        List.fold_left
-          (fun acc (_, cc) -> acc +. float_of_int (Cc.window cc))
-          0.0
-          (Pathlet.known t.path_table))
-  end;
-  t
-
 let rec any_ours tx_table = function
   | [] -> false
   | { Wire.ref_msg; _ } :: rest ->
@@ -969,31 +923,51 @@ let claim t pkt =
     true
   | _ -> false
 
-let create ?algo ?init_window ?mtu_payload ?entity ?max_msg_bytes
-    ?max_rx_messages ?exclusion ?suspect_after ?probe_interval ?ack_every
-    ?ack_delay node =
+let attach ?(algo = Cc.Dctcp { g = 0.0625 }) ?init_window
+    ?(mtu_payload = 1440) ?(entity = 0) ?(max_msg_bytes = max_int / 4)
+    ?(max_rx_messages = 1 lsl 20) ?(exclusion = true) ?suspect_after
+    ?probe_interval ?(ack_every = 1) ?(ack_delay = Engine.Time.us 10) host =
+  (* Coalesced SACKs go out behind the header's u8 count. *)
+  if ack_every < 1 || ack_every > 0xff then
+    invalid_arg "Endpoint.attach: ack_every must be in 1..255";
+  let node = Netsim.Host.node host in
   let t =
-    make_endpoint ?algo ?init_window ?mtu_payload ?entity ?max_msg_bytes
-      ?max_rx_messages ?exclusion ?suspect_after ?probe_interval ?ack_every
-      ?ack_delay node
+    { ep_node = node; ep_sim = Netsim.Node.sim node; entity;
+      mtu = mtu_payload; max_msg_bytes; max_rx_messages; exclusion;
+      path_table =
+        Pathlet.create ?init_window ~mss:mtu_payload ?suspect_after
+          ?probe_interval algo;
+      next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
+      active = [||]; n_active = 0; again = [||]; n_again = 0;
+      nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
+      dests = Hashtbl.create 8; rx_table = Itbl.create 64;
+      recent_done = Itbl.create 4096; recent_queue = Queue.create ();
+      bindings = Hashtbl.create 8; ack_every; ack_delay;
+      ack_acc = Hashtbl.create 8; ticker_running = false; n_completed = 0;
+      n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
+      n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
   in
-  let previous = Netsim.Node.handler node in
-  (* Multiple endpoints may coexist on one host: packets that name no
-     port binding / outstanding message of ours fall through to the
-     previously installed handler. *)
-  Netsim.Node.set_handler node (fun pkt ->
-      if not (claim t pkt) then
-        match previous with Some h -> h pkt | None -> ());
-  t
-
-let attach ?algo ?init_window ?mtu_payload ?entity ?max_msg_bytes
-    ?max_rx_messages ?exclusion ?suspect_after ?probe_interval ?ack_every
-    ?ack_delay host =
-  let t =
-    make_endpoint ?algo ?init_window ?mtu_payload ?entity ?max_msg_bytes
-      ?max_rx_messages ?exclusion ?suspect_after ?probe_interval ?ack_every
-      ?ack_delay (Netsim.Host.node host)
-  in
+  if Telemetry.Ctx.on () then begin
+    let reg = Telemetry.Ctx.metrics () in
+    (* simlint: allow H101 — one-time gauge naming at attach, not per packet *)
+    let pre = Printf.sprintf "mtp.h%d." (Netsim.Node.addr node) in
+    (* simlint: allow H101 — one-time gauge naming at attach, not per packet *)
+    let g n f = Telemetry.Registry.set_gauge reg (pre ^ n) f in
+    g "completed" (fun () -> float_of_int t.n_completed);
+    g "failed" (fun () -> float_of_int t.n_failed);
+    g "delivered_msgs" (fun () -> float_of_int t.n_delivered);
+    g "delivered_bytes" (fun () -> float_of_int t.n_delivered_bytes);
+    g "retransmits" (fun () -> float_of_int t.n_retransmits);
+    g "timeouts" (fun () -> float_of_int t.n_timeouts);
+    g "nacks" (fun () -> float_of_int t.n_nacks);
+    g "acks_tx" (fun () -> float_of_int t.n_acks_tx);
+    g "window_sum"
+      (fun () ->
+        List.fold_left
+          (fun acc (_, cc) -> acc +. float_of_int (Cc.window cc))
+          0.0
+          (Pathlet.known t.path_table))
+  end;
   Netsim.Host.register host ~name:"mtp" (claim t);
   t
 

@@ -29,7 +29,7 @@ type delivery = {
       (** First-packet-seen to completion at the receiver. *)
 }
 
-val create :
+val attach :
   ?algo:Cc.algo ->
   ?init_window:int ->
   ?mtu_payload:int ->
@@ -41,10 +41,11 @@ val create :
   ?probe_interval:Engine.Time.t ->
   ?ack_every:int ->
   ?ack_delay:Engine.Time.t ->
-  Netsim.Node.t ->
+  Netsim.Host.t ->
   t
-(** Install an MTP endpoint on a host (chains with any existing packet
-    handler).  [algo] (default [Dctcp {g = 1/16}]) is the default
+(** Register an MTP endpoint with a host's dispatcher.  It claims
+    MTP data for its bound ports and acks for its outstanding
+    messages.  [algo] (default [Dctcp {g = 1/16}]) is the default
     per-pathlet congestion controller.  [mtu_payload] defaults to 1440
     bytes per packet.  [max_msg_bytes] / [max_rx_messages] bound
     receiver state (messages beyond them are rejected and counted).
@@ -64,23 +65,6 @@ val create :
     in 1..255.
 
     @raise Invalid_argument when [ack_every] is outside 1..255. *)
-
-val attach :
-  ?algo:Cc.algo ->
-  ?init_window:int ->
-  ?mtu_payload:int ->
-  ?entity:int ->
-  ?max_msg_bytes:int ->
-  ?max_rx_messages:int ->
-  ?exclusion:bool ->
-  ?suspect_after:int ->
-  ?probe_interval:Engine.Time.t ->
-  ?ack_every:int ->
-  ?ack_delay:Engine.Time.t ->
-  Netsim.Host.t ->
-  t
-(** Like {!create}, but registers with a {!Netsim.Host} dispatcher
-    instead of chaining raw node handlers. *)
 
 val node : t -> Netsim.Node.t
 val sim : t -> Engine.Sim.t

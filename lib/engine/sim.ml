@@ -254,33 +254,6 @@ let arm tm ~at =
 
 let arm_after tm dt = arm tm ~at:(tm.tm_sim.clock + dt)
 
-(* Burst walk companion to [try_advance], for a component whose next
-   sub-event is already armed as a real heap event: when that event is
-   the head of the heap, consume it here — clock set to its fire time,
-   slot recycled exactly as [step] would — and let the caller run the
-   work inline, skipping one dispatch round-trip.  Because the event
-   was next anyway, consuming it early is unobservable to every other
-   event.  A live slot index appears in the heap at most once (slots
-   are recycled only when popped), so comparing the root's payload to
-   the timer's slot suffices to identify the timer's own event. *)
-let advance_if_next tm =
-  let t = tm.tm_sim in
-  let h = tm.tm_handle in
-  h >= 0
-  && (not (Eventqueue.is_empty t.heap))
-  && Eventqueue.min_time t.heap < t.horizon
-  && Eventqueue.min_value t.heap = h lsr gen_bits
-  &&
-  let time = Eventqueue.min_time t.heap in
-  let idx = Eventqueue.pop_min t.heap in
-  t.clock <- time;
-  t.actions.(idx) <- noop;
-  t.gens.(idx) <- t.gens.(idx) + 1;
-  t.free.(t.free_len) <- idx;
-  t.free_len <- t.free_len + 1;
-  tm.tm_handle <- no_handle;
-  true
-
 (* Plan/commit: the allocation- and heap-free tail of the burst walk.
    [plan] reserves the same-instant (FIFO) position a real [arm] would
    take — one counter bump, no heap insertion.  On resume,
@@ -306,8 +279,6 @@ let plan tm ~at =
   tm.tm_plan_seq <- reserve_seq t
 
 let planned tm = tm.tm_plan_seq >= 0
-
-let drop_plan tm = tm.tm_plan_seq <- -1
 
 let run_plan_inline tm =
   tm.tm_plan_seq >= 0

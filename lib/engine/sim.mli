@@ -89,19 +89,6 @@ val try_advance : t -> upto:Time.t -> bool
     the clock only jumps over intervals the heap proves empty.
     @raise Invalid_argument if [upto] is before [now]. *)
 
-val advance_if_next : timer -> bool
-(** [advance_if_next tm] consumes the timer's pending event iff it is
-    the head of the heap: the clock jumps to the timer's fire time,
-    the event slot is recycled, and the caller runs the timer's work
-    inline — one dispatch round-trip saved.  Returns [false] (and
-    leaves the timer armed, with its original position in the event
-    order) when the timer is disarmed or some other event fires first.
-    The companion to {!try_advance} for walks whose next sub-event has
-    user code scheduled in between: the sub-event must stay armed as a
-    real event to keep its place in the same-instant (FIFO) order, but
-    when it turns out to still be next it can be run without a
-    dispatch. *)
-
 val reserve_seq : t -> int
 (** Take the next scheduling sequence number without scheduling
     anything: the place in the same-instant (FIFO) order that a
@@ -126,9 +113,8 @@ val plan : timer -> at:Time.t -> unit
     here ({!reserve_seq}).  A subsequent {!run_plan_inline} consumes the reservation
     inline; {!commit_plan} turns it into a real heap event; {!arm} and
     {!disarm} discard it.  The steady-state tail of the burst walk:
-    together with {!run_plan_inline} it replaces an
-    {!arm}/{!advance_if_next} heap round-trip per sub-event with two
-    integer comparisons.
+    together with {!run_plan_inline} it replaces a heap push and pop
+    per sub-event with two integer comparisons.
     @raise Invalid_argument if [at] is before [now]. *)
 
 val planned : timer -> bool
@@ -139,18 +125,14 @@ val run_plan_inline : timer -> bool
     the reserved (time, seq) position; the clock jumps to the planned
     instant, the reservation is consumed, and the caller runs the
     timer's work inline.  Returns [false] (reservation kept) when
-    another event intervenes — the caller must then {!commit_plan} (or
-    {!drop_plan}) before returning to the dispatcher, since a bare
-    reservation fires nothing by itself. *)
+    another event intervenes — the caller must then {!commit_plan}
+    before returning to the dispatcher, since a bare reservation fires
+    nothing by itself. *)
 
 val commit_plan : timer -> unit
 (** Insert the planned firing into the heap as a real event carrying
     its reserved seq ({!arm_reserved}), preserving the tie order the reservation
     guaranteed.  No-op when nothing is planned. *)
-
-val drop_plan : timer -> unit
-(** Abandon the reservation without firing.  No-op when nothing is
-    planned. *)
 
 (** {1 Execution} *)
 

@@ -17,8 +17,11 @@ let run_variant ~duration ~ack_every =
       ()
   in
   Mtp.Mtp_switch.stamp sim ab ~path_id:1 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
-  let ea = Mtp.Endpoint.create a in
-  let eb = Mtp.Endpoint.create ~ack_every ~ack_delay:(Engine.Time.us 10) b in
+  let ea = Mtp.Endpoint.attach (Netsim.Host.create a) in
+  let eb =
+    Mtp.Endpoint.attach ~ack_every ~ack_delay:(Engine.Time.us 10)
+      (Netsim.Host.create b)
+  in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->
       Stats.Meter.count_bytes meter d.Mtp.Endpoint.dl_size);

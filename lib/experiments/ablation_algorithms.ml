@@ -26,8 +26,8 @@ let run_variant ~rate ~duration (name, algo, mode) =
       ~ab_qdisc:qd ()
   in
   Mtp.Mtp_switch.stamp sim ab ~path_id:1 ~mode;
-  let ea = Mtp.Endpoint.create ~algo a in
-  let eb = Mtp.Endpoint.create b in
+  let ea = Mtp.Endpoint.attach ~algo (Netsim.Host.create a) in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create b) in
   let meter =
     Stats.Meter.create ~name sim ~interval:(Engine.Time.us 50) ()
   in

@@ -42,8 +42,11 @@ let run_variant ~duration ~seed ~exclusion =
            ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
            ~size:1500 ());
       Engine.Sim.now sim < duration);
-  let ea = Mtp.Endpoint.create ~exclusion tp.Netsim.Topology.tp_src in
-  let eb = Mtp.Endpoint.create tp.Netsim.Topology.tp_dst in
+  let ea =
+    Mtp.Endpoint.attach ~exclusion
+      (Netsim.Host.create tp.Netsim.Topology.tp_src)
+  in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   let fcts = Stats.Summary.create () in
   let rng = Engine.Rng.create (seed + 1) in

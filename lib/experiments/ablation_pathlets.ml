@@ -32,8 +32,8 @@ let run_variant ~duration ~fine =
     ~mode:(Mtp.Mtp_switch.Ecn_mark cfg.Fig5_multipath.ecn_threshold);
   Mtp.Mtp_switch.stamp sim tp.Netsim.Topology.tp_link_b ~path_id:id_b
     ~mode:(Mtp.Mtp_switch.Ecn_mark cfg.Fig5_multipath.ecn_threshold);
-  let ea = Mtp.Endpoint.create tp.Netsim.Topology.tp_src in
-  let eb = Mtp.Endpoint.create tp.Netsim.Topology.tp_dst in
+  let ea = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_src) in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
   let meter =
     Stats.Meter.create ~name:"goodput" sim
       ~interval:cfg.Fig5_multipath.sample_interval ()

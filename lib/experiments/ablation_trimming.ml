@@ -19,14 +19,16 @@ let run_variant ~senders ~message_bytes ~queue_pkts ~trim =
     Netsim.Topology.star topo ~n:senders ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 2) ~server_qdisc:qd ()
   in
-  let server_ep = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let server_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   Mtp.Endpoint.bind server_ep ~port:80 (fun _ -> ());
   let fcts = Stats.Summary.create () in
   let last_done = ref 0 in
   let eps =
     Array.map
       (fun sender ->
-        let ep = Mtp.Endpoint.create sender in
+        let ep = Mtp.Endpoint.attach (Netsim.Host.create sender) in
         (* Synchronized burst: the incast. *)
         ignore
           (Mtp.Endpoint.send ep

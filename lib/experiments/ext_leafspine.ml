@@ -23,13 +23,15 @@ let build ~seed =
   in
   (sim, ls)
 
-(* Permutation: host (l, i) streams to host ((l+1) mod leaves, i). *)
+(* Permutation: host (l, i) streams to host ((l+1) mod leaves, i).
+   Every host is a sender in one pair and a receiver in another, so
+   its two stacks share one [Host]. *)
 let pairs (ls : Netsim.Topology.leaf_spine) =
+  let hosts = Array.map (Array.map Netsim.Host.create) ls.ls_hosts in
   List.concat
     (List.init leaves (fun l ->
          List.init hosts_per_leaf (fun i ->
-             ( ls.Netsim.Topology.ls_hosts.(l).(i),
-               ls.Netsim.Topology.ls_hosts.((l + 1) mod leaves).(i) ))))
+             (hosts.(l).(i), hosts.((l + 1) mod leaves).(i)))))
 
 (* Worst max/min uplink-byte ratio across all leaves: a leaf whose
    flows all hashed onto one spine shows up here. *)
@@ -57,9 +59,9 @@ let run_tcp ~duration ~message_bytes ~seed =
   let rng = Engine.Rng.create (seed + 17) in
   List.iter
     (fun (src, dst) ->
-      let client = Transport.Tcp.install ~cc ~snd_buf:400_000 src in
-      let server = Transport.Tcp.install ~cc dst in
-      let port = 80 + Netsim.Node.addr src in
+      let client = Transport.Tcp.attach ~cc ~snd_buf:400_000 src in
+      let server = Transport.Tcp.attach ~cc dst in
+      let port = 80 + Netsim.Host.addr src in
       (* One persistent connection per pair: ECMP pins it to a spine;
          message boundaries are invisible to the network, so a
          "message" is the next [message_bytes] of the stream and its
@@ -81,7 +83,7 @@ let run_tcp ~duration ~message_bytes ~seed =
       (* Randomized ephemeral port, like a real stack: the ECMP spine
          choice of each long-lived flow is a coin flip. *)
       let conn =
-        Transport.Tcp.connect client ~dst:(Netsim.Node.addr dst)
+        Transport.Tcp.connect client ~dst:(Netsim.Host.addr dst)
           ~dst_port:port
           ~src_port:(10_000 + Engine.Rng.int rng 50_000)
           ()
@@ -111,14 +113,14 @@ let run_mtp ~duration ~message_bytes ~seed =
   let drivers =
     List.map
       (fun (src, dst) ->
-        let ea = Mtp.Endpoint.create src in
-        let eb = Mtp.Endpoint.create dst in
-        let port = 80 + Netsim.Node.addr src in
+        let ea = Mtp.Endpoint.attach src in
+        let eb = Mtp.Endpoint.attach dst in
+        let port = 80 + Netsim.Host.addr src in
         Mtp.Endpoint.bind eb ~port (fun d ->
             total := !total + d.Mtp.Endpoint.dl_size);
         Workload.Driver.closed_loop ~size:message_bytes
           (fun ~size ~on_complete ->
-            Mtp.Endpoint.Messaging.send_message ea ~dst:(Netsim.Node.addr dst)
+            Mtp.Endpoint.Messaging.send_message ea ~dst:(Netsim.Host.addr dst)
               ~dst_port:port ~on_complete ~size ()))
       (pairs ls)
   in

@@ -31,14 +31,18 @@ let run_variant cfg ~limited =
   (* Send buffers keep endpoints loss-free so the mismatch lands in the
      proxy, as in the paper's termination experiment. *)
   let client =
-    Transport.Tcp.install ~snd_buf:1_000_000 ch.Netsim.Topology.ch_client
+    Transport.Tcp.attach ~snd_buf:1_000_000
+      (Netsim.Host.create ch.Netsim.Topology.ch_client)
   in
   (* The proxy's socket buffer is sized to the 40G path (BDP + queue)
      so the upstream never overruns its own egress queue. *)
   let pstack =
-    Transport.Tcp.install ~snd_buf:350_000 ch.Netsim.Topology.ch_proxy
+    Transport.Tcp.attach ~snd_buf:350_000
+      (Netsim.Host.create ch.Netsim.Topology.ch_proxy)
   in
-  let server = Transport.Tcp.install ch.Netsim.Topology.ch_server in
+  let server =
+    Transport.Tcp.attach (Netsim.Host.create ch.Netsim.Topology.ch_server)
+  in
   let meter = Stats.Meter.create ~name:"server_goodput" sim
       ~interval:cfg.sample_interval () in
   Transport.Tcp.Messaging.listen server ~port:90

@@ -39,8 +39,10 @@ let run_tcp cfg ~one_rpf =
     (fun i snd ->
       let rcv = db.Netsim.Topology.db_receivers.(i) in
       let dst = Netsim.Node.addr rcv in
-      let client = Transport.Tcp.install ~cc ~snd_buf:500_000 snd in
-      let server = Transport.Tcp.install ~cc rcv in
+      let client =
+        Transport.Tcp.attach ~cc ~snd_buf:500_000 (Netsim.Host.create snd)
+      in
+      let server = Transport.Tcp.attach ~cc (Netsim.Host.create rcv) in
       Transport.Tcp.Messaging.listen server ~port:80
         ~on_data:(Stats.Meter.count_bytes meter) ();
       if one_rpf then
@@ -66,8 +68,8 @@ let run_mtp cfg =
   Array.iteri
     (fun i snd ->
       let rcv = db.Netsim.Topology.db_receivers.(i) in
-      let ea = Mtp.Endpoint.create snd in
-      let eb = Mtp.Endpoint.create rcv in
+      let ea = Mtp.Endpoint.attach (Netsim.Host.create snd) in
+      let eb = Mtp.Endpoint.attach (Netsim.Host.create rcv) in
       receivers := eb :: !receivers;
       Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
       ignore

@@ -62,9 +62,12 @@ let run_tcp cfg ~route =
     (route tp.Netsim.Topology.tp_routes);
   let cc = Transport.Tcp.Dctcp { g = 0.0625 } in
   let client =
-    Transport.Tcp.install ~cc ~snd_buf:500_000 tp.Netsim.Topology.tp_src
+    Transport.Tcp.attach ~cc ~snd_buf:500_000
+      (Netsim.Host.create tp.Netsim.Topology.tp_src)
   in
-  let server = Transport.Tcp.install ~cc tp.Netsim.Topology.tp_dst in
+  let server =
+    Transport.Tcp.attach ~cc (Netsim.Host.create tp.Netsim.Topology.tp_dst)
+  in
   Transport.Tcp.Messaging.listen server ~port:80 ();
   let rng = Engine.Rng.create (cfg.seed + 1) in
   let size_dist = sizes cfg in
@@ -99,8 +102,8 @@ let run_mtp cfg =
     ~mode:(Mtp.Mtp_switch.Ecn_mark 40);
   Mtp.Mtp_switch.stamp sim tp.Netsim.Topology.tp_link_b ~path_id:2
     ~mode:(Mtp.Mtp_switch.Ecn_mark 40);
-  let ea = Mtp.Endpoint.create tp.Netsim.Topology.tp_src in
-  let eb = Mtp.Endpoint.create tp.Netsim.Topology.tp_dst in
+  let ea = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_src) in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   let rng = Engine.Rng.create (cfg.seed + 1) in
   let size_dist = sizes cfg in

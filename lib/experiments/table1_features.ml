@@ -15,8 +15,12 @@ let demo_mutation () =
   ignore
     (Innetwork.Mutate.install st.Netsim.Topology.st_switch ~dst_port:80
        ~factor:0.5 ());
-  let client = Mtp.Endpoint.create st.Netsim.Topology.st_clients.(0) in
-  let server = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let client =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_clients.(0))
+  in
+  let server =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   let received = ref 0 in
   Mtp.Endpoint.bind server ~port:80 (fun d ->
       received := d.Mtp.Endpoint.dl_size);
@@ -42,8 +46,12 @@ let demo_tcp_reorder () =
   in
   Netsim.Switch.set_forward tp.Netsim.Topology.tp_ingress
     (Netsim.Routing.spray tp.Netsim.Topology.tp_routes);
-  let client = Transport.Tcp.install tp.Netsim.Topology.tp_src in
-  let server = Transport.Tcp.install tp.Netsim.Topology.tp_dst in
+  let client =
+    Transport.Tcp.attach (Netsim.Host.create tp.Netsim.Topology.tp_src)
+  in
+  let server =
+    Transport.Tcp.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst)
+  in
   Transport.Tcp.Messaging.listen server ~port:80 ();
   let conn =
     Transport.Tcp.connect client
@@ -62,7 +70,9 @@ let demo_cache () =
     Netsim.Topology.star topo ~n:2 ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 2) ()
   in
-  let server_ep = Mtp.Endpoint.create st.Netsim.Topology.st_server in
+  let server_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_server)
+  in
   ignore
     (Innetwork.Kvs.server server_ep ~port:70
        ~value_size:(fun _ -> 1_000)
@@ -74,7 +84,9 @@ let demo_cache () =
       ()
   in
   (* Star wiring: client i is switch port i. *)
-  let client_ep = Mtp.Endpoint.create st.Netsim.Topology.st_clients.(0) in
+  let client_ep =
+    Mtp.Endpoint.attach (Netsim.Host.create st.Netsim.Topology.st_clients.(0))
+  in
   let kvs_client = Innetwork.Kvs.client client_ep in
   (* Sequential requests for one hot key: the first misses and teaches
      the cache (it watches the reply), the rest hit in-network. *)

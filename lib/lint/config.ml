@@ -35,7 +35,7 @@ let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "link"; "qdisc"; "switch"; "wire"; "pktring";
         "packet"; "node"; "datapath"; "routing"; "cc"; "pathlet";
-        "mtp_switch"; "endpoint"; "partition" ];
+        "mtp_switch"; "endpoint"; "partition"; "host" ];
     (* bench/ holds measurement drivers (bench/datapath.ml shares a
        basename with the hot module it measures); their report printing
        is not datapath code. *)

@@ -1,15 +1,18 @@
 (** A host: node + registered transport stacks + shared packet pool.
 
-    [create] takes over the node's packet handler; transports attach
-    via {!register}, providing a claim function that inspects a packet
-    and returns whether it handled it.  Stacks are offered packets in
-    registration order, mirroring the handler chaining they replace. *)
+    The one way to put transports on a node.  [create] takes over the
+    node's packet handler; each transport's [attach] registers a claim
+    function that inspects a packet and returns whether it handled it.
+    Stacks are offered every inbound packet in registration order, so
+    where two stacks could claim the same packet the one registered
+    first wins.  A node that carries several stacks shares one host. *)
 
 type t
 
-val create : ?pool:Packet.pool -> Node.t -> t
-(** [pool] defaults to a fresh pool; pass a shared one so packets
-    released by one host are recycled by another. *)
+val create : Node.t -> t
+(** Take over the node's packet handler, with a fresh packet pool.
+    @raise Invalid_argument if the node already has a handler (a
+    second host on one node would unplug every stack on the first). *)
 
 val register : t -> name:string -> (Packet.t -> bool) -> unit
 

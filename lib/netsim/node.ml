@@ -51,6 +51,8 @@ let receive_burst t ~pull =
 
 let set_handler t h = t.handle_packet <- Some h
 
+let has_handler t = Option.is_some t.handle_packet
+
 let handler t = t.handle_packet
 
 let dropped t = t.no_handler_drops

@@ -1,9 +1,11 @@
 (** End hosts.
 
     A host has an address, one uplink (all topologies here are
-    edge-attached), and a receive handler that transports install.
-    Multiple transports on a host chain handlers: each handler should
-    pass unrecognized packets to the previously installed one. *)
+    edge-attached), and one receive handler.  Transports never set the
+    handler themselves: {!Host.create} installs a dispatcher that
+    offers each packet to the stacks attached to it.  A raw handler
+    suits traffic with no transport (bare packet sinks in tests and
+    benches). *)
 
 type t
 
@@ -41,8 +43,11 @@ val receive_burst : t -> pull:(unit -> Packet.t option) -> unit
 
 val set_handler : t -> (Packet.t -> unit) -> unit
 
+val has_handler : t -> bool
+
 val handler : t -> (Packet.t -> unit) option
-(** The currently installed handler, for chaining. *)
+(** The currently installed handler, for wrapping it (say, to time a
+    host's receive path). *)
 
 val dropped : t -> int
 (** Packets that arrived with no handler installed. *)

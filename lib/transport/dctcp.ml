@@ -8,11 +8,6 @@ type conn = Tcp.conn
 
 let default_g = 0.0625 (* 1/16, per RFC 8257 *)
 
-let install ?(g = default_g) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto
-    ?max_retries ?entity node =
-  Tcp.install ~cc:(Tcp.Dctcp { g }) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts
-    ?min_rto ?max_retries ?entity node
-
 let attach ?(g = default_g) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto
     ?max_retries ?entity host =
   Tcp.attach ~cc:(Tcp.Dctcp { g }) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts

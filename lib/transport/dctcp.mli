@@ -9,18 +9,6 @@ type conn = Tcp.conn
 val default_g : float
 (** Alpha EWMA gain, 1/16. *)
 
-val install :
-  ?g:float ->
-  ?mss:int ->
-  ?rcv_buf:int ->
-  ?snd_buf:int ->
-  ?init_cwnd_pkts:int ->
-  ?min_rto:Engine.Time.t ->
-  ?max_retries:int ->
-  ?entity:int ->
-  Netsim.Node.t ->
-  t
-
 val attach :
   ?g:float ->
   ?mss:int ->
@@ -32,5 +20,7 @@ val attach :
   ?entity:int ->
   Netsim.Host.t ->
   t
+(** {!Tcp.attach} with [cc = Dctcp {g}]; [g] defaults to
+    {!default_g}. *)
 
 module Messaging : Netsim.Transport_intf.S with type t = t

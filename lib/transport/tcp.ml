@@ -585,9 +585,23 @@ let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
         end
       end
 
-let make_stack ?(cc = Reno) ?(mss = 1460) ?rcv_buf ?snd_buf
+let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
+  if seg.syn && not seg.is_ack then Hashtbl.mem stack.listeners seg.dst_port
+  else
+    Hashtbl.mem stack.conns
+      (seg.dst_port, pkt.Netsim.Packet.src, seg.src_port)
+
+let claim stack pkt =
+  match pkt.Netsim.Packet.payload with
+  | Tcp_wire.Tcp seg when concerns_us stack seg pkt ->
+    handle_segment stack seg pkt;
+    true
+  | _ -> false
+
+let attach ?(cc = Reno) ?(mss = 1460) ?rcv_buf ?snd_buf
     ?(init_cwnd_pkts = 10) ?(min_rto = Engine.Time.us 50) ?(max_retries = 15)
-    ?(entity = 0) node =
+    ?(entity = 0) host =
+  let node = Netsim.Host.node host in
   let stack =
     { t_node = node; t_sim = Netsim.Node.sim node; t_cc = cc; t_mss = mss;
       t_rcv_buf = (match rcv_buf with Some b -> b | None -> infinite);
@@ -607,43 +621,6 @@ let make_stack ?(cc = Reno) ?(mss = 1460) ?rcv_buf ?snd_buf
     g "rx_bytes" (fun () -> float_of_int stack.t_rx_bytes);
     g "retransmits" (fun () -> float_of_int stack.t_retx)
   end;
-  stack
-
-let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  if seg.syn && not seg.is_ack then Hashtbl.mem stack.listeners seg.dst_port
-  else
-    Hashtbl.mem stack.conns
-      (seg.dst_port, pkt.Netsim.Packet.src, seg.src_port)
-
-let claim stack pkt =
-  match pkt.Netsim.Packet.payload with
-  | Tcp_wire.Tcp seg when concerns_us stack seg pkt ->
-    handle_segment stack seg pkt;
-    true
-  | _ -> false
-
-let install ?cc ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto ?max_retries
-    ?entity node =
-  let stack =
-    make_stack ?cc ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto
-      ?max_retries ?entity node
-  in
-  let previous = Netsim.Node.handler node in
-  (* Multiple stacks may coexist on one host (e.g. a host that is both
-     a client and a server): a segment that names no listener or
-     connection of ours falls through to the previously installed
-     handler. *)
-  Netsim.Node.set_handler node (fun pkt ->
-      if not (claim stack pkt) then
-        match previous with Some h -> h pkt | None -> ());
-  stack
-
-let attach ?cc ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto ?max_retries
-    ?entity host =
-  let stack =
-    make_stack ?cc ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto
-      ?max_retries ?entity (Netsim.Host.node host)
-  in
   Netsim.Host.register host ~name:"tcp" (claim stack);
   stack
 

@@ -26,28 +26,6 @@ type t
 
 type conn
 
-val install :
-  ?cc:cc ->
-  ?mss:int ->
-  ?rcv_buf:int ->
-  ?snd_buf:int ->
-  ?init_cwnd_pkts:int ->
-  ?min_rto:Engine.Time.t ->
-  ?max_retries:int ->
-  ?entity:int ->
-  Netsim.Node.t ->
-  t
-(** Install a stack on a host (chains with any previously installed
-    packet handler).  [rcv_buf] (default unbounded) is the default
-    receive buffer for new connections; [snd_buf] (default unbounded)
-    caps bytes in flight like a kernel's socket send buffer — without
-    it, slow start over a deep local queue can overshoot
-    catastrophically; [max_retries] (default 15, the Linux
-    [tcp_retries2] value) aborts a connection after that many
-    consecutive RTOs with no forward progress ({!set_on_error} /
-    {!aborted}); [entity] tags every packet for per-entity network
-    policies.  [mss] defaults to 1460 payload bytes. *)
-
 val attach :
   ?cc:cc ->
   ?mss:int ->
@@ -59,8 +37,16 @@ val attach :
   ?entity:int ->
   Netsim.Host.t ->
   t
-(** Like {!install}, but registers with a {!Netsim.Host} dispatcher
-    instead of chaining raw node handlers. *)
+(** Register a stack with a host's dispatcher.  It claims SYNs for its
+    listeners and segments of its connections.  [rcv_buf] (default
+    unbounded) is the default receive buffer for new connections;
+    [snd_buf] (default unbounded) caps bytes in flight like a kernel's
+    socket send buffer — without it, slow start over a deep local
+    queue can overshoot catastrophically; [max_retries] (default 15, the Linux
+    [tcp_retries2] value) aborts a connection after that many
+    consecutive RTOs with no forward progress ({!set_on_error} /
+    {!aborted}); [entity] tags every packet for per-entity network
+    policies.  [mss] defaults to 1460 payload bytes. *)
 
 val node : t -> Netsim.Node.t
 val sim : t -> Engine.Sim.t

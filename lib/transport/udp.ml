@@ -9,7 +9,7 @@ type t = {
   u_sim : Engine.Sim.t;
   mtu_payload : int;
   entity : int;
-  pool : Netsim.Packet.pool option;
+  pool : Netsim.Packet.pool;
   listeners :
     (int, src:Netsim.Packet.addr -> msg_id:int -> size:int -> unit) Hashtbl.t;
   partial : (int * int, int) Hashtbl.t; (* (src, msg_id) -> bytes seen *)
@@ -36,35 +36,23 @@ let handle t (d : datagram) (pkt : Netsim.Packet.t) =
     end
     else Hashtbl.replace t.partial key seen
 
-let make_stack ?(mtu_payload = 1472) ?(entity = 0) ?pool node =
-  { u_node = node; u_sim = Netsim.Node.sim node; mtu_payload; entity; pool;
-    listeners = Hashtbl.create 4; partial = Hashtbl.create 32;
-    next_msg = 0; rx_bytes = 0; completed = 0; tx_msgs = 0 }
-
-(* Datagrams are consumed on arrival, so with a pool the packet goes
-   straight back for reuse. *)
+(* Datagrams are consumed on arrival, so the packet goes straight
+   back to the pool for reuse. *)
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
   | Udp d ->
     handle t d pkt;
-    (match t.pool with
-    | Some pool -> Netsim.Packet.release pool pkt
-    | None -> ());
+    Netsim.Packet.release t.pool pkt;
     true
   | _ -> false
 
-let install ?mtu_payload ?entity node =
-  let t = make_stack ?mtu_payload ?entity node in
-  let previous = Netsim.Node.handler node in
-  Netsim.Node.set_handler node (fun pkt ->
-      if not (claim t pkt) then
-        match previous with Some h -> h pkt | None -> ());
-  t
-
-let attach ?mtu_payload ?entity host =
+let attach ?(mtu_payload = 1472) ?(entity = 0) host =
+  let node = Netsim.Host.node host in
   let t =
-    make_stack ?mtu_payload ?entity ~pool:(Netsim.Host.pool host)
-      (Netsim.Host.node host)
+    { u_node = node; u_sim = Netsim.Node.sim node; mtu_payload; entity;
+      pool = Netsim.Host.pool host; listeners = Hashtbl.create 4;
+      partial = Hashtbl.create 32; next_msg = 0; rx_bytes = 0;
+      completed = 0; tx_msgs = 0 }
   in
   Netsim.Host.register host ~name:"udp" (claim t);
   t
@@ -82,13 +70,8 @@ let send t ~dst ~dst_port ~size =
       let len = min t.mtu_payload (size - offset) in
       let d = { dst_port; msg_id; len; total = size } in
       let pkt =
-        match t.pool with
-        | Some pool ->
-          Netsim.Packet.recycle ~entity:t.entity ~flow_hash ~payload:(Udp d)
-            pool ~src ~dst ~size:(header_bytes + len) ()
-        | None ->
-          Netsim.Packet.make ~entity:t.entity ~flow_hash ~payload:(Udp d)
-            t.u_sim ~src ~dst ~size:(header_bytes + len) ()
+        Netsim.Packet.recycle ~entity:t.entity ~flow_hash ~payload:(Udp d)
+          t.pool ~src ~dst ~size:(header_bytes + len) ()
       in
       Netsim.Node.send t.u_node pkt;
       fragment (offset + len)

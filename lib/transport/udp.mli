@@ -7,13 +7,11 @@
 
 type t
 
-val install : ?mtu_payload:int -> ?entity:int -> Netsim.Node.t -> t
-(** [mtu_payload] defaults to 1472 bytes per fragment. *)
-
 val attach : ?mtu_payload:int -> ?entity:int -> Netsim.Host.t -> t
-(** Like {!install}, but registers with the host dispatcher and uses
-    the host's packet pool: sends recycle released packets and
-    received datagrams are released after delivery. *)
+(** Register a stack with a host's dispatcher.  It claims every
+    datagram and uses the host's packet pool: sends recycle released
+    packets and received datagrams are released after delivery.
+    [mtu_payload] defaults to 1472 bytes per fragment. *)
 
 val listen :
   t ->

@@ -459,23 +459,6 @@ let test_try_advance () =
   checkb "event at upto refuses" false (Sim.try_advance sim ~upto:150);
   check "clock untouched on refusal" 140 (Sim.now sim)
 
-let test_advance_if_next () =
-  let sim = Sim.create () in
-  let fired = ref 0 in
-  let tm = Sim.timer sim (fun () -> incr fired) in
-  checkb "disarmed timer refuses" false (Sim.advance_if_next tm);
-  Sim.arm tm ~at:50;
-  checkb "heap head is consumed" true (Sim.advance_if_next tm);
-  check "clock at fire time" 50 (Sim.now sim);
-  checkb "consume disarms" false (Sim.armed tm);
-  check "caller runs the work inline, not the dispatcher" 0 !fired;
-  ignore (Sim.schedule sim ~at:60 (fun () -> ()));
-  Sim.arm tm ~at:70;
-  checkb "not head: refused" false (Sim.advance_if_next tm);
-  checkb "still armed after refusal" true (Sim.armed tm);
-  Sim.run sim;
-  check "refused timer fires via dispatch" 1 !fired
-
 let test_plan_inline_when_quiet () =
   let sim = Sim.create () in
   let tm = Sim.timer sim (fun () -> ()) in
@@ -487,10 +470,7 @@ let test_plan_inline_when_quiet () =
   checkb "newer same-instant event does not block" true
     (Sim.run_plan_inline tm);
   check "clock at planned instant" 100 (Sim.now sim);
-  checkb "reservation consumed" false (Sim.planned tm);
-  Sim.plan tm ~at:200;
-  Sim.drop_plan tm;
-  checkb "dropped plan disarms" false (Sim.armed tm)
+  checkb "reservation consumed" false (Sim.planned tm)
 
 let test_plan_commit_keeps_tie_order () =
   let sim = Sim.create () in
@@ -578,7 +558,6 @@ let suite =
     Alcotest.test_case "sim timer disarm" `Quick test_sim_timer_disarm;
     Alcotest.test_case "sim periodic cancel" `Quick test_sim_periodic_cancel;
     Alcotest.test_case "sim try_advance" `Quick test_try_advance;
-    Alcotest.test_case "sim advance_if_next" `Quick test_advance_if_next;
     Alcotest.test_case "sim plan inline" `Quick test_plan_inline_when_quiet;
     Alcotest.test_case "sim plan commit tie order" `Quick
       test_plan_commit_keeps_tie_order;

@@ -275,7 +275,8 @@ let mtp_pair () =
 
 let test_endpoint_deadline_on_error () =
   let sim, a, b, ab, ledger = mtp_pair () in
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   Link.set_down ab;
   let errors = ref [] in
@@ -299,7 +300,8 @@ let test_endpoint_deadline_on_error () =
 
 let test_endpoint_deadline_met_no_error () =
   let sim, a, b, _, ledger = mtp_pair () in
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   let errors = ref 0 and completed = ref false in
   ignore
@@ -329,7 +331,8 @@ let test_endpoint_flight_conserved () =
        ~delay:(Engine.Time.us 2)
        ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
        ());
-  let ea = Mtp.Endpoint.create a and eb = Mtp.Endpoint.create b in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   for i = 1 to 6 do
     ignore
@@ -362,8 +365,8 @@ let test_endpoint_flight_conserved () =
 
 let test_tcp_max_retries_aborts () =
   let sim, a, b, ab, ledger = mtp_pair () in
-  let client = Transport.Tcp.install ~max_retries:3 a in
-  let server = Transport.Tcp.install b in
+  let client = Transport.Tcp.attach ~max_retries:3 (Host.create a) in
+  let server = Transport.Tcp.attach (Host.create b) in
   Transport.Tcp.listen server ~port:80 (fun _ -> ());
   Link.set_down ab;
   let conn =
@@ -382,8 +385,8 @@ let test_tcp_survives_within_retry_budget () =
   (* An outage shorter than the retry budget: the connection must come
      back, not abort. *)
   let sim, a, b, ab, ledger = mtp_pair () in
-  let client = Transport.Tcp.install ~max_retries:15 a in
-  let server = Transport.Tcp.install b in
+  let client = Transport.Tcp.attach ~max_retries:15 (Host.create a) in
+  let server = Transport.Tcp.attach (Host.create b) in
   let received = ref 0 in
   Transport.Tcp.listen server ~port:80 (fun conn ->
       Transport.Tcp.set_on_data conn (fun _ n -> received := !received + n));

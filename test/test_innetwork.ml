@@ -19,13 +19,15 @@ let star ?(n = 2) () =
 
 let test_kvs_get_reply () =
   let sim, st = star () in
-  let server_ep = Mtp.Endpoint.create st.Topology.st_server in
+  let server_ep = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   let server =
     Innetwork.Kvs.server server_ep ~port:70
       ~value_size:(fun key -> 100 * (key + 1))
       ()
   in
-  let client_ep = Mtp.Endpoint.create st.Topology.st_clients.(0) in
+  let client_ep =
+    Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0))
+  in
   let client = Innetwork.Kvs.client client_ep in
   let got = ref [] in
   List.iter
@@ -48,13 +50,15 @@ let test_kvs_serialization_queue () =
   (* 10 concurrent requests at 50 us service: total time ~500 us, so
      the service queue really serializes. *)
   let sim, st = star () in
-  let server_ep = Mtp.Endpoint.create st.Topology.st_server in
+  let server_ep = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   ignore
     (Innetwork.Kvs.server server_ep ~port:70
        ~service_time:(Engine.Time.us 50)
        ~value_size:(fun _ -> 100)
        ());
-  let client_ep = Mtp.Endpoint.create st.Topology.st_clients.(0) in
+  let client_ep =
+    Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0))
+  in
   let client = Innetwork.Kvs.client client_ep in
   let last_done = ref 0 in
   for key = 0 to 9 do
@@ -70,7 +74,7 @@ let test_kvs_serialization_queue () =
 
 let cache_world () =
   let sim, st = star () in
-  let server_ep = Mtp.Endpoint.create st.Topology.st_server in
+  let server_ep = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   let server =
     Innetwork.Kvs.server server_ep ~port:70
       ~service_time:(Engine.Time.us 30)
@@ -83,7 +87,9 @@ let cache_world () =
       ~client_port_of:(fun addr -> addr)
       ~capacity:4 ()
   in
-  let client_ep = Mtp.Endpoint.create st.Topology.st_clients.(0) in
+  let client_ep =
+    Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0))
+  in
   let client = Innetwork.Kvs.client client_ep in
   (sim, st, server, cache, client)
 
@@ -157,7 +163,7 @@ let lb_world ~policy =
   let replica_ports =
     Array.mapi
       (fun i replica ->
-        let ep = Mtp.Endpoint.create replica in
+        let ep = Mtp.Endpoint.attach (Host.create replica) in
         let service =
           if i = 0 then Engine.Time.us 60 else Engine.Time.us 15
         in
@@ -168,9 +174,9 @@ let lb_world ~policy =
         (Node.addr replica, 70))
       replicas
   in
-  let lb_ep = Mtp.Endpoint.create lb_host in
+  let lb_ep = Mtp.Endpoint.attach (Host.create lb_host) in
   let lb = Innetwork.L7lb.create lb_ep ~port:70 ~replicas:replica_ports ~policy () in
-  let client_ep = Mtp.Endpoint.create client_host in
+  let client_ep = Mtp.Endpoint.attach (Host.create client_host) in
   let client = Innetwork.Kvs.client client_ep in
   (sim, st, lb_host, lb, client)
 
@@ -239,8 +245,8 @@ let test_mutate_compresses_in_flight () =
   ignore
     (Innetwork.Mutate.install st.Topology.st_switch ~dst_port:80 ~factor:0.25
        ());
-  let ea = Mtp.Endpoint.create st.Topology.st_clients.(0) in
-  let eb = Mtp.Endpoint.create st.Topology.st_server in
+  let ea = Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0)) in
+  let eb = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   let got = ref 0 in
   Mtp.Endpoint.bind eb ~port:80 (fun d -> got := d.Mtp.Endpoint.dl_size);
   let completed = ref false in
@@ -268,8 +274,8 @@ let test_mutate_leaves_other_ports_alone () =
   let m =
     Innetwork.Mutate.install st.Topology.st_switch ~dst_port:80 ~factor:0.5 ()
   in
-  let ea = Mtp.Endpoint.create st.Topology.st_clients.(0) in
-  let eb = Mtp.Endpoint.create st.Topology.st_server in
+  let ea = Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0)) in
+  let eb = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   let got = ref 0 in
   Mtp.Endpoint.bind eb ~port:81 (fun d -> got := d.Mtp.Endpoint.dl_size);
   ignore
@@ -284,7 +290,7 @@ let test_mutate_leaves_other_ports_alone () =
 let test_aggregation_reduces_ps_traffic () =
   let sim, st = star ~n:4 () in
   let ps = st.Topology.st_server in
-  let ps_ep = Mtp.Endpoint.create ps in
+  let ps_ep = Mtp.Endpoint.attach (Host.create ps) in
   let agg =
     Innetwork.Aggregate.install st.Topology.st_switch ~ps:(Node.addr ps)
       ~ps_port:90 ~ps_switch_port:st.Topology.st_server_port ~workers:4 ()
@@ -294,7 +300,7 @@ let test_aggregation_reduces_ps_traffic () =
   let all_acked = ref 0 in
   Array.iteri
     (fun i w ->
-      let ep = Mtp.Endpoint.create w in
+      let ep = Mtp.Endpoint.attach (Host.create w) in
       ignore
         (Mtp.Endpoint.send ep ~dst:(Node.addr ps) ~dst_port:90 ~cookie:1
            ~cookie2:i
@@ -312,7 +318,7 @@ let test_aggregation_reduces_ps_traffic () =
 let test_aggregation_waits_for_all_workers () =
   let sim, st = star ~n:4 () in
   let ps = st.Topology.st_server in
-  let ps_ep = Mtp.Endpoint.create ps in
+  let ps_ep = Mtp.Endpoint.attach (Host.create ps) in
   ignore
     (Innetwork.Aggregate.install st.Topology.st_switch ~ps:(Node.addr ps)
        ~ps_port:90 ~ps_switch_port:st.Topology.st_server_port ~workers:4 ());
@@ -320,7 +326,7 @@ let test_aggregation_waits_for_all_workers () =
   Mtp.Endpoint.bind ps_ep ~port:90 (fun _ -> incr ps_got);
   (* Only 3 of 4 workers contribute. *)
   for i = 0 to 2 do
-    let ep = Mtp.Endpoint.create st.Topology.st_clients.(i) in
+    let ep = Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(i)) in
     ignore
       (Mtp.Endpoint.send ep ~dst:(Node.addr ps) ~dst_port:90 ~cookie:1
          ~cookie2:i ~size:1_000 ())
@@ -332,7 +338,7 @@ let test_aggregation_waits_for_all_workers () =
    each one scoped to its own traffic. *)
 let test_offloads_compose_on_one_switch () =
   let sim, st = star ~n:3 () in
-  let server_ep = Mtp.Endpoint.create st.Topology.st_server in
+  let server_ep = Mtp.Endpoint.attach (Host.create st.Topology.st_server) in
   let kvs_server =
     Innetwork.Kvs.server server_ep ~port:70
       ~service_time:(Engine.Time.us 10)
@@ -350,7 +356,7 @@ let test_offloads_compose_on_one_switch () =
   in
   (* Client 0 runs KVS traffic; client 1 sends a compressible bulk
      message to a different port. *)
-  let c0 = Mtp.Endpoint.create st.Topology.st_clients.(0) in
+  let c0 = Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(0)) in
   let kvs = Innetwork.Kvs.client c0 in
   let replies = ref 0 in
   let rec ask n =
@@ -364,7 +370,7 @@ let test_offloads_compose_on_one_switch () =
         ()
   in
   ask 3;
-  let c1 = Mtp.Endpoint.create st.Topology.st_clients.(1) in
+  let c1 = Mtp.Endpoint.attach (Host.create st.Topology.st_clients.(1)) in
   let bulk_got = ref 0 in
   Mtp.Endpoint.bind server_ep ~port:90 (fun d ->
       bulk_got := d.Mtp.Endpoint.dl_size);

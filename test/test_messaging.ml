@@ -89,6 +89,50 @@ let test_host_counts_unclaimed () =
   Netsim.Node.receive node (Netsim.Packet.make sim ~src:2 ~dst:1 ~size:64 ());
   checki "unclaimed counted" 1 (Netsim.Host.unclaimed host)
 
+(* A second host on one node would silently unplug every stack
+   registered with the first, so [create] refuses any node that
+   already has a handler, raw or dispatcher. *)
+let test_host_refuses_handled_node () =
+  let sim = Engine.Sim.create () in
+  let refused node =
+    Alcotest.check_raises "second handler refused"
+      (Invalid_argument "Host.create: the node already has a packet handler")
+      (fun () -> ignore (Netsim.Host.create node))
+  in
+  let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+  ignore (Netsim.Host.create node);
+  refused node;
+  let raw = Netsim.Node.create sim ~name:"r" ~addr:2 in
+  Netsim.Node.set_handler raw (fun _ -> ());
+  refused raw
+
+(* Dispatch is on every packet's path: offering a packet to one stack
+   or past a declining stack to a second must allocate nothing. *)
+let test_host_dispatch_allocates_nothing () =
+  let words_per_run stacks =
+    let sim = Engine.Sim.create () in
+    let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+    let host = Netsim.Host.create node in
+    let claimed = ref 0 in
+    for i = 1 to stacks do
+      let last = i = stacks in
+      Netsim.Host.register host ~name:(string_of_int i) (fun _ ->
+          if last then incr claimed;
+          last)
+    done;
+    let pkt = Netsim.Packet.make sim ~src:2 ~dst:1 ~size:64 () in
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Netsim.Node.receive node pkt
+    done;
+    let words = Gc.minor_words () -. before in
+    checki "every packet claimed" 10_000 !claimed;
+    checki "nothing unclaimed" 0 (Netsim.Host.unclaimed host);
+    words
+  in
+  Alcotest.(check (float 0.0)) "one stack" 0.0 (words_per_run 1);
+  Alcotest.(check (float 0.0)) "two stacks" 0.0 (words_per_run 2)
+
 (* ----------------------- Transport round-trips --------------------- *)
 
 (* Each transport sends one message through the packed interface over a
@@ -217,6 +261,10 @@ let suite =
     Alcotest.test_case "pktring fifo+growth" `Quick test_pktring_fifo;
     Alcotest.test_case "host dispatch order" `Quick test_host_dispatch_order;
     Alcotest.test_case "host unclaimed" `Quick test_host_counts_unclaimed;
+    Alcotest.test_case "host refuses a handled node" `Quick
+      test_host_refuses_handled_node;
+    Alcotest.test_case "host dispatch allocates nothing" `Quick
+      test_host_dispatch_allocates_nothing;
     Alcotest.test_case "roundtrip tcp" `Quick test_roundtrip_tcp;
     Alcotest.test_case "roundtrip dctcp" `Quick test_roundtrip_dctcp;
     Alcotest.test_case "roundtrip udp" `Quick test_roundtrip_udp;

@@ -177,7 +177,7 @@ let test_endpoint_rejects_empty_message () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
        ~delay:(Engine.Time.us 1) ());
-  let ea = Endpoint.create a in
+  let ea = Endpoint.attach (Host.create a) in
   Alcotest.check_raises "empty message"
     (Invalid_argument "Endpoint.send: size must be positive") (fun () ->
       ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:0 ()));
@@ -190,13 +190,14 @@ let test_endpoint_rejects_empty_message () =
             (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~tc ~size:1 ())))
     [ -1; 256 ];
   (* Coalesced SACKs go out behind the ack header's u8 count. *)
+  let hb = Host.create b in
   List.iter
     (fun ack_every ->
       Alcotest.check_raises "ack_every outside the u8 SACK count"
-        (Invalid_argument "Endpoint.create: ack_every must be in 1..255")
-        (fun () -> ignore (Endpoint.create ~ack_every b)))
+        (Invalid_argument "Endpoint.attach: ack_every must be in 1..255")
+        (fun () -> ignore (Endpoint.attach ~ack_every hb)))
     [ -1; 0; 256 ];
-  ignore (Endpoint.create ~ack_every:255 b);
+  ignore (Endpoint.attach ~ack_every:255 hb);
   let sacks n = List.init n (fun i -> { Wire.ref_msg = 1; ref_pkt = i }) in
   let h = { sample_header with Wire.sack = sacks 255 } in
   checkb "255 SACKs round-trip" true
@@ -218,7 +219,7 @@ let test_blob_rejects_empty () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
        ~delay:(Engine.Time.us 1) ());
-  let ea = Endpoint.create a in
+  let ea = Endpoint.attach (Host.create a) in
   Alcotest.check_raises "empty blob"
     (Invalid_argument "Blob.send: size must be positive") (fun () ->
       Blob.send ea ~dst:(Node.addr b) ~dst_port:80 ~blob_id:1 ~size:0 ())
@@ -608,7 +609,8 @@ let mtp_pair ?(rate = Engine.Time.gbps 10) ?(delay = Engine.Time.us 2)
   let topo = Topology.create sim in
   let a = Topology.host topo "a" and b = Topology.host topo "b" in
   let ab, _ = Topology.wire_host_pair topo a b ~rate ~delay ?ab_qdisc () in
-  let ea = Endpoint.create ?algo a and eb = Endpoint.create ?algo b in
+  let ea = Endpoint.attach ?algo (Host.create a) in
+  let eb = Endpoint.attach ?algo (Host.create b) in
   (sim, a, b, ab, ea, eb)
 
 let test_endpoint_single_packet_message () =
@@ -712,8 +714,8 @@ let test_endpoint_receiver_bounds () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
        ~delay:(Engine.Time.us 2) ());
-  let ea = Endpoint.create a in
-  let eb = Endpoint.create ~max_msg_bytes:10_000 b in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach ~max_msg_bytes:10_000 (Host.create b) in
   let got = ref 0 in
   Endpoint.bind eb ~port:80 (fun _ -> incr got);
   ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:50_000 ());
@@ -767,7 +769,7 @@ let test_endpoint_current_path_order () =
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
        ~delay:(Engine.Time.us 2) ());
   (* No endpoint on [b]: the only acks are the ones injected below. *)
-  let ea = Endpoint.create a in
+  let ea = Endpoint.attach (Host.create a) in
   let id =
     Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:(20 * 1440) ()
   in
@@ -813,8 +815,8 @@ let test_endpoint_short_message_passes_blocked_one () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
        ~delay:(Engine.Time.us 2) ());
-  let ea = Endpoint.create ~init_window:((3 * 1440) + 1000) a in
-  let eb = Endpoint.create b in
+  let ea = Endpoint.attach ~init_window:((3 * 1440) + 1000) (Host.create a) in
+  let eb = Endpoint.attach (Host.create b) in
   Endpoint.bind eb ~port:80 (fun _ -> ());
   let flight () =
     Pathlet.inflight (Endpoint.pathlets ea) { Wire.path_id = 0; path_tc = 0 }
@@ -866,7 +868,8 @@ let test_endpoint_send_sequence_pinned () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
        ~delay:(Engine.Time.us 2) ~ab_qdisc ());
-  let ea = Endpoint.create a and eb = Endpoint.create b in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach (Host.create b) in
   Endpoint.bind eb ~port:80 (fun _ -> ());
   let send i =
     ignore
@@ -976,8 +979,8 @@ let test_endpoint_exclusion_can_be_disabled () =
       ()
   in
   Mtp_switch.stamp sim ab ~path_id:9 ~mode:(Mtp_switch.Ecn_mark 4);
-  let ea = Endpoint.create ~exclusion:false a in
-  let eb = Endpoint.create b in
+  let ea = Endpoint.attach ~exclusion:false (Host.create a) in
+  let eb = Endpoint.attach (Host.create b) in
   Endpoint.bind eb ~port:80 (fun _ -> ());
   let saw_exclusion = ref false in
   let previous = Node.handler b in
@@ -999,8 +1002,8 @@ let test_endpoint_ack_coalescing_correctness () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
        ~delay:(Engine.Time.us 2) ());
-  let ea = Endpoint.create a in
-  let eb = Endpoint.create ~ack_every:8 b in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach ~ack_every:8 (Host.create b) in
   let got = ref 0 in
   Endpoint.bind eb ~port:80 (fun d -> got := d.Endpoint.dl_size);
   let fct = ref 0 in
@@ -1026,8 +1029,8 @@ let test_endpoint_ack_coalescing_with_loss () =
        ~delay:(Engine.Time.us 2)
        ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
        ());
-  let ea = Endpoint.create a in
-  let eb = Endpoint.create ~ack_every:8 b in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach ~ack_every:8 (Host.create b) in
   let got = ref 0 in
   Endpoint.bind eb ~port:80 (fun d -> got := d.Endpoint.dl_size);
   ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:1_000_000 ());
@@ -1066,7 +1069,8 @@ let prop_exactly_once_delivery =
            ~delay:(Engine.Time.us 2)
            ~ab_qdisc:(Qdisc.fifo ~cap_pkts:12 ())
            ());
-      let ea = Endpoint.create a and eb = Endpoint.create b in
+      let ea = Endpoint.attach (Host.create a) in
+      let eb = Endpoint.attach (Host.create b) in
       let deliveries = ref [] in
       Endpoint.bind eb ~port:80 (fun d ->
           deliveries := (d.Endpoint.dl_msg_id, d.Endpoint.dl_size) :: !deliveries);
@@ -1136,9 +1140,9 @@ let test_msg_lb_balances_by_size () =
       ~rate_b:(Engine.Time.gbps 100) ~delay_a:(Engine.Time.us 1)
       ~delay_b:(Engine.Time.us 1) ~edge_rate:(Engine.Time.gbps 100) ()
   in
-  let eb = Endpoint.create tp.Topology.tp_dst in
+  let eb = Endpoint.attach (Host.create tp.Topology.tp_dst) in
   Endpoint.bind eb ~port:80 (fun _ -> ());
-  let ea = Endpoint.create tp.Topology.tp_src in
+  let ea = Endpoint.attach (Host.create tp.Topology.tp_src) in
   let lb =
     Mtp_switch.msg_lb tp.Topology.tp_ingress
       ~dst:(Node.addr tp.Topology.tp_dst)

@@ -18,7 +18,8 @@ let two_hosts ?(rate = Engine.Time.gbps 10) ?(delay = Engine.Time.us 2)
 
 let test_transfer_completes () =
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -34,7 +35,8 @@ let test_transfer_completes () =
 
 let test_handshake_takes_a_round_trip () =
   let sim, a, b, _ = two_hosts ~delay:(Engine.Time.us 10) () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let first_data_at = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ _ ->
@@ -49,7 +51,8 @@ let test_handshake_takes_a_round_trip () =
 
 let test_multiple_connections_isolated () =
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   (* Keyed by physical identity: conns are mutable records. *)
   let per_conn = ref [] in
   Tcp.listen server ~port:80 (fun conn ->
@@ -71,7 +74,8 @@ let test_multiple_connections_isolated () =
 
 let test_slow_start_growth () =
   let sim, a, b, _ = two_hosts ~delay:(Engine.Time.us 50) () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   Tcp.listen server ~port:80 (fun _ -> ());
   let conn = Tcp.connect client ~dst:(Node.addr b) ~dst_port:80 () in
   let cwnd0 = Tcp.cwnd_bytes conn in
@@ -87,7 +91,8 @@ let test_loss_recovery_via_fast_retransmit () =
       ~ab_qdisc:(Qdisc.fifo ~cap_pkts:8 ())
       ()
   in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -110,7 +115,8 @@ let test_rto_recovers_from_total_blackout () =
       ~ab_qdisc:(Qdisc.fifo ~cap_pkts:1 ())
       ()
   in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -125,7 +131,8 @@ let test_receive_window_backpressure () =
   (* Receiver never reads: the sender must stop after filling the
      64 KB window, and resume when the app reads. *)
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let sconn = ref None in
   Tcp.listen server ~port:80 ~rcv_buf:65_536 (fun conn ->
       Tcp.set_auto_read conn false;
@@ -150,7 +157,8 @@ let test_zero_window_probe_survives_update_loss () =
      lost, persist probes keep the connection alive.  Here we just
      verify probes re-elicit progress with a long idle window. *)
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let sconn = ref None in
   Tcp.listen server ~port:80 ~rcv_buf:10_000 (fun conn ->
       Tcp.set_auto_read conn false;
@@ -178,8 +186,8 @@ let test_dctcp_alpha_reacts_to_marks () =
       ()
   in
   let snd = db.Topology.db_senders.(0) and rcv = db.Topology.db_receivers.(0) in
-  let client = Tcp.install ~cc:(Dctcp { g = 0.0625 }) snd in
-  let server = Tcp.install ~cc:(Dctcp { g = 0.0625 }) rcv in
+  let client = Tcp.attach ~cc:(Dctcp { g = 0.0625 }) (Host.create snd) in
+  let server = Tcp.attach ~cc:(Dctcp { g = 0.0625 }) (Host.create rcv) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -198,7 +206,8 @@ let test_reno_halves_on_ecn () =
       ~ab_qdisc:(Qdisc.ecn ~cap_pkts:256 ~mark_threshold:5 ())
       ()
   in
-  let client = Tcp.install ~cc:Reno a and server = Tcp.install ~cc:Reno b in
+  let client = Tcp.attach ~cc:Reno (Host.create a) in
+  let server = Tcp.attach ~cc:Reno (Host.create b) in
   Tcp.listen server ~port:80 (fun _ -> ());
   let conn = Tcp.connect client ~dst:(Node.addr b) ~dst_port:80 () in
   Tcp.send conn 10_000_000;
@@ -219,8 +228,8 @@ let test_spraying_reorder_causes_retransmits () =
   in
   Switch.set_forward tp.Topology.tp_ingress
     (Routing.spray tp.Topology.tp_routes);
-  let client = Tcp.install tp.Topology.tp_src in
-  let server = Tcp.install tp.Topology.tp_dst in
+  let client = Tcp.attach (Host.create tp.Topology.tp_src) in
+  let server = Tcp.attach (Host.create tp.Topology.tp_dst) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -335,7 +344,8 @@ let test_request_response_on_one_connection () =
   (* A connection carries data both ways: the client sends a request,
      the server answers on the same conn. *)
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   Tcp.listen server ~port:80 (fun conn ->
       let seen = ref 0 in
       Tcp.set_on_data conn (fun conn n ->
@@ -352,7 +362,7 @@ let test_request_response_on_one_connection () =
 
 let test_udp_message_completion () =
   let sim, a, b, _ = two_hosts () in
-  let ua = Udp.install a and ub = Udp.install b in
+  let ua = Udp.attach (Host.create a) and ub = Udp.attach (Host.create b) in
   let completed = ref [] in
   Udp.listen ub ~port:53 (fun ~src:_ ~msg_id ~size ->
       completed := (msg_id, size) :: !completed);
@@ -368,7 +378,7 @@ let test_udp_no_reliability () =
       ~ab_qdisc:(Qdisc.fifo ~cap_pkts:2 ())
       ()
   in
-  let ua = Udp.install a and ub = Udp.install b in
+  let ua = Udp.attach (Host.create a) and ub = Udp.attach (Host.create b) in
   let completed = ref 0 in
   Udp.listen ub ~port:53 (fun ~src:_ ~msg_id:_ ~size:_ -> incr completed);
   ignore (Udp.send ua ~dst:(Node.addr b) ~dst_port:53 ~size:1_000_000);
@@ -390,9 +400,9 @@ let proxy_world ?back_qdisc () =
 
 let test_proxy_relays_end_to_end () =
   let sim, ch = proxy_world () in
-  let client = Tcp.install ch.Topology.ch_client in
-  let pstack = Tcp.install ch.Topology.ch_proxy in
-  let server = Tcp.install ch.Topology.ch_server in
+  let client = Tcp.attach (Host.create ch.Topology.ch_client) in
+  let pstack = Tcp.attach (Host.create ch.Topology.ch_proxy) in
+  let server = Tcp.attach (Host.create ch.Topology.ch_server) in
   let received = ref 0 in
   Tcp.listen server ~port:90 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));
@@ -414,9 +424,13 @@ let test_proxy_unbounded_buffer_grows () =
   let sim, ch = proxy_world () in
   (* Socket send buffers sized to keep endpoints loss-free: the rate
      mismatch must be absorbed by the proxy, not by sender drops. *)
-  let client = Tcp.install ~snd_buf:1_000_000 ch.Topology.ch_client in
-  let pstack = Tcp.install ~snd_buf:1_000_000 ch.Topology.ch_proxy in
-  let server = Tcp.install ch.Topology.ch_server in
+  let client =
+    Tcp.attach ~snd_buf:1_000_000 (Host.create ch.Topology.ch_client)
+  in
+  let pstack =
+    Tcp.attach ~snd_buf:1_000_000 (Host.create ch.Topology.ch_proxy)
+  in
+  let server = Tcp.attach (Host.create ch.Topology.ch_server) in
   Tcp.listen server ~port:90 (fun _ -> ());
   let proxy =
     Proxy.create pstack ~front_port:80
@@ -436,9 +450,11 @@ let test_proxy_bounded_buffer_blocks_client () =
   (* A shallow back queue keeps the upstream flight bounded so that
      total proxy memory is governed by the relay caps. *)
   let sim, ch = proxy_world ~back_qdisc:(Qdisc.fifo ~cap_pkts:128 ()) () in
-  let client = Tcp.install ~snd_buf:1_000_000 ch.Topology.ch_client in
-  let pstack = Tcp.install ~snd_buf:200_000 ch.Topology.ch_proxy in
-  let server = Tcp.install ch.Topology.ch_server in
+  let client =
+    Tcp.attach ~snd_buf:1_000_000 (Host.create ch.Topology.ch_client)
+  in
+  let pstack = Tcp.attach ~snd_buf:200_000 (Host.create ch.Topology.ch_proxy) in
+  let server = Tcp.attach (Host.create ch.Topology.ch_server) in
   Tcp.listen server ~port:90 (fun _ -> ());
   let proxy =
     Proxy.create pstack ~front_port:80
@@ -469,7 +485,8 @@ let sink server meter =
 
 let test_closed_loop_measures_fct () =
   let sim, a, b, _ = two_hosts () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 100) () in
   sink server meter;
   let driver =
@@ -494,7 +511,8 @@ let test_closed_loop_measures_fct () =
 
 let test_persistent_flow_saturates () =
   let sim, a, b, _ = two_hosts ~rate:(Engine.Time.gbps 10) () in
-  let client = Tcp.install a and server = Tcp.install b in
+  let client = Tcp.attach (Host.create a) in
+  let server = Tcp.attach (Host.create b) in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
   sink server meter;
   ignore (Tcp.stream client ~dst:(Node.addr b) ~dst_port:80 ());
