@@ -73,7 +73,7 @@ lint:
 
 # Typed tier on top of the AST rules: loads the .cmt files of the
 # build just made and runs the interprocedural domain-safety and
-# hot-path rules (P101/P102/H102) as well.  Requires `dune build`
+# hot-path rules (P101/P102/H102/H103) as well.  Requires `dune build`
 # first (`dune exec` below guarantees it for the lint binary, the
 # explicit build covers the analyzed libraries).
 lint-typed:

@@ -405,7 +405,7 @@ let flat_floor = 0.25
 
 (* Minor words per acked packet at a backlog of 1 when last recorded
    (allocation is deterministic, so the same on any machine). *)
-let mtp_recorded_words_1 = 137.41
+let mtp_recorded_words_1 = 93.42
 let mtp_words_bar = 1.15
 
 let mtp_backlogs = [ 1; 16; 128 ]

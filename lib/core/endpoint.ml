@@ -170,12 +170,14 @@ let rtt_hist () =
   (* simlint: allow T201 — helper, every caller guards with Ctx.on *) (* simlint: allow P102 — same audit: the Ctx.on guard sits at each call site *)
   Telemetry.Registry.histogram
     (Telemetry.Ctx.metrics ())
+    (* simlint: allow H103 — same audit: traced runs only *)
     ~scale:`Log ~lo:1.0 ~hi:1e6 ~buckets:60 "mtp.rtt_us"
 
 let msg_latency_hist () =
   (* simlint: allow T201 — helper, every caller guards with Ctx.on *)
   Telemetry.Registry.histogram
     (Telemetry.Ctx.metrics ())
+    (* simlint: allow H103 — same audit: traced runs only *)
     ~scale:`Log ~lo:1.0 ~hi:1e7 ~buckets:70 "mtp.msg_latency_us"
 
 (* ------------------------------------------------------------------ *)
@@ -935,6 +937,7 @@ let attach ?(algo = Cc.Dctcp { g = 0.0625 }) ?init_window
     { ep_node = node; ep_sim = Netsim.Node.sim node; entity;
       mtu = mtu_payload; max_msg_bytes; max_rx_messages; exclusion;
       path_table =
+        (* simlint: allow H103 — once per endpoint, at attach *)
         Pathlet.create ?init_window ~mss:mtu_payload ?suspect_after
           ?probe_interval algo;
       next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
@@ -1083,17 +1086,18 @@ module Messaging = struct
               msg_latency = dl.dl_latency }
         | None -> ())
 
-  let send_message t ~dst ~dst_port ?(tc = 0) ?on_complete ~size () =
-    ignore (send t ~dst ~dst_port ~tc ?on_complete ~size ())
+  let send_message t ~dst ~dst_port ?tc ?on_complete ~size () =
+    ignore (send t ~dst ~dst_port ?tc ?on_complete ~size ())
 
   (* A closed-loop chain of paper-sized messages: MTP has no byte
      streams, so "saturating" means the next message starts the moment
      the previous one completes. *)
-  let stream t ~dst ~dst_port ?(tc = 0) () =
+  let stream t ~dst ~dst_port ?tc () =
     let chunk = 250_000 in
     let rec chain () =
       ignore
-        (send t ~dst ~dst_port ~tc ~on_complete:(fun _ -> chain ())
+        (* simlint: allow H103 — one callback box per 250 kB message *)
+        (send t ~dst ~dst_port ?tc ~on_complete:(fun _ -> chain ())
            ~size:chunk ())
     in
     chain ()

@@ -39,6 +39,21 @@ let rcp_controller sim link ~capacity =
 let ecn_true = Feedback.Ecn true
 let ecn_false = Feedback.Ecn false
 
+(* What one link stamps for one traffic class: its pathlet reference,
+   and the one-entry feedback lists a mark or a non-mark makes of a
+   header that carries no feedback yet.  Lists are immutable, so every
+   packet of the class can share them. *)
+type class_stamps = {
+  path : Wire.path_ref;
+  marked : Wire.path_fb list;
+  unmarked : Wire.path_fb list;
+}
+
+let class_stamps path =
+  { path;
+    marked = [ { Wire.fb_path = path; fb = ecn_true } ];
+    unmarked = [ { Wire.fb_path = path; fb = ecn_false } ] }
+
 let stamp sim link ~path_id ~mode =
   let rcp =
     match mode with
@@ -46,26 +61,33 @@ let stamp sim link ~path_id ~mode =
     | Ecn_mark _ | Ce_echo | Queue_depth | Delay_report -> None
   in
   let inner = Netsim.Link.qdisc link in
-  (* Headers are immutable, so every packet of a traffic class can share
-     one stamped reference, and every mark one feedback value.  The
-     references are made the first time a class shows up, so a link
-     that only ever sees class 0 holds one. *)
-  let refs = ref [||] in
-  let path_ref tc =
-    let known = !refs in
+  (* Made the first time a class shows up, so a link that only ever
+     sees class 0 holds one. *)
+  let classes = ref [||] in
+  let class_of tc =
+    let known = !classes in
     if tc < Array.length known then known.(tc)
-    else if tc land 0xff <> tc then { Wire.path_id; path_tc = tc }
+    else if tc land 0xff <> tc then class_stamps { Wire.path_id; path_tc = tc }
     else begin
       let grown =
         Array.init (tc + 1) (fun i ->
             if i < Array.length known then known.(i)
-            else { Wire.path_id; path_tc = i })
+            else class_stamps { Wire.path_id; path_tc = i })
       in
-      refs := grown;
+      classes := grown;
       grown.(tc)
     end
   in
-  let ecn b = if b then ecn_true else ecn_false in
+  (* The header is stamped in place: it belongs to this packet alone.
+     A first stamp takes a shared one-entry list; a later one appends
+     by copying, so a shared list is never extended. *)
+  let mark (header : Wire.t) cls b =
+    match header.Wire.path_feedback with
+    | [] ->
+      header.Wire.path_feedback <- (if b then cls.marked else cls.unmarked)
+    | _ :: _ ->
+      Wire.add_feedback header cls.path (if b then ecn_true else ecn_false)
+  in
   let on_enqueue (pkt : Netsim.Packet.t) =
     match pkt.Netsim.Packet.payload with
     | Wire.Mtp header when not header.Wire.is_ack ->
@@ -73,36 +95,32 @@ let stamp sim link ~path_id ~mode =
       | Some state ->
         state.arrived_bytes <- state.arrived_bytes + pkt.Netsim.Packet.size
       | None -> ());
-      let path = path_ref header.Wire.msg_tc in
+      let cls = class_of header.Wire.msg_tc in
       let depth = inner.Netsim.Qdisc.pkt_length () - 1 in
-      let fb =
-        match mode with
-        | Ecn_mark threshold -> ecn (depth >= threshold)
-        | Ce_echo -> ecn (Netsim.Packet.ecn_ce pkt)
-        | Queue_depth -> Feedback.Queue (max 0 depth)
-        | Delay_report ->
-          let queued = inner.Netsim.Qdisc.byte_length () in
-          Feedback.Delay
-            (Engine.Time.tx_time ~bytes:queued
-               ~rate:(Netsim.Link.rate link))
-        | Rate_grant _ -> (
-          match rcp with
-          | Some state -> Feedback.Rate state.grant_mbps
-          | None -> assert false)
-      in
-      let header = Wire.add_feedback header path fb in
-      let header =
-        if Netsim.Packet.trimmed pkt then
-          Wire.add_feedback header path Feedback.Trimmed
-        else header
-      in
+      (match mode with
+      | Ecn_mark threshold -> mark header cls (depth >= threshold)
+      | Ce_echo -> mark header cls (Netsim.Packet.ecn_ce pkt)
+      | Queue_depth ->
+        Wire.add_feedback header cls.path (Feedback.Queue (max 0 depth))
+      | Delay_report ->
+        let queued = inner.Netsim.Qdisc.byte_length () in
+        Wire.add_feedback header cls.path
+          (Feedback.Delay
+             (Engine.Time.tx_time ~bytes:queued ~rate:(Netsim.Link.rate link)))
+      | Rate_grant _ -> (
+        match rcp with
+        | Some state ->
+          Wire.add_feedback header cls.path (Feedback.Rate state.grant_mbps)
+        | None -> assert false));
+      if Netsim.Packet.trimmed pkt then
+        Wire.add_feedback header cls.path Feedback.Trimmed;
       (* The header grew: keep the wire size honest. *)
-      pkt.Netsim.Packet.payload <- Wire.Mtp header;
       pkt.Netsim.Packet.size <-
         Wire.encoded_size header + header.Wire.pkt_len
     | Wire.Mtp _ -> ()
     | _ -> ()
   in
+  (* simlint: allow H103 — once per link, at setup *)
   Netsim.Link.set_qdisc link (Netsim.Qdisc.with_hooks ~on_enqueue inner)
 
 let alternate_path sim sw ~dst ~ports ~interval ~fallback =

@@ -71,6 +71,7 @@ let cc_of t e =
   match e.cc with
   | Some cc -> cc
   | None ->
+    (* simlint: allow H103 — once per pathlet, at its first packet *)
     let cc = Cc.create ?init_window:t.init_window ~mss:t.mss t.default_algo in
     set_cc t e cc;
     cc
@@ -78,6 +79,7 @@ let cc_of t e =
 let get t r = cc_of t (entry t r)
 
 let set_algo_for t r algo =
+  (* simlint: allow H103 — configuration call, not per packet *)
   set_cc t (entry t r) (Cc.create ?init_window:t.init_window ~mss:t.mss algo)
 
 let inflight t r =

@@ -19,7 +19,7 @@ type t = {
   cookie : int;
   cookie2 : int;
   path_exclude : path_ref list;
-  path_feedback : path_fb list;
+  mutable path_feedback : path_fb list;
   ack_path_feedback : path_fb list;
   sack : pkt_ref list;
   nack : pkt_ref list;
@@ -199,7 +199,7 @@ let first_mention fbs cells =
 
 let add_feedback t fb_path fb =
   (* simlint: allow H101 — list bounded by paths-per-dst, keeps wire order *)
-  { t with path_feedback = t.path_feedback @ [ { fb_path; fb } ] }
+  t.path_feedback <- t.path_feedback @ [ { fb_path; fb } ]
 
 let packet sim ~src ~dst ~entity t =
   let flow_hash =
@@ -209,6 +209,5 @@ let packet sim ~src ~dst ~entity t =
   Netsim.Packet.make ~entity ~prio:t.msg_pri ~flow_hash ~payload:(Mtp t) sim
     ~src ~dst
     ~size:(encoded_size t + t.pkt_len)
-    ()
 
 let equal a b = a = b

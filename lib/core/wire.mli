@@ -34,8 +34,14 @@ type t = {
   cookie2 : int;  (** Second application word (key, offset, …). *)
   path_exclude : path_ref list;
       (** Pathlets the source asks the network to avoid. *)
-  path_feedback : path_fb list;
-      (** Appended by network devices en route (empty at origin). *)
+  mutable path_feedback : path_fb list;
+      (** Appended by network devices en route (empty at origin).  The
+          header's one mutable field: a header belongs to exactly one
+          packet ({!data} and {!ack} build a fresh one per
+          transmission, rewriters copy with [{h with ...}]), so only
+          the holder of that packet stamps it.  The list itself is
+          immutable and may be shared between headers; appending
+          replaces it, never extends it. *)
   ack_path_feedback : path_fb list;
       (** The receiver's copy of the data packet's [path_feedback],
           returned to the source on the ACK. *)
@@ -97,8 +103,10 @@ val first_mention : path_fb list -> path_fb list -> bool
     pathlet.  Walking [fbs] and keeping only these visits each distinct
     pathlet once, in order of first appearance, allocating nothing. *)
 
-val add_feedback : t -> path_ref -> Feedback.t -> t
-(** Header with one more network-appended feedback entry. *)
+val add_feedback : t -> path_ref -> Feedback.t -> unit
+(** Append one network-appended feedback entry to the header's
+    [path_feedback], in place.  The old list is copied, not extended,
+    so a list shared with another header never changes. *)
 
 val packet :
   Engine.Sim.t ->

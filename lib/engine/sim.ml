@@ -57,6 +57,7 @@ let no_handle : handle = -1
 let create ?(seed = 42) () =
   let cap = 64 in
   { clock = Time.zero;
+    (* simlint: allow H103 — once per simulator *)
     heap = Eventqueue.create ~capacity:cap ~dummy:(-1) ();
     next_seq = 0;
     executed = 0;

@@ -37,10 +37,11 @@ let run_variant ~duration ~seed ~exclusion =
   in
   ignore @@ Engine.Sim.periodic sim ~interval:interferer_gap (fun () ->
       Netsim.Link.send tp.Netsim.Topology.tp_link_a
-        (Netsim.Packet.make sim
+        (Netsim.Packet.make ~entity:0 ~prio:0 ~flow_hash:0
+           ~payload:Netsim.Packet.Raw sim
            ~src:(Netsim.Node.addr tp.Netsim.Topology.tp_src)
            ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
-           ~size:1500 ());
+           ~size:1500);
       Engine.Sim.now sim < duration);
   let ea =
     Mtp.Endpoint.attach ~exclusion

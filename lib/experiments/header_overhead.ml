@@ -9,17 +9,16 @@ let base_header ~pkt_len =
     ~dst_port:2 ~msg_id:3 ~msg_len:1_000_000 ~msg_pkts:695 ~pkt_num:10
     ~pkt_offset:14_400 ~pkt_len
 
-let with_feedback h n =
-  let rec add h i =
-    if i = 0 then h
-    else
-      add
-        (Mtp.Wire.add_feedback h
-           { Mtp.Wire.path_id = i; path_tc = 0 }
-           (Mtp.Feedback.Ecn true))
-        (i - 1)
-  in
-  add h n
+(* A fresh header stamped by [n] hops: stamping writes the header in
+   place, so each use builds its own. *)
+let with_feedback ~pkt_len n =
+  let h = base_header ~pkt_len in
+  for i = n downto 1 do
+    Mtp.Wire.add_feedback h
+      { Mtp.Wire.path_id = i; path_tc = 0 }
+      (Mtp.Feedback.Ecn true)
+  done;
+  h
 
 let mk scenario h =
   let header_bytes = Mtp.Wire.encoded_size h in
@@ -33,12 +32,11 @@ let rows () =
     { scenario = "TCP/IP header (reference)"; header_bytes = 40;
       overhead_1pkt_pct = 100.0 *. 40.0 /. 1480.0 }
   in
-  let h = base_header ~pkt_len:1440 in
   [ tcp;
-    mk "MTP data, no feedback" h;
-    mk "MTP data, 1 hop stamping" (with_feedback h 1);
-    mk "MTP data, 4 hops stamping" (with_feedback h 4);
-    mk "MTP data, 8 hops stamping" (with_feedback h 8);
+    mk "MTP data, no feedback" (base_header ~pkt_len:1440);
+    mk "MTP data, 1 hop stamping" (with_feedback ~pkt_len:1440 1);
+    mk "MTP data, 4 hops stamping" (with_feedback ~pkt_len:1440 4);
+    mk "MTP data, 8 hops stamping" (with_feedback ~pkt_len:1440 8);
     mk "MTP ack, 1 sack + 1 echoed hop"
       (Mtp.Wire.ack ~sack:[ { Mtp.Wire.ref_msg = 3; ref_pkt = 10 } ]
          ~nack:[] ~tc:0 ~src_port:2 ~dst_port:1 ~msg_id:3
@@ -52,7 +50,7 @@ let goodput_efficiency ~msg_bytes ~hops =
   let data_wire = ref 0 in
   for pkt = 0 to npkts - 1 do
     let payload = if pkt < npkts - 1 then mtu else msg_bytes - (mtu * (npkts - 1)) in
-    let h = with_feedback (base_header ~pkt_len:payload) hops in
+    let h = with_feedback ~pkt_len:payload hops in
     data_wire := !data_wire + Mtp.Wire.encoded_size h + payload
   done;
   let ack =

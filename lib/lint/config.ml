@@ -153,7 +153,13 @@ let rules =
       summary =
         "[typed] function outside the hot set that allocates (H101 \
          hazard) and is transitively reachable from hot-path code \
-         outside guard branches and raise arguments" } ]
+         outside guard branches and raise arguments" };
+    { id = "H103";
+      typed = true;
+      summary =
+        "[typed] hot-module call passing an optional argument with ~x: \
+         (the typer boxes the value in Some on every call); ?x: \
+         pass-through is fine" } ]
 
 let known_rule id = List.exists (fun r -> r.id = id) rules
 let typed_rule id = List.exists (fun r -> r.id = id && r.typed) rules

@@ -1,4 +1,4 @@
-(** The typed tier: P101/P102/H102 over a set of typed units. *)
+(** The typed tier: P101/P102/H102/H103 over a set of typed units. *)
 
 val check :
   config:Config.t ->

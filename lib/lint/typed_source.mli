@@ -1,5 +1,5 @@
 (** Type OCaml source strings in-process and run the typed tier on
-    them — the test harness for P101/P102/H102 fixtures and the P101
+    them — the test harness for P101/P102/H102/H103 fixtures and the P101
     mutation test (no .cmt exists for a mutated source). *)
 
 type unit_src = {

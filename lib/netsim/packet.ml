@@ -41,8 +41,7 @@ let none =
   { uid = -1; src = -1; dst = -1; size = 0; flags = 0;
     entity = 0; prio = 0; flow_hash = 0; created_at = 0; payload = Raw }
 
-let make ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(payload = Raw) sim ~src
-    ~dst ~size () =
+let make ~entity ~prio ~flow_hash ~payload sim ~src ~dst ~size =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { uid = Engine.Sim.fresh_uid sim; src; dst; size; flags = 0;
     entity; prio; flow_hash;
@@ -88,7 +87,7 @@ let recycle ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(payload = Raw) p ~src
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   if p.free_len = 0 then begin
     p.fresh <- p.fresh + 1;
-    make ~entity ~prio ~flow_hash ~payload p.pool_sim ~src ~dst ~size ()
+    make ~entity ~prio ~flow_hash ~payload p.pool_sim ~src ~dst ~size
   end
   else begin
     let n = p.free_len - 1 in

@@ -56,18 +56,18 @@ val set_trimmed : t -> unit
 (** Set the trimmed bit (the qdisc also shrinks [size]). *)
 
 val make :
-  ?entity:int ->
-  ?prio:int ->
-  ?flow_hash:int ->
-  ?payload:proto ->
+  entity:int ->
+  prio:int ->
+  flow_hash:int ->
+  payload:proto ->
   Engine.Sim.t ->
   src:addr ->
   dst:addr ->
   size:int ->
-  unit ->
   t
 (** Fresh packet stamped with the sim's clock and a new per-sim
-    [uid].  [size] must be positive. *)
+    [uid].  [size] must be positive.  Every label is required: an
+    optional argument would box each value given. *)
 
 (** {1 Pooling} *)
 
@@ -92,7 +92,8 @@ val recycle :
   unit ->
   t
 (** Like {!make} but re-initialises a released packet when one is
-    available (fresh [uid] and timestamp included). *)
+    available (fresh [uid] and timestamp included).  Omitted labels
+    default to [0] and [Raw]. *)
 
 val pool_free : pool -> int
 (** Packets currently parked. *)

@@ -24,5 +24,6 @@ let packet sim ~src ~dst ~entity seg =
     Netsim.Packet.flow_hash_of ~src ~dst ~src_port:seg.src_port
       ~dst_port:seg.dst_port
   in
-  Netsim.Packet.make ~entity ~flow_hash ~payload:(Tcp seg) sim ~src ~dst
-    ~size:(header_bytes + seg.payload) ()
+  Netsim.Packet.make ~entity ~prio:0 ~flow_hash ~payload:(Tcp seg) sim ~src
+    ~dst
+    ~size:(header_bytes + seg.payload)

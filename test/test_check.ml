@@ -96,7 +96,9 @@ let test_ledger_catches_theft () =
   let ledger = Check.Ledger.create () in
   Check.Ledger.watch_link ledger link;
   for _ = 1 to 10 do
-    Link.send link (Packet.make sim ~src:0 ~dst:1 ~size:1500 ())
+    Link.send link
+      (Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim
+         ~src:0 ~dst:1 ~size:1500)
   done;
   (* 1500 B at 1 Gbps is 12 us per packet: at t=20us most still queue. *)
   Engine.Sim.run ~until:(Engine.Time.us 20) sim;

@@ -4,7 +4,7 @@
    against test/lint_fixtures/, with a config that scopes the rules to
    that directory and promotes fixture_h101 into the hot set.
 
-   The typed tier (P101/P102/H102) is exercised through
+   The typed tier (P101/P102/H102/H103) is exercised through
    [Lint.Typed_source]: fixture sources are typed in-process and fed
    to the same analysis the cmt path uses, including a mutation test
    that un-atomics the real Runner.Pool counter and checks P101
@@ -189,7 +189,7 @@ let test_rule_docs_cover_findings () =
     expected
 
 (* ------------------------------------------------------------------ *)
-(* Typed tier (P101/P102/H102) over in-process-typed sources.          *)
+(* Typed tier (P101/P102/H102/H103) over in-process-typed sources.     *)
 
 let typed_config =
   { fixture_config with
@@ -283,6 +283,27 @@ let test_h102_two_hop_helper () =
            "let rec drain n =\n\
            \  if n > 0 then begin ignore (Helper.step n); drain (n - 1) end\n"
        ])
+
+let optional_calls =
+  "let make ?(size = 0) () = size\n\
+   let omitted () = make ()\n\
+   let boxed n = make ~size:n ()\n\
+   let through ?size () = make ?size ()\n\
+   let setup n =\n\
+  \  (* simlint: allow H103 — once, at setup *)\n\
+  \  make ~size:n ()\n"
+
+let test_h103_option_box () =
+  (* [~size:] into an optional parameter boxes the value in Some on
+     every call; [?size:] passes the caller's option through and an
+     omitted argument is the constant None.  Only hot modules are
+     scanned, and a pragma clears a setup-only site. *)
+  Alcotest.check triple "~x: into an optional parameter fires H103"
+    [ ("lint_fixtures/typed/hot.ml", 3, "H103") ]
+    (analyze
+       [ unit_ ~name:"Hot" ~file:"lint_fixtures/typed/hot.ml" optional_calls ]);
+  Alcotest.check triple "cold modules are not scanned" []
+    (analyze [ unit_ optional_calls ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutation tests over the real runner sources: the production files
@@ -386,6 +407,7 @@ let suite =
       test_p102_worker_reachable_telemetry;
     Alcotest.test_case "P102 guarded clean" `Quick test_p102_guarded_clean;
     Alcotest.test_case "H102 two-hop helper" `Quick test_h102_two_hop_helper;
+    Alcotest.test_case "H103 option box" `Quick test_h103_option_box;
     Alcotest.test_case "pool clean as committed" `Quick
       test_pool_clean_as_committed;
     Alcotest.test_case "pool mutation caught" `Quick

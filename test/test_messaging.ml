@@ -5,12 +5,17 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+(* A packet with no protocol header. *)
+let raw sim ~src ~dst ~size =
+  Netsim.Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Netsim.Packet.Raw
+    sim ~src ~dst ~size
+
 (* ------------------------------ Pool ------------------------------- *)
 
 let test_pool_recycles () =
   let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.pool sim in
-  let p = Netsim.Packet.make sim ~src:1 ~dst:2 ~size:100 () in
+  let p = raw sim ~src:1 ~dst:2 ~size:100 in
   let uid0 = p.Netsim.Packet.uid in
   Netsim.Packet.release pool p;
   checki "parked" 1 (Netsim.Packet.pool_free pool);
@@ -40,7 +45,7 @@ let test_pool_recycle_rejects_empty () =
 let test_pktring_fifo () =
   let sim = Engine.Sim.create () in
   let r = Netsim.Pktring.create ~capacity:2 () in
-  let mk i = Netsim.Packet.make sim ~src:i ~dst:9 ~size:100 () in
+  let mk i = raw sim ~src:i ~dst:9 ~size:100 in
   (* Push past the initial capacity to exercise growth + wraparound. *)
   let pkts = Array.init 7 (fun i -> mk i) in
   Array.iter (Netsim.Pktring.push r) pkts;
@@ -74,7 +79,7 @@ let test_host_dispatch_order () =
     "registration order" [ "evens"; "rest" ]
     (Netsim.Host.stacks host);
   for _ = 1 to 4 do
-    Netsim.Node.receive node (Netsim.Packet.make sim ~src:2 ~dst:1 ~size:64 ())
+    Netsim.Node.receive node (raw sim ~src:2 ~dst:1 ~size:64)
   done;
   let evens = List.filter (fun (s, _) -> s = "evens") !seen in
   let rest = List.filter (fun (s, _) -> s = "rest") !seen in
@@ -86,7 +91,7 @@ let test_host_counts_unclaimed () =
   let sim = Engine.Sim.create () in
   let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
   let host = Netsim.Host.create node in
-  Netsim.Node.receive node (Netsim.Packet.make sim ~src:2 ~dst:1 ~size:64 ());
+  Netsim.Node.receive node (raw sim ~src:2 ~dst:1 ~size:64);
   checki "unclaimed counted" 1 (Netsim.Host.unclaimed host)
 
 (* A second host on one node would silently unplug every stack
@@ -120,7 +125,7 @@ let test_host_dispatch_allocates_nothing () =
           if last then incr claimed;
           last)
     done;
-    let pkt = Netsim.Packet.make sim ~src:2 ~dst:1 ~size:64 () in
+    let pkt = raw sim ~src:2 ~dst:1 ~size:64 in
     let before = Gc.minor_words () in
     for _ = 1 to 10_000 do
       Netsim.Node.receive node pkt

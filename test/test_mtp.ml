@@ -49,11 +49,16 @@ let test_wire_add_feedback_grows () =
       ~dst_port:2 ~msg_id:3 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0 ~pkt_offset:0
       ~pkt_len:100
   in
-  let h' =
-    Wire.add_feedback h { Wire.path_id = 4; path_tc = 0 } (Feedback.Ecn true)
-  in
-  checki "one fb entry" 1 (List.length h'.Wire.path_feedback);
-  checkb "size grew" true (Wire.encoded_size h' > Wire.encoded_size h)
+  let bare = Wire.encoded_size h in
+  Wire.add_feedback h { Wire.path_id = 4; path_tc = 0 } (Feedback.Ecn true);
+  checki "one fb entry" 1 (List.length h.Wire.path_feedback);
+  checkb "size grew" true (Wire.encoded_size h > bare);
+  (* A later append replaces the list with a longer copy: a list another
+     header may share is never extended. *)
+  let first = h.Wire.path_feedback in
+  Wire.add_feedback h { Wire.path_id = 5; path_tc = 0 } (Feedback.Ecn false);
+  checki "two fb entries" 2 (List.length h.Wire.path_feedback);
+  checki "earlier list untouched" 1 (List.length first)
 
 (* A golden vector pins the byte-level format: any change to the
    encoding (field widths, ordering, TLV layout) fails this test and
@@ -1196,6 +1201,130 @@ let test_exclusion_aware_routing () =
   | Netsim.Switch.Forward _ -> ()
   | _ -> Alcotest.fail "must still forward when everything is excluded"
 
+let data_header ~msg_id =
+  Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:1
+    ~dst_port:2 ~msg_id ~msg_len:1440 ~msg_pkts:1 ~pkt_num:0 ~pkt_offset:0
+    ~pkt_len:1440
+
+let test_stamp_fresh_header_allocates_nothing () =
+  (* An ECN-stamped queue takes 10 000 packets whose headers carry no
+     feedback yet: the first half sit below the marking threshold, the
+     rest above, so both shared one-entry lists are handed out. *)
+  let n = 10_000 in
+  let sim = Engine.Sim.create () in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 1)
+      ~qdisc:(Qdisc.fifo ~cap_pkts:(2 * n) ())
+      ()
+  in
+  Mtp_switch.stamp sim link ~path_id:7 ~mode:(Mtp_switch.Ecn_mark (n / 2));
+  let q = Link.qdisc link in
+  (* Warm up: the hook meets traffic class 0 once (its stamps are made
+     then), and the FIFO's storage grows with packets the hook
+     ignores. *)
+  ignore
+    (q.Qdisc.enqueue
+       (Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:n)));
+  let raw =
+    Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim ~src:1
+      ~dst:2 ~size:64
+  in
+  for _ = 2 to n do
+    ignore (q.Qdisc.enqueue raw)
+  done;
+  for _ = 1 to n do
+    ignore (q.Qdisc.dequeue ())
+  done;
+  let pkts =
+    Array.init n (fun i ->
+        Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:i))
+  in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (q.Qdisc.enqueue pkts.(i))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "no minor words" 0.0 words;
+  let fb i =
+    match pkts.(i).Packet.payload with
+    | Wire.Mtp h -> h.Wire.path_feedback
+    | _ -> Alcotest.fail "not an MTP packet"
+  in
+  let ecn_of i =
+    match fb i with
+    | [ { Wire.fb = Feedback.Ecn b; _ } ] -> b
+    | _ -> Alcotest.fail "expected one ECN entry"
+  in
+  checkb "shallow queue unmarked" false (ecn_of 0);
+  checkb "deep queue marked" true (ecn_of (n - 1));
+  checkb "one list per verdict" true (fb 0 == fb 1 && fb (n - 2) == fb (n - 1));
+  checki "wire size counts the entry"
+    (Wire.encoded_size (data_header ~msg_id:0) + 6 + 1440)
+    pkts.(0).Packet.size
+
+let test_wire_packet_allocates_record_and_box () =
+  (* One packet record and one [Mtp] box per call, nothing else: no
+     option boxes for [Packet.make]'s labels. *)
+  let n = 10_000 in
+  let sim = Engine.Sim.create () in
+  let header = data_header ~msg_id:1 in
+  let record_words = 1 + Obj.size (Obj.repr Packet.none) in
+  let box_words = 1 + Obj.size (Obj.repr (Wire.Mtp header)) in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore
+      (Sys.opaque_identity (Wire.packet sim ~src:1 ~dst:2 ~entity:0 header))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0))
+    "record + box per call"
+    (float_of_int (n * (record_words + box_words)))
+    words
+
+let test_stamp_shares_no_list_across_packets () =
+  (* Two stamped links in series with a tap between them.  A crosses
+     both; B stops at the tap after hop 1.  Both took hop 1's shared
+     one-entry list; A's second stamp must copy it, not extend it. *)
+  let sim = Engine.Sim.create () in
+  let mk name path_id =
+    let l =
+      Link.create sim ~name ~rate:(Engine.Time.gbps 10)
+        ~delay:(Engine.Time.us 1) ()
+    in
+    Mtp_switch.stamp sim l ~path_id ~mode:(Mtp_switch.Ecn_mark 100);
+    l
+  in
+  let hop1 = mk "hop1" 1 and hop2 = mk "hop2" 2 in
+  let header_of p =
+    match p.Packet.payload with
+    | Wire.Mtp h -> h
+    | _ -> Alcotest.fail "not an MTP packet"
+  in
+  let a = Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:1) in
+  let b = Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:2) in
+  let a_at_tap = ref [] in
+  let delivered = ref 0 in
+  Link.set_dst hop1 (fun p ->
+      if p == a then begin
+        a_at_tap := (header_of a).Wire.path_feedback;
+        Link.send hop2 p
+      end);
+  Link.set_dst hop2 (fun _ -> incr delivered);
+  Link.send hop1 a;
+  Link.send hop1 b;
+  Engine.Sim.run sim;
+  checki "A crossed both hops" 1 !delivered;
+  let paths h =
+    List.map (fun e -> e.Wire.fb_path.Wire.path_id) h.Wire.path_feedback
+  in
+  Alcotest.(check (list int)) "A carries hop1; hop2" [ 1; 2 ]
+    (paths (header_of a));
+  Alcotest.(check (list int)) "B carries hop1 only" [ 1 ] (paths (header_of b));
+  checkb "hop 1 shared one list" true
+    (!a_at_tap == (header_of b).Wire.path_feedback);
+  checki "the shared list was not extended" 1 (List.length !a_at_tap)
+
 (* ----------------------------- Features ---------------------------- *)
 
 let v = Alcotest.testable (Fmt.of_to_string Features.verdict_symbol) ( = )
@@ -1244,6 +1373,12 @@ let suite =
     Alcotest.test_case "wire fixed size" `Quick test_wire_fixed_size_minimal;
     Alcotest.test_case "wire add feedback" `Quick test_wire_add_feedback_grows;
     Alcotest.test_case "wire golden vector" `Quick test_wire_golden_vector;
+    Alcotest.test_case "wire packet allocates record and box" `Quick
+      test_wire_packet_allocates_record_and_box;
+    Alcotest.test_case "stamp fresh header allocates nothing" `Quick
+      test_stamp_fresh_header_allocates_nothing;
+    Alcotest.test_case "stamp shares no list across packets" `Quick
+      test_stamp_shares_no_list_across_packets;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     Alcotest.test_case "feedback tlv roundtrip" `Quick
       test_feedback_roundtrip_each;

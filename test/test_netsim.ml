@@ -9,7 +9,7 @@ let psim = Engine.Sim.create ()
 
 let pkt ?(size = 1500) ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(src = 0)
     ?(dst = 1) () =
-  Packet.make ~entity ~prio ~flow_hash psim ~src ~dst ~size ()
+  Packet.make ~entity ~prio ~flow_hash ~payload:Packet.Raw psim ~src ~dst ~size
 
 (* ------------------------------ Packet ----------------------------- *)
 
@@ -992,8 +992,8 @@ let test_partition_equal_time_arrivals_in_creation_order () =
         (fun h ->
           for _ = 1 to 2 do
             Node.send h
-              (Packet.make (Node.sim h) ~src:(Node.addr h) ~dst:(Node.addr r)
-                 ~size:1500 ())
+              (Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw
+                 (Node.sim h) ~src:(Node.addr h) ~dst:(Node.addr r) ~size:1500)
           done)
         [ b; a ];
       Partition.run ~jobs ~until:(Engine.Time.us 20) world;
@@ -1029,8 +1029,8 @@ let test_partition_flits_wait_across_windows () =
     let src = tp.Topology.tp_src in
     for i = 0 to 39 do
       Node.send src
-        (Packet.make ~flow_hash:i (Node.sim src) ~src:(Node.addr src)
-           ~dst:(Node.addr dst) ~size:1500 ())
+        (Packet.make ~entity:0 ~prio:0 ~flow_hash:i ~payload:Packet.Raw
+           (Node.sim src) ~src:(Node.addr src) ~dst:(Node.addr dst) ~size:1500)
     done;
     go ();
     let path k = List.filter (fun (h, _) -> h land 1 = k) (List.rev !got) in
