@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test golden bench bench-datapath bench-parallel lint lint-typed check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-datapath bench-parallel lint lint-typed loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -73,12 +73,28 @@ lint:
 
 # Typed tier on top of the AST rules: loads the .cmt files of the
 # build just made and runs the interprocedural domain-safety and
-# hot-path rules (P101/P102/H102/H103) as well.  Requires `dune build`
-# first (`dune exec` below guarantees it for the lint binary, the
-# explicit build covers the analyzed libraries).
+# hot-path rules (P101/P102/H102/H103) as well, plus the unused-surface
+# rules: U101 flags a lib/ export no other compilation unit references
+# and U102 an optional parameter no application passes, counting
+# references from every unit dune built (tests, examples and
+# bench/suite included).  Requires a build first: `@check` also writes
+# the cmts of executables whose module has an interface, which `@all`
+# alone skips.
 lint-typed:
-	dune build @all
+	dune build @all @check
 	dune exec bin/simlint.exe -- --root . --typed lib bin bench
+
+# Lines of OCaml source (.ml and .mli) per top-level directory, and
+# the total of lib, bin, bench and examples: the code the simulator
+# ships, with the tests counted apart.
+loc:
+	@for d in lib bin bench examples test; do \
+	  ml=$$(find $$d -name '*.ml' -exec cat {} + | wc -l); \
+	  mli=$$(find $$d -name '*.mli' -exec cat {} + | wc -l); \
+	  printf '%-9s %6d ml %6d mli %6d total\n' $$d $$ml $$mli $$((ml + mli)); \
+	done
+	@printf 'lib+bin+bench+examples %d\n' \
+	  $$(find lib bin bench examples \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)
 
 # Verification harness smoke: replay the checked-in crash corpus, then
 # run a seeded fuzz campaign (oracles + differential pairings on every

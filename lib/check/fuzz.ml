@@ -160,12 +160,16 @@ let candidates (s : Spec.t) =
   in
   faults_dropped @ flows_dropped @ topo_shrunk @ sizes_halved @ duration_cut
 
-let shrink ?inject ?(max_steps = 64) spec =
+(* Bound on accepted shrink steps: each step re-runs the candidate's
+   whole differential set. *)
+let max_shrink_steps = 64
+
+let shrink ?inject spec =
   let still_fails s =
     match run_case ?inject s with Fail _ -> true | Pass -> false
   in
   let rec go steps spec =
-    if steps >= max_steps then spec
+    if steps >= max_shrink_steps then spec
     else
       match List.find_opt still_fails (candidates spec) with
       | Some smaller -> go (steps + 1) smaller
@@ -215,7 +219,7 @@ type campaign = {
       (** (original, shrunk, first failure message), newest first. *)
 }
 
-let campaign ?inject ?(should_stop = fun () -> false)
+let campaign ?(should_stop = fun () -> false)
     ?(log = fun (_ : string) -> ()) ~cases ~seed () =
   let rng = Engine.Rng.create (0xF0_22 lxor seed) in
   let failures = ref [] in
@@ -225,12 +229,12 @@ let campaign ?inject ?(should_stop = fun () -> false)
        if should_stop () then raise Exit;
        let spec = Spec.generate (Engine.Rng.derive rng i) in
        incr ran;
-       match run_case ?inject spec with
+       match run_case spec with
        | Pass -> ()
        | Fail msg ->
          log (Printf.sprintf "case %d FAILED: %s" i msg);
          log "shrinking...";
-         let small = shrink ?inject spec in
+         let small = shrink spec in
          failures := (spec, small, msg) :: !failures;
          (* Keep hunting unless the harness is clearly on fire. *)
          if List.length !failures >= 5 then raise Exit

@@ -14,12 +14,11 @@ val run_case : ?inject:(Scenario.t -> unit) -> Spec.t -> verdict
     extra machinery into every built scenario before it runs — the
     mutation test uses it to plant a deliberate conservation bug. *)
 
-val shrink :
-  ?inject:(Scenario.t -> unit) -> ?max_steps:int -> Spec.t -> Spec.t
+val shrink : ?inject:(Scenario.t -> unit) -> Spec.t -> Spec.t
 (** Greedily minimize a failing spec (drop faults/flows, shrink the
     topology, halve sizes, cut the horizon), keeping any candidate
-    that still fails; returns a local minimum (the input itself if
-    nothing smaller fails). *)
+    that still fails, for at most 64 accepted steps; returns a local
+    minimum (the input itself if nothing smaller fails). *)
 
 val save : dir:string -> name:string -> Spec.t -> string
 (** Write a spec to [dir/name]; returns the path. *)
@@ -43,7 +42,6 @@ type campaign = {
 }
 
 val campaign :
-  ?inject:(Scenario.t -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?log:(string -> unit) ->
   cases:int ->

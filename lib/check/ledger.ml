@@ -129,7 +129,7 @@ let failures ?(held = 0) t =
   in
   links @ switches @ pools
 
-let check ?held t =
-  match failures ?held t with
+let check t =
+  match failures t with
   | [] -> Ok ()
   | fs -> Error (String.concat "; " fs)

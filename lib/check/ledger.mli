@@ -32,6 +32,6 @@ val failures : ?held:int -> t -> string list
     [held] is the number of pooled packets the caller intentionally
     retains (as in [Fault.audit]). *)
 
-val check : ?held:int -> t -> (unit, string) result
+val check : t -> (unit, string) result
 (** [Ok ()] when every watched device conserves packets, [Error msg]
     joining all violations otherwise. *)

@@ -12,10 +12,9 @@ type monotone
 
 val monotone : unit -> monotone
 
-val observe : monotone -> Engine.Time.t -> unit
-
 val tap : monotone -> Engine.Time.t -> Netsim.Packet.t -> unit
-(** [observe] shaped for [Link.add_tap] / [Switch.add_tap]. *)
+(** Observe a packet's timestamp; shaped for [Link.add_tap] /
+    [Switch.add_tap]. *)
 
 val monotone_result : monotone -> (unit, string) result
 (** [Error] describing the first regression, if any was seen. *)

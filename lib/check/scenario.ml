@@ -346,7 +346,6 @@ let run ?(jobs = 1) t = t.run_world ~jobs ~until:t.duration
 (* Internal surface for the mutation test's bug injector. *)
 let links t = t.links
 let sim t = Topology.sim t.topo
-let duration t = t.duration
 
 let digest t =
   let buf = Buffer.create 4096 in

@@ -68,5 +68,4 @@ val outcome :
 
 val links : t -> Netsim.Link.t array
 val sim : t -> Engine.Sim.t
-val duration : t -> Engine.Time.t
 (** Internal surface for the mutation test's bug injector. *)

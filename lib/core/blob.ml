@@ -27,8 +27,7 @@ let receiver ep ~port on_blob =
 
 let blobs_completed t = t.completed
 
-let send ep ~dst ~dst_port ~blob_id ~size ?(chunk = 1440) ?(tc = 0) ?(pri = 0)
-    ?on_complete () =
+let send ep ~dst ~dst_port ~blob_id ~size ?(chunk = 1440) ?on_complete () =
   if size <= 0 then invalid_arg "Blob.send: size must be positive";
   let nchunks = (size + chunk - 1) / chunk in
   let acked = ref 0 in
@@ -44,7 +43,7 @@ let send ep ~dst ~dst_port ~blob_id ~size ?(chunk = 1440) ?(tc = 0) ?(pri = 0)
     if offset < size then begin
       let len = min chunk (size - offset) in
       ignore
-        (Endpoint.send ep ~dst ~dst_port ~pri ~tc ~cookie:blob_id
+        (Endpoint.send ep ~dst ~dst_port ~cookie:blob_id
            ~cookie2:size ~on_complete:chunk_done ~size:len ());
       go (offset + len)
     end

@@ -26,8 +26,6 @@ val send :
   blob_id:int ->
   size:int ->
   ?chunk:int ->
-  ?tc:int ->
-  ?pri:int ->
   ?on_complete:(Engine.Time.t -> unit) ->
   unit ->
   unit

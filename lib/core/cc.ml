@@ -1,8 +1,9 @@
-type algo =
-  | Aimd
-  | Dctcp of { g : float }
-  | Rcp
-  | Swift of { target : Engine.Time.t }
+type algo = Aimd | Dctcp | Rcp | Swift
+
+(* DCTCP's alpha EWMA gain (1/16, RFC 8257) and Swift's fabric-delay
+   target. *)
+let dctcp_g = 0.0625
+let swift_target = Engine.Time.us 20
 
 (* The float state lives in an all-float record, which OCaml stores
    flat: a store writes the unboxed double in place, where a float field
@@ -46,8 +47,6 @@ let create ?init_window ?(mss = 1440) algo =
     last_decrease = never; last_congested = never }
 
 let algo t = t.algo
-
-let mss t = t.c_mss
 
 let mssf t = float_of_int t.c_mss
 
@@ -97,11 +96,11 @@ let additive_increase t acked =
 let end_slow_start t =
   if t.f.ssthresh = infinity then t.f.ssthresh <- t.f.cwnd
 
-let dctcp_window_turnover t ~now g =
+let dctcp_window_turnover t ~now =
   if now >= t.win_end && t.acked_win > 0 then begin
     let f = t.f in
     let frac = float_of_int t.marked_win /. float_of_int t.acked_win in
-    f.alpha <- ((1.0 -. g) *. f.alpha) +. (g *. frac);
+    f.alpha <- ((1.0 -. dctcp_g) *. f.alpha) +. (dctcp_g *. frac);
     if t.marked_win > 0 then begin
       f.cwnd <- Float.max (mssf t) (f.cwnd *. (1.0 -. (f.alpha /. 2.0)));
       f.ssthresh <- f.cwnd;
@@ -156,7 +155,7 @@ let on_signal t ~now ~acked ~rtt s =
       multiplicative_decrease t ~now 0.5
     end
     else additive_increase t acked
-  | Dctcp { g } ->
+  | Dctcp ->
     (* Trims were handled above; only ECN marks feed alpha. *)
     t.acked_win <- t.acked_win + acked;
     if s.marked then begin
@@ -164,21 +163,21 @@ let on_signal t ~now ~acked ~rtt s =
       end_slow_start t
     end
     else additive_increase t acked;
-    dctcp_window_turnover t ~now g
+    dctcp_window_turnover t ~now
   | Rcp ->
     if s.rate >= 0 then t.rate_grant_mbps <- s.rate;
     (* Between grants, grow conservatively so an idle grant does not
        freeze a cold start. *)
     if t.rate_grant_mbps < 0 then additive_increase t acked
-  | Swift { target } ->
+  | Swift ->
     (* Fabric delay: the largest hop report, or what the RTT sample
        shows above two thirds of the smoothed RTT. *)
     let from_rtt =
       if rtt >= 0 then max 0 (rtt - (2 * srtt_span t / 3)) else 0
     in
     let delay = max from_rtt s.delay in
-    if delay > target then begin
-      let over = float_of_int (delay - target) /. float_of_int delay in
+    if delay > swift_target then begin
+      let over = float_of_int (delay - swift_target) /. float_of_int delay in
       end_slow_start t;
       multiplicative_decrease t ~now (Float.max 0.5 (1.0 -. (0.8 *. over)))
     end
@@ -204,7 +203,7 @@ let window t =
       float_of_int t.rate_grant_mbps *. float_of_int (srtt_span t) /. 8000.0
     in
     max t.c_mss (int_of_float bytes)
-  | Aimd | Dctcp _ | Rcp | Swift _ -> max t.c_mss (int_of_float t.f.cwnd)
+  | Aimd | Dctcp | Rcp | Swift -> max t.c_mss (int_of_float t.f.cwnd)
 
 let congested t ~now =
   t.last_congested >= 0 && now - t.last_congested <= 2 * srtt_span t

@@ -9,13 +9,14 @@
 
 type algo =
   | Aimd  (** Reno-style: slow start + AIMD, halve on congestion. *)
-  | Dctcp of { g : float }
-      (** Alpha-proportional decrease from ECN mark fraction. *)
+  | Dctcp
+      (** Alpha-proportional decrease from ECN mark fraction; alpha's
+          EWMA gain is 1/16 (RFC 8257). *)
   | Rcp
       (** Explicit rate: the window tracks the latest {!Feedback.Rate}
           grant times the smoothed RTT. *)
-  | Swift of { target : Engine.Time.t }
-      (** Delay-based: decrease when fabric delay exceeds [target]. *)
+  | Swift
+      (** Delay-based: decrease when fabric delay exceeds 20 us. *)
 
 type t
 
@@ -70,5 +71,3 @@ val congested : t -> now:Engine.Time.t -> bool
 (** Whether feedback within the last two RTTs indicated congestion —
     the signal the endpoint uses to populate the header's path-exclude
     list. *)
-
-val mss : t -> int

@@ -106,7 +106,6 @@ type t = {
   entity : int;
   mtu : int;
   max_msg_bytes : int;
-  max_rx_messages : int;
   exclusion : bool;
   path_table : Pathlet.t;
   mutable next_msg_id : int;
@@ -147,6 +146,11 @@ type t = {
   mutable n_rejected : int;
   mutable n_acks_tx : int;
 }
+
+(* Payload bytes per packet, and the cap on partially received
+   messages a receiver tracks (beyond it new messages are rejected). *)
+let mtu_payload = 1440
+let max_rx_messages = 1 lsl 20
 
 let node t = t.ep_node
 let sim t = t.ep_sim
@@ -885,7 +889,7 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
     | exception Not_found ->
       if
         header.Wire.msg_len > t.max_msg_bytes
-        || Itbl.length t.rx_table >= t.max_rx_messages
+        || Itbl.length t.rx_table >= max_rx_messages
       then t.n_rejected <- t.n_rejected + 1
       else begin
         (* The header announces the full geometry up front, so the
@@ -925,21 +929,19 @@ let claim t pkt =
     true
   | _ -> false
 
-let attach ?(algo = Cc.Dctcp { g = 0.0625 }) ?init_window
-    ?(mtu_payload = 1440) ?(entity = 0) ?(max_msg_bytes = max_int / 4)
-    ?(max_rx_messages = 1 lsl 20) ?(exclusion = true) ?suspect_after
-    ?probe_interval ?(ack_every = 1) ?(ack_delay = Engine.Time.us 10) host =
+let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
+    ?(max_msg_bytes = max_int / 4) ?(exclusion = true) ?(ack_every = 1)
+    ?(ack_delay = Engine.Time.us 10) host =
   (* Coalesced SACKs go out behind the header's u8 count. *)
   if ack_every < 1 || ack_every > 0xff then
     invalid_arg "Endpoint.attach: ack_every must be in 1..255";
   let node = Netsim.Host.node host in
   let t =
     { ep_node = node; ep_sim = Netsim.Node.sim node; entity;
-      mtu = mtu_payload; max_msg_bytes; max_rx_messages; exclusion;
+      mtu = mtu_payload; max_msg_bytes; exclusion;
       path_table =
         (* simlint: allow H103 — once per endpoint, at attach *)
-        Pathlet.create ?init_window ~mss:mtu_payload ?suspect_after
-          ?probe_interval algo;
+        Pathlet.create ?init_window ~mss:mtu_payload algo;
       next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
       active = [||]; n_active = 0; again = [||]; n_again = 0;
       nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];

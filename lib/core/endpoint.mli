@@ -32,30 +32,26 @@ type delivery = {
 val attach :
   ?algo:Cc.algo ->
   ?init_window:int ->
-  ?mtu_payload:int ->
   ?entity:int ->
   ?max_msg_bytes:int ->
-  ?max_rx_messages:int ->
   ?exclusion:bool ->
-  ?suspect_after:int ->
-  ?probe_interval:Engine.Time.t ->
   ?ack_every:int ->
   ?ack_delay:Engine.Time.t ->
   Netsim.Host.t ->
   t
 (** Register an MTP endpoint with a host's dispatcher.  It claims
     MTP data for its bound ports and acks for its outstanding
-    messages.  [algo] (default [Dctcp {g = 1/16}]) is the default
-    per-pathlet congestion controller.  [mtu_payload] defaults to 1440
-    bytes per packet.  [max_msg_bytes] / [max_rx_messages] bound
-    receiver state (messages beyond them are rejected and counted).
-    With [exclusion] (default true), data headers list recently
-    congested and suspect pathlets in the path-exclude field.
+    messages.  [algo] (default [Dctcp]) is the default
+    per-pathlet congestion controller.  Packets carry 1440 payload
+    bytes.  [max_msg_bytes] and a fixed cap of 2{^20} partially
+    received messages bound receiver state (messages beyond them are
+    rejected and counted).  With [exclusion] (default true), data
+    headers list recently congested and suspect pathlets in the
+    path-exclude field.
 
-    [suspect_after] / [probe_interval] control pathlet failover (see
-    {!Pathlet.create}): after that many consecutive RTOs a pathlet is
-    excluded from steering, then probed with one data packet per
-    interval until an ack revives it.
+    Pathlet failover uses {!Pathlet.create}'s defaults: after 3
+    consecutive RTOs a pathlet is excluded from steering, then probed
+    with one data packet per 500 us until an ack revives it.
 
     [ack_every] (default 1 = acknowledge every packet) enables
     feedback aggregation (paper §4): SACK entries towards a source are
@@ -66,7 +62,6 @@ val attach :
 
     @raise Invalid_argument when [ack_every] is outside 1..255. *)
 
-val node : t -> Netsim.Node.t
 val sim : t -> Engine.Sim.t
 
 val bind : t -> port:int -> (delivery -> unit) -> unit

@@ -56,11 +56,7 @@ type properties = {
   congestion_control : bool;
 }
 
-val properties : transport -> properties
-
 val supports : transport -> requirement -> verdict
-
-val all_transports : transport list
 
 val all_requirements : requirement list
 

@@ -69,11 +69,4 @@ let is_congested = function
   | Delay ns -> ns > 50_000
   | Trimmed -> true
 
-let pp fmt = function
-  | Ecn b -> Format.fprintf fmt "ecn:%b" b
-  | Queue d -> Format.fprintf fmt "queue:%d" d
-  | Rate m -> Format.fprintf fmt "rate:%dMbps" m
-  | Delay d -> Format.fprintf fmt "delay:%dns" d
-  | Trimmed -> Format.fprintf fmt "trimmed"
-
 let equal a b = a = b

@@ -14,8 +14,6 @@ type t =
   | Delay of int  (** Queueing/residence delay at this hop in ns. *)
   | Trimmed  (** The packet's payload was trimmed here (NDP-style). *)
 
-val type_code : t -> int
-
 val encoded_size : t -> int
 (** Bytes of the TLV on the wire (type + length + value). *)
 
@@ -28,7 +26,5 @@ val decode : Bytes.t -> pos:int -> t * int
 val is_congested : t -> bool
 (** Whether this entry, on its own, signals congestion (used for path
     exclusion decisions). *)
-
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -218,5 +218,3 @@ let msg_lb sw ~dst ~ports ~fallback =
   lb
 
 let lb_assignments lb = Array.copy lb.assignments
-
-let lb_committed lb = Array.copy lb.committed

@@ -72,6 +72,3 @@ val msg_lb :
 
 val lb_assignments : msg_lb -> int array
 (** Messages assigned per port so far. *)
-
-val lb_committed : msg_lb -> int array
-(** Outstanding committed bytes per port. *)

@@ -10,8 +10,6 @@ let equal_shares ~entities =
 
 let weighted pairs = normalize pairs
 
-let entities t = List.map fst t.pairs
-
 let share t entity =
   match List.assoc_opt entity t.pairs with Some s -> s | None -> 0.0
 
@@ -30,12 +28,3 @@ let install_fair_share t link ~cap_pkts ~mark_threshold =
   Netsim.Link.set_qdisc link
     (Netsim.Qdisc.fair_mark ~classify:(classify t) ~shares:(shares_array t)
        ~cap_pkts ~mark_threshold ())
-
-let install_per_entity_queues t link ~cap_pkts ?mark_threshold () =
-  let weights =
-    Array.of_list
-      (List.map (fun (_, s) -> max 1 (int_of_float (s *. 100.0))) t.pairs)
-  in
-  Netsim.Link.set_qdisc link
-    (Netsim.Qdisc.wrr ?mark_threshold ~classify:(classify t) ~weights
-       ~cap_pkts ())

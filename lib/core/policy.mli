@@ -13,8 +13,6 @@ val equal_shares : entities:int list -> t
 val weighted : (int * float) list -> t
 (** Explicit [(entity, weight)] pairs; weights are normalized. *)
 
-val entities : t -> int list
-
 val share : t -> int -> float
 (** Normalized share of an entity (0 for unknown entities). *)
 
@@ -22,17 +20,7 @@ val class_of : t -> int -> int
 (** Dense class index of an entity for qdisc classification
     (unknown entities map to class 0). *)
 
-val shares_array : t -> float array
-(** Shares indexed by {!class_of}. *)
-
-val classify : t -> Netsim.Packet.t -> int
-(** Classifier usable with {!Netsim.Qdisc.fair_mark} / [wrr]. *)
-
 val install_fair_share :
   t -> Netsim.Link.t -> cap_pkts:int -> mark_threshold:int -> unit
 (** Replace the link's queue with a single shared FIFO that CE-marks
     entities exceeding their policy share. *)
-
-val install_per_entity_queues :
-  t -> Netsim.Link.t -> cap_pkts:int -> ?mark_threshold:int -> unit -> unit
-(** The expensive baseline: one weighted queue per entity. *)

@@ -64,10 +64,6 @@ let min_time t =
   if t.len = 0 then invalid_arg "Eventqueue.min_time: empty";
   t.times.(0)
 
-let min_value t =
-  if t.len = 0 then invalid_arg "Eventqueue.min_value: empty";
-  t.vals.(0)
-
 let min_seq t =
   if t.len = 0 then invalid_arg "Eventqueue.min_seq: empty";
   t.seqs.(0)
@@ -113,18 +109,3 @@ let pop_min t =
     t.vals.(!i) <- v
   end;
   top
-
-let peek t =
-  if t.len = 0 then None else Some (t.times.(0), t.seqs.(0), t.vals.(0))
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) and seq = t.seqs.(0) in
-    let v = pop_min t in
-    Some (time, seq, v)
-  end
-
-let clear t =
-  Array.fill t.vals 0 t.len t.dummy;
-  t.len <- 0

@@ -25,10 +25,6 @@ val min_time : 'a t -> int
 (** Time key of the smallest element.  @raise Invalid_argument when
     empty. *)
 
-val min_value : 'a t -> 'a
-(** Payload of the smallest element without removing it.
-    @raise Invalid_argument when empty. *)
-
 val min_seq : 'a t -> int
 (** Sequence number of the smallest element.  @raise Invalid_argument
     when empty. *)
@@ -36,13 +32,3 @@ val min_seq : 'a t -> int
 val pop_min : 'a t -> 'a
 (** Remove and return the smallest element without boxing the key.
     @raise Invalid_argument when empty. *)
-
-val peek : 'a t -> (int * int * 'a) option
-(** Smallest element without removing it. *)
-
-val pop : 'a t -> (int * int * 'a) option
-(** Remove and return the smallest element (allocating convenience
-    form of {!pop_min}). *)
-
-val clear : 'a t -> unit
-(** Empty the queue and release every held value. *)

@@ -310,9 +310,8 @@ let disarm tm =
 
 let armed tm = tm.tm_handle >= 0 || tm.tm_plan_seq >= 0
 
-let periodic t ?start ~interval f =
+let periodic t ~interval f =
   assert (interval > 0);
-  let first = match start with Some s -> s | None -> t.clock + interval in
   let tm =
     { tm_sim = t; tm_handle = no_handle; tm_action = noop;
       tm_plan_at = Time.zero; tm_plan_seq = -1 }
@@ -321,5 +320,5 @@ let periodic t ?start ~interval f =
     (fun () ->
       tm.tm_handle <- no_handle;
       if f () then arm tm ~at:(t.clock + interval));
-  arm tm ~at:first;
+  arm tm ~at:(t.clock + interval);
   tm

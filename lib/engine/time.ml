@@ -4,21 +4,13 @@ let zero = 0
 let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
-let sec n = n * 1_000_000_000
 let to_float_s t = float_of_int t /. 1e9
 let to_float_us t = float_of_int t /. 1e3
-
-let pp fmt t =
-  if t < 1_000 then Format.fprintf fmt "%dns" t
-  else if t < 1_000_000 then Format.fprintf fmt "%.2fus" (float_of_int t /. 1e3)
-  else if t < 1_000_000_000 then Format.fprintf fmt "%.3fms" (float_of_int t /. 1e6)
-  else Format.fprintf fmt "%.3fs" (to_float_s t)
 
 type rate = int
 
 let gbps n = n * 1_000_000_000
 let mbps n = n * 1_000_000
-let kbps n = n * 1_000
 
 (* Float intermediates avoid 63-bit overflow for multi-gigabyte
    transfers; the values involved stay well below 2^53 so the result is
@@ -34,7 +26,3 @@ let tx_time ~bytes ~rate =
 let bytes_in ~rate dt =
   if dt <= 0 then 0
   else int_of_float (float_of_int dt *. float_of_int rate /. 8e9)
-
-let rate_of ~bytes ~interval =
-  assert (interval > 0);
-  int_of_float (float_of_int bytes *. 8e9 /. float_of_int interval)

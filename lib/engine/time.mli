@@ -19,17 +19,11 @@ val us : int -> t
 val ms : int -> t
 (** [ms n] is [n] milliseconds. *)
 
-val sec : int -> t
-(** [sec n] is [n] seconds. *)
-
 val to_float_s : t -> float
 (** Time in seconds, for reporting. *)
 
 val to_float_us : t -> float
 (** Time in microseconds, for reporting. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)
 
 (** {1 Rates} *)
 
@@ -38,7 +32,6 @@ type rate = int
 
 val gbps : int -> rate
 val mbps : int -> rate
-val kbps : int -> rate
 
 val tx_time : bytes:int -> rate:rate -> t
 (** [tx_time ~bytes ~rate] is the serialization delay of [bytes] on a
@@ -48,8 +41,3 @@ val tx_time : bytes:int -> rate:rate -> t
 val bytes_in : rate:rate -> t -> int
 (** [bytes_in ~rate dt] is how many bytes a link of [rate] transfers in
     [dt]; the inverse of {!tx_time}. *)
-
-val rate_of : bytes:int -> interval:t -> rate
-(** [rate_of ~bytes ~interval] is the average rate, in bits per second,
-    of transferring [bytes] over [interval].  [interval] must be
-    positive. *)

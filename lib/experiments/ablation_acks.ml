@@ -44,8 +44,10 @@ let run_variant ~duration ~ack_every =
       float_of_int (Mtp.Endpoint.acks_sent eb)
       /. Float.max 1.0 (float_of_int data_pkts) }
 
-let run ?(duration = Engine.Time.ms 10) () =
-  List.map (fun ack_every -> run_variant ~duration ~ack_every) [ 1; 4; 16 ]
+let run () =
+  List.map
+    (fun ack_every -> run_variant ~duration:(Engine.Time.ms 10) ~ack_every)
+    [ 1; 4; 16 ]
 
 let result () =
   let rows = run () in

@@ -14,6 +14,4 @@ type row = {
   acks_per_data_pkt : float;
 }
 
-val run : ?duration:Engine.Time.t -> unit -> row list
-
 val result : unit -> Exp_common.result

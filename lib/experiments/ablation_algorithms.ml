@@ -9,10 +9,10 @@ type algo_out = {
 
 let variants rate =
   [ ("AIMD + ECN", Mtp.Cc.Aimd, Mtp.Mtp_switch.Ecn_mark 20);
-    ("DCTCP + ECN", Mtp.Cc.Dctcp { g = 0.0625 }, Mtp.Mtp_switch.Ecn_mark 20);
+    ("DCTCP + ECN", Mtp.Cc.Dctcp, Mtp.Mtp_switch.Ecn_mark 20);
     ("RCP + rate grants", Mtp.Cc.Rcp,
      Mtp.Mtp_switch.Rate_grant { capacity = rate });
-    ("Swift + delay", Mtp.Cc.Swift { target = Engine.Time.us 20 },
+    ("Swift + delay", Mtp.Cc.Swift,
      Mtp.Mtp_switch.Delay_report) ]
 
 let run_variant ~rate ~duration (name, algo, mode) =
@@ -28,9 +28,7 @@ let run_variant ~rate ~duration (name, algo, mode) =
   Mtp.Mtp_switch.stamp sim ab ~path_id:1 ~mode;
   let ea = Mtp.Endpoint.attach ~algo (Netsim.Host.create a) in
   let eb = Mtp.Endpoint.attach (Netsim.Host.create b) in
-  let meter =
-    Stats.Meter.create ~name sim ~interval:(Engine.Time.us 50) ()
-  in
+  let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->
       Stats.Meter.count_bytes meter d.Mtp.Endpoint.dl_size);
   ignore
@@ -56,7 +54,8 @@ let run_variant ~rate ~duration (name, algo, mode) =
     drops = qd.Netsim.Qdisc.drops ();
     retransmits = Mtp.Endpoint.retransmits ea }
 
-let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 10) () =
+let run ?(duration = Engine.Time.ms 10) () =
+  let rate = Engine.Time.gbps 10 in
   List.map (run_variant ~rate ~duration) (variants rate)
 
 let result () =

@@ -19,10 +19,6 @@ type algo_out = {
   retransmits : int;
 }
 
-val run :
-  ?rate:Engine.Time.rate ->
-  ?duration:Engine.Time.t ->
-  unit ->
-  algo_out list
+val run : ?duration:Engine.Time.t -> unit -> algo_out list
 
 val result : unit -> Exp_common.result

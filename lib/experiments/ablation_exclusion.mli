@@ -19,6 +19,6 @@ type output = {
   with_exclusion : variant_out;
 }
 
-val run : ?duration:Engine.Time.t -> ?seed:int -> unit -> output
+val run : ?duration:Engine.Time.t -> unit -> output
 
 val result : unit -> Exp_common.result

@@ -35,7 +35,7 @@ let run_variant ~duration ~fine =
   let ea = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_src) in
   let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
   let meter =
-    Stats.Meter.create ~name:"goodput" sim
+    Stats.Meter.create sim
       ~interval:cfg.Fig5_multipath.sample_interval ()
   in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->

@@ -8,7 +8,11 @@ type variant_out = {
 
 type output = { droptail : variant_out; trimming : variant_out }
 
-let run_variant ~senders ~message_bytes ~queue_pkts ~trim =
+let senders = 16
+let message_bytes = 8_000
+let queue_pkts = 16
+
+let run_variant ~trim =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let qd =
@@ -54,9 +58,8 @@ let run_variant ~senders ~message_bytes ~queue_pkts ~trim =
        else Stats.Summary.percentile fcts 99.0);
     timeouts; nacks; drops = qd.Netsim.Qdisc.drops () }
 
-let run ?(senders = 16) ?(message_bytes = 8_000) ?(queue_pkts = 16) () =
-  { droptail = run_variant ~senders ~message_bytes ~queue_pkts ~trim:false;
-    trimming = run_variant ~senders ~message_bytes ~queue_pkts ~trim:true }
+let run () =
+  { droptail = run_variant ~trim:false; trimming = run_variant ~trim:true }
 
 let result () =
   let o = run () in

@@ -17,11 +17,8 @@ type variant_out = {
 
 type output = { droptail : variant_out; trimming : variant_out }
 
-val run :
-  ?senders:int ->
-  ?message_bytes:int ->
-  ?queue_pkts:int ->
-  unit ->
-  output
+val run : unit -> output
+(** 16 senders each send one 8 KB message into a 16-packet egress
+    queue, once drop-tail and once trimming. *)
 
 val result : unit -> Exp_common.result

@@ -1,6 +1,7 @@
 type output = { tcp_gbps : float; mtp_gbps : float; jain_fairness : float }
 
-let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 20) () =
+let run ?(duration = Engine.Time.ms 20) () =
+  let rate = Engine.Time.gbps 10 in
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let db =
@@ -13,8 +14,8 @@ let run ?(rate = Engine.Time.gbps 10) ?(duration = Engine.Time.ms 20) () =
      (the MTP stamper reports the IP CE bit as pathlet feedback). *)
   Mtp.Mtp_switch.stamp sim db.Netsim.Topology.db_bottleneck ~path_id:1
     ~mode:Mtp.Mtp_switch.Ce_echo;
-  let tcp_meter = Stats.Meter.create ~name:"tcp" sim ~interval:(Engine.Time.us 100) () in
-  let mtp_meter = Stats.Meter.create ~name:"mtp" sim ~interval:(Engine.Time.us 100) () in
+  let tcp_meter = Stats.Meter.create sim ~interval:(Engine.Time.us 100) () in
+  let mtp_meter = Stats.Meter.create sim ~interval:(Engine.Time.us 100) () in
   let tcp_client =
     Transport.Dctcp.attach ~snd_buf:500_000
       (Netsim.Host.create db.Netsim.Topology.db_senders.(0))

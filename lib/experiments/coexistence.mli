@@ -12,7 +12,6 @@ type output = {
       (** Jain's index over the two shares; 1.0 = perfectly fair. *)
 }
 
-val run :
-  ?rate:Engine.Time.rate -> ?duration:Engine.Time.t -> unit -> output
+val run : ?duration:Engine.Time.t -> unit -> output
 
 val result : unit -> Exp_common.result

@@ -60,9 +60,7 @@ let build cfg ~qdisc_a ~qdisc_b =
   Netsim.Fault.reroute fault tp.Netsim.Topology.tp_routes
     ~port:tp.Netsim.Topology.tp_port_a ~detect:cfg.detect
     tp.Netsim.Topology.tp_link_a;
-  let meter =
-    Stats.Meter.create ~name:"goodput" sim ~interval:cfg.sample_interval ()
-  in
+  let meter = Stats.Meter.create sim ~interval:cfg.sample_interval () in
   (sim, tp, fault, meter)
 
 (* Open-loop driver through the packed transport interface: one

@@ -17,9 +17,6 @@ type config = {
   duration : Engine.Time.t;
 }
 
-val default : config
-(** k=8 (128 hosts), 48 responders of 50KB. *)
-
 val smoke : config
 (** k=4 (16 hosts), 12 responders — the [--smoke] configuration. *)
 
@@ -34,7 +31,5 @@ type row = {
 }
 
 type output = { cfg : config; rows : row list }
-
-val run : ?config:config -> unit -> output
 
 val result : ?config:config -> unit -> Exp_common.result

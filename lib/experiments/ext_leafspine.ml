@@ -1,6 +1,6 @@
 type scheme_out = {
   goodput_gbps : float;
-  uplink_imbalance : float;
+  uplink_imbalance : float; (* max/min bytes over the first leaf's uplinks *)
   p99_fct_us : float;
 }
 
@@ -53,7 +53,7 @@ let summarize fcts ~total_bytes ~duration ~ls =
 
 let run_tcp ~duration ~message_bytes ~seed =
   let sim, ls = build ~seed in
-  let cc = Transport.Tcp.Dctcp { g = 0.0625 } in
+  let cc = Transport.Tcp.Dctcp in
   let fcts = Stats.Summary.create () in
   let total = ref 0 in
   let rng = Engine.Rng.create (seed + 17) in
@@ -128,8 +128,8 @@ let run_mtp ~duration ~message_bytes ~seed =
   summarize (Workload.Driver.pooled_fcts drivers) ~total_bytes:!total
     ~duration ~ls
 
-let run ?(duration = Engine.Time.ms 10) ?(message_bytes = 250_000)
-    ?(seed = 42) () =
+let run () =
+  let duration = Engine.Time.ms 10 and message_bytes = 250_000 and seed = 42 in
   { tcp_ecmp = run_tcp ~duration ~message_bytes ~seed;
     mtp_ecmp = run_mtp ~duration ~message_bytes ~seed }
 

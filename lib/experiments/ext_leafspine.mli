@@ -11,20 +11,4 @@
     Reported: aggregate goodput, uplink utilization imbalance, and p99
     message completion time. *)
 
-type scheme_out = {
-  goodput_gbps : float;
-  uplink_imbalance : float;
-      (** max/min bytes carried across the first leaf's uplinks. *)
-  p99_fct_us : float;
-}
-
-type output = { tcp_ecmp : scheme_out; mtp_ecmp : scheme_out }
-
-val run :
-  ?duration:Engine.Time.t ->
-  ?message_bytes:int ->
-  ?seed:int ->
-  unit ->
-  output
-
 val result : unit -> Exp_common.result

@@ -25,6 +25,4 @@ type row = {
 
 type output = { rows : row list }
 
-val run : ?config:config -> unit -> output
-
 val result : ?config:config -> unit -> Exp_common.result

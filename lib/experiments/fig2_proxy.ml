@@ -43,8 +43,7 @@ let run_variant cfg ~limited =
   let server =
     Transport.Tcp.attach (Netsim.Host.create ch.Netsim.Topology.ch_server)
   in
-  let meter = Stats.Meter.create ~name:"server_goodput" sim
-      ~interval:cfg.sample_interval () in
+  let meter = Stats.Meter.create sim ~interval:cfg.sample_interval () in
   Transport.Tcp.Messaging.listen server ~port:90
     ~on_data:(Stats.Meter.count_bytes meter) ();
   let proxy =
@@ -63,11 +62,7 @@ let run_variant cfg ~limited =
       ~dst:(Netsim.Node.addr ch.Netsim.Topology.ch_proxy)
       ~dst_port:80 ()
   in
-  let buffer =
-    Stats.Timeseries.create
-      ~name:(if limited then "limited_buffer" else "unlimited_buffer")
-      ()
-  in
+  let buffer = Stats.Timeseries.create () in
   ignore @@ Engine.Sim.periodic sim ~interval:cfg.sample_interval (fun () ->
       Stats.Timeseries.add buffer ~time:(Engine.Sim.now sim)
         (float_of_int (Transport.Proxy.occupancy proxy));

@@ -23,9 +23,7 @@ let build cfg =
         (Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ())
       ()
   in
-  let meter =
-    Stats.Meter.create ~name:"goodput" sim ~interval:cfg.sample_interval ()
-  in
+  let meter = Stats.Meter.create sim ~interval:cfg.sample_interval () in
   (sim, db, meter)
 
 let summarize series =
@@ -34,7 +32,7 @@ let summarize series =
 
 let run_tcp cfg ~one_rpf =
   let sim, db, meter = build cfg in
-  let cc = Transport.Tcp.Dctcp { g = 0.0625 } in
+  let cc = Transport.Tcp.Dctcp in
   Array.iteri
     (fun i snd ->
       let rcv = db.Netsim.Topology.db_receivers.(i) in

@@ -29,9 +29,7 @@ let build cfg ~qdisc_a ~qdisc_b =
     ~ports:[| tp.Netsim.Topology.tp_port_a; tp.Netsim.Topology.tp_port_b |]
     ~interval:cfg.flip_interval
     ~fallback:(Netsim.Routing.static tp.Netsim.Topology.tp_routes);
-  let meter =
-    Stats.Meter.create ~name:"goodput" sim ~interval:cfg.sample_interval ()
-  in
+  let meter = Stats.Meter.create sim ~interval:cfg.sample_interval () in
   (sim, tp, meter)
 
 let run_dctcp cfg =

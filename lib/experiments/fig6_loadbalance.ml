@@ -60,7 +60,7 @@ let run_tcp cfg ~route =
   let sim, tp = build cfg in
   Netsim.Switch.set_forward tp.Netsim.Topology.tp_ingress
     (route tp.Netsim.Topology.tp_routes);
-  let cc = Transport.Tcp.Dctcp { g = 0.0625 } in
+  let cc = Transport.Tcp.Dctcp in
   let client =
     Transport.Tcp.attach ~cc ~snd_buf:500_000
       (Netsim.Host.create tp.Netsim.Topology.tp_src)

@@ -76,12 +76,8 @@ let steady cfg series =
   Exp_common.mean_between series ~lo:(cfg.duration / 4) ~hi:cfg.duration
 
 let meters cfg sim =
-  let m1 =
-    Stats.Meter.create ~name:"tenant1" sim ~interval:cfg.sample_interval ()
-  in
-  let m2 =
-    Stats.Meter.create ~name:"tenant2" sim ~interval:cfg.sample_interval ()
-  in
+  let m1 = Stats.Meter.create sim ~interval:cfg.sample_interval () in
+  let m2 = Stats.Meter.create sim ~interval:cfg.sample_interval () in
   (m1, m2)
 
 let finish cfg m1 m2 =

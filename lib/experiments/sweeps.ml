@@ -12,16 +12,16 @@ type fig5_row = {
 
    The fig5 sweep's cells draw no random numbers (its config has no
    seed), so it runs one cell per point.  The fig6 sweep's workload is
-   seeded: each cell's seed is derived from the base seed by stream
+   seeded: each cell's seed is derived from the base seed 42 by stream
    index — a proper SplitMix64 split, not [seed + i] arithmetic — so
-   the cell seeds are a pure function of (seed, point index,
-   replication index).  With [reps = 1] the cell seed is
+   the cell seeds are a pure function of (point index, replication
+   index).  With [reps = 1] the cell seed is
    [derive base i], exactly the historical per-point seed; with
    [reps > 1] cell (i, r) uses [derive (derive base i) r] — a split of
    the point's own stream — and each row reports the mean across its
    replications. *)
-let cell_seed ~seed ~reps i r =
-  let point = Engine.Rng.derive (Engine.Rng.create seed) i in
+let cell_seed ~reps i r =
+  let point = Engine.Rng.derive (Engine.Rng.create 42) i in
   Engine.Rng.as_seed (if reps = 1 then point else Engine.Rng.derive point r)
 
 let mean_over outs f =
@@ -57,7 +57,7 @@ type fig6_row = {
 }
 
 let fig6_sweep_jobs ?(loads = [ 0.3; 0.5; 0.7 ]) ?(reps = 1)
-    ?(duration = Engine.Time.ms 80) ?(seed = 42) ~emit () =
+    ?(duration = Engine.Time.ms 80) ~emit () =
   Exp_common.grid ~reps ~points:loads
     ~cell:(fun i r load ->
       let config =
@@ -65,7 +65,7 @@ let fig6_sweep_jobs ?(loads = [ 0.3; 0.5; 0.7 ]) ?(reps = 1)
           Fig6_loadbalance.load;
           duration;
           max_message = 8_000_000;
-          seed = cell_seed ~seed ~reps i r }
+          seed = cell_seed ~reps i r }
       in
       Fig6_loadbalance.run ~config ())
     ~reduce:(fun load outs ->

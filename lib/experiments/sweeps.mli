@@ -20,7 +20,7 @@
 
     The fig5 sweep draws no random numbers, so it has one cell per
     point and no seed.  The fig6 sweep's cell seeds are SplitMix64
-    stream splits of [seed] ({!Engine.Rng.derive}): with [reps = 1]
+    stream splits of the base seed 42 ({!Engine.Rng.derive}): with [reps = 1]
     (the default) the cell seed is [derive base i], and with
     [reps > 1] cell [(i, r)] uses [derive (derive base i) r] and each
     row reports the per-point mean across replications. *)
@@ -49,7 +49,7 @@ type fig6_row = {
 }
 
 val fig6_sweep_jobs :
-  ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t -> ?seed:int ->
+  ?loads:float list -> ?reps:int -> ?duration:Engine.Time.t ->
   emit:(fig6_row list -> unit) -> unit -> Exp_common.job list
 
 val fig6_rows_result : ?reps:int -> fig6_row list -> Exp_common.result

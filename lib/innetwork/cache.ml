@@ -4,7 +4,6 @@ type t = {
   server_port : int;
   client_port_of : Netsim.Packet.addr -> int;
   capacity : int;
-  mtu : int;
   entries : (int, int) Hashtbl.t; (* key -> value size *)
   lru : int Queue.t; (* keys, oldest first; may hold stale entries *)
   mutable next_msg : int;
@@ -12,6 +11,9 @@ type t = {
   mutable n_misses : int;
   mutable n_learned : int;
 }
+
+(* Payload bytes per packet of a crafted reply. *)
+let mtu = 1440
 
 let evict_if_needed t =
   while Hashtbl.length t.entries > t.capacity do
@@ -35,17 +37,17 @@ let put t ~key ~size = remember t ~key ~size
 let inject_reply t ~client ~client_app_port ~key ~size =
   let msg_id = 0xC000_0000 + t.next_msg in
   t.next_msg <- t.next_msg + 1;
-  let npkts = (size + t.mtu - 1) / t.mtu in
+  let npkts = (size + mtu - 1) / mtu in
   let sim = Netsim.Switch.sim t.sw in
   let port = t.client_port_of client in
   for pkt_num = 0 to npkts - 1 do
     let pkt_len =
-      if pkt_num < npkts - 1 then t.mtu else size - (t.mtu * (npkts - 1))
+      if pkt_num < npkts - 1 then mtu else size - (mtu * (npkts - 1))
     in
     let header =
       Mtp.Wire.data ~pri:0 ~tc:0 ~cookie:Kvs.op_reply ~cookie2:key ~exclude:[]
         ~src_port:t.server_port ~dst_port:client_app_port ~msg_id
-        ~msg_len:size ~msg_pkts:npkts ~pkt_num ~pkt_offset:(pkt_num * t.mtu)
+        ~msg_len:size ~msg_pkts:npkts ~pkt_num ~pkt_offset:(pkt_num * mtu)
         ~pkt_len
     in
     let pkt =
@@ -54,10 +56,9 @@ let inject_reply t ~client ~client_app_port ~key ~size =
     Netsim.Switch.inject t.sw ~port pkt
   done
 
-let install sw ~server ~server_port ~client_port_of ?(capacity = 64)
-    ?(mtu_payload = 1440) () =
+let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
   let t =
-    { sw; server; server_port; client_port_of; capacity; mtu = mtu_payload;
+    { sw; server; server_port; client_port_of; capacity;
       entries = Hashtbl.create 64; lru = Queue.create (); next_msg = 0;
       n_hits = 0; n_misses = 0; n_learned = 0 }
   in

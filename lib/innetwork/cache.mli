@@ -21,14 +21,13 @@ val install :
   server_port:int ->
   client_port_of:(Netsim.Packet.addr -> int) ->
   ?capacity:int ->
-  ?mtu_payload:int ->
   unit ->
   t
 (** Interpose on GETs addressed to [server:server_port].
     [client_port_of] maps a client address to the switch port leading
     back to it (for injecting hit replies).  [capacity] (default 64)
     bounds cached keys with LRU eviction — switches have small
-    memories. *)
+    memories.  Hit replies go out in 1440-byte packets. *)
 
 val put : t -> key:int -> size:int -> unit
 (** Pre-populate (controller-installed hot keys). *)

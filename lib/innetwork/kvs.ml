@@ -42,23 +42,19 @@ let server ep ~port ?(service_time = Engine.Time.us 1) ~value_size () =
 
 let requests_served s = s.served
 
-let queue_depth s = Queue.length s.pending
-
 type client = {
   c_ep : Mtp.Endpoint.t;
   reply_port : int;
   waiting :
     (int, (Engine.Time.t * (size:int -> latency:Engine.Time.t -> unit)) Queue.t)
     Hashtbl.t;
-  mutable replies : int;
 }
 
 let client ep =
   let reply_port = Mtp.Endpoint.fresh_port ep in
-  let c = { c_ep = ep; reply_port; waiting = Hashtbl.create 32; replies = 0 } in
+  let c = { c_ep = ep; reply_port; waiting = Hashtbl.create 32 } in
   Mtp.Endpoint.bind ep ~port:reply_port (fun d ->
       if d.Mtp.Endpoint.dl_cookie = op_reply then begin
-        c.replies <- c.replies + 1;
         let key = d.Mtp.Endpoint.dl_cookie2 in
         match Hashtbl.find_opt c.waiting key with
         | Some q ->
@@ -89,5 +85,3 @@ let get c ~server ~server_port ~key ?on_reply () =
     (Mtp.Endpoint.send c.c_ep ~dst:server ~dst_port:server_port
        ~src_port:c.reply_port ~cookie:op_get ~cookie2:key
        ~size:request_bytes ())
-
-let replies_received c = c.replies

@@ -28,9 +28,6 @@ val server :
 
 val requests_served : server -> int
 
-val queue_depth : server -> int
-(** Requests waiting for service right now. *)
-
 type client
 
 val client : Mtp.Endpoint.t -> client
@@ -46,5 +43,3 @@ val get :
   unit
 (** Issue a GET; [on_reply] fires with the value size and the
     request-to-reply latency. *)
-
-val replies_received : client -> int

@@ -7,7 +7,6 @@ type t = {
   totals : int array;
   ewma : float array; (* microseconds *)
   mutable rr : int;
-  mutable n_forwarded : int;
   mutable n_replies : int;
 }
 
@@ -36,14 +35,13 @@ let create ep ~port ~replicas ?(policy = Least_outstanding) () =
   let n = Array.length replicas in
   let t =
     { replicas; policy; out = Array.make n 0; totals = Array.make n 0;
-      ewma = Array.make n 50.0; rr = 0; n_forwarded = 0; n_replies = 0 }
+      ewma = Array.make n 50.0; rr = 0; n_replies = 0 }
   in
   Mtp.Endpoint.bind ep ~port (fun request ->
       let idx = choose t in
       let replica, replica_port = t.replicas.(idx) in
       t.out.(idx) <- t.out.(idx) + 1;
       t.totals.(idx) <- t.totals.(idx) + 1;
-      t.n_forwarded <- t.n_forwarded + 1;
       let sent_at = Engine.Sim.now (Mtp.Endpoint.sim ep) in
       (* A private reply port per outstanding request keeps request /
          reply matching trivial and collision-free. *)
@@ -71,8 +69,5 @@ let create ep ~port ~replicas ?(policy = Least_outstanding) () =
            ~size:request.Mtp.Endpoint.dl_size ()));
   t
 
-let forwarded t = t.n_forwarded
 let relayed_replies t = t.n_replies
-let outstanding t = Array.copy t.out
 let per_replica t = Array.copy t.totals
-let ewma_latency_us t = Array.copy t.ewma

@@ -26,13 +26,7 @@ val create :
   unit ->
   t
 
-val forwarded : t -> int
 val relayed_replies : t -> int
-
-val outstanding : t -> int array
-(** Current in-flight requests per replica. *)
 
 val per_replica : t -> int array
 (** Total requests sent to each replica. *)
-
-val ewma_latency_us : t -> float array

@@ -1,7 +1,4 @@
-type t = {
-  mutable rewritten : int;
-  mutable saved : int;
-}
+type t = { mutable rewritten : int }
 
 let compressed_len ~orig ~factor =
   if orig <= 0 then 0
@@ -14,9 +11,10 @@ let compressed_msg_len ~msg_len ~msg_pkts ~mtu_payload ~factor =
     ((msg_pkts - 1) * compressed_len ~orig:mtu_payload ~factor)
     + compressed_len ~orig:last ~factor
 
-let install sw ~dst_port ~factor ?(mtu_payload = 1440) () =
+let install sw ~dst_port ~factor () =
   if factor <= 0.0 || factor > 1.0 then invalid_arg "Mutate.install: factor";
-  let t = { rewritten = 0; saved = 0 } in
+  let mtu_payload = 1440 in
+  let t = { rewritten = 0 } in
   Netsim.Switch.add_ingress_hook sw (fun pkt ->
       (match pkt.Netsim.Packet.payload with
       | Mtp.Wire.Mtp h
@@ -36,7 +34,6 @@ let install sw ~dst_port ~factor ?(mtu_payload = 1440) () =
             pkt_offset = h.Mtp.Wire.pkt_num * full }
         in
         t.rewritten <- t.rewritten + 1;
-        t.saved <- t.saved + (h.Mtp.Wire.pkt_len - new_len);
         pkt.Netsim.Packet.payload <- Mtp.Wire.Mtp h';
         pkt.Netsim.Packet.size <- Mtp.Wire.encoded_size h' + new_len
       | _ -> ());
@@ -44,5 +41,3 @@ let install sw ~dst_port ~factor ?(mtu_payload = 1440) () =
   t
 
 let packets_rewritten t = t.rewritten
-
-let bytes_saved t = t.saved

@@ -9,8 +9,8 @@
     acknowledgement state is untouched.
 
     The rewrite assumes the sender's standard packetization (all
-    packets [mtu_payload] bytes except the last), which is announced by
-    the message geometry. *)
+    packets 1440 bytes except the last), which is announced by the
+    message geometry. *)
 
 type t
 
@@ -18,7 +18,6 @@ val install :
   Netsim.Switch.t ->
   dst_port:int ->
   factor:float ->
-  ?mtu_payload:int ->
   unit ->
   t
 (** Compress payloads of data packets whose destination port is
@@ -32,5 +31,3 @@ val compressed_msg_len :
 (** Total compressed message size implied by the rewrite. *)
 
 val packets_rewritten : t -> int
-
-val bytes_saved : t -> int

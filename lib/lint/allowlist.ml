@@ -13,7 +13,6 @@ type t = entry list
 
 let empty = []
 
-let entries t = t
 let entry_rule e = e.e_rule
 let entry_file e = e.e_file
 
@@ -68,8 +67,6 @@ let matches e (f : Finding.t) =
   e.e_rule = f.Finding.rule
   && e.e_file = f.Finding.file
   && match e.e_line with None -> true | Some l -> l = f.Finding.line
-
-let suppressed t (f : Finding.t) = List.exists (fun e -> matches e f) t
 
 (* Partition [findings] into (kept, entries that suppressed nothing).
    The unused list is what the driver's staleness check reports — an

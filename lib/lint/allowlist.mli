@@ -7,14 +7,12 @@ type t
 val empty : t
 val parse_string : string -> (t, string) result
 val load : string -> (t, string) result
-val suppressed : t -> Finding.t -> bool
 
 val apply : t -> Finding.t list -> Finding.t list * entry list
 (** [apply t findings] is [(kept, unused)]: the findings no entry
     matched, and the entries that matched no finding (staleness
     candidates). *)
 
-val entries : t -> entry list
 val entry_rule : entry -> string
 val entry_file : entry -> string
 val entry_to_string : entry -> string

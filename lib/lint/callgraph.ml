@@ -124,6 +124,8 @@ let rec flatten_path (p : Path.t) =
   | Path.Papply (a, _) -> flatten_path a
   | Path.Pextra_ty (q, _) -> flatten_path q
 
+let canonical p = normalize (flatten_path p)
+
 let raising = [ [ "raise" ]; [ "raise_notrace" ]; [ "failwith" ]; [ "invalid_arg" ] ]
 
 (* Per-subtree accumulator.  The walker keeps a stack of these: the
@@ -180,7 +182,7 @@ let handle_ident ctx ~line (p : Path.t) =
     match Hashtbl.find_opt ctx.w_tops key with
     | Some comps -> record_glob ctx ~line comps
     | None -> record_dep ctx key)
-  | _ -> record_glob ctx ~line (normalize (flatten_path p))
+  | _ -> record_glob ctx ~line (canonical p)
 
 (* Does [e]'s subtree mention the telemetry guard ([Config.guard_path])?
    Checked on [if] conditions, so [Ctx.on () && cheap_filter] still
@@ -191,7 +193,7 @@ let mentions_guard ctx (e : Typedtree.expression) =
   let expr it (x : Typedtree.expression) =
     (match x.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
-      if contains_seq ctx.w_config.Config.guard_path (normalize (flatten_path p))
+      if contains_seq ctx.w_config.Config.guard_path (canonical p)
       then found := true
     | _ -> ());
     super.Tast_iterator.expr it x
@@ -234,7 +236,7 @@ let iterator ctx =
             match Hashtbl.find_opt ctx.w_tops (Ident.unique_name id) with
             | Some c -> c
             | None -> [ Ident.name id ])
-          | _ -> normalize (flatten_path p)
+          | _ -> canonical p
         in
         if List.exists (fun r -> r = comps) raising then begin
           (* The raising ident itself is not interesting; arguments get

@@ -61,6 +61,9 @@ val build :
 
 val dotted : string list -> string
 val normalize : string list -> string list
+val canonical : Path.t -> string list
+(** A resolved path's canonical components ([normalize]d). *)
+
 val contains_seq : string list -> string list -> bool
 (** [contains_seq pat path]: does [path] contain [pat]'s components
     consecutively? *)

@@ -4,11 +4,15 @@
    (executables use [.<exe>.eobjs/byte/dune__exe__<Module>.cmt]), each
    recording the compiler-relative source path ("lib/runner/pool.ml")
    and the mangled module name ("Runner__Pool").  The loader walks
-   [_build/default], keeps implementation cmts whose recorded source
-   lies under one of the requested dirs, and canonicalizes the module
-   name by splitting dune's "__" mangling (the [Dune.Exe] prefix of
-   executables is dropped — nothing cross-references an executable's
-   modules, but its own spawn sites must still be walked).
+   [_build/default], reads every implementation cmt, and
+   canonicalizes the module name by splitting dune's "__" mangling
+   (the [Dune.Exe] prefix of executables is dropped — nothing
+   cross-references an executable's modules, but its own spawn sites
+   must still be walked).  Every
+   implementation, tests and examples included, joins the [world]
+   whose references U101/U102 count; those whose recorded source lies
+   under one of the requested dirs are analyzed, together with the
+   [.cmti] of their interface.
 
    Wrapper/alias units (netsim.ml-gen and friends) have generated
    sources and carry no code of their own; filtering on a real ".ml"
@@ -29,14 +33,38 @@ let rec walk dir acc =
              .objs directories are exactly where the cmts live. *)
           if name = ".ppx" || name = ".merlin-conf" then acc
           else walk path acc
-        else if Filename.check_suffix name ".cmt" then path :: acc
+        else if
+          Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+        then path :: acc
         else acc)
       acc entries
+
+(* [dune build @all] compiles an executable module that has an
+   interface (dune's implicit empty one included) natively only, so
+   its cmt is missing although the unit exists; [@check] builds it.
+   The unit's native object gives it away. *)
+let missing_impl_cmt path =
+  Filename.check_suffix path ".cmti"
+  &&
+  let base = Filename.chop_suffix path ".cmti" in
+  let native =
+    Filename.concat
+      (Filename.concat (Filename.dirname (Filename.dirname base)) "native")
+      (Filename.basename base ^ ".cmx")
+  in
+  (not (Sys.file_exists (base ^ ".cmt"))) && Sys.file_exists native
 
 let canonical_unit modname =
   match Callgraph.normalize [ modname ] with
   | "Dune" :: "exe" :: rest | "dune" :: "exe" :: rest -> rest
   | comps -> comps
+
+let read path =
+  match Cmt_format.read_cmt path with
+  | cmt -> Ok cmt
+  | exception exn ->
+    Error
+      (Printf.sprintf "%s: unreadable cmt (%s)" path (Printexc.to_string exn))
 
 let load ~root ~dirs =
   let build = Filename.concat root (Filename.concat "_build" "default") in
@@ -47,40 +75,59 @@ let load ~root ~dirs =
           tier reads the build's .cmt files)"
          build)
   else begin
-    let cmts = List.sort String.compare (walk build []) in
+    let found = walk build [] in
+    let cmts =
+      List.sort String.compare
+        (List.filter (fun p -> Filename.check_suffix p ".cmt") found)
+    in
     let seen_sources = Hashtbl.create 64 in
-    let units = ref [] in
+    let world = ref [] and impls = ref [] and intfs = ref [] in
     let errors = ref [] in
     List.iter
       (fun path ->
-        match Cmt_format.read_cmt path with
-        | exception exn ->
-          errors :=
-            Printf.sprintf "%s: unreadable cmt (%s)" path
-              (Printexc.to_string exn)
-            :: !errors
-        | cmt -> (
+        match read path with
+        | Error e -> errors := e :: !errors
+        | Ok cmt -> (
           match (cmt.Cmt_format.cmt_sourcefile, cmt.Cmt_format.cmt_annots) with
           | Some src, Cmt_format.Implementation str
             when Filename.check_suffix src ".ml"
-                 && Config.in_dirs src dirs
                  && not (Hashtbl.mem seen_sources src) ->
             Hashtbl.add seen_sources src ();
-            units :=
-              (src, canonical_unit cmt.Cmt_format.cmt_modname, str) :: !units
+            let unit_path = canonical_unit cmt.Cmt_format.cmt_modname in
+            world := (src, unit_path, str) :: !world;
+            if Config.in_dirs src dirs then begin
+              impls := (src, unit_path, str) :: !impls;
+              (* The interface's cmti sits beside the cmt. *)
+              let cmti = Filename.chop_suffix path ".cmt" ^ ".cmti" in
+              if Sys.file_exists cmti then
+                match read cmti with
+                | Error e -> errors := e :: !errors
+                | Ok i -> (
+                  match (i.Cmt_format.cmt_sourcefile, i.Cmt_format.cmt_annots) with
+                  | Some mli, Cmt_format.Interface sg ->
+                    intfs := (mli, unit_path, sg) :: !intfs
+                  | _ -> ())
+            end
           | _ -> ()))
       cmts;
-    match !errors with
-    | e :: _ -> Error e
-    | [] ->
-      if !units = [] then
+    let by_file l = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l in
+    match (!errors, List.find_opt missing_impl_cmt found) with
+    | e :: _, _ -> Error e
+    | [], Some cmti ->
+      Error
+        (Printf.sprintf
+           "%s has no implementation cmt beside it; run `dune build @check` \
+            before `simlint --typed`"
+           cmti)
+    | [], None ->
+      if !impls = [] then
         Error
           (Printf.sprintf
              "no .cmt files under %s cover %s; run `dune build` first" build
              (String.concat " " dirs))
       else
         Ok
-          (List.sort
-             (fun (a, _, _) (b, _, _) -> String.compare a b)
-             !units)
+          { Typed.impls = by_file !impls;
+            intfs = by_file !intfs;
+            world = by_file !world }
   end

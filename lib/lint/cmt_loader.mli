@@ -1,10 +1,7 @@
-(** Discover and read the [.cmt] files dune produced under
-    [root/_build/default] for sources in [dirs]. *)
+(** Discover and read the [.cmt]/[.cmti] files dune produced under
+    [root/_build/default]. *)
 
-val load :
-  root:string ->
-  dirs:string list ->
-  ((string * string list * Typedtree.structure) list, string) result
-(** [(source_file, canonical_unit_path, typedtree)] per compilation
-    unit, sorted by source file; [Error] when the build is missing or
-    a cmt is unreadable. *)
+val load : root:string -> dirs:string list -> (Typed.program, string) result
+(** The implementations and interfaces for sources in [dirs], and
+    every implementation of the build as the reference world;
+    [Error] when the build is missing or a cmt is unreadable. *)

@@ -44,6 +44,7 @@ let default =
     t201_dirs = [ "lib"; "bin" ];
     t201_exempt_dirs = [ "lib/telemetry" ];
     rng_modules = [ "rng" ];
+    (* M001, and the interfaces U101/U102 check. *)
     mli_dirs = [ "lib" ];
     spawn_spec =
       [ { s_path = [ "Domain"; "spawn" ]; s_main_labels = [] };
@@ -159,7 +160,19 @@ let rules =
       summary =
         "[typed] hot-module call passing an optional argument with ~x: \
          (the typer boxes the value in Some on every call); ?x: \
-         pass-through is fine" } ]
+         pass-through is fine" };
+    { id = "U101";
+      typed = true;
+      summary =
+        "[typed] top-level val of a lib/ interface that no other \
+         compilation unit references (tests, examples and benches \
+         count): delete it, or drop it from the interface" };
+    { id = "U102";
+      typed = true;
+      summary =
+        "[typed] optional parameter of an exported lib/ function that no \
+         application passes (~x: or ?x); a function escaping as a value \
+         uses all its parameters" } ]
 
 let known_rule id = List.exists (fun r -> r.id = id) rules
 let typed_rule id = List.exists (fun r -> r.id = id && r.typed) rules

@@ -22,7 +22,8 @@ type t = {
   t201_exempt_dirs : string list;
       (** the telemetry subsystem itself implements the guard *)
   rng_modules : string list;  (** basenames allowed to touch [Random] *)
-  mli_dirs : string list;     (** scope of M001 *)
+  mli_dirs : string list;
+      (** scope of M001, and of U101/U102's exported interfaces *)
   spawn_spec : spawn list;    (** worker entry points (typed tier) *)
   guard_path : string list;
       (** consecutive-component pattern of the telemetry guard
@@ -43,7 +44,6 @@ val default : t
     [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] / [Exp_common]
     job thunks, telemetry commit side forbidden off-main. *)
 
-val basename_no_ext : string -> string
 val in_dirs : string -> string list -> bool
 
 val is_hot : t -> string -> bool

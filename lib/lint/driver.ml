@@ -119,8 +119,8 @@ let run ?(config = Config.default) ?(allowlist = Allowlist.empty)
             Pragma.suppressed (pragmas_for file) ~line ~rule:"P101"
           in
           Result.map
-            (fun units ->
-              Typed.check ~config ~audited units |> List.filter unsuppressed)
+            (fun program ->
+              Typed.check ~config ~audited program |> List.filter unsuppressed)
             (Cmt_loader.load ~root ~dirs)
     in
     (match (!errors, typed_findings) with
@@ -163,7 +163,7 @@ let usage =
    one {\"rule\",\"file\",\"line\",\"msg\"} object per line).  --typed \
    additionally\n\
    loads the .cmt files under ROOT/_build/default (run `dune build` first)\n\
-   and runs the typed rules P101/P102/H102/H103.  RULES are\n\
+   and runs the typed rules P101/P102/H102/H103/U101/U102.  RULES are\n\
    comma-separated rule ids.  Exits 0 when clean, 1 on findings or stale\n\
    allowlist entries, 2 on usage or parse errors.  Suppress a single site\n\
    with (* simlint: allow RULE — reason *) on the offending or the\n\

@@ -1,10 +1,6 @@
 (** Scanning, filtering and the CLI used by [bin/simlint] and the
     fixture tests. *)
 
-val scan_files : root:string -> dirs:string list -> string list
-(** All [.ml]/[.mli] files under [root]/[dirs], root-relative, sorted.
-    Raises [Failure] on a missing directory. *)
-
 val run :
   ?config:Config.t ->
   ?allowlist:Allowlist.t ->

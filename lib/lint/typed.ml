@@ -1,6 +1,8 @@
 (* Rule wiring for the typed tier: build the call graph once, run the
-   domain-safety and hot-path analyses over it, and scan the hot units
-   for option boxes (H103), which needs the typedtree, not the graph.
+   domain-safety and hot-path analyses over it, scan the hot units
+   for option boxes (H103), which needs the typedtree, not the graph,
+   and check the scanned interfaces against every reference in the
+   build (U101/U102).
    [sort_uniq] with [Finding.compare] (which ignores the message)
    collapses the same rule firing at one site through several
    witnesses — one diagnostic per (file, line, rule) keeps reports and
@@ -12,9 +14,16 @@
    reported.  Pragmas at access sites still work through the caller's
    ordinary per-finding filter. *)
 
-let check ~config ?(audited = fun _ _ -> false) units =
-  let cg = Callgraph.build ~config units in
+type program = {
+  impls : (string * string list * Typedtree.structure) list;
+  intfs : (string * string list * Typedtree.signature) list;
+  world : (string * string list * Typedtree.structure) list;
+}
+
+let check ~config ?(audited = fun _ _ -> false) p =
+  let cg = Callgraph.build ~config p.impls in
   List.sort_uniq Finding.compare
     (Domains.check ~config ~audited cg
     @ Hotpath.check ~config cg
-    @ Optboxes.check ~config units)
+    @ Optboxes.check ~config p.impls
+    @ Exports.check ~config ~intfs:p.intfs p.world)

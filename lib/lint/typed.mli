@@ -1,12 +1,23 @@
-(** The typed tier: P101/P102/H102/H103 over a set of typed units. *)
+(** The typed tier: P101/P102/H102/H103/U101/U102 over a typed
+    program. *)
+
+type program = {
+  impls : (string * string list * Typedtree.structure) list;
+      (** [(source_file, canonical_unit_path, typedtree)] of every
+          implementation under the scanned dirs *)
+  intfs : (string * string list * Typedtree.signature) list;
+      (** the interfaces of [impls], keyed by their [.mli] file *)
+  world : (string * string list * Typedtree.structure) list;
+      (** every implementation in the build, scanned or not: the
+          references U101/U102 count *)
+}
 
 val check :
   config:Config.t ->
   ?audited:(string -> int -> bool) ->
-  (string * string list * Typedtree.structure) list ->
+  program ->
   Finding.t list
-(** [check ~config units] over [(source_file, canonical_unit_path,
-    typedtree)] triples; one finding per (file, line, rule).
-    [audited file line] (default: never) marks a mutable cell whose
-    definition site carries a P101 pragma: an audited exchange point
-    whose access sites are not reported. *)
+(** One finding per (file, line, rule).  [audited file line]
+    (default: never) marks a mutable cell whose definition site
+    carries a P101 pragma: an audited exchange point whose access
+    sites are not reported. *)

@@ -12,10 +12,18 @@
    environment as a module named by the last component of its unit
    name, so a later unit can reference an earlier one
    ([Helper.join ...]) and cross-unit reachability is testable from
-   plain strings.  Only stdlib and earlier units are visible —
-   exactly the closed world a fixture should live in. *)
+   plain strings.  A unit with an interface source is seen through
+   that interface, which is also what U101/U102 check.  Only stdlib
+   and earlier units are visible — exactly the closed world a fixture
+   should live in.  Every unit is both analyzed and part of the
+   reference world. *)
 
-type unit_src = { u_name : string; u_file : string; u_src : string }
+type unit_src = {
+  u_name : string;
+  u_file : string;
+  u_src : string;
+  u_intf : string option;
+}
 
 let initialized = ref false
 
@@ -31,26 +39,46 @@ let describe_exn exn =
   | Some (`Ok report) -> Format.asprintf "%a" Location.print_report report
   | _ -> Printexc.to_string exn
 
+let intf_file u = u.u_file ^ "i"
+
+let lexbuf file src =
+  let lexbuf = Lexing.from_string src in
+  Lexing.set_filename lexbuf file;
+  lexbuf
+
 let type_units units =
   init ();
   let env0 = Compmisc.initial_env () in
-  let rec go env acc = function
-    | [] -> Ok (List.rev acc)
+  let rec go env impls intfs = function
+    | [] ->
+      let impls = List.rev impls in
+      Ok { Typed.impls; intfs = List.rev intfs; world = impls }
     | u :: rest -> (
       let comps = String.split_on_char '.' u.u_name in
       match
-        let lexbuf = Lexing.from_string u.u_src in
-        Lexing.set_filename lexbuf u.u_file;
-        let pstr = Parse.implementation lexbuf in
-        Typemod.type_structure env pstr
+        let tstr, sg, _names, _shape, _env =
+          Typemod.type_structure env
+            (Parse.implementation (lexbuf u.u_file u.u_src))
+        in
+        let tsig =
+          Option.map
+            (fun src ->
+              Typemod.transl_signature env
+                (Parse.interface (lexbuf (intf_file u) src)))
+            u.u_intf
+        in
+        (tstr, sg, tsig)
       with
       | exception exn ->
         Error (Printf.sprintf "%s: %s" u.u_file (describe_exn exn))
-      | tstr, sg, _names, _shape, _env ->
+      | tstr, sg, tsig ->
         let alias =
           match List.rev comps with last :: _ -> last | [] -> u.u_name
         in
         let id = Ident.create_persistent alias in
+        let sg =
+          match tsig with Some t -> t.Typedtree.sig_type | None -> sg
+        in
         let md =
           Types.
             { md_type = Mty_signature sg;
@@ -59,9 +87,14 @@ let type_units units =
               md_uid = Uid.internal_not_actually_unique }
         in
         let env = Env.add_module_declaration ~check:false id Mp_present md env in
-        go env ((u.u_file, comps, tstr) :: acc) rest)
+        let intfs =
+          match tsig with
+          | Some t -> (intf_file u, comps, t) :: intfs
+          | None -> intfs
+        in
+        go env ((u.u_file, comps, tstr) :: impls) intfs rest)
   in
-  go env0 [] units
+  go env0 [] [] units
 
 (* Type, analyze, and apply each unit's own inline pragmas — the same
    suppression semantics the driver gives real sources, so analyzing
@@ -70,16 +103,22 @@ let type_units units =
 let analyze ~config units =
   match type_units units with
   | Error _ as e -> e
-  | Ok typed ->
+  | Ok program ->
     let pragmas = Hashtbl.create 8 in
-    List.iter (fun u -> Hashtbl.replace pragmas u.u_file (Pragma.scan u.u_src)) units;
+    List.iter
+      (fun u ->
+        Hashtbl.replace pragmas u.u_file (Pragma.scan u.u_src);
+        Option.iter
+          (fun src -> Hashtbl.replace pragmas (intf_file u) (Pragma.scan src))
+          u.u_intf)
+      units;
     let audited file line =
       match Hashtbl.find_opt pragmas file with
       | Some p -> Pragma.suppressed p ~line ~rule:"P101"
       | None -> false
     in
     let findings =
-      Typed.check ~config ~audited typed
+      Typed.check ~config ~audited program
       |> List.filter (fun (f : Finding.t) ->
              match Hashtbl.find_opt pragmas f.Finding.file with
              | Some p ->

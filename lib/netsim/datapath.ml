@@ -18,8 +18,6 @@ let batching =
 
 let enabled () = Atomic.get batching
 
-let set_enabled v = Atomic.set batching v
-
 let with_batching v f =
   let prev = Atomic.get batching in
   Atomic.set batching v;

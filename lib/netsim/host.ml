@@ -32,7 +32,6 @@ let register t ~name claim =
   t.h_stacks <- t.h_stacks @ [ { stk_name = name; claim } ]
 
 let node t = t.h_node
-let sim t = Node.sim t.h_node
 let addr t = Node.addr t.h_node
 let pool t = t.h_pool
 let unclaimed t = t.h_unclaimed

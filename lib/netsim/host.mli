@@ -17,7 +17,6 @@ val create : Node.t -> t
 val register : t -> name:string -> (Packet.t -> bool) -> unit
 
 val node : t -> Node.t
-val sim : t -> Engine.Sim.t
 val addr : t -> Packet.addr
 val pool : t -> Packet.pool
 

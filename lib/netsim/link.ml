@@ -385,7 +385,6 @@ let set_up t =
   end
 
 let rate t = t.link_rate
-let delay t = t.link_delay
 let name t = t.link_name
 let sim t = t.sim
 

@@ -102,7 +102,6 @@ val in_flight_pkts : t -> int
 (** Packets serialising or propagating on the wire right now. *)
 
 val rate : t -> Engine.Time.rate
-val delay : t -> Engine.Time.t
 val name : t -> string
 
 val sim : t -> Engine.Sim.t

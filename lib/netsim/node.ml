@@ -5,12 +5,11 @@ type t = {
   mutable link : Link.t option;
   routes : (Packet.addr, Link.t) Hashtbl.t;
   mutable handle_packet : (Packet.t -> unit) option;
-  mutable no_handler_drops : int;
 }
 
 let create sim ~name ~addr =
   { sim; node_name = name; node_addr = addr; link = None;
-    routes = Hashtbl.create 4; handle_packet = None; no_handler_drops = 0 }
+    routes = Hashtbl.create 4; handle_packet = None }
 
 let addr t = t.node_addr
 let name t = t.node_name
@@ -35,7 +34,7 @@ let send t p = Link.send (link_for t p.Packet.dst) p
 let receive t p =
   match t.handle_packet with
   | Some h -> h p
-  | None -> t.no_handler_drops <- t.no_handler_drops + 1
+  | None -> ()
 
 (* Batch twin of [receive], for wiring as a link's burst destination:
    drains a whole delivery chain in one call.  The handler is re-read
@@ -54,5 +53,3 @@ let set_handler t h = t.handle_packet <- Some h
 let has_handler t = Option.is_some t.handle_packet
 
 let handler t = t.handle_packet
-
-let dropped t = t.no_handler_drops

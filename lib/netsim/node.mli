@@ -26,15 +26,12 @@ val add_route : t -> Packet.addr -> Link.t -> unit
 val uplink : t -> Link.t
 (** @raise Failure if the host is not attached. *)
 
-val link_for : t -> Packet.addr -> Link.t
-(** The link {!send} would use for a destination. *)
-
 val send : t -> Packet.t -> unit
 (** Transmit on the route for [p.dst], or the default uplink. *)
 
 val receive : t -> Packet.t -> unit
-(** Deliver a packet to the host's current handler (dropped with a
-    count if none is installed). *)
+(** Deliver a packet to the host's current handler (dropped if none
+    is installed). *)
 
 val receive_burst : t -> pull:(unit -> Packet.t option) -> unit
 (** Batch twin of {!receive}, wired with {!Link.set_dst_burst}: drains
@@ -48,6 +45,3 @@ val has_handler : t -> bool
 val handler : t -> (Packet.t -> unit) option
 (** The currently installed handler, for wrapping it (say, to time a
     host's receive path). *)
-
-val dropped : t -> int
-(** Packets that arrived with no handler installed. *)

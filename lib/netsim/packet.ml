@@ -60,9 +60,9 @@ type pool = {
   mutable released : int;
 }
 
-let pool ?(capacity = 64) sim =
+let pool sim =
   { pool_sim = sim;
-    free = Array.make (max 1 capacity) none;
+    free = Array.make 64 none;
     free_len = 0;
     fresh = 0;
     reused = 0;
@@ -82,12 +82,11 @@ let release p pkt =
     p.free_len <- p.free_len + 1
   end
 
-let recycle ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(payload = Raw) p ~src
-    ~dst ~size () =
+let recycle ?(flow_hash = 0) ?(payload = Raw) p ~src ~dst ~size () =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   if p.free_len = 0 then begin
     p.fresh <- p.fresh + 1;
-    make ~entity ~prio ~flow_hash ~payload p.pool_sim ~src ~dst ~size
+    make ~entity:0 ~prio:0 ~flow_hash ~payload p.pool_sim ~src ~dst ~size
   end
   else begin
     let n = p.free_len - 1 in
@@ -100,8 +99,8 @@ let recycle ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(payload = Raw) p ~src
     pkt.dst <- dst;
     pkt.size <- size;
     pkt.flags <- 0;
-    pkt.entity <- entity;
-    pkt.prio <- prio;
+    pkt.entity <- 0;
+    pkt.prio <- 0;
     pkt.flow_hash <- flow_hash;
     pkt.created_at <- Engine.Sim.now p.pool_sim;
     pkt.payload <- payload;
@@ -128,8 +127,3 @@ let flow_hash_of ~src ~dst ~src_port ~dst_port =
   let h = fnv h dst in
   let h = fnv h src_port in
   fnv h dst_port
-
-let pp fmt t =
-  Format.fprintf fmt "pkt#%d %d->%d %dB%s%s" t.uid t.src t.dst t.size
-    (if ecn_ce t then " CE" else "")
-    (if trimmed t then " TRIM" else "")

@@ -74,15 +74,15 @@ val make :
 type pool
 (** A free-list of released packets belonging to one simulator. *)
 
-val pool : ?capacity:int -> Engine.Sim.t -> pool
+val pool : Engine.Sim.t -> pool
+(** An empty pool; its free-list starts with room for 64 packets and
+    grows as needed. *)
 
 val release : pool -> t -> unit
 (** Park a packet for reuse.  The caller must not touch it afterwards.
     Releasing {!none} is a no-op. *)
 
 val recycle :
-  ?entity:int ->
-  ?prio:int ->
   ?flow_hash:int ->
   ?payload:proto ->
   pool ->
@@ -92,8 +92,8 @@ val recycle :
   unit ->
   t
 (** Like {!make} but re-initialises a released packet when one is
-    available (fresh [uid] and timestamp included).  Omitted labels
-    default to [0] and [Raw]. *)
+    available (fresh [uid] and timestamp included).  [entity] and
+    [prio] are [0]; omitted labels default to [0] and [Raw]. *)
 
 val pool_free : pool -> int
 (** Packets currently parked. *)
@@ -108,5 +108,3 @@ val pool_live : pool -> int
 
 val flow_hash_of : src:addr -> dst:addr -> src_port:int -> dst_port:int -> int
 (** Deterministic 5-tuple-style hash for ECMP. *)
-
-val pp : Format.formatter -> t -> unit

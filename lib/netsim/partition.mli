@@ -39,15 +39,6 @@ val lookahead : t -> Engine.Time.t
 (** Minimum conduit delay — the epoch window length.
     @raise Invalid_argument if the world has no conduit. *)
 
-val exchange : t -> unit
-(** Move every conduit's outbox into its destination-side inbox,
-    reserving one destination seq per flit in conduit creation order,
-    so deliveries dispatch in canonical order (arrival time, then
-    conduit creation order, then emission order).  O(1) per flit, no
-    sort, and no allocation beyond amortised ring growth.  Called
-    between epochs on the main domain; [run] does this
-    automatically. *)
-
 val run : ?jobs:int -> until:Engine.Time.t -> t -> unit
 (** Drive the whole world to [until] with [Runner.Epoch.run]:
     lookahead-sized windows, [jobs] workers, canonical exchange at

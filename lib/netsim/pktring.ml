@@ -44,34 +44,3 @@ let pop t =
 let peek t =
   if t.len = 0 then invalid_arg "Pktring.peek: empty";
   t.buf.(t.head)
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Pktring.get: out of range";
-  let j = t.head + i in
-  let cap = Array.length t.buf in
-  t.buf.(if j >= cap then j - cap else j)
-
-let pop_back t =
-  if t.len = 0 then invalid_arg "Pktring.pop_back: empty";
-  t.len <- t.len - 1;
-  let j = t.head + t.len in
-  let cap = Array.length t.buf in
-  let j = if j >= cap then j - cap else j in
-  let p = t.buf.(j) in
-  t.buf.(j) <- Packet.none;
-  p
-
-(* Batch move: pops up to [max] packets from [src] and pushes them onto
-   [dst] in FIFO order.  The hot-path building block for draining a
-   qdisc into the link's in-flight ring in one call. *)
-let transfer ~src ~dst ~max =
-  let n = if max < src.len then max else src.len in
-  for _ = 1 to n do
-    push dst (pop src)
-  done;
-  n
-
-let clear t =
-  while t.len > 0 do
-    ignore (pop t)
-  done

@@ -19,20 +19,3 @@ val pop : t -> Packet.t
 
 val peek : t -> Packet.t
 (** @raise Invalid_argument when empty. *)
-
-val get : t -> int -> Packet.t
-(** [get t i] is the [i]-th packet from the head (0 = next to pop),
-    without removing it.
-    @raise Invalid_argument when out of range. *)
-
-val pop_back : t -> Packet.t
-(** Remove and return the newest (most recently pushed) packet — used
-    by the batched link to un-commit the not-yet-serialized tail of a
-    burst when the link fails.
-    @raise Invalid_argument when empty. *)
-
-val transfer : src:t -> dst:t -> max:int -> int
-(** Pop up to [max] packets from [src] and push them onto [dst] in
-    FIFO order; returns the number moved. *)
-
-val clear : t -> unit

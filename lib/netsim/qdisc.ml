@@ -107,8 +107,8 @@ let fifo ?cap_bytes ~cap_pkts () =
     trims = (fun () -> 0);
     max_bytes_seen = (fun () -> f.F.max_bytes) }
 
-let ecn ?cap_bytes ~cap_pkts ~mark_threshold () =
-  let inner = fifo ?cap_bytes ~cap_pkts () in
+let ecn ~cap_pkts ~mark_threshold () =
+  let inner = fifo ~cap_pkts () in
   let marks = ref 0 in
   let enqueue p =
     if inner.pkt_length () >= mark_threshold && not (Packet.ecn_ce p) then begin
@@ -120,9 +120,10 @@ let ecn ?cap_bytes ~cap_pkts ~mark_threshold () =
   { inner with name = "ecn"; enqueue;
     enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
 
-let red ~rng ?(weight = 0.002) ?(max_p = 0.1) ~cap_pkts ~min_th ~max_th () =
+let red ~rng ~cap_pkts ~min_th ~max_th () =
   if not (0 <= min_th && min_th < max_th && max_th <= cap_pkts) then
     invalid_arg "Qdisc.red: thresholds";
+  let weight = 0.002 and max_p = 0.1 in
   let inner = fifo ~cap_pkts () in
   let marks = ref 0 in
   let avg = ref 0.0 in
@@ -188,41 +189,6 @@ let trimming ~cap_pkts ~header_size () =
     marks = (fun () -> 0);
     trims = (fun () -> !trims);
     max_bytes_seen = (fun () -> data.F.max_bytes) }
-
-let priority ~levels ~cap_pkts () =
-  assert (levels > 0);
-  let queues = Array.init levels (fun _ -> F.create ()) in
-  let drops = ref 0 in
-  let clamp prio = max 0 (min (levels - 1) prio) in
-  let enqueue p =
-    let f = queues.(clamp p.Packet.prio) in
-    if F.len f >= cap_pkts then begin
-      incr drops;
-      false
-    end
-    else begin
-      F.push f p;
-      true
-    end
-  in
-  let rec dequeue_from i =
-    if i >= levels then None
-    else match F.pop queues.(i) with Some p -> Some p | None -> dequeue_from (i + 1)
-  in
-  let sum get = Array.fold_left (fun acc f -> acc + get f) 0 queues in
-  let dequeue () = dequeue_from 0 in
-  { name = "priority";
-    enqueue;
-    dequeue;
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
-    byte_length = (fun () -> sum F.bytes);
-    pkt_length = (fun () -> sum F.len);
-    drops = (fun () -> !drops);
-    marks = (fun () -> 0);
-    trims = (fun () -> 0);
-    max_bytes_seen = (fun () -> sum (fun f -> f.F.max_bytes)) }
 
 let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
   let n = Array.length weights in

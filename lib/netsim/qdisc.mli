@@ -41,33 +41,22 @@ val burst_of_enqueue :
     used by every constructor and by wrappers ({!Fault.lossy}) whose
     enqueue overrides the inner one. *)
 
-val burst_of_dequeue : (unit -> Packet.t option) -> Pktring.t -> max:int -> int
-(** Build {!t.dequeue_burst} from a per-packet dequeue. *)
-
 val fifo : ?cap_bytes:int -> cap_pkts:int -> unit -> t
 (** Drop-tail FIFO bounded by packets and optionally bytes. *)
 
-val ecn : ?cap_bytes:int -> cap_pkts:int -> mark_threshold:int -> unit -> t
+val ecn : cap_pkts:int -> mark_threshold:int -> unit -> t
 (** Drop-tail FIFO that sets the CE bit on packets arriving when the
     instantaneous queue length is at least [mark_threshold] packets —
     the DCTCP marking scheme. *)
 
 val red :
-  rng:Engine.Rng.t ->
-  ?weight:float ->
-  ?max_p:float ->
-  cap_pkts:int ->
-  min_th:int ->
-  max_th:int ->
-  unit ->
-  t
+  rng:Engine.Rng.t -> cap_pkts:int -> min_th:int -> max_th:int -> unit -> t
 (** Random Early Detection with ECN marking: an EWMA of the queue
-    length (gain [weight], default 0.002 per arrival) drives a marking
-    probability that rises linearly from 0 at [min_th] to [max_p]
-    (default 0.1) at [max_th], and 1 beyond; marked packets get the CE
-    bit rather than being dropped (drops still happen at [cap_pkts]).
-    Randomness comes from the supplied [rng] so runs stay
-    deterministic. *)
+    length (gain 0.002 per arrival) drives a marking probability that
+    rises linearly from 0 at [min_th] to 0.1 at [max_th], and 1
+    beyond; marked packets get the CE bit rather than being dropped
+    (drops still happen at [cap_pkts]).  Randomness comes from the
+    supplied [rng] so runs stay deterministic. *)
 
 val trimming : cap_pkts:int -> header_size:int -> unit -> t
 (** NDP-style: when the data queue is full, incoming packets are
@@ -75,10 +64,6 @@ val trimming : cap_pkts:int -> header_size:int -> unit -> t
     placed on a strict-priority header queue (served first) so
     receivers learn about losses immediately.  Headers are only dropped
     when the header queue itself overflows (at [8 * cap_pkts]). *)
-
-val priority : levels:int -> cap_pkts:int -> unit -> t
-(** Strict priority by {!Packet.t.prio} (clamped to [levels]); each
-    level is a drop-tail FIFO of [cap_pkts]. *)
 
 val wrr :
   ?mark_threshold:int ->

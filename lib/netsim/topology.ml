@@ -21,11 +21,10 @@ type t = {
   sims : Engine.Sim.t array;
   conduit : conduit;
   mutable next_addr : int;
-  mutable all_hosts : Node.t list; (* reverse creation order *)
 }
 
 let partitioned sims ~conduit =
-  { sims; conduit; next_addr = 0; all_hosts = [] }
+  { sims; conduit; next_addr = 0 }
 
 let create sim =
   let no_conduit : conduit =
@@ -52,7 +51,6 @@ let place t ~groups g = (g mod groups) * nparts t / groups
 let host ?(part = 0) t name =
   let node = Node.create t.sims.(part) ~name ~addr:t.next_addr in
   t.next_addr <- t.next_addr + 1;
-  t.all_hosts <- node :: t.all_hosts;
   node
 
 let switch ?(part = 0) t name = Switch.create t.sims.(part) ~name ()
@@ -81,16 +79,11 @@ let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver, deliver_burst) =
     t.conduit ~src:(part t from) ~dst:(part t into) ~name ~rate ~delay ?qdisc
       ~deliver ()
 
-let hosts t = List.rev t.all_hosts
-
-let host_by_addr t addr =
-  List.find (fun n -> Node.addr n = addr) t.all_hosts
-
-let wire_host_to_switch t node sw ~rate ~delay ?up_qdisc ?down_qdisc () =
+let wire_host_to_switch t node sw ~rate ~delay ?down_qdisc () =
   let up =
     connect t ~from:(Node.sim node)
       ~name:(arrow (Node.name node) (Switch.name sw))
-      ~rate ~delay ?qdisc:up_qdisc (into_switch sw)
+      ~rate ~delay (into_switch sw)
   in
   Node.attach node up;
   let down =
@@ -100,7 +93,7 @@ let wire_host_to_switch t node sw ~rate ~delay ?up_qdisc ?down_qdisc () =
   in
   Switch.add_port sw down
 
-let wire_switch_pair t a b ~rate ~delay ?ab_qdisc ?ba_qdisc () =
+let wire_switch_pair t a b ~rate ~delay ?ab_qdisc () =
   let ab =
     connect t ~from:(Switch.sim a)
       ~name:(arrow (Switch.name a) (Switch.name b))
@@ -109,7 +102,7 @@ let wire_switch_pair t a b ~rate ~delay ?ab_qdisc ?ba_qdisc () =
   let ba =
     connect t ~from:(Switch.sim b)
       ~name:(arrow (Switch.name b) (Switch.name a))
-      ~rate ~delay ?qdisc:ba_qdisc (into_switch a)
+      ~rate ~delay (into_switch a)
   in
   let port_a = Switch.add_port a ab in
   let port_b = Switch.add_port b ba in
@@ -239,14 +232,13 @@ type chain = {
   ch_proxy_to_server : Link.t;
 }
 
-let proxy_chain t ~front_rate ~back_rate ~delay ?front_qdisc ?back_qdisc () =
+let proxy_chain t ~front_rate ~back_rate ~delay ?back_qdisc () =
   let hop = place t ~groups:3 in
   let client = host ~part:(hop 0) t "client" in
   let proxy = host ~part:(hop 1) t "proxy" in
   let server = host ~part:(hop 2) t "server" in
   let c2p, _p2c =
-    wire_host_pair t client proxy ~rate:front_rate ~delay
-      ?ab_qdisc:front_qdisc ()
+    wire_host_pair t client proxy ~rate:front_rate ~delay ()
   in
   let p2s, _s2p =
     wire_host_pair t proxy server ~rate:back_rate ~delay ?ab_qdisc:back_qdisc
@@ -496,7 +488,7 @@ type multi_tier = {
 }
 
 let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
-    ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc () =
+    ~host_rate ~fabric_rate ~delay () =
   if pods < 1 || leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
     invalid_arg "Topology.multi_leaf_spine: all tiers must be positive";
   if pods > 1 && supers < 1 then
@@ -546,10 +538,8 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
   Array.iteri
     (fun i h ->
       let l = i / hosts_per_leaf in
-      let down_qdisc = mk_qdisc host_qdisc in
       let port =
-        wire_host_to_switch t h leaf_sw.(l) ~rate:host_rate ~delay
-          ?down_qdisc ()
+        wire_host_to_switch t h leaf_sw.(l) ~rate:host_rate ~delay ()
       in
       Routing.add leaf_routes.(l) (Node.addr h) port)
     hosts;
@@ -561,7 +551,7 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     for s = 0 to spines - 1 do
       let si = (pod * spines) + s in
       let up_port, down_port, _ =
-        mesh t leaf_sw.(li) spine_sw.(si) ~rate:fabric_rate ~delay uplink_qdisc
+        mesh t leaf_sw.(li) spine_sw.(si) ~rate:fabric_rate ~delay None
       in
       Routing.add_range spine_routes.(si) ~lo:my_lo ~hi:my_hi down_port;
       if my_lo > base then
@@ -578,8 +568,7 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
       let pod_hi = pod_lo + hosts_per_pod - 1 in
       for u = 0 to supers - 1 do
         let up_port, down_port, _ =
-          mesh t spine_sw.(si) super_sw.(u) ~rate:fabric_rate ~delay
-            uplink_qdisc
+          mesh t spine_sw.(si) super_sw.(u) ~rate:fabric_rate ~delay None
         in
         Routing.add_range super_routes.(u) ~lo:pod_lo ~hi:pod_hi down_port;
         if pod_lo > base then

@@ -58,12 +58,6 @@ val host : ?part:int -> t -> string -> Node.t
 
 val switch : ?part:int -> t -> string -> Switch.t
 
-val hosts : t -> Node.t list
-(** All hosts created so far, in creation order. *)
-
-val host_by_addr : t -> Packet.addr -> Node.t
-(** @raise Not_found for unknown addresses. *)
-
 (** {1 Wiring} *)
 
 val wire_host_to_switch :
@@ -72,7 +66,6 @@ val wire_host_to_switch :
   Switch.t ->
   rate:Engine.Time.rate ->
   delay:Engine.Time.t ->
-  ?up_qdisc:Qdisc.t ->
   ?down_qdisc:Qdisc.t ->
   unit ->
   int
@@ -87,7 +80,6 @@ val wire_switch_pair :
   rate:Engine.Time.rate ->
   delay:Engine.Time.t ->
   ?ab_qdisc:Qdisc.t ->
-  ?ba_qdisc:Qdisc.t ->
   unit ->
   int * int * Link.t * Link.t
 (** Duplex switch/switch wiring: [(port_at_a_towards_b,
@@ -173,7 +165,6 @@ val proxy_chain :
   front_rate:Engine.Time.rate ->
   back_rate:Engine.Time.rate ->
   delay:Engine.Time.t ->
-  ?front_qdisc:Qdisc.t ->
   ?back_qdisc:Qdisc.t ->
   unit ->
   chain
@@ -294,8 +285,6 @@ val multi_leaf_spine :
   host_rate:Engine.Time.rate ->
   fabric_rate:Engine.Time.rate ->
   delay:Engine.Time.t ->
-  ?uplink_qdisc:(unit -> Qdisc.t) ->
-  ?host_qdisc:(unit -> Qdisc.t) ->
   unit ->
   multi_tier
 (** Generalized multi-tier Clos: [pods] two-tier leaf-spine blocks
@@ -304,4 +293,4 @@ val multi_leaf_spine :
     interval routes.  Like {!fat_tree}, every tier forwards with
     salted {!Routing.ecmp} over {!Routing.add_range} intervals, so
     state per switch is O(ports), and inter-pod flows fan out over
-    spines × supers paths. *)
+    spines × supers paths.  Every link keeps its default queue. *)

@@ -77,15 +77,3 @@ let cdf t =
       acc := !acc + t.counts.(i);
       let _, hi = bucket_range t i in
       (hi, float_of_int !acc /. float_of_int total))
-
-let pp fmt t =
-  let max_count = Array.fold_left max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      let lo, hi = bucket_range t i in
-      let bar = String.make (c * 40 / max_count) '#' in
-      Format.fprintf fmt "[%10.3g, %10.3g) %8d %s@." lo hi c bar)
-    t.counts;
-  if t.under > 0 then Format.fprintf fmt "underflow %d@." t.under;
-  if t.over > 0 then Format.fprintf fmt "overflow %d@." t.over;
-  if t.nan_count > 0 then Format.fprintf fmt "invalid (NaN) %d@." t.nan_count

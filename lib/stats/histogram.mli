@@ -38,6 +38,3 @@ val invalid : t -> int
 val cdf : t -> (float * float) list
 (** [(upper_bound, cumulative_fraction)] per bucket, using total count
     including under/overflow. *)
-
-val pp : Format.formatter -> t -> unit
-(** ASCII bar rendering, for harness output. *)

@@ -5,10 +5,10 @@ type t = {
   rates : Timeseries.t;
 }
 
-let create ?(name = "throughput") sim ~interval () =
+let create sim ~interval () =
   let t =
     { interval_bytes = 0; total = 0; running = true;
-      rates = Timeseries.create ~name () }
+      rates = Timeseries.create () }
   in
   ignore @@ Engine.Sim.periodic sim ~interval (fun () ->
       if t.running then begin

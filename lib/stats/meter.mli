@@ -7,8 +7,7 @@
 
 type t
 
-val create :
-  ?name:string -> Engine.Sim.t -> interval:Engine.Time.t -> unit -> t
+val create : Engine.Sim.t -> interval:Engine.Time.t -> unit -> t
 (** Starts sampling immediately; each tick records the rate over the
     preceding interval and resets the interval counter. *)
 

@@ -1,14 +1,10 @@
 type t = {
-  series_name : string;
   mutable rev_points : (Engine.Time.t * float) list;
   mutable n : int;
   mutable last_time : Engine.Time.t;
 }
 
-let create ?(name = "series") () =
-  { series_name = name; rev_points = []; n = 0; last_time = min_int }
-
-let name t = t.series_name
+let create () = { rev_points = []; n = 0; last_time = min_int }
 
 let add t ~time v =
   if time < t.last_time then invalid_arg "Timeseries.add: time went backwards";
@@ -47,15 +43,14 @@ let summary t =
   s
 
 let between t ~lo ~hi =
-  let sub = create ~name:t.series_name () in
+  let sub = create () in
   List.iter
     (fun (time, v) -> if time >= lo && time <= hi then add sub ~time v)
     (points t);
   sub
 
-let pp_rows ?(time_unit = `Us) fmt t =
-  let scale = match time_unit with `Us -> 1e3 | `Ms -> 1e6 | `S -> 1e9 in
+let pp_rows fmt t =
   List.iter
     (fun (time, v) ->
-      Format.fprintf fmt "%12.3f %14.4f@." (float_of_int time /. scale) v)
+      Format.fprintf fmt "%12.3f %14.4f@." (float_of_int time /. 1e3) v)
     (points t)

@@ -6,9 +6,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val add : t -> time:Engine.Time.t -> float -> unit
 (** Timestamps must be non-decreasing. *)
@@ -41,5 +39,6 @@ val summary : t -> Summary.t
 val between : t -> lo:Engine.Time.t -> hi:Engine.Time.t -> t
 (** Sub-series with timestamps in [\[lo, hi\]]. *)
 
-val pp_rows : ?time_unit:[ `Us | `Ms | `S ] -> Format.formatter -> t -> unit
-(** Two-column ["time value"] rows, one per line. *)
+val pp_rows : Format.formatter -> t -> unit
+(** Two-column ["time value"] rows, one per line, time in
+    microseconds. *)

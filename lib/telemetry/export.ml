@@ -87,7 +87,7 @@ let metric_rows_csv oc ~run rows =
         row_fields)
     rows
 
-let metrics_csv oc ?(runs = []) reg =
+let metrics_csv oc ~runs reg =
   output_string oc "run,metric,kind,field,value\n";
   List.iter (fun (label, rows) -> metric_rows_csv oc ~run:label rows) runs;
   metric_rows_csv oc ~run:"end" (Registry.snapshot reg)
@@ -106,7 +106,7 @@ let metric_rows_jsonl oc ~run rows =
         (String.concat "," fields))
     rows
 
-let metrics_jsonl oc ?(runs = []) reg =
+let metrics_jsonl oc ~runs reg =
   List.iter (fun (label, rows) -> metric_rows_jsonl oc ~run:label rows) runs;
   metric_rows_jsonl oc ~run:"end" (Registry.snapshot reg)
 

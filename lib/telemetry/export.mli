@@ -4,34 +4,20 @@
     sorted by name, run marks oldest first.  Two same-seed simulations
     export byte-identical files. *)
 
-val events_jsonl : out_channel -> Events.t -> unit
-(** One JSON object per line.  Common fields [t_us], [kind], [point],
-    then [uid]/[src]/[dst]/[size] when applicable and the two
-    kind-specific cells under their {!Events.ab_names}.  If the ring
-    wrapped, a final [{"kind":"truncated",...}] line reports the
-    loss. *)
-
-val events_csv : out_channel -> Events.t -> unit
-(** Fixed header [t_us,kind,point,uid,src,dst,size,a,b]. *)
-
-val metrics_csv :
-  out_channel -> ?runs:(string * Registry.row list) list -> Registry.t -> unit
-(** Header [run,metric,kind,field,value]; one row per metric field,
-    first for each marked run snapshot, then the final state under run
-    ["end"].  Counter values are cumulative across the process — diff
-    consecutive run marks to attribute them. *)
-
-val metrics_jsonl :
-  out_channel -> ?runs:(string * Registry.row list) list -> Registry.t -> unit
-(** One JSON object per metric row: [run], [metric], [kind], and every
-    field of the row.  Non-finite gauge values export as [null]. *)
-
-(** {1 Whole-context convenience} *)
-
 val write_trace : ?format:[ `Jsonl | `Csv ] -> string -> unit
 (** Export {!Ctx.events} to a file (default JSONL; [.csv] callers pass
-    [`Csv]). *)
+    [`Csv]).  JSONL holds one object per event with [t_us], [kind],
+    [point], then [uid]/[src]/[dst]/[size] when applicable and the two
+    kind-specific cells under their {!Events.ab_names}; if the ring
+    wrapped, a final [{"kind":"truncated",...}] line reports the loss.
+    CSV has the fixed header [t_us,kind,point,uid,src,dst,size,a,b]. *)
 
 val write_metrics : ?format:[ `Csv | `Jsonl ] -> string -> unit
 (** Export {!Ctx.metrics} with all {!Ctx.runs} marks to a file
-    (default CSV). *)
+    (default CSV).  CSV has the header [run,metric,kind,field,value]
+    and one row per metric field, first for each marked run snapshot,
+    then the final state under run ["end"]; counter values are
+    cumulative across the process, so diff consecutive run marks to
+    attribute them.  JSONL holds one object per metric row: [run],
+    [metric], [kind] and every field; non-finite gauge values export
+    as [null]. *)

@@ -6,12 +6,8 @@ type t = Tcp.t
 
 type conn = Tcp.conn
 
-let default_g = 0.0625 (* 1/16, per RFC 8257 *)
-
-let attach ?(g = default_g) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts ?min_rto
-    ?max_retries ?entity host =
-  Tcp.attach ~cc:(Tcp.Dctcp { g }) ?mss ?rcv_buf ?snd_buf ?init_cwnd_pkts
-    ?min_rto ?max_retries ?entity host
+let attach ?snd_buf ?min_rto ?entity host =
+  Tcp.attach ~cc:Tcp.Dctcp ?snd_buf ?min_rto ?entity host
 
 module Messaging = struct
   include Tcp.Messaging

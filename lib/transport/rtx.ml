@@ -1,15 +1,16 @@
 type t = {
   min_rto : Engine.Time.t;
   max_rto : Engine.Time.t;
-  init_rto : Engine.Time.t;
   mutable srtt : float; (* ns; negative = no sample yet *)
   mutable rttvar : float;
   mutable backoff_factor : int;
 }
 
-let create ?(init_rto = Engine.Time.us 200) ?(min_rto = Engine.Time.us 50)
-    ?(max_rto = Engine.Time.ms 100) () =
-  { min_rto; max_rto; init_rto; srtt = -1.0; rttvar = 0.0; backoff_factor = 1 }
+(* The timeout before the first RTT sample. *)
+let init_rto = Engine.Time.us 200
+
+let create ?(min_rto = Engine.Time.us 50) ?(max_rto = Engine.Time.ms 100) () =
+  { min_rto; max_rto; srtt = -1.0; rttvar = 0.0; backoff_factor = 1 }
 
 let observe t sample =
   let r = float_of_int sample in
@@ -25,12 +26,12 @@ let observe t sample =
 
 let rto t =
   let base =
-    if t.srtt < 0.0 then t.init_rto
+    if t.srtt < 0.0 then init_rto
     else int_of_float (t.srtt +. (4.0 *. t.rttvar))
   in
   min t.max_rto (max t.min_rto base * t.backoff_factor)
 
-let srtt t = if t.srtt < 0.0 then t.init_rto else int_of_float t.srtt
+let srtt t = if t.srtt < 0.0 then init_rto else int_of_float t.srtt
 
 let backoff t = t.backoff_factor <- min 64 (t.backoff_factor * 2)
 

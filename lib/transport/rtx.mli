@@ -3,12 +3,7 @@
 
 type t
 
-val create :
-  ?init_rto:Engine.Time.t ->
-  ?min_rto:Engine.Time.t ->
-  ?max_rto:Engine.Time.t ->
-  unit ->
-  t
+val create : ?min_rto:Engine.Time.t -> ?max_rto:Engine.Time.t -> unit -> t
 (** Defaults: initial 200 us, min 50 us, max 100 ms — sized for the
     microsecond RTTs of the simulated fabrics. *)
 

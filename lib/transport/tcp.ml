@@ -1,4 +1,7 @@
-type cc = Reno | Dctcp of { g : float }
+type cc = Reno | Dctcp
+
+(* DCTCP's alpha EWMA gain, 1/16 per RFC 8257. *)
+let dctcp_g = 0.0625
 
 type state = Syn_sent | Established | Closed
 
@@ -63,10 +66,7 @@ and t = {
   t_node : Netsim.Node.t;
   t_sim : Engine.Sim.t;
   t_cc : cc;
-  t_mss : int;
-  t_rcv_buf : int;
   t_snd_buf : int; (* flight cap: models the socket send buffer *)
-  t_init_cwnd : int; (* bytes *)
   t_min_rto : Engine.Time.t;
   t_max_retries : int;
   t_entity : int;
@@ -81,9 +81,12 @@ and t = {
 }
 
 let node t = t.t_node
-let sim t = t.t_sim
 
 let infinite = max_int / 4
+
+(* Payload bytes per segment, and the initial window of 10 segments. *)
+let mss_bytes = 1460
+let init_cwnd_bytes = 10 * mss_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry probes.  Every site is guarded by [Telemetry.Ctx.on], so a
@@ -156,7 +159,7 @@ and on_rto conn =
     else begin
       conn.consec_rtos <- conn.consec_rtos + 1;
       conn.n_timeouts <- conn.n_timeouts + 1;
-      let mss = float_of_int conn.stack.t_mss in
+      let mss = float_of_int mss_bytes in
       let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
       conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mss);
       conn.cwnd <- mss;
@@ -208,7 +211,7 @@ and retransmit_head conn =
     emit conn ~fin:true ~is_ack:true ~seq:conn.fin_seq ~payload:0 ()
   else begin
     let data_end = if conn.fin_seq >= 0 then conn.fin_seq else conn.snd_nxt in
-    let payload = min conn.stack.t_mss (data_end - conn.snd_una) in
+    let payload = min mss_bytes (data_end - conn.snd_una) in
     if payload > 0 then
       emit conn ~is_ack:true ~seq:conn.snd_una ~payload ()
   end
@@ -218,7 +221,7 @@ and retransmit_head conn =
 
 let rec try_send conn =
   if conn.state = Established then begin
-    let mss = conn.stack.t_mss in
+    let mss = mss_bytes in
     let buffer_before = conn.app_buffer in
     let continue = ref true in
     while !continue do
@@ -254,7 +257,7 @@ let rec try_send conn =
        persist probe going so a later window update is not lost. *)
     if conn.app_buffer > 0
        && conn.peer_rwnd - (conn.snd_nxt - conn.snd_una) <= 0
-       && conn.peer_rwnd < conn.stack.t_mss
+       && conn.peer_rwnd < mss_bytes
     then begin
       note_stalled conn;
       if (not (Engine.Sim.armed conn.persist_tm)) && not (outstanding conn)
@@ -291,7 +294,7 @@ and on_persist conn =
 (* ------------------------------------------------------------------ *)
 (* Congestion control reactions                                         *)
 
-let mssf conn = float_of_int conn.stack.t_mss
+let mssf = float_of_int mss_bytes
 
 let in_recovery conn = conn.snd_una < conn.recover
 
@@ -301,12 +304,12 @@ let grow_cwnd conn acked_bytes =
       conn.cwnd <- conn.cwnd +. float_of_int acked_bytes
     else
       conn.cwnd <-
-        conn.cwnd +. (mssf conn *. float_of_int acked_bytes /. conn.cwnd)
+        conn.cwnd +. (mssf *. float_of_int acked_bytes /. conn.cwnd)
   end
 
 let enter_loss_recovery conn =
   let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
-  conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf conn);
+  conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
   conn.cwnd <- conn.ssthresh;
   conn.recover <- conn.snd_nxt;
   conn.reduce_end <- conn.snd_nxt;
@@ -319,32 +322,32 @@ let ecn_response conn =
     (match conn.stack.t_cc with
     | Reno ->
       let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
-      conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf conn);
+      conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
       conn.cwnd <- conn.ssthresh
-    | Dctcp _ ->
+    | Dctcp ->
       (* Exit slow start (RFC 8257 s3.4); the proportional cwnd cut
          itself happens at the alpha window boundary below. *)
       conn.ssthresh <-
         Float.max
           (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)))
-          (2.0 *. mssf conn));
+          (2.0 *. mssf));
     conn.reduce_end <- conn.snd_nxt
   end
 
 let dctcp_account conn ~acked ~ece =
   match conn.stack.t_cc with
   | Reno -> ()
-  | Dctcp { g } ->
+  | Dctcp ->
     conn.acked_win <- conn.acked_win + acked;
     if ece then conn.marked_win <- conn.marked_win + acked;
     if conn.snd_una >= conn.ce_window_end && conn.acked_win > 0 then begin
       let f =
         float_of_int conn.marked_win /. float_of_int conn.acked_win
       in
-      conn.alpha <- ((1.0 -. g) *. conn.alpha) +. (g *. f);
+      conn.alpha <- ((1.0 -. dctcp_g) *. conn.alpha) +. (dctcp_g *. f);
       if conn.marked_win > 0 then
         conn.cwnd <-
-          Float.max (mssf conn) (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)));
+          Float.max (mssf) (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)));
       conn.acked_win <- 0;
       conn.marked_win <- 0;
       conn.ce_window_end <- max conn.snd_nxt (conn.snd_una + 1)
@@ -375,7 +378,7 @@ let process_ack conn (seg : Tcp_wire.t) =
     (* Full ACK ends recovery: deflate the dup-ACK-inflated window back
        to ssthresh (RFC 6582). *)
     if was_in_recovery && not (in_recovery conn) then
-      conn.cwnd <- Float.max (2.0 *. mssf conn) conn.ssthresh;
+      conn.cwnd <- Float.max (2.0 *. mssf) conn.ssthresh;
     conn.dupacks <- 0;
     conn.consec_rtos <- 0;
     Rtx.reset_backoff conn.rtx;
@@ -409,7 +412,7 @@ let process_ack conn (seg : Tcp_wire.t) =
       (* Window inflation: each further dup-ACK means a packet left the
          network, so let a new one in (keeps the pipe busy during
          recovery instead of stalling until RTO). *)
-      conn.cwnd <- conn.cwnd +. mssf conn;
+      conn.cwnd <- conn.cwnd +. mssf;
       try_send conn
     end
   end
@@ -426,7 +429,7 @@ let read conn n =
     let avail_before = conn.c_rcv_buf - conn.buffered in
     conn.buffered <- conn.buffered - n;
     let avail_after = conn.c_rcv_buf - conn.buffered in
-    if avail_before < conn.stack.t_mss && avail_after >= conn.stack.t_mss
+    if avail_before < mss_bytes && avail_after >= mss_bytes
        && conn.state <> Closed
     then send_pure_ack conn
   end
@@ -448,7 +451,7 @@ let check_peer_fin conn =
     conn.peer_fin_done <- true;
     conn.stack.t_rx_msgs <- conn.stack.t_rx_msgs + 1;
     (* One message = one connection: FIN seen is message complete, and
-       [opened_at] on the passive side is SYN arrival, so this is the
+       [c_opened_at] on the passive side is SYN arrival, so this is the
        receiver-observed per-message latency. *)
     if Telemetry.Ctx.on () then begin
       let latency =
@@ -512,7 +515,7 @@ let make_conn stack ~peer ~local_port ~remote_port ~rcv_buf ~state =
   let conn =
     { stack; peer; local_port; remote_port; c_rcv_buf = rcv_buf; state;
       snd_una = 0; snd_nxt = 0; app_buffer = 0; fin_pending = false;
-      fin_seq = -1; cwnd = float_of_int stack.t_init_cwnd;
+      fin_seq = -1; cwnd = float_of_int init_cwnd_bytes;
       ssthresh = float_of_int infinite; peer_rwnd = infinite; dupacks = 0;
       recover = 0; reduce_end = 0;
       rtx = Rtx.create ~min_rto:stack.t_min_rto ();
@@ -598,16 +601,13 @@ let claim stack pkt =
     true
   | _ -> false
 
-let attach ?(cc = Reno) ?(mss = 1460) ?rcv_buf ?snd_buf
-    ?(init_cwnd_pkts = 10) ?(min_rto = Engine.Time.us 50) ?(max_retries = 15)
-    ?(entity = 0) host =
+let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
+    ?(max_retries = 15) ?(entity = 0) host =
   let node = Netsim.Host.node host in
   let stack =
-    { t_node = node; t_sim = Netsim.Node.sim node; t_cc = cc; t_mss = mss;
-      t_rcv_buf = (match rcv_buf with Some b -> b | None -> infinite);
+    { t_node = node; t_sim = Netsim.Node.sim node; t_cc = cc;
       t_snd_buf = (match snd_buf with Some b -> b | None -> infinite);
-      t_init_cwnd = init_cwnd_pkts * mss; t_min_rto = min_rto;
-      t_max_retries = max_retries; t_entity = entity;
+      t_min_rto = min_rto; t_max_retries = max_retries; t_entity = entity;
       conns = Hashtbl.create 32;
       listeners = Hashtbl.create 4; next_port = 10_000;
       t_tx_msgs = 0; t_rx_msgs = 0; t_rx_bytes = 0; t_retx = 0 }
@@ -625,10 +625,10 @@ let attach ?(cc = Reno) ?(mss = 1460) ?rcv_buf ?snd_buf
   stack
 
 let listen stack ~port ?rcv_buf accept =
-  let rcv_buf = match rcv_buf with Some b -> b | None -> stack.t_rcv_buf in
+  let rcv_buf = match rcv_buf with Some b -> b | None -> infinite in
   Hashtbl.replace stack.listeners port (rcv_buf, accept)
 
-let connect stack ~dst ~dst_port ?src_port ?rcv_buf () =
+let connect stack ~dst ~dst_port ?src_port () =
   let local_port =
     match src_port with
     | Some p -> p
@@ -636,10 +636,9 @@ let connect stack ~dst ~dst_port ?src_port ?rcv_buf () =
       stack.next_port <- stack.next_port + 1;
       stack.next_port
   in
-  let rcv_buf = match rcv_buf with Some b -> b | None -> stack.t_rcv_buf in
   let conn =
-    make_conn stack ~peer:dst ~local_port ~remote_port:dst_port ~rcv_buf
-      ~state:Syn_sent
+    make_conn stack ~peer:dst ~local_port ~remote_port:dst_port
+      ~rcv_buf:infinite ~state:Syn_sent
   in
   Hashtbl.add stack.conns (local_port, dst, dst_port) conn;
   emit conn ~syn:true ~seq:0 ~payload:0 ();
@@ -678,15 +677,11 @@ let send_buffered conn = conn.app_buffer
 let unacked conn = conn.snd_nxt - conn.snd_una
 let cwnd_bytes conn = int_of_float conn.cwnd
 let ssthresh_bytes conn = int_of_float conn.ssthresh
-let srtt conn = Rtx.srtt conn.rtx
 let retransmits conn = conn.n_retransmits
 let timeouts conn = conn.n_timeouts
-let peer_rwnd conn = conn.peer_rwnd
 let is_open conn = conn.state <> Closed
 let aborted conn = conn.c_aborted
-let opened_at conn = conn.c_opened_at
-let closed_at conn = conn.c_closed_at
-let mss conn = conn.stack.t_mss
+let mss (_ : conn) = mss_bytes
 
 let stall_time conn =
   match conn.stall_since with

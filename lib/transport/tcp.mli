@@ -17,9 +17,9 @@
 
     No actual payload bytes are carried; all buffers are byte counts. *)
 
-type cc = Reno | Dctcp of { g : float }
-(** Congestion controller.  [g] is DCTCP's alpha EWMA gain (the paper
-    and RFC 8257 use 1/16). *)
+type cc = Reno | Dctcp
+(** Congestion controller.  DCTCP's alpha EWMA gain is 1/16, as in the
+    paper and RFC 8257. *)
 
 type t
 (** A host's TCP stack. *)
@@ -28,28 +28,25 @@ type conn
 
 val attach :
   ?cc:cc ->
-  ?mss:int ->
-  ?rcv_buf:int ->
   ?snd_buf:int ->
-  ?init_cwnd_pkts:int ->
   ?min_rto:Engine.Time.t ->
   ?max_retries:int ->
   ?entity:int ->
   Netsim.Host.t ->
   t
 (** Register a stack with a host's dispatcher.  It claims SYNs for its
-    listeners and segments of its connections.  [rcv_buf] (default
-    unbounded) is the default receive buffer for new connections;
+    listeners and segments of its connections.  Segments carry 1460
+    payload bytes, the initial window is 10 segments, and connections
+    get an unbounded receive buffer unless {!listen} sets one;
     [snd_buf] (default unbounded) caps bytes in flight like a kernel's
     socket send buffer — without it, slow start over a deep local
     queue can overshoot catastrophically; [max_retries] (default 15, the Linux
     [tcp_retries2] value) aborts a connection after that many
     consecutive RTOs with no forward progress ({!set_on_error} /
     {!aborted}); [entity] tags every packet for per-entity network
-    policies.  [mss] defaults to 1460 payload bytes. *)
+    policies. *)
 
 val node : t -> Netsim.Node.t
-val sim : t -> Engine.Sim.t
 
 val listen : t -> port:int -> ?rcv_buf:int -> (conn -> unit) -> unit
 (** Accept connections on [port]; the callback fires when the SYN
@@ -61,12 +58,12 @@ val connect :
   dst:Netsim.Packet.addr ->
   dst_port:int ->
   ?src_port:int ->
-  ?rcv_buf:int ->
   unit ->
   conn
-(** Active open; data written with {!send} flows once the handshake
-    completes.  [src_port] overrides the ephemeral allocation (e.g. to
-    model randomized ports for ECMP hashing). *)
+(** Active open with the stack's receive buffer; data written with
+    {!send} flows once the handshake completes.  [src_port] overrides
+    the ephemeral allocation (e.g. to model randomized ports for ECMP
+    hashing). *)
 
 (** {1 Data transfer} *)
 
@@ -131,17 +128,13 @@ val unacked : conn -> int
 
 val cwnd_bytes : conn -> int
 val ssthresh_bytes : conn -> int
-val srtt : conn -> Engine.Time.t
 val retransmits : conn -> int
 val timeouts : conn -> int
-val peer_rwnd : conn -> int
 val is_open : conn -> bool
 
 val aborted : conn -> bool
 (** Whether the connection died of max-retry exhaustion. *)
 
-val opened_at : conn -> Engine.Time.t
-val closed_at : conn -> Engine.Time.t option
 val mss : conn -> int
 
 val stall_time : conn -> Engine.Time.t

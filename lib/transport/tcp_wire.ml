@@ -16,9 +16,6 @@ type Netsim.Packet.proto += Tcp of t
 
 let header_bytes = 40
 
-let seg_seq_len seg =
-  seg.payload + (if seg.syn then 1 else 0) + if seg.fin then 1 else 0
-
 let packet sim ~src ~dst ~entity seg =
   let flow_hash =
     Netsim.Packet.flow_hash_of ~src ~dst ~src_port:seg.src_port

@@ -20,12 +20,6 @@ type t = {
 
 type Netsim.Packet.proto += Tcp of t
 
-val header_bytes : int
-(** IP + TCP header overhead added to every segment (40). *)
-
-val seg_seq_len : t -> int
-(** Sequence space consumed: payload plus one for SYN and FIN each. *)
-
 val packet :
   Engine.Sim.t ->
   src:Netsim.Packet.addr ->

@@ -4,11 +4,12 @@ type Netsim.Packet.proto += Udp of datagram
 
 let header_bytes = 28
 
+(* Payload bytes per fragment. *)
+let mtu_payload = 1472
+
 type t = {
   u_node : Netsim.Node.t;
   u_sim : Engine.Sim.t;
-  mtu_payload : int;
-  entity : int;
   pool : Netsim.Packet.pool;
   listeners :
     (int, src:Netsim.Packet.addr -> msg_id:int -> size:int -> unit) Hashtbl.t;
@@ -46,10 +47,10 @@ let claim t pkt =
     true
   | _ -> false
 
-let attach ?(mtu_payload = 1472) ?(entity = 0) host =
+let attach host =
   let node = Netsim.Host.node host in
   let t =
-    { u_node = node; u_sim = Netsim.Node.sim node; mtu_payload; entity;
+    { u_node = node; u_sim = Netsim.Node.sim node;
       pool = Netsim.Host.pool host; listeners = Hashtbl.create 4;
       partial = Hashtbl.create 32; next_msg = 0; rx_bytes = 0;
       completed = 0; tx_msgs = 0 }
@@ -67,10 +68,10 @@ let send t ~dst ~dst_port ~size =
   let flow_hash = Netsim.Packet.flow_hash_of ~src ~dst ~src_port ~dst_port in
   let rec fragment offset =
     if offset < size then begin
-      let len = min t.mtu_payload (size - offset) in
+      let len = min mtu_payload (size - offset) in
       let d = { dst_port; msg_id; len; total = size } in
       let pkt =
-        Netsim.Packet.recycle ~entity:t.entity ~flow_hash ~payload:(Udp d)
+        Netsim.Packet.recycle ~flow_hash ~payload:(Udp d)
           t.pool ~src ~dst ~size:(header_bytes + len) ()
       in
       Netsim.Node.send t.u_node pkt;
@@ -81,8 +82,6 @@ let send t ~dst ~dst_port ~size =
   msg_id
 
 let bytes_received t = t.rx_bytes
-
-let messages_completed t = t.completed
 
 module Messaging = struct
   type nonrec t = t

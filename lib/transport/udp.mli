@@ -7,11 +7,11 @@
 
 type t
 
-val attach : ?mtu_payload:int -> ?entity:int -> Netsim.Host.t -> t
+val attach : Netsim.Host.t -> t
 (** Register a stack with a host's dispatcher.  It claims every
     datagram and uses the host's packet pool: sends recycle released
     packets and received datagrams are released after delivery.
-    [mtu_payload] defaults to 1472 bytes per fragment. *)
+    Messages go out in fragments of 1472 payload bytes. *)
 
 val listen :
   t ->
@@ -26,8 +26,6 @@ val send : t -> dst:Netsim.Packet.addr -> dst_port:int -> size:int -> int
 val bytes_received : t -> int
 (** Total payload bytes that arrived (including incomplete
     messages). *)
-
-val messages_completed : t -> int
 
 module Messaging : Netsim.Transport_intf.S with type t = t
 (** [send_message]'s completion fires at the sender-side drain time

@@ -11,10 +11,4 @@ let paper_mix = skewed_mix ~max_bytes:1_000_000_000
 
 let paper_mix_capped ~max = skewed_mix ~max_bytes:max
 
-let websearch =
-  Dist.empirical
-    [ (1_000.0, 0.15); (5_000.0, 0.30); (10_000.0, 0.45); (30_000.0, 0.60);
-      (100_000.0, 0.75); (300_000.0, 0.85); (1_000_000.0, 0.92);
-      (3_000_000.0, 0.96); (10_000_000.0, 0.99); (30_000_000.0, 1.0) ]
-
 let fixed n = Dist.constant (float_of_int n)

@@ -9,9 +9,5 @@ val paper_mix : Dist.t
 val paper_mix_capped : max:int -> Dist.t
 (** Same shape with a smaller maximum, for quick runs. *)
 
-val websearch : Dist.t
-(** A DCTCP-paper-like web-search request mix (empirical CDF,
-    ~1 KB – 30 MB). *)
-
 val fixed : int -> Dist.t
 (** Constant size in bytes. *)

@@ -10,7 +10,6 @@ let checkb = Alcotest.(check bool)
 let test_time_units () =
   check "us" 1_000 (Time.us 1);
   check "ms" 1_000_000 (Time.ms 1);
-  check "sec" 1_000_000_000 (Time.sec 1);
   Alcotest.(check (float 1e-9)) "to_float_s" 1.5 (Time.to_float_s 1_500_000_000)
 
 let test_tx_time () =
@@ -32,10 +31,6 @@ let test_bytes_in_roundtrip () =
   let dt = Time.tx_time ~bytes ~rate in
   let back = Time.bytes_in ~rate dt in
   checkb "inverse within a byte or two" true (abs (back - bytes) <= 2)
-
-let test_rate_of () =
-  let r = Time.rate_of ~bytes:1_250_000 ~interval:(Time.us 100) in
-  check "100Gbps" 100_000_000_000 r
 
 (* -------------------------------- Rng ------------------------------ *)
 
@@ -119,13 +114,20 @@ let test_rng_pareto_minimum () =
 
 (* ----------------------------- Eventqueue -------------------------- *)
 
+(* Remove the smallest element with its key, the way [Sim] reads it. *)
+let pop q =
+  if Eventqueue.is_empty q then None
+  else
+    let time = Eventqueue.min_time q and seq = Eventqueue.min_seq q in
+    Some (time, seq, Eventqueue.pop_min q)
+
 let test_heap_ordering () =
   let q = Eventqueue.create ~dummy:"?" () in
   Eventqueue.add q ~time:5 ~seq:0 "c";
   Eventqueue.add q ~time:1 ~seq:1 "a";
   Eventqueue.add q ~time:3 ~seq:2 "b";
   let order = List.init 3 (fun _ ->
-      match Eventqueue.pop q with Some (_, _, v) -> v | None -> "?")
+      match pop q with Some (_, _, v) -> v | None -> "?")
   in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order
 
@@ -135,7 +137,7 @@ let test_heap_fifo_ties () =
     Eventqueue.add q ~time:7 ~seq:i i
   done;
   for i = 0 to 9 do
-    match Eventqueue.pop q with
+    match pop q with
     | Some (_, _, v) -> check "fifo among ties" i v
     | None -> Alcotest.fail "heap empty early"
   done
@@ -152,12 +154,12 @@ let test_heap_interleaved () =
       incr seq
     end
     else
-      match Eventqueue.pop q with
+      match pop q with
       | Some (t, s, ()) -> popped := (t, s) :: !popped
       | None -> ()
   done;
   while not (Eventqueue.is_empty q) do
-    match Eventqueue.pop q with
+    match pop q with
     | Some (t, s, ()) -> popped := (t, s) :: !popped
     | None -> ()
   done;
@@ -202,7 +204,7 @@ let prop_heap_matches_model =
             insert_model time !seq;
             incr seq
           | None -> (
-            match (Eventqueue.pop q, !model) with
+            match (pop q, !model) with
             | None, [] -> ()
             | Some (t, s, v), (mt, ms) :: rest ->
               if t <> mt || s <> ms || v <> ms then ok := false;
@@ -211,7 +213,7 @@ let prop_heap_matches_model =
         program;
       (* Drain both and compare the tails. *)
       while not (Eventqueue.is_empty q) do
-        match (Eventqueue.pop q, !model) with
+        match (pop q, !model) with
         | Some (t, s, _), (mt, ms) :: rest ->
           if t <> mt || s <> ms then ok := false;
           model := rest
@@ -242,7 +244,7 @@ let prop_heap_pop_is_pending_min =
       in
       let remove k xs = List.filter (fun k' -> k' <> k) xs in
       let pop_matches () =
-        match (Eventqueue.pop q, key_min !pending) with
+        match (pop q, key_min !pending) with
         | None, None -> true
         | Some (t, s, _), Some (mt, ms) ->
           pending := remove (mt, ms) !pending;
@@ -534,7 +536,6 @@ let suite =
     Alcotest.test_case "tx_time" `Quick test_tx_time;
     Alcotest.test_case "tx_time large" `Quick test_tx_time_large_transfer;
     Alcotest.test_case "bytes_in roundtrip" `Quick test_bytes_in_roundtrip;
-    Alcotest.test_case "rate_of" `Quick test_rate_of;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng seeds" `Quick test_rng_seed_sensitivity;
     Alcotest.test_case "rng derive pure" `Quick test_rng_derive_pure;

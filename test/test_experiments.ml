@@ -228,7 +228,7 @@ let test_header_overhead_model () =
 let test_csv_export () =
   let dir = Filename.temp_file "mtpcsv" "" in
   Sys.remove dir;
-  let ts = Stats.Timeseries.create ~name:"s" () in
+  let ts = Stats.Timeseries.create () in
   Stats.Timeseries.add ts ~time:1000 1.5;
   Stats.Timeseries.add ts ~time:2000 2.5;
   let table = Stats.Table.create ~columns:[ "a"; "b" ] in

@@ -230,9 +230,8 @@ let r2 = { Mtp.Wire.path_id = 2; path_tc = 0 }
 
 let test_pathlet_suspect_probe_revive () =
   let tbl =
-    Mtp.Pathlet.create ~suspect_after:2
-      ~probe_interval:(Engine.Time.us 100)
-      (Mtp.Cc.Dctcp { g = 0.0625 })
+    Mtp.Pathlet.create ~suspect_after:2 ~probe_interval:(Engine.Time.us 100)
+      Mtp.Cc.Dctcp
   in
   (* Touch both pathlets so steering sees them. *)
   ignore (Mtp.Pathlet.get tbl r1);

@@ -4,7 +4,7 @@
    against test/lint_fixtures/, with a config that scopes the rules to
    that directory and promotes fixture_h101 into the hot set.
 
-   The typed tier (P101/P102/H102/H103) is exercised through
+   The typed tier (P101/P102/H102/H103/U101/U102) is exercised through
    [Lint.Typed_source]: fixture sources are typed in-process and fed
    to the same analysis the cmt path uses, including a mutation test
    that un-atomics the real Runner.Pool counter and checks P101
@@ -200,8 +200,9 @@ let typed_config =
       [ [ "Telemetry"; "Registry" ]; [ "Telemetry"; "Ctx"; "mark_run" ] ];
     mutable_creators = [ [ "ref" ]; [ "Hashtbl"; "create" ] ] }
 
-let unit_ ?(name = "Example") ?(file = "lint_fixtures/typed/example.ml") src =
-  { Lint.Typed_source.u_name = name; u_file = file; u_src = src }
+let unit_ ?(name = "Example") ?(file = "lint_fixtures/typed/example.ml") ?intf
+    src =
+  { Lint.Typed_source.u_name = name; u_file = file; u_src = src; u_intf = intf }
 
 let analyze ?(config = typed_config) units =
   match Lint.Typed_source.analyze ~config units with
@@ -304,6 +305,84 @@ let test_h103_option_box () =
        [ unit_ ~name:"Hot" ~file:"lint_fixtures/typed/hot.ml" optional_calls ]);
   Alcotest.check triple "cold modules are not scanned" []
     (analyze [ unit_ optional_calls ])
+
+(* U101/U102: exports and optional parameters nothing uses.  Only
+   units with an interface under [mli_dirs] export anything; every
+   unit's references count, wherever it lives. *)
+
+let exported ?(intf = "val used : int -> int\nval unused : int -> int\n") () =
+  unit_ ~name:"Exported" ~file:"lint_fixtures/typed/exported.ml" ~intf
+    "let used x = x + 1\nlet unused x = x - 1\n"
+
+let user ?(file = "lint_fixtures/typed/user.ml") src =
+  unit_ ~name:"User" ~file src
+
+let test_u101_unreferenced () =
+  Alcotest.check triple "export no other unit names fires U101"
+    [ ("lint_fixtures/typed/exported.mli", 2, "U101") ]
+    (analyze [ exported (); user "let () = ignore (Exported.used 1)\n" ])
+
+let test_u101_test_and_example_refs () =
+  (* A reference from a test or an example executable is a use: the
+     rule keeps observation points, it only reports on lib/. *)
+  List.iter
+    (fun file ->
+      Alcotest.check triple (file ^ " reference counts") []
+        (analyze
+           [ exported ();
+             user ~file
+               "let () = ignore (Exported.used 1 + Exported.unused 2)\n" ]))
+    [ "test/test_exported.ml"; "examples/exported_demo.ml" ]
+
+let test_u101_pragma () =
+  Alcotest.check triple "pragma above the val silences U101" []
+    (analyze
+       [ exported
+           ~intf:
+             "val used : int -> int\n\
+              (* simlint: allow U101 — kept for a pending oracle *)\n\
+              val unused : int -> int\n"
+           ();
+         user "let () = ignore (Exported.used 1)\n" ])
+
+let knobs =
+  unit_ ~name:"Knobs" ~file:"lint_fixtures/typed/knobs.ml"
+    ~intf:
+      "val f :\n\
+      \  ?x:int ->\n\
+      \  ?y:int ->\n\
+      \  ?z:int ->\n\
+      \  unit -> int\n\
+       val g : ?w:int -> unit -> int\n\
+       val h : ?v:int -> unit -> int\n"
+    "let f ?(x = 0) ?(y = 0) ?(z = 0) () = x + y + z\n\
+     let g ?(w = 0) () = w\n\
+     let h ?(v = 0) () = v\n"
+
+let test_u102_never_passed () =
+  Alcotest.check triple "optional parameters no call passes fire U102"
+    [ ("lint_fixtures/typed/knobs.mli", 4, "U102");
+      ("lint_fixtures/typed/knobs.mli", 6, "U102");
+      ("lint_fixtures/typed/knobs.mli", 7, "U102") ]
+    (analyze
+       [ knobs;
+         user
+           "let a = Knobs.f ~x:1 ~y:2 ()\n\
+            let b = Knobs.g () + Knobs.h ()\n" ])
+
+let test_u102_passed_through_escaped () =
+  (* [~x:] passes x, [?y] passes the caller's option through, and [g]
+     escaping as a value counts as passing all of its parameters; only
+     [h]'s [?v] is never passed. *)
+  Alcotest.check triple "~x:, ?y pass-through and escape count as passes"
+    [ ("lint_fixtures/typed/knobs.mli", 7, "U102") ]
+    (analyze
+       [ knobs;
+         user
+           "let a = Knobs.f ~x:1 ()\n\
+            let b ?y ?z () = Knobs.f ?y ?z ()\n\
+            let c = [ Knobs.g ]\n\
+            let d = Knobs.h ()\n" ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutation tests over the real runner sources: the production files
@@ -408,6 +487,14 @@ let suite =
     Alcotest.test_case "P102 guarded clean" `Quick test_p102_guarded_clean;
     Alcotest.test_case "H102 two-hop helper" `Quick test_h102_two_hop_helper;
     Alcotest.test_case "H103 option box" `Quick test_h103_option_box;
+    Alcotest.test_case "U101 unreferenced export" `Quick test_u101_unreferenced;
+    Alcotest.test_case "U101 test and example references" `Quick
+      test_u101_test_and_example_refs;
+    Alcotest.test_case "U101 pragma" `Quick test_u101_pragma;
+    Alcotest.test_case "U102 never-passed optional" `Quick
+      test_u102_never_passed;
+    Alcotest.test_case "U102 passed, passed through or escaped" `Quick
+      test_u102_passed_through_escaped;
     Alcotest.test_case "pool clean as committed" `Quick
       test_pool_clean_as_committed;
     Alcotest.test_case "pool mutation caught" `Quick

@@ -258,8 +258,8 @@ let test_cc_once_per_rtt_decrease () =
   checkb "no double cut within an RTT" true (Cc.window cc = w2 && w2 < w1)
 
 let test_cc_dctcp_proportional () =
-  let heavy = Cc.create ~init_window:100_000 ~mss:1440 (Cc.Dctcp { g = 0.5 }) in
-  let light = Cc.create ~init_window:100_000 ~mss:1440 (Cc.Dctcp { g = 0.5 }) in
+  let heavy = Cc.create ~init_window:100_000 ~mss:1440 Cc.Dctcp in
+  let light = Cc.create ~init_window:100_000 ~mss:1440 Cc.Dctcp in
   (* Heavy marking: every ack marked; light: one in ten. *)
   for i = 1 to 50 do
     let now = i * 300_000 in
@@ -280,10 +280,7 @@ let test_cc_rcp_rate_grant () =
   checkb "lower grant shrinks window" true (Cc.window cc < w / 5)
 
 let test_cc_swift_delay_response () =
-  let cc =
-    Cc.create ~init_window:100_000 ~mss:1440
-      (Cc.Swift { target = Engine.Time.us 20 })
-  in
+  let cc = Cc.create ~init_window:100_000 ~mss:1440 Cc.Swift in
   Cc.on_ack cc ~now:1000 ~acked:1440 ~rtt:10_000 [ Feedback.Delay 1_000 ];
   let grown = Cc.window cc in
   checkb "below target grows" true (grown > 100_000);
@@ -318,8 +315,7 @@ let prop_cc_window_bounded =
   in
   let algo_gen =
     QCheck.Gen.oneofl
-      [ Cc.Aimd; Cc.Dctcp { g = 0.0625 }; Cc.Rcp;
-        Cc.Swift { target = Engine.Time.us 20 } ]
+      [ Cc.Aimd; Cc.Dctcp; Cc.Rcp; Cc.Swift ]
   in
   let event_gen =
     QCheck.Gen.(
@@ -423,7 +419,8 @@ module Ref_cc = struct
         multiplicative_decrease t ~now 0.5
       end
       else additive_increase t acked
-    | Cc.Dctcp { g } ->
+    | Cc.Dctcp ->
+      let g = 0.0625 in
       t.acked_win <- t.acked_win + acked;
       if ecn then begin
         t.marked_win <- t.marked_win + acked;
@@ -447,7 +444,8 @@ module Ref_cc = struct
         (function Feedback.Rate m -> t.rate_grant_mbps <- Some m | _ -> ())
         fbs;
       if t.rate_grant_mbps = None then additive_increase t acked
-    | Cc.Swift { target } ->
+    | Cc.Swift ->
+      let target = Engine.Time.us 20 in
       let delay =
         List.fold_left
           (fun acc fb -> match fb with Feedback.Delay d -> max acc d | _ -> acc)
@@ -528,8 +526,7 @@ let prop_feedback_fold_matches_reference =
   in
   let algo_gen =
     QCheck.Gen.oneofl
-      [ Cc.Aimd; Cc.Dctcp { g = 0.0625 }; Cc.Rcp;
-        Cc.Swift { target = Engine.Time.us 20 } ]
+      [ Cc.Aimd; Cc.Dctcp; Cc.Rcp; Cc.Swift ]
   in
   QCheck.Test.make ~name:"feedback fold matches per-pathlet grouping" ~count:300
     (QCheck.make QCheck.Gen.(pair algo_gen (list_size (1 -- 80) event_gen)))
@@ -675,7 +672,7 @@ let test_endpoint_recovers_from_loss () =
   let got = ref 0 in
   Endpoint.bind eb ~port:80 (fun d -> got := d.Endpoint.dl_size);
   ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:3_000_000 ());
-  Engine.Sim.run ~until:(Engine.Time.sec 1) sim;
+  Engine.Sim.run ~until:(Engine.Time.ms 1000) sim;
   checki "complete despite drops" 3_000_000 !got;
   checkb "retransmissions happened" true (Endpoint.retransmits ea > 0)
 
@@ -708,7 +705,7 @@ let test_endpoint_priority_scheduling () =
     (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~pri:0
        ~on_complete:(fun _ -> mouse_done := Engine.Sim.now sim)
        ~size:20_000 ());
-  Engine.Sim.run ~until:(Engine.Time.sec 1) sim;
+  Engine.Sim.run ~until:(Engine.Time.ms 1000) sim;
   checkb "both completed" true (!elephant_done > 0 && !mouse_done > 0);
   checkb "high priority first" true (!mouse_done * 4 < !elephant_done)
 
@@ -929,7 +926,7 @@ let test_endpoint_swift_delay_control () =
   let qd = Qdisc.fifo ~cap_pkts:512 () in
   let sim, _, b, ab, ea, eb =
     mtp_pair ~rate:(Engine.Time.gbps 10) ~ab_qdisc:qd
-      ~algo:(Cc.Swift { target = Engine.Time.us 15 })
+      ~algo:Cc.Swift
       ()
   in
   Mtp_switch.stamp sim ab ~path_id:6 ~mode:Mtp_switch.Delay_report;
@@ -943,7 +940,7 @@ let test_endpoint_swift_delay_control () =
   Engine.Sim.run ~until:(Engine.Time.ms 100) sim;
   checki "delivered" 5_000_000 !got;
   checki "no drops" 0 (qd.Qdisc.drops ());
-  (* 15 us at 10 Gbps is ~12 full packets; allow slack for bursts. *)
+  (* 20 us at 10 Gbps is ~17 full packets; allow slack for bursts. *)
   checkb "delay target bounded the queue" true (!max_queue < 100)
 
 let test_endpoint_path_exclusion_in_headers () =
@@ -1055,7 +1052,7 @@ let test_blob_survives_loss () =
     (Blob.receiver eb ~port:81 (fun ~src:_ ~blob_id:_ ~size ->
          done_size := size));
   Blob.send ea ~dst:(Node.addr b) ~dst_port:81 ~blob_id:9 ~size:1_000_000 ();
-  Engine.Sim.run ~until:(Engine.Time.sec 1) sim;
+  Engine.Sim.run ~until:(Engine.Time.ms 1000) sim;
   checki "blob complete despite drops" 1_000_000 !done_size;
   checkb "losses actually happened" true (Endpoint.retransmits ea > 0)
 
@@ -1085,7 +1082,7 @@ let prop_exactly_once_delivery =
             (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size (), size))
           sizes
       in
-      Engine.Sim.run ~until:(Engine.Time.sec 2) sim;
+      Engine.Sim.run ~until:(Engine.Time.ms 2000) sim;
       List.sort compare !deliveries = List.sort compare expected)
 
 (* ------------------------------- Blob ------------------------------ *)

@@ -159,7 +159,7 @@ let test_histogram_cdf_reaches_one () =
 (* ----------------------------- Timeseries -------------------------- *)
 
 let test_timeseries_basic () =
-  let ts = Stats.Timeseries.create ~name:"t" () in
+  let ts = Stats.Timeseries.create () in
   Stats.Timeseries.add ts ~time:10 1.0;
   Stats.Timeseries.add ts ~time:20 3.0;
   checki "length" 2 (Stats.Timeseries.length ts);

@@ -123,7 +123,7 @@ let test_rto_recovers_from_total_blackout () =
   let conn = Tcp.connect client ~dst:(Node.addr b) ~dst_port:80 () in
   Tcp.send conn 100_000;
   Tcp.close conn;
-  Engine.Sim.run ~until:(Engine.Time.sec 1) sim;
+  Engine.Sim.run ~until:(Engine.Time.ms 1000) sim;
   checki "reliable despite heavy loss" 100_000 !received;
   checkb "timeouts fired" true (Tcp.timeouts conn > 0)
 
@@ -186,8 +186,8 @@ let test_dctcp_alpha_reacts_to_marks () =
       ()
   in
   let snd = db.Topology.db_senders.(0) and rcv = db.Topology.db_receivers.(0) in
-  let client = Tcp.attach ~cc:(Dctcp { g = 0.0625 }) (Host.create snd) in
-  let server = Tcp.attach ~cc:(Dctcp { g = 0.0625 }) (Host.create rcv) in
+  let client = Tcp.attach ~cc:(Dctcp) (Host.create snd) in
+  let server = Tcp.attach ~cc:(Dctcp) (Host.create rcv) in
   let received = ref 0 in
   Tcp.listen server ~port:80 (fun conn ->
       Tcp.set_on_data conn (fun _ n -> received := !received + n));

@@ -124,13 +124,6 @@ let test_paper_mix_cap () =
     checkb "capped" true (Workload.Dist.sample_bytes d r <= 1_000_000)
   done
 
-let test_websearch_range () =
-  let r = rng () in
-  for _ = 1 to 2000 do
-    let v = Workload.Dist.sample_bytes Workload.Sizes.websearch r in
-    checkb "within cdf hull" true (v >= 1 && v <= 30_000_000)
-  done
-
 (* ------------------------------ Driver ----------------------------- *)
 
 (* Stop [driver] at [at]: transfers already started still complete. *)
@@ -211,7 +204,6 @@ let suite =
     Alcotest.test_case "paper mix range" `Quick test_paper_mix_range;
     Alcotest.test_case "paper mix skew" `Quick test_paper_mix_skew;
     Alcotest.test_case "paper mix cap" `Quick test_paper_mix_cap;
-    Alcotest.test_case "websearch range" `Quick test_websearch_range;
     Alcotest.test_case "driver closed loop" `Quick test_closed_loop_counts;
     Alcotest.test_case "driver parallel" `Quick test_closed_loop_parallel;
     Alcotest.test_case "driver poisson until" `Quick test_poisson_respects_until;
