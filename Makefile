@@ -43,8 +43,8 @@ bench:
 # `--guardrail` fails on allocation regressions, on the batched drain
 # dropping below 4x the seed's packets/s, on batching being slower
 # than classic anywhere, on minor words/event growing with fabric size
-# (bar 1.15x of the 64-host value), on a routing lookup allocating, or
-# on MTP words per acked packet growing with the backlog (bar 1.15x of
+# (bar 1.15x of the 64-host value), on a routing lookup or a switch
+# ingress allocating, or on MTP words per acked packet growing with the backlog (bar 1.15x of
 # the 1-message value) or, at 1 message, exceeding 1.15x of the value
 # recorded in bench/datapath.ml (ns are recorded, not gated).
 bench-datapath:

@@ -122,13 +122,13 @@ let datapath_packets ~batched () =
           !delivered))
 
 (* The breath-loop drain: a backlog pushed through a zero-delay link
-   into a burst-aware sink.  Batched links walk the backlog
-   [Datapath.burst_limit] packets per heap event (arithmetic completion
-   times, heap-proven elision); the classic machine pays two events per
-   packet.  Only the drain (the link datapath: dequeue, serialization
-   walk, delivery, sink release) is on the clock — backlog generation
-   (recycle + enqueue) happens between timed sections, chunked so the
-   packet pool stays warm.  This is the workload behind the `batched`
+   into a sink.  Batched links walk the backlog [Datapath.burst_limit]
+   packets per heap event (arithmetic completion times, heap-proven
+   elision) and hand each packet to the sink inline; the classic
+   machine pays two events per packet.  Only the drain (the link
+   datapath: dequeue, serialization walk, delivery, sink release) is on
+   the clock — backlog generation (recycle + enqueue) happens between
+   timed sections, chunked so the packet pool stays warm.  This is the workload behind the `batched`
    section of BENCH_engine.json and the >= 4x bar. *)
 let datapath_burst ~batched () =
   let n = 200_000 in
@@ -146,15 +146,6 @@ let datapath_burst ~batched () =
         Netsim.Link.set_dst link (fun pkt ->
             incr delivered;
             Netsim.Packet.release pool pkt);
-        Netsim.Link.set_dst_burst link (fun ~pull ->
-            let continue = ref true in
-            while !continue do
-              match pull () with
-              | Some pkt ->
-                incr delivered;
-                Netsim.Packet.release pool pkt
-              | None -> continue := false
-            done);
         let secs = ref 0.0 in
         let words = ref 0.0 in
         let sent = ref 0 in
@@ -194,9 +185,11 @@ let datapath_burst ~batched () =
    point: minor words/event, minor words per delivered packet,
    packets/s, events/s.
 
-   Two more measurements feed the guardrail:
+   Three more measurements feed the guardrail:
    - a pure routing-lookup loop (ports_for + ecmp_port on a warmed
-     4096-host edge table) that must allocate nothing at all, and
+     4096-host edge table) that must allocate nothing at all,
+   - a switch-ingress loop (Switch.receive with no taps or hooks,
+     forwarding Consume) that must allocate nothing either, and
    - the 64-host point re-run on the classic (unbatched) datapath as
      the same-machine not-slower reference. *)
 
@@ -206,6 +199,7 @@ let delay = Engine.Time.us 2
 let sources = 16
 let pkts_per_source = 3_000
 let lookup_calls = 2_000_000
+let ingress_calls = 2_000_000
 
 type world = { sim : Engine.Sim.t; hosts : Netsim.Node.t array }
 
@@ -315,11 +309,23 @@ let run_point spec =
     p_pkt_rate = float_of_int delivered /. secs;
     p_ev_rate = float_of_int events /. secs }
 
+(* Minor words and calls/s of [calls] runs of [f i]; the loops below
+   must allocate nothing at all. *)
+let zero_alloc_loop calls f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to calls - 1 do
+    f i
+  done;
+  let t1 = Unix.gettimeofday () in
+  let words = Gc.minor_words () -. w0 in
+  (words, float_of_int calls /. (t1 -. t0))
+
 (* Pure lookup cost on the biggest table: a warmed edge/leaf table of
    the 4096-host fabric, 2M ports_for + ecmp_port calls over cycling
-   (dst, flow_hash).  Total minor words must be zero — the lookup is
-   a bounds-checked array index with no hashing and no option or
-   action block. *)
+   (dst, flow_hash) — a bounds-checked array index with no hashing and
+   no option or action block. *)
 let run_lookup () =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
@@ -336,23 +342,27 @@ let run_lookup () =
     ignore (Netsim.Routing.ports_for routes d)
   done;
   let sink = ref 0 in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to lookup_calls - 1 do
-    probe.Netsim.Packet.dst <- i mod nhosts;
-    probe.Netsim.Packet.flow_hash <- i;
-    sink := !sink + Netsim.Routing.ecmp_port routes probe
-  done;
-  let t1 = Unix.gettimeofday () in
-  let words = Gc.minor_words () -. w0 in
-  ignore !sink;
-  (words, float_of_int lookup_calls /. (t1 -. t0))
+  zero_alloc_loop lookup_calls (fun i ->
+      probe.Netsim.Packet.dst <- i mod nhosts;
+      probe.Netsim.Packet.flow_hash <- i;
+      sink := !sink + Netsim.Routing.ecmp_port routes probe)
+
+(* The switch ingress every delivered packet passes: counters, the
+   tap and hook walks (both empty here) and the forwarding call. *)
+let run_ingress () =
+  let sim = Engine.Sim.create () in
+  let sw = Netsim.Switch.create sim ~name:"sw" () in
+  Netsim.Switch.set_forward sw (fun _ -> Netsim.Switch.Consume);
+  let pool = Netsim.Packet.pool sim in
+  let probe = Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 () in
+  zero_alloc_loop ingress_calls (fun _ -> Netsim.Switch.receive sw probe)
 
 type scale = {
   pts : point_out list;
   lookup_words : float;
   lookup_rate : float;
+  ingress_words : float;
+  ingress_rate : float;
   classic64_pkt_rate : float;
   batched64_pkt_rate : float;
 }
@@ -366,9 +376,12 @@ let collect_scale () =
     Netsim.Datapath.with_batching true (fun () -> List.map run_point points)
   in
   let lookup_words, lookup_rate = run_lookup () in
+  let ingress_words, ingress_rate = run_ingress () in
   { pts;
     lookup_words;
     lookup_rate;
+    ingress_words;
+    ingress_rate;
     classic64_pkt_rate = classic64.p_pkt_rate;
     batched64_pkt_rate = (List.hd pts).p_pkt_rate }
 
@@ -537,6 +550,9 @@ let print_report r =
   Printf.printf
     "%-14s %.1f minor words over %d lookups (%.0f lookups/s)\n" "lookup"
     s.lookup_words lookup_calls s.lookup_rate;
+  Printf.printf
+    "%-14s %.1f minor words over %d switch receives (%.0f receives/s)\n"
+    "ingress" s.ingress_words ingress_calls s.ingress_rate;
   Printf.printf "%-14s batched %.0f pkt/s vs classic %.0f pkt/s at 64 hosts\n"
     "not-slower" s.batched64_pkt_rate s.classic64_pkt_rate;
   Printf.printf "\n== mtp sender (words stay flat in the backlog) ==\n";
@@ -602,9 +618,10 @@ let write_json r =
     s.pts;
   let w64, w4096 = flatness s in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  },\n"
+    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"ingress_minor_words\": %.1f,\n    \"ingress_calls\": %d,\n    \"ingress_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f\n  },\n"
     w64 w4096 flatness_bar flat_floor s.lookup_words lookup_calls
-    s.lookup_rate s.batched64_pkt_rate s.classic64_pkt_rate;
+    s.lookup_rate s.ingress_words ingress_calls s.ingress_rate
+    s.batched64_pkt_rate s.classic64_pkt_rate;
   Printf.fprintf oc "  \"mtp\": {\n    \"msg_pkts\": %d,\n    \"messages\": %d,\n    \"points\": ["
     mtp_pkts_per_msg mtp_messages;
   List.iteri
@@ -661,6 +678,9 @@ let guardrail r =
   if s.lookup_words > 1.0 then
     fail "routing lookup allocated %.1f minor words over %d calls"
       s.lookup_words lookup_calls;
+  if s.ingress_words > 1.0 then
+    fail "switch ingress allocated %.1f minor words over %d calls"
+      s.ingress_words ingress_calls;
   if s.batched64_pkt_rate < 0.90 *. s.classic64_pkt_rate then
     fail
       "batched fabric %.0f pkt/s below 90%% of classic (%.0f) at 64 hosts"

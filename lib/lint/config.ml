@@ -25,9 +25,10 @@ type t = {
 (* The hot set mirrors the datapath bench: modules on the per-event /
    per-packet path whose allocation behavior is guarded by
    BENCH_engine.json — including the batched breath-loop modules
-   (pktring carries every burst, node receives them, datapath gates
-   the walk), the MTP ack path (endpoint, its pathlet table and
-   controllers, and the stamping qdisc hook), guarded by the bench's
+   (pktring carries the in-flight packets, switch and node receive
+   every delivery, datapath gates the walk), the MTP ack path
+   (endpoint, its pathlet table and controllers, and the stamping
+   qdisc hook), guarded by the bench's
    mtp section, and the partition exchange (conduit rings and inbox
    timers), guarded by bench/parallel.exe's words per event.  Matching is by module basename so a future move (say
    lib/netsim/link.ml -> lib/datapath/link.ml) keeps the rule. *)

@@ -27,7 +27,8 @@
    makes batching unobservable, byte-for-byte.  When the heap is busy
    the walk degrades to one event per packet — the classic shape; when
    the heap is quiet (a queue draining back-to-back, zero-delay hops)
-   a whole burst runs inline in one event.
+   a whole burst runs inline in one event, each packet handed to the
+   [set_dst] handler as the classic machine does.
 
    In-flight packets sit in a ring; deliveries are FIFO because
    completion times are monotonic and the propagation delay is
@@ -47,7 +48,6 @@ type t = {
   batched : bool;
   mutable q : Qdisc.t;
   mutable dst : (Packet.t -> unit) option;
-  mutable dst_burst : (pull:(unit -> Packet.t option) -> unit) option;
   mutable taps : (Engine.Time.t -> Packet.t -> unit) list; (* forward order *)
   mutable transmitting : bool;
   mutable up : bool;
@@ -67,13 +67,10 @@ type t = {
   mutable on_tx_done : unit -> unit;
   mutable on_deliver : unit -> unit;
   (* batched machinery: one re-armable timer, the completion time it
-     is (or would be) armed for, the per-activation walk budget, and
-     the hand-off state for pull-driven burst delivery. *)
+     is (or would be) armed for, and the per-activation walk budget. *)
   mutable tx_timer : Engine.Sim.timer;
   mutable b_comp : Engine.Time.t;
   mutable b_budget : int;
-  mutable b_pending : Packet.t;
-  mutable b_pull : unit -> Packet.t option;
 }
 
 (* The no-tap guard is load-bearing: [List.iter]'s closure captures
@@ -148,7 +145,7 @@ let b_start t =
     Engine.Sim.arm t.tx_timer ~at:t.b_comp
 
 (* One walk step, entered at the completion instant of [t.cur].  Runs
-   the classic [tx_done] bookkeeping, pulls the next packet, and walks
+   the classic [tx_done] bookkeeping, dequeues the next packet, and walks
    on across completions the heap proves uncontested.  Returns a
    packet to hand over inline — possible only on zero-delay hops whose
    delivery event would have been dispatched next anyway — or
@@ -201,56 +198,21 @@ let rec b_step t =
     Packet.none
   end
 
-(* The pull handed to a burst-aware destination ({!set_dst_burst}):
-   each call resumes the walk and yields the next inline delivery —
-   taps applied at its arrival instant — or [None] once the
-   activation is over.  After each handed-out packet the downstream
-   code may have scheduled events or re-kicked the link;
-   [run_plan_inline] re-decides from the heap root whether our
-   reserved completion still fires before anything else. *)
-let pull_step t =
-  let p =
-    if t.b_pending != Packet.none then begin
-      let p = t.b_pending in
-      t.b_pending <- Packet.none;
-      p
-    end
-    else if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
-      b_step t
-    else Packet.none
-  in
-  if p == Packet.none then None
-  else begin
-    t.n_delivered <- t.n_delivered + 1;
-    (* Guarded as in [deliver]: the iteration closure would allocate. *)
-    if t.taps != [] then
-      List.iter (fun f -> f (Engine.Sim.now t.sim) p) t.taps;
-    Some p
-  end
-
-(* Timer activation: walk, delivering inline packets between steps.
-   With a burst-aware destination the whole activation is one call —
-   the destination drains the pull itself (e.g. a switch routing the
-   burst in one pass); otherwise each packet goes through the
-   per-packet destination. *)
+(* Timer activation: walk, handing each inline packet to the
+   destination between steps.  After each delivery the downstream code
+   may have scheduled events or re-kicked the link; [run_plan_inline]
+   re-decides from the heap root whether our reserved completion still
+   fires before anything else. *)
 let b_activation t =
   t.b_budget <- Datapath.burst_limit ();
-  let p = b_step t in
-  if p != Packet.none then begin
-    match t.dst_burst with
-    | Some f ->
-      t.b_pending <- p;
-      f ~pull:t.b_pull
-    | None ->
-      let pending = ref p in
-      while !pending != Packet.none do
-        deliver t !pending;
-        pending :=
-          if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
-            b_step t
-          else Packet.none
-      done
-  end;
+  let pending = ref (b_step t) in
+  while !pending != Packet.none do
+    deliver t !pending;
+    pending :=
+      if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
+        b_step t
+      else Packet.none
+  done;
   (* A reservation the walk could not run inline (budget exhausted, or
      an interleaving event) must become a real heap event before we
      return to the dispatcher. *)
@@ -264,13 +226,12 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
   let dummy = Engine.Sim.timer sim (fun () -> ()) in
   let t =
     { sim; link_name = name; link_rate = rate; link_delay = delay; batched; q;
-      dst = None; dst_burst = None; taps = []; transmitting = false;
+      dst = None; taps = []; transmitting = false;
       up = true; sent_bytes = 0; n_fault_drops = 0; n_sends = 0;
       n_delivered = 0; cur = Packet.none;
       tx_ev = None; flight = Pktring.create (); pool;
       on_tx_done = ignore; on_deliver = ignore;
-      tx_timer = dummy; b_comp = 0; b_budget = 0;
-      b_pending = Packet.none; b_pull = (fun () -> None) }
+      tx_timer = dummy; b_comp = 0; b_budget = 0 }
   in
   t.on_tx_done <- (fun () -> tx_done t);
   t.on_deliver <-
@@ -281,7 +242,6 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
       let p = Pktring.pop t.flight in
       if t.up then deliver t p else drop_faulted t p);
   t.tx_timer <- Engine.Sim.timer sim (fun () -> b_activation t);
-  t.b_pull <- (fun () -> pull_step t);
   (* Queue-depth, drop, mark and trim metrics; gauges read the live
      qdisc (through [t], so [set_qdisc] swaps are followed) and cost
      nothing until a snapshot samples them. *)
@@ -303,8 +263,6 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
   t
 
 let set_dst t handler = t.dst <- Some handler
-
-let set_dst_burst t handler = t.dst_burst <- Some handler
 
 (* simlint: allow H101 — topology wiring, runs once per tap at setup *)
 let add_tap t f = t.taps <- t.taps @ [ f ]

@@ -15,12 +15,12 @@
     engine proves uncontested ([Sim.try_advance] for gaps,
     [Sim.plan]/[Sim.run_plan_inline] for the next completion's
     same-instant position).  Zero-delay deliveries ride the walk
-    inline; delayed hops schedule one real delivery event per packet at
-    its exact classic instant.  Packet timing, queue decisions and
-    every observable counter are identical to the classic
-    one-event-per-packet machine — the differential oracle in the test
-    suite runs both and compares outputs (see DESIGN.md "Batched
-    datapath"). *)
+    inline, each through the {!set_dst} handler; delayed hops schedule
+    one real delivery event per packet at its exact classic instant.
+    Packet timing, queue decisions and every observable counter are
+    identical to the classic one-event-per-packet machine — the
+    differential oracle in the test suite runs both and compares
+    outputs (see DESIGN.md "Batched datapath"). *)
 
 type t
 
@@ -40,17 +40,8 @@ val create :
     packets. *)
 
 val set_dst : t -> (Packet.t -> unit) -> unit
-
-val set_dst_burst : t -> (pull:(unit -> Packet.t option) -> unit) -> unit
-(** Optional batch receiver, used by batched links instead of calling
-    {!set_dst}'s handler once per packet: when at least one delivery is
-    ready the link invokes the handler ONCE with a [pull] function that
-    yields consecutive arrivals (advancing the virtual clock to each
-    packet's own delivery time) until the next arrival needs a real
-    event, then returns [None].  The handler must keep pulling until
-    [None] or arrivals would stall.  Taps fire inside [pull].  Classic
-    links ignore this and always use the per-packet destination, which
-    must still be wired for links carrying taps or for fallback. *)
+(** The destination handler: every delivered packet, on either
+    datapath, is handed to it once, at its own arrival instant. *)
 
 val add_tap : t -> (Engine.Time.t -> Packet.t -> unit) -> unit
 (** Observe every delivered packet (after serialization and

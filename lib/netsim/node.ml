@@ -36,18 +36,6 @@ let receive t p =
   | Some h -> h p
   | None -> ()
 
-(* Batch twin of [receive], for wiring as a link's burst destination:
-   drains a whole delivery chain in one call.  The handler is re-read
-   per packet so a handler installed mid-burst takes effect exactly as
-   it would packet-by-packet. *)
-let receive_burst t ~pull =
-  let continue = ref true in
-  while !continue do
-    match pull () with
-    | Some p -> receive t p
-    | None -> continue := false
-  done
-
 let set_handler t h = t.handle_packet <- Some h
 
 let has_handler t = Option.is_some t.handle_packet

@@ -4,7 +4,6 @@ type t = {
   dequeue : unit -> Packet.t option;
   enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
   dequeue_burst : Pktring.t -> max:int -> int;
-  burst_safe : bool;
   byte_length : unit -> int;
   pkt_length : unit -> int;
   drops : unit -> int;
@@ -41,21 +40,10 @@ module F = struct
       f.bytes <- f.bytes - p.Packet.size;
       Some p
     end
-
-  (* Drain up to [max] packets into [dst] in one pass: no option
-     boxing, one bookkeeping update per packet. *)
-  let pop_into f dst ~max =
-    let n = min max (Pktring.length f.ring) in
-    for _ = 1 to n do
-      let p = Pktring.pop f.ring in
-      f.bytes <- f.bytes - p.Packet.size;
-      Pktring.push dst p
-    done;
-    n
 end
 
-(* Fallback burst ops, built from the per-packet closures so marking,
-   trimming and refusal decisions stay exactly per-packet. *)
+(* Burst ops, built from the per-packet closures so marking, trimming
+   and refusal decisions stay exactly per-packet. *)
 let burst_of_enqueue enqueue src ~rejects =
   let accepted = ref 0 in
   while not (Pktring.is_empty src) do
@@ -76,16 +64,11 @@ let burst_of_dequeue dequeue dst ~max =
   done;
   !n
 
-let fifo ?cap_bytes ~cap_pkts () =
+let fifo ~cap_pkts () =
   let f = F.create () in
   let drops = ref 0 in
   let enqueue p =
-    let over_bytes =
-      match cap_bytes with
-      | None -> false
-      | Some cap -> F.bytes f + p.Packet.size > cap
-    in
-    if F.len f >= cap_pkts || over_bytes then begin
+    if F.len f >= cap_pkts then begin
       incr drops;
       false
     end
@@ -94,12 +77,12 @@ let fifo ?cap_bytes ~cap_pkts () =
       true
     end
   in
+  let dequeue () = F.pop f in
   { name = "fifo";
     enqueue;
-    dequeue = (fun () -> F.pop f);
+    dequeue;
     enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = (fun dst ~max -> F.pop_into f dst ~max);
-    burst_safe = true;
+    dequeue_burst = burst_of_dequeue dequeue;
     byte_length = (fun () -> F.bytes f);
     pkt_length = (fun () -> F.len f);
     drops = (fun () -> !drops);
@@ -182,7 +165,6 @@ let trimming ~cap_pkts ~header_size () =
     dequeue;
     enqueue_burst = burst_of_enqueue enqueue;
     dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
     byte_length = (fun () -> F.bytes data + F.bytes headers);
     pkt_length = (fun () -> F.len data + F.len headers);
     drops = (fun () -> !drops);
@@ -252,7 +234,6 @@ let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
     dequeue;
     enqueue_burst = burst_of_enqueue enqueue;
     dequeue_burst = burst_of_dequeue dequeue;
-    burst_safe = false;
     byte_length = (fun () -> sum F.bytes);
     pkt_length = (fun () -> sum F.len);
     drops = (fun () -> !drops);
@@ -330,14 +311,6 @@ let with_hooks ?on_enqueue ?on_drop ?on_dequeue inner =
       run on_dequeue p;
       Some p
   in
-  (* A dequeue hook observes per-packet dequeue instants, which burst
-     draining would collapse to the burst-plan time — so its presence
-     forfeits burst safety.  Enqueue/drop hooks fire at enqueue time
-     either way. *)
-  let dequeue_burst, burst_safe =
-    match on_dequeue with
-    | None -> (inner.dequeue_burst, inner.burst_safe)
-    | Some _ -> (burst_of_dequeue dequeue, false)
-  in
   { inner with enqueue; dequeue;
-    enqueue_burst = burst_of_enqueue enqueue; dequeue_burst; burst_safe }
+    enqueue_burst = burst_of_enqueue enqueue;
+    dequeue_burst = burst_of_dequeue dequeue }

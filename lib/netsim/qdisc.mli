@@ -19,14 +19,6 @@ type t = {
       (** Drain up to [max] head packets into the destination ring in
           one pass; returns how many were moved.  Decision-equivalent
           to [max] calls of {!dequeue}. *)
-  burst_safe : bool;
-      (** Whether draining a multi-packet burst with {!dequeue_burst}
-          at a single instant changes any observable decision.  True
-          for policies whose dequeue order and side effects do not
-          depend on the between-packet instants (fifo and its marking
-          wrappers); false for order-sensitive ones (trimming,
-          priority, wrr, dequeue hooks), which a batch consumer must
-          drain one packet per decision instant. *)
   byte_length : unit -> int;  (** Bytes currently queued. *)
   pkt_length : unit -> int;  (** Packets currently queued. *)
   drops : unit -> int;  (** Packets dropped since creation. *)
@@ -41,8 +33,8 @@ val burst_of_enqueue :
     used by every constructor and by wrappers ({!Fault.lossy}) whose
     enqueue overrides the inner one. *)
 
-val fifo : ?cap_bytes:int -> cap_pkts:int -> unit -> t
-(** Drop-tail FIFO bounded by packets and optionally bytes. *)
+val fifo : cap_pkts:int -> unit -> t
+(** Drop-tail FIFO bounded by packets. *)
 
 val ecn : cap_pkts:int -> mark_threshold:int -> unit -> t
 (** Drop-tail FIFO that sets the CE bit on packets arriving when the

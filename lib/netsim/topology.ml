@@ -4,7 +4,9 @@
    device somewhere with [place] (always partition 0 when there is only
    one) and make every link through [connect]: a plain link when both
    ends share a partition, the world's conduit when they do not.  Names,
-   addresses, routes and salts therefore never depend on the cut. *)
+   addresses, routes and salts therefore never depend on the cut.
+   Either way the link hands each packet to the receiving device's one
+   entry point, [Switch.receive] or [Node.receive]. *)
 
 type conduit =
   src:int ->
@@ -55,24 +57,21 @@ let host ?(part = 0) t name =
 
 let switch ?(part = 0) t name = Switch.create t.sims.(part) ~name ()
 
-(* Where a link delivers: the receiving device's simulator, its
-   per-packet entry point (used by classic links, conduits, and as the
-   fallback) and its burst entry point (batched links hand over a whole
-   delivery chain in one call). *)
-let into_switch sw = (Switch.sim sw, Switch.receive sw, Switch.receive_burst sw)
+(* Where a link delivers: the receiving device's simulator and its
+   entry point. *)
+let into_switch sw = (Switch.sim sw, Switch.receive sw)
 
-let into_node node = (Node.sim node, Node.receive node, Node.receive_burst node)
+let into_node node = (Node.sim node, Node.receive node)
 
 (* Link names read "from->into". *)
 let arrow from into =
   (* simlint: allow H102 — link naming, once per link at setup *)
   from ^ "->" ^ into
 
-let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver, deliver_burst) =
+let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver) =
   if from == into then begin
     let link = Link.create from ~name ~rate ~delay ?qdisc () in
     Link.set_dst link deliver;
-    Link.set_dst_burst link deliver_burst;
     link
   end
   else

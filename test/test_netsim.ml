@@ -44,11 +44,6 @@ let test_fifo_order_and_caps () =
   | None -> Alcotest.fail "empty");
   checki "bytes after" 1500 (q.Qdisc.byte_length ())
 
-let test_fifo_byte_cap () =
-  let q = Qdisc.fifo ~cap_bytes:2000 ~cap_pkts:100 () in
-  checkb "first fits" true (q.Qdisc.enqueue (pkt ()));
-  checkb "second exceeds bytes" false (q.Qdisc.enqueue (pkt ()))
-
 let test_ecn_marks_above_threshold () =
   let q = Qdisc.ecn ~cap_pkts:100 ~mark_threshold:2 () in
   let pkts = List.init 4 (fun _ -> pkt ()) in
@@ -1203,7 +1198,6 @@ let suite =
     Alcotest.test_case "packet size check" `Quick test_packet_rejects_empty;
     Alcotest.test_case "flow hash" `Quick test_flow_hash_stable;
     Alcotest.test_case "fifo order/caps" `Quick test_fifo_order_and_caps;
-    Alcotest.test_case "fifo byte cap" `Quick test_fifo_byte_cap;
     Alcotest.test_case "ecn marking" `Quick test_ecn_marks_above_threshold;
     Alcotest.test_case "trimming" `Quick test_trimming_trims_not_drops;
     Alcotest.test_case "wrr weights" `Quick test_wrr_shares_by_weight;
