@@ -127,9 +127,9 @@ let datapath_packets ~batched () =
    elision) and hand each packet to the sink inline; the classic
    machine pays two events per packet.  Only the drain (the link
    datapath: dequeue, serialization walk, delivery, sink release) is on
-   the clock — backlog generation (recycle + enqueue) happens between
-   timed sections, chunked so the packet pool stays warm.  This is the workload behind the `batched`
-   section of BENCH_engine.json and the >= 4x bar. *)
+   the clock; backlog generation (recycle + enqueue) runs between timed
+   sections, chunked to keep the pool warm.  This is the workload behind
+   the `batched` section of BENCH_engine.json and the >= 4x bar. *)
 let datapath_burst ~batched () =
   let n = 200_000 in
   let chunk = 1_024 in

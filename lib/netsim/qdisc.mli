@@ -11,14 +11,14 @@ type t = {
           qdisc, note the packet may be mutated and still accepted). *)
   dequeue : unit -> Packet.t option;
   enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
-      (** Drain [src] into the queue, applying the same per-packet
-          accept/mark/trim decisions as {!enqueue}; refused packets go
-          to [rejects] (for the caller to count and release).  Returns
-          the number accepted. *)
+      (** Kept only because bench/suite/span.ml wraps it; links use
+          {!enqueue}, so do not call it.  Drains [src] into the queue
+          with {!enqueue}'s decisions, refused packets to [rejects];
+          returns the number accepted. *)
   dequeue_burst : Pktring.t -> max:int -> int;
-      (** Drain up to [max] head packets into the destination ring in
-          one pass; returns how many were moved.  Decision-equivalent
-          to [max] calls of {!dequeue}. *)
+      (** Kept only for bench/suite/span.ml, like [enqueue_burst].
+          Moves up to [max] head packets into the destination ring as
+          [max] calls of {!dequeue} would; returns how many moved. *)
   byte_length : unit -> int;  (** Bytes currently queued. *)
   pkt_length : unit -> int;  (** Packets currently queued. *)
   drops : unit -> int;  (** Packets dropped since creation. *)

@@ -38,22 +38,19 @@ let test_fig5_differential () =
   check "fig5 stdout identical across datapaths" classic batched
 
 (* Packet conservation through a pooled two-hop forwarding chain with
-   [delay] on both hops: every packet checked out of the pool is, at
-   every instant, either queued, on a wire, or released back — and the
-   ledger must agree between datapaths.  Returns (delivered, fresh,
-   reused, live-at-end, max-live) so the comparison covers allocation
-   behavior too.  The second hop is faster than the first: at equal
-   rates and zero delay its completions would tie with the first hop's,
-   and a same-instant event keeps the batched walk from delivering
-   inline. *)
-let conservation_run ~delay () =
+   [delay] on both hops and the second at [rate2]: every packet checked
+   out of the pool is, at every instant, either queued, on a wire, or
+   released back — and the ledger must agree between datapaths.
+   Returns (delivered, fresh, reused, live-at-end, max-live) so the
+   comparison covers allocation behavior too. *)
+let conservation_run ~delay ~rate2 () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
   let l1 =
     Link.create sim ~name:"a" ~rate:(Engine.Time.gbps 10) ~delay ~pool ()
   in
   let l2 =
-    Link.create sim ~name:"b" ~rate:(Engine.Time.gbps 25) ~delay ~pool ()
+    Link.create sim ~name:"b" ~rate:rate2 ~delay ~pool ()
   in
   let sw = Switch.create sim ~name:"sw" ~pool () in
   let port = Switch.add_port sw l2 in
@@ -95,14 +92,19 @@ let conservation_run ~delay () =
     ("live_at_end", Packet.pool_live pool);
     ("peak_live", !max_live) ]
 
-(* At 2 µs every delivery is a heap event; at zero delay the batched
-   walk hands packets to the switch inline, inside the link's own
-   activation.  Single-packet bursts give the classic event shape on
-   the batched machine. *)
+(* At 2 µs every delivery is a heap event, and with both hops at 10 G
+   each delivery from the first hop lands at the same instant as the
+   second hop's previous completion: that tie must be ordered exactly
+   as the classic machine orders it.  At zero delay the batched walk
+   hands packets to the switch inline, inside the link's own
+   activation; the second hop runs at 25 G there, since at equal rates
+   its completions would tie with the first hop's, and a same-instant
+   event keeps the walk from delivering inline.  Single-packet bursts
+   give the classic event shape on the batched machine. *)
 let test_conservation_differential () =
   List.iter
-    (fun delay ->
-      let run = conservation_run ~delay in
+    (fun (delay, rate2) ->
+      let run = conservation_run ~delay ~rate2 in
       let classic = Datapath.with_batching false run in
       let batched = Datapath.with_batching true run in
       let burst1 =
@@ -118,7 +120,7 @@ let test_conservation_differential () =
       let ledger = Alcotest.(check (list (pair string int))) in
       ledger "conservation ledger: batched == classic" classic batched;
       ledger "conservation ledger: burst 1 == classic" classic burst1)
-    [ Engine.Time.us 2; 0 ]
+    [ (Engine.Time.us 2, Engine.Time.gbps 10); (0, Engine.Time.gbps 25) ]
 
 let suite =
   [ Alcotest.test_case "fig5 stdout: batched == classic" `Slow
