@@ -1,10 +1,10 @@
 (* Packet-conservation ledger.
 
-   Generalizes [Fault.audit] and the hand-rolled accounting in
-   test/test_oracle.ml: instead of relying on the packet pool (which
-   only covers recycled packets — transports allocate with
-   [Packet.make] and never touch a pool), the ledger works from the
-   per-device counters every link and switch maintains:
+   Generalizes the hand-rolled accounting in test/test_oracle.ml:
+   instead of relying on the packet pool (which only covers recycled
+   packets — transports allocate with [Packet.make] and never touch a
+   pool), the ledger works from the per-device counters every link and
+   switch maintains:
 
    - link:    sends = delivered + qdisc drops + fault drops
                       + queued + in-flight
@@ -102,10 +102,10 @@ let check_switch b =
           forwarded=%d + dropped=%d + consumed=%d"
          (Switch.name sw) received injected forwarded dropped consumed)
 
-(* Pool invariant, as in [Fault.audit]: every packet checked out of a
-   watched pool must be queued or flying on some watched link (plus
-   whatever the caller holds).  Valid only when the watched links are
-   exactly the pool's users. *)
+(* Pool invariant: every packet checked out of a watched pool must be
+   queued or flying on some watched link (plus whatever the caller
+   holds).  Valid only when the watched links are exactly the pool's
+   users. *)
 let check_pool t ~held pool =
   let live = Packet.pool_live pool in
   let accounted =

@@ -2,9 +2,9 @@
     delivered, dropped (counted), or still queued/in flight — per
     link, per switch, and optionally per packet pool.
 
-    Generalizes [Netsim.Fault.audit] (pool-based, so blind to
-    transports, which allocate with [Packet.make]) by working from the
-    per-device counters instead:
+    The link and switch checks work from per-device counters, so they
+    also cover transports, which allocate with [Packet.make] outside
+    any pool:
     - link: [sends = delivered + qdisc drops + fault_drops + queued +
       in-flight];
     - switch: [received + injected = forwarded + dropped + consumed].
@@ -30,7 +30,7 @@ val watch_pool : t -> Netsim.Packet.pool -> unit
 val failures : ?held:int -> t -> string list
 (** All violated invariants, one message each (empty = conserved).
     [held] is the number of pooled packets the caller intentionally
-    retains (as in [Fault.audit]). *)
+    retains, for the {!watch_pool} invariant. *)
 
 val check : t -> (unit, string) result
 (** [Ok ()] when every watched device conserves packets, [Error msg]

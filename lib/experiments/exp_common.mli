@@ -56,7 +56,7 @@ val barrier : (unit -> unit) -> job
     from row slots the preceding jobs' commits filled. *)
 
 val run_jobs : ?jobs:int -> job list -> unit
-(** Execute all works on the pool ([?jobs] as {!Runner.Pool.run}),
+(** Execute all works on the pool ([?jobs] as {!Runner.Pool.map}),
     then run every commit on the calling domain in submission order.
     Commits see every work completed; output is byte-identical for
     any [jobs]. *)

@@ -3,7 +3,7 @@
    ([Typed_source]).
 
    One [node] per module-scope value binding, named by its canonical
-   dotted path ([Runner.Pool.run], [Netsim.Link.push], ...).  A node
+   dotted path ([Runner.Pool.map], [Netsim.Link.push], ...).  A node
    carries every global value reference in its whole right-hand side —
    nested [let]s, lambdas and all — each tagged with
 
@@ -104,7 +104,7 @@ let normalize comps =
 (* Does [path] contain the components of [pat] consecutively?  The
    matching primitive for spawn specs, the telemetry guard, the
    off-main-forbidden set and mutable-cell creators: tolerant of
-   library prefixes ([Runner.Pool.run] vs [Pool.run]) without
+   library prefixes ([Runner.Pool.map] vs [Pool.map]) without
    resorting to substring accidents. *)
 let contains_seq pat path =
   let lp = List.length pat and ln = List.length path in

@@ -49,7 +49,6 @@ let default =
     mli_dirs = [ "lib" ];
     spawn_spec =
       [ { s_path = [ "Domain"; "spawn" ]; s_main_labels = [] };
-        { s_path = [ "Pool"; "run" ]; s_main_labels = [] };
         { s_path = [ "Pool"; "map" ]; s_main_labels = [] };
         { s_path = [ "Epoch"; "run" ]; s_main_labels = [ "exchange" ] };
         { s_path = [ "Exp_common"; "job" ]; s_main_labels = [ "commit" ] } ];

@@ -5,7 +5,7 @@
 type spawn = {
   s_path : string list;
       (** consecutive-component match on a canonical dotted path, e.g.
-          [["Pool"; "run"]] matches [Runner.Pool.run] *)
+          [["Pool"; "map"]] matches [Runner.Pool.map] *)
   s_main_labels : string list;
       (** labelled arguments of the matched call that stay on the main
           domain ([~exchange], [~commit]) *)

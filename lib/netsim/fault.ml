@@ -13,9 +13,10 @@
      packets at enqueue time (the link then releases them to the pool,
      so nothing leaks).
 
-   Every packet a plan destroys is counted, and {!audit} checks the
-   conservation invariant: packets checked out of the pool are all
-   either back in the pool or sitting in a queue / on a wire. *)
+   Every packet a plan destroys is counted and released to its pool,
+   so [Check.Ledger]'s pool invariant holds: packets checked out of the
+   pool are all either back in the pool or sitting in a queue / on a
+   wire. *)
 
 type watcher = { w_link : Link.t; w_notify : bool -> unit }
 
@@ -89,7 +90,8 @@ let reroute t routes ~port ~detect link =
 (* Wrap a qdisc so that [doomed] packets are refused at enqueue time.
    [Qdisc.with_hooks] cannot refuse, so this is a bespoke wrapper; the
    refusal makes {!Link.send} release the packet to the pool, and we
-   count it here so the audit can subtract injected losses. *)
+   count it here so the wrapper's [drops] (which a conservation ledger
+   reads) includes injected losses. *)
 let lossy t ~doomed q =
   let injected = ref 0 in
   let enqueue p =
@@ -147,18 +149,3 @@ let blackhole t ?from ?until sw ~dst =
 let loss_drops t = t.n_loss
 let blackholed t = t.n_blackholed
 let drops t = t.n_loss + t.n_blackholed
-
-(* ------------------------------ audit ------------------------------ *)
-
-let audit ?(links = []) ?(held = 0) ~pool () =
-  let live = Packet.pool_live pool in
-  let queued = List.fold_left (fun a l -> a + Link.queued_pkts l) 0 links in
-  let flying = List.fold_left (fun a l -> a + Link.in_flight_pkts l) 0 links in
-  let accounted = queued + flying + held in
-  if live = accounted then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "packet conservation violated: %d live from pool but %d accounted \
-          (%d queued + %d in flight + %d held)"
-         live accounted queued flying held)

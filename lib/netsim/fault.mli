@@ -5,9 +5,9 @@
     fixed seed replays an identical failure history regardless of what
     the workload does with the simulator's root RNG.
 
-    The plan counts every packet it destroys; {!audit} then checks the
-    packet-conservation invariant, so fault paths cannot silently leak
-    pooled packets. *)
+    The plan counts every packet it destroys, and releases each one to
+    its pool, so [Check.Ledger]'s pool invariant holds through every
+    fault path. *)
 
 type t
 
@@ -72,14 +72,3 @@ val drops : t -> int
 
 val events : t -> (Engine.Time.t * string) list
 (** Time-ordered log of topology transitions the plan executed. *)
-
-val audit :
-  ?links:Link.t list -> ?held:int -> pool:Packet.pool -> unit ->
-  (unit, string) result
-(** Packet-conservation check: every packet checked out of [pool] must
-    be back in the pool, queued in one of [links]' qdiscs, on one of
-    their wires, or among the [held] packets the caller knows some
-    component legitimately retains (default 0).  Destroyed packets
-    (link faults, loss processes, blackholes, qdisc tail drops) were
-    released on destruction, so they are accounted automatically —
-    a leak anywhere in a fault path shows up as a mismatch. *)

@@ -7,9 +7,9 @@
    grid embarrassingly parallel, and the only thing a runner must add
    on top of [Domain.spawn] is a *determinism contract*:
 
-     the returned list is a function of the job list alone —
-     merged in key order, independent of worker count, scheduling
-     or which domain ran which job.
+     the returned list is a function of the input list alone —
+     in input order, independent of worker count, scheduling or
+     which domain ran which job.
 
    Workers pull job indices from one atomic counter (work stealing in
    its simplest form: contention is one fetch-and-add per job, and job
@@ -20,33 +20,33 @@
    captured per job — together with their raw backtrace, taken at the
    catch site — and re-raised after the pool drains with
    [Printexc.raise_with_backtrace], so the trace points at the
-   crashing job, not at the drain loop.  The one from the smallest
-   key wins, so failures are as reproducible as results. *)
+   crashing job, not at the drain loop.  The one from the first
+   failing index wins, so failures are as reproducible as results. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-type 'a outcome = Value of 'a | Raised of exn * Printexc.raw_backtrace
+type 'a outcome =
+  | Pending
+  | Value of 'a
+  | Raised of exn * Printexc.raw_backtrace
 
-let run ?jobs jobs_list =
-  let arr = Array.of_list jobs_list in
+let map ?jobs f xs =
+  let arr = Array.of_list xs in
   let n = Array.length arr in
   let requested = match jobs with Some j -> j | None -> default_jobs () in
   if requested < 1 then
-    invalid_arg "Runner.Pool.run: jobs must be >= 1 (0 means auto only at \
+    invalid_arg "Runner.Pool.map: jobs must be >= 1 (0 means auto only at \
                  the CLI)";
   let workers = max 1 (min requested n) in
-  let slots = Array.make n None in
+  let slots = Array.make n Pending in
+  (* The backtrace is captured at the catch site, on the worker
+     domain, and re-raised on the main domain after the drain — a bare
+     [raise] there would report the drain loop instead of the crashing
+     job. *)
   let execute i =
-    let key, work = arr.(i) in
-    let outcome =
-      (* The backtrace is captured at the catch site, on the worker
-         domain, and re-raised on the main domain after the drain —
-         a bare [raise] there would report the drain loop instead of
-         the crashing job. *)
-      try Value (work ())
-      with e -> Raised (e, Printexc.get_raw_backtrace ())
-    in
-    slots.(i) <- Some (key, outcome)
+    slots.(i) <-
+      (try Value (f arr.(i))
+       with e -> Raised (e, Printexc.get_raw_backtrace ()))
   in
   if workers = 1 then
     (* Serial path: no domains at all, so [~jobs:1] behaves exactly
@@ -71,37 +71,16 @@ let run ?jobs jobs_list =
     worker ();
     Array.iter Domain.join spawned
   end;
-  let keyed =
-    Array.to_list
-      (Array.mapi
-         (fun i slot ->
-           match slot with
-           | Some (key, outcome) -> (key, i, outcome)
-           | None ->
-             (* Unreachable: every index below [n] is claimed exactly
-                once before the counter passes it. *)
-             assert false)
-         slots)
-  in
-  (* Key order, submission order breaking ties — scheduling never
-     enters the comparison. *)
-  let sorted =
-    List.sort
-      (fun (k1, i1, _) (k2, i2, _) ->
-        match compare (k1 : int) k2 with 0 -> compare (i1 : int) i2 | c -> c)
-      keyed
-  in
-  (match
-     List.find_map
-       (function _, _, Raised (e, bt) -> Some (e, bt) | _, _, Value _ -> None)
-       sorted
-   with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  List.map
-    (fun (key, _, outcome) ->
-      match outcome with Value v -> (key, v) | Raised _ -> assert false)
-    sorted
-
-let map ?jobs f xs =
-  List.map snd (run ?jobs (List.mapi (fun i x -> (i, fun () -> f x)) xs))
+  Array.iter
+    (function
+      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Pending | Value _ -> ())
+    slots;
+  List.init n (fun i ->
+      match slots.(i) with
+      | Value v -> v
+      | Pending | Raised _ ->
+        (* Unreachable: every index below [n] is claimed exactly once
+           before the counter passes it, and any [Raised] slot was
+           re-raised above. *)
+        assert false)

@@ -29,27 +29,24 @@ let position t v =
     if v <= 0.0 then -1.0
     else (log v -. log t.lo) /. (log t.hi -. log t.lo)
 
-let add_many t v n =
-  assert (n >= 0);
+let add t v =
   (* NaN fails both [position] comparisons below and [int_of_float nan]
      is 0, so without this guard invalid samples would silently inflate
      bucket 0.  They are filed in a dedicated cell instead, excluded
-     from [total] so the CDF still reaches 1. *)
-  if Float.is_nan v then t.nan_count <- t.nan_count + n
+     from [total]. *)
+  if Float.is_nan v then t.nan_count <- t.nan_count + 1
   else begin
-    t.total <- t.total + n;
+    t.total <- t.total + 1;
     let buckets = Array.length t.counts in
     let pos = position t v in
-    if pos < 0.0 then t.under <- t.under + n
-    else if pos >= 1.0 then t.over <- t.over + n
+    if pos < 0.0 then t.under <- t.under + 1
+    else if pos >= 1.0 then t.over <- t.over + 1
     else begin
       let idx = int_of_float (pos *. float_of_int buckets) in
       let idx = min (buckets - 1) idx in
-      t.counts.(idx) <- t.counts.(idx) + n
+      t.counts.(idx) <- t.counts.(idx) + 1
     end
   end
-
-let add t v = add_many t v 1
 
 let count t = t.total
 
@@ -69,11 +66,3 @@ let bucket_value t i = t.counts.(i)
 let underflow t = t.under
 let overflow t = t.over
 let invalid t = t.nan_count
-
-let cdf t =
-  let total = max 1 t.total in
-  let acc = ref t.under in
-  List.init (Array.length t.counts) (fun i ->
-      acc := !acc + t.counts.(i);
-      let _, hi = bucket_range t i in
-      (hi, float_of_int !acc /. float_of_int total))

@@ -24,8 +24,6 @@ let add t x =
 
 let count t = t.len
 
-let total t = t.sum
-
 let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
 
 let stddev t =

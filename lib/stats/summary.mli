@@ -13,16 +13,12 @@ val add : t -> float -> unit
 
 val count : t -> int
 
-val total : t -> float
-
 val mean : t -> float
 (** 0 when empty. *)
 
-val stddev : t -> float
-(** Population standard deviation; 0 when fewer than two samples. *)
-
 val cv : t -> float
-(** Coefficient of variation ([stddev / mean]); 0 when the mean is 0. *)
+(** Coefficient of variation: population standard deviation over the
+    mean; 0 when the mean is 0 or there are fewer than two samples. *)
 
 val min_value : t -> float
 (** @raise Invalid_argument when empty. *)

@@ -29,13 +29,10 @@ let mean t =
 (* Fold from the first point, not 0.0: an all-negative series must
    report its true maximum, and an all-sub-zero one must not report a
    phantom 0. *)
-let max_value_opt t =
+let max_value t =
   match t.rev_points with
-  | [] -> None
-  | (_, v0) :: rest ->
-    Some (List.fold_left (fun acc (_, v) -> Float.max acc v) v0 rest)
-
-let max_value t = match max_value_opt t with Some v -> v | None -> 0.0
+  | [] -> 0.0
+  | (_, v0) :: rest -> List.fold_left (fun acc (_, v) -> Float.max acc v) v0 rest
 
 let summary t =
   let s = Summary.create () in

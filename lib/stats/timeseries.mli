@@ -28,10 +28,7 @@ val mean : t -> float
 val max_value : t -> float
 (** Maximum value, folding from the first point (an all-negative
     series reports its true, negative maximum).  0 on the empty
-    series; use {!max_value_opt} when that is ambiguous. *)
-
-val max_value_opt : t -> float option
-(** Maximum value, or [None] on the empty series. *)
+    series (use {!length} to tell it from a maximum of 0). *)
 
 val summary : t -> Summary.t
 (** Fresh summary over the series' values. *)

@@ -96,7 +96,3 @@ let iter t f =
   for i = 0 to n - 1 do
     f t.ring.((start + i) mod cap)
   done
-
-let clear t =
-  t.next <- 0;
-  t.total <- 0

@@ -78,5 +78,3 @@ val dropped : t -> int
 
 val iter : t -> (record_ -> unit) -> unit
 (** Oldest-first over the retained window. *)
-
-val clear : t -> unit

@@ -16,7 +16,7 @@ val write_metrics : ?format:[ `Csv | `Jsonl ] -> string -> unit
 (** Export {!Ctx.metrics} with all {!Ctx.runs} marks to a file
     (default CSV).  CSV has the header [run,metric,kind,field,value]
     and one row per metric field, first for each marked run snapshot,
-    then the final state under run ["end"]; counter values are
+    then the final state under run ["end"]; histogram counts are
     cumulative across the process, so diff consecutive run marks to
     attribute them.  JSONL holds one object per metric row: [run],
     [metric], [kind] and every field; non-finite gauge values export

@@ -1,34 +1,14 @@
-type counter = { mutable count : int }
-
 type gauge = { mutable read : unit -> float }
 
 type hist = { hist : Stats.Histogram.t }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of hist
+type metric = Gauge of gauge | Histogram of hist
 
 type t = { tbl : (string, metric) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
 
 let metric_count t = Hashtbl.length t.tbl
-
-(* Counters are get-or-create: the same name re-registered (a second
-   simulation in the same process, or two components sharing a cell)
-   keeps accumulating into one cell. *)
-let counter t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg ("Registry.counter: " ^ name ^ " is not a counter")
-  | None ->
-    let c = { count = 0 } in
-    Hashtbl.add t.tbl name (Counter c);
-    c
-
-let incr c = c.count <- c.count + 1
-
-let add c n = c.count <- c.count + n
-
-let value c = c.count
 
 (* Gauges are sampled only at snapshot time, so registration is the
    whole cost.  Re-registering replaces the closure: when consecutive
@@ -56,7 +36,7 @@ let histogram t ?(scale = `Linear) ~lo ~hi ~buckets name =
 
 type row = {
   row_name : string;
-  row_kind : string; (* "counter" | "gauge" | "histogram" *)
+  row_kind : string; (* "gauge" | "histogram" *)
   row_fields : (string * float) list;
 }
 
@@ -88,9 +68,6 @@ let snapshot t =
     (fun name metric acc ->
       let row =
         match metric with
-        | Counter c ->
-          { row_name = name; row_kind = "counter";
-            row_fields = [ ("value", float_of_int c.count) ] }
         | Gauge g ->
           { row_name = name; row_kind = "gauge";
             row_fields = [ ("value", g.read ()) ] }

@@ -1,31 +1,16 @@
-(** Unified metrics registry: named counters, gauges and histograms,
+(** Unified metrics registry: named gauges and histograms,
     registerable from any layer of the stack.
 
     Registration happens at component-construction time (never on a
-    hot path).  The hot-path operations are allocation free: a counter
-    increment is one store, a histogram observation a few float
-    compares and a store, and gauges cost nothing until {!snapshot}
-    calls their closure. *)
+    hot path).  A histogram observation is allocation free (a few
+    float compares and a store), and gauges cost nothing until
+    {!snapshot} calls their closure. *)
 
 type t
 
 val create : unit -> t
 
 val metric_count : t -> int
-
-(** {1 Counters} *)
-
-type counter
-
-val counter : t -> string -> counter
-(** Get or create: a name re-registered keeps its accumulated value.
-    @raise Invalid_argument if the name is bound to another kind. *)
-
-val incr : counter -> unit
-
-val add : counter -> int -> unit
-
-val value : counter -> int
 
 (** {1 Gauges} *)
 
@@ -45,15 +30,16 @@ val histogram :
   string ->
   Stats.Histogram.t
 (** Get or create.  When the name already exists the existing
-    histogram is returned and the bounds arguments are ignored. *)
+    histogram is returned and the bounds arguments are ignored.
+    @raise Invalid_argument if the name is bound to a gauge. *)
 
 (** {1 Snapshots} *)
 
 type row = {
   row_name : string;
-  row_kind : string;  (** ["counter"] | ["gauge"] | ["histogram"] *)
+  row_kind : string;  (** ["gauge"] | ["histogram"] *)
   row_fields : (string * float) list;
-      (** [("value", v)] for counters/gauges; count/underflow/
+      (** [("value", v)] for gauges; count/underflow/
           overflow/invalid plus cumulative [le_<bound>] occupancy per
           bucket for histograms. *)
 }

@@ -2,36 +2,9 @@ type t = Engine.Rng.t -> float
 
 let constant v _ = v
 
-let uniform ~lo ~hi rng = lo +. ((hi -. lo) *. Engine.Rng.float rng)
-
-let exponential ~mean rng = Engine.Rng.exponential rng ~mean
-
 let pareto ~shape ~scale rng = Engine.Rng.pareto rng ~shape ~scale
 
 let lognormal ~mu ~sigma rng = Engine.Rng.lognormal rng ~mu ~sigma
-
-let empirical points =
-  (match points with
-  | [] -> invalid_arg "Dist.empirical: empty"
-  | _ ->
-    let rec check prev = function
-      | [] -> ()
-      | (_, p) :: rest ->
-        if p < prev then invalid_arg "Dist.empirical: non-monotone";
-        check p rest
-    in
-    check 0.0 points);
-  fun rng ->
-    let u = Engine.Rng.float rng in
-    let rec walk prev_v prev_p = function
-      | [] -> prev_v
-      | (v, p) :: rest ->
-        if u <= p then
-          if p = prev_p then v
-          else prev_v +. ((v -. prev_v) *. (u -. prev_p) /. (p -. prev_p))
-        else walk v p rest
-    in
-    walk (fst (List.hd points)) 0.0 points
 
 let clamped ~lo ~hi t rng = Float.min hi (Float.max lo (t rng))
 

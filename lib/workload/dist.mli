@@ -6,18 +6,9 @@ type t
 
 val constant : float -> t
 
-val uniform : lo:float -> hi:float -> t
-
-val exponential : mean:float -> t
-
 val pareto : shape:float -> scale:float -> t
 
 val lognormal : mu:float -> sigma:float -> t
-
-val empirical : (float * float) list -> t
-(** [(value, cumulative_probability)] points, cumulative and
-    increasing to 1.0; samples interpolate linearly between points.
-    @raise Invalid_argument on an empty or non-monotone list. *)
 
 val clamped : lo:float -> hi:float -> t -> t
 (** Clamp samples into [\[lo, hi\]]. *)

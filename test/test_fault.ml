@@ -1,28 +1,26 @@
 (* Fault injection: link up/down semantics, seeded loss processes,
-   blackholes, routing reconvergence, the packet-conservation audit,
-   and transport-side failure handling (MTP pathlet suspects and
-   probes, message deadlines, TCP max-retry aborts).
+   blackholes, routing reconvergence, the ledger's pool invariant, and
+   transport-side failure handling (MTP pathlet suspects and probes,
+   message deadlines, TCP max-retry aborts).
 
-   Every test here finishes with a {!Fault.audit}: fault paths must
-   never leak pooled packets. *)
+   Every network test here finishes with a {!Check.Ledger} check:
+   fault paths must conserve packets, and must never leak pooled
+   ones. *)
 
 open Netsim
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let audit_ok ?links ?held ~pool () =
-  match Fault.audit ?links ?held ~pool () with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-(* Counter-based conservation (Check.Ledger) complements the pool
-   audit: it also covers transport traffic, which is allocated with
-   [Packet.make] and invisible to any pool.  Watch the links right
-   after topology construction, assert the delta at the end. *)
-let watch_links links =
+(* Counter-based conservation: it also covers transport traffic,
+   which is allocated with [Packet.make] and invisible to any pool.
+   Watch the links right after topology construction, assert the delta
+   at the end.  With [pool], the ledger also checks that every packet
+   checked out of it is queued or flying on one of [links]. *)
+let watch_links ?pool links =
   let ledger = Check.Ledger.create () in
   List.iter (Check.Ledger.watch_link ledger) links;
+  Option.iter (Check.Ledger.watch_pool ledger) pool;
   ledger
 
 let ledger_ok ledger =
@@ -50,7 +48,7 @@ let test_link_down_drops_and_up_resumes () =
   (* 1500 B at 1 Gbps serialises in 12 us: at t=30us two packets have
      delivered, one is on the wire, the rest are queued. *)
   let sim, pool, link, delivered = pooled_link () in
-  let ledger = watch_links [ link ] in
+  let ledger = watch_links ~pool [ link ] in
   for _ = 1 to 10 do
     send_one pool link
   done;
@@ -67,18 +65,16 @@ let test_link_down_drops_and_up_resumes () =
   checki "queue flushed" 0 (Link.queued_pkts link);
   checki "wire empty" 0 (Link.in_flight_pkts link);
   checki "every lost packet counted" (10 + 1 - before) (Link.fault_drops link);
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger;
   Link.set_up link;
   send_one pool link;
   Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
   checki "delivery resumes after set_up" (before + 1) !delivered;
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger
 
 let test_fault_plan_schedules_and_logs () =
   let sim, pool, link, _ = pooled_link () in
-  let ledger = watch_links [ link ] in
+  let ledger = watch_links ~pool [ link ] in
   let fault = Fault.plan ~seed:3 sim in
   Fault.link_down fault ~at:(Engine.Time.us 100) link;
   Fault.link_up fault ~at:(Engine.Time.us 300) link;
@@ -87,7 +83,6 @@ let test_fault_plan_schedules_and_logs () =
   Engine.Sim.run ~until:(Engine.Time.us 400) sim;
   checkb "up after scheduled repair" true (Link.is_up link);
   checki "both transitions logged" 2 (List.length (Fault.events fault));
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger
 
 (* --------------------------- loss processes ------------------------ *)
@@ -98,7 +93,7 @@ let ge_run seed =
   in
   let fault = Fault.plan ~seed sim in
   Fault.gilbert_elliott fault ~p_gb:0.05 ~p_bg:0.2 ~loss_bad:0.5 link;
-  let ledger = watch_links [ link ] in
+  let ledger = watch_links ~pool [ link ] in
   let sent = ref 0 in
   ignore
     (Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
@@ -106,7 +101,6 @@ let ge_run seed =
          incr sent;
          !sent < 1000));
   Engine.Sim.run sim;
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger;
   (Fault.loss_drops fault, !delivered)
 
@@ -124,7 +118,7 @@ let test_corrupt_rate_and_validation () =
   in
   let fault = Fault.plan ~seed:5 sim in
   Fault.corrupt fault ~rate:0.3 link;
-  let ledger = watch_links [ link ] in
+  let ledger = watch_links ~pool [ link ] in
   let sent = ref 0 in
   ignore
     (Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
@@ -135,7 +129,6 @@ let test_corrupt_rate_and_validation () =
   let drops = Fault.loss_drops fault in
   checki "conservation" 1000 (drops + !delivered);
   checkb "rate roughly honoured" true (drops > 200 && drops < 400);
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger;
   checkb "rate >= 1 rejected" true
     (try
@@ -160,7 +153,7 @@ let test_blackhole_absorbs_in_window () =
   let routes = Routing.create () in
   Routing.add routes 7 port;
   Switch.set_forward sw (Routing.static routes);
-  let ledger = watch_links [ out ] in
+  let ledger = watch_links ~pool [ out ] in
   Check.Ledger.watch_switch ledger sw;
   let fault = Fault.plan sim in
   Fault.blackhole fault ~from:(Engine.Time.us 10) ~until:(Engine.Time.us 20)
@@ -177,14 +170,13 @@ let test_blackhole_absorbs_in_window () =
   checki "inside the window absorbed" 1 (Fault.blackholed fault);
   checki "outside the window forwarded" 2 !delivered;
   checki "plan total counts it" 1 (Fault.drops fault);
-  audit_ok ~links:[ out ] ~pool ();
   ledger_ok ledger
 
 (* ------------------------ routing reconvergence -------------------- *)
 
 let test_reroute_detection_delay_and_flaps () =
   let sim, pool, link, _ = pooled_link () in
-  let ledger = watch_links [ link ] in
+  let ledger = watch_links ~pool [ link ] in
   let routes = Routing.create () in
   Routing.add routes 5 0;
   Routing.add routes 5 1;
@@ -208,20 +200,21 @@ let test_reroute_detection_delay_and_flaps () =
   Engine.Sim.run ~until:(Engine.Time.us 550) sim;
   checkb "restored after detect" false (Routing.port_removed routes 0);
   checki "both ports back" 2 (Array.length (Routing.ports_for routes 5));
-  audit_ok ~links:[ link ] ~pool ();
   ledger_ok ledger
 
-(* ------------------------------- audit ----------------------------- *)
+(* ----------------------------- pool leaks -------------------------- *)
 
-let test_audit_catches_leaks () =
+let test_pool_leak_flagged () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
+  let ledger = watch_links ~pool [] in
   let p = Packet.recycle pool ~src:0 ~dst:1 ~size:100 () in
   checkb "outstanding packet flagged" true
-    (match Fault.audit ~pool () with Ok () -> false | Error _ -> true);
-  audit_ok ~held:1 ~pool ();
+    (Check.Ledger.failures ledger <> []);
+  Alcotest.(check (list string))
+    "a held packet is accounted" [] (Check.Ledger.failures ~held:1 ledger);
   Packet.release pool p;
-  audit_ok ~pool ()
+  ledger_ok ledger
 
 (* ----------------------- MTP pathlet failover ---------------------- *)
 
@@ -415,7 +408,7 @@ let suite =
     Alcotest.test_case "blackhole" `Quick test_blackhole_absorbs_in_window;
     Alcotest.test_case "reroute detection" `Quick
       test_reroute_detection_delay_and_flaps;
-    Alcotest.test_case "audit leaks" `Quick test_audit_catches_leaks;
+    Alcotest.test_case "audit leaks" `Quick test_pool_leak_flagged;
     Alcotest.test_case "pathlet suspect/probe" `Quick
       test_pathlet_suspect_probe_revive;
     Alcotest.test_case "endpoint deadline error" `Quick

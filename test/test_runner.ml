@@ -1,9 +1,9 @@
 (* The parallel runner's determinism contract, unit-level and
    end-to-end.
 
-   Unit: results merge in key order whatever the worker count,
+   Unit: results come back in input order whatever the worker count,
    exceptions surface deterministically, edge shapes (empty list, more
-   workers than work) hold; a qcheck property pins Pool.run to the
+   workers than work) hold; a qcheck property pins Pool.map to the
    serial List.map reference over arbitrary job lists, including
    raising jobs.  The epoch driver (Runner.Epoch) gets the same
    treatment on synthetic partitions: exact window sequences,
@@ -27,37 +27,30 @@ let test_map_order () =
     (List.map (fun x -> (x * x) + 1) xs)
     (Runner.Pool.map ~jobs:4 (fun x -> (x * x) + 1) xs)
 
-let test_run_key_order () =
-  Alcotest.(check (list (pair int string)))
-    "results sorted by key, not completion"
-    [ (1, "a"); (2, "b"); (3, "c"); (5, "e") ]
-    (Runner.Pool.run ~jobs:3
-       [ (5, fun () -> "e"); (1, fun () -> "a"); (3, fun () -> "c");
-         (2, fun () -> "b") ])
-
 let test_edge_shapes () =
   checki "more workers than work" 3
     (List.length (Runner.Pool.map ~jobs:16 (fun x -> x) [ 1; 2; 3 ]));
   checki "empty job list" 0
     (List.length (Runner.Pool.map ~jobs:4 (fun x -> x) []));
   checkb "jobs 0 rejected" true
-    (match Runner.Pool.run ~jobs:0 [ (0, fun () -> ()) ] with
+    (match Runner.Pool.map ~jobs:0 Fun.id [ () ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 exception Boom of int
 
 let test_exception_deterministic () =
-  (* Two failing jobs; whatever the schedule, the smallest failing
-     key's exception is the one that surfaces. *)
+  (* Two failing jobs, at indices 1 and 3; whatever the schedule, the
+     first failing index's exception is the one that surfaces (not the
+     smallest value's). *)
   for jobs = 1 to 4 do
     match
-      Runner.Pool.run ~jobs
-        [ (4, fun () -> raise (Boom 4)); (0, fun () -> 0);
-          (2, fun () -> raise (Boom 2)); (1, fun () -> 1) ]
+      Runner.Pool.map ~jobs
+        (fun v -> if v > 4 then raise (Boom v) else v)
+        [ 0; 7; 1; 5 ]
     with
     | _ -> Alcotest.fail "expected Boom"
-    | exception Boom k -> checki "smallest failing key wins" 2 k
+    | exception Boom v -> checki "first failing index wins" 7 v
   done
 
 (* ------------------------- jobs invariance ------------------------- *)
@@ -143,41 +136,24 @@ let test_sweep_reps () =
 
 exception Qboom of int
 
-(* The pool IS List.map with a merge: for an arbitrary job list
-   (arbitrary keys, some jobs raising), every jobs width must produce
-   the serial reference — the stable key-sort of the serially computed
-   results — and when any job raises, the exception of the smallest
-   failing key (earliest submission on ties) must surface. *)
+(* The pool IS List.map: for an arbitrary job list (some jobs
+   raising), every jobs width must produce the serial reference, and
+   when any job raises, the exception of the first failing index must
+   surface. *)
 let prop_pool_matches_serial =
-  QCheck.Test.make ~name:"Pool.run matches serial reference (incl. raises)"
+  QCheck.Test.make ~name:"Pool.map matches serial reference (incl. raises)"
     ~count:150
-    QCheck.(
-      list_of_size Gen.(1 -- 20)
-        (pair (int_range 0 9) (pair small_int bool)))
+    QCheck.(list_of_size Gen.(1 -- 20) (pair small_int bool))
     (fun spec ->
-      let jobs_list =
-        List.mapi
-          (fun i (key, (v, raises)) ->
-            ( key,
-              fun () -> if raises then raise (Qboom i) else (i, v) ))
-          spec
-      in
-      let raising =
-        List.mapi (fun i (k, (_, r)) -> if r then Some (k, i) else None) spec
-        |> List.filter_map Fun.id
-      in
+      let indexed = List.mapi (fun i job -> (i, job)) spec in
+      let f (i, (v, raises)) = if raises then raise (Qboom i) else (i, v) in
       let expect_exn =
-        match List.sort compare raising with
-        | [] -> None
-        | (_, i) :: _ -> Some i
+        List.find_map (fun (i, (_, r)) -> if r then Some i else None) indexed
       in
-      let reference =
-        List.mapi (fun i (key, (v, _)) -> (key, (i, v))) spec
-        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      in
+      let reference = List.map (fun (i, (v, _)) -> (i, v)) indexed in
       List.for_all
         (fun jobs ->
-          match Runner.Pool.run ~jobs jobs_list with
+          match Runner.Pool.map ~jobs f indexed with
           | got -> expect_exn = None && got = reference
           | exception Qboom i -> expect_exn = Some i)
         [ 1; 2; 3; 4 ])
@@ -315,7 +291,6 @@ let test_par_leafspine_jobs_invariant () =
 
 let suite =
   [ Alcotest.test_case "map order" `Quick test_map_order;
-    Alcotest.test_case "run key order" `Quick test_run_key_order;
     Alcotest.test_case "edge shapes" `Quick test_edge_shapes;
     Alcotest.test_case "deterministic exceptions" `Quick
       test_exception_deterministic;

@@ -224,23 +224,9 @@ let test_ring_wraps () =
   let seen = ref [] in
   Telemetry.Events.iter ev (fun r -> seen := r.Telemetry.Events.uid :: !seen);
   Alcotest.(check (list int)) "keeps newest, oldest first" [ 7; 8; 9; 10 ]
-    (List.rev !seen);
-  Telemetry.Events.clear ev;
-  checki "cleared" 0 (Telemetry.Events.retained ev)
+    (List.rev !seen)
 
 (* ----------------------------- registry ----------------------------- *)
-
-let test_registry_counter_accumulates () =
-  let reg = Telemetry.Registry.create () in
-  let c1 = Telemetry.Registry.counter reg "drops" in
-  Telemetry.Registry.incr c1;
-  Telemetry.Registry.add c1 4;
-  (* Re-registration (a second simulation reusing the name) must return
-     the same accumulating cell, not a fresh zero. *)
-  let c2 = Telemetry.Registry.counter reg "drops" in
-  Telemetry.Registry.incr c2;
-  checki "accumulated" 6 (Telemetry.Registry.value c1);
-  checki "one metric" 1 (Telemetry.Registry.metric_count reg)
 
 let test_registry_gauge_replaces () =
   let reg = Telemetry.Registry.create () in
@@ -256,7 +242,7 @@ let test_registry_gauge_replaces () =
 
 let test_registry_kind_clash_rejected () =
   let reg = Telemetry.Registry.create () in
-  ignore (Telemetry.Registry.counter reg "x");
+  ignore (Telemetry.Registry.histogram reg ~lo:0.0 ~hi:1.0 ~buckets:1 "x");
   checkb "kind clash raises" true
     (try
        Telemetry.Registry.set_gauge reg "x" (fun () -> 0.0);
@@ -265,9 +251,9 @@ let test_registry_kind_clash_rejected () =
 
 let test_registry_snapshot_sorted () =
   let reg = Telemetry.Registry.create () in
-  ignore (Telemetry.Registry.counter reg "zeta");
-  ignore (Telemetry.Registry.counter reg "alpha");
-  ignore (Telemetry.Registry.counter reg "mid");
+  List.iter
+    (fun name -> Telemetry.Registry.set_gauge reg name (fun () -> 0.0))
+    [ "zeta"; "alpha"; "mid" ];
   let names =
     List.map
       (fun r -> r.Telemetry.Registry.row_name)
@@ -297,7 +283,7 @@ let test_ctx_enable_reset () =
   with_ctx (fun () ->
       checkb "on" true (Telemetry.Ctx.on ());
       emit (Telemetry.Ctx.events ()) ~uid:7;
-      ignore (Telemetry.Registry.counter (Telemetry.Ctx.metrics ()) "c");
+      Telemetry.Registry.set_gauge (Telemetry.Ctx.metrics ()) "c" (fun () -> 0.0);
       Telemetry.Ctx.mark_run "first";
       Telemetry.Ctx.reset ();
       checkb "still on after reset" true (Telemetry.Ctx.on ());
@@ -308,7 +294,7 @@ let test_ctx_enable_reset () =
 
 let test_ctx_mark_run_labels () =
   with_ctx (fun () ->
-      ignore (Telemetry.Registry.counter (Telemetry.Ctx.metrics ()) "c");
+      Telemetry.Registry.set_gauge (Telemetry.Ctx.metrics ()) "c" (fun () -> 0.0);
       Telemetry.Ctx.mark_run "dctcp";
       Telemetry.Ctx.mark_run "mtp";
       let labels = List.map fst (Telemetry.Ctx.runs ()) in
@@ -405,17 +391,17 @@ let test_trace_csv_shape () =
 let test_metrics_csv_runs () =
   with_ctx (fun () ->
       let reg = Telemetry.Ctx.metrics () in
-      let c = Telemetry.Registry.counter reg "events" in
-      Telemetry.Registry.add c 3;
+      let events = ref 3.0 in
+      Telemetry.Registry.set_gauge reg "events" (fun () -> !events);
       Telemetry.Ctx.mark_run "variant-a";
-      Telemetry.Registry.add c 4;
+      events := 7.0;
       let out = capture (fun p -> Telemetry.Export.write_metrics p) in
       match lines out with
       | header :: rows ->
         checks "header" "run,metric,kind,field,value" header;
         Alcotest.(check (list string))
           "snapshot rows: marked run then end"
-          [ "variant-a,events,counter,value,3"; "end,events,counter,value,7" ]
+          [ "variant-a,events,gauge,value,3"; "end,events,gauge,value,7" ]
           rows
       | [] -> Alcotest.fail "empty csv")
 
@@ -484,8 +470,6 @@ let test_link_emits_events () =
 let suite =
   [ Alcotest.test_case "ring basic" `Quick test_ring_basic;
     Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
-    Alcotest.test_case "counter accumulates" `Quick
-      test_registry_counter_accumulates;
     Alcotest.test_case "gauge replaces" `Quick test_registry_gauge_replaces;
     Alcotest.test_case "kind clash" `Quick test_registry_kind_clash_rejected;
     Alcotest.test_case "snapshot sorted" `Quick test_registry_snapshot_sorted;

@@ -15,19 +15,6 @@ let test_constant () =
     checkf "constant" 42.0 (Workload.Dist.sample d r)
   done
 
-let test_uniform_bounds () =
-  let d = Workload.Dist.uniform ~lo:5.0 ~hi:10.0 in
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let v = Workload.Dist.sample d r in
-    checkb "in range" true (v >= 5.0 && v < 10.0)
-  done
-
-let test_exponential_mean () =
-  let d = Workload.Dist.exponential ~mean:100.0 in
-  let m = Workload.Dist.mean_estimate d (rng ()) 50_000 in
-  checkb "mean near 100" true (m > 95.0 && m < 105.0)
-
 let test_lognormal_positive () =
   let d = Workload.Dist.lognormal ~mu:10.0 ~sigma:2.0 in
   let r = rng () in
@@ -35,23 +22,10 @@ let test_lognormal_positive () =
     checkb "positive" true (Workload.Dist.sample d r > 0.0)
   done
 
-let test_empirical_interpolation () =
-  let d = Workload.Dist.empirical [ (10.0, 0.5); (20.0, 1.0) ] in
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let v = Workload.Dist.sample d r in
-    checkb "within hull" true (v >= 0.0 && v <= 20.0)
-  done
-
-let test_empirical_validation () =
-  Alcotest.check_raises "monotone required"
-    (Invalid_argument "Dist.empirical: non-monotone") (fun () ->
-      ignore (Workload.Dist.empirical [ (1.0, 0.9); (2.0, 0.5) ]))
-
 let test_clamped () =
   let d =
     Workload.Dist.clamped ~lo:100.0 ~hi:200.0
-      (Workload.Dist.uniform ~lo:0.0 ~hi:1000.0)
+      (Workload.Dist.lognormal ~mu:(log 150.0) ~sigma:2.0)
   in
   let r = rng () in
   for _ = 1 to 1000 do
@@ -96,10 +70,13 @@ let test_mix_overrun_falls_to_last () =
   done;
   checkb "first component never drawn" true (!first_hits = 0)
 
+(* The paper's full 10 KB – 1 GB range. *)
+let paper_mix = Workload.Sizes.paper_mix_capped ~max:1_000_000_000
+
 let test_paper_mix_range () =
   let r = rng () in
   for _ = 1 to 5000 do
-    let v = Workload.Dist.sample_bytes Workload.Sizes.paper_mix r in
+    let v = Workload.Dist.sample_bytes paper_mix r in
     checkb "10KB..1GB" true (v >= 10_000 && v <= 1_000_000_000)
   done
 
@@ -110,7 +87,7 @@ let test_paper_mix_skew () =
   let s = Stats.Summary.create () in
   for _ = 1 to 20_000 do
     Stats.Summary.add s
-      (float_of_int (Workload.Dist.sample_bytes Workload.Sizes.paper_mix r))
+      (float_of_int (Workload.Dist.sample_bytes paper_mix r))
   done;
   checkb "median << mean (heavy tail)" true
     (Stats.Summary.median s *. 3.0 < Stats.Summary.mean s);
@@ -191,11 +168,7 @@ let test_load_interarrival () =
 
 let suite =
   [ Alcotest.test_case "dist constant" `Quick test_constant;
-    Alcotest.test_case "dist uniform" `Quick test_uniform_bounds;
-    Alcotest.test_case "dist exponential" `Quick test_exponential_mean;
     Alcotest.test_case "dist lognormal" `Quick test_lognormal_positive;
-    Alcotest.test_case "dist empirical" `Quick test_empirical_interpolation;
-    Alcotest.test_case "dist empirical check" `Quick test_empirical_validation;
     Alcotest.test_case "dist clamped" `Quick test_clamped;
     Alcotest.test_case "dist mix" `Quick test_mix_weights;
     Alcotest.test_case "dist bytes >= 1" `Quick test_sample_bytes_positive;
