@@ -896,6 +896,73 @@ let test_endpoint_send_sequence_pinned () =
     "send sequence digest" "2c9c331a4e1bbc2b1f10d7a4073eeac3"
     (Digest.to_hex (Digest.string (Buffer.contents seq)))
 
+(* The same over several (destination, traffic class) lanes: one client
+   sends to the server and two other clients at two traffic classes.
+   Its uplink is one stamped pathlet, so same-class lanes to different
+   destinations share headroom, and it both trims and drops. *)
+let test_endpoint_multi_lane_sequence_pinned () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let st =
+    Topology.star topo ~n:3 ~rate:(Engine.Time.gbps 1)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let a = st.Topology.st_clients.(0) in
+  let dsts =
+    [| st.Topology.st_server; st.Topology.st_clients.(1);
+       st.Topology.st_clients.(2) |]
+  in
+  let seq = Buffer.create 4096 and n = ref 0 and data = ref 0 in
+  let inner = Qdisc.trimming ~cap_pkts:8 ~header_size:64 () in
+  let enqueue p =
+    match p.Packet.payload with
+    | Wire.Mtp h when not h.Wire.is_ack ->
+      incr data;
+      if !data mod 41 = 0 then false
+      else begin
+        incr n;
+        Buffer.add_string seq
+          (Printf.sprintf "%d:%d:%d," h.Wire.msg_id h.Wire.pkt_num
+             p.Packet.dst);
+        inner.Qdisc.enqueue p
+      end
+    | _ -> inner.Qdisc.enqueue p
+  in
+  let up = Node.uplink a in
+  Link.set_qdisc up
+    { inner with Qdisc.enqueue; enqueue_burst = Qdisc.burst_of_enqueue enqueue };
+  Mtp_switch.stamp sim up ~path_id:1 ~mode:(Mtp_switch.Ecn_mark 20);
+  let ea = Endpoint.attach (Host.create a) in
+  Array.iter
+    (fun d -> Endpoint.bind (Endpoint.attach (Host.create d)) ~port:80 ignore)
+    dsts;
+  (* Sub-MTU, exact multiples of the MTU and multi-packet remainders. *)
+  let sizes = [| 700; 1440; 4320; 9000; 20_000; 1; 2880; 31_000 |] in
+  let send i =
+    ignore
+      (Endpoint.send ea
+         ~dst:(Node.addr dsts.(i mod 3))
+         ~dst_port:80 ~pri:(i / 2 mod 3) ~tc:(i / 3 mod 2)
+         ~size:sizes.(i mod Array.length sizes)
+         ())
+  in
+  for i = 0 to 17 do
+    send i
+  done;
+  ignore
+    (Engine.Sim.schedule sim ~at:(Engine.Time.us 40) (fun () ->
+         for i = 18 to 29 do
+           send i
+         done));
+  Engine.Sim.run ~until:(Engine.Time.ms 50) sim;
+  checki "all messages complete" 30 (Endpoint.completed ea);
+  checkb "trimming drove NACKs" true (Endpoint.nacks_received ea > 0);
+  checkb "drops drove RTOs" true (Endpoint.timeouts ea > 0);
+  checki "data packets sent" 264 !n;
+  Alcotest.(check string)
+    "send sequence digest" "71d0c27da8fe60ff25d1a4ac4a4aa2da"
+    (Digest.to_hex (Digest.string (Buffer.contents seq)))
+
 let test_endpoint_rcp_rate_control () =
   (* An RCP-stamping bottleneck grants explicit rates; the endpoint's
      window must track the grant and the transfer completes without
@@ -1425,6 +1492,8 @@ let suite =
       test_endpoint_short_message_passes_blocked_one;
     Alcotest.test_case "endpoint send sequence pinned" `Quick
       test_endpoint_send_sequence_pinned;
+    Alcotest.test_case "endpoint multi-lane sequence pinned" `Quick
+      test_endpoint_multi_lane_sequence_pinned;
     Alcotest.test_case "endpoint rcp e2e" `Quick test_endpoint_rcp_rate_control;
     Alcotest.test_case "endpoint swift e2e" `Quick
       test_endpoint_swift_delay_control;
