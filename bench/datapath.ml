@@ -9,8 +9,9 @@
    scale sweep drives a raw-packet permutation workload through 64 ->
    4096 host fabrics and checks that minor words/event stay flat; the
    mtp section checks the same of minor words per acked packet as one
-   sender's backlog grows from 1 to 128 messages.  Results go to stdout
-   and, every section in one pass, BENCH_engine.json.
+   sender's backlog grows from 1 to 128 messages, and bounds the growth
+   of its ns per acked packet.  Results go to stdout and, every section
+   in one pass, BENCH_engine.json (with the host's core count).
 
    `--guardrail` additionally enforces the bars (non-zero exit on
    regression) — wired into `make check` and CI next to the parallel
@@ -406,20 +407,23 @@ let flat_floor = 0.25
    [backlog] equal messages outstanding to a peer over a 10G link whose
    MTP-aware qdisc stamps ECN feedback (a completion starts the next
    message), until [mtp_messages] have completed.  Every ack runs the
-   send pump over the whole backlog, so this is where per-message
-   scheduling cost shows.  Reported per point: minor words and ns per
-   acked packet, only [Sim.run] on the clock.  Words must stay flat in
-   the backlog (same bar and floor as the scale sweep), and at a
-   backlog of 1 must stay within [mtp_words_bar] of the recorded
-   [mtp_recorded_words_1]: flatness alone would pass a regression that
-   costs every ack the same.  ns are recorded but not gated, since a
-   walk over the backlog is expected and absolute times drift with the
-   machine. *)
+   send pump, so this is where per-message scheduling cost shows.
+   Reported per point: minor words and ns per acked packet, only
+   [Sim.run] on the clock.  Words must stay flat in the backlog (same
+   bar and floor as the scale sweep), and at a backlog of 1 must stay
+   within [mtp_words_bar] of the recorded [mtp_recorded_words_1]:
+   flatness alone would pass a regression that costs every ack the
+   same.  ns at a backlog of 128 must stay within [mtp_ns_ratio_bar]
+   of ns at 1: the pump's round ends once every ready lane is refused,
+   and a pump that walked the whole backlog on every ack would show as
+   a steep ratio.  A ratio within one run depends far less on the
+   machine than absolute ns, which are recorded but not gated. *)
 
 (* Minor words per acked packet at a backlog of 1 when last recorded
    (allocation is deterministic, so the same on any machine). *)
 let mtp_recorded_words_1 = 93.42
 let mtp_words_bar = 1.15
+let mtp_ns_ratio_bar = 2.0
 
 let mtp_backlogs = [ 1; 16; 128 ]
 let mtp_pkts_per_msg = 16
@@ -466,24 +470,37 @@ let mtp_pass ~backlog =
   let acked = float_of_int (mtp_messages * mtp_pkts_per_msg) in
   (t1 -. t0, words /. acked, (t1 -. t0) *. 1e9 /. acked)
 
-(* Warm once, then best-of-N; words come from the fastest pass. *)
-let run_mtp backlog =
-  ignore (mtp_pass ~backlog);
-  let best = ref (infinity, nan, nan) in
-  for _ = 1 to timed_runs do
-    let ((secs, _, _) as r) = mtp_pass ~backlog in
-    if secs < (fun (s, _, _) -> s) !best then best := r
-  done;
-  let _, words, ns = !best in
-  { m_backlog = backlog; m_words = words; m_ns = ns }
+(* Timed passes per backlog.  The ratio bar compares two medians taken
+   from interleaved passes, so load that comes and goes on the machine
+   lands on every backlog alike. *)
+let mtp_passes = 5
 
-let mtp_flatness pts =
-  let words n =
-    match List.find_opt (fun p -> p.m_backlog = n) pts with
-    | Some p -> p.m_words
-    | None -> nan
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Warm every backlog once, then [mtp_passes] rounds of one pass per
+   backlog (1, 16, 128, 1, ...); each point is the median. *)
+let collect_mtp () =
+  List.iter (fun backlog -> ignore (mtp_pass ~backlog)) mtp_backlogs;
+  let runs =
+    List.init mtp_passes (fun _ ->
+        List.map (fun backlog -> mtp_pass ~backlog) mtp_backlogs)
   in
-  (words 1, words 128)
+  List.mapi
+    (fun i backlog ->
+      let at = List.map (fun round -> List.nth round i) runs in
+      { m_backlog = backlog;
+        m_words = median (List.map (fun (_, w, _) -> w) at);
+        m_ns = median (List.map (fun (_, _, ns) -> ns) at) })
+    mtp_backlogs
+
+let mtp_point pts n = List.find (fun p -> p.m_backlog = n) pts
+
+let mtp_flatness pts = ((mtp_point pts 1).m_words, (mtp_point pts 128).m_words)
+
+let mtp_ns_ratio pts = (mtp_point pts 128).m_ns /. (mtp_point pts 1).m_ns
 
 (* ------------------------------ Report ----------------------------- *)
 
@@ -510,7 +527,7 @@ let collect () =
   let _, burst_classic_rate = datapath_burst ~batched:false () in
   let burst_words, burst_rate = datapath_burst ~batched:true () in
   let scale = collect_scale () in
-  let mtp = List.map run_mtp mtp_backlogs in
+  let mtp = collect_mtp () in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate;
     pk_classic_rate; burst_words; burst_rate; burst_classic_rate; scale; mtp }
 
@@ -565,12 +582,15 @@ let print_report r =
   Printf.printf "%-14s %.2f -> %.2f words/acked pkt (bar %.2fx, floor %.2f)\n"
     "flatness" m1 m128 flatness_bar flat_floor;
   Printf.printf "%-14s %.2f words/acked pkt at 1 vs recorded %.2f (bar %.2fx)\n"
-    "absolute" m1 mtp_recorded_words_1 mtp_words_bar
+    "absolute" m1 mtp_recorded_words_1 mtp_words_bar;
+  Printf.printf "%-14s %.2fx ns/acked pkt at 128 vs 1 (bar %.2fx)\n" "ns ratio"
+    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar
 
 let write_json r =
   let oc = open_out "BENCH_engine.json" in
   Printf.fprintf oc
     {|{
+  "cores": %d,
   "baseline": {
     "minor_words_per_event": %.2f,
     "minor_words_per_packet": %.2f,
@@ -598,6 +618,7 @@ let write_json r =
   },
   "scale": {
     "points": [|}
+    (Domain.recommended_domain_count ())
     baseline_words_per_event baseline_words_per_packet
     baseline_packets_per_sec r.ev_words r.tm_words r.pk_words r.ev_rate
     r.pk_rate r.pk_classic_rate r.burst_rate r.burst_classic_rate
@@ -622,8 +643,8 @@ let write_json r =
     w64 w4096 flatness_bar flat_floor s.lookup_words lookup_calls
     s.lookup_rate s.ingress_words ingress_calls s.ingress_rate
     s.batched64_pkt_rate s.classic64_pkt_rate;
-  Printf.fprintf oc "  \"mtp\": {\n    \"msg_pkts\": %d,\n    \"messages\": %d,\n    \"points\": ["
-    mtp_pkts_per_msg mtp_messages;
+  Printf.fprintf oc "  \"mtp\": {\n    \"msg_pkts\": %d,\n    \"messages\": %d,\n    \"passes\": %d,\n    \"points\": ["
+    mtp_pkts_per_msg mtp_messages mtp_passes;
   List.iteri
     (fun i p ->
       Printf.fprintf oc
@@ -633,8 +654,9 @@ let write_json r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f\n  }\n}\n"
-    m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar;
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f\n  }\n}\n"
+    m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
+    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
@@ -696,6 +718,12 @@ let guardrail r =
       "mtp words/acked packet at a backlog of 1: %.2f exceeds the recorded \
        %.2f by more than %.2fx"
       m1 mtp_recorded_words_1 mtp_words_bar;
+  let ratio = mtp_ns_ratio r.mtp in
+  if not (ratio <= mtp_ns_ratio_bar) then
+    fail
+      "mtp ns/acked packet at a backlog of 128 is %.2fx that at 1 (bar \
+       %.2fx): the send pump's per-ack cost grows with the backlog"
+      ratio mtp_ns_ratio_bar;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

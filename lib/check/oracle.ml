@@ -90,6 +90,9 @@ let endpoint_ok ep =
   (match pathlets_consistent (Mtp.Endpoint.pathlets ep) with
   | Ok () -> ()
   | Error msg -> bad := msg :: !bad);
+  (match Mtp.Endpoint.check_pump ep with
+  | () -> ()
+  | exception Failure msg -> bad := msg :: !bad);
   (* Flight conservation: [Pathlet.discharge] floors at zero, so a
      double discharge or a lost one only shows as a mismatch against
      the packets actually in flight. *)

@@ -33,6 +33,8 @@ val pathlets_consistent : Mtp.Pathlet.t -> (unit, string) result
 
 val endpoint_ok : Mtp.Endpoint.t -> (unit, string) result
 (** All endpoint counters non-negative, {!pathlets_consistent} on its
-    pathlet table, and exact flight conservation: every pathlet's
-    in-flight bytes equal the summed payload of the endpoint's
-    in-flight packets charged to it ({!Mtp.Endpoint.charged_flight}). *)
+    pathlet table, the send pump's bookkeeping
+    ({!Mtp.Endpoint.check_pump}), and exact flight conservation: every
+    pathlet's in-flight bytes equal the summed payload of the
+    endpoint's in-flight packets charged to it
+    ({!Mtp.Endpoint.charged_flight}). *)

@@ -34,14 +34,22 @@ type dst_paths = {
 
 (* One (destination, traffic class) pair: where a message's packets are
    budgeted.  [ln_refused] is the smallest payload refused there during
-   scheduling epoch [ln_epoch]. *)
+   scheduling epoch [ln_epoch].  [ln_ready] counts the lane's messages
+   with a next packet, [ln_short] those among them whose next packet is
+   shorter than the MTU (see [note_next]). *)
 and lane = {
   ln_dst : dst_paths;
   ln_tc : int;
   ln_default : Wire.path_ref list;
   mutable ln_epoch : int;
   mutable ln_refused : int;
+  mutable ln_ready : int;
+  mutable ln_short : int;
 }
+
+(* A message's next packet: none, a full-MTU one, or a shorter one
+   (only a message's last packet can be). *)
+type readiness = Dry | Full | Short
 
 type txmsg = {
   tx_id : int;
@@ -65,7 +73,7 @@ type txmsg = {
   mutable retx : int array;
   mutable retx_head : int;
   mutable retx_len : int;
-  mutable tx_done : bool; (* completed or failed; still in [active] *)
+  mutable tx_ready : readiness; (* as counted in [tx_lane] *)
   tx_created : Engine.Time.t;
   tx_deadline : Engine.Time.t option; (* absolute; abort past this *)
   mutable tx_last_progress : Engine.Time.t;
@@ -111,11 +119,15 @@ type t = {
   mutable next_msg_id : int;
   mutable next_port : int;
   tx_table : (int, txmsg) Hashtbl.t;
-  (* Messages in (pri, id) order in [active.(0 .. n_active - 1)];
-     finished ones stay, flagged [tx_done], until the pump's next full
-     round squeezes them out. *)
+  (* The messages of [tx_table] in (pri, id) order, in
+     [active.(0 .. n_active - 1)]. *)
   mutable active : txmsg array;
   mutable n_active : int;
+  (* Lanes with a ready message, and how many of them are shut during
+     scheduling epoch [shut_epoch] (see [refuse]). *)
+  mutable n_ready_lanes : int;
+  mutable shut_epoch : int;
+  mutable n_shut : int;
   (* The pump's scratch: messages that used a whole quantum last round. *)
   mutable again : txmsg array;
   mutable n_again : int;
@@ -256,7 +268,7 @@ let lane_for t ~dst ~tc =
   | exception Not_found ->
     let ln =
       { ln_dst = d; ln_tc = tc; ln_default = default_path tc; ln_epoch = -1;
-        ln_refused = 0 }
+        ln_refused = 0; ln_ready = 0; ln_short = 0 }
     in
     d.lanes <- ln :: d.lanes;
     ln
@@ -434,6 +446,90 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
   emit_header t ~dst:msg.tx_dst header
 
 (* ------------------------------------------------------------------ *)
+(* The send queue                                                       *)
+
+(* The next packet to send (a retransmission first), or -1. *)
+let next_pkt msg =
+  if msg.retx_len > 0 then msg.retx.(msg.retx_head)
+  else if msg.scan < msg.tx_npkts then msg.scan
+  else -1
+
+(* The pump's bookkeeping, run after every change to [msg]'s next
+   packet: its lane's [ln_ready] and [ln_short], and the endpoint's
+   count of lanes with a ready message. *)
+let note_next t msg =
+  let p = next_pkt msg in
+  let r =
+    if p < 0 then Dry else if pkt_payload t msg p < t.mtu then Short else Full
+  in
+  let was = msg.tx_ready in
+  if r <> was then begin
+    let ln = msg.tx_lane in
+    msg.tx_ready <- r;
+    if was = Short then ln.ln_short <- ln.ln_short - 1;
+    if r = Short then ln.ln_short <- ln.ln_short + 1;
+    if was = Dry then begin
+      if ln.ln_ready = 0 then t.n_ready_lanes <- t.n_ready_lanes + 1;
+      ln.ln_ready <- ln.ln_ready + 1
+    end
+    else if r = Dry then begin
+      ln.ln_ready <- ln.ln_ready - 1;
+      if ln.ln_ready = 0 then t.n_ready_lanes <- t.n_ready_lanes - 1
+    end
+  end
+
+let push_retx t msg i =
+  if Array.length msg.retx = 0 then msg.retx <- Array.make msg.tx_npkts 0;
+  let cap = Array.length msg.retx in
+  msg.retx.((msg.retx_head + msg.retx_len) mod cap) <- i;
+  msg.retx_len <- msg.retx_len + 1;
+  note_next t msg
+
+let take_next t msg =
+  if msg.retx_len > 0 then begin
+    msg.retx_head <- (msg.retx_head + 1) mod Array.length msg.retx;
+    msg.retx_len <- msg.retx_len - 1
+  end
+  else msg.scan <- msg.scan + 1;
+  note_next t msg
+
+(* Ids only grow, so a new message goes after every message of its
+   priority or a more urgent one. *)
+let insert_active t msg =
+  let n = t.n_active in
+  if n = Array.length t.active then begin
+    let bigger = Array.make (max 8 (2 * n)) t.nil_msg in
+    Array.blit t.active 0 bigger 0 n;
+    t.active <- bigger
+  end;
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.active.(mid).tx_pri <= msg.tx_pri then lo := mid + 1 else hi := mid
+  done;
+  Array.blit t.active !lo t.active (!lo + 1) (n - !lo);
+  t.active.(!lo) <- msg;
+  t.n_active <- n + 1
+
+(* A finished or failed message leaves [active] at once: its slot is
+   found by (pri, id) and the tail closes over it. *)
+let remove_active t msg =
+  let n = t.n_active in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let m = t.active.(mid) in
+    if m.tx_pri < msg.tx_pri || (m.tx_pri = msg.tx_pri && m.tx_id < msg.tx_id)
+    then lo := mid + 1
+    else hi := mid
+  done;
+  let i = !lo in
+  assert (i < n && t.active.(i) == msg);
+  Array.blit t.active (i + 1) t.active i (n - i - 1);
+  t.active.(n - 1) <- t.nil_msg;
+  t.n_active <- n - 1
+
+(* ------------------------------------------------------------------ *)
 (* Message failure (deadline exceeded)                                  *)
 
 let fail_message t msg =
@@ -445,7 +541,11 @@ let fail_message t msg =
       | Unsent | Lost | Acked -> ())
     msg.states;
   Hashtbl.remove t.tx_table msg.tx_id;
-  msg.tx_done <- true;
+  (* Nothing more goes out for it. *)
+  msg.scan <- msg.tx_npkts;
+  msg.retx_len <- 0;
+  note_next t msg;
+  remove_active t msg;
   t.n_failed <- t.n_failed + 1;
   if Telemetry.Ctx.on () then
     probe_event t ~kind:Telemetry.Events.Fail ~dst:msg.tx_dst ~size:msg.tx_size
@@ -457,25 +557,6 @@ let fail_message t msg =
 
 (* ------------------------------------------------------------------ *)
 (* The send pump                                                        *)
-
-let push_retx msg i =
-  if Array.length msg.retx = 0 then msg.retx <- Array.make msg.tx_npkts 0;
-  let cap = Array.length msg.retx in
-  msg.retx.((msg.retx_head + msg.retx_len) mod cap) <- i;
-  msg.retx_len <- msg.retx_len + 1
-
-(* The next packet to send (a retransmission first), or -1. *)
-let next_pkt msg =
-  if msg.retx_len > 0 then msg.retx.(msg.retx_head)
-  else if msg.scan < msg.tx_npkts then msg.scan
-  else -1
-
-let take_next msg =
-  if msg.retx_len > 0 then begin
-    msg.retx_head <- (msg.retx_head + 1) mod Array.length msg.retx;
-    msg.retx_len <- msg.retx_len - 1
-  end
-  else msg.scan <- msg.scan + 1
 
 (* Per-round quantum: how many packets one message may send before the
    pump moves to the next message of the same priority.  Round-robin
@@ -495,12 +576,28 @@ let quantum = 4
    a new epoch ([send_data_pkt]). *)
 let refused t ln payload = ln.ln_epoch = t.epoch && payload >= ln.ln_refused
 
+(* A lane that refuses while none of its ready messages has a short
+   next packet is shut for the epoch: each of those packets is a full
+   MTU, at least the refused payload, so [refused] blocks them all, and
+   within the epoch no next packet changes but by sending.  A new epoch
+   reopens every lane, as it lapses every refusal. *)
 let refuse t ln payload =
   if ln.ln_epoch <> t.epoch then begin
     ln.ln_epoch <- t.epoch;
     ln.ln_refused <- payload
   end
-  else if payload < ln.ln_refused then ln.ln_refused <- payload
+  else if payload < ln.ln_refused then ln.ln_refused <- payload;
+  if ln.ln_short = 0 then
+    if t.shut_epoch <> t.epoch then begin
+      t.shut_epoch <- t.epoch;
+      t.n_shut <- 1
+    end
+    else t.n_shut <- t.n_shut + 1
+
+(* Lanes where a visit may still send this epoch. *)
+let open_lanes t =
+  if t.shut_epoch = t.epoch then t.n_ready_lanes - t.n_shut
+  else t.n_ready_lanes
 
 (* Send up to [quantum] packets of [msg]; true when it used them all. *)
 let send_quantum t msg =
@@ -518,7 +615,7 @@ let send_quantum t msg =
         let path = lane_path t ln in
         if payload <= Pathlet.headroom_sum t.path_table path then begin
           let rtx = match msg.states.(p) with Unsent -> false | _ -> true in
-          take_next msg;
+          take_next t msg;
           send_data_pkt t msg p ~path ~rtx;
           incr sent
         end
@@ -539,9 +636,9 @@ let nil_msg () =
     tx_tc = 0; tx_size = 0; tx_npkts = 0; tx_cookie = 0; tx_cookie2 = 0;
     tx_lane =
       { ln_dst = nowhere; ln_tc = 0; ln_default = []; ln_epoch = -1;
-        ln_refused = 0 };
+        ln_refused = 0; ln_ready = 0; ln_short = 0 };
     states = [||]; acked_pkts = 0; n_inflight = 0; scan = 0; retx = [||];
-    retx_head = 0; retx_len = 0; tx_done = true; tx_created = 0;
+    retx_head = 0; retx_len = 0; tx_ready = Dry; tx_created = 0;
     tx_deadline = None; tx_last_progress = 0; tx_on_complete = None;
     tx_on_error = None }
 
@@ -554,23 +651,17 @@ let push_again t msg =
   t.again.(t.n_again) <- msg;
   t.n_again <- t.n_again + 1
 
-(* Every active message in (pri, id) order, squeezing out finished
-   ones. *)
+(* Active messages in (pri, id) order while a ready lane is open: past
+   that point every visit is refused or has nothing to send. *)
 let full_round t =
   Array.fill t.again 0 t.n_again t.nil_msg;
   t.n_again <- 0;
-  let n = t.n_active in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    let msg = t.active.(i) in
-    if not msg.tx_done then begin
-      t.active.(!w) <- msg;
-      incr w;
-      if send_quantum t msg then push_again t msg
-    end
-  done;
-  Array.fill t.active !w (n - !w) t.nil_msg;
-  t.n_active <- !w
+  let i = ref 0 in
+  while !i < t.n_active && open_lanes t > 0 do
+    let msg = t.active.(!i) in
+    if send_quantum t msg then push_again t msg;
+    incr i
+  done
 
 (* Only last round's quantum users, in the same order: every other
    message was refused or ran dry, and stays so within the epoch. *)
@@ -676,7 +767,7 @@ and check_timeouts t =
               charged;
             msg.states.(i) <- Lost;
             msg.n_inflight <- msg.n_inflight - 1;
-            push_retx msg i
+            push_retx t msg i
           | Unsent | Lost | Acked -> ())
         msg.states;
       List.iter
@@ -698,7 +789,8 @@ let remember_done t key =
 
 let finish_message t msg =
   Hashtbl.remove t.tx_table msg.tx_id;
-  msg.tx_done <- true;
+  note_next t msg;
+  remove_active t msg;
   t.n_completed <- t.n_completed + 1;
   if Telemetry.Ctx.on () then begin
     let latency_us = Engine.Time.to_float_us (now t - msg.tx_created) in
@@ -761,7 +853,7 @@ let rec ack_nacks t fbs tc = function
         Pathlet.discharge t.path_table charged (pkt_payload t msg ref_pkt);
         msg.states.(ref_pkt) <- Lost;
         msg.n_inflight <- msg.n_inflight - 1;
-        push_retx msg ref_pkt;
+        push_retx t msg ref_pkt;
         msg.tx_last_progress <- now t;
         Pathlet.on_ack t.path_table ~now:(now t) ~acked:0 ~rtt:(-1)
           ~implicit_trim:true ~tc fbs
@@ -943,7 +1035,8 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
         (* simlint: allow H103 — once per endpoint, at attach *)
         Pathlet.create ?init_window ~mss:mtu_payload algo;
       next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
-      active = [||]; n_active = 0; again = [||]; n_again = 0;
+      active = [||]; n_active = 0; n_ready_lanes = 0; shut_epoch = -1;
+      n_shut = 0; again = [||]; n_again = 0;
       nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
       dests = Hashtbl.create 8; rx_table = Itbl.create 64;
       recent_done = Itbl.create 4096; recent_queue = Queue.create ();
@@ -984,24 +1077,6 @@ let fresh_port t =
   t.next_port <- t.next_port + 1;
   t.next_port
 
-(* Ids only grow, so a new message goes after every message of its
-   priority or a more urgent one. *)
-let insert_active t msg =
-  let n = t.n_active in
-  if n = Array.length t.active then begin
-    let bigger = Array.make (max 8 (2 * n)) t.nil_msg in
-    Array.blit t.active 0 bigger 0 n;
-    t.active <- bigger
-  end;
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.active.(mid).tx_pri <= msg.tx_pri then lo := mid + 1 else hi := mid
-  done;
-  Array.blit t.active !lo t.active (!lo + 1) (n - !lo);
-  t.active.(!lo) <- msg;
-  t.n_active <- n + 1
-
 let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
     ?(cookie2 = 0) ?deadline ?on_complete ?on_error ~size () =
   if size <= 0 then invalid_arg "Endpoint.send: size must be positive";
@@ -1022,7 +1097,7 @@ let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
       tx_pri = pri; tx_tc = tc; tx_size = size; tx_npkts = npkts;
       tx_cookie = cookie; tx_cookie2 = cookie2; tx_lane = lane_for t ~dst ~tc;
       states = Array.make npkts Unsent; acked_pkts = 0; n_inflight = 0;
-      scan = 0; retx = [||]; retx_head = 0; retx_len = 0; tx_done = false;
+      scan = 0; retx = [||]; retx_head = 0; retx_len = 0; tx_ready = Dry;
       tx_created = now t;
       tx_deadline = Option.map (fun d -> now t + d) deadline;
       tx_last_progress = now t;
@@ -1030,6 +1105,7 @@ let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
   in
   Hashtbl.add t.tx_table id msg;
   insert_active t msg;
+  note_next t msg;
   pump t;
   id
 
@@ -1055,6 +1131,63 @@ let charged_flight t =
   (* simlint: allow D001 — fold result is sorted just below *)
   Hashtbl.fold (fun r sum acc -> (r, sum) :: acc) sums []
   |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* Self-check                                                           *)
+
+let check_pump t =
+  let n = t.n_active in
+  if n <> Hashtbl.length t.tx_table then
+    failwith
+      (Printf.sprintf "pump: %d active messages but %d unacknowledged" n
+         (Hashtbl.length t.tx_table));
+  (* Ready and short messages per (dst, tc), and the lanes with any. *)
+  let recount = Hashtbl.create 8 and ready_lanes = ref 0 in
+  for i = 0 to n - 1 do
+    let m = t.active.(i) in
+    (match Hashtbl.find_opt t.tx_table m.tx_id with
+    | Some m' when m' == m -> ()
+    | Some _ | None ->
+      failwith
+        (Printf.sprintf "pump: active message %d is not unacknowledged"
+           m.tx_id));
+    (if i > 0 then
+       let prev = t.active.(i - 1) in
+       if
+         prev.tx_pri > m.tx_pri
+         || (prev.tx_pri = m.tx_pri && prev.tx_id >= m.tx_id)
+       then
+         failwith
+           (Printf.sprintf
+              "pump: active message %d (pri %d) follows %d (pri %d)" m.tx_id
+              m.tx_pri prev.tx_id prev.tx_pri));
+    let key = (m.tx_dst, m.tx_tc) in
+    let ready, short =
+      Option.value ~default:(0, 0) (Hashtbl.find_opt recount key)
+    in
+    let p = next_pkt m in
+    if p >= 0 then begin
+      if ready = 0 then incr ready_lanes;
+      let short = if pkt_payload t m p < t.mtu then short + 1 else short in
+      Hashtbl.replace recount key (ready + 1, short)
+    end
+    else Hashtbl.replace recount key (ready, short)
+  done;
+  for i = 0 to n - 1 do
+    let m = t.active.(i) in
+    let ln = m.tx_lane in
+    let ready, short = Hashtbl.find recount (m.tx_dst, m.tx_tc) in
+    if ln.ln_ready <> ready || ln.ln_short <> short then
+      failwith
+        (Printf.sprintf
+           "pump: lane to %d at tc %d counts %d ready, %d short; a recount \
+            finds %d, %d"
+           m.tx_dst m.tx_tc ln.ln_ready ln.ln_short ready short)
+  done;
+  if t.n_ready_lanes <> !ready_lanes then
+    failwith
+      (Printf.sprintf "pump: %d lanes counted ready; a recount finds %d"
+         t.n_ready_lanes !ready_lanes)
 
 let completed t = t.n_completed
 let failed t = t.n_failed

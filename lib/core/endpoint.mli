@@ -115,6 +115,15 @@ val charged_flight : t -> (Wire.path_ref * int) list
     exact when each pathlet's {!Pathlet.inflight} equals its sum here
     (and is zero for pathlets not listed). *)
 
+val check_pump : t -> unit
+(** The send pump's bookkeeping holds: the active list is exactly the
+    unacknowledged messages, in strictly increasing (priority, id)
+    order, and each (destination, traffic class) lane's counts of
+    messages with a next packet and with a sub-MTU one, and the count
+    of lanes with a ready message, equal a recount.
+
+    @raise Failure naming the first discrepancy. *)
+
 (** {1 Counters} *)
 
 val completed : t -> int

@@ -311,6 +311,66 @@ let test_endpoint_deadline_met_no_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Two messages in the middle of a backlog queued behind a down link
+   pass their deadline: they are aborted, and not one of their data
+   packets reaches the link afterwards, while the rest complete once
+   the link is back. *)
+let test_endpoint_deadline_abort_in_backlog () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  let aborted = ref [] and late = ref 0 and seen = ref 0 in
+  let inner = Qdisc.fifo ~cap_pkts:256 () in
+  let enqueue p =
+    (match p.Packet.payload with
+    | Mtp.Wire.Mtp h when not h.Mtp.Wire.is_ack ->
+      incr seen;
+      if List.mem h.Mtp.Wire.msg_id !aborted then incr late
+    | _ -> ());
+    inner.Qdisc.enqueue p
+  in
+  let ab, ba =
+    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2)
+      ~ab_qdisc:
+        { inner with
+          Qdisc.enqueue;
+          enqueue_burst = Qdisc.burst_of_enqueue enqueue }
+      ()
+  in
+  let ledger = watch_links [ ab; ba ] in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  Link.set_down ab;
+  ignore
+    (Engine.Sim.schedule sim ~at:(Engine.Time.ms 1) (fun () -> Link.set_up ab));
+  let doomed = ref [] and completed = ref 0 in
+  for i = 0 to 7 do
+    let deadline = if i = 3 || i = 4 then Some (Engine.Time.us 300) else None in
+    let me = ref (-1) in
+    me :=
+      Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ?deadline
+        ~on_complete:(fun _ -> incr completed)
+        ~on_error:(fun _ ->
+          checkb "aborted while the link is down" false (Link.is_up ab);
+          aborted := !me :: !aborted)
+        ~size:20_000 ();
+    if deadline <> None then doomed := !me :: !doomed
+  done;
+  Engine.Sim.run ~until:(Engine.Time.ms 30) sim;
+  checki "both aborted" 2 (Mtp.Endpoint.failed ea);
+  Alcotest.(check (list int))
+    "the aborted ones carried the deadline" (List.sort compare !doomed)
+    (List.sort compare !aborted);
+  checki "the rest complete" 6 !completed;
+  checkb "traffic flowed once the link was back" true (!seen > 0);
+  checki "no packet of an aborted message after its abort" 0 !late;
+  ledger_ok ledger;
+  match Check.Oracle.endpoint_ok ea with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* Flight conservation: mid-transfer, over a lossy link, every
    pathlet's in-flight bytes match the packets charged to it; a stray
    charge breaks the match and the oracle names it. *)
@@ -415,6 +475,8 @@ let suite =
       test_endpoint_deadline_on_error;
     Alcotest.test_case "endpoint deadline met" `Quick
       test_endpoint_deadline_met_no_error;
+    Alcotest.test_case "endpoint deadline abort in backlog" `Quick
+      test_endpoint_deadline_abort_in_backlog;
     Alcotest.test_case "endpoint flight conserved" `Quick
       test_endpoint_flight_conserved;
     Alcotest.test_case "tcp abort" `Quick test_tcp_max_retries_aborts;
