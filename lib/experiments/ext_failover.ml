@@ -41,6 +41,11 @@ let default =
     t_restore = Engine.Time.ms 20; detect = Engine.Time.ms 5;
     duration = Engine.Time.ms 30 }
 
+let smoke =
+  { default with
+    t_fail = Engine.Time.ms 5; detect = Engine.Time.ms 3;
+    t_restore = Engine.Time.ms 11; duration = Engine.Time.ms 16 }
+
 let port = 80
 
 (* Topology plus the one fault plan every scheme faces: path A down at

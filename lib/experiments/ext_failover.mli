@@ -31,6 +31,10 @@ val default : config
 (** 2 x 100G paths, 80G offered (100 KB every 10 us), failure at 10 ms,
     restore at 20 ms, 5 ms detection, 30 ms run. *)
 
+val smoke : config
+(** The same fabric and load on a shorter timeline: failure at 5 ms,
+    restore at 11 ms, 3 ms detection, 16 ms run. *)
+
 type scheme = {
   s_label : string;
   s_series : Stats.Timeseries.t;

@@ -17,6 +17,9 @@ type config = {
   duration : Engine.Time.t;
 }
 
+val default : config
+(** k=8 (128 hosts), 48 responders of 50 KB, 50 ms. *)
+
 val smoke : config
 (** k=4 (16 hosts), 12 responders — the [--smoke] configuration. *)
 

@@ -25,6 +25,15 @@
     [reps > 1] cell [(i, r)] uses [derive (derive base i) r] and each
     row reports the per-point mean across replications. *)
 
+type config = {
+  reps : int;  (** Replications per fig6 point. *)
+  fig5_duration : Engine.Time.t;
+  fig6_duration : Engine.Time.t;
+}
+
+val default : config
+(** 1 rep, 6 ms fig5 and 80 ms fig6 cells: the [_jobs] defaults. *)
+
 type fig5_row = {
   flip_us : int;
   dctcp_gbps : float;

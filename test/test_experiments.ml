@@ -269,13 +269,7 @@ let test_failover_shapes () =
   (* Full-rate fabric, shortened timeline: the packet-level dynamics
      (RTO-scale suspicion vs ms-scale reconvergence) are preserved,
      the run is roughly halved. *)
-  let config =
-    { Experiments.Ext_failover.default with
-      Experiments.Ext_failover.t_fail = Engine.Time.ms 5;
-      detect = Engine.Time.ms 3;
-      t_restore = Engine.Time.ms 11;
-      duration = Engine.Time.ms 16 }
-  in
+  let config = Experiments.Ext_failover.smoke in
   let o =
     Experiments.Exp_common.collect (fun emit ->
         Experiments.Ext_failover.jobs ~config ~emit ())
@@ -310,6 +304,43 @@ let test_mean_between () =
     (Experiments.Exp_common.mean_between ts ~lo:600 ~hi:1000);
   checki "sanity" 10 (Stats.Timeseries.length ts)
 
+(* The config the CLI tests run an exhibit at: its smoke config, 1 ms
+   long. *)
+let test_config flags smoke =
+  List.fold_left
+    (fun c (Experiments.Exhibits.Flag f) ->
+      match f.kind with
+      | Int _ when f.name = "duration-ms" -> f.set (Engine.Time.ms 1) c
+      | _ -> c)
+    smoke flags
+
+(* Every int flag's default and smoke value is a whole number of its
+   unit within its range (so --help shows the exact default), passing a
+   flag at its default is a no-op, [get] reads what [set] wrote, and the
+   default, smoke and test configs all pass the exhibit's check. *)
+let test_exhibit_table () =
+  let open Experiments.Exhibits in
+  List.iter
+    (fun (Exhibit e) ->
+      let ok what b = checkb (e.name ^ " " ^ what) true b in
+      List.iter
+        (fun (Flag f) ->
+          let ok what = ok ("--" ^ f.name ^ ": " ^ what) in
+          (match f.kind with
+          | Int { lo; unit; hi } ->
+            List.iter
+              (fun v -> ok "whole units in range"
+                  (v mod scale unit = 0 && v >= lo * scale unit && v <= hi))
+              [ f.get e.default; f.get e.smoke ]
+          | _ -> ());
+          ok "set default is a no-op" (f.set (f.get e.default) e.default = e.default);
+          ok "get reads set" (f.get (f.set (f.get e.smoke) e.default) = f.get e.smoke))
+        e.flags;
+      List.iter
+        (fun c -> ok "config passes check" (e.check c = Ok ()))
+        [ e.default; e.smoke; test_config e.flags e.smoke ])
+    (par_leafspine :: all)
+
 let suite =
   [ Alcotest.test_case "fig2 shape" `Slow test_fig2_shapes;
     Alcotest.test_case "fig3 shape" `Slow test_fig3_shapes;
@@ -329,4 +360,5 @@ let suite =
     Alcotest.test_case "failover recovery" `Slow test_failover_shapes;
     Alcotest.test_case "header overhead" `Quick test_header_overhead_model;
     Alcotest.test_case "csv export" `Quick test_csv_export;
-    Alcotest.test_case "mean_between" `Quick test_mean_between ]
+    Alcotest.test_case "mean_between" `Quick test_mean_between;
+    Alcotest.test_case "exhibit table round-trip" `Quick test_exhibit_table ]
