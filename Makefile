@@ -36,21 +36,19 @@ bench:
 	dune exec bench/suite/mtpbench.exe
 
 # Engine guardrails, one program writing every section of
-# BENCH_engine.json: engine event/timer costs, classic packet
-# forwarding, the batched breath-loop drain vs its classic twin, the
-# 64 -> 4096 host fabric-scale sweep, and the MTP sender's minor words
-# and ns per acked packet at backlogs of 1, 16 and 128 messages.
-# `--guardrail` fails on allocation regressions, on the batched drain
-# dropping below 4x the seed's packets/s, on batching being slower
-# than classic anywhere, on minor words/event growing with fabric size
-# (bar 1.15x of the 64-host value), on a routing lookup or a switch
-# ingress allocating, or on MTP words per acked packet growing with the backlog (bar 1.15x of
+# BENCH_engine.json: engine event/timer costs, pooled packet
+# forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
+# sender's minor words and ns per acked packet at backlogs of 1, 16
+# and 128 messages.  `--guardrail` fails on allocation regressions
+# against the seed's words per event and per packet, on minor
+# words/event growing with fabric size (bar 1.15x of the 64-host
+# value), on a routing lookup or a switch ingress allocating, or on
+# MTP words per acked packet growing with the backlog (bar 1.15x of
 # the 1-message value) or, at 1 message, exceeding 1.15x of the value
 # recorded in bench/datapath.ml.  MTP ns per acked packet at 128
 # messages must stay within 2.0x of the 1-message value (absolute ns
-# are recorded, not gated).  Each ratio bar, batched vs classic or MTP
-# ns at 128 vs 1, is the median of 11 per-round ratios of passes run
-# back to back.
+# are recorded, not gated), the median of 11 per-round ratios of
+# passes run back to back.
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
 

@@ -1,12 +1,10 @@
-(* Engine guardrail bench: engine event/timer costs, classic packet
-   forwarding, the batched breath-loop drain, the fabric-scale sweep,
-   and the MTP sender's per-ack cost against its backlog.
+(* Engine guardrail bench: engine event/timer costs, pooled packet
+   forwarding, the fabric-scale sweep, and the MTP sender's per-ack
+   cost against its backlog.
 
    Three guardrail workloads (event dispatch, timer re-arm, pooled
    packet forward) are compared against the pre-refactor growth-seed
-   baselines; the burst-drain workload measures the batched datapath
-   against its own classic twin and against the seed's packets/s.  The
-   scale sweep drives a raw-packet permutation workload through 64 ->
+   baselines.  The scale sweep drives a raw-packet permutation workload through 64 ->
    4096 host fabrics and checks that minor words/event stay flat; the
    mtp section checks the same of minor words per acked packet as one
    sender's backlog grows from 1 to 128 messages, and bounds the growth
@@ -22,11 +20,6 @@
    seed. *)
 let baseline_words_per_event = 18.00
 let baseline_words_per_packet = 74.00
-
-(* Seed packets/s of the per-packet-event datapath on the reference
-   machine (the `pooled packet forward` driver below): the denominator
-   of the batched-drain speedup bar. *)
-let baseline_packets_per_sec = 2_027_292.
 
 (* Timed passes per workload.  The workloads a bar compares run
    interleaved (a, b, a, b, ...), so load that comes and goes on the
@@ -109,83 +102,31 @@ let datapath_timer () =
 
 (* Steady-state forwarding over a pooled link: one packet on the wire
    at a time (120 ns serialization at 100G, 1 µs propagation), recycled
-   on delivery.  With a periodic source there is never more than one
-   packet ready per activation, so this measures the unbatchable floor;
-   [batched] picks which link machine pays it. *)
-let datapath_packets ~batched () =
+   on delivery: one source event, one completion and one delivery per
+   packet. *)
+let datapath_packets () =
   let n = 100_000 in
-  Netsim.Datapath.with_batching batched (fun () ->
-      timed (fun () ->
-          let sim = Engine.Sim.create () in
-          let pool = Netsim.Packet.pool sim in
-          let link =
-            Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-              ~delay:(Engine.Time.us 1) ~pool ()
-          in
-          let delivered = ref 0 in
-          Netsim.Link.set_dst link (fun pkt ->
-              incr delivered;
-              Netsim.Packet.release pool pkt);
-          let gap =
-            Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100)
-          in
-          let sent = ref 0 in
-          ignore
-          @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
-                 Netsim.Link.send link
-                   (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
-                 incr sent;
-                 !sent < n);
-          Engine.Sim.run sim;
-          !delivered))
-
-(* The breath-loop drain: a backlog pushed through a zero-delay link
-   into a sink.  Batched links walk the backlog [Datapath.burst_limit]
-   packets per heap event (arithmetic completion times, heap-proven
-   elision) and hand each packet to the sink inline; the classic
-   machine pays two events per packet.  Only the drain (the link
-   datapath: dequeue, serialization walk, delivery, sink release) is on
-   the clock; backlog generation (recycle + enqueue) runs between timed
-   sections, chunked to keep the pool warm.  This is the workload behind
-   the `batched` section of BENCH_engine.json and the >= 4x bar. *)
-let datapath_burst ~batched () =
-  let n = 200_000 in
-  let chunk = 1_024 in
-  Netsim.Datapath.with_batching batched (fun () ->
-      let run () =
-        let sim = Engine.Sim.create () in
-        let pool = Netsim.Packet.pool sim in
-        let q = Netsim.Qdisc.fifo ~cap_pkts:(2 * chunk) () in
-        let link =
-          Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-            ~delay:0 ~qdisc:q ~pool ()
-        in
-        let delivered = ref 0 in
-        Netsim.Link.set_dst link (fun pkt ->
-            incr delivered;
-            Netsim.Packet.release pool pkt);
-        let secs = ref 0.0 in
-        let words = ref 0.0 in
-        let sent = ref 0 in
-        while !sent < n do
-          let m = min chunk (n - !sent) in
-          for _ = 1 to m do
-            Netsim.Link.send link
-              (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ())
-          done;
-          sent := !sent + m;
-          let w0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
-          Engine.Sim.run sim;
-          secs := !secs +. (Unix.gettimeofday () -. t0);
-          words := !words +. (Gc.minor_words () -. w0)
-        done;
-        assert (!delivered = n);
-        (!secs, !words)
+  timed (fun () ->
+      let sim = Engine.Sim.create () in
+      let pool = Netsim.Packet.pool sim in
+      let link =
+        Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
+          ~delay:(Engine.Time.us 1) ~pool ()
       in
-      Gc.minor ();
-      let secs, words = run () in
-      (secs, words, n))
+      let delivered = ref 0 in
+      Netsim.Link.set_dst link (fun pkt ->
+          incr delivered;
+          Netsim.Packet.release pool pkt);
+      let gap = Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100) in
+      let sent = ref 0 in
+      ignore
+      @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
+             Netsim.Link.send link
+               (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
+             incr sent;
+             !sent < n);
+      Engine.Sim.run sim;
+      !delivered)
 
 (* ------------------------------ Scale ------------------------------ *)
 
@@ -197,13 +138,11 @@ let datapath_burst ~batched () =
    point: minor words/event, minor words per delivered packet,
    packets/s, events/s.
 
-   Three more measurements feed the guardrail:
+   Two more measurements feed the guardrail:
    - a pure routing-lookup loop (ports_for + ecmp_port on a warmed
-     4096-host edge table) that must allocate nothing at all,
+     4096-host edge table) that must allocate nothing at all, and
    - a switch-ingress loop (Switch.receive with no taps or hooks,
-     forwarding Consume) that must allocate nothing either, and
-   - the 64-host point re-run on the classic (unbatched) datapath as
-     the same-machine not-slower reference. *)
+     forwarding Consume) that must allocate nothing either. *)
 
 let host_rate = Engine.Time.gbps 10
 let fabric_rate = Engine.Time.gbps 40
@@ -295,17 +234,16 @@ type point_out = {
   p_ev_rate : float;
 }
 
-(* Build the point's world once on the [batched] datapath; each call of
-   the returned pass runs the workload on it again (the first, warming
-   call fills the pool, refreshes route live sets and sizes arrays):
+(* Build the point's world once; each call of the returned pass runs
+   the workload on it again (the first, warming call fills the pool,
+   refreshes route live sets and sizes arrays):
    (seconds, minor words, events, delivered). *)
-let point_pass spec ~batched =
-  let w = Netsim.Datapath.with_batching batched spec.build in
+let point_pass spec =
+  let w = spec.build () in
   fun () ->
-    Netsim.Datapath.with_batching batched (fun () ->
-        let e0 = Engine.Sim.events_processed w.sim in
-        let secs, words, delivered = timed (fun () -> workload w) in
-        (secs, words, Engine.Sim.events_processed w.sim - e0, delivered))
+    let e0 = Engine.Sim.events_processed w.sim in
+    let secs, words, delivered = timed (fun () -> workload w) in
+    (secs, words, Engine.Sim.events_processed w.sim - e0, delivered)
 
 let summarize spec runs =
   let med f = median (List.map f runs) in
@@ -371,40 +309,17 @@ type scale = {
   lookup_rate : float;
   ingress_words : float;
   ingress_rate : float;
-  classic64_pkt_rate : float;
-  batched64_pkt_rate : float;
-  batched_vs_classic_64 : float;  (** Paired, see [paired]. *)
 }
 
-(* The 64-host point runs interleaved with its classic twin, which the
-   not-slower bar compares it with. *)
 let collect_scale () =
-  let first = List.hd points in
-  let at64 =
-    interleave
-      [| point_pass first ~batched:false; point_pass first ~batched:true |]
-  in
-  let classic64 = summarize first at64.(0) in
-  let rates64 =
-    Array.map (List.map (fun (s, _, _, d) -> float_of_int d /. s)) at64
-  in
   let pts =
-    summarize first at64.(1)
-    :: List.map
-         (fun spec ->
-           summarize spec (interleave [| point_pass spec ~batched:true |]).(0))
-         (List.tl points)
+    List.map
+      (fun spec -> summarize spec (interleave [| point_pass spec |]).(0))
+      points
   in
   let lookup_words, lookup_rate = run_lookup () in
   let ingress_words, ingress_rate = run_ingress () in
-  { pts;
-    lookup_words;
-    lookup_rate;
-    ingress_words;
-    ingress_rate;
-    classic64_pkt_rate = classic64.p_pkt_rate;
-    batched64_pkt_rate = (List.hd pts).p_pkt_rate;
-    batched_vs_classic_64 = paired rates64.(1) rates64.(0) }
+  { pts; lookup_words; lookup_rate; ingress_words; ingress_rate }
 
 let flatness s =
   let wpe label =
@@ -525,38 +440,20 @@ type report = {
   tm_rate : float;
   pk_words : float;
   pk_rate : float;
-  pk_classic_rate : float;
-  burst_words : float;
-  burst_rate : float;
-  burst_classic_rate : float;
-  fwd_vs_classic : float;  (** Paired ratios, see [paired]. *)
-  burst_vs_fwd : float;
-  burst_vs_twin : float;
   scale : scale;
   mtp : mtp_point list;
 }
 
 let collect () =
-  let engine = interleave [| datapath_events; datapath_timer |] in
+  let engine =
+    interleave [| datapath_events; datapath_timer; datapath_packets |]
+  in
   let ev_words, ev_rate = per_op engine.(0) in
   let tm_words, tm_rate = per_op engine.(1) in
-  (* Every side of the forwarding and drain bars in one interleaving. *)
-  let dp =
-    interleave
-      [| datapath_packets ~batched:false; datapath_packets ~batched:true;
-         datapath_burst ~batched:false; datapath_burst ~batched:true |]
-  in
-  let _, pk_classic_rate = per_op dp.(0) in
-  let pk_words, pk_rate = per_op dp.(1) in
-  let _, burst_classic_rate = per_op dp.(2) in
-  let burst_words, burst_rate = per_op dp.(3) in
-  let ratio i j = paired (rates dp.(i)) (rates dp.(j)) in
+  let pk_words, pk_rate = per_op engine.(2) in
   let scale = collect_scale () in
   let mtp = collect_mtp () in
-  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate;
-    pk_classic_rate; burst_words; burst_rate; burst_classic_rate;
-    fwd_vs_classic = ratio 1 0; burst_vs_fwd = ratio 3 0;
-    burst_vs_twin = ratio 3 2; scale; mtp }
+  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; scale; mtp }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -567,17 +464,6 @@ let print_report r =
     r.tm_rate;
   Printf.printf "%-32s %8.2f words/op %12.0f op/s (baseline %.2f)\n"
     "pooled packet forward" r.pk_words r.pk_rate baseline_words_per_packet;
-  Printf.printf "%-32s %21s %12.0f op/s\n" "pooled packet forward (classic)"
-    "" r.pk_classic_rate;
-  Printf.printf "\n== batched breath-loop ==\n";
-  Printf.printf "%-32s %8.2f words/op %12.0f pkt/s\n" "burst drain (batched)"
-    r.burst_words r.burst_rate;
-  Printf.printf "%-32s %21s %12.0f pkt/s\n" "burst drain (classic)" ""
-    r.burst_classic_rate;
-  Printf.printf "%-32s %8.2fx vs seed (%.0f), %.2fx vs per-packet datapath, %.2fx vs classic twin\n"
-    "speedup" (r.burst_rate /. baseline_packets_per_sec)
-    baseline_packets_per_sec
-    r.burst_vs_fwd r.burst_vs_twin;
   let s = r.scale in
   Printf.printf "\n== scale sweep (words stay flat 64 -> 4096 hosts) ==\n";
   List.iter
@@ -596,11 +482,6 @@ let print_report r =
   Printf.printf
     "%-14s %.1f minor words over %d switch receives (%.0f receives/s)\n"
     "ingress" s.ingress_words ingress_calls s.ingress_rate;
-  Printf.printf
-    "%-14s batched %.0f pkt/s vs classic %.0f pkt/s at 64 hosts (paired \
-     ratio %.2f)\n"
-    "not-slower" s.batched64_pkt_rate s.classic64_pkt_rate
-    s.batched_vs_classic_64;
   Printf.printf "\n== mtp sender (words stay flat in the backlog) ==\n";
   List.iter
     (fun p ->
@@ -623,24 +504,14 @@ let write_json r =
   "passes": %d,
   "baseline": {
     "minor_words_per_event": %.2f,
-    "minor_words_per_packet": %.2f,
-    "packets_per_sec": %.0f
+    "minor_words_per_packet": %.2f
   },
   "current": {
     "minor_words_per_event": %.2f,
     "minor_words_per_timer_rearm": %.2f,
     "minor_words_per_packet": %.2f,
     "events_per_sec": %.0f,
-    "packets_per_sec": %.0f,
-    "classic_packets_per_sec": %.0f
-  },
-  "batched": {
-    "burst_packets_per_sec": %.0f,
-    "burst_classic_packets_per_sec": %.0f,
-    "minor_words_per_burst_packet": %.2f,
-    "speedup_vs_baseline": %.2f,
-    "speedup_vs_classic_forward": %.2f,
-    "speedup_vs_classic": %.2f
+    "packets_per_sec": %.0f
   },
   "reduction": {
     "event_words_factor": %.2f,
@@ -649,12 +520,8 @@ let write_json r =
   "scale": {
     "points": [|}
     (Domain.recommended_domain_count ())
-    passes baseline_words_per_event baseline_words_per_packet
-    baseline_packets_per_sec r.ev_words r.tm_words r.pk_words r.ev_rate
-    r.pk_rate r.pk_classic_rate r.burst_rate r.burst_classic_rate
-    r.burst_words
-    (r.burst_rate /. baseline_packets_per_sec)
-    r.burst_vs_fwd r.burst_vs_twin
+    passes baseline_words_per_event baseline_words_per_packet r.ev_words
+    r.tm_words r.pk_words r.ev_rate r.pk_rate
     (baseline_words_per_event /. Float.max 1e-9 r.ev_words)
     (baseline_words_per_packet /. Float.max 1e-9 r.pk_words);
   let s = r.scale in
@@ -668,10 +535,9 @@ let write_json r =
     s.pts;
   let w64, w4096 = flatness s in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"ingress_minor_words\": %.1f,\n    \"ingress_calls\": %d,\n    \"ingress_per_sec\": %.0f,\n    \"batched_pkt_rate_64\": %.0f,\n    \"classic_pkt_rate_64\": %.0f,\n    \"batched_vs_classic_64\": %.2f\n  },\n"
+    "\n    ],\n    \"flatness_words_per_event_64\": %.3f,\n    \"flatness_words_per_event_4096\": %.3f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"lookup_minor_words\": %.1f,\n    \"lookup_calls\": %d,\n    \"lookups_per_sec\": %.0f,\n    \"ingress_minor_words\": %.1f,\n    \"ingress_calls\": %d,\n    \"ingress_per_sec\": %.0f\n  },\n"
     w64 w4096 flatness_bar flat_floor s.lookup_words lookup_calls
-    s.lookup_rate s.ingress_words ingress_calls s.ingress_rate
-    s.batched64_pkt_rate s.classic64_pkt_rate s.batched_vs_classic_64;
+    s.lookup_rate s.ingress_words ingress_calls s.ingress_rate;
   Printf.fprintf oc "  \"mtp\": {\n    \"msg_pkts\": %d,\n    \"messages\": %d,\n    \"points\": ["
     mtp_pkts_per_msg mtp_messages;
   List.iteri
@@ -689,13 +555,9 @@ let write_json r =
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
-(* Allocation bars are stable across machines and enforced tightly.
-   The speedup bar is normalized: absolute rates scale with how fast
-   (and how loaded) the machine is, so the 4x requirement is enforced
-   against the classic per-packet datapath measured in the SAME run —
-   whose rate on the reference machine is exactly the recorded
-   [baseline_packets_per_sec].  The unnormalized speedup is still
-   reported in BENCH_engine.json. *)
+(* Allocation bars are stable across machines and enforced tightly;
+   the one wall-clock bar is a ratio within one run, so it holds on any
+   machine. *)
 let guardrail r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -705,19 +567,6 @@ let guardrail r =
   if r.pk_words > baseline_words_per_packet *. 1.10 then
     fail "packet words/op %.2f exceeds baseline %.2f + 10%%" r.pk_words
       baseline_words_per_packet;
-  if r.burst_vs_fwd < 4.0 then
-    fail
-      "batched drain %.2fx the classic per-packet datapath measured this \
-       run (paired median), below 4x"
-      r.burst_vs_fwd;
-  (* Not-slower: on the unbatchable single-packet cadence the batched
-     machine must stay within noise of the classic one. *)
-  if r.fwd_vs_classic < 0.70 then
-    fail "batched pooled forward %.2fx classic (paired median), below 0.70x"
-      r.fwd_vs_classic;
-  if r.burst_vs_twin < 1.0 then
-    fail "batched drain %.2fx its classic twin (paired median), slower"
-      r.burst_vs_twin;
   let s = r.scale in
   let w64, w4096 = flatness s in
   if w4096 > Float.max (flatness_bar *. w64) flat_floor then
@@ -732,11 +581,6 @@ let guardrail r =
   if s.ingress_words > 1.0 then
     fail "switch ingress allocated %.1f minor words over %d calls"
       s.ingress_words ingress_calls;
-  if s.batched_vs_classic_64 < 0.90 then
-    fail
-      "batched fabric %.2fx classic at 64 hosts (paired median), below \
-       0.90x"
-      s.batched_vs_classic_64;
   let m1, m128 = mtp_flatness r.mtp in
   if not (m128 <= Float.max (flatness_bar *. m1) flat_floor) then
     fail

@@ -330,10 +330,9 @@ let fuzz_cmd =
        ~doc:
          "Seeded fuzzing: random bounded scenarios under invariant oracles \
           (packet conservation, event order, transport state) and \
-          differential pairings (batched vs classic datapath, burst limit \
-          1, inert fault plans, worker-domain runs, partitioned domain \
-          runs on every topology); failures shrink to replayable corpus \
-          files")
+          differential pairings (inert fault plans, worker-domain runs, \
+          partitioned domain runs on every topology); failures shrink to \
+          replayable corpus files")
     Term.(const run $ cases $ fseed $ corpus $ budget $ replay $ digests)
 
 let () =

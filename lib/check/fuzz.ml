@@ -5,8 +5,6 @@
 
    Differential pairings per case (all must render byte-identical
    digests):
-   - batched vs classic datapath     (Datapath.with_batching)
-   - default vs single-packet bursts (Datapath.with_burst_limit 1)
    - absent vs never-firing fault plan (when the spec has no faults)
    - inline vs worker-domain execution (Runner.Pool, jobs=2)
    - partitioned: the same scenario built on Netsim.Partition and
@@ -30,14 +28,6 @@ let run_case ?inject (spec : Spec.t) =
         (fun msg -> Printf.sprintf "differential [%s]: %s" label msg)
         (Diff.compare_outputs ~expect_label:"baseline" ~got_label:label base
            other)
-    in
-    let* () =
-      differential "classic datapath" (fun () ->
-          Netsim.Datapath.with_batching false (run_one Scenario.As_spec))
-    in
-    let* () =
-      differential "burst_limit=1" (fun () ->
-          Netsim.Datapath.with_burst_limit 1 (run_one Scenario.As_spec))
     in
     let* () =
       if spec.Spec.faults = [] then

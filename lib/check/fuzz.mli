@@ -3,9 +3,9 @@
 
     Each case runs once as specified with the full oracle set
     ({!Ledger}, {!Oracle}) attached, then again under paired
-    configurations — classic datapath, burst limit 1, a never-firing
-    fault plan, worker-domain execution via [Runner.Pool] — asserting
-    byte-identical digests ({!Diff}). *)
+    configurations — a never-firing fault plan, worker-domain
+    execution via [Runner.Pool], a partitioned build at jobs 1 and 2 —
+    asserting byte-identical digests ({!Diff}). *)
 
 type verdict = Pass | Fail of string
 

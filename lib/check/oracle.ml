@@ -5,8 +5,7 @@
    Event order: the engine's heap pops strictly by (time, seq), so any
    packet observed by a tap at a time earlier than a previously
    observed one means an ordering bug (or a component lying about
-   [Sim.now] — the batched datapath's virtual clock jumps are exactly
-   the kind of machinery this guards).
+   [Sim.now]).
 
    Transport state: completion callbacks fire at most once per
    message; MTP pathlet tables stay internally consistent (the

@@ -7,8 +7,7 @@
 type monotone
 (** Watches a stream of timestamps for regressions — wired as a tap on
     every link/switch, it asserts the dispatch order the engine
-    guarantees (pops strictly by [(time, seq)]) is never violated by
-    the batched datapath's virtual-clock jumps. *)
+    guarantees (pops strictly by [(time, seq)]) is never violated. *)
 
 val monotone : unit -> monotone
 

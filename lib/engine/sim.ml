@@ -41,11 +41,6 @@ type t = {
   mutable gens : int array;
   mutable free : int array;
   mutable free_len : int;
-  mutable horizon : Time.t;
-      (* Epoch window bound ([run_before]): the burst-lookahead
-         primitives must not move the clock to or past it, because a
-         cross-partition arrival may still be exchanged in at exactly
-         this instant.  [max_int] outside a window. *)
 }
 
 let gen_bits = 31
@@ -66,8 +61,7 @@ let create ?(seed = 42) () =
     actions = Array.make cap noop;
     gens = Array.make cap 0;
     free = Array.init cap (fun i -> cap - 1 - i);
-    free_len = cap;
-    horizon = max_int }
+    free_len = cap }
 
 let now t = t.clock
 
@@ -97,10 +91,10 @@ let grow_slots t =
 
 (* Seq reservation: the one path by which an event gets its place in
    the same-instant (FIFO) order.  [schedule] reserves and inserts at
-   once; [plan] and the partition exchange reserve now and insert
-   later ([arm_reserved]), which keeps exactly the tie position an
-   eager [schedule] would have taken, because the heap orders by
-   (time, seq) and never by insertion order. *)
+   once; the partition exchange reserves now and inserts later
+   ([arm_reserved]), which keeps exactly the tie position an eager
+   [schedule] would have taken, because the heap orders by (time, seq)
+   and never by insertion order. *)
 let reserve_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -185,14 +179,12 @@ let run ?until t =
    clock still lands on [limit], which is legal as a scheduling floor
    because events at [at = now] are allowed. *)
 let run_before t ~limit =
-  t.horizon <- limit;
   let continue = ref true in
   while !continue do
     if Eventqueue.is_empty t.heap then continue := false
     else if Eventqueue.min_time t.heap >= limit then continue := false
     else ignore (step t)
   done;
-  t.horizon <- max_int;
   if t.clock < limit then t.clock <- limit
 
 (* Conservative peek: cancelled events still occupy their heap slot,
@@ -202,25 +194,6 @@ let run_before t ~limit =
 let next_time t =
   if Eventqueue.is_empty t.heap then None
   else Some (Eventqueue.min_time t.heap)
-
-(* Burst lookahead: the primitive behind per-burst datapath events.  A
-   component that knows the exact times of its next sub-events (e.g. a
-   link that planned a whole burst of deliveries) asks the sim whether
-   anything else is due first; if not, the clock jumps straight to the
-   sub-event time and the component proceeds without a heap round-trip.
-   Conservative on cancelled events (their slots still occupy the
-   heap), which only costs a redundant real event, never order. *)
-let try_advance t ~upto =
-  if upto < t.clock then
-    invalid_arg "Sim.try_advance: upto is before now"
-  else if
-    upto < t.horizon
-    && (Eventqueue.is_empty t.heap || Eventqueue.min_time t.heap > upto)
-  then begin
-    t.clock <- upto;
-    true
-  end
-  else false
 
 let pending t = Eventqueue.size t.heap
 
@@ -233,14 +206,11 @@ type timer = {
   tm_sim : t;
   mutable tm_handle : handle;
   mutable tm_action : unit -> unit;
-  mutable tm_plan_at : Time.t;
-  mutable tm_plan_seq : int;  (* -1 = no reservation *)
 }
 
 let timer t f =
   let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop;
-      tm_plan_at = Time.zero; tm_plan_seq = -1 }
+    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
   in
   tm.tm_action <-
     (fun () ->
@@ -250,71 +220,28 @@ let timer t f =
 
 let arm tm ~at =
   if tm.tm_handle >= 0 then cancel tm.tm_sim tm.tm_handle;
-  tm.tm_plan_seq <- -1;
   tm.tm_handle <- schedule tm.tm_sim ~at tm.tm_action
 
 let arm_after tm dt = arm tm ~at:(tm.tm_sim.clock + dt)
-
-(* Plan/commit: the allocation- and heap-free tail of the burst walk.
-   [plan] reserves the same-instant (FIFO) position a real [arm] would
-   take — one counter bump, no heap insertion.  On resume,
-   [run_plan_inline] proves from the heap root that nothing fires
-   before the reserved (time, seq) and lets the caller run the work
-   inline; when something does intervene, [commit_plan] inserts the
-   firing as a real event WITH its reserved seq, so it keeps exactly
-   the tie order it would have had if armed eagerly — the same
-   [reserve_seq]/[arm_reserved] pair the partition exchange uses. *)
 
 let arm_reserved tm ~at ~seq =
   let t = tm.tm_sim in
   if at < t.clock then invalid_arg "Sim.arm_reserved: at is before now";
   if tm.tm_handle >= 0 then cancel t tm.tm_handle;
-  tm.tm_plan_seq <- -1;
   tm.tm_handle <- insert t ~at ~seq tm.tm_action
-
-let plan tm ~at =
-  let t = tm.tm_sim in
-  if at < t.clock then
-    invalid_arg "Sim.plan: at is before now";
-  tm.tm_plan_at <- at;
-  tm.tm_plan_seq <- reserve_seq t
-
-let planned tm = tm.tm_plan_seq >= 0
-
-let run_plan_inline tm =
-  tm.tm_plan_seq >= 0
-  &&
-  let t = tm.tm_sim in
-  tm.tm_plan_at < t.horizon
-  && (Eventqueue.is_empty t.heap
-  ||
-  let mt = Eventqueue.min_time t.heap in
-  mt > tm.tm_plan_at
-  || (mt = tm.tm_plan_at && Eventqueue.min_seq t.heap > tm.tm_plan_seq))
-  && begin
-       t.clock <- tm.tm_plan_at;
-       tm.tm_plan_seq <- -1;
-       true
-     end
-
-let commit_plan tm =
-  if tm.tm_plan_seq >= 0 then
-    arm_reserved tm ~at:tm.tm_plan_at ~seq:tm.tm_plan_seq
 
 let disarm tm =
   if tm.tm_handle >= 0 then begin
     cancel tm.tm_sim tm.tm_handle;
     tm.tm_handle <- no_handle
-  end;
-  tm.tm_plan_seq <- -1
+  end
 
-let armed tm = tm.tm_handle >= 0 || tm.tm_plan_seq >= 0
+let armed tm = tm.tm_handle >= 0
 
 let periodic t ~interval f =
   assert (interval > 0);
   let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop;
-      tm_plan_at = Time.zero; tm_plan_seq = -1 }
+    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
   in
   tm.tm_action <-
     (fun () ->

@@ -65,10 +65,10 @@ val arm_after : timer -> Time.t -> unit
 (** Relative-time {!arm}. *)
 
 val disarm : timer -> unit
-(** Cancel the pending firing (armed or planned), if any. *)
+(** Cancel the pending firing, if any. *)
 
 val armed : timer -> bool
-(** Whether a firing is pending (armed or planned). *)
+(** Whether a firing is pending. *)
 
 val periodic : t -> interval:Time.t -> (unit -> bool) -> timer
 (** [periodic t ~interval f] runs [f] every [interval], starting one
@@ -76,19 +76,7 @@ val periodic : t -> interval:Time.t -> (unit -> bool) -> timer
     The returned timer can be {!disarm}ed to stop the recurrence
     mid-run. *)
 
-(** {1 Burst lookahead} *)
-
-val try_advance : t -> upto:Time.t -> bool
-(** [try_advance t ~upto] advances the clock to [upto] and returns
-    [true] iff no pending event is due at or before [upto]; otherwise
-    it leaves the clock alone and returns [false] (the caller should
-    fall back to scheduling a real event).  This is the engine side of
-    the batched datapath: a device that planned a whole burst of
-    sub-events (with known times) drains them in one event handler,
-    paying a single integer comparison per sub-event instead of a heap
-    push/pop — while preserving the exact global event order, because
-    the clock only jumps over intervals the heap proves empty.
-    @raise Invalid_argument if [upto] is before [now]. *)
+(** {1 Reserved tie positions} *)
 
 val reserve_seq : t -> int
 (** Take the next scheduling sequence number without scheduling
@@ -102,38 +90,9 @@ val arm_reserved : timer -> at:Time.t -> seq:int -> unit
     from {!reserve_seq} on the timer's simulator: the firing takes
     exactly the tie position an eager {!schedule} at reservation time
     would have taken, however many events were scheduled in between.
-    Cancels any pending firing and drops a {!plan} reservation, like
-    {!arm}.  Each reserved seq must be armed at most once.
+    Cancels any pending firing, like {!arm}.  Each reserved seq must
+    be armed at most once.
     @raise Invalid_argument if [at] is before [now]. *)
-
-val plan : timer -> at:Time.t -> unit
-(** Reserve the timer's place in the same-instant (FIFO) event order
-    at absolute time [at] {e without touching the heap} — one counter
-    bump.  Events scheduled afterwards at the same instant fire after
-    the planned firing, exactly as if the timer had been {!arm}ed
-    here ({!reserve_seq}).  A subsequent {!run_plan_inline} consumes the reservation
-    inline; {!commit_plan} turns it into a real heap event; {!arm} and
-    {!disarm} discard it.  The steady-state tail of the burst walk:
-    together with {!run_plan_inline} it replaces a heap push and pop
-    per sub-event with two integer comparisons.
-    @raise Invalid_argument if [at] is before [now]. *)
-
-val planned : timer -> bool
-(** Whether a reservation from {!plan} is outstanding. *)
-
-val run_plan_inline : timer -> bool
-(** For a planned timer: [true] iff no pending heap event fires before
-    the reserved (time, seq) position; the clock jumps to the planned
-    instant, the reservation is consumed, and the caller runs the
-    timer's work inline.  Returns [false] (reservation kept) when
-    another event intervenes — the caller must then {!commit_plan}
-    before returning to the dispatcher, since a bare reservation fires
-    nothing by itself. *)
-
-val commit_plan : timer -> unit
-(** Insert the planned firing into the heap as a real event carrying
-    its reserved seq ({!arm_reserved}), preserving the tie order the reservation
-    guaranteed.  No-op when nothing is planned. *)
 
 (** {1 Execution} *)
 

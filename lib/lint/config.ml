@@ -24,22 +24,22 @@ type t = {
 
 (* The hot set mirrors the datapath bench: modules on the per-event /
    per-packet path whose allocation behavior is guarded by
-   BENCH_engine.json — including the batched breath-loop modules
-   (pktring carries the in-flight packets, switch and node receive
-   every delivery, datapath gates the walk), the MTP ack path
-   (endpoint, its pathlet table and controllers, and the stamping
-   qdisc hook), guarded by the bench's
+   BENCH_engine.json — including the link's neighbours (pktring
+   carries the in-flight packets, switch and node receive every
+   delivery), the MTP ack path (endpoint, its pathlet table and
+   controllers, and the stamping qdisc hook), guarded by the bench's
    mtp section, and the partition exchange (conduit rings and inbox
-   timers), guarded by bench/parallel.exe's words per event.  Matching is by module basename so a future move (say
-   lib/netsim/link.ml -> lib/datapath/link.ml) keeps the rule. *)
+   timers), guarded by bench/parallel.exe's words per event.  Matching
+   is by module basename so a future move (say lib/netsim/link.ml ->
+   lib/datapath/link.ml) keeps the rule. *)
 let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "link"; "qdisc"; "switch"; "wire"; "pktring";
-        "packet"; "node"; "datapath"; "routing"; "cc"; "pathlet";
+        "packet"; "node"; "routing"; "cc"; "pathlet";
         "mtp_switch"; "endpoint"; "partition"; "host" ];
-    (* bench/ holds measurement drivers (bench/datapath.ml shares a
-       basename with the hot module it measures); their report printing
-       is not datapath code. *)
+    (* bench/ holds measurement drivers; their report printing is not
+       datapath code, even where a file shares a hot module's
+       basename. *)
     hot_exempt_dirs = [ "bench" ];
     d001_dirs = [ "lib"; "bin" ];
     t201_dirs = [ "lib"; "bin" ];

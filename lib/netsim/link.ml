@@ -1,34 +1,12 @@
 (* A point-to-point link: qdisc + serialisation + propagation delay.
 
-   Two datapaths share one observable model (pinned per link at
-   [create] from [Datapath.enabled]):
-
-   - classic: one transmit-completion event and one delivery event per
-     packet — the reference semantics, kept verbatim for the
-     differential oracle;
-   - batched: the same state machine, but a transmit completion walks
-     forward across the following completions inside one event, up to
-     [Datapath.burst_limit] packets per activation.
-
-   The walk preserves the classic event order exactly, not just
-   approximately.  The rule: an event may be elided only when the heap
-   proves it would have been dispatched next anyway ([Sim.try_advance]
-   for gaps; [Sim.plan]/[Sim.run_plan_inline] reserve the next
-   completion's same-instant position without a heap round-trip), and
-   any event that must survive is armed — or a kept reservation
-   committed with its reserved seq — at precisely the instant the
-   classic machine would have scheduled it, so it carries the same
-   position in the same-instant FIFO order.
-   Ties between one link's completion and another's delivery are
-   common (rates and delays are commensurate, so distinct links
-   collide at the same nanosecond constantly), and queue-depth reads —
-   hence ECN marks, hence throughput — depend on how those ties
-   resolve; keeping the surviving events' (time, seq) keys identical
-   makes batching unobservable, byte-for-byte.  When the heap is busy
-   the walk degrades to one event per packet — the classic shape; when
-   the heap is quiet (a queue draining back-to-back, zero-delay hops)
-   a whole burst runs inline in one event, each packet handed to the
-   [set_dst] handler as the classic machine does.
+   The ns-3 point-to-point event order: one transmit-completion event
+   and one delivery event per packet.  The completion runs on the
+   link's one re-armable timer, so a steady stream of packets allocates
+   no event closure; each delivery is a fresh event scheduled at the
+   completion instant, before the next packet is dequeued, so among
+   same-instant events it keeps the position every queue decision
+   (ECN marks, trims, pathlet feedback) depends on.
 
    In-flight packets sit in a ring; deliveries are FIFO because
    completion times are monotonic and the propagation delay is
@@ -45,7 +23,6 @@ type t = {
   link_name : string;
   link_rate : Engine.Time.rate;
   link_delay : Engine.Time.t;
-  batched : bool;
   mutable q : Qdisc.t;
   mutable dst : (Packet.t -> unit) option;
   mutable taps : (Engine.Time.t -> Packet.t -> unit) list; (* forward order *)
@@ -54,23 +31,16 @@ type t = {
   mutable sent_bytes : int;
   mutable n_fault_drops : int;
   (* Conservation-ledger counters: every packet offered to [send] and
-     every packet handed to the destination, whichever datapath.  With
-     the qdisc's own drop count these close the per-link invariant
+     every packet handed to the destination.  With the qdisc's own drop
+     count these close the per-link invariant
      sends = delivered + drops + fault_drops + queued + in-flight. *)
   mutable n_sends : int;
   mutable n_delivered : int;
   flight : Pktring.t;
   pool : Packet.pool option;
-  mutable cur : Packet.t;
-  (* classic machinery *)
-  mutable tx_ev : Engine.Sim.handle option;
-  mutable on_tx_done : unit -> unit;
+  mutable cur : Packet.t;  (* the packet being serialised *)
   mutable on_deliver : unit -> unit;
-  (* batched machinery: one re-armable timer, the completion time it
-     is (or would be) armed for, and the per-activation walk budget. *)
-  mutable tx_timer : Engine.Sim.timer;
-  mutable b_comp : Engine.Time.t;
-  mutable b_budget : int;
+  mutable tx_timer : Engine.Sim.timer;  (* fires at [cur]'s completion *)
 }
 
 (* The no-tap guard is load-bearing: [List.iter]'s closure captures
@@ -100,140 +70,40 @@ let drop_faulted t p =
   if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Drop p;
   match t.pool with Some pool -> Packet.release pool p | None -> ()
 
-(* ------------------------- classic datapath ------------------------ *)
-
-let rec transmit_next t =
+(* Start serialising the queue head; its completion fires [tx_done]. *)
+let start t =
   match t.q.Qdisc.dequeue () with
-  | None ->
-    t.transmitting <- false;
-    t.cur <- Packet.none
+  | None -> t.transmitting <- false
   | Some p ->
     t.transmitting <- true;
     t.cur <- p;
     if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue p;
-    let tx = Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate in
-    t.tx_ev <- Some (Engine.Sim.after t.sim tx t.on_tx_done)
+    Engine.Sim.arm t.tx_timer
+      ~at:
+        (Engine.Sim.now t.sim
+        + Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate)
 
-and tx_done t =
+(* The timer's action at [cur]'s completion.  The delivery is
+   scheduled before [start] arms the next completion, so at a tie it
+   is dispatched first. *)
+let tx_done t =
   let p = t.cur in
   t.cur <- Packet.none;
-  t.tx_ev <- None;
   t.sent_bytes <- t.sent_bytes + p.Packet.size;
   Pktring.push t.flight p;
   ignore (Engine.Sim.after t.sim t.link_delay t.on_deliver);
-  transmit_next t
-
-(* ------------------------- batched datapath ------------------------ *)
-
-(* Start serialising the queue head: the classic [transmit_next] with
-   the re-armable timer in place of a fresh event.  Never walks — a
-   kick happens inside some other component's handler, and jumping the
-   clock under a caller that has more work to do at the current
-   instant would reorder it. *)
-let b_start t =
-  match t.q.Qdisc.dequeue () with
-  | None ->
-    t.transmitting <- false;
-    t.cur <- Packet.none
-  | Some p ->
-    t.transmitting <- true;
-    t.cur <- p;
-    if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue p;
-    t.b_comp <-
-      Engine.Sim.now t.sim
-      + Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate;
-    Engine.Sim.arm t.tx_timer ~at:t.b_comp
-
-(* One walk step, entered at the completion instant of [t.cur].  Runs
-   the classic [tx_done] bookkeeping, dequeues the next packet, and walks
-   on across completions the heap proves uncontested.  Returns a
-   packet to hand over inline — possible only on zero-delay hops whose
-   delivery event would have been dispatched next anyway — or
-   [Packet.none] once the activation has finished its own arming.
-
-   Wall-order discipline, mirrored from classic [tx_done]: the
-   delivery is scheduled (or its elision decided) before the dequeue
-   of the next packet, and the next completion is armed after it —
-   the same scheduling order, so every surviving event keeps its
-   classic position among same-instant events. *)
-let rec b_step t =
-  t.b_budget <- t.b_budget - 1;
-  let p = t.cur in
-  t.cur <- Packet.none;
-  t.sent_bytes <- t.sent_bytes + p.Packet.size;
-  let now = Engine.Sim.now t.sim in
-  let inline_ok =
-    t.link_delay = 0
-    && t.b_budget > 0
-    && Engine.Sim.try_advance t.sim ~upto:now
-  in
-  if not inline_ok then begin
-    Pktring.push t.flight p;
-    ignore (Engine.Sim.after t.sim t.link_delay t.on_deliver)
-  end;
-  (match t.q.Qdisc.dequeue () with
-  | None -> t.transmitting <- false
-  | Some np ->
-    t.cur <- np;
-    if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue np;
-    t.b_comp <-
-      now + Engine.Time.tx_time ~bytes:np.Packet.size ~rate:t.link_rate);
-  if inline_ok then begin
-    (* The inline delivery runs user code; the next completion must
-       already hold its classic place in the event order before that
-       code can schedule anything.  [plan] reserves exactly the seq an
-       [arm] here would take — without the heap insertion — and the
-       driver resumes with [run_plan_inline], or commits the
-       reservation as a real event if something intervenes. *)
-    if t.cur != Packet.none then Engine.Sim.plan t.tx_timer ~at:t.b_comp;
-    p
-  end
-  else if t.cur == Packet.none then Packet.none
-  else if t.b_budget > 0 && Engine.Sim.try_advance t.sim ~upto:t.b_comp then
-    (* Nothing is due before the next completion: the classic event
-       would be dispatched next, so elide it and keep walking. *)
-    b_step t
-  else begin
-    Engine.Sim.arm t.tx_timer ~at:t.b_comp;
-    Packet.none
-  end
-
-(* Timer activation: walk, handing each inline packet to the
-   destination between steps.  After each delivery the downstream code
-   may have scheduled events or re-kicked the link; [run_plan_inline]
-   re-decides from the heap root whether our reserved completion still
-   fires before anything else. *)
-let b_activation t =
-  t.b_budget <- Datapath.burst_limit ();
-  let pending = ref (b_step t) in
-  while !pending != Packet.none do
-    deliver t !pending;
-    pending :=
-      if t.b_budget > 0 && Engine.Sim.run_plan_inline t.tx_timer then
-        b_step t
-      else Packet.none
-  done;
-  (* A reservation the walk could not run inline (budget exhausted, or
-     an interleaving event) must become a real heap event before we
-     return to the dispatcher. *)
-  if Engine.Sim.planned t.tx_timer then Engine.Sim.commit_plan t.tx_timer
-
-(* ----------------------------- common ------------------------------ *)
+  start t
 
 let create sim ~name ~rate ~delay ?qdisc ?pool () =
   let q = match qdisc with Some q -> q | None -> Qdisc.fifo ~cap_pkts:1000 () in
-  let batched = Datapath.enabled () in
-  let dummy = Engine.Sim.timer sim (fun () -> ()) in
+  let dummy = Engine.Sim.timer sim ignore in
   let t =
-    { sim; link_name = name; link_rate = rate; link_delay = delay; batched; q;
+    { sim; link_name = name; link_rate = rate; link_delay = delay; q;
       dst = None; taps = []; transmitting = false;
       up = true; sent_bytes = 0; n_fault_drops = 0; n_sends = 0;
-      n_delivered = 0; cur = Packet.none;
-      tx_ev = None; flight = Pktring.create (); pool;
-      on_tx_done = ignore; on_deliver = ignore;
-      tx_timer = dummy; b_comp = 0; b_budget = 0 }
+      n_delivered = 0; cur = Packet.none; flight = Pktring.create (); pool;
+      on_deliver = ignore; tx_timer = dummy }
   in
-  t.on_tx_done <- (fun () -> tx_done t);
   t.on_deliver <-
     (fun () ->
       (* Packets still propagating when the link went down are lost
@@ -241,7 +111,7 @@ let create sim ~name ~rate ~delay ?qdisc ?pool () =
          flight ring in order). *)
       let p = Pktring.pop t.flight in
       if t.up then deliver t p else drop_faulted t p);
-  t.tx_timer <- Engine.Sim.timer sim (fun () -> b_activation t);
+  t.tx_timer <- Engine.Sim.timer sim (fun () -> tx_done t);
   (* Queue-depth, drop, mark and trim metrics; gauges read the live
      qdisc (through [t], so [set_qdisc] swaps are followed) and cost
      nothing until a snapshot samples them. *)
@@ -267,9 +137,7 @@ let set_dst t handler = t.dst <- Some handler
 (* simlint: allow H101 — topology wiring, runs once per tap at setup *)
 let add_tap t f = t.taps <- t.taps @ [ f ]
 
-let kick t =
-  if not t.transmitting then
-    if t.batched then b_start t else transmit_next t
+let kick t = if not t.transmitting then start t
 
 let send t p =
   t.n_sends <- t.n_sends + 1;
@@ -313,13 +181,7 @@ let set_down t =
     (* Abort the serialisation in progress.  Fully serialised packets
        stay in flight and are lost (or delivered, if the link is
        revived in time) at their arrival instant. *)
-    if t.batched then Engine.Sim.disarm t.tx_timer
-    else (
-      match t.tx_ev with
-      | Some ev ->
-        Engine.Sim.cancel t.sim ev;
-        t.tx_ev <- None
-      | None -> ());
+    Engine.Sim.disarm t.tx_timer;
     if t.cur != Packet.none then begin
       drop_faulted t t.cur;
       t.cur <- Packet.none

@@ -6,21 +6,9 @@
     wire for [Time.tx_time ~bytes ~rate]; each packet then arrives at
     the destination handler one propagation [delay] later.  This is the
     standard store-and-forward model used by ns-3 point-to-point
-    links.
-
-    Links built while {!Datapath.enabled} is set (the default) run the
-    batched datapath: one timer activation walks up to
-    [Datapath.burst_limit] back-to-back completions, computing each
-    completion instant arithmetically and eliding heap events the
-    engine proves uncontested ([Sim.try_advance] for gaps,
-    [Sim.plan]/[Sim.run_plan_inline] for the next completion's
-    same-instant position).  Zero-delay deliveries ride the walk
-    inline, each through the {!set_dst} handler; delayed hops schedule
-    one real delivery event per packet at its exact classic instant.
-    Packet timing, queue decisions and every observable counter are
-    identical to the classic one-event-per-packet machine — the
-    differential oracle in the test suite runs both and compares
-    outputs (see DESIGN.md "Batched datapath"). *)
+    links: one transmit-completion event and one delivery event per
+    packet, so every queue decision reads the queue at the packet's own
+    service instant. *)
 
 type t
 
@@ -40,8 +28,8 @@ val create :
     packets. *)
 
 val set_dst : t -> (Packet.t -> unit) -> unit
-(** The destination handler: every delivered packet, on either
-    datapath, is handed to it once, at its own arrival instant. *)
+(** The destination handler: every delivered packet is handed to it
+    once, at its own arrival instant. *)
 
 val add_tap : t -> (Engine.Time.t -> Packet.t -> unit) -> unit
 (** Observe every delivered packet (after serialization and
@@ -80,7 +68,7 @@ val sends : t -> int
 (** Packets ever offered to {!send} (accepted or not). *)
 
 val delivered_pkts : t -> int
-(** Packets handed to the destination (either datapath).  Together
+(** Packets handed to the destination.  Together
     with the qdisc drop counter these close the per-link conservation
     invariant the [Check.Ledger] oracle asserts:
     [sends = delivered_pkts + qdisc drops + fault_drops + queued_pkts

@@ -449,46 +449,7 @@ let prop_sim_until_boundary =
       Sim.run ~until:limit sim;
       List.for_all (fun t -> t <= limit) !fired && Sim.now sim >= limit)
 
-(* ----------------------- burst lookahead --------------------------- *)
-
-let test_try_advance () =
-  let sim = Sim.create () in
-  checkb "empty heap advances" true (Sim.try_advance sim ~upto:100);
-  check "clock jumped" 100 (Sim.now sim);
-  ignore (Sim.schedule sim ~at:150 (fun () -> ()));
-  checkb "event beyond upto advances" true (Sim.try_advance sim ~upto:140);
-  check "clock at 140" 140 (Sim.now sim);
-  checkb "event at upto refuses" false (Sim.try_advance sim ~upto:150);
-  check "clock untouched on refusal" 140 (Sim.now sim)
-
-let test_plan_inline_when_quiet () =
-  let sim = Sim.create () in
-  let tm = Sim.timer sim (fun () -> ()) in
-  Sim.plan tm ~at:100;
-  checkb "plan counts as armed" true (Sim.armed tm);
-  (* Scheduled after the plan at the same instant: newer seq, so the
-     reservation still fires first and may run inline. *)
-  ignore (Sim.schedule sim ~at:100 (fun () -> ()));
-  checkb "newer same-instant event does not block" true
-    (Sim.run_plan_inline tm);
-  check "clock at planned instant" 100 (Sim.now sim);
-  checkb "reservation consumed" false (Sim.planned tm)
-
-let test_plan_commit_keeps_tie_order () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let tm = Sim.timer sim (fun () -> log := "planned" :: !log) in
-  Sim.plan tm ~at:100;
-  ignore (Sim.schedule sim ~at:100 (fun () -> log := "tie-later" :: !log));
-  ignore (Sim.schedule sim ~at:90 (fun () -> log := "early" :: !log));
-  checkb "earlier event blocks inline run" false (Sim.run_plan_inline tm);
-  Sim.commit_plan tm;
-  checkb "commit converts plan to a real event" false (Sim.planned tm);
-  Sim.run sim;
-  Alcotest.(check (list string))
-    "committed plan keeps its reserved same-instant position"
-    [ "early"; "planned"; "tie-later" ]
-    (List.rev !log)
+(* ----------------------- reserved tie order ------------------------ *)
 
 let test_arm_reserved_takes_eager_tie_position () =
   (* The same script twice: R is either scheduled eagerly where the
@@ -558,10 +519,6 @@ let suite =
     Alcotest.test_case "sim timer rearm" `Quick test_sim_timer_rearm;
     Alcotest.test_case "sim timer disarm" `Quick test_sim_timer_disarm;
     Alcotest.test_case "sim periodic cancel" `Quick test_sim_periodic_cancel;
-    Alcotest.test_case "sim try_advance" `Quick test_try_advance;
-    Alcotest.test_case "sim plan inline" `Quick test_plan_inline_when_quiet;
-    Alcotest.test_case "sim plan commit tie order" `Quick
-      test_plan_commit_keeps_tie_order;
     Alcotest.test_case "sim arm_reserved tie order" `Quick
       test_arm_reserved_takes_eager_tie_position;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;

@@ -1128,70 +1128,80 @@ let test_pktring_capacity_boundary () =
   Alcotest.(check (list int))
     "order preserved across growth" (List.rev !sent) (uids_of r)
 
-(* ----------------- link occupancy, batched vs classic -------------- *)
+(* --------------------------- link occupancy ------------------------ *)
 
 (* Eight packets sent back to back at t=0 over a 10 G / 5 us link:
    serialization 1.2 us per packet, completions at 1.2k us, deliveries
    5 us later.  Sampled at off-completion instants, queue depth,
    in-flight population (propagating packets PLUS the one being
-   serialized) and bytes-on-the-wire must be identical in both
-   datapaths and conserve the checked-out population. *)
-let occupancy_samples batched =
-  Datapath.with_batching batched (fun () ->
+   serialized) and bytes-on-the-wire must conserve the checked-out
+   population and match the pinned rows. *)
+let test_link_occupancy_pinned () =
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 5) ~pool ()
+  in
+  let delivered = ref 0 in
+  Link.set_dst link (fun p ->
+      incr delivered;
+      Packet.release pool p);
+  ignore
+  @@ Engine.Sim.schedule sim ~at:0 (fun () ->
+         for _ = 1 to 8 do
+           Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
+         done);
+  let samples = ref [] in
+  List.iter
+    (fun t ->
+      ignore
+      @@ Engine.Sim.schedule sim ~at:t (fun () ->
+             let q = Link.queued_pkts link in
+             let fl = Link.in_flight_pkts link in
+             checki "population conserved at sample" 8 (q + fl + !delivered);
+             samples :=
+               (t, (q, (fl, (Link.bytes_sent link, !delivered)))) :: !samples))
+    [ 600; 1_800; 3_000; 6_100; 9_700; 12_000; 14_500; 20_000 ];
+  Engine.Sim.run sim;
+  checki "all delivered" 8 !delivered;
+  (* (time ns, queued, in flight, bytes sent, delivered).  At 600 ns
+     the in-service packet counts as in flight and its bytes are not
+     yet on the wire; at 9.7 us the queue has drained, five packets
+     propagate and three have arrived. *)
+  Alcotest.(check (list (pair int (pair int (pair int (pair int int))))))
+    "occupancy samples"
+    [ (600, (7, (1, (0, 0))));
+      (1_800, (6, (2, (1_500, 0))));
+      (3_000, (5, (3, (3_000, 0))));
+      (6_100, (2, (6, (7_500, 0))));
+      (9_700, (0, (5, (12_000, 3))));
+      (12_000, (0, (3, (12_000, 5))));
+      (14_500, (0, (1, (12_000, 7))));
+      (20_000, (0, (0, (12_000, 8)))) ]
+    (List.rev !samples)
+
+(* The event shape of the ns-3 point-to-point model: n packets sent
+   back to back cost one transmit-completion and one delivery event
+   each, with or without a propagation delay. *)
+let test_link_two_events_per_packet () =
+  List.iter
+    (fun delay ->
       let sim = Engine.Sim.create () in
-      let pool = Packet.pool sim in
       let link =
-        Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
-          ~delay:(Engine.Time.us 5) ~pool ()
+        Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay ()
       in
       let delivered = ref 0 in
-      Link.set_dst link (fun p ->
-          incr delivered;
-          Packet.release pool p);
-      ignore
-      @@ Engine.Sim.schedule sim ~at:0 (fun () ->
-             for _ = 1 to 8 do
-               Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
-             done);
-      let samples = ref [] in
-      List.iter
-        (fun t ->
-          ignore
-          @@ Engine.Sim.schedule sim ~at:t (fun () ->
-                 let q = Link.queued_pkts link in
-                 let fl = Link.in_flight_pkts link in
-                 checki "population conserved at sample" 8
-                   (q + fl + !delivered);
-                 samples :=
-                   (t, q, fl, Link.bytes_sent link, !delivered) :: !samples))
-        [ 600; 1_800; 3_000; 6_100; 9_700; 12_000; 14_500; 20_000 ];
+      Link.set_dst link (fun _ -> incr delivered);
+      let n = 8 in
+      for _ = 1 to n do
+        Link.send link (pkt ())
+      done;
       Engine.Sim.run sim;
-      checki "all delivered" 8 !delivered;
-      List.rev !samples)
-
-let test_link_occupancy_batched_eq_classic () =
-  let classic = occupancy_samples false in
-  let batched = occupancy_samples true in
-  let sample = Alcotest.(list (pair int (pair int (pair int (pair int int))))) in
-  let pack = List.map (fun (t, q, fl, b, d) -> (t, (q, (fl, (b, d))))) in
-  (* Pinned mid-serialization rows: the in-service packet counts as in
-     flight and its bytes are not yet on the wire. *)
-  (match classic with
-  | (600, q, fl, b, d) :: _ ->
-    checki "t=600ns queued" 7 q;
-    checki "t=600ns in-flight includes in-service" 1 fl;
-    checki "t=600ns bytes not yet serialized" 0 b;
-    checki "t=600ns delivered" 0 d
-  | _ -> Alcotest.fail "missing t=600 sample");
-  (match List.nth_opt classic 4 with
-  | Some (9_700, q, fl, b, d) ->
-    checki "t=9.7us queue drained" 0 q;
-    checki "t=9.7us propagating" 5 fl;
-    checki "t=9.7us all bytes on wire" 12_000 b;
-    checki "t=9.7us delivered" 3 d
-  | _ -> Alcotest.fail "missing t=9700 sample");
-  Alcotest.check sample "occupancy identical across datapaths"
-    (pack classic) (pack batched)
+      checki "all delivered" n !delivered;
+      checki (Printf.sprintf "events at delay %d ns" delay) (2 * n)
+        (Engine.Sim.events_processed sim))
+    [ Engine.Time.us 1; 0 ]
 
 let suite =
   [ Alcotest.test_case "packet uids" `Quick test_packet_uids_unique;
@@ -1212,8 +1222,10 @@ let suite =
     Alcotest.test_case "pktring capacity boundary" `Quick
       test_pktring_capacity_boundary;
     Alcotest.test_case "link timing" `Quick test_link_serialization_and_delay;
-    Alcotest.test_case "link occupancy batched==classic" `Quick
-      test_link_occupancy_batched_eq_classic;
+    Alcotest.test_case "link occupancy pinned" `Quick
+      test_link_occupancy_pinned;
+    Alcotest.test_case "link two events per packet" `Quick
+      test_link_two_events_per_packet;
     Alcotest.test_case "link drops" `Quick test_link_drops_when_queue_full;
     Alcotest.test_case "link accounting" `Quick test_link_utilization_accounting;
     Alcotest.test_case "link utilization zero window" `Quick
