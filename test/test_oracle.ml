@@ -62,8 +62,9 @@ let conservation_run ~delay ~rate2 () =
 (* At 2 µs every delivery is a heap event, and with both hops at 10 G
    each delivery from the first hop lands at the same instant as the
    second hop's previous completion: that tie must keep its order.  At
-   zero delay the second hop runs at 25 G, so deliveries and
-   completions tie at the same nanosecond instead. *)
+   zero delay each delivery is dispatched at its own completion
+   instant, inside the same nanosecond; the second hop runs at 25 G
+   there. *)
 let test_conservation_pinned () =
   List.iter
     (fun (delay, rate2, fresh, reused, peak_live) ->
