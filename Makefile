@@ -36,11 +36,13 @@ bench:
 	dune exec bench/suite/mtpbench.exe
 
 # Engine guardrails, one program writing every section of
-# BENCH_engine.json: engine event/timer costs, pooled packet
+# BENCH_engine.json: engine event/timer costs, dispatch at depth (8192
+# pending timers re-armed at random offsets), pooled packet
 # forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
 # sender's minor words and ns per acked packet at backlogs of 1, 16
 # and 128 messages.  `--guardrail` fails on allocation regressions
-# against the seed's words per event and per packet, on minor
+# against the seed's words per event and per packet, on deep-heap
+# dispatch allocating (bar 0.00 words per event), on minor
 # words/event growing with fabric size (bar 1.15x of the 64-host
 # value), on a routing lookup or a switch ingress allocating, or on
 # MTP words per acked packet growing with the backlog (bar 1.15x of
@@ -75,7 +77,10 @@ lint:
 
 # Typed tier on top of the AST rules: loads the .cmt files of the
 # build just made and runs the interprocedural domain-safety and
-# hot-path rules (P101/P102/H102/H103) as well, plus the unused-surface
+# hot-path rules (P101/P102/H102/H103) as well, H104 (polymorphic
+# compare or hash in a hot module: Stdlib.min/max, comparisons at a
+# type the compiler does not specialise, generic Hashtbl lookups,
+# List.mem/assoc), plus the unused-surface
 # rules: U101 flags a lib/ export no other compilation unit references
 # and U102 an optional parameter no application passes, counting
 # references from every unit dune built (tests, examples and

@@ -100,6 +100,42 @@ let datapath_timer () =
       Engine.Sim.run sim;
       !count)
 
+(* The engine at a realistic depth: [deep_timers] pending timers
+   (fabric-raw peaks near 7 000 pending events), each re-armed at a
+   random offset when it fires, so every dispatch pops from and pushes
+   into a heap of that size.  The offsets come from a table drawn at
+   setup, since [Rng] boxes its int64 state; only the run is timed. *)
+let deep_timers = 8_192
+let deep_events = 400_000
+let deep_offsets = 65_536 (* a power of two: the table index is masked *)
+let deep_max_offset = 16_384
+
+let datapath_deep () =
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create 7 in
+  let offsets =
+    Array.init deep_offsets (fun _ -> 1 + Engine.Rng.int rng deep_max_offset)
+  in
+  let next = ref 0 in
+  let offset () =
+    next := (!next + 1) land (deep_offsets - 1);
+    offsets.(!next)
+  in
+  let timers = Array.make deep_timers (Engine.Sim.timer sim ignore) in
+  Array.iteri
+    (fun i _ ->
+      timers.(i) <-
+        Engine.Sim.timer sim (fun () ->
+            Engine.Sim.arm_after timers.(i) (offset ())))
+    timers;
+  Array.iter (fun tm -> Engine.Sim.arm_after tm (offset ())) timers;
+  (* Mean offset over timer count: the time by which about
+     [deep_events] timers have fired. *)
+  let horizon = deep_events * (deep_max_offset / 2) / deep_timers in
+  timed (fun () ->
+      Engine.Sim.run ~until:horizon sim;
+      Engine.Sim.events_processed sim)
+
 (* Steady-state forwarding over a pooled link: one packet on the wire
    at a time (120 ns serialization at 100G, 1 µs propagation), recycled
    on delivery: one source event, one completion and one delivery per
@@ -440,20 +476,25 @@ type report = {
   tm_rate : float;
   pk_words : float;
   pk_rate : float;
+  dh_words : float;
+  dh_rate : float;
   scale : scale;
   mtp : mtp_point list;
 }
 
 let collect () =
   let engine =
-    interleave [| datapath_events; datapath_timer; datapath_packets |]
+    interleave
+      [| datapath_events; datapath_timer; datapath_packets; datapath_deep |]
   in
   let ev_words, ev_rate = per_op engine.(0) in
   let tm_words, tm_rate = per_op engine.(1) in
   let pk_words, pk_rate = per_op engine.(2) in
+  let dh_words, dh_rate = per_op engine.(3) in
   let scale = collect_scale () in
   let mtp = collect_mtp () in
-  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; scale; mtp }
+  { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; dh_words;
+    dh_rate; scale; mtp }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -464,6 +505,9 @@ let print_report r =
     r.tm_rate;
   Printf.printf "%-32s %8.2f words/op %12.0f op/s (baseline %.2f)\n"
     "pooled packet forward" r.pk_words r.pk_rate baseline_words_per_packet;
+  Printf.printf "%-32s %8.2f words/op %12.0f op/s (bar 0.00)\n"
+    (Printf.sprintf "deep heap (%d timers)" deep_timers)
+    r.dh_words r.dh_rate;
   let s = r.scale in
   Printf.printf "\n== scale sweep (words stay flat 64 -> 4096 hosts) ==\n";
   List.iter
@@ -511,7 +555,10 @@ let write_json r =
     "minor_words_per_timer_rearm": %.2f,
     "minor_words_per_packet": %.2f,
     "events_per_sec": %.0f,
-    "packets_per_sec": %.0f
+    "packets_per_sec": %.0f,
+    "deep_heap_timers": %d,
+    "minor_words_per_deep_heap_event": %.2f,
+    "deep_heap_events_per_sec": %.0f
   },
   "reduction": {
     "event_words_factor": %.2f,
@@ -521,7 +568,8 @@ let write_json r =
     "points": [|}
     (Domain.recommended_domain_count ())
     passes baseline_words_per_event baseline_words_per_packet r.ev_words
-    r.tm_words r.pk_words r.ev_rate r.pk_rate
+    r.tm_words r.pk_words r.ev_rate r.pk_rate deep_timers r.dh_words
+    r.dh_rate
     (baseline_words_per_event /. Float.max 1e-9 r.ev_words)
     (baseline_words_per_packet /. Float.max 1e-9 r.pk_words);
   let s = r.scale in
@@ -567,6 +615,10 @@ let guardrail r =
   if r.pk_words > baseline_words_per_packet *. 1.10 then
     fail "packet words/op %.2f exceeds baseline %.2f + 10%%" r.pk_words
       baseline_words_per_packet;
+  (* Popping and re-arming at depth must allocate nothing: the bar is
+     0.00 words per event at the two decimals reported. *)
+  if r.dh_words >= 0.005 then
+    fail "deep-heap dispatch allocates %.3f minor words per event" r.dh_words;
   let s = r.scale in
   let w64, w4096 = flatness s in
   if w4096 > Float.max (flatness_bar *. w64) flat_floor then

@@ -60,7 +60,7 @@ let rto t =
     if f.srtt_ns < 0.0 then 2.0 *. default_srtt
     else f.srtt_ns +. (4.0 *. Float.max f.rttvar_ns (f.srtt_ns /. 4.0))
   in
-  max 50_000 (int_of_float base)
+  Int.max 50_000 (int_of_float base)
 
 let observe_rtt t sample =
   let f = t.f in
@@ -75,7 +75,7 @@ let observe_rtt t sample =
     f.srtt_ns <- (0.875 *. f.srtt_ns) +. (0.125 *. r)
   end
 
-let srtt_span t = max 10_000 (srtt t)
+let srtt_span t = Int.max 10_000 (srtt t)
 
 let can_decrease t ~now = now - t.last_decrease >= srtt_span t
 
@@ -173,9 +173,9 @@ let on_signal t ~now ~acked ~rtt s =
     (* Fabric delay: the largest hop report, or what the RTT sample
        shows above two thirds of the smoothed RTT. *)
     let from_rtt =
-      if rtt >= 0 then max 0 (rtt - (2 * srtt_span t / 3)) else 0
+      if rtt >= 0 then Int.max 0 (rtt - (2 * srtt_span t / 3)) else 0
     in
-    let delay = max from_rtt s.delay in
+    let delay = Int.max from_rtt s.delay in
     if delay > swift_target then begin
       let over = float_of_int (delay - swift_target) /. float_of_int delay in
       end_slow_start t;
@@ -202,8 +202,8 @@ let window t =
     let bytes =
       float_of_int t.rate_grant_mbps *. float_of_int (srtt_span t) /. 8000.0
     in
-    max t.c_mss (int_of_float bytes)
-  | Aimd | Dctcp | Rcp | Swift -> max t.c_mss (int_of_float t.f.cwnd)
+    Int.max t.c_mss (int_of_float bytes)
+  | Aimd | Dctcp | Rcp | Swift -> Int.max t.c_mss (int_of_float t.f.cwnd)
 
 let congested t ~now =
   t.last_congested >= 0 && now - t.last_congested <= 2 * srtt_span t

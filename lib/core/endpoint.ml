@@ -118,7 +118,7 @@ type t = {
   path_table : Pathlet.t;
   mutable next_msg_id : int;
   mutable next_port : int;
-  tx_table : (int, txmsg) Hashtbl.t;
+  tx_table : txmsg Itbl.t;
   (* The messages of [tx_table] in (pri, id) order, in
      [active.(0 .. n_active - 1)]. *)
   mutable active : txmsg array;
@@ -137,15 +137,15 @@ type t = {
      no pathlet is suspect (see [exclusion_list]). *)
   mutable excl_epoch : int;
   mutable excl : Wire.path_ref list;
-  dests : (Netsim.Packet.addr, dst_paths) Hashtbl.t;
+  dests : dst_paths Itbl.t;
   (* Receiver state keyed by [rx_key]. *)
   rx_table : rxmsg Itbl.t;
   recent_done : unit Itbl.t;
   recent_queue : int Queue.t;
-  bindings : (int, delivery -> unit) Hashtbl.t;
+  bindings : (delivery -> unit) Itbl.t;
   ack_every : int;
   ack_delay : Engine.Time.t;
-  ack_acc : (Netsim.Packet.addr, ack_acc) Hashtbl.t;
+  ack_acc : ack_acc Itbl.t;
   mutable ticker_running : bool;
   (* counters *)
   mutable n_completed : int;
@@ -224,7 +224,9 @@ let is_live t time s =
   let r = s.s_ref in
   (not (Pathlet.suspect t.path_table r))
   &&
-  let ttl = max (Engine.Time.us 20) (4 * Cc.srtt (Pathlet.get t.path_table r)) in
+  let ttl =
+    Int.max (Engine.Time.us 20) (4 * Cc.srtt (Pathlet.get t.path_table r))
+  in
   time - s.s_at <= ttl
   || Pathlet.inflight t.path_table r > 0
   || Pathlet.strikes t.path_table r > 0
@@ -244,7 +246,7 @@ let live_refs t d =
       d.entries
 
 let path_for t ~dst ~tc =
-  match Hashtbl.find_opt t.dests dst with
+  match Itbl.find_opt t.dests dst with
   | Some d -> (
     match live_refs t d with [] -> default_path tc | refs -> refs)
   | None -> default_path tc
@@ -252,13 +254,13 @@ let path_for t ~dst ~tc =
 let current_path t ~dst = path_for t ~dst ~tc:0
 
 let dst_paths t dst =
-  match Hashtbl.find t.dests dst with
+  match Itbl.find t.dests dst with
   | d -> d
   | exception Not_found ->
     let d =
       { entries = []; refs = []; live_epoch = -1; live = []; lanes = [] }
     in
-    Hashtbl.add t.dests dst d;
+    Itbl.add t.dests dst d;
     d
 
 let lane_for t ~dst ~tc =
@@ -357,6 +359,10 @@ let rec advisory n acc = function
   | r :: rest when n < max_excluded -> advisory (n + 1) (r :: acc) rest
   | _ :: _ | [] -> acc
 
+let rec mem_path r = function
+  | [] -> false
+  | p :: rest -> Wire.same_path p r || mem_path r rest
+
 (* Suspects must appear even after their loss signal ages out of
    [congested_paths], or the network would steer traffic straight back
    onto a dead path.  They lead: they are hard-dead, congestion is
@@ -369,14 +375,14 @@ let with_suspects t ~path sus =
   let congested = Pathlet.congested_paths t.path_table ~now:(now t) in
   let merged =
     (* simlint: allow H101 — per packet only while a pathlet is suspect *)
-    sus @ List.filter (fun r -> not (List.mem r sus)) congested
+    sus @ List.filter (fun r -> not (mem_path r sus)) congested
   in
-  let covers l = path <> [] && List.for_all (fun r -> List.mem r l) path in
+  let covers l = path != [] && List.for_all (fun r -> mem_path r l) path in
   List.fold_left
     (fun acc r ->
       if
         List.length acc >= max_excluded
-        || ((not (List.mem r sus)) && covers (r :: acc))
+        || ((not (mem_path r sus)) && covers (r :: acc))
       then acc
       else r :: acc)
     [] merged
@@ -405,7 +411,7 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
   let probe = Pathlet.probe_target t.path_table ~now:(now t) in
   let exclude =
     match probe with
-    | Some pr -> List.filter (fun r -> r <> pr) path
+    | Some pr -> List.filter (fun r -> not (Wire.same_path r pr)) path
     | None -> if t.exclusion then exclusion_list t ~path else []
   in
   let header =
@@ -438,7 +444,7 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
       probe_event t ~kind:Telemetry.Events.Steer ~dst:msg.tx_dst
         ~size:payload ~a:path_id ~b:path_tc
     | [] -> ());
-    if exclude <> [] then
+    if exclude != [] then
       probe_event t ~kind:Telemetry.Events.Exclude ~dst:msg.tx_dst
         ~size:(List.length exclude) ~a:(List.hd exclude).Wire.path_id
         ~b:msg.tx_tc
@@ -498,7 +504,7 @@ let take_next t msg =
 let insert_active t msg =
   let n = t.n_active in
   if n = Array.length t.active then begin
-    let bigger = Array.make (max 8 (2 * n)) t.nil_msg in
+    let bigger = Array.make (Int.max 8 (2 * n)) t.nil_msg in
     Array.blit t.active 0 bigger 0 n;
     t.active <- bigger
   end;
@@ -540,7 +546,7 @@ let fail_message t msg =
         Pathlet.discharge t.path_table charged (pkt_payload t msg i)
       | Unsent | Lost | Acked -> ())
     msg.states;
-  Hashtbl.remove t.tx_table msg.tx_id;
+  Itbl.remove t.tx_table msg.tx_id;
   (* Nothing more goes out for it. *)
   msg.scan <- msg.tx_npkts;
   msg.retx_len <- 0;
@@ -644,7 +650,7 @@ let nil_msg () =
 
 let push_again t msg =
   if t.n_again = Array.length t.again then begin
-    let bigger = Array.make (max 8 (2 * t.n_again)) t.nil_msg in
+    let bigger = Array.make (Int.max 8 (2 * t.n_again)) t.nil_msg in
     Array.blit t.again 0 bigger 0 t.n_again;
     t.again <- bigger
   end;
@@ -679,7 +685,7 @@ let again_round t =
 
 let rec max_rto tbl acc = function
   | [] -> acc
-  | r :: rest -> max_rto tbl (max acc (Cc.rto (Pathlet.get tbl r))) rest
+  | r :: rest -> max_rto tbl (Int.max acc (Cc.rto (Pathlet.get tbl r))) rest
 
 (* Rounds repeat while a message may still send.  A round that opened
    a new epoch is followed by a full one, since any refusal may have
@@ -699,11 +705,11 @@ let rec pump t =
 (* Retransmission timer                                                 *)
 
 and ensure_ticker t =
-  if (not t.ticker_running) && Hashtbl.length t.tx_table > 0 then begin
+  if (not t.ticker_running) && Itbl.length t.tx_table > 0 then begin
     t.ticker_running <- true;
     ignore
       (Engine.Sim.periodic t.ep_sim ~interval:(Engine.Time.us 100) (fun () ->
-           if Hashtbl.length t.tx_table = 0 then begin
+           if Itbl.length t.tx_table = 0 then begin
              t.ticker_running <- false;
              false
            end
@@ -723,7 +729,7 @@ and check_timeouts t =
      if it is merely window-blocked and could never time out. *)
   let dead = ref [] in
   (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Hashtbl.iter
+  Itbl.iter
     (fun _ msg ->
       match msg.tx_deadline with
       | Some d when time >= d -> dead := msg :: !dead
@@ -734,7 +740,7 @@ and check_timeouts t =
   t.epoch <- t.epoch + 1;
   let expired = ref [] in
   (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Hashtbl.iter
+  Itbl.iter
     (fun _ msg ->
       (* Only messages with packets actually in the network can time
          out; a message merely blocked on the window is not stalled. *)
@@ -763,7 +769,7 @@ and check_timeouts t =
           | Inflight { charged; _ } ->
             Pathlet.discharge t.path_table charged (pkt_payload t msg i);
             List.iter
-              (fun r -> if not (List.mem r !blamed) then blamed := r :: !blamed)
+              (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
               charged;
             msg.states.(i) <- Lost;
             msg.n_inflight <- msg.n_inflight - 1;
@@ -775,7 +781,7 @@ and check_timeouts t =
         !blamed;
       Pathlet.note_timeout t.path_table !blamed ~now:time)
     !expired;
-  if !expired <> [] then pump t
+  if !expired != [] then pump t
 
 (* ------------------------------------------------------------------ *)
 (* ACK processing (sender side)                                         *)
@@ -788,7 +794,7 @@ let remember_done t key =
     Itbl.remove t.recent_done old
 
 let finish_message t msg =
-  Hashtbl.remove t.tx_table msg.tx_id;
+  Itbl.remove t.tx_table msg.tx_id;
   note_next t msg;
   remove_active t msg;
   t.n_completed <- t.n_completed + 1;
@@ -807,7 +813,7 @@ let finish_message t msg =
 let rec ack_sacks t fbs tc = function
   | [] -> ()
   | { Wire.ref_msg; ref_pkt } :: rest ->
-    (match Hashtbl.find t.tx_table ref_msg with
+    (match Itbl.find t.tx_table ref_msg with
     | exception Not_found -> ()
     | msg -> (
       match msg.states.(ref_pkt) with
@@ -845,7 +851,7 @@ let rec ack_nacks t fbs tc = function
   | [] -> ()
   | { Wire.ref_msg; ref_pkt } :: rest ->
     t.n_nacks <- t.n_nacks + 1;
-    (match Hashtbl.find t.tx_table ref_msg with
+    (match Itbl.find t.tx_table ref_msg with
     | exception Not_found -> ()
     | msg -> (
       match msg.states.(ref_pkt) with
@@ -899,7 +905,7 @@ let flush_acks t ~dst acc =
 let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
   if t.ack_every <= 1 || nack || urgent then begin
     (* Flush anything pending first so ordering stays sane. *)
-    (match Hashtbl.find t.ack_acc dst with
+    (match Itbl.find t.ack_acc dst with
     | acc -> flush_acks t ~dst acc
     | exception Not_found -> ());
     let one = [ this ] in
@@ -910,7 +916,7 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
   end
   else begin
     let acc =
-      match Hashtbl.find t.ack_acc dst with
+      match Itbl.find t.ack_acc dst with
       | acc -> acc
       | exception Not_found ->
         let acc =
@@ -918,14 +924,15 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
             acc_tm = Engine.Sim.timer t.ep_sim ignore }
         in
         acc.acc_tm <- Engine.Sim.timer t.ep_sim (fun () -> flush_acks t ~dst acc);
-        Hashtbl.add t.ack_acc dst acc;
+        Itbl.add t.ack_acc dst acc;
         acc
     in
     acc.acc_template <- header;
     acc.acc_sacks <- this :: acc.acc_sacks;
     acc.acc_count <- acc.acc_count + 1;
-    if header.Wire.path_feedback <> [] then
-      acc.acc_fb <- header.Wire.path_feedback;
+    (match header.Wire.path_feedback with
+    | [] -> ()
+    | fb -> acc.acc_fb <- fb);
     if acc.acc_count >= t.ack_every then flush_acks t ~dst acc
     else if not (Engine.Sim.armed acc.acc_tm) then
       Engine.Sim.arm_after acc.acc_tm t.ack_delay
@@ -933,7 +940,7 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
 
 let deliver t rx =
   t.n_delivered <- t.n_delivered + 1;
-  match Hashtbl.find_opt t.bindings rx.rx_dst_port with
+  match Itbl.find_opt t.bindings rx.rx_dst_port with
   | None -> ()
   | Some callback ->
     callback
@@ -1006,12 +1013,12 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
 let rec any_ours tx_table = function
   | [] -> false
   | { Wire.ref_msg; _ } :: rest ->
-    Hashtbl.mem tx_table ref_msg || any_ours tx_table rest
+    Itbl.mem tx_table ref_msg || any_ours tx_table rest
 
 let concerns_us t (header : Wire.t) =
   if header.Wire.is_ack then
     any_ours t.tx_table header.Wire.sack || any_ours t.tx_table header.Wire.nack
-  else Hashtbl.mem t.bindings header.Wire.dst_port
+  else Itbl.mem t.bindings header.Wire.dst_port
 
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
@@ -1034,14 +1041,14 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
       path_table =
         (* simlint: allow H103 — once per endpoint, at attach *)
         Pathlet.create ?init_window ~mss:mtu_payload algo;
-      next_msg_id = 1; next_port = 30_000; tx_table = Hashtbl.create 64;
+      next_msg_id = 1; next_port = 30_000; tx_table = Itbl.create 64;
       active = [||]; n_active = 0; n_ready_lanes = 0; shut_epoch = -1;
       n_shut = 0; again = [||]; n_again = 0;
       nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
-      dests = Hashtbl.create 8; rx_table = Itbl.create 64;
+      dests = Itbl.create 8; rx_table = Itbl.create 64;
       recent_done = Itbl.create 4096; recent_queue = Queue.create ();
-      bindings = Hashtbl.create 8; ack_every; ack_delay;
-      ack_acc = Hashtbl.create 8; ticker_running = false; n_completed = 0;
+      bindings = Itbl.create 8; ack_every; ack_delay;
+      ack_acc = Itbl.create 8; ticker_running = false; n_completed = 0;
       n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
       n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
   in
@@ -1069,9 +1076,9 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
   Netsim.Host.register host ~name:"mtp" (claim t);
   t
 
-let bind t ~port callback = Hashtbl.replace t.bindings port callback
+let bind t ~port callback = Itbl.replace t.bindings port callback
 
-let unbind t ~port = Hashtbl.remove t.bindings port
+let unbind t ~port = Itbl.remove t.bindings port
 
 let fresh_port t =
   t.next_port <- t.next_port + 1;
@@ -1103,18 +1110,18 @@ let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
       tx_last_progress = now t;
       tx_on_complete = on_complete; tx_on_error = on_error }
   in
-  Hashtbl.add t.tx_table id msg;
+  Itbl.add t.tx_table id msg;
   insert_active t msg;
   note_next t msg;
   pump t;
   id
 
-let active_messages t = Hashtbl.length t.tx_table
+let active_messages t = Itbl.length t.tx_table
 
 let charged_flight t =
   let sums = Hashtbl.create 8 in
   (* simlint: allow D001 — sums are order-free; the result is sorted *)
-  Hashtbl.iter
+  Itbl.iter
     (fun _ msg ->
       Array.iteri
         (fun i st ->
@@ -1122,7 +1129,9 @@ let charged_flight t =
           | Inflight { charged; _ } ->
             List.iter
               (fun r ->
+                (* simlint: allow H104 — oracle-only: Check.Oracle's ledger *)
                 let sum = Option.value ~default:0 (Hashtbl.find_opt sums r) in
+                (* simlint: allow H104 — oracle-only: Check.Oracle's ledger *)
                 Hashtbl.replace sums r (sum + pkt_payload t msg i))
               charged
           | Unsent | Lost | Acked -> ())
@@ -1130,6 +1139,7 @@ let charged_flight t =
     t.tx_table;
   (* simlint: allow D001 — fold result is sorted just below *)
   Hashtbl.fold (fun r sum acc -> (r, sum) :: acc) sums []
+  (* simlint: allow H104 — oracle-only: sorts the ledger's pathlet sums *)
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
@@ -1137,15 +1147,15 @@ let charged_flight t =
 
 let check_pump t =
   let n = t.n_active in
-  if n <> Hashtbl.length t.tx_table then
+  if n <> Itbl.length t.tx_table then
     failwith
       (Printf.sprintf "pump: %d active messages but %d unacknowledged" n
-         (Hashtbl.length t.tx_table));
+         (Itbl.length t.tx_table));
   (* Ready and short messages per (dst, tc), and the lanes with any. *)
   let recount = Hashtbl.create 8 and ready_lanes = ref 0 in
   for i = 0 to n - 1 do
     let m = t.active.(i) in
-    (match Hashtbl.find_opt t.tx_table m.tx_id with
+    (match Itbl.find_opt t.tx_table m.tx_id with
     | Some m' when m' == m -> ()
     | Some _ | None ->
       failwith
@@ -1163,19 +1173,23 @@ let check_pump t =
               m.tx_pri prev.tx_id prev.tx_pri));
     let key = (m.tx_dst, m.tx_tc) in
     let ready, short =
+      (* simlint: allow H104 — self-check recount, oracle-only *)
       Option.value ~default:(0, 0) (Hashtbl.find_opt recount key)
     in
     let p = next_pkt m in
     if p >= 0 then begin
       if ready = 0 then incr ready_lanes;
       let short = if pkt_payload t m p < t.mtu then short + 1 else short in
+      (* simlint: allow H104 — self-check recount, oracle-only *)
       Hashtbl.replace recount key (ready + 1, short)
     end
+    (* simlint: allow H104 — self-check recount, oracle-only *)
     else Hashtbl.replace recount key (ready, short)
   done;
   for i = 0 to n - 1 do
     let m = t.active.(i) in
     let ln = m.tx_lane in
+    (* simlint: allow H104 — self-check recount, oracle-only *)
     let ready, short = Hashtbl.find recount (m.tx_dst, m.tx_tc) in
     if ln.ln_ready <> ready || ln.ln_short <> short then
       failwith

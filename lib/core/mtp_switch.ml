@@ -20,18 +20,18 @@ let rcp_controller sim link ~capacity =
       let cap_bytes = Engine.Time.bytes_in ~rate:capacity interval in
       let spare =
         float_of_int (cap_bytes - state.arrived_bytes)
-        /. float_of_int (max 1 cap_bytes)
+        /. float_of_int (Int.max 1 cap_bytes)
       in
       let queue_frac =
         float_of_int ((Netsim.Link.qdisc link).Netsim.Qdisc.byte_length ())
-        /. float_of_int (max 1 cap_bytes)
+        /. float_of_int (Int.max 1 cap_bytes)
       in
       let factor = 1.0 +. (0.4 *. (spare -. (0.5 *. queue_frac))) in
       let next =
         float_of_int state.grant_mbps *. Float.max 0.5 (Float.min 2.0 factor)
       in
       let cap_mbps = capacity / 1_000_000 in
-      state.grant_mbps <- max 10 (min cap_mbps (int_of_float next));
+      state.grant_mbps <- Int.max 10 (Int.min cap_mbps (int_of_float next));
       state.arrived_bytes <- 0;
       true);
   state
@@ -101,7 +101,7 @@ let stamp sim link ~path_id ~mode =
       | Ecn_mark threshold -> mark header cls (depth >= threshold)
       | Ce_echo -> mark header cls (Netsim.Packet.ecn_ce pkt)
       | Queue_depth ->
-        Wire.add_feedback header cls.path (Feedback.Queue (max 0 depth))
+        Wire.add_feedback header cls.path (Feedback.Queue (Int.max 0 depth))
       | Delay_report ->
         let queued = inner.Netsim.Qdisc.byte_length () in
         Wire.add_feedback header cls.path
@@ -147,7 +147,7 @@ let exclusion_aware ~port_paths routes pkt =
   if n = 0 then Netsim.Switch.Drop
   else
     match pkt.Netsim.Packet.payload with
-    | Wire.Mtp header when header.Wire.path_exclude <> [] ->
+    | Wire.Mtp header when header.Wire.path_exclude != [] ->
       let allowed =
         Array.to_list ports
         |> List.filter (fun p -> not (excluded_in header port_paths p))
@@ -160,12 +160,14 @@ let exclusion_aware ~port_paths routes pkt =
           (List.nth choices (pkt.Netsim.Packet.flow_hash mod k)))
     | _ -> Netsim.Switch.Forward ports.(pkt.Netsim.Packet.flow_hash mod n)
 
+module Itbl = Hashtbl.Make (Int)
+
 type msg_lb = {
   lb_sw : Netsim.Switch.t;
   lb_ports : int array;
   committed : int array;
   assignments : int array;
-  table : (int * int, int) Hashtbl.t; (* (src, msg_id) -> port index *)
+  table : int Itbl.t; (* (src, msg_id) -> port index *)
 }
 
 (* A port's load is what is still committed to it (announced message
@@ -183,15 +185,16 @@ let msg_lb sw ~dst ~ports ~fallback =
     { lb_sw = sw; lb_ports = ports;
       committed = Array.make (Array.length ports) 0;
       assignments = Array.make (Array.length ports) 0;
-      table = Hashtbl.create 256 }
+      table = Itbl.create 256 }
   in
   Netsim.Switch.set_forward sw (fun pkt ->
       match pkt.Netsim.Packet.payload with
       | Wire.Mtp header
         when (not header.Wire.is_ack) && pkt.Netsim.Packet.dst = dst ->
-        let key = (pkt.Netsim.Packet.src, header.Wire.msg_id) in
+        (* Msg ids are wire u32s, so the source sits above them. *)
+        let key = (pkt.Netsim.Packet.src lsl 32) lor header.Wire.msg_id in
         let idx =
-          match Hashtbl.find_opt lb.table key with
+          match Itbl.find_opt lb.table key with
           | Some idx -> idx
           | None ->
             (* First packet of the message: its header announces the
@@ -201,18 +204,18 @@ let msg_lb sw ~dst ~ports ~fallback =
             Array.iteri
               (fun i _ -> if port_load lb i < port_load lb !best then best := i)
               lb.lb_ports;
-            Hashtbl.replace lb.table key !best;
+            Itbl.replace lb.table key !best;
             lb.committed.(!best) <-
               lb.committed.(!best) + header.Wire.msg_len;
             lb.assignments.(!best) <- lb.assignments.(!best) + 1;
             !best
         in
         lb.committed.(idx) <-
-          max 0 (lb.committed.(idx) - header.Wire.pkt_len);
+          Int.max 0 (lb.committed.(idx) - header.Wire.pkt_len);
         if
           header.Wire.pkt_num = header.Wire.msg_pkts - 1
           (* Last packet seen: forget the message. *)
-        then Hashtbl.remove lb.table key;
+        then Itbl.remove lb.table key;
         Netsim.Switch.Forward lb.lb_ports.(idx)
       | _ -> fallback pkt);
   lb

@@ -98,7 +98,7 @@ let rec discharge t refs bytes =
   | [] -> ()
   | r :: rest ->
     let e = entry t r in
-    e.flight <- max 0 (e.flight - bytes);
+    e.flight <- Int.max 0 (e.flight - bytes);
     discharge t rest bytes
 
 (* ------------------------- suspect tracking ------------------------ *)
@@ -235,7 +235,7 @@ let rec all_suspect_from t = function
   | [] -> true
   | r :: rest -> suspect t r && all_suspect_from t rest
 
-let all_suspect t refs = refs <> [] && all_suspect_from t refs
+let all_suspect t refs = refs != [] && all_suspect_from t refs
 
 let skip_suspects t refs = t.n_suspect > 0 && not (all_suspect t refs)
 
@@ -246,13 +246,13 @@ let headroom t refs =
     if skip_suspects t refs then List.filter (fun r -> not (suspect t r)) refs
     else refs
   in
-  List.fold_left (fun acc r -> min acc (slack t (entry t r))) max_int live
+  List.fold_left (fun acc r -> Int.min acc (slack t (entry t r))) max_int live
 
 let rec sum_slack t skip acc = function
   | [] -> acc
   | r :: rest ->
     let e = entry t r in
-    let acc = if skip && e.suspect then acc else acc + max 0 (slack t e) in
+    let acc = if skip && e.suspect then acc else acc + Int.max 0 (slack t e) in
     sum_slack t skip acc rest
 
 let headroom_sum t refs = sum_slack t (skip_suspects t refs) 0 refs

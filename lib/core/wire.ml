@@ -210,4 +210,5 @@ let packet sim ~src ~dst ~entity t =
     ~src ~dst
     ~size:(encoded_size t + t.pkt_len)
 
+(* simlint: allow H104 — codec round-trip check, never per packet *)
 let equal a b = a = b

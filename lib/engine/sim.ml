@@ -32,7 +32,7 @@ type handle = int
 
 type t = {
   mutable clock : Time.t;
-  heap : int Eventqueue.t;
+  heap : Eventqueue.t;
   mutable next_seq : int;
   mutable executed : int;
   root_rng : Rng.t;
@@ -53,7 +53,7 @@ let create ?(seed = 42) () =
   let cap = 64 in
   { clock = Time.zero;
     (* simlint: allow H103 — once per simulator *)
-    heap = Eventqueue.create ~capacity:cap ~dummy:(-1) ();
+    heap = Eventqueue.create ~capacity:cap ();
     next_seq = 0;
     executed = 0;
     root_rng = Rng.create seed;

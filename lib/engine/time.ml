@@ -20,7 +20,7 @@ let tx_time ~bytes ~rate =
   else begin
     assert (rate > 0);
     let t = float_of_int bytes *. 8e9 /. float_of_int rate in
-    max 1 (int_of_float (Float.round t))
+    Int.max 1 (int_of_float (Float.round t))
   end
 
 let bytes_in ~rate dt =

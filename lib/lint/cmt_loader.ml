@@ -18,7 +18,12 @@
    sources and carry no code of their own; filtering on a real ".ml"
    suffix drops them.  A cmt that fails to read (version skew, partial
    build) is an error: the typed tier must not silently analyze less
-   than the build. *)
+   than the build.
+
+   A cmt stores each typedtree node's environment as a summary only.
+   [expand_env] rebuilds the full one (Envaux) from the cmis on the
+   analyzed units' own load paths, which dune records relative to
+   [_build/default]. *)
 
 let rec walk dir acc =
   match Sys.readdir dir with
@@ -66,6 +71,16 @@ let read path =
     Error
       (Printf.sprintf "%s: unreadable cmt (%s)" path (Printexc.to_string exn))
 
+let env_expander ~build loadpath =
+  let dirs =
+    List.map
+      (fun d -> if Filename.is_relative d then Filename.concat build d else d)
+      loadpath
+  in
+  Load_path.init ~auto_include:Load_path.no_auto_include dirs;
+  Envaux.reset_cache ();
+  fun env -> try Envaux.env_of_only_summary env with Envaux.Error _ -> env
+
 let load ~root ~dirs =
   let build = Filename.concat root (Filename.concat "_build" "default") in
   if not (Sys.file_exists build) then
@@ -83,6 +98,7 @@ let load ~root ~dirs =
     let seen_sources = Hashtbl.create 64 in
     let world = ref [] and impls = ref [] and intfs = ref [] in
     let errors = ref [] in
+    let loadpath = ref [] in
     List.iter
       (fun path ->
         match read path with
@@ -97,6 +113,10 @@ let load ~root ~dirs =
             world := (src, unit_path, str) :: !world;
             if Config.in_dirs src dirs then begin
               impls := (src, unit_path, str) :: !impls;
+              List.iter
+                (fun d ->
+                  if not (List.mem d !loadpath) then loadpath := d :: !loadpath)
+                cmt.Cmt_format.cmt_loadpath;
               (* The interface's cmti sits beside the cmt. *)
               let cmti = Filename.chop_suffix path ".cmt" ^ ".cmti" in
               if Sys.file_exists cmti then
@@ -129,5 +149,6 @@ let load ~root ~dirs =
         Ok
           { Typed.impls = by_file !impls;
             intfs = by_file !intfs;
-            world = by_file !world }
+            world = by_file !world;
+            expand_env = env_expander ~build (List.rev !loadpath) }
   end

@@ -9,7 +9,6 @@ type spawn = { s_path : string list; s_main_labels : string list }
 
 type t = {
   hot_modules : string list;
-  hot_exempt_dirs : string list;
   d001_dirs : string list;
   t201_dirs : string list;
   t201_exempt_dirs : string list;
@@ -29,18 +28,15 @@ type t = {
    delivery), the MTP ack path (endpoint, its pathlet table and
    controllers, and the stamping qdisc hook), guarded by the bench's
    mtp section, and the partition exchange (conduit rings and inbox
-   timers), guarded by bench/parallel.exe's words per event.  Matching
+   timers), guarded by bench/parallel.exe's words per event; and time,
+   whose [tx_time] runs once per packet per link.  Matching
    is by module basename so a future move (say lib/netsim/link.ml ->
    lib/datapath/link.ml) keeps the rule. *)
 let default =
   { hot_modules =
-      [ "eventqueue"; "sim"; "link"; "qdisc"; "switch"; "wire"; "pktring";
-        "packet"; "node"; "routing"; "cc"; "pathlet";
+      [ "eventqueue"; "sim"; "time"; "link"; "qdisc"; "switch"; "wire";
+        "pktring"; "packet"; "node"; "routing"; "cc"; "pathlet";
         "mtp_switch"; "endpoint"; "partition"; "host" ];
-    (* bench/ holds measurement drivers; their report printing is not
-       datapath code, even where a file shares a hot module's
-       basename. *)
-    hot_exempt_dirs = [ "bench" ];
     d001_dirs = [ "lib"; "bin" ];
     t201_dirs = [ "lib"; "bin" ];
     t201_exempt_dirs = [ "lib/telemetry" ];
@@ -90,9 +86,7 @@ let in_dir file dir =
 
 let in_dirs file dirs = List.exists (in_dir file) dirs
 
-let is_hot t file =
-  List.mem (basename_no_ext file) t.hot_modules
-  && not (in_dirs file t.hot_exempt_dirs)
+let is_hot t file = List.mem (basename_no_ext file) t.hot_modules
 let is_rng t file = List.mem (basename_no_ext file) t.rng_modules
 let d001_applies t file = in_dirs file t.d001_dirs
 
@@ -161,6 +155,14 @@ let rules =
         "[typed] hot-module call passing an optional argument with ~x: \
          (the typer boxes the value in Some on every call); ?x: \
          pass-through is fine" };
+    { id = "H104";
+      typed = true;
+      summary =
+        "[typed] polymorphic compare or hash in a hot module: Stdlib.min/max, \
+         compare/=/<>/</>/<=/>= at a type the compiler does not specialise \
+         (not int, char, immediate, float, string, bytes, int32, int64 or \
+         nativeint, and no constant constructor under =/<>), generic \
+         Hashtbl find/find_opt/mem/add/replace/remove, List.mem/assoc" };
     { id = "U101";
       typed = true;
       summary =

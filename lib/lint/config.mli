@@ -14,9 +14,6 @@ type spawn = {
 
 type t = {
   hot_modules : string list;  (** basenames (no extension) under H101 *)
-  hot_exempt_dirs : string list;
-      (** directories whose files are never hot (bench drivers that
-          share a basename with the module they measure) *)
   d001_dirs : string list;    (** behavior-affecting scope of D001 *)
   t201_dirs : string list;
   t201_exempt_dirs : string list;
@@ -37,8 +34,9 @@ type t = {
 }
 
 val default : t
-(** The repo policy: hot set [eventqueue sim link qdisc switch wire
-    pktring packet node datapath] (with [bench] exempt), D001/T201
+(** The repo policy: hot set [eventqueue sim time link qdisc switch
+    wire pktring packet node routing cc pathlet mtp_switch endpoint
+    partition host], D001/T201
     over [lib] and [bin], [lib/telemetry] exempt from T201, [rng] may
     use [Random], [.mli] required under [lib]; typed tier rooted at
     [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] / [Exp_common]

@@ -163,7 +163,7 @@ let usage =
    one {\"rule\",\"file\",\"line\",\"msg\"} object per line).  --typed \
    additionally\n\
    loads the .cmt files under ROOT/_build/default (run `dune build` first)\n\
-   and runs the typed rules P101/P102/H102/H103/U101/U102.  RULES are\n\
+   and runs the typed rules P101/P102/H102/H103/H104/U101/U102.  RULES are\n\
    comma-separated rule ids.  Exits 0 when clean, 1 on findings or stale\n\
    allowlist entries, 2 on usage or parse errors.  Suppress a single site\n\
    with (* simlint: allow RULE — reason *) on the offending or the\n\

@@ -1,4 +1,4 @@
-(** The typed tier: P101/P102/H102/H103/U101/U102 over a typed
+(** The typed tier: P101/P102/H102/H103/H104/U101/U102 over a typed
     program. *)
 
 type program = {
@@ -10,6 +10,10 @@ type program = {
   world : (string * string list * Typedtree.structure) list;
       (** every implementation in the build, scanned or not: the
           references U101/U102 count *)
+  expand_env : Env.t -> Env.t;
+      (** the environment a typedtree node was typed in, complete
+          enough to expand type abbreviations (H104); a .cmt keeps
+          only its summary *)
 }
 
 val check :

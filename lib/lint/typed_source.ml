@@ -52,7 +52,11 @@ let type_units units =
   let rec go env impls intfs = function
     | [] ->
       let impls = List.rev impls in
-      Ok { Typed.impls; intfs = List.rev intfs; world = impls }
+      Ok
+        { Typed.impls;
+          intfs = List.rev intfs;
+          world = impls;
+          expand_env = Fun.id }
     | u :: rest -> (
       let comps = String.split_on_char '.' u.u_name in
       match

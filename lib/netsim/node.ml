@@ -1,15 +1,17 @@
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   sim : Engine.Sim.t;
   node_name : string;
   node_addr : Packet.addr;
   mutable link : Link.t option;
-  routes : (Packet.addr, Link.t) Hashtbl.t;
+  routes : Link.t Itbl.t;
   mutable handle_packet : (Packet.t -> unit) option;
 }
 
 let create sim ~name ~addr =
   { sim; node_name = name; node_addr = addr; link = None;
-    routes = Hashtbl.create 4; handle_packet = None }
+    routes = Itbl.create 4; handle_packet = None }
 
 let addr t = t.node_addr
 let name t = t.node_name
@@ -17,7 +19,7 @@ let sim t = t.sim
 
 let attach t link = t.link <- Some link
 
-let add_route t dst link = Hashtbl.replace t.routes dst link
+let add_route t dst link = Itbl.replace t.routes dst link
 
 let uplink t =
   match t.link with
@@ -25,7 +27,7 @@ let uplink t =
   | None -> failwith ("Node " ^ t.node_name ^ ": not attached")
 
 let link_for t dst =
-  match Hashtbl.find_opt t.routes dst with
+  match Itbl.find_opt t.routes dst with
   | Some l -> l
   | None -> uplink t
 

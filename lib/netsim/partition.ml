@@ -178,7 +178,8 @@ let topology t = t.p_topo
 let lookahead t =
   match t.p_conduits.rev with
   | [] -> invalid_arg "Partition.lookahead: world has no conduit"
-  | c :: rest -> List.fold_left (fun acc c -> min acc c.c_delay) c.c_delay rest
+  | c :: rest ->
+    List.fold_left (fun acc c -> Int.min acc c.c_delay) c.c_delay rest
 
 (* Move one conduit's outbox into its inbox, reserving a destination
    seq per flit, and arm the inbox timer if it was idle. *)

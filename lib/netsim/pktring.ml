@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ?(capacity = 16) () =
-  { buf = Array.make (max 1 capacity) Packet.none; head = 0; len = 0 }
+  { buf = Array.make (Int.max 1 capacity) Packet.none; head = 0; len = 0 }
 
 let length t = t.len
 

@@ -12,6 +12,8 @@ type t = {
   max_bytes_seen : unit -> int;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 (* A byte-counting FIFO used as the building block of every policy.
    Backed by a packet ring so enqueue/dequeue allocate nothing (the
    [Queue.t] it replaces allocated a cell per push). *)
@@ -147,7 +149,7 @@ let trimming ~cap_pkts ~header_size () =
     end
     else if F.len headers < header_cap then begin
       Packet.set_trimmed p;
-      p.Packet.size <- min p.Packet.size header_size;
+      p.Packet.size <- Int.min p.Packet.size header_size;
       incr trims;
       F.push headers p;
       true
@@ -182,7 +184,7 @@ let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
   let marks = ref 0 in
   let current = ref 0 in
   let enqueue p =
-    let c = max 0 (min (n - 1) (classify p)) in
+    let c = Int.max 0 (Int.min (n - 1) (classify p)) in
     let f = queues.(c) in
     (match mark_threshold with
     | Some k when F.len f >= k && not (Packet.ecn_ce p) ->
@@ -206,7 +208,7 @@ let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
     if total = 0 then None
     else begin
       let result = ref None in
-      while !result = None do
+      while match !result with None -> true | Some _ -> false do
         let c = !current in
         let f = queues.(c) in
         if F.len f = 0 then begin
@@ -248,21 +250,21 @@ let fair_mark ~classify ?shares ~cap_pkts ~mark_threshold () =
      robust against window bursts, unlike instantaneous occupancy. *)
   let history = 512 in
   let ring = Array.make history (-1) in
-  let ring_counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let ring_counts = Itbl.create 8 in
   let ring_pos = ref 0 in
   let ring_filled = ref 0 in
   let count c =
-    match Hashtbl.find_opt ring_counts c with Some n -> n | None -> 0
+    match Itbl.find_opt ring_counts c with Some n -> n | None -> 0
   in
   let note_arrival c =
     let old = ring.(!ring_pos) in
     if old >= 0 then begin
       let n = count old - 1 in
-      if n <= 0 then Hashtbl.remove ring_counts old
-      else Hashtbl.replace ring_counts old n
+      if n <= 0 then Itbl.remove ring_counts old
+      else Itbl.replace ring_counts old n
     end;
     ring.(!ring_pos) <- c;
-    Hashtbl.replace ring_counts c (count c + 1);
+    Itbl.replace ring_counts c (count c + 1);
     ring_pos := (!ring_pos + 1) mod history;
     if !ring_filled < history then incr ring_filled
   in
@@ -270,7 +272,7 @@ let fair_mark ~classify ?shares ~cap_pkts ~mark_threshold () =
     match shares with
     | Some arr when c >= 0 && c < Array.length arr -> arr.(c)
     | Some _ | None ->
-      let active = max 1 (Hashtbl.length ring_counts) in
+      let active = Int.max 1 (Itbl.length ring_counts) in
       1.0 /. float_of_int active
   in
   let enqueue p =
@@ -280,7 +282,7 @@ let fair_mark ~classify ?shares ~cap_pkts ~mark_threshold () =
     if depth >= mark_threshold && not (Packet.ecn_ce p) then begin
       let mine = float_of_int (count c) in
       let allowed =
-        share_of c *. float_of_int (max 1 !ring_filled) *. 1.1
+        share_of c *. float_of_int (Int.max 1 !ring_filled) *. 1.1
       in
       if mine > allowed then begin
         Packet.set_ecn_ce p;

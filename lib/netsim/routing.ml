@@ -58,7 +58,7 @@ let create ?(salt = 0) () =
 (* ------------------------- growth helpers ------------------------- *)
 
 let grow_to cap n =
-  let c = ref (max 16 cap) in
+  let c = ref (Int.max 16 cap) in
   while !c < n do
     c := !c * 2
   done;

@@ -29,10 +29,10 @@ let rto t =
     if t.srtt < 0.0 then init_rto
     else int_of_float (t.srtt +. (4.0 *. t.rttvar))
   in
-  min t.max_rto (max t.min_rto base * t.backoff_factor)
+  Int.min t.max_rto (Int.max t.min_rto base * t.backoff_factor)
 
 let srtt t = if t.srtt < 0.0 then init_rto else int_of_float t.srtt
 
-let backoff t = t.backoff_factor <- min 64 (t.backoff_factor * 2)
+let backoff t = t.backoff_factor <- Int.min 64 (t.backoff_factor * 2)
 
 let reset_backoff t = t.backoff_factor <- 1

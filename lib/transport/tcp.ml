@@ -5,6 +5,27 @@ let dctcp_g = 0.0625
 
 type state = Syn_sent | Established | Closed
 
+(* Connections are keyed by (local port, peer, remote port).  A lookup
+   fills the stack's one scratch key instead of building a tuple per
+   packet; the table keeps a key of its own for each connection. *)
+type key = {
+  mutable k_port : int;
+  mutable k_peer : Netsim.Packet.addr;
+  mutable k_rport : int;
+}
+
+module Conns = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.k_port = b.k_port && a.k_peer = b.k_peer && a.k_rport = b.k_rport
+
+  let hash k =
+    Int.hash ((((k.k_port lsl 20) lxor k.k_peer) lsl 20) lxor k.k_rport)
+end)
+
+module Itbl = Hashtbl.Make (Int)
+
 type conn = {
   stack : t;
   peer : Netsim.Packet.addr;
@@ -70,8 +91,9 @@ and t = {
   t_min_rto : Engine.Time.t;
   t_max_retries : int;
   t_entity : int;
-  conns : (int * int * int, conn) Hashtbl.t; (* local_port, peer, rport *)
-  listeners : (int, int * (conn -> unit)) Hashtbl.t; (* rcv_buf, accept *)
+  conns : conn Conns.t;
+  scratch : key;
+  listeners : (int * (conn -> unit)) Itbl.t; (* rcv_buf, accept *)
   mutable next_port : int;
   (* Stack-wide messaging counters (Transport_intf.stats). *)
   mutable t_tx_msgs : int;
@@ -81,6 +103,23 @@ and t = {
 }
 
 let node t = t.t_node
+
+let scratch_key t ~local_port ~peer ~remote_port =
+  let k = t.scratch in
+  k.k_port <- local_port;
+  k.k_peer <- peer;
+  k.k_rport <- remote_port;
+  k
+
+(* The connection an arriving segment belongs to, seen from this end. *)
+let segment_key t (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
+  scratch_key t ~local_port:seg.dst_port ~peer:pkt.Netsim.Packet.src
+    ~remote_port:seg.src_port
+
+let add_conn t conn =
+  Conns.add t.conns
+    { k_port = conn.local_port; k_peer = conn.peer; k_rport = conn.remote_port }
+    conn
 
 let infinite = max_int / 4
 
@@ -120,7 +159,7 @@ let probe_event conn ~kind ~size ~a ~b =
 let emit conn ?(syn = false) ?(fin = false) ?(is_ack = false) ?(ece = false)
     ?(probe = false) ~seq ~payload () =
   let stack = conn.stack in
-  let rwnd = max 0 (conn.c_rcv_buf - conn.buffered) in
+  let rwnd = Int.max 0 (conn.c_rcv_buf - conn.buffered) in
   let seg =
     { Tcp_wire.src_port = conn.local_port; dst_port = conn.remote_port;
       seq; ack = conn.rcv_nxt; payload; syn; fin; is_ack; ece; probe; rwnd }
@@ -194,8 +233,9 @@ and abort_conn conn =
     Engine.Sim.disarm conn.rto_tm;
     conn.rto_set <- false;
     Engine.Sim.disarm conn.persist_tm;
-    Hashtbl.remove conn.stack.conns
-      (conn.local_port, conn.peer, conn.remote_port);
+    Conns.remove conn.stack.conns
+      (scratch_key conn.stack ~local_port:conn.local_port ~peer:conn.peer
+         ~remote_port:conn.remote_port);
     match conn.on_error with Some f -> f conn | None -> ()
   end
 
@@ -211,7 +251,7 @@ and retransmit_head conn =
     emit conn ~fin:true ~is_ack:true ~seq:conn.fin_seq ~payload:0 ()
   else begin
     let data_end = if conn.fin_seq >= 0 then conn.fin_seq else conn.snd_nxt in
-    let payload = min mss_bytes (data_end - conn.snd_una) in
+    let payload = Int.min mss_bytes (data_end - conn.snd_una) in
     if payload > 0 then
       emit conn ~is_ack:true ~seq:conn.snd_una ~payload ()
   end
@@ -227,12 +267,14 @@ let rec try_send conn =
     while !continue do
       let flight = conn.snd_nxt - conn.snd_una in
       let wnd =
-        min
-          (min (int_of_float conn.cwnd) conn.peer_rwnd)
+        Int.min
+          (Int.min (int_of_float conn.cwnd) conn.peer_rwnd)
           conn.stack.t_snd_buf
       in
       let allowed = wnd - flight in
-      let payload = min mss (min conn.app_buffer (max 0 allowed)) in
+      let payload =
+        Int.min mss (Int.min conn.app_buffer (Int.max 0 allowed))
+      in
       if payload > 0 then begin
         note_unstalled conn;
         if conn.timed_seq < 0 then begin
@@ -280,7 +322,7 @@ and note_unstalled conn =
     conn.stall_since <- None
 
 and arm_persist conn =
-  let interval = max (Engine.Time.us 100) (Rtx.rto conn.rtx) in
+  let interval = Int.max (Engine.Time.us 100) (Rtx.rto conn.rtx) in
   Engine.Sim.arm_after conn.persist_tm interval
 
 (* The timer auto-disarms before this runs. *)
@@ -350,7 +392,7 @@ let dctcp_account conn ~acked ~ece =
           Float.max (mssf) (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)));
       conn.acked_win <- 0;
       conn.marked_win <- 0;
-      conn.ce_window_end <- max conn.snd_nxt (conn.snd_una + 1)
+      conn.ce_window_end <- Int.max conn.snd_nxt (conn.snd_una + 1)
     end
 
 (* ------------------------------------------------------------------ *)
@@ -363,8 +405,9 @@ let finish_close conn =
     note_unstalled conn;
     Engine.Sim.disarm conn.rto_tm;
     Engine.Sim.disarm conn.persist_tm;
-    Hashtbl.remove conn.stack.conns
-      (conn.local_port, conn.peer, conn.remote_port);
+    Conns.remove conn.stack.conns
+      (scratch_key conn.stack ~local_port:conn.local_port ~peer:conn.peer
+         ~remote_port:conn.remote_port);
     match conn.on_close with Some f -> f conn | None -> ()
   end
 
@@ -424,7 +467,7 @@ let process_ack conn (seg : Tcp_wire.t) =
 (* Receive path                                                         *)
 
 let read conn n =
-  let n = min n conn.buffered in
+  let n = Int.min n conn.buffered in
   if n > 0 then begin
     let avail_before = conn.c_rcv_buf - conn.buffered in
     conn.buffered <- conn.buffered - n;
@@ -472,7 +515,7 @@ let rec insert_interval lo hi = function
   | (l, h) :: rest ->
     if hi < l then (lo, hi) :: (l, h) :: rest
     else if h < lo then (l, h) :: insert_interval lo hi rest
-    else insert_interval (min lo l) (max hi h) rest
+    else insert_interval (Int.min lo l) (Int.max hi h) rest
 
 let process_data conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   if seg.fin then
@@ -481,7 +524,7 @@ let process_data conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   let avail = conn.c_rcv_buf - conn.buffered in
   if len > 0 then begin
     if seq = conn.rcv_nxt then begin
-      let accept = min len avail in
+      let accept = Int.min len avail in
       conn.rcv_nxt <- conn.rcv_nxt + accept;
       deliver conn accept;
       (* Pull any now-contiguous out-of-order data. *)
@@ -537,12 +580,11 @@ let make_conn stack ~peer ~local_port ~remote_port ~rcv_buf ~state =
   conn
 
 let handle_syn stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  match Hashtbl.find_opt stack.listeners seg.dst_port with
+  match Itbl.find_opt stack.listeners seg.dst_port with
   | None -> ()
   | Some (rcv_buf, accept) ->
-    let key = (seg.dst_port, pkt.Netsim.Packet.src, seg.src_port) in
     let conn =
-      match Hashtbl.find_opt stack.conns key with
+      match Conns.find_opt stack.conns (segment_key stack seg pkt) with
       | Some existing -> existing (* duplicate SYN: re-answer *)
       | None ->
         let conn =
@@ -551,7 +593,7 @@ let handle_syn stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
             ~state:Established
         in
         conn.rcv_nxt <- seg.seq + 1;
-        Hashtbl.add stack.conns key conn;
+        add_conn stack conn;
         accept conn;
         conn
     in
@@ -562,8 +604,7 @@ let handle_syn stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
 let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   if seg.syn && not seg.is_ack then handle_syn stack seg pkt
   else
-    let key = (seg.dst_port, pkt.Netsim.Packet.src, seg.src_port) in
-    match Hashtbl.find_opt stack.conns key with
+    match Conns.find_opt stack.conns (segment_key stack seg pkt) with
     | None -> ()
     | Some conn ->
       if seg.syn && seg.is_ack && conn.state = Syn_sent then begin
@@ -589,10 +630,8 @@ let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
       end
 
 let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  if seg.syn && not seg.is_ack then Hashtbl.mem stack.listeners seg.dst_port
-  else
-    Hashtbl.mem stack.conns
-      (seg.dst_port, pkt.Netsim.Packet.src, seg.src_port)
+  if seg.syn && not seg.is_ack then Itbl.mem stack.listeners seg.dst_port
+  else Conns.mem stack.conns (segment_key stack seg pkt)
 
 let claim stack pkt =
   match pkt.Netsim.Packet.payload with
@@ -608,8 +647,9 @@ let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
     { t_node = node; t_sim = Netsim.Node.sim node; t_cc = cc;
       t_snd_buf = (match snd_buf with Some b -> b | None -> infinite);
       t_min_rto = min_rto; t_max_retries = max_retries; t_entity = entity;
-      conns = Hashtbl.create 32;
-      listeners = Hashtbl.create 4; next_port = 10_000;
+      conns = Conns.create 32;
+      scratch = { k_port = 0; k_peer = 0; k_rport = 0 };
+      listeners = Itbl.create 4; next_port = 10_000;
       t_tx_msgs = 0; t_rx_msgs = 0; t_rx_bytes = 0; t_retx = 0 }
   in
   if Telemetry.Ctx.on () then begin
@@ -626,7 +666,7 @@ let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
 
 let listen stack ~port ?rcv_buf accept =
   let rcv_buf = match rcv_buf with Some b -> b | None -> infinite in
-  Hashtbl.replace stack.listeners port (rcv_buf, accept)
+  Itbl.replace stack.listeners port (rcv_buf, accept)
 
 let connect stack ~dst ~dst_port ?src_port () =
   let local_port =
@@ -640,7 +680,7 @@ let connect stack ~dst ~dst_port ?src_port () =
     make_conn stack ~peer:dst ~local_port ~remote_port:dst_port
       ~rcv_buf:infinite ~state:Syn_sent
   in
-  Hashtbl.add stack.conns (local_port, dst, dst_port) conn;
+  add_conn stack conn;
   emit conn ~syn:true ~seq:0 ~payload:0 ();
   conn.snd_nxt <- 1;
   arm_rto conn;

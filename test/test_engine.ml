@@ -122,17 +122,17 @@ let pop q =
     Some (time, seq, Eventqueue.pop_min q)
 
 let test_heap_ordering () =
-  let q = Eventqueue.create ~dummy:"?" () in
-  Eventqueue.add q ~time:5 ~seq:0 "c";
-  Eventqueue.add q ~time:1 ~seq:1 "a";
-  Eventqueue.add q ~time:3 ~seq:2 "b";
+  let q = Eventqueue.create () in
+  Eventqueue.add q ~time:5 ~seq:0 30;
+  Eventqueue.add q ~time:1 ~seq:1 10;
+  Eventqueue.add q ~time:3 ~seq:2 20;
   let order = List.init 3 (fun _ ->
-      match pop q with Some (_, _, v) -> v | None -> "?")
+      match pop q with Some (_, _, v) -> v | None -> -1)
   in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order
+  Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] order
 
 let test_heap_fifo_ties () =
-  let q = Eventqueue.create ~dummy:(-1) () in
+  let q = Eventqueue.create () in
   for i = 0 to 9 do
     Eventqueue.add q ~time:7 ~seq:i i
   done;
@@ -145,22 +145,22 @@ let test_heap_fifo_ties () =
 let test_heap_interleaved () =
   (* Property: popping after random pushes yields sorted (time, seq). *)
   let rng = Rng.create 23 in
-  let q = Eventqueue.create ~dummy:() () in
+  let q = Eventqueue.create () in
   let seq = ref 0 in
   let popped = ref [] in
   for _ = 1 to 2000 do
     if Rng.float rng < 0.6 then begin
-      Eventqueue.add q ~time:(Rng.int rng 100) ~seq:!seq ();
+      Eventqueue.add q ~time:(Rng.int rng 100) ~seq:!seq !seq;
       incr seq
     end
     else
       match pop q with
-      | Some (t, s, ()) -> popped := (t, s) :: !popped
+      | Some (t, s, _) -> popped := (t, s) :: !popped
       | None -> ()
   done;
   while not (Eventqueue.is_empty q) do
     match pop q with
-    | Some (t, s, ()) -> popped := (t, s) :: !popped
+    | Some (t, s, _) -> popped := (t, s) :: !popped
     | None -> ()
   done;
   let result = List.rev !popped in
@@ -182,7 +182,7 @@ let prop_heap_matches_model =
   QCheck.Test.make ~name:"eventqueue matches sorted-list model" ~count:200
     QCheck.(list_of_size Gen.(1 -- 200) (option (int_range 0 50)))
     (fun program ->
-      let q = Eventqueue.create ~dummy:(-1) () in
+      let q = Eventqueue.create () in
       let model = ref [] in
       let seq = ref 0 in
       let insert_model time s =
@@ -232,7 +232,7 @@ let prop_heap_pop_is_pending_min =
     ~count:300
     QCheck.(list_of_size Gen.(1 -- 300) (option (int_range 0 20)))
     (fun program ->
-      let q = Eventqueue.create ~dummy:(-1) () in
+      let q = Eventqueue.create () in
       let pending = ref [] in
       let seq = ref 0 in
       let key_min xs =

@@ -4,7 +4,7 @@
    against test/lint_fixtures/, with a config that scopes the rules to
    that directory and promotes fixture_h101 into the hot set.
 
-   The typed tier (P101/P102/H102/H103/U101/U102) is exercised through
+   The typed tier (P101/P102/H102/H103/H104/U101/U102) is exercised through
    [Lint.Typed_source]: fixture sources are typed in-process and fed
    to the same analysis the cmt path uses, including a mutation test
    that un-atomics the real Runner.Pool counter and checks P101
@@ -12,7 +12,6 @@
 
 let fixture_config =
   { Lint.Config.hot_modules = [ "fixture_h101" ];
-    hot_exempt_dirs = [];
     d001_dirs = [ "lint_fixtures" ];
     t201_dirs = [ "lint_fixtures" ];
     t201_exempt_dirs = [];
@@ -306,6 +305,38 @@ let test_h103_option_box () =
   Alcotest.check triple "cold modules are not scanned" []
     (analyze [ unit_ optional_calls ])
 
+let compares =
+  "let smaller (a : int) b = min a b\n\
+   let same (a : int option) b = a = b\n\
+   let lookup (t : (int, int) Hashtbl.t) k = Hashtbl.find_opt t k\n\
+   let seen (x : int) l = List.mem x l\n\
+   let fast (a : int) b = Int.min a b\n\
+   let eq (a : int) b = a = b\n\
+   type ns = int\n\
+   let before (a : ns) b = a < b\n\
+   let absent (a : int option) = a = None\n\
+   module Itbl = Hashtbl.Make (Int)\n\
+   let typed (t : int Itbl.t) k = Itbl.find_opt t k\n\
+   let setup (a : int) b =\n\
+  \  (* simlint: allow H104 — once, at setup *)\n\
+  \  max a b\n"
+
+let test_h104_polymorphic_compare () =
+  (* [min] at int, [=] at an option type, a generic [Hashtbl.find_opt]
+     and [List.mem] go through the runtime's polymorphic compare or
+     hash.  [Int.min], [=] at int or an abbreviation of it, [= None]
+     (the compiler's constant-constructor case) and a functor table do
+     not, and a pragma clears a setup-only site.  Only hot modules are
+     scanned. *)
+  Alcotest.check triple "polymorphic compare and hash fire H104"
+    [ ("lint_fixtures/typed/hot.ml", 1, "H104");
+      ("lint_fixtures/typed/hot.ml", 2, "H104");
+      ("lint_fixtures/typed/hot.ml", 3, "H104");
+      ("lint_fixtures/typed/hot.ml", 4, "H104") ]
+    (analyze [ unit_ ~name:"Hot" ~file:"lint_fixtures/typed/hot.ml" compares ]);
+  Alcotest.check triple "cold modules are not scanned" []
+    (analyze [ unit_ compares ])
+
 (* U101/U102: exports and optional parameters nothing uses.  Only
    units with an interface under [mli_dirs] export anything; every
    unit's references count, wherever it lives. *)
@@ -417,7 +448,7 @@ let replace_exactly ~what ~by src =
   done;
   if !hits = 0 then
     Alcotest.failf
-      "mutation anchor %S not found — runner source drifted, update the test"
+      "mutation anchor %S not found — the source drifted, update the test"
       what;
   Buffer.contents buf
 
@@ -447,6 +478,25 @@ let test_pool_mutation_caught () =
     Alcotest.failf "planted un-atomic pool counter escaped P101 (got: %s)"
       (String.concat "; "
          (List.map (fun (f, l, r) -> Printf.sprintf "%s:%d %s" f l r) got))
+
+let eventqueue_src () = read_file "../lib/engine/eventqueue.ml"
+
+let test_eventqueue_min_caught () =
+  (* The heap's sift compares ints only; a [Stdlib.min] put back into
+     [pop_min] is a polymorphic compare per sift level. *)
+  let analyze_heap src =
+    analyze ~config:Lint.Config.default
+      [ unit_ ~name:"Engine.Eventqueue" ~file:"lib/engine/eventqueue.ml" src ]
+  in
+  let src = eventqueue_src () in
+  Alcotest.check triple "committed Engine.Eventqueue has no typed findings" []
+    (analyze_heap src);
+  let mutated =
+    replace_exactly ~what:"Int.min (base + 3)" ~by:"min (base + 3)" src
+  in
+  let got = analyze_heap mutated in
+  if not (List.exists (fun (_, _, r) -> r = "H104") got) then
+    Alcotest.fail "Stdlib.min in Eventqueue.pop_min escaped H104"
 
 let test_epoch_clean_and_pragma_load_bearing () =
   (* As committed, Epoch's control block is an audited (pragma'd)
@@ -487,6 +537,8 @@ let suite =
     Alcotest.test_case "P102 guarded clean" `Quick test_p102_guarded_clean;
     Alcotest.test_case "H102 two-hop helper" `Quick test_h102_two_hop_helper;
     Alcotest.test_case "H103 option box" `Quick test_h103_option_box;
+    Alcotest.test_case "H104 polymorphic compare" `Quick
+      test_h104_polymorphic_compare;
     Alcotest.test_case "U101 unreferenced export" `Quick test_u101_unreferenced;
     Alcotest.test_case "U101 test and example references" `Quick
       test_u101_test_and_example_refs;
@@ -499,5 +551,7 @@ let suite =
       test_pool_clean_as_committed;
     Alcotest.test_case "pool mutation caught" `Quick
       test_pool_mutation_caught;
+    Alcotest.test_case "eventqueue min caught" `Quick
+      test_eventqueue_min_caught;
     Alcotest.test_case "epoch pragma load-bearing" `Quick
       test_epoch_clean_and_pragma_load_bearing ]

@@ -72,6 +72,56 @@ let test_multiple_connections_isolated () =
   Alcotest.(check (list int)) "both streams intact" [ 5_000; 7_000 ]
     (List.sort compare sizes)
 
+(* The stack tells connections apart by (local port, peer, remote
+   port).  More peers than the server's table has buckets connect from
+   one source port to one listener, so some share a bucket and only
+   the peer tells them apart; one client then opens two connections
+   that differ only in remote port.  Every connection must get exactly
+   its own bytes. *)
+let test_conns_keyed_by_full_key () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let n = 33 in
+  let st =
+    Topology.star topo ~n ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 1) ()
+  in
+  let server = Tcp.attach (Host.create st.Topology.st_server) in
+  let dst = Node.addr st.Topology.st_server in
+  let counter port =
+    let got = ref [] in
+    Tcp.listen server ~port (fun conn ->
+        let bytes = ref 0 in
+        got := bytes :: !got;
+        Tcp.set_on_data conn (fun _ k -> bytes := !bytes + k));
+    got
+  in
+  let at_80 = counter 80 and at_81 = counter 81 and at_82 = counter 82 in
+  let size i = 1000 * (i + 1) in
+  Array.iteri
+    (fun i node ->
+      let stack = Tcp.attach (Host.create node) in
+      let conn = Tcp.connect stack ~dst ~dst_port:80 ~src_port:5000 () in
+      Tcp.send conn (size i);
+      Tcp.close conn;
+      if i = 0 then begin
+        let a = Tcp.connect stack ~dst ~dst_port:81 ~src_port:6000 () in
+        let b = Tcp.connect stack ~dst ~dst_port:82 ~src_port:6000 () in
+        Tcp.send a 3_000;
+        Tcp.send b 5_000;
+        Tcp.close a;
+        Tcp.close b
+      end)
+    st.Topology.st_clients;
+  Engine.Sim.run sim;
+  let totals got = List.sort compare (List.map ( ! ) !got) in
+  Alcotest.(check (list int)) "one connection per peer, each with its bytes"
+    (List.init n size) (totals at_80);
+  Alcotest.(check (list int)) "remote port 81 gets its own bytes" [ 3_000 ]
+    (totals at_81);
+  Alcotest.(check (list int)) "remote port 82 gets its own bytes" [ 5_000 ]
+    (totals at_82)
+
 let test_slow_start_growth () =
   let sim, a, b, _ = two_hosts ~delay:(Engine.Time.us 50) () in
   let client = Tcp.attach (Host.create a) in
@@ -527,6 +577,8 @@ let suite =
   [ Alcotest.test_case "transfer completes" `Quick test_transfer_completes;
     Alcotest.test_case "handshake RTT" `Quick test_handshake_takes_a_round_trip;
     Alcotest.test_case "conn isolation" `Quick test_multiple_connections_isolated;
+    Alcotest.test_case "conns keyed by full key" `Quick
+      test_conns_keyed_by_full_key;
     Alcotest.test_case "slow start" `Quick test_slow_start_growth;
     Alcotest.test_case "fast retransmit" `Quick
       test_loss_recovery_via_fast_retransmit;
