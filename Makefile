@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test golden bench bench-datapath bench-parallel lint lint-typed loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-datapath bench-parallel lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -41,8 +41,9 @@ bench:
 # forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
 # sender's minor words and ns per acked packet at backlogs of 1, 16
 # and 128 messages.  `--guardrail` fails on allocation regressions
-# against the seed's words per event and per packet, on deep-heap
-# dispatch allocating (bar 0.00 words per event), on minor
+# against the seed's words per event and per packet, on a timer
+# re-arm or deep-heap dispatch allocating (bar 0.00 words per re-arm
+# and per event), on minor
 # words/event growing with fabric size (bar 1.15x of the 64-host
 # value), on a routing lookup or a switch ingress allocating, or on
 # MTP words per acked packet growing with the backlog (bar 1.15x of
@@ -68,28 +69,16 @@ bench-datapath:
 bench-parallel:
 	dune exec bench/parallel.exe -- --jobs 2 --guardrail
 
-# Static analysis: determinism & hot-path policy (see DESIGN.md
-# "Static analysis: simlint" and `simlint --list-rules`).  Exits
-# non-zero on any finding not covered by an inline pragma or
-# simlint.allow.
+# Static analysis: determinism, domain-safety, hot-path and
+# unused-surface policy (see DESIGN.md "Static analysis: simlint" and
+# `simlint --list-rules`), run on the typedtrees of the build just
+# made.  `@check` also writes the cmts of executables whose module has
+# an interface, which `@all` alone skips.  Exits non-zero on any
+# finding not covered by an inline pragma or simlint.allow, and on a
+# stale simlint.allow entry.
 lint:
-	dune exec bin/simlint.exe -- --root . lib bin bench
-
-# Typed tier on top of the AST rules: loads the .cmt files of the
-# build just made and runs the interprocedural domain-safety and
-# hot-path rules (P101/P102/H102/H103) as well, H104 (polymorphic
-# compare or hash in a hot module: Stdlib.min/max, comparisons at a
-# type the compiler does not specialise, generic Hashtbl lookups,
-# List.mem/assoc), plus the unused-surface
-# rules: U101 flags a lib/ export no other compilation unit references
-# and U102 an optional parameter no application passes, counting
-# references from every unit dune built (tests, examples and
-# bench/suite included).  Requires a build first: `@check` also writes
-# the cmts of executables whose module has an interface, which `@all`
-# alone skips.
-lint-typed:
 	dune build @all @check
-	dune exec bin/simlint.exe -- --root . --typed lib bin bench
+	dune exec bin/simlint.exe -- --root . lib bin bench
 
 # Lines of OCaml source (.ml and .mli) per top-level directory, and
 # the total of lib, bin, bench and examples: the code the simulator
@@ -122,7 +111,6 @@ fuzz-smoke:
 check:
 	dune build @all
 	$(MAKE) lint
-	$(MAKE) lint-typed
 	dune runtest --force
 	$(MAKE) fuzz-smoke
 	rm -f BENCH_engine.json

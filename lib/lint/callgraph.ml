@@ -1,6 +1,5 @@
-(* The typed tier's program representation, built from [.cmt]
-   typedtrees ([Cmt_loader]) or in-process typed units
-   ([Typed_source]).
+(* simlint's program representation, built from [.cmt] typedtrees
+   ([Cmt_loader]) or from units the tests type in-process.
 
    One [node] per module-scope value binding, named by its canonical
    dotted path ([Runner.Pool.map], [Netsim.Link.push], ...).  A node
@@ -14,13 +13,20 @@
        allocation both skip them;
      - [g_raise]: the reference sits inside an argument of
        raise/failwith/invalid_arg — the cold error path, exempt from
-       allocation accounting exactly as in the AST tier's H101.
+       allocation accounting (H101, H102).
 
    Same-unit references are resolved through the unit's own top-level
-   ident table; cross-unit ones arrive from the typer already
-   canonical ([Engine.Sim.run], [Stdlib.Atomic.make]); dune's
+   ident and submodule tables; cross-unit ones arrive from the typer
+   already canonical ([Engine.Sim.run], [Stdlib.Atomic.make]); dune's
    [Lib__Module] manglings are split and a leading [Stdlib] dropped,
    so one naming scheme covers both producers.
+
+   Every reference also lands, once, in its file's [sites] list —
+   module-scope bindings, [let () = ...] and functor arguments alike —
+   which the rules that judge one reference at a time (D001, D002,
+   H101, T201) read.  Modules built by [Hashtbl.Make]/[MakeSeeded]
+   are collected as [tables]: their [iter]/[fold] visit bindings in
+   hash order just as [Hashtbl]'s do (D001).
 
    Besides nodes the walk collects what the domain-safety rules need:
 
@@ -74,6 +80,8 @@ type t = {
   cg_cells : (string, cell) Hashtbl.t;
   cg_spawn_args : spawn_arg list;
   cg_captures : capture list;
+  cg_sites : (string * vref list) list;
+  cg_tables : string list;
 }
 
 let dotted comps = String.concat "." comps
@@ -152,10 +160,13 @@ type wctx = {
   w_file : string;
   mutable w_stack : collector list;
   w_tops : (string, string list) Hashtbl.t;   (* ident unique name -> canonical *)
+  w_mods : (string, string list) Hashtbl.t;   (* same, for submodules *)
   w_locals : (string, collector) Hashtbl.t;   (* ident unique name -> summary *)
   mutable w_pending : pending_spawn list;
   mutable w_nodes : node list;
   mutable w_cells : cell list;
+  mutable w_sites : vref list;
+  mutable w_tables : string list;
   mutable w_guard : int;
   mutable w_raise : int;
 }
@@ -167,6 +178,7 @@ let record_glob ctx ~line comps =
       g_guard = ctx.w_guard > 0;
       g_raise = ctx.w_raise > 0 }
   in
+  ctx.w_sites <- r :: ctx.w_sites;
   List.iter (fun c -> c.k_globs <- r :: c.k_globs) ctx.w_stack
 
 let record_dep ctx key =
@@ -175,6 +187,18 @@ let record_dep ctx key =
 let record_cell ctx ~line desc =
   List.iter (fun c -> c.k_cells <- (line, desc) :: c.k_cells) ctx.w_stack
 
+let rec head (p : Path.t) =
+  match p with
+  | Path.Pident id -> id
+  | Path.Pdot (q, _) | Path.Papply (q, _) | Path.Pextra_ty (q, _) -> head q
+
+(* A dotted path whose head is a submodule of this unit ([Tbl.fold],
+   [F.enqueue]) is named from the unit's root like every node. *)
+let resolve ctx (p : Path.t) =
+  match Hashtbl.find_opt ctx.w_mods (Ident.unique_name (head p)) with
+  | Some m -> m @ List.tl (flatten_path p)
+  | None -> canonical p
+
 let handle_ident ctx ~line (p : Path.t) =
   match p with
   | Path.Pident id -> (
@@ -182,7 +206,7 @@ let handle_ident ctx ~line (p : Path.t) =
     match Hashtbl.find_opt ctx.w_tops key with
     | Some comps -> record_glob ctx ~line comps
     | None -> record_dep ctx key)
-  | _ -> record_glob ctx ~line (canonical p)
+  | _ -> record_glob ctx ~line (resolve ctx p)
 
 (* Does [e]'s subtree mention the telemetry guard ([Config.guard_path])?
    Checked on [if] conditions, so [Ctx.on () && cheap_filter] still
@@ -236,7 +260,7 @@ let iterator ctx =
             match Hashtbl.find_opt ctx.w_tops (Ident.unique_name id) with
             | Some c -> c
             | None -> [ Ident.name id ])
-          | _ -> canonical p
+          | _ -> resolve ctx p
         in
         if List.exists (fun r -> r = comps) raising then begin
           (* The raising ident itself is not interesting; arguments get
@@ -303,12 +327,39 @@ let iterator ctx =
 let expr_is_function (e : Typedtree.expression) =
   match e.exp_desc with Typedtree.Texp_function _ -> true | _ -> false
 
+(* Is [me] an application of [Hashtbl.Make] or [Hashtbl.MakeSeeded],
+   under any module constraints? *)
+let rec is_table ~applied (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_constraint (me', _, _, _) -> is_table ~applied me'
+  | Typedtree.Tmod_apply (f, _, _) -> is_table ~applied:true f
+  | Typedtree.Tmod_ident (p, _) ->
+    applied
+    && List.mem (canonical p)
+         [ [ "Hashtbl"; "Make" ]; [ "Hashtbl"; "MakeSeeded" ] ]
+  | _ -> false
+
+(* A functor argument's bindings are walked under the name of the
+   module the application builds. *)
 let rec walk_module_expr ctx prefix (me : Typedtree.module_expr) =
   match me.mod_desc with
   | Typedtree.Tmod_structure s -> walk_structure ctx prefix s
   | Typedtree.Tmod_constraint (me', _, _, _) -> walk_module_expr ctx prefix me'
   | Typedtree.Tmod_functor (_, me') -> walk_module_expr ctx prefix me'
+  | Typedtree.Tmod_apply (f, arg, _) ->
+    walk_module_expr ctx prefix f;
+    walk_module_expr ctx prefix arg
   | _ -> ()
+
+and walk_module ctx prefix (mb : Typedtree.module_binding) =
+  match mb.mb_id with
+  | Some id ->
+    let path = prefix @ [ Ident.name id ] in
+    Hashtbl.replace ctx.w_mods (Ident.unique_name id) path;
+    if is_table ~applied:false mb.mb_expr then
+      ctx.w_tables <- dotted path :: ctx.w_tables;
+    walk_module_expr ctx path mb.mb_expr
+  | None -> ()
 
 and walk_structure ctx prefix (s : Typedtree.structure) =
   List.iter (walk_item ctx prefix) s.str_items
@@ -364,17 +415,9 @@ and walk_item ctx prefix (item : Typedtree.structure_item) =
     let it = iterator ctx in
     it.Tast_iterator.expr it e;
     ctx.w_stack <- []
-  | Typedtree.Tstr_module mb -> (
-    match mb.mb_id with
-    | Some id -> walk_module_expr ctx (prefix @ [ Ident.name id ]) mb.mb_expr
-    | None -> ())
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter
-      (fun (mb : Typedtree.module_binding) ->
-        match mb.mb_id with
-        | Some id -> walk_module_expr ctx (prefix @ [ Ident.name id ]) mb.mb_expr
-        | None -> ())
-      mbs
+  | Typedtree.Tstr_module mb -> walk_module ctx prefix mb
+  | Typedtree.Tstr_recmodule mbs -> List.iter (walk_module ctx prefix) mbs
+  | Typedtree.Tstr_include incl -> walk_module_expr ctx prefix incl.incl_mod
   | _ -> ()
 
 (* After the whole unit is walked (so every local summary exists),
@@ -426,10 +469,13 @@ let of_structure ~config ~file ~unit_path str =
       w_file = file;
       w_stack = [];
       w_tops = Hashtbl.create 64;
+      w_mods = Hashtbl.create 8;
       w_locals = Hashtbl.create 64;
       w_pending = [];
       w_nodes = [];
       w_cells = [];
+      w_sites = [];
+      w_tables = [];
       w_guard = 0;
       w_raise = 0 }
   in
@@ -441,18 +487,23 @@ let of_structure ~config ~file ~unit_path str =
   let args =
     List.filter_map (function `Arg a -> Some a | `Capture _ -> None) resolved
   in
-  (List.rev ctx.w_nodes, List.rev ctx.w_cells, args, captures)
+  ( List.rev ctx.w_nodes, List.rev ctx.w_cells, args, captures,
+    List.rev ctx.w_sites, ctx.w_tables )
 
 let build ~config units =
   let cg_nodes = Hashtbl.create 512 in
   let cg_cells = Hashtbl.create 64 in
   let spawn_args = ref [] in
   let captures = ref [] in
+  let sites = ref [] in
+  let tables = ref [] in
   List.iter
     (fun (file, unit_path, str) ->
-      let nodes, cells, args, caps =
+      let nodes, cells, args, caps, refs, tbls =
         of_structure ~config ~file ~unit_path str
       in
+      sites := (file, refs) :: !sites;
+      tables := tbls @ !tables;
       List.iter
         (fun n ->
           if not (Hashtbl.mem cg_nodes n.n_name) then
@@ -469,4 +520,6 @@ let build ~config units =
   { cg_nodes;
     cg_cells;
     cg_spawn_args = List.rev !spawn_args;
-    cg_captures = List.rev !captures }
+    cg_captures = List.rev !captures;
+    cg_sites = List.rev !sites;
+    cg_tables = !tables }

@@ -1,9 +1,10 @@
-(** Whole-program representation for the typed tier: one node per
+(** Whole-program representation for simlint: one node per
     module-scope value binding with guard/raise-tagged global
-    references, module-scope mutable cells, worker-spawn argument
+    references, every reference site per file, the functor-built hash
+    tables, module-scope mutable cells, worker-spawn argument
     references and locally-captured mutable cells.  Built from [.cmt]
-    typedtrees ([Cmt_loader]) or in-process typed units
-    ([Typed_source]). *)
+    typedtrees ([Cmt_loader]) or from units the tests type
+    in-process. *)
 
 type vref = {
   g_path : string list;
@@ -52,6 +53,12 @@ type t = {
   cg_cells : (string, cell) Hashtbl.t;
   cg_spawn_args : spawn_arg list;
   cg_captures : capture list;
+  cg_sites : (string * vref list) list;
+      (** per source file, every global reference in source order,
+          inside a named binding or not *)
+  cg_tables : string list;
+      (** dotted paths of the modules built by [Hashtbl.Make] or
+          [Hashtbl.MakeSeeded] *)
 }
 
 val build :

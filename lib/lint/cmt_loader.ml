@@ -1,4 +1,4 @@
-(* [.cmt] discovery for the typed tier.  dune drops one cmt per
+(* [.cmt] discovery for simlint.  dune drops one cmt per
    compilation unit under
    [_build/default/<dir>/.<lib>.objs/byte/<lib>__<Module>.cmt]
    (executables use [.<exe>.eobjs/byte/dune__exe__<Module>.cmt]), each
@@ -17,8 +17,8 @@
    Wrapper/alias units (netsim.ml-gen and friends) have generated
    sources and carry no code of their own; filtering on a real ".ml"
    suffix drops them.  A cmt that fails to read (version skew, partial
-   build) is an error: the typed tier must not silently analyze less
-   than the build.
+   build) is an error: simlint must not silently analyze less than
+   the build.
 
    A cmt stores each typedtree node's environment as a summary only.
    [expand_env] rebuilds the full one (Envaux) from the cmis on the
@@ -86,8 +86,8 @@ let load ~root ~dirs =
   if not (Sys.file_exists build) then
     Error
       (Printf.sprintf
-         "%s not found; run `dune build` before `simlint --typed` (the typed \
-          tier reads the build's .cmt files)"
+         "%s not found; run `dune build @all @check` before simlint (it \
+          reads the build's .cmt files)"
          build)
   else begin
     let found = walk build [] in
@@ -137,7 +137,7 @@ let load ~root ~dirs =
       Error
         (Printf.sprintf
            "%s has no implementation cmt beside it; run `dune build @check` \
-            before `simlint --typed`"
+            before simlint"
            cmti)
     | [], None ->
       if !impls = [] then

@@ -14,7 +14,6 @@ type t = {
   t201_exempt_dirs : string list;
   rng_modules : string list;
   mli_dirs : string list;
-  (* Typed tier (simlint --typed). *)
   spawn_spec : spawn list;
   guard_path : string list;
   offmain_forbidden : string list list;
@@ -36,7 +35,7 @@ let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "time"; "link"; "qdisc"; "switch"; "wire";
         "pktring"; "packet"; "node"; "routing"; "cc"; "pathlet";
-        "mtp_switch"; "endpoint"; "partition"; "host" ];
+        "mtp_switch"; "endpoint"; "partition"; "host"; "tcp" ];
     d001_dirs = [ "lib"; "bin" ];
     t201_dirs = [ "lib"; "bin" ];
     t201_exempt_dirs = [ "lib/telemetry" ];
@@ -95,86 +94,73 @@ let t201_applies t file =
 
 let mli_required t file = in_dirs file t.mli_dirs
 
-type rule_doc = { id : string; summary : string; typed : bool }
+type rule_doc = { id : string; summary : string }
 
 let rules =
   [ { id = "D001";
-      typed = false;
       summary =
-        "Hashtbl.iter/fold iterate in hash order; in behavior-affecting \
-         modules collect-and-sort (then pragma the fold) or iterate keyed" };
+        "iter/fold over Hashtbl or a Hashtbl.Make/MakeSeeded table visit \
+         bindings in hash order; in behavior-affecting modules \
+         collect-and-sort (then pragma the fold) or iterate keyed" };
     { id = "D002";
-      typed = false;
       summary =
         "wall clock (Sys.time, Unix.gettimeofday/time), ambient randomness \
          (Random.* outside Engine.Rng, Random.self_init anywhere) and \
          Domain.self ()-dependent branching break seeded, \
          scheduling-independent replay" };
     { id = "D003";
-      typed = false;
       summary =
         "float equality (=, <>, ==, !=) against a float literal is \
          representation-fragile; compare with an ordering or pragma an \
          intentional exact sentinel" };
     { id = "H101";
-      typed = false;
       summary =
         "allocation hazard in a hot-path module (Printf.*, @ / \
          List.append, ^ string concat, closure-capturing Fun \
          combinators) outside an error-raise argument" };
     { id = "T201";
-      typed = false;
       summary =
         "Telemetry.Events.emit / Telemetry.Registry.* call outside an \
          [if Telemetry.Ctx.on () then ...] guard branch" };
     { id = "M001";
-      typed = false;
       summary = "every lib/ module must ship an .mli" };
     { id = "P101";
-      typed = true;
       summary =
-        "[typed] non-Atomic mutable state (ref, mutable record, \
+        "non-Atomic mutable state (ref, mutable record, \
          Hashtbl/Buffer/Queue/Stack) captured by a Domain.spawn / \
          Runner.Pool / Runner.Epoch worker entry, or module-scope \
          mutable state read or written by worker-reachable code" };
     { id = "P102";
-      typed = true;
       summary =
-        "[typed] main-domain-only API (Telemetry Registry/Export/emit, \
+        "main-domain-only API (Telemetry Registry/Export/emit, \
          Ctx mutators, Exp_common commit side) reachable from a worker \
          entry point outside an [if Telemetry.Ctx.on () then] branch" };
     { id = "H102";
-      typed = true;
       summary =
-        "[typed] function outside the hot set that allocates (H101 \
+        "function outside the hot set that allocates (H101 \
          hazard) and is transitively reachable from hot-path code \
          outside guard branches and raise arguments" };
     { id = "H103";
-      typed = true;
       summary =
-        "[typed] hot-module call passing an optional argument with ~x: \
+        "hot-module call passing an optional argument with ~x: \
          (the typer boxes the value in Some on every call); ?x: \
          pass-through is fine" };
     { id = "H104";
-      typed = true;
       summary =
-        "[typed] polymorphic compare or hash in a hot module: Stdlib.min/max, \
+        "polymorphic compare or hash in a hot module: Stdlib.min/max, \
          compare/=/<>/</>/<=/>= at a type the compiler does not specialise \
          (not int, char, immediate, float, string, bytes, int32, int64 or \
          nativeint, and no constant constructor under =/<>), generic \
          Hashtbl find/find_opt/mem/add/replace/remove, List.mem/assoc" };
     { id = "U101";
-      typed = true;
       summary =
-        "[typed] top-level val of a lib/ interface that no other \
+        "top-level val of a lib/ interface that no other \
          compilation unit references (tests, examples and benches \
          count): delete it, or drop it from the interface" };
     { id = "U102";
-      typed = true;
       summary =
-        "[typed] optional parameter of an exported lib/ function that no \
+        "optional parameter of an exported lib/ function that no \
          application passes (~x: or ?x); a function escaping as a value \
          uses all its parameters" } ]
 
 let known_rule id = List.exists (fun r -> r.id = id) rules
-let typed_rule id = List.exists (fun r -> r.id = id && r.typed) rules

@@ -21,7 +21,7 @@ type t = {
   rng_modules : string list;  (** basenames allowed to touch [Random] *)
   mli_dirs : string list;
       (** scope of M001, and of U101/U102's exported interfaces *)
-  spawn_spec : spawn list;    (** worker entry points (typed tier) *)
+  spawn_spec : spawn list;    (** worker entry points *)
   guard_path : string list;
       (** consecutive-component pattern of the telemetry guard
           ([["Ctx"; "on"]]); branches under it are main-domain-only *)
@@ -38,8 +38,8 @@ val default : t
     wire pktring packet node routing cc pathlet mtp_switch endpoint
     partition host], D001/T201
     over [lib] and [bin], [lib/telemetry] exempt from T201, [rng] may
-    use [Random], [.mli] required under [lib]; typed tier rooted at
-    [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] / [Exp_common]
+    use [Random], [.mli] required under [lib]; worker entry points
+    at [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] / [Exp_common]
     job thunks, telemetry commit side forbidden off-main. *)
 
 val in_dirs : string -> string list -> bool
@@ -50,13 +50,9 @@ val d001_applies : t -> string -> bool
 val t201_applies : t -> string -> bool
 val mli_required : t -> string -> bool
 
-type rule_doc = { id : string; summary : string; typed : bool }
+type rule_doc = { id : string; summary : string }
 
 val rules : rule_doc list
 (** Every rule simlint knows, for [--list-rules]. *)
 
 val known_rule : string -> bool
-
-val typed_rule : string -> bool
-(** Rules that only run under [--typed] (needed to decide which
-    allowlist entries can be judged stale by a given run). *)

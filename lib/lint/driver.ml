@@ -1,12 +1,7 @@
-(* File discovery, parsing, filtering and the CLI entry point shared
-   by [bin/simlint] and the fixture tests. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  src
+(* File discovery, filtering and the CLI entry point shared by
+   [bin/simlint] and the fixture tests.  The program to check arrives
+   typed: from the build's .cmt files for the CLI ([Cmt_loader]), from
+   sources typed in-process for the tests (test/typed_source.ml). *)
 
 (* Recursive walk under [root]/[dir], depth-first, children visited in
    sorted order so reports and fixture expectations are stable across
@@ -26,18 +21,17 @@ let rec walk ~root rel acc =
   else acc
 
 let scan_files ~root ~dirs =
-  List.fold_left
-    (fun acc dir ->
-      let abs = Filename.concat root dir in
-      if Sys.file_exists abs then walk ~root dir acc
-      else failwith (Printf.sprintf "simlint: no such directory %s" abs))
-    [] dirs
-  |> List.sort String.compare
-
-let parse_impl ~path src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
+  match
+    List.find_opt
+      (fun dir -> not (Sys.file_exists (Filename.concat root dir)))
+      dirs
+  with
+  | Some dir ->
+    Error (Printf.sprintf "no such directory %s" (Filename.concat root dir))
+  | None ->
+    Ok
+      (List.fold_left (fun acc dir -> walk ~root dir acc) [] dirs
+      |> List.sort String.compare)
 
 (* M001: a compilation unit under an mli-required dir must ship an
    interface.  Checked against the scanned file set, not the
@@ -63,109 +57,61 @@ let missing_mli ~config files =
     files
 
 let run ?(config = Config.default) ?(allowlist = Allowlist.empty)
-    ?(typed = false) ?(rule_enabled = fun _ -> true) ~root ~dirs () =
-  match scan_files ~root ~dirs with
-  | exception Failure msg -> Error msg
-  | files ->
-    let ast_findings = ref [] in
-    let errors = ref [] in
-    (* Pragmas per source file.  Filled during the AST pass and on
-       demand for typed findings, whose source set comes from the
-       build's cmts rather than the walk. *)
-    let pragma_cache = Hashtbl.create 64 in
-    let pragmas_for file =
-      match Hashtbl.find_opt pragma_cache file with
-      | Some p -> p
-      | None ->
-        let abs = Filename.concat root file in
-        let p =
-          if Sys.file_exists abs then Pragma.scan (read_file abs)
-          else Pragma.scan ""
-        in
-        Hashtbl.replace pragma_cache file p;
-        p
-    in
-    let unsuppressed (f : Finding.t) =
-      not
-        (Pragma.suppressed (pragmas_for f.Finding.file) ~line:f.Finding.line
-           ~rule:f.Finding.rule)
-    in
-    List.iter
-      (fun file ->
-        if Filename.check_suffix file ".ml" then begin
-          let src = read_file (Filename.concat root file) in
-          match parse_impl ~path:file src with
-          | exception exn ->
-            errors :=
-              Printf.sprintf "%s: parse error (%s)" file
-                (Printexc.to_string exn)
-              :: !errors
-          | structure ->
-            Hashtbl.replace pragma_cache file (Pragma.scan src);
-            let fs =
-              Rules.check_structure ~config ~file structure
-              |> List.filter unsuppressed
-            in
-            ast_findings := List.rev_append fs !ast_findings
-        end)
-      files;
-    let typed_findings =
-      match !errors with
-      | _ :: _ -> Ok []
-      | [] ->
-        if not typed then Ok []
-        else
-          let audited file line =
-            Pragma.suppressed (pragmas_for file) ~line ~rule:"P101"
+    ?(rule_enabled = fun _ -> true) ~root ~dirs program =
+  Result.map
+    (fun files ->
+      (* Pragmas per source file, read on demand: the source set comes
+         from the program, not the walk. *)
+      let pragma_cache = Hashtbl.create 64 in
+      let pragmas_for file =
+        match Hashtbl.find_opt pragma_cache file with
+        | Some p -> p
+        | None ->
+          let abs = Filename.concat root file in
+          let p =
+            Pragma.scan
+              (if Sys.file_exists abs then
+                 In_channel.with_open_bin abs In_channel.input_all
+               else "")
           in
-          Result.map
-            (fun program ->
-              Typed.check ~config ~audited program |> List.filter unsuppressed)
-            (Cmt_loader.load ~root ~dirs)
-    in
-    (match (!errors, typed_findings) with
-    | e :: _, _ -> Error e
-    | [], Error e -> Error e
-    | [], Ok typed_findings ->
+          Hashtbl.replace pragma_cache file p;
+          p
+      in
+      let findings = Typed.check ~config ~pragmas:pragmas_for program in
       let all =
-        missing_mli ~config files @ !ast_findings @ typed_findings
+        missing_mli ~config files @ findings
         |> List.filter (fun (f : Finding.t) -> rule_enabled f.Finding.rule)
       in
       let kept, unused = Allowlist.apply allowlist all in
       (* An unused entry is only *stale* when this run could have
-         matched it: its rule ran (enabled, and typed rules need
-         [--typed]) and its file lies under the scanned dirs. *)
+         matched it: its rule ran and its file lies under the scanned
+         dirs. *)
       let stale =
         List.filter
           (fun e ->
-            let rule = Allowlist.entry_rule e in
-            rule_enabled rule
-            && (typed || not (Config.typed_rule rule))
+            rule_enabled (Allowlist.entry_rule e)
             && Config.in_dirs (Allowlist.entry_file e) dirs)
           unused
       in
-      Ok (List.sort Finding.compare kept, stale))
+      (List.sort Finding.compare kept, stale))
+    (scan_files ~root ~dirs)
 
 let list_rules () =
   List.iter
-    (fun (r : Config.rule_doc) ->
-      Printf.printf "%s%s  %s\n" r.id
-        (if r.typed then " (typed)" else "        ")
-        r.summary)
+    (fun (r : Config.rule_doc) -> Printf.printf "%s  %s\n" r.id r.summary)
     Config.rules
 
 let usage =
-  "usage: simlint [--root DIR] [--typed] [--format human|json]\n\
+  "usage: simlint [--root DIR] [--format human|json]\n\
   \               [--only RULES] [--disable RULES] [--allowlist FILE]\n\
   \               [--list-rules] [DIR ...]\n\
-   Scans DIR ... (default: lib bin bench) under --root (default: .) and\n\
-   reports policy violations as file:line: [RULE] message (--format json:\n\
-   one {\"rule\",\"file\",\"line\",\"msg\"} object per line).  --typed \
-   additionally\n\
-   loads the .cmt files under ROOT/_build/default (run `dune build` first)\n\
-   and runs the typed rules P101/P102/H102/H103/H104/U101/U102.  RULES are\n\
+   Checks the sources under DIR ... (default: lib bin bench) in the .cmt\n\
+   files of ROOT/_build/default (--root default: .; run\n\
+   `dune build @all @check` first) and reports policy violations as\n\
+   file:line: [RULE] message (--format json: one\n\
+   {\"rule\",\"file\",\"line\",\"msg\"} object per line).  RULES are\n\
    comma-separated rule ids.  Exits 0 when clean, 1 on findings or stale\n\
-   allowlist entries, 2 on usage or parse errors.  Suppress a single site\n\
+   allowlist entries, 2 on usage or loading errors.  Suppress a single site\n\
    with (* simlint: allow RULE — reason *) on the offending or the\n\
    preceding line; suppress file-wide in the --allowlist file (default:\n\
    ROOT/simlint.allow when present, format: RULE path[:line])."
@@ -181,12 +127,11 @@ let split_rules what v k =
     Error 2
   | None -> if rules = [] then Error 2 else Ok (k rules)
 
-let main ?config argv =
+let main ?config ~load argv =
   let root = ref "." in
   let allowlist_file = ref None in
   let dirs = ref [] in
   let list_only = ref false in
-  let typed = ref false in
   let json = ref false in
   let only = ref None in
   let disabled = ref [] in
@@ -195,9 +140,6 @@ let main ?config argv =
     | [] -> ()
     | "--list-rules" :: rest ->
       list_only := true;
-      parse rest
-    | "--typed" :: rest ->
-      typed := true;
       parse rest
     | "--root" :: v :: rest ->
       root := v;
@@ -257,10 +199,7 @@ let main ?config argv =
         let explicit = !allowlist_file in
         let default_path = Filename.concat !root "simlint.allow" in
         match explicit with
-        | Some f -> (
-          match Allowlist.load f with
-          | Ok a -> Ok a
-          | Error e -> Error e)
+        | Some f -> Allowlist.load f
         | None ->
           if Sys.file_exists default_path then Allowlist.load default_path
           else Ok Allowlist.empty
@@ -271,8 +210,8 @@ let main ?config argv =
         2
       | Ok allowlist -> (
         match
-          run ?config ~allowlist ~typed:!typed ~rule_enabled ~root:!root ~dirs
-            ()
+          Result.bind (load ~root:!root ~dirs)
+            (run ?config ~allowlist ~rule_enabled ~root:!root ~dirs)
         with
         | Error e ->
           Printf.eprintf "simlint: %s\n" e;

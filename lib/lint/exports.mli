@@ -1,5 +1,6 @@
 (** U101 (exports no other unit references) and U102 (optional
-    parameters no application passes).  See DESIGN.md "simlint v2". *)
+    parameters no application passes).  See DESIGN.md "Static
+    analysis: simlint". *)
 
 val check :
   config:Config.t ->

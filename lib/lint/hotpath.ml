@@ -1,16 +1,19 @@
-(* H102 — interprocedural hot-path allocation.  The AST tier's H101
-   polices allocation *syntax inside* the hot modules; H102 extends
-   the property across calls: any function outside the hot set that
-   allocates (same hazard vocabulary as H101) and is transitively
-   reachable from hot-module code gets flagged, so an innocent helper
-   in lib/core that allocates per packet is caught even though it
-   lives outside the hot file set.
+(* Hot-path allocation hazards: [Printf], [^], [@] / [List.append]
+   and the closure-building [Fun] combinators.
 
-   Edges through guard branches are skipped (telemetry-disabled runs
-   never execute them — allocation there is the accepted price of
-   [--trace]), as are edges and hazards inside raise arguments (the
-   cold error path, mirroring H101's amnesty).  Hazards *inside* hot
-   modules are H101's findings, not H102's — one rule per site. *)
+   H101 — a hazard anywhere in a hot module, outside a raise argument
+   (an error message may allocate).  Guard branches are not exempt:
+   a hot module formats nothing, traced or not.
+
+   H102 — the same property across calls: any function outside the
+   hot set that allocates and is transitively reachable from
+   hot-module code gets flagged, so an innocent helper in lib/core
+   that allocates per packet is caught even though it lives outside
+   the hot file set.  Edges through guard branches are skipped
+   (telemetry-disabled runs never execute them — allocation there is
+   the accepted price of [--trace]), as are edges and hazards inside
+   raise arguments.  Hazards *inside* hot modules are H101's findings,
+   not H102's — one rule per site. *)
 
 (* Operators must match the whole path ([^] is Stdlib's; a module's
    own [M.(^)] canonicalizes to [M.^] and stays out), module-qualified
@@ -31,7 +34,23 @@ let hazard path =
     then Some ("closure-building " ^ Callgraph.dotted path)
     else None
 
-let check ~config (cg : Callgraph.t) =
+let h101 ~config (cg : Callgraph.t) =
+  List.concat_map
+    (fun (file, refs) ->
+      List.filter_map
+        (fun (r : Callgraph.vref) ->
+          match hazard r.Callgraph.g_path with
+          | Some desc when Config.is_hot config file && not r.Callgraph.g_raise
+            ->
+            Some
+              (Finding.make ~file ~line:r.Callgraph.g_line ~rule:"H101"
+                 ~msg:(desc ^ " allocates on the hot path outside a raise \
+                               argument"))
+          | _ -> None)
+        refs)
+    cg.Callgraph.cg_sites
+
+let h102 ~config (cg : Callgraph.t) =
   let is_hot_node (n : Callgraph.node) = Config.is_hot config n.n_file in
   let roots =
     (* simlint: allow D001 — root order is irrelevant: Reach sorts them *)
@@ -77,3 +96,5 @@ let check ~config (cg : Callgraph.t) =
             n.n_refs)
     (List.sort compare reached);
   List.rev !findings
+
+let check ~config cg = h101 ~config cg @ h102 ~config cg

@@ -1,5 +1,5 @@
 (** H103: an optional argument passed with [~x:] at a hot-module call
-    site.  See DESIGN.md "simlint v2". *)
+    site.  See DESIGN.md "Static analysis: simlint". *)
 
 val check :
   config:Config.t ->

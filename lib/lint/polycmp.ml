@@ -1,4 +1,10 @@
-(* H104 — polymorphic compare or hash in a hot module.  A comparison
+(* The comparison visitor: D003 in every scanned unit, H104 in the
+   hot ones.
+
+   D003 — [=], [<>], [==] or [!=] with a float literal operand: exact
+   float equality is representation-fragile.
+
+   H104 — polymorphic compare or hash in a hot module.  A comparison
    the compiler cannot specialise compiles to a call into the runtime's
    generic [compare_val] (through [caml_equal], [caml_lessequal], ...),
    a C call that walks both values tag by tag, where an int comparison
@@ -21,13 +27,19 @@ let comparisons =
   [ "%equal"; "%notequal"; "%lessthan"; "%greaterthan"; "%lessequal";
     "%greaterequal"; "%compare" ]
 
-(* The path and primitive name of a comparison primitive [f] names. *)
-let comparison (f : Typedtree.expression) =
+let equalities = [ "%equal"; "%notequal"; "%eq"; "%noteq" ]
+
+(* The path and name of the primitive [f] names, if it names one. *)
+let primitive (f : Typedtree.expression) =
   match f.exp_desc with
-  | Typedtree.Texp_ident (path, _, { Types.val_kind = Types.Val_prim p; _ })
-    when List.mem p.Primitive.prim_name comparisons ->
+  | Typedtree.Texp_ident (path, _, { Types.val_kind = Types.Val_prim p; _ }) ->
     Some (path, p.Primitive.prim_name)
   | _ -> None
+
+let float_literal (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_constant (Asttypes.Const_float _) -> true
+  | _ -> false
 
 let constant_constructor (e : Typedtree.expression) =
   match e.exp_desc with
@@ -68,12 +80,12 @@ let generic_call (path : Path.t) =
            "List.%s compares polymorphically; search with a typed equality" f)
     | _ -> None)
 
-let check_unit ~expand_env file (str : Typedtree.structure) =
+let check_unit ~expand_env ~hot file (str : Typedtree.structure) =
   let found = ref [] in
-  let report (loc : Location.t) msg =
+  let report ~rule (loc : Location.t) msg =
     found :=
-      Finding.make ~file ~line:loc.Location.loc_start.Lexing.pos_lnum
-        ~rule:"H104" ~msg
+      Finding.make ~file ~line:loc.Location.loc_start.Lexing.pos_lnum ~rule
+        ~msg
       :: !found
   in
   (* [constant]: a full application with a constant constructor
@@ -89,7 +101,7 @@ let check_unit ~expand_env file (str : Typedtree.structure) =
       | None -> false
     in
     if not ok then
-      report f.exp_loc
+      report ~rule:"H104" f.exp_loc
         (Printf.sprintf
            "%s at a type the compiler does not specialise (%s) calls the \
             runtime's polymorphic compare; compare ints, use a typed \
@@ -101,23 +113,28 @@ let check_unit ~expand_env file (str : Typedtree.structure) =
   let expr it (e : Typedtree.expression) =
     match e.exp_desc with
     | Typedtree.Texp_apply (f, args) -> (
-      match comparison f with
-      | Some cmp ->
-        let constant =
-          match args with
-          | [ (_, Some a); (_, Some b) ] ->
-            constant_constructor a || constant_constructor b
-          | _ -> false
-        in
-        check_comparison f cmp ~constant;
-        List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
+      match primitive f with
+      | Some ((_, prim) as cmp) ->
+        let operands = List.filter_map snd args in
+        if List.mem prim equalities && List.exists float_literal operands then
+          report ~rule:"D003" e.exp_loc
+            "float equality against a literal; compare with an ordering or \
+             pragma an intentional exact sentinel";
+        if hot && List.mem prim comparisons then
+          check_comparison f cmp
+            ~constant:
+              (match operands with
+              | [ a; b ] -> constant_constructor a || constant_constructor b
+              | _ -> false);
+        List.iter (it.Tast_iterator.expr it) operands
       | None -> super.Tast_iterator.expr it e)
-    | Typedtree.Texp_ident (path, _, _) -> (
-      match (comparison e, generic_call path) with
-      | Some cmp, _ -> check_comparison e cmp ~constant:false
-      | None, Some msg ->
-        report e.exp_loc (msg ^ ", or pragma a setup-only site")
-      | None, None -> ())
+    | Typedtree.Texp_ident (path, _, _) when hot -> (
+      match (primitive e, generic_call path) with
+      | Some ((_, prim) as cmp), _ when List.mem prim comparisons ->
+        check_comparison e cmp ~constant:false
+      | _, Some msg ->
+        report ~rule:"H104" e.exp_loc (msg ^ ", or pragma a setup-only site")
+      | _ -> ())
     | _ -> super.Tast_iterator.expr it e
   in
   let it = { super with Tast_iterator.expr } in
@@ -127,6 +144,5 @@ let check_unit ~expand_env file (str : Typedtree.structure) =
 let check ~config ~expand_env units =
   List.concat_map
     (fun (file, _, str) ->
-      if Config.is_hot config file then check_unit ~expand_env file str
-      else [])
+      check_unit ~expand_env ~hot:(Config.is_hot config file) file str)
     units

@@ -1,5 +1,6 @@
-(** H104: polymorphic compare or hash in a hot module.  See DESIGN.md
-    "simlint v2". *)
+(** D003: float equality against a literal, in every scanned unit;
+    H104: polymorphic compare or hash, in a hot module.  See DESIGN.md
+    "Static analysis: simlint". *)
 
 val check :
   config:Config.t ->
@@ -7,6 +8,5 @@ val check :
   (string * string list * Typedtree.structure) list ->
   Finding.t list
 (** [check ~config ~expand_env units] over [(source_file,
-    canonical_unit_path, typedtree)] triples; only files in the hot set
-    are scanned.  [expand_env] completes a node's environment so type
-    abbreviations expand. *)
+    canonical_unit_path, typedtree)] triples.  [expand_env] completes a
+    node's environment so type abbreviations expand. *)

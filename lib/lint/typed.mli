@@ -1,5 +1,4 @@
-(** The typed tier: P101/P102/H102/H103/H104/U101/U102 over a typed
-    program. *)
+(** Every simlint rule but M001 over a typed program. *)
 
 type program = {
   impls : (string * string list * Typedtree.structure) list;
@@ -17,11 +16,8 @@ type program = {
 }
 
 val check :
-  config:Config.t ->
-  ?audited:(string -> int -> bool) ->
-  program ->
-  Finding.t list
-(** One finding per (file, line, rule).  [audited file line]
-    (default: never) marks a mutable cell whose definition site
-    carries a P101 pragma: an audited exchange point whose access
-    sites are not reported. *)
+  config:Config.t -> pragmas:(string -> Pragma.t) -> program -> Finding.t list
+(** One finding per (file, line, rule), none that a pragma of
+    [pragmas file] covers.  A P101 pragma at a mutable cell's
+    definition site marks an audited exchange point whose access sites
+    are not reported. *)

@@ -136,14 +136,14 @@ let init_cwnd_bytes = 10 * mss_bytes
 
 let rtt_hist () =
   (* simlint: allow T201 — helper, every caller guards with Ctx.on *)
-  Telemetry.Registry.histogram
-    (Telemetry.Ctx.metrics ())
+  Telemetry.Registry.histogram (Telemetry.Ctx.metrics ())
+    (* simlint: allow H103 — traced runs only, every caller guards *)
     ~scale:`Log ~lo:1.0 ~hi:1e6 ~buckets:60 "tcp.rtt_us"
 
 let msg_latency_hist () =
   (* simlint: allow T201 — helper, every caller guards with Ctx.on *)
-  Telemetry.Registry.histogram
-    (Telemetry.Ctx.metrics ())
+  Telemetry.Registry.histogram (Telemetry.Ctx.metrics ())
+    (* simlint: allow H103 — traced runs only, every caller guards *)
     ~scale:`Log ~lo:1.0 ~hi:1e7 ~buckets:70 "tcp.msg_latency_us"
 
 let probe_event conn ~kind ~size ~a ~b =
@@ -156,8 +156,7 @@ let probe_event conn ~kind ~size ~a ~b =
 (* ------------------------------------------------------------------ *)
 (* Segment emission                                                     *)
 
-let emit conn ?(syn = false) ?(fin = false) ?(is_ack = false) ?(ece = false)
-    ?(probe = false) ~seq ~payload () =
+let emit conn ~syn ~fin ~is_ack ~ece ~probe ~seq ~payload =
   let stack = conn.stack in
   let rwnd = Int.max 0 (conn.c_rcv_buf - conn.buffered) in
   let seg =
@@ -174,8 +173,9 @@ let emit conn ?(syn = false) ?(fin = false) ?(is_ack = false) ?(ece = false)
       ~b:(int_of_float conn.cwnd);
   Netsim.Node.send stack.t_node pkt
 
-let send_pure_ack ?(ece = false) conn =
-  emit conn ~is_ack:true ~ece ~seq:conn.snd_nxt ~payload:0 ()
+let send_pure_ack ~ece conn =
+  emit conn ~syn:false ~fin:false ~is_ack:true ~ece ~probe:false
+    ~seq:conn.snd_nxt ~payload:0
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                               *)
@@ -246,14 +246,18 @@ and retransmit_head conn =
   conn.n_retransmits <- conn.n_retransmits + 1;
   conn.stack.t_retx <- conn.stack.t_retx + 1;
   conn.timed_seq <- -1 (* Karn's rule *);
-  if conn.state = Syn_sent then emit conn ~syn:true ~seq:0 ~payload:0 ()
+  if conn.state = Syn_sent then
+    emit conn ~syn:true ~fin:false ~is_ack:false ~ece:false ~probe:false
+      ~seq:0 ~payload:0
   else if conn.fin_seq >= 0 && conn.snd_una = conn.fin_seq then
-    emit conn ~fin:true ~is_ack:true ~seq:conn.fin_seq ~payload:0 ()
+    emit conn ~syn:false ~fin:true ~is_ack:true ~ece:false ~probe:false
+      ~seq:conn.fin_seq ~payload:0
   else begin
     let data_end = if conn.fin_seq >= 0 then conn.fin_seq else conn.snd_nxt in
     let payload = Int.min mss_bytes (data_end - conn.snd_una) in
     if payload > 0 then
-      emit conn ~is_ack:true ~seq:conn.snd_una ~payload ()
+      emit conn ~syn:false ~fin:false ~is_ack:true ~ece:false ~probe:false
+        ~seq:conn.snd_una ~payload
   end
 
 (* ------------------------------------------------------------------ *)
@@ -281,7 +285,8 @@ let rec try_send conn =
           conn.timed_seq <- conn.snd_nxt + payload;
           conn.timed_at <- Engine.Sim.now conn.stack.t_sim
         end;
-        emit conn ~is_ack:true ~seq:conn.snd_nxt ~payload ();
+        emit conn ~syn:false ~fin:false ~is_ack:true ~ece:false ~probe:false
+          ~seq:conn.snd_nxt ~payload;
         conn.snd_nxt <- conn.snd_nxt + payload;
         conn.app_buffer <- conn.app_buffer - payload;
         if not conn.rto_set then arm_rto conn
@@ -292,7 +297,8 @@ let rec try_send conn =
     if conn.fin_pending && conn.fin_seq < 0 && conn.app_buffer = 0 then begin
       conn.fin_seq <- conn.snd_nxt;
       conn.snd_nxt <- conn.snd_nxt + 1;
-      emit conn ~fin:true ~is_ack:true ~seq:conn.fin_seq ~payload:0 ();
+      emit conn ~syn:false ~fin:true ~is_ack:true ~ece:false ~probe:false
+        ~seq:conn.fin_seq ~payload:0;
       arm_rto conn
     end;
     (* Blocked by a closed peer window: account the stall and keep a
@@ -329,7 +335,8 @@ and arm_persist conn =
 and on_persist conn =
   if conn.state = Established && conn.app_buffer > 0 && conn.peer_rwnd = 0
   then begin
-    emit conn ~is_ack:true ~probe:true ~seq:conn.snd_nxt ~payload:0 ();
+    emit conn ~syn:false ~fin:false ~is_ack:true ~ece:false ~probe:true
+      ~seq:conn.snd_nxt ~payload:0;
     arm_persist conn
   end
 
@@ -474,7 +481,7 @@ let read conn n =
     let avail_after = conn.c_rcv_buf - conn.buffered in
     if avail_before < mss_bytes && avail_after >= mss_bytes
        && conn.state <> Closed
-    then send_pure_ack conn
+    then send_pure_ack ~ece:false conn
   end
 
 let deliver conn n =
@@ -548,7 +555,7 @@ let process_data conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
        tells the sender where we stand. *)
   end;
   check_peer_fin conn;
-  send_pure_ack conn ~ece:(Netsim.Packet.ecn_ce pkt)
+  send_pure_ack ~ece:(Netsim.Packet.ecn_ce pkt) conn
 
 (* ------------------------------------------------------------------ *)
 (* Connection setup and dispatch                                        *)
@@ -561,6 +568,7 @@ let make_conn stack ~peer ~local_port ~remote_port ~rcv_buf ~state =
       fin_seq = -1; cwnd = float_of_int init_cwnd_bytes;
       ssthresh = float_of_int infinite; peer_rwnd = infinite; dupacks = 0;
       recover = 0; reduce_end = 0;
+      (* simlint: allow H103 — once per connection, at setup *)
       rtx = Rtx.create ~min_rto:stack.t_min_rto ();
       rto_tm = placeholder; rto_set = false; persist_tm = placeholder;
       timed_seq = -1; timed_at = 0;
@@ -598,7 +606,8 @@ let handle_syn stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
         conn
     in
     (* SYN-ACK consumes our sequence byte 0. *)
-    emit conn ~syn:true ~is_ack:true ~seq:0 ~payload:0 ();
+    emit conn ~syn:true ~fin:false ~is_ack:true ~ece:false ~probe:false
+      ~seq:0 ~payload:0;
     if conn.snd_nxt = 0 then conn.snd_nxt <- 1
 
 let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
@@ -618,14 +627,14 @@ let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
         conn.timed_seq <- -1;
         Engine.Sim.disarm conn.rto_tm;
         conn.rto_set <- false;
-        send_pure_ack conn;
+        send_pure_ack ~ece:false conn;
         try_send conn
       end
       else begin
         if seg.is_ack then process_ack conn seg;
         if conn.state <> Closed then begin
           if seg.payload > 0 || seg.fin then process_data conn seg pkt
-          else if seg.probe then send_pure_ack conn
+          else if seg.probe then send_pure_ack ~ece:false conn
         end
       end
 
@@ -654,8 +663,11 @@ let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
   in
   if Telemetry.Ctx.on () then begin
     let reg = Telemetry.Ctx.metrics () in
-    let pre = Printf.sprintf "tcp.h%d." (Netsim.Node.addr node) in
-    let g n f = Telemetry.Registry.set_gauge reg (pre ^ n) f in
+    let addr = Netsim.Node.addr node in
+    let g n f =
+      (* simlint: allow H101 — gauge names are built once, at attach *)
+      Telemetry.Registry.set_gauge reg (Printf.sprintf "tcp.h%d.%s" addr n) f
+    in
     g "tx_msgs" (fun () -> float_of_int stack.t_tx_msgs);
     g "rx_msgs" (fun () -> float_of_int stack.t_rx_msgs);
     g "rx_bytes" (fun () -> float_of_int stack.t_rx_bytes);
@@ -681,7 +693,8 @@ let connect stack ~dst ~dst_port ?src_port () =
       ~rcv_buf:infinite ~state:Syn_sent
   in
   add_conn stack conn;
-  emit conn ~syn:true ~seq:0 ~payload:0 ();
+  emit conn ~syn:true ~fin:false ~is_ack:false ~ece:false ~probe:false ~seq:0
+    ~payload:0;
   conn.snd_nxt <- 1;
   arm_rto conn;
   conn

@@ -4,11 +4,13 @@
    against test/lint_fixtures/, with a config that scopes the rules to
    that directory and promotes fixture_h101 into the hot set.
 
-   The typed tier (P101/P102/H102/H103/H104/U101/U102) is exercised through
-   [Lint.Typed_source]: fixture sources are typed in-process and fed
-   to the same analysis the cmt path uses, including a mutation test
-   that un-atomics the real Runner.Pool counter and checks P101
-   catches the race. *)
+   The fixtures are typed in-process ([Typed_source.load]) and
+   checked by the same [Lint.Driver.run] and [Lint.Driver.main] the
+   CLI runs over the build's .cmt files.  Inline sources exercise the
+   interprocedural rules (P101/P102/H102/H103/H104/U101/U102) through
+   [Typed_source.analyze], including mutation tests that
+   un-atomic the real Runner.Pool counter and put a polymorphic [min]
+   back into the event queue. *)
 
 let fixture_config =
   { Lint.Config.hot_modules = [ "fixture_h101" ];
@@ -22,23 +24,47 @@ let fixture_config =
     offmain_forbidden = [];
     mutable_creators = [] }
 
-let run ?allowlist ?rule_enabled dirs =
+let unit_ ?(name = "Example") ?(file = "lint_fixtures/typed/example.ml") ?intf
+    src =
+  { Typed_source.u_name = name; u_file = file; u_src = src; u_intf = intf }
+
+(* Stand-ins for the libraries outside the fixtures' closed world. *)
+let telemetry_stub =
+  unit_ ~name:"Telemetry" ~file:"stubs/telemetry.ml"
+    "module Ctx = struct\n\
+    \  let on () = false\n\
+    \  let mark_run (_ : string) = ()\n\
+     end\n\
+     module Events = struct let emit _ = () end\n\
+     module Registry = struct\n\
+    \  let set_gauge _ (_ : string) (_ : float) = ()\n\
+     end\n"
+
+let unix_stub =
+  unit_ ~name:"Unix" ~file:"stubs/unix.ml" "let gettimeofday () = 0.0\n"
+
+let load = Typed_source.load ~stubs:[ telemetry_stub; unix_stub ]
+
+let run_driver ?allowlist ?rule_enabled dirs =
   match
-    Lint.Driver.run ~config:fixture_config ?allowlist ?rule_enabled ~root:"."
-      ~dirs ()
+    Result.bind (load ~root:"." ~dirs)
+      (Lint.Driver.run ~config:fixture_config ?allowlist ?rule_enabled
+         ~root:"." ~dirs)
   with
-  | Ok (findings, _stale) ->
-    List.map
-      (fun (f : Lint.Finding.t) -> (f.Lint.Finding.file, f.line, f.rule))
-      findings
+  | Ok result -> result
   | Error e -> Alcotest.failf "driver error: %s" e
+
+let run ?allowlist ?rule_enabled dirs =
+  List.map
+    (fun (f : Lint.Finding.t) -> (f.Lint.Finding.file, f.line, f.rule))
+    (fst (run_driver ?allowlist ?rule_enabled dirs))
 
 let triple = Alcotest.(list (triple string int string))
 
 let fx name = "lint_fixtures/fixture_" ^ name ^ ".ml"
 
 let expected =
-  [ (fx "d001", 4, "D001"); (fx "d001", 7, "D001");
+  [ (fx "d001", 4, "D001"); (fx "d001", 7, "D001"); (fx "d001", 10, "D001");
     (fx "d002", 2, "D002"); (fx "d002", 3, "D002");
     (fx "d002", 4, "D002"); (fx "d002", 5, "D002");
     (fx "d002", 6, "D002");
@@ -97,12 +123,8 @@ let test_allowlist_rejects_garbage () =
 let stale_entries ?(dirs = [ "lint_fixtures" ]) allow_text =
   match Lint.Allowlist.parse_string allow_text with
   | Error e -> Alcotest.failf "allowlist parse: %s" e
-  | Ok allowlist -> (
-    match
-      Lint.Driver.run ~config:fixture_config ~allowlist ~root:"." ~dirs ()
-    with
-    | Ok (_, stale) -> List.map Lint.Allowlist.entry_to_string stale
-    | Error e -> Alcotest.failf "driver error: %s" e)
+  | Ok allowlist ->
+    List.map Lint.Allowlist.entry_to_string (snd (run_driver ~allowlist dirs))
 
 let test_stale_allowlist () =
   (* A matching entry is not stale... *)
@@ -114,24 +136,24 @@ let test_stale_allowlist () =
     "unused in-scope entry is stale"
     [ "D002 lint_fixtures/fixture_d001.ml" ]
     (stale_entries "D002 lint_fixtures/fixture_d001.ml");
-  (* ...an entry outside the scanned dirs cannot be judged... *)
+  (* ...and an entry outside the scanned dirs cannot be judged. *)
   Alcotest.(check (list string))
     "entry outside scanned dirs is not judged" []
     (stale_entries ~dirs:[ "lint_fixtures/clean" ]
-       "D002 lint_fixtures/fixture_d001.ml");
-  (* ...and a typed-rule entry needs a --typed run to be judged. *)
-  Alcotest.(check (list string))
-    "typed-rule entry without --typed is not judged" []
-    (stale_entries "P101 lint_fixtures/fixture_d001.ml")
+       "D002 lint_fixtures/fixture_d001.ml")
 
 let main args =
-  Lint.Driver.main ~config:fixture_config (Array.of_list ("simlint" :: args))
+  Lint.Driver.main ~config:fixture_config ~load
+    (Array.of_list ("simlint" :: args))
 
 let test_exit_codes () =
   Alcotest.(check int) "findings exit 1" 1 (main [ "lint_fixtures" ]);
   Alcotest.(check int) "clean exits 0" 0 (main [ "lint_fixtures/clean" ]);
   Alcotest.(check int) "--list-rules exits 0" 0 (main [ "--list-rules" ]);
   Alcotest.(check int) "unknown option exits 2" 2 (main [ "--bogus" ]);
+  Alcotest.(check int)
+    "--typed is an unknown option" 2
+    (main [ "--typed"; "lint_fixtures" ]);
   Alcotest.(check int) "missing directory exits 2" 2 (main [ "no_such_dir" ]);
   Alcotest.(check int)
     "json findings still exit 1" 1
@@ -188,7 +210,7 @@ let test_rule_docs_cover_findings () =
     expected
 
 (* ------------------------------------------------------------------ *)
-(* Typed tier (P101/P102/H102/H103) over in-process-typed sources.     *)
+(* Interprocedural and typedtree rules over inline sources.            *)
 
 let typed_config =
   { fixture_config with
@@ -199,12 +221,8 @@ let typed_config =
       [ [ "Telemetry"; "Registry" ]; [ "Telemetry"; "Ctx"; "mark_run" ] ];
     mutable_creators = [ [ "ref" ]; [ "Hashtbl"; "create" ] ] }
 
-let unit_ ?(name = "Example") ?(file = "lint_fixtures/typed/example.ml") ?intf
-    src =
-  { Lint.Typed_source.u_name = name; u_file = file; u_src = src; u_intf = intf }
-
 let analyze ?(config = typed_config) units =
-  match Lint.Typed_source.analyze ~config units with
+  match Typed_source.analyze ~config units with
   | Ok findings ->
     List.map
       (fun (f : Lint.Finding.t) -> (f.Lint.Finding.file, f.line, f.rule))
@@ -242,13 +260,6 @@ let test_p101_module_scope_cell () =
            "let counter = Hashtbl.create 16\n\
             let job () = Hashtbl.replace counter 1 1\n\
             let go () = ignore (Domain.spawn job)\n" ])
-
-let telemetry_stub =
-  unit_ ~name:"Telemetry" ~file:"lint_fixtures/typed/telemetry.ml"
-    "module Ctx = struct\n\
-    \  let on () = false\n\
-    \  let mark_run (_ : string) = ()\n\
-     end\n"
 
 let test_p102_worker_reachable_telemetry () =
   Alcotest.check triple "unguarded worker-reachable mark_run fires P102"
