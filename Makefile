@@ -74,8 +74,8 @@ bench-parallel:
 # `simlint --list-rules`), run on the typedtrees of the build just
 # made.  `@check` also writes the cmts of executables whose module has
 # an interface, which `@all` alone skips.  Exits non-zero on any
-# finding not covered by an inline pragma or simlint.allow, and on a
-# stale simlint.allow entry.
+# finding no inline pragma covers, and on a stale pragma: one that
+# suppresses no finding, or names no rule.
 lint:
 	dune build @all @check
 	dune exec bin/simlint.exe -- --root . lib bin bench

@@ -183,7 +183,7 @@ let probe_event t ~kind ~dst ~size ~a ~b =
     ~src:(Netsim.Node.addr t.ep_node) ~dst ~size ~a ~b
 
 let rtt_hist () =
-  (* simlint: allow T201 — helper, every caller guards with Ctx.on *) (* simlint: allow P102 — same audit: the Ctx.on guard sits at each call site *)
+  (* simlint: allow T201 — helper, every caller guards with Ctx.on *)
   Telemetry.Registry.histogram
     (Telemetry.Ctx.metrics ())
     (* simlint: allow H103 — same audit: traced runs only *)

@@ -110,7 +110,11 @@ let fig7 =
   let open Fig7_isolation in
   exhibit "fig7" "Per-entity isolation on a shared queue" default
     [ duration (fun c -> c.duration) (fun v c -> { c with duration = v });
-      flag "tenant2-sources" "Tenant 2's source count (paper: 8x)." (count 1)
+      (* Each source is a host: with tenant 1's sender and the two
+         receivers, 4093 sources fill the 4096-host cap. *)
+      flag "tenant2-sources"
+        "Tenant 2's source count (paper: 8x), at most 4093."
+        (Int { lo = 1; unit = One; hi = 4093 })
         (fun c -> c.tenant2_sources)
         (fun v c -> { c with tenant2_sources = v }) ]
     (one (fun config -> result ~config ()))

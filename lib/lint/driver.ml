@@ -56,12 +56,12 @@ let missing_mli ~config files =
       else None)
     files
 
-let run ?(config = Config.default) ?(allowlist = Allowlist.empty)
-    ?(rule_enabled = fun _ -> true) ~root ~dirs program =
+let run ?(config = Config.default) ?(rule_enabled = fun _ -> true) ~root
+    ~dirs program =
   Result.map
     (fun files ->
-      (* Pragmas per source file, read on demand: the source set comes
-         from the program, not the walk. *)
+      (* Pragmas per source file, read on demand and kept for the run:
+         the check marks the ones it consumes on these very values. *)
       let pragma_cache = Hashtbl.create 64 in
       let pragmas_for file =
         match Hashtbl.find_opt pragma_cache file with
@@ -78,20 +78,28 @@ let run ?(config = Config.default) ?(allowlist = Allowlist.empty)
           p
       in
       let findings = Typed.check ~config ~pragmas:pragmas_for program in
-      let all =
+      let kept =
         missing_mli ~config files @ findings
         |> List.filter (fun (f : Finding.t) -> rule_enabled f.Finding.rule)
       in
-      let kept, unused = Allowlist.apply allowlist all in
-      (* An unused entry is only *stale* when this run could have
-         matched it: its rule ran and its file lies under the scanned
-         dirs. *)
+      (* A pragma the check left unconsumed is stale when its rule ran
+         over its file, and always when it names no rule. *)
       let stale =
-        List.filter
-          (fun e ->
-            rule_enabled (Allowlist.entry_rule e)
-            && Config.in_dirs (Allowlist.entry_file e) dirs)
-          unused
+        List.concat_map
+          (fun file ->
+            List.filter_map
+              (fun (line, rule) ->
+                Option.map
+                  (fun why ->
+                    Finding.make ~file ~line ~rule
+                      ~msg:("stale pragma: " ^ why))
+                  (if not (Config.known_rule rule) then
+                     Some "no such rule (see --list-rules)"
+                   else if rule_enabled rule then
+                     Some "suppresses no finding; delete it"
+                   else None))
+              (Pragma.unused (pragmas_for file)))
+          files
       in
       (List.sort Finding.compare kept, stale))
     (scan_files ~root ~dirs)
@@ -103,18 +111,18 @@ let list_rules () =
 
 let usage =
   "usage: simlint [--root DIR] [--format human|json]\n\
-  \               [--only RULES] [--disable RULES] [--allowlist FILE]\n\
-  \               [--list-rules] [DIR ...]\n\
+  \               [--only RULES] [--disable RULES] [--list-rules] [DIR ...]\n\
    Checks the sources under DIR ... (default: lib bin bench) in the .cmt\n\
    files of ROOT/_build/default (--root default: .; run\n\
    `dune build @all @check` first) and reports policy violations as\n\
    file:line: [RULE] message (--format json: one\n\
    {\"rule\",\"file\",\"line\",\"msg\"} object per line).  RULES are\n\
-   comma-separated rule ids.  Exits 0 when clean, 1 on findings or stale\n\
-   allowlist entries, 2 on usage or loading errors.  Suppress a single site\n\
-   with (* simlint: allow RULE — reason *) on the offending or the\n\
-   preceding line; suppress file-wide in the --allowlist file (default:\n\
-   ROOT/simlint.allow when present, format: RULE path[:line])."
+   comma-separated rule ids.  Suppress a finding with a comment on the\n\
+   offending or the preceding line that reads `simlint: allow`, then the\n\
+   rule id and a reason.  A pragma that suppresses no finding of a rule\n\
+   that ran, or names no rule, is stale and reported on stderr.  Exits 0\n\
+   when clean, 1 on findings or stale pragmas, 2 on usage or loading\n\
+   errors."
 
 let split_rules what v k =
   let rules =
@@ -129,7 +137,6 @@ let split_rules what v k =
 
 let main ?config ~load argv =
   let root = ref "." in
-  let allowlist_file = ref None in
   let dirs = ref [] in
   let list_only = ref false in
   let json = ref false in
@@ -143,9 +150,6 @@ let main ?config ~load argv =
       parse rest
     | "--root" :: v :: rest ->
       root := v;
-      parse rest
-    | "--allowlist" :: v :: rest ->
-      allowlist_file := Some v;
       parse rest
     | "--format" :: v :: rest -> (
       match v with
@@ -195,44 +199,24 @@ let main ?config ~load argv =
         (match !only with Some rs -> List.mem r rs | None -> true)
         && not (List.mem r !disabled)
       in
-      let allowlist =
-        let explicit = !allowlist_file in
-        let default_path = Filename.concat !root "simlint.allow" in
-        match explicit with
-        | Some f -> Allowlist.load f
-        | None ->
-          if Sys.file_exists default_path then Allowlist.load default_path
-          else Ok Allowlist.empty
-      in
-      match allowlist with
+      match
+        Result.bind (load ~root:!root ~dirs)
+          (run ?config ~rule_enabled ~root:!root ~dirs)
+      with
       | Error e ->
         Printf.eprintf "simlint: %s\n" e;
         2
-      | Ok allowlist -> (
-        match
-          Result.bind (load ~root:!root ~dirs)
-            (run ?config ~allowlist ~rule_enabled ~root:!root ~dirs)
-        with
-        | Error e ->
-          Printf.eprintf "simlint: %s\n" e;
-          2
-        | Ok (findings, stale) ->
-          List.iter
-            (fun f ->
-              print_endline
-                (if !json then Finding.to_json f else Finding.to_string f))
-            findings;
-          List.iter
-            (fun e ->
-              Printf.eprintf
-                "simlint: stale allowlist entry: %s (matched no finding; \
-                 remove it from simlint.allow)\n"
-                (Allowlist.entry_to_string e))
-            stale;
-          let n = List.length findings in
-          if n > 0 then
-            (* Summary on stderr so --format json stdout stays pure. *)
-            (if !json then Printf.eprintf else Printf.printf)
-              "simlint: %d finding(s)\n" n;
-          if n = 0 && stale = [] then 0 else 1)
+      | Ok (findings, stale) ->
+        List.iter
+          (fun f ->
+            print_endline
+              (if !json then Finding.to_json f else Finding.to_string f))
+          findings;
+        List.iter (fun f -> prerr_endline (Finding.to_string f)) stale;
+        let n = List.length findings in
+        if n > 0 then
+          (* Summary on stderr so --format json stdout stays pure. *)
+          (if !json then Printf.eprintf else Printf.printf)
+            "simlint: %d finding(s)\n" n;
+        if n = 0 && stale = [] then 0 else 1
     end

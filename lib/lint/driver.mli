@@ -9,18 +9,17 @@ val scan_files :
 
 val run :
   ?config:Config.t ->
-  ?allowlist:Allowlist.t ->
   ?rule_enabled:(string -> bool) ->
   root:string ->
   dirs:string list ->
   Typed.program ->
-  (Finding.t list * Allowlist.entry list, string) result
+  (Finding.t list * Finding.t list, string) result
 (** Run every rule over the program ({!Typed.check}) and M001 over the
-    files under [dirs], drop pragma- and allowlist-suppressed
-    findings, sort.  Returns the kept findings and the *stale*
-    allowlist entries: entries that matched nothing even though their
-    rule ran over their file's directory.  [Error] names a missing
-    directory. *)
+    files under [dirs], drop pragma-suppressed findings and those of
+    rules [rule_enabled] refuses, sort.  Returns the kept findings and
+    the *stale* pragmas of the files under [dirs]: those that
+    suppressed nothing although their rule ran, and those that name no
+    rule.  [Error] names a missing directory. *)
 
 val main :
   ?config:Config.t ->
@@ -29,4 +28,4 @@ val main :
   int
 (** The simlint CLI over the program [load] returns for [--root] and
     the scanned dirs: returns the process exit code (0 clean, 1
-    findings or stale allowlist entries, 2 usage or loading error). *)
+    findings or stale pragmas, 2 usage or loading error). *)

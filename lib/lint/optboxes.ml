@@ -6,7 +6,16 @@
    [Some] written by hand.  [?x:] passes the caller's option through
    unchanged and is fine, as is an omitted optional argument (the
    typer fills in the constant [None]).  A site that only runs at
-   setup carries a pragma. *)
+   setup carries a pragma.
+
+   A [~x:v] into a defaulted [?(x = d)] is flagged too, although it
+   boxes only across modules: a same-unit call, or one compiled
+   without [-opaque], goes straight to the callee's [f_inner] with no
+   [alloc].  The dev profile passes [-opaque] to every library module,
+   and under it [ocamlopt -dcmm] of [B.g b y = A.f ~x:b y] is a
+   [caml_apply2] on [(alloc 1024 b)], the [Some].  A bare [?x] boxes
+   either way.  Every site flagged in lib is cross-module or into a
+   bare [?x], so each H103 pragma there guards a real box. *)
 
 let typer_some (e : Typedtree.expression) =
   match e.exp_desc with

@@ -1,21 +1,21 @@
-(* Inline suppressions.  A comment of the form
+(* Inline suppressions.  A comment that reads [simlint: allow]
+   followed by a rule id and a reason, such as the one above [quiet]
+   in test/lint_fixtures/fixture_pragma.ml, suppresses the named rule
+   on the pragma's own line and on the line immediately below it, so
+   it can sit at the end of the offending line or on its own line just
+   above.  The reason text is free-form but expected; a pragma with no
+   reason still parses (the reviewer, not the tool, enforces taste).
+   Scanning is textual because the OCaml parser discards comments.
 
-     (* simlint: allow D001 — reason *)
+   One line may carry several pragmas, each naming its own rule, and a
+   line missing its trailing newline (end of file) scans like any
+   other line.  Both behaviors are pinned by fixtures.
 
-   suppresses the named rule on the pragma's own line and on the line
-   immediately below it, so it can sit at the end of the offending
-   line or on its own line just above.  The reason text is free-form
-   but expected; a pragma with no reason still parses (the reviewer,
-   not the tool, enforces taste).  Scanning is textual because the
-   OCaml parser discards comments.
+   Every pragma records whether it covered a finding, so the driver
+   can report the ones that suppress nothing. *)
 
-   One line may carry several pragmas — e.g.
-   [(* simlint: allow D001 — a *) (* simlint: allow D002 — b *)] —
-   and each names its own rule; a line missing its trailing newline
-   (end of file) scans like any other line.  Both behaviors are
-   pinned by fixtures. *)
-
-type t = (int * string) list (* (line, rule) pairs, 1-based *)
+type pragma = { line : int; rule : string; mutable used : bool }
+type t = pragma list
 
 let marker = "simlint: allow"
 
@@ -50,7 +50,9 @@ let scan src =
   let start = ref 0 in
   let flush stop =
     let text = String.sub src !start (stop - !start) in
-    List.iter (fun rule -> out := (!line, rule) :: !out) (rules_in text);
+    List.iter
+      (fun rule -> out := { line = !line; rule; used = false } :: !out)
+      (rules_in text);
     start := stop + 1;
     incr line
   in
@@ -59,4 +61,14 @@ let scan src =
   List.rev !out
 
 let suppressed t ~line ~rule =
-  List.exists (fun (l, r) -> r = rule && (l = line || l = line - 1)) t
+  List.fold_left
+    (fun hit p ->
+      if p.rule = rule && (p.line = line || p.line = line - 1) then begin
+        p.used <- true;
+        true
+      end
+      else hit)
+    false t
+
+let unused t =
+  List.filter_map (fun p -> if p.used then None else Some (p.line, p.rule)) t

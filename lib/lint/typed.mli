@@ -20,4 +20,5 @@ val check :
 (** One finding per (file, line, rule), none that a pragma of
     [pragmas file] covers.  A P101 pragma at a mutable cell's
     definition site marks an audited exchange point whose access sites
-    are not reported. *)
+    are not reported.  Every pragma that hides a finding either way is
+    marked consumed ({!Pragma.unused}). *)

@@ -1,6 +1,7 @@
 (* simlint fixture suite: every rule must fire at the exact
-   file:line it is seeded at (and nowhere else), pragmas and the
-   allowlist must suppress, and the CLI exit codes must hold.  Runs
+   file:line it is seeded at (and nowhere else), pragmas must
+   suppress, a pragma that suppresses nothing must be reported, and
+   the CLI exit codes must hold.  Runs
    against test/lint_fixtures/, with a config that scopes the rules to
    that directory and promotes fixture_h101 into the hot set.
 
@@ -45,19 +46,21 @@ let unix_stub =
 
 let load = Typed_source.load ~stubs:[ telemetry_stub; unix_stub ]
 
-let run_driver ?allowlist ?rule_enabled dirs =
+let run_driver ?(config = fixture_config) ?(root = ".") ?rule_enabled dirs =
   match
-    Result.bind (load ~root:"." ~dirs)
-      (Lint.Driver.run ~config:fixture_config ?allowlist ?rule_enabled
-         ~root:"." ~dirs)
+    Result.bind (load ~root ~dirs)
+      (Lint.Driver.run ~config ?rule_enabled ~root ~dirs)
   with
   | Ok result -> result
   | Error e -> Alcotest.failf "driver error: %s" e
 
-let run ?allowlist ?rule_enabled dirs =
-  List.map
-    (fun (f : Lint.Finding.t) -> (f.Lint.Finding.file, f.line, f.rule))
-    (fst (run_driver ?allowlist ?rule_enabled dirs))
+let triples =
+  List.map (fun (f : Lint.Finding.t) -> (f.Lint.Finding.file, f.line, f.rule))
+
+let run ?rule_enabled dirs = triples (fst (run_driver ?rule_enabled dirs))
+
+let stale ?config ?root ?rule_enabled dirs =
+  triples (snd (run_driver ?config ?root ?rule_enabled dirs))
 
 let triple = Alcotest.(list (triple string int string))
 
@@ -92,56 +95,6 @@ let test_rule_filter () =
     (List.filter (fun (_, _, r) -> r = "D003") expected)
     (run ~rule_enabled:(fun r -> r = "D003") [ "lint_fixtures" ])
 
-let test_allowlist_file_wide () =
-  match Lint.Allowlist.parse_string "D002 lint_fixtures/fixture_d002.ml" with
-  | Error e -> Alcotest.failf "allowlist parse: %s" e
-  | Ok allowlist ->
-    let got = run ~allowlist [ "lint_fixtures" ] in
-    Alcotest.check triple "file-wide allow removes every fixture_d002 D002"
-      (List.filter
-         (fun (f, _, r) -> not (r = "D002" && f = fx "d002"))
-         expected)
-      got
-
-let test_allowlist_line_scoped () =
-  match
-    Lint.Allowlist.parse_string
-      "# comment line\nD001 lint_fixtures/fixture_d001.ml:4\n"
-  with
-  | Error e -> Alcotest.failf "allowlist parse: %s" e
-  | Ok allowlist ->
-    let got = run ~allowlist [ "lint_fixtures" ] in
-    Alcotest.check triple "line-scoped allow removes exactly one"
-      (List.filter (fun (f, l, _) -> not (f = fx "d001" && l = 4)) expected)
-      got
-
-let test_allowlist_rejects_garbage () =
-  match Lint.Allowlist.parse_string "D001 too many tokens here" with
-  | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error _ -> ()
-
-let stale_entries ?(dirs = [ "lint_fixtures" ]) allow_text =
-  match Lint.Allowlist.parse_string allow_text with
-  | Error e -> Alcotest.failf "allowlist parse: %s" e
-  | Ok allowlist ->
-    List.map Lint.Allowlist.entry_to_string (snd (run_driver ~allowlist dirs))
-
-let test_stale_allowlist () =
-  (* A matching entry is not stale... *)
-  Alcotest.(check (list string))
-    "used entry is not stale" []
-    (stale_entries "D002 lint_fixtures/fixture_d002.ml");
-  (* ...an in-scope entry that matches nothing is... *)
-  Alcotest.(check (list string))
-    "unused in-scope entry is stale"
-    [ "D002 lint_fixtures/fixture_d001.ml" ]
-    (stale_entries "D002 lint_fixtures/fixture_d001.ml");
-  (* ...and an entry outside the scanned dirs cannot be judged. *)
-  Alcotest.(check (list string))
-    "entry outside scanned dirs is not judged" []
-    (stale_entries ~dirs:[ "lint_fixtures/clean" ]
-       "D002 lint_fixtures/fixture_d001.ml")
-
 let main args =
   Lint.Driver.main ~config:fixture_config ~load
     (Array.of_list ("simlint" :: args))
@@ -154,6 +107,9 @@ let test_exit_codes () =
   Alcotest.(check int)
     "--typed is an unknown option" 2
     (main [ "--typed"; "lint_fixtures" ]);
+  Alcotest.(check int)
+    "--allowlist is an unknown option" 2
+    (main [ "--allowlist"; "simlint.allow"; "lint_fixtures" ]);
   Alcotest.(check int) "missing directory exits 2" 2 (main [ "no_such_dir" ]);
   Alcotest.(check int)
     "json findings still exit 1" 1
@@ -173,24 +129,6 @@ let test_exit_codes () =
   Alcotest.(check int)
     "--disable unknown rule exits 2" 2
     (main [ "--disable"; "D999"; "lint_fixtures" ])
-
-let with_temp_allowlist text k =
-  let path = Filename.temp_file "simlint_allow" ".txt" in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> k path)
-
-let test_stale_allowlist_exit_code () =
-  with_temp_allowlist "D002 lint_fixtures/clean/fixture_clean.ml\n"
-    (fun path ->
-      Alcotest.(check int)
-        "stale entry alone exits 1" 1
-        (main [ "--allowlist"; path; "lint_fixtures/clean" ]));
-  with_temp_allowlist "D002 lint_fixtures/fixture_d001.ml\n" (fun path ->
-      Alcotest.(check int)
-        "out-of-scope entry does not trip the clean dir" 0
-        (main [ "--allowlist"; path; "lint_fixtures/clean" ]))
 
 let test_json_rendering () =
   Alcotest.(check string)
@@ -522,19 +460,140 @@ let test_epoch_clean_and_pragma_load_bearing () =
   if not (List.exists (fun (_, _, r) -> r = "P101") got) then
     Alcotest.fail "epoch ctl pragma suppresses nothing — audit is stale"
 
+(* ------------------------------------------------------------------ *)
+(* Stale pragmas: a pragma that suppresses no finding of a rule that
+   ran, or that names no rule, is reported.  Each case types sources
+   written to a scratch root, under lint_fixtures/ so the fixture
+   config's rules apply; every source gets an empty interface, which
+   keeps M001 quiet. *)
+
+let rec remove path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_root files k =
+  let root = Filename.temp_dir "simlint" "" in
+  let rec mkdirs d =
+    if not (Sys.file_exists d) then begin
+      mkdirs (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  List.iter
+    (fun (path, src) ->
+      let abs = Filename.concat root path in
+      mkdirs (Filename.dirname abs);
+      Out_channel.with_open_bin abs (fun oc -> output_string oc src))
+    files;
+  Fun.protect ~finally:(fun () -> remove root) (fun () -> k root)
+
+let source name src = [ (name ^ ".ml", src); (name ^ ".mli", "") ]
+
+let unused_pragma =
+  source "lint_fixtures/unused"
+    "let size l =\n\
+    \  (* simlint: allow D001 — nothing here iterates a table *)\n\
+    \  List.length l\n"
+  @ source "lint_fixtures/clean/ok" "let x = 1\n"
+
+let test_stale_pragmas () =
+  Alcotest.check triple "consumed pragmas are not stale" []
+    (stale [ "lint_fixtures" ]);
+  with_root unused_pragma (fun root ->
+      Alcotest.check triple "unused pragma of an enabled rule is stale"
+        [ ("lint_fixtures/unused.ml", 2, "D001") ]
+        (stale ~root [ "lint_fixtures" ]);
+      Alcotest.check triple "a rule --only leaves out is not judged" []
+        (stale ~root ~rule_enabled:(fun r -> r = "D002") [ "lint_fixtures" ]);
+      Alcotest.check triple "a file outside the scanned dirs is not judged" []
+        (stale ~root [ "lint_fixtures/clean" ]))
+
+let test_stale_pragma_exit_code () =
+  with_root unused_pragma (fun root ->
+      Alcotest.(check int)
+        "stale pragma alone exits 1" 1
+        (main [ "--root"; root; "lint_fixtures" ]);
+      Alcotest.(check int)
+        "stale pragma outside the scanned dirs exits 0" 0
+        (main [ "--root"; root; "lint_fixtures/clean" ]);
+      Alcotest.(check int)
+        "stale pragma of a disabled rule exits 0" 0
+        (main [ "--root"; root; "--disable"; "D001"; "lint_fixtures" ]))
+
+let test_unknown_pragma_rule () =
+  with_root
+    (source "lint_fixtures/typo"
+       "(* simlint: allow D01 — a typo can suppress nothing *)\n\
+        let x = 1\n")
+    (fun root ->
+      Alcotest.check triple "unknown rule id is reported"
+        [ ("lint_fixtures/typo.ml", 1, "D01") ]
+        (stale ~root [ "lint_fixtures" ]);
+      Alcotest.check triple "whatever rules run"
+        [ ("lint_fixtures/typo.ml", 1, "D01") ]
+        (stale ~root ~rule_enabled:(fun r -> r = "D002") [ "lint_fixtures" ]))
+
+let audited_cell =
+  "(* simlint: allow P101 — audited exchange point *)\n\
+   let counter = Hashtbl.create 16\n\
+   let job () = Hashtbl.replace counter 1 1\n\
+   let go () = ignore (Domain.spawn job)\n"
+
+let test_p101_definition_site_consumed () =
+  (* The pragma sits two lines above the access site, out of reach of
+     the line match: only the definition-site lookup consumes it. *)
+  let check src k =
+    with_root (source "lint_fixtures/cell" src) (fun root ->
+        k (run_driver ~config:typed_config ~root [ "lint_fixtures" ]))
+  in
+  check audited_cell (fun (findings, stale) ->
+      Alcotest.check triple "audited cell hides its access site" []
+        (triples findings);
+      Alcotest.check triple "definition-site pragma is consumed" []
+        (triples stale));
+  check
+    (replace_exactly ~what:"simlint: allow" ~by:"simlint-disarmed"
+       audited_cell)
+    (fun (findings, _) ->
+      Alcotest.check triple "without it the access site fires"
+        [ ("lint_fixtures/cell.ml", 3, "P101") ]
+        (triples findings))
+
+let test_moved_pragma () =
+  (* Mutation: fixture_pragma's live pragma moved one line down, below
+     the site it covered, suppresses nothing. *)
+  let pragma =
+    "  (* simlint: allow D001 — fixture demonstrates suppression *)\n"
+  in
+  let site = "  Hashtbl.iter (fun _ _ -> ()) tbl\n" in
+  let moved =
+    replace_exactly ~what:(pragma ^ site) ~by:(site ^ pragma)
+      (read_file (fx "pragma"))
+  in
+  with_root (source "lint_fixtures/fixture_pragma" moved) (fun root ->
+      let findings, stale = run_driver ~root [ "lint_fixtures" ] in
+      Alcotest.check triple "the uncovered site fires"
+        [ (fx "pragma", 3, "D001"); (fx "pragma", 6, "D001") ]
+        (triples findings);
+      Alcotest.check triple "the moved pragma is stale"
+        [ (fx "pragma", 4, "D001") ]
+        (triples stale))
+
 let suite =
   [ Alcotest.test_case "exact diagnostics" `Quick test_exact_diagnostics;
     Alcotest.test_case "clean dir" `Quick test_clean_dir;
     Alcotest.test_case "rule filter" `Quick test_rule_filter;
-    Alcotest.test_case "allowlist file-wide" `Quick test_allowlist_file_wide;
-    Alcotest.test_case "allowlist line-scoped" `Quick
-      test_allowlist_line_scoped;
-    Alcotest.test_case "allowlist rejects garbage" `Quick
-      test_allowlist_rejects_garbage;
-    Alcotest.test_case "stale allowlist detection" `Quick
-      test_stale_allowlist;
-    Alcotest.test_case "stale allowlist exit code" `Quick
-      test_stale_allowlist_exit_code;
+    Alcotest.test_case "stale pragma detection" `Quick test_stale_pragmas;
+    Alcotest.test_case "stale pragma exit code" `Quick
+      test_stale_pragma_exit_code;
+    Alcotest.test_case "unknown pragma rule reported" `Quick
+      test_unknown_pragma_rule;
+    Alcotest.test_case "P101 definition-site pragma consumed" `Quick
+      test_p101_definition_site_consumed;
+    Alcotest.test_case "pragma moved one line down" `Quick test_moved_pragma;
     Alcotest.test_case "exit codes" `Quick test_exit_codes;
     Alcotest.test_case "json rendering" `Quick test_json_rendering;
     Alcotest.test_case "rules documented" `Quick
