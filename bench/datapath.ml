@@ -2,24 +2,23 @@
    forwarding, the fabric-scale sweep, and the MTP sender's per-ack
    cost against its backlog.
 
-   Three guardrail workloads (event dispatch, timer re-arm, pooled
-   packet forward) are compared against the pre-refactor growth-seed
-   baselines.  The scale sweep drives a raw-packet permutation workload through 64 ->
-   4096 host fabrics and checks that minor words/event stay flat; the
-   mtp section checks the same of minor words per acked packet as one
-   sender's backlog grows from 1 to 128 messages, and bounds the growth
-   of its ns per acked packet.  Results go to stdout and, every section
+   Event dispatch is compared against the pre-refactor growth-seed
+   baseline; a timer re-arm, a pooled packet forward and dispatch at
+   depth must allocate nothing.  The scale sweep drives a raw-packet
+   permutation workload through 64 -> 4096 host fabrics and checks
+   that minor words/event stay flat; the mtp section checks the same
+   of minor words per acked packet as one sender's backlog grows from
+   1 to 128 messages, and bounds the growth of its ns per acked
+   packet.  Results go to stdout and, every section
    in one pass, BENCH_engine.json (with the host's core count).
 
    `--guardrail` additionally enforces the bars (non-zero exit on
    regression) — wired into `make check` and CI next to the parallel
    scaling bench. *)
 
-(* Pre-refactor (closure-heap engine, allocating per-packet datapath)
-   numbers, measured with the identical drivers below on the growth
-   seed. *)
+(* Pre-refactor (closure-heap engine) words per event, measured with
+   the identical driver below on the growth seed. *)
 let baseline_words_per_event = 18.00
-let baseline_words_per_packet = 74.00
 
 (* Timed passes per workload.  The workloads a bar compares run
    interleaved (a, b, a, b, ...), so load that comes and goes on the
@@ -142,28 +141,29 @@ let datapath_deep () =
 (* Steady-state forwarding over a pooled link: one packet on the wire
    at a time (120 ns serialization at 100G, 1 µs propagation), recycled
    on delivery: one source event, one completion and one delivery per
-   packet. *)
+   packet.  The link is built off the clock, as in [datapath_deep], so
+   the words per packet are the forwarding path's alone (bar 0.00). *)
 let datapath_packets () =
   let n = 100_000 in
+  let sim = Engine.Sim.create () in
+  let pool = Netsim.Packet.pool sim in
+  let link =
+    Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
+      ~delay:(Engine.Time.us 1) ~pool ()
+  in
+  let delivered = ref 0 in
+  Netsim.Link.set_dst link (fun pkt ->
+      incr delivered;
+      Netsim.Packet.release pool pkt);
+  let gap = Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100) in
+  let sent = ref 0 in
+  ignore
+  @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
+         Netsim.Link.send link
+           (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
+         incr sent;
+         !sent < n);
   timed (fun () ->
-      let sim = Engine.Sim.create () in
-      let pool = Netsim.Packet.pool sim in
-      let link =
-        Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-          ~delay:(Engine.Time.us 1) ~pool ()
-      in
-      let delivered = ref 0 in
-      Netsim.Link.set_dst link (fun pkt ->
-          incr delivered;
-          Netsim.Packet.release pool pkt);
-      let gap = Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100) in
-      let sent = ref 0 in
-      ignore
-      @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
-             Netsim.Link.send link
-               (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
-             incr sent;
-             !sent < n);
       Engine.Sim.run sim;
       !delivered)
 
@@ -181,7 +181,8 @@ let datapath_packets () =
    - a pure routing-lookup loop (ports_for + ecmp_port on a warmed
      4096-host edge table) that must allocate nothing at all, and
    - a switch-ingress loop (Switch.receive with no taps or hooks,
-     forwarding Consume) that must allocate nothing either. *)
+     forwarding on a real ECMP verdict) that must allocate nothing
+     either. *)
 
 let host_rate = Engine.Time.gbps 10
 let fabric_rate = Engine.Time.gbps 40
@@ -332,15 +333,38 @@ let run_lookup () =
       probe.Netsim.Packet.flow_hash <- i;
       sink := !sink + Netsim.Routing.ecmp_port routes probe)
 
-(* The switch ingress every delivered packet passes: counters, the
-   tap and hook walks (both empty here) and the forwarding call. *)
+(* The switch ingress every forwarded packet passes: counters, the tap
+   and hook walks (both empty here), a [Routing.ecmp] verdict over four
+   ports (cycling flow_hash spreads the probe over all of them) and
+   [Link.send] on the chosen egress.  The egress queues hold nothing
+   ([cap_pkts:0]), so every send is a tail drop and the simulator never
+   needs to run; without a pool the drop releases nothing.  A verdict
+   boxed per packet would show here as 2 words per call. *)
+let ingress_ports = 4
+
 let run_ingress () =
   let sim = Engine.Sim.create () in
   let sw = Netsim.Switch.create sim ~name:"sw" () in
-  Netsim.Switch.set_forward sw (fun _ -> Netsim.Switch.Consume);
+  let routes = Netsim.Routing.create () in
+  for i = 0 to ingress_ports - 1 do
+    let egress =
+      Netsim.Link.create sim ~name:(Printf.sprintf "egress%d" i)
+        ~rate:fabric_rate ~delay ~qdisc:(Netsim.Qdisc.fifo ~cap_pkts:0 ()) ()
+    in
+    Netsim.Routing.add routes 1 (Netsim.Switch.add_port sw egress)
+  done;
+  Netsim.Switch.set_forward sw (Netsim.Routing.ecmp routes);
   let pool = Netsim.Packet.pool sim in
   let probe = Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 () in
-  zero_alloc_loop ingress_calls (fun _ -> Netsim.Switch.receive sw probe)
+  (* Warm the live port set so its lazy refresh is off the clock. *)
+  Netsim.Switch.receive sw probe;
+  let words, rate =
+    zero_alloc_loop ingress_calls (fun i ->
+        probe.Netsim.Packet.flow_hash <- i;
+        Netsim.Switch.receive sw probe)
+  in
+  assert (Netsim.Switch.forwarded sw = ingress_calls + 1);
+  (words, rate)
 
 type scale = {
   pts : point_out list;
@@ -396,7 +420,7 @@ let flat_floor = 0.25
 
 (* Minor words per acked packet at a backlog of 1 when last recorded
    (allocation is deterministic, so the same on any machine). *)
-let mtp_recorded_words_1 = 93.42
+let mtp_recorded_words_1 = 87.42
 let mtp_words_bar = 1.15
 let mtp_ns_ratio_bar = 2.0
 
@@ -506,8 +530,8 @@ let print_report r =
     baseline_words_per_event;
   Printf.printf "%-32s %8.2f words/op %12.0f op/s (bar 0.00)\n" "timer re-arm"
     r.tm_words r.tm_rate;
-  Printf.printf "%-32s %8.2f words/op %12.0f op/s (baseline %.2f)\n"
-    "pooled packet forward" r.pk_words r.pk_rate baseline_words_per_packet;
+  Printf.printf "%-32s %8.2f words/op %12.0f op/s (bar 0.00)\n"
+    "pooled packet forward" r.pk_words r.pk_rate;
   Printf.printf "%-32s %8.2f words/op %12.0f op/s (bar 0.00)\n"
     (Printf.sprintf "deep heap (%d timers)" deep_timers)
     r.dh_words r.dh_rate;
@@ -550,8 +574,7 @@ let write_json r =
   "cores": %d,
   "passes": %d,
   "baseline": {
-    "minor_words_per_event": %.2f,
-    "minor_words_per_packet": %.2f
+    "minor_words_per_event": %.2f
   },
   "current": {
     "minor_words_per_event": %.2f,
@@ -564,17 +587,15 @@ let write_json r =
     "deep_heap_events_per_sec": %.0f
   },
   "reduction": {
-    "event_words_factor": %.2f,
-    "packet_words_factor": %.2f
+    "event_words_factor": %.2f
   },
   "scale": {
     "points": [|}
     (Domain.recommended_domain_count ())
-    passes baseline_words_per_event baseline_words_per_packet r.ev_words
+    passes baseline_words_per_event r.ev_words
     r.tm_words r.pk_words r.ev_rate r.pk_rate deep_timers r.dh_words
     r.dh_rate
-    (baseline_words_per_event /. Float.max 1e-9 r.ev_words)
-    (baseline_words_per_packet /. Float.max 1e-9 r.pk_words);
+    (baseline_words_per_event /. Float.max 1e-9 r.ev_words);
   let s = r.scale in
   List.iteri
     (fun i p ->
@@ -615,12 +636,12 @@ let guardrail r =
   if r.ev_words > baseline_words_per_event *. 1.10 then
     fail "event words/op %.2f exceeds baseline %.2f + 10%%" r.ev_words
       baseline_words_per_event;
-  if r.pk_words > baseline_words_per_packet *. 1.10 then
-    fail "packet words/op %.2f exceeds baseline %.2f + 10%%" r.pk_words
-      baseline_words_per_packet;
-  (* Re-arming one reusable timer, and popping and re-arming at depth,
-     must allocate nothing: the bar is 0.00 words at the two decimals
-     reported. *)
+  (* Re-arming one reusable timer, forwarding a pooled packet, and
+     popping and re-arming at depth must allocate nothing: the bar is
+     0.00 words at the two decimals reported. *)
+  if r.pk_words >= 0.005 then
+    fail "pooled packet forward allocates %.3f minor words per packet"
+      r.pk_words;
   if r.tm_words >= 0.005 then
     fail "timer re-arm allocates %.3f minor words per re-arm" r.tm_words;
   if r.dh_words >= 0.005 then

@@ -130,7 +130,7 @@ let alternate_path sim sw ~dst ~ports ~interval ~fallback =
       true);
   Netsim.Switch.set_forward sw (fun pkt ->
       if pkt.Netsim.Packet.dst = dst then
-        Netsim.Switch.Forward ports.(!current)
+        Netsim.Switch.forward ports.(!current)
       else fallback pkt)
 
 let excluded_in header port_paths port =
@@ -146,19 +146,26 @@ let exclusion_aware ~port_paths routes pkt =
   let n = Array.length ports in
   if n = 0 then Netsim.Switch.Drop
   else
+    let h = pkt.Netsim.Packet.flow_hash in
     match pkt.Netsim.Packet.payload with
     | Wire.Mtp header when header.Wire.path_exclude != [] ->
-      let allowed =
-        Array.to_list ports
-        |> List.filter (fun p -> not (excluded_in header port_paths p))
-      in
-      (match allowed with
-      | [] -> Netsim.Switch.Forward ports.(pkt.Netsim.Packet.flow_hash mod n)
-      | choices ->
-        let k = List.length choices in
-        Netsim.Switch.Forward
-          (List.nth choices (pkt.Netsim.Packet.flow_hash mod k)))
-    | _ -> Netsim.Switch.Forward ports.(pkt.Netsim.Packet.flow_hash mod n)
+      (* Two passes over [ports] instead of a filtered list: count the
+         allowed ports, then take the [(h mod count)]-th of them. *)
+      let count = ref 0 in
+      for i = 0 to n - 1 do
+        if not (excluded_in header port_paths ports.(i)) then incr count
+      done;
+      if !count = 0 then Netsim.Switch.forward ports.(h mod n)
+      else begin
+        let skip = ref (h mod !count) in
+        let pick = ref (-1) in
+        for i = 0 to n - 1 do
+          if !pick < 0 && not (excluded_in header port_paths ports.(i)) then
+            if !skip = 0 then pick := ports.(i) else decr skip
+        done;
+        Netsim.Switch.forward !pick
+      end
+    | _ -> Netsim.Switch.forward ports.(h mod n)
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -216,7 +223,7 @@ let msg_lb sw ~dst ~ports ~fallback =
           header.Wire.pkt_num = header.Wire.msg_pkts - 1
           (* Last packet seen: forget the message. *)
         then Itbl.remove lb.table key;
-        Netsim.Switch.Forward lb.lb_ports.(idx)
+        Netsim.Switch.forward lb.lb_ports.(idx)
       | _ -> fallback pkt);
   lb
 

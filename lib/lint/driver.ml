@@ -135,6 +135,17 @@ let split_rules what v k =
     Error 2
   | None -> if rules = [] then Error 2 else Ok (k rules)
 
+(* Shell completion spells a dir [lib/] or [./lib], but the loader and
+   the rules compare it with root-relative paths such as
+   [lib/netsim/link.ml]: strip a leading [./] and a trailing [/] once,
+   before anything uses the dir. *)
+let rec normalize_dir d =
+  let n = String.length d in
+  if n > 2 && String.sub d 0 2 = "./" then
+    normalize_dir (String.sub d 2 (n - 2))
+  else if n > 1 && d.[n - 1] = '/' then normalize_dir (String.sub d 0 (n - 1))
+  else d
+
 let main ?config ~load argv =
   let root = ref "." in
   let dirs = ref [] in
@@ -179,7 +190,7 @@ let main ?config ~load argv =
         bad := Some 2
       end
       else begin
-        dirs := a :: !dirs;
+        dirs := normalize_dir a :: !dirs;
         parse rest
       end
   in

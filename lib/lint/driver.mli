@@ -27,5 +27,7 @@ val main :
   string array ->
   int
 (** The simlint CLI over the program [load] returns for [--root] and
-    the scanned dirs: returns the process exit code (0 clean, 1
+    the scanned dirs, each passed to [load] and {!run} with a leading
+    [./] and any trailing [/] stripped (so [lib/] and [./lib] scan
+    [lib]): returns the process exit code (0 clean, 1
     findings or stale pragmas, 2 usage or loading error). *)

@@ -10,7 +10,9 @@
 
    In-flight packets sit in a ring; deliveries are FIFO because
    completion times are monotonic and the propagation delay is
-   constant.  Forwarding a packet allocates nothing in the link.
+   constant.  The qdisc answers an empty queue with [Packet.none]
+   rather than an option, so forwarding a packet allocates nothing in
+   the link.
 
    Links can fail ([set_down]/[set_up]): a down link refuses new
    packets, flushes its queue, loses the packet being serialised and
@@ -72,9 +74,9 @@ let drop_faulted t p =
 
 (* Start serialising the queue head; its completion fires [tx_done]. *)
 let start t =
-  match t.q.Qdisc.dequeue () with
-  | None -> t.transmitting <- false
-  | Some p ->
+  let p = t.q.Qdisc.dequeue () in
+  if p == Packet.none then t.transmitting <- false
+  else begin
     t.transmitting <- true;
     t.cur <- p;
     if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Dequeue p;
@@ -82,6 +84,7 @@ let start t =
       ~at:
         (Engine.Sim.now t.sim
         + Engine.Time.tx_time ~bytes:p.Packet.size ~rate:t.link_rate)
+  end
 
 (* The timer's action at [cur]'s completion.  The delivery is
    scheduled before [start] arms the next completion, so at a tie it
@@ -139,7 +142,10 @@ let add_tap t f = t.taps <- t.taps @ [ f ]
 
 let kick t = if not t.transmitting then start t
 
+(* The sentinel must never reach a qdisc: queued, it would make
+   [dequeue] report an empty queue and the link would stall. *)
 let send t p =
+  if p == Packet.none then invalid_arg "Link.send: Packet.none";
   t.n_sends <- t.n_sends + 1;
   if not t.up then drop_faulted t p
   else if not (Telemetry.Ctx.on ()) then begin
@@ -189,11 +195,11 @@ let set_down t =
     t.transmitting <- false;
     (* Flush the queue: a dead link holds no packets. *)
     let rec flush () =
-      match t.q.Qdisc.dequeue () with
-      | Some p ->
+      let p = t.q.Qdisc.dequeue () in
+      if p != Packet.none then begin
         drop_faulted t p;
         flush ()
-      | None -> ()
+      end
     in
     flush ()
   end

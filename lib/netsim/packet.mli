@@ -41,7 +41,9 @@ type t = {
 }
 
 val none : t
-(** Sentinel used to fill empty pool/ring slots.  Never send it. *)
+(** Sentinel used to fill empty pool/ring slots, and what
+    {!Qdisc.t.dequeue} answers for an empty queue.  Compare with [==].
+    Never send it: {!Link.send} raises [Invalid_argument] on it. *)
 
 val ecn_ce : t -> bool
 (** Congestion Experienced mark. *)

@@ -1,7 +1,7 @@
 type t = {
   name : string;
   enqueue : Packet.t -> bool;
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;
   enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
   dequeue_burst : Pktring.t -> max:int -> int;
   byte_length : unit -> int;
@@ -15,8 +15,10 @@ type t = {
 module Itbl = Hashtbl.Make (Int)
 
 (* A byte-counting FIFO used as the building block of every policy.
-   Backed by a packet ring so enqueue/dequeue allocate nothing (the
-   [Queue.t] it replaces allocated a cell per push). *)
+   Backed by a packet ring, and [pop] answers [Packet.none] when empty
+   instead of boxing its result in an option, so enqueue/dequeue
+   allocate nothing (the [Queue.t] it replaces allocated a cell per
+   push). *)
 module F = struct
   type fifo = {
     ring : Pktring.t;
@@ -36,11 +38,11 @@ module F = struct
     if f.bytes > f.max_bytes then f.max_bytes <- f.bytes
 
   let pop f =
-    if Pktring.is_empty f.ring then None
+    if Pktring.is_empty f.ring then Packet.none
     else begin
       let p = Pktring.pop f.ring in
       f.bytes <- f.bytes - p.Packet.size;
-      Some p
+      p
     end
 end
 
@@ -58,11 +60,12 @@ let burst_of_dequeue dequeue dst ~max =
   let n = ref 0 in
   let continue = ref true in
   while !continue && !n < max do
-    match dequeue () with
-    | Some p ->
+    let p = dequeue () in
+    if p == Packet.none then continue := false
+    else begin
       Pktring.push dst p;
       incr n
-    | None -> continue := false
+    end
   done;
   !n
 
@@ -160,7 +163,8 @@ let trimming ~cap_pkts ~header_size () =
     end
   in
   let dequeue () =
-    match F.pop headers with Some p -> Some p | None -> F.pop data
+    let p = F.pop headers in
+    if p != Packet.none then p else F.pop data
   in
   { name = "trimming";
     enqueue;
@@ -205,10 +209,10 @@ let wrr ?mark_threshold ~classify ~weights ~cap_pkts () =
      packet fits the deficit. *)
   let dequeue () =
     let total = Array.fold_left (fun acc f -> acc + F.len f) 0 queues in
-    if total = 0 then None
+    if total = 0 then Packet.none
     else begin
-      let result = ref None in
-      while match !result with None -> true | Some _ -> false do
+      let result = ref Packet.none in
+      while !result == Packet.none do
         let c = !current in
         let f = queues.(c) in
         if F.len f = 0 then begin
@@ -307,11 +311,9 @@ let with_hooks ?on_enqueue ?on_drop ?on_dequeue inner =
     end
   in
   let dequeue () =
-    match inner.dequeue () with
-    | None -> None
-    | Some p ->
-      run on_dequeue p;
-      Some p
+    let p = inner.dequeue () in
+    if p != Packet.none then run on_dequeue p;
+    p
   in
   { inner with enqueue; dequeue;
     enqueue_burst = burst_of_enqueue enqueue;

@@ -8,8 +8,13 @@ type t = {
   name : string;
   enqueue : Packet.t -> bool;
       (** [false] means the packet was dropped (or, for a trimming
-          qdisc, note the packet may be mutated and still accepted). *)
-  dequeue : unit -> Packet.t option;
+          qdisc, note the packet may be mutated and still accepted).
+          Never called with {!Packet.none}: {!Link.send} refuses it,
+          since a queued sentinel would read as an empty queue. *)
+  dequeue : unit -> Packet.t;
+      (** The head packet, or {!Packet.none} exactly when the queue is
+          empty (a sentinel rather than an option, so a dequeue
+          allocates nothing).  Test the result with [==]. *)
   enqueue_burst : Pktring.t -> rejects:Pktring.t -> int;
       (** Kept only because bench/suite/span.ml wraps it; links use
           {!enqueue}, so do not call it.  Drains [src] into the queue

@@ -13,7 +13,8 @@
    Fault control plane: remove_port/restore_port flip a per-port bool
    and bump a global epoch; an entry's live array is refiltered on the
    first lookup after an epoch change (lazy rebuild), so removals are
-   O(1) and steady-state forwarding allocates nothing. *)
+   O(1).  The selectors return the shared verdicts of
+   [Switch.forward], so steady-state forwarding allocates nothing. *)
 
 type entry = {
   mutable ports : int array; (* registration order; capacity >= nports *)
@@ -231,7 +232,7 @@ let mix salt h =
 
 let static t p =
   let ports = ports_for t p.Packet.dst in
-  if Array.length ports = 0 then Switch.Drop else Switch.Forward ports.(0)
+  if Array.length ports = 0 then Switch.Drop else Switch.forward ports.(0)
 
 let ecmp_port t p =
   let ports = ports_for t p.Packet.dst in
@@ -244,7 +245,7 @@ let ecmp_port t p =
 
 let ecmp t p =
   let port = ecmp_port t p in
-  if port < 0 then Switch.Drop else Switch.Forward port
+  if port < 0 then Switch.Drop else Switch.forward port
 
 let spray t p =
   let ports = ports_for t p.Packet.dst in
@@ -255,5 +256,5 @@ let spray t p =
     let en = t.entries.(t.index.(dst)) in
     let choice = en.spray mod n in
     en.spray <- en.spray + 1;
-    Switch.Forward ports.(choice)
+    Switch.forward ports.(choice)
   end

@@ -9,7 +9,8 @@
     the per-packet lookup is a bounds-checked array index — no
     hashing, no option allocation, and zero allocation in steady state
     (live-port arrays are refiltered lazily after a control-plane
-    change, not per packet).  Contiguous address ranges registered via
+    change, not per packet, and verdicts are the shared blocks of
+    {!Switch.forward}).  Contiguous address ranges registered via
     {!add_range} share one port-set entry, so interval-routed fabrics
     keep O(ports) state per switch regardless of host count. *)
 
@@ -68,8 +69,8 @@ val ecmp : t -> Packet.t -> Switch.action
 
 val ecmp_port : t -> Packet.t -> int
 (** The port {!ecmp} would pick, or [-1] when the destination is
-    unknown or portless.  Allocation-free (no [Switch.action] block);
-    for hot paths and benches that want the raw index. *)
+    unknown or portless.  For callers that want the raw index; like
+    every selector here it allocates nothing. *)
 
 val spray : t -> Packet.t -> Switch.action
 (** Per-packet round robin over the registered ports — the paper's

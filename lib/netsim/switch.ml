@@ -2,6 +2,16 @@ type action = Forward of int | Drop | Consume
 
 type verdict = Continue | Absorb
 
+(* One immutable [Forward i] per port below 256, built at module init
+   and never written, so a forwarding verdict allocates nothing; every
+   switch of the shipped fabrics has fewer ports.  A larger port gets
+   a fresh block, which is equally correct. *)
+let forwards = Array.init 256 (fun i -> Forward i)
+
+let forward i =
+  if i >= 0 && i < Array.length forwards then Array.unsafe_get forwards i
+  else Forward i
+
 type t = {
   sim : Engine.Sim.t;
   switch_name : string;

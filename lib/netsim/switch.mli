@@ -17,6 +17,11 @@ type verdict =
   | Continue  (** Proceed to the next hook / forwarding. *)
   | Absorb  (** Packet fully handled by the hook. *)
 
+val forward : int -> action
+(** [forward i] is [Forward i], shared rather than allocated for every
+    port below 256: forwarding functions return it so a verdict costs
+    no allocation. *)
+
 val create : Engine.Sim.t -> name:string -> ?pool:Packet.pool -> unit -> t
 (** With [pool], packets the forwarding function [Drop]s are released
     back to it — only safe when no other component retains references

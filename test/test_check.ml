@@ -108,7 +108,7 @@ let test_ledger_catches_theft () =
      counted as delivered or dropped — exactly the bug class the
      ledger exists to catch. *)
   checkb "theft got a packet" true
-    ((Link.qdisc link).Qdisc.dequeue () <> None);
+    ((Link.qdisc link).Qdisc.dequeue () != Packet.none);
   Engine.Sim.run sim;
   match Check.Ledger.failures ledger with
   | [] -> Alcotest.fail "uncounted loss not detected"
@@ -155,9 +155,7 @@ let steal_one_packet sc =
          Array.iter
            (fun l ->
              if (not !stolen) && Link.queued_pkts l > 0 then
-               match (Link.qdisc l).Qdisc.dequeue () with
-               | Some _ -> stolen := true
-               | None -> ())
+               stolen := (Link.qdisc l).Qdisc.dequeue () != Packet.none)
            links;
          not !stolen))
 

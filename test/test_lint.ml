@@ -130,6 +130,31 @@ let test_exit_codes () =
     "--disable unknown rule exits 2" 2
     (main [ "--disable"; "D999"; "lint_fixtures" ])
 
+(* A loader with [Cmt_loader.load]'s contract: it knows every unit by
+   its canonical root-relative path, keeps those under the requested
+   dirs, and fails when none is.  A dir spelled [lint_fixtures/] or
+   [./lint_fixtures] covers no unit unless [main] normalises it. *)
+let canonical_load ~root ~dirs =
+  Result.bind (load ~root ~dirs:[ "lint_fixtures" ]) (fun program ->
+      let under l =
+        List.filter (fun (f, _, _) -> Lint.Config.in_dirs f dirs) l
+      in
+      match under program.Lint.Typed.impls with
+      | [] -> Error ("no units cover " ^ String.concat " " dirs)
+      | impls -> Ok { program with impls; intfs = under program.intfs })
+
+let test_dir_spellings () =
+  let main args =
+    Lint.Driver.main ~config:fixture_config ~load:canonical_load
+      (Array.of_list ("simlint" :: args))
+  in
+  List.iter
+    (fun (dir, code) ->
+      Alcotest.(check int) (dir ^ " exit code") code (main [ dir ]))
+    [ ("lint_fixtures/clean", 0); ("lint_fixtures/clean/", 0);
+      ("./lint_fixtures/clean", 0); ("./lint_fixtures/clean/", 0);
+      ("lint_fixtures", 1); ("lint_fixtures/", 1); ("./lint_fixtures", 1) ]
+
 let test_json_rendering () =
   Alcotest.(check string)
     "escapes quotes, backslashes and newlines"
@@ -624,4 +649,5 @@ let suite =
     Alcotest.test_case "eventqueue min caught" `Quick
       test_eventqueue_min_caught;
     Alcotest.test_case "epoch pragma load-bearing" `Quick
-      test_epoch_clean_and_pragma_load_bearing ]
+      test_epoch_clean_and_pragma_load_bearing;
+    Alcotest.test_case "dir spellings" `Quick test_dir_spellings ]

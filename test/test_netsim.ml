@@ -39,9 +39,7 @@ let test_fifo_order_and_caps () =
   checkb "c dropped" false (q.Qdisc.enqueue c);
   checki "drops" 1 (q.Qdisc.drops ());
   checki "bytes" 3000 (q.Qdisc.byte_length ());
-  (match q.Qdisc.dequeue () with
-  | Some p -> checki "fifo head" a.Packet.uid p.Packet.uid
-  | None -> Alcotest.fail "empty");
+  checki "fifo head" a.Packet.uid (q.Qdisc.dequeue ()).Packet.uid;
   checki "bytes after" 1500 (q.Qdisc.byte_length ())
 
 let test_ecn_marks_above_threshold () =
@@ -62,9 +60,7 @@ let test_trimming_trims_not_drops () =
   checkb "trimmed" true (Packet.trimmed extra);
   checki "shrunk" 64 extra.Packet.size;
   (* Trimmed headers are served first. *)
-  match q.Qdisc.dequeue () with
-  | Some p -> checki "priority to header" extra.Packet.uid p.Packet.uid
-  | None -> Alcotest.fail "empty"
+  checki "priority to header" extra.Packet.uid (q.Qdisc.dequeue ()).Packet.uid
 
 let test_wrr_shares_by_weight () =
   let q =
@@ -77,9 +73,9 @@ let test_wrr_shares_by_weight () =
   done;
   let served = [| 0; 0 |] in
   for _ = 1 to 40 do
-    match q.Qdisc.dequeue () with
-    | Some p -> served.(p.Packet.entity) <- served.(p.Packet.entity) + 1
-    | None -> ()
+    let p = q.Qdisc.dequeue () in
+    if p != Packet.none then
+      served.(p.Packet.entity) <- served.(p.Packet.entity) + 1
   done;
   (* Expect close to a 1:3 split over 40 dequeues. *)
   checkb "weighted split" true (served.(1) > 2 * served.(0))
@@ -95,11 +91,10 @@ let test_wrr_work_conserving () =
   done;
   let n = ref 0 in
   let rec drain () =
-    match q.Qdisc.dequeue () with
-    | Some _ ->
+    if q.Qdisc.dequeue () != Packet.none then begin
       incr n;
       drain ()
-    | None -> ()
+    end
   in
   drain ();
   checki "all served" 5 !n
@@ -174,17 +169,13 @@ let prop_qdisc_conservation =
             let p = pkt ~entity:(i land 1) ~prio:(i mod 3) () in
             if q.Qdisc.enqueue p then incr accepted else incr refused
           end
-          else
-            match q.Qdisc.dequeue () with
-            | Some _ -> incr out
-            | None -> ())
+          else if q.Qdisc.dequeue () != Packet.none then incr out)
         ops;
       let rec drain () =
-        match q.Qdisc.dequeue () with
-        | Some _ ->
+        if q.Qdisc.dequeue () != Packet.none then begin
           incr out;
           drain ()
-        | None -> ()
+        end
       in
       drain ();
       !accepted = !out && q.Qdisc.pkt_length () = 0 && q.Qdisc.byte_length () = 0)
@@ -205,7 +196,70 @@ let test_hooks_fire () =
   checki "drop hook" 1 !dropped;
   checki "dequeue hook" 1 !deq
 
+(* Every policy answers an empty queue with the [Packet.none] sentinel
+   (never a queued packet) and pops in its policy's order: FIFO for the
+   single-queue policies, trimmed headers first, deficit round robin
+   for [wrr].  Six 1500-byte packets, entities alternating 0/1. *)
+let test_qdisc_sentinel_table () =
+  let entity p = p.Packet.entity in
+  let dequeued = ref 0 in
+  let rng = Engine.Rng.create 5 in
+  let fifo_order = [ 0; 1; 2; 3; 4; 5 ] in
+  let table =
+    [ ("fifo", Qdisc.fifo ~cap_pkts:16 (), fifo_order);
+      ("ecn", Qdisc.ecn ~cap_pkts:16 ~mark_threshold:2 (), fifo_order);
+      ("red", Qdisc.red ~rng ~cap_pkts:16 ~min_th:2 ~max_th:8 (), fifo_order);
+      (* Four fill the data queue; 4 and 5 are trimmed and served first. *)
+      ("trimming", Qdisc.trimming ~cap_pkts:4 ~header_size:64 (),
+       [ 4; 5; 0; 1; 2; 3 ]);
+      (* Quantum 1514 against 1500-byte packets: class 1 earns two
+         packets' worth per visit, class 0 one. *)
+      ("wrr", Qdisc.wrr ~classify:entity ~weights:[| 1; 2 |] ~cap_pkts:16 (),
+       [ 0; 1; 3; 2; 5; 4 ]);
+      ("fair_mark",
+       Qdisc.fair_mark ~classify:entity ~cap_pkts:16 ~mark_threshold:2 (),
+       fifo_order);
+      ("with_hooks",
+       Qdisc.with_hooks ~on_dequeue:(fun _ -> incr dequeued)
+         (Qdisc.fifo ~cap_pkts:16 ()),
+       fifo_order) ]
+  in
+  List.iter
+    (fun (name, q, order) ->
+      let is_none () = q.Qdisc.dequeue () == Packet.none in
+      checkb (name ^ ": empty is none") true (is_none ());
+      let pkts = Array.init 6 (fun i -> pkt ~entity:(i land 1) ()) in
+      Array.iter
+        (fun p -> checkb (name ^ ": accepted") true (q.Qdisc.enqueue p))
+        pkts;
+      List.iter
+        (fun i ->
+          checkb
+            (Printf.sprintf "%s: packet %d next" name i)
+            true
+            (q.Qdisc.dequeue () == pkts.(i)))
+        order;
+      checkb (name ^ ": drained is none") true (is_none ());
+      checki (name ^ ": no packets left") 0 (q.Qdisc.pkt_length ());
+      checki (name ^ ": no bytes left") 0 (q.Qdisc.byte_length ()))
+    table;
+  checki "on_dequeue fires per packet, not on empty" 6 !dequeued
+
 (* ------------------------------- Link ------------------------------ *)
+
+(* Queued, the sentinel would read as an empty queue with packets
+   behind it, so the link refuses it before counting or queueing. *)
+let test_link_refuses_sentinel () =
+  let sim = Engine.Sim.create () in
+  let link =
+    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
+  in
+  Link.set_dst link ignore;
+  Alcotest.check_raises "Packet.none refused"
+    (Invalid_argument "Link.send: Packet.none") (fun () ->
+      Link.send link Packet.none);
+  checki "not counted as sent" 0 (Link.sends link);
+  checki "nothing queued" 0 (Link.queued_pkts link)
 
 let test_link_serialization_and_delay () =
   let sim = Engine.Sim.create () in
@@ -325,6 +379,68 @@ let test_switch_hook_order () =
   Switch.receive sw (pkt ());
   Engine.Sim.run sim;
   Alcotest.(check (list int)) "registration order" [ 1; 2 ] (List.rev !order)
+
+(* [Switch.forward] shares one block per port below the table's size
+   and still answers a correct [Forward] past it. *)
+let test_switch_forward_shared () =
+  List.iter
+    (fun i ->
+      checkb (Printf.sprintf "forward %d shared" i) true
+        (Switch.forward i == Switch.forward i);
+      checkb (Printf.sprintf "forward %d value" i) true
+        (Switch.forward i = Switch.Forward i))
+    [ 0; 1; 7; 255 ];
+  List.iter
+    (fun i ->
+      checkb (Printf.sprintf "forward %d value" i) true
+        (Switch.forward i = Switch.Forward i))
+    [ 256; 1000; 65_536 ]
+
+(* One hop of a pooled packet allocates nothing: host -> link -> switch
+   (an ECMP verdict over two ports) -> link -> sink, 10 000 packets
+   after a warm-up that fills the pool and sizes every ring and the
+   event heap. *)
+let test_pooled_hop_allocates_nothing () =
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let rate = Engine.Time.gbps 100 and delay = Engine.Time.us 1 in
+  let link name = Link.create sim ~name ~rate ~delay ~pool () in
+  let up = link "up" and out0 = link "out0" and out1 = link "out1" in
+  let sw = Switch.create sim ~name:"sw" ~pool () in
+  let routes = Routing.create () in
+  Routing.add routes 1 (Switch.add_port sw out0);
+  Routing.add routes 1 (Switch.add_port sw out1);
+  Switch.set_forward sw (Routing.ecmp routes);
+  Link.set_dst up (Switch.receive sw);
+  let delivered = ref 0 in
+  let sink p =
+    incr delivered;
+    Packet.release pool p
+  in
+  Link.set_dst out0 sink;
+  Link.set_dst out1 sink;
+  let sent = ref 0 and quota = ref 0 in
+  let source () =
+    let p = Packet.recycle pool ~src:0 ~dst:1 ~size:1500 () in
+    p.Packet.flow_hash <- !sent;
+    Link.send up p;
+    incr sent;
+    !sent < !quota
+  in
+  let gap = Engine.Time.tx_time ~bytes:1500 ~rate in
+  let burst n =
+    quota := !sent + n;
+    ignore (Engine.Sim.periodic sim ~interval:gap source);
+    let before = Gc.minor_words () in
+    Engine.Sim.run sim;
+    Gc.minor_words () -. before
+  in
+  ignore (burst 1_000);
+  let words = burst 10_000 in
+  checki "every packet delivered" 11_000 !delivered;
+  checkb "both ports used" true
+    (Link.delivered_pkts out0 > 0 && Link.delivered_pkts out1 > 0);
+  Alcotest.(check (float 0.0)) "no minor words" 0.0 words
 
 (* ------------------------------ Routing ---------------------------- *)
 
@@ -1273,4 +1389,11 @@ let suite =
     Alcotest.test_case "partition flits wait across windows" `Quick
       test_partition_flits_wait_across_windows;
     Alcotest.test_case "taps fire at ingress then delivery" `Quick
-      test_taps_fire_at_ingress_then_delivery ]
+      test_taps_fire_at_ingress_then_delivery;
+    Alcotest.test_case "qdisc sentinel table" `Quick test_qdisc_sentinel_table;
+    Alcotest.test_case "link refuses Packet.none" `Quick
+      test_link_refuses_sentinel;
+    Alcotest.test_case "switch forward shared" `Quick
+      test_switch_forward_shared;
+    Alcotest.test_case "pooled hop allocates nothing" `Quick
+      test_pooled_hop_allocates_nothing ]
