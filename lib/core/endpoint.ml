@@ -1046,7 +1046,10 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
       n_shut = 0; again = [||]; n_again = 0;
       nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
       dests = Itbl.create 8; rx_table = Itbl.create 64;
-      recent_done = Itbl.create 4096; recent_queue = Queue.create ();
+      (* Starts small: it grows toward its 4096-key window only on an
+         endpoint that finishes that many messages, where a full-size
+         table would cost every endpoint 4096 words at attach. *)
+      recent_done = Itbl.create 64; recent_queue = Queue.create ();
       bindings = Itbl.create 8; ack_every; ack_delay;
       ack_acc = Itbl.create 8; ticker_running = false; n_completed = 0;
       n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
