@@ -44,7 +44,9 @@ bench:
 # against the seed's words per event, on a timer re-arm, a pooled
 # packet forward or deep-heap dispatch allocating (bar 0.00 words per
 # re-arm, per packet and per event), on minor words/event growing
-# with fabric size (bar 1.15x of the 64-host value), on a routing
+# with fabric size (bar 1.15x of the 64-host value) or reaching 0.05
+# minor words per delivered packet at any point of the sweep (the
+# pool and the sinks are built once per point), on a routing
 # lookup or a switch ingress (through a real Routing.ecmp verdict)
 # allocating, or on MTP words per acked packet growing with the
 # backlog (bar 1.15x of the 1-message value) or, at 1 message,

@@ -3,7 +3,8 @@
    component match, so both [Domain.spawn] and [Stdlib.Domain.spawn]
    hit) starts running on a worker domain.  Labelled arguments in
    [s_main_labels] are explicitly main-domain (Epoch's [~exchange]
-   runs between windows on main, Exp_common's [~commit] after the
+   runs between windows on main, a round's [~n] and [~arg] are
+   values its caller computes, Exp_common's [~commit] runs after the
    drain). *)
 type spawn = { s_path : string list; s_main_labels : string list }
 
@@ -45,6 +46,7 @@ let default =
     spawn_spec =
       [ { s_path = [ "Domain"; "spawn" ]; s_main_labels = [] };
         { s_path = [ "Pool"; "map" ]; s_main_labels = [] };
+        { s_path = [ "Pool"; "round" ]; s_main_labels = [ "n"; "arg" ] };
         { s_path = [ "Epoch"; "run" ]; s_main_labels = [ "exchange" ] };
         { s_path = [ "Exp_common"; "job" ]; s_main_labels = [ "commit" ] } ];
     guard_path = [ "Ctx"; "on" ];
@@ -64,9 +66,10 @@ let default =
     (* Allocators of non-atomic shared-mutable cells for P101.  Atomic,
        Mutex and Condition are deliberately absent (they are the
        sanctioned synchronization vocabulary), as are arrays: the
-       single-writer-slot array published by Domain.join is the pool's
-       audited idiom, and the issue-listed containers are the ones that
-       corrupt on unsynchronized concurrent use. *)
+       single-writer-slot array published by the team's round
+       handshake is Pool.map's audited idiom, and the listed
+       containers are the ones that corrupt on unsynchronized
+       concurrent use. *)
     mutable_creators =
       [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Buffer"; "create" ];
         [ "Queue"; "create" ]; [ "Stack"; "create" ] ] }

@@ -10,8 +10,9 @@
          writes a module-scope mutable cell.
    Guarded references ([if ... Ctx.on () ... then]) are exempt: the
    guard returns false off the main domain, so the branch is dead on
-   workers.  Audited exchange points (Epoch's control block, the
-   telemetry guard's own flag read) carry an inline P101 pragma.
+   workers.  Audited exchange points (the runner team's control
+   block, the telemetry guard's own flag read) carry an inline P101
+   pragma.
 
    P102 — main-domain-only API enforcement.  The telemetry commit
    side and Exp_common's result sinks ([Config.offmain_forbidden])

@@ -1,4 +1,4 @@
-type action = Forward of int | Drop | Consume
+type action = Forward of int | Drop
 
 type verdict = Continue | Absorb
 
@@ -104,8 +104,7 @@ let receive t p =
             ~at:(Engine.Sim.now t.sim) ~kind:Telemetry.Events.Drop
             ~point:t.switch_name ~uid:p.Packet.uid ~src:p.Packet.src
             ~dst:p.Packet.dst ~size:p.Packet.size ~a:0 ~b:0;
-        (match t.pool with Some pool -> Packet.release pool p | None -> ())
-      | Consume -> t.n_consumed <- t.n_consumed + 1))
+        (match t.pool with Some pool -> Packet.release pool p | None -> ())))
 
 let forwarded t = t.n_forwarded
 let dropped t = t.n_dropped

@@ -11,7 +11,6 @@ type t
 type action =
   | Forward of int  (** Egress on the given port. *)
   | Drop  (** Discard (counted). *)
-  | Consume  (** Absorbed by device logic (offloads). *)
 
 type verdict =
   | Continue  (** Proceed to the next hook / forwarding. *)

@@ -266,6 +266,21 @@ let mesh t lower upper ~rate ~delay uplink_qdisc =
   in
   (up_port, down_port, up)
 
+(* One interval-routed fabric edge of a fabric whose hosts hold the
+   addresses [base, top]: [upper] routes the block [lo, hi] below
+   [lower] down the new edge, and [lower] routes the rest of
+   [base, top] (one interval on each side of its block) up it.
+   Returns the upward link. *)
+let mesh_block t ~base ~top ~lo ~hi lower lower_routes upper upper_routes
+    ~rate ~delay uplink_qdisc =
+  let up_port, down_port, up = mesh t lower upper ~rate ~delay uplink_qdisc in
+  Routing.add_range upper_routes ~lo ~hi down_port;
+  if lo > base then
+    Routing.add_range lower_routes ~lo:base ~hi:(lo - 1) up_port;
+  if hi < top then
+    Routing.add_range lower_routes ~lo:(hi + 1) ~hi:top up_port;
+  up
+
 type leaf_spine = {
   ls_hosts : Node.t array array;
   ls_leaves : Switch.t array;
@@ -425,17 +440,9 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
         let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
         Array.init half (fun a ->
             let ai = (pod * half) + a in
-            let up_port, down_port, up =
-              mesh t edges.(ei) aggs.(ai) ~rate:fabric_rate ~delay uplink_qdisc
-            in
-            Routing.add_range agg_routes.(ai) ~lo:my_lo ~hi:my_hi down_port;
-            if my_lo > base then
-              Routing.add_range edge_routes.(ei) ~lo:base ~hi:(my_lo - 1)
-                up_port;
-            if my_hi < top then
-              Routing.add_range edge_routes.(ei) ~lo:(my_hi + 1) ~hi:top
-                up_port;
-            up))
+            mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi edges.(ei)
+              edge_routes.(ei) aggs.(ai) agg_routes.(ai) ~rate:fabric_rate
+              ~delay uplink_qdisc))
   in
   (* Agg <-> core: agg [a] of every pod meshes with cores
      [a*k/2 .. a*k/2 + k/2 - 1]; cores statically own whole pods. *)
@@ -446,18 +453,9 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
         let pod_hi = base + ((pod + 1) * half * half) - 1 in
         Array.init half (fun j ->
             let ci = (a * half) + j in
-            let up_port, down_port, up =
-              mesh t aggs.(ai) cores.(ci) ~rate:fabric_rate ~delay uplink_qdisc
-            in
-            Routing.add_range core_routes.(ci) ~lo:pod_lo ~hi:pod_hi
-              down_port;
-            if pod_lo > base then
-              Routing.add_range agg_routes.(ai) ~lo:base ~hi:(pod_lo - 1)
-                up_port;
-            if pod_hi < top then
-              Routing.add_range agg_routes.(ai) ~lo:(pod_hi + 1) ~hi:top
-                up_port;
-            up))
+            mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi aggs.(ai)
+              agg_routes.(ai) cores.(ci) core_routes.(ci) ~rate:fabric_rate
+              ~delay uplink_qdisc))
   in
   Array.iteri
     (fun i sw -> Switch.set_forward sw (Routing.ecmp edge_routes.(i)))
@@ -549,14 +547,10 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     let my_hi = my_lo + hosts_per_leaf - 1 in
     for s = 0 to spines - 1 do
       let si = (pod * spines) + s in
-      let up_port, down_port, _ =
-        mesh t leaf_sw.(li) spine_sw.(si) ~rate:fabric_rate ~delay None
-      in
-      Routing.add_range spine_routes.(si) ~lo:my_lo ~hi:my_hi down_port;
-      if my_lo > base then
-        Routing.add_range leaf_routes.(li) ~lo:base ~hi:(my_lo - 1) up_port;
-      if my_hi < top then
-        Routing.add_range leaf_routes.(li) ~lo:(my_hi + 1) ~hi:top up_port
+      ignore
+        (mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi leaf_sw.(li)
+           leaf_routes.(li) spine_sw.(si) spine_routes.(si) ~rate:fabric_rate
+           ~delay None)
     done
   done;
   (* Spine <-> super full mesh (only when multi-pod). *)
@@ -566,16 +560,10 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
       let pod_lo = base + (pod * hosts_per_pod) in
       let pod_hi = pod_lo + hosts_per_pod - 1 in
       for u = 0 to supers - 1 do
-        let up_port, down_port, _ =
-          mesh t spine_sw.(si) super_sw.(u) ~rate:fabric_rate ~delay None
-        in
-        Routing.add_range super_routes.(u) ~lo:pod_lo ~hi:pod_hi down_port;
-        if pod_lo > base then
-          Routing.add_range spine_routes.(si) ~lo:base ~hi:(pod_lo - 1)
-            up_port;
-        if pod_hi < top then
-          Routing.add_range spine_routes.(si) ~lo:(pod_hi + 1) ~hi:top
-            up_port
+        ignore
+          (mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi spine_sw.(si)
+             spine_routes.(si) super_sw.(u) super_routes.(u)
+             ~rate:fabric_rate ~delay None)
       done
     done;
   Array.iteri

@@ -1,8 +1,8 @@
 (* Conservative epoch-barrier driver for parallel discrete-event
    simulation.
 
-   The pool in [Pool] parallelizes *across* independent simulations;
-   this module parallelizes *inside* one: the caller partitions the
+   [Pool.map] parallelizes *across* independent simulations; this
+   module parallelizes *inside* one: the caller partitions the
    simulated world into [part]s (each owning a private event heap) and
    guarantees that any cross-partition interaction carries at least
    [lookahead] time units of latency.  Under that guarantee, events in
@@ -10,8 +10,8 @@
    cannot affect each other — a message emitted inside the window
    arrives at or after the window's end — so every partition may
    advance through the window concurrently.  At the window boundary
-   all workers barrier and the main domain alone runs [exchange],
-   which moves the messages emitted during the window into their
+   the team barriers and the main domain alone runs [exchange], which
+   moves the messages emitted during the window into their
    destination partitions in a canonical order.
 
    Determinism is by construction, not by luck:
@@ -33,14 +33,13 @@
    across idle regions — barrier rounds scale with events, not with
    simulated time.
 
-   The worker pool is persistent: [jobs - 1] domains are spawned once
-   per [run] and parked on a condition variable between windows
-   (epochs can number in the thousands; a spawn per window would
-   dominate, and a spin barrier would burn cores the simulation needs).
-   Partitions are claimed per window from one atomic counter, exactly
-   like [Pool].  With [jobs = 1] no domain, mutex or atomic is ever
-   created — the loop is plain sequential code, which doubles as the
-   reference implementation the parallel path must match. *)
+   One [Pool] team serves the whole run, and each window is one
+   [Pool.round] over the partitions: the team's workers stay parked
+   between windows, and its failure contract (every partition of the
+   window runs, then the smallest failing index re-raises) holds at
+   any [jobs], 1 included.  The [advance] and [finish] work functions
+   are built once and the round's [arg] carries the window limit, so a
+   window allocates nothing in the runner. *)
 
 type part = {
   advance : int -> unit;
@@ -55,76 +54,10 @@ type part = {
          redundant windows. *)
 }
 
-(* Shared control block for the persistent worker pool.  [gen] is a
-   round generation: bumping it (under the mutex) releases every
-   parked worker into the round described by [mode]/[limit]. *)
-type mode = Advance | Finish | Stop
-
-type ctl = {
-  m : Mutex.t;
-  cv : Condition.t;
-  mutable gen : int;
-  mutable mode : mode;
-  mutable limit : int;
-  mutable remaining : int;
-  next : int Atomic.t;
-  mutable failed : (int * exn * Printexc.raw_backtrace) option;
-}
-
-let record_failure ctl i e bt =
-  Mutex.lock ctl.m;
-  (match ctl.failed with
-  | Some (j, _, _) when j <= i -> ()
-  | _ -> ctl.failed <- Some (i, e, bt));
-  Mutex.unlock ctl.m
-
-(* Claim partitions until the counter drains.  Every partition of a
-   round is executed even if an earlier one failed — the round always
-   completes as a whole, so the set of failures (and therefore the
-   smallest-index one re-raised) is a function of the window, not of
-   scheduling. *)
-let claim_loop ctl parts nparts mode limit =
-  let rec go () =
-    let i = Atomic.fetch_and_add ctl.next 1 in
-    if i < nparts then begin
-      (try
-         match mode with
-         | Advance -> parts.(i).advance limit
-         | Finish -> parts.(i).finish limit
-         | Stop -> ()
-       with e -> record_failure ctl i e (Printexc.get_raw_backtrace ()));
-      go ()
-    end
-  in
-  go ()
-
-let worker ctl parts nparts () =
-  let my_gen = ref 0 in
-  let continue = ref true in
-  while !continue do
-    Mutex.lock ctl.m;
-    while ctl.gen = !my_gen do
-      Condition.wait ctl.cv ctl.m
-    done;
-    my_gen := ctl.gen;
-    let mode = ctl.mode and limit = ctl.limit in
-    Mutex.unlock ctl.m;
-    match mode with
-    | Stop -> continue := false
-    | Advance | Finish ->
-      claim_loop ctl parts nparts mode limit;
-      Mutex.lock ctl.m;
-      ctl.remaining <- ctl.remaining - 1;
-      if ctl.remaining = 0 then Condition.broadcast ctl.cv;
-      Mutex.unlock ctl.m
-  done
-
 let run ?(jobs = 1) ~lookahead ~until ~exchange parts =
   if lookahead <= 0 then invalid_arg "Runner.Epoch.run: lookahead must be > 0";
   if until < 0 then invalid_arg "Runner.Epoch.run: until must be >= 0";
   if jobs < 1 then invalid_arg "Runner.Epoch.run: jobs must be >= 1";
-  let nparts = Array.length parts in
-  let workers = max 1 (min jobs nparts) in
   let min_next () =
     Array.fold_left
       (fun acc p ->
@@ -133,81 +66,24 @@ let run ?(jobs = 1) ~lookahead ~until ~exchange parts =
         | Some e -> ( match acc with None -> Some e | Some a -> Some (min a e)))
       None parts
   in
-  let loop round_advance round_finish =
-    let t = ref 0 in
-    while !t < until do
-      let w0 =
-        match min_next () with
-        | None -> until (* world idle: jump to the final window *)
-        | Some e -> min (max !t e) until
-      in
-      let w1 = min (w0 + lookahead) until in
-      round_advance w1;
-      exchange ();
-      t := w1
-    done;
-    (* Events at exactly [until]: their cross-partition emissions
-       arrive strictly after [until] and are never delivered, exactly
-       as a serial [Sim.run ~until] never dispatches past the limit —
-       so no exchange is owed after this round. *)
-    round_finish until
-  in
-  if workers = 1 then
-    loop
-      (fun limit -> Array.iter (fun p -> p.advance limit) parts)
-      (fun until -> Array.iter (fun p -> p.finish until) parts)
-  else begin
-    let ctl =
-      (* simlint: allow P101 — audited exchange point: gen/mode/limit/remaining/failed are written by main and read by workers only under ctl.m (release/await handshake); next is Atomic *)
-      { m = Mutex.create ();
-        cv = Condition.create ();
-        gen = 0;
-        mode = Stop;
-        limit = 0;
-        remaining = 0;
-        next = Atomic.make 0;
-        failed = None }
-    in
-    let spawned =
-      Array.init (workers - 1) (fun _ -> Domain.spawn (worker ctl parts nparts))
-    in
-    let release mode limit =
-      Mutex.lock ctl.m;
-      ctl.mode <- mode;
-      ctl.limit <- limit;
-      Atomic.set ctl.next 0;
-      ctl.remaining <- workers - 1;
-      ctl.gen <- ctl.gen + 1;
-      Condition.broadcast ctl.cv;
-      Mutex.unlock ctl.m
-    in
-    let joined = ref false in
-    let stop_and_join () =
-      if not !joined then begin
-        joined := true;
-        release Stop 0;
-        Array.iter Domain.join spawned
-      end
-    in
-    let round mode limit =
-      release mode limit;
-      claim_loop ctl parts nparts mode limit;
-      Mutex.lock ctl.m;
-      while ctl.remaining > 0 do
-        Condition.wait ctl.cv ctl.m
+  let advance i limit = parts.(i).advance limit in
+  let finish i until = parts.(i).finish until in
+  let n = Array.length parts in
+  Pool.with_team ~jobs:(max 1 (min jobs n)) (fun team ->
+      let t = ref 0 in
+      while !t < until do
+        let w0 =
+          match min_next () with
+          | None -> until (* world idle: jump to the final window *)
+          | Some e -> min (max !t e) until
+        in
+        let w1 = min (w0 + lookahead) until in
+        Pool.round team ~n ~arg:w1 advance;
+        exchange ();
+        t := w1
       done;
-      let failed = ctl.failed in
-      Mutex.unlock ctl.m;
-      match failed with
-      | Some (_, e, bt) ->
-        stop_and_join ();
-        Printexc.raise_with_backtrace e bt
-      | None -> ()
-    in
-    (* [exchange] runs on the main domain between rounds; if it (or a
-       failing round) raises, the parked workers must still be stopped
-       and joined or the process would abort at exit with live
-       domains. *)
-    Fun.protect ~finally:stop_and_join (fun () ->
-        loop (fun limit -> round Advance limit) (fun u -> round Finish u))
-  end
+      (* Events at exactly [until]: their cross-partition emissions
+         arrive strictly after [until] and are never delivered, exactly
+         as a serial [Sim.run ~until] never dispatches past the limit —
+         so no exchange is owed after this round. *)
+      Pool.round team ~n ~arg:until finish)

@@ -11,7 +11,7 @@
     the window's cross-partition messages into their destinations in a
     canonical order.
 
-    Determinism contract (same as {!Pool}, extended to the inside of a
+    Determinism contract (same as {!Pool.map}, extended to the inside of a
     scenario): the final state is a pure function of the world and
     [lookahead]/[until]; byte-identical for any [jobs] value.  See
     DESIGN.md "Conservative parallel DES".
@@ -40,19 +40,21 @@ val run :
   part array ->
   unit
 (** [run ~jobs ~lookahead ~until ~exchange parts] drives all
-    partitions from time 0 to [until] in lookahead-sized windows with
-    [min jobs (Array.length parts)] workers, calling [exchange] on the
-    calling domain after every window barrier.  Idle stretches are
-    skipped: the next window starts at the earliest pending event
-    across partitions, so barrier rounds scale with event count, not
-    simulated time.  With [jobs = 1] (the default) everything runs
-    sequentially on the calling domain with no domains, mutexes or
-    atomics — the reference the parallel path must match byte for
-    byte.
+    partitions from time 0 to [until] in lookahead-sized windows,
+    calling [exchange] on the calling domain after every window
+    barrier.  Idle stretches are skipped: the next window starts at
+    the earliest pending event across partitions, so barrier rounds
+    scale with event count, not simulated time.  One {!Pool.team} of
+    [min jobs (Array.length parts)] domains serves the whole run and
+    each window is one {!Pool.round}; with [jobs = 1] (the default)
+    everything runs in partition order on the calling domain with no
+    domain spawned — the reference the parallel path must match byte
+    for byte.
 
-    If a partition raises, the whole window still completes, then the
-    exception of the smallest failing partition index is re-raised
-    with its original backtrace — deterministic failures, like
-    {!Pool}.  Workers are always joined, also when [exchange] raises.
+    If a partition raises, the whole window still completes, at any
+    [jobs] value including 1, then the exception of the smallest
+    failing partition index is re-raised with its original backtrace
+    — deterministic failures, like {!Pool.map}.  Workers are always
+    joined, also when [exchange] raises.
     Raises [Invalid_argument] when [lookahead <= 0], [until < 0] or
     [jobs < 1]. *)

@@ -429,27 +429,36 @@ let replace_exactly ~what ~by src =
 let pool_src () = read_file "../lib/runner/pool.ml"
 let epoch_src () = read_file "../lib/runner/epoch.ml"
 
-let analyze_runner src file =
+(* Pool and Epoch are typed together, Pool first: Epoch's windows are
+   rounds of Pool's team, so it names [Pool]. *)
+let analyze_runner ~pool ~epoch =
   analyze ~config:Lint.Config.default
-    [ unit_ ~name:("Runner." ^ Filename.chop_extension (Filename.basename file))
-        ~file src ]
+    [ unit_ ~name:"Runner.Pool" ~file:"lib/runner/pool.ml" pool;
+      unit_ ~name:"Runner.Epoch" ~file:"lib/runner/epoch.ml" epoch ]
+
+let has_p101 = List.exists (fun (_, _, r) -> r = "P101")
 
 let test_pool_clean_as_committed () =
-  Alcotest.check triple "committed Runner.Pool has no typed findings" []
-    (analyze_runner (pool_src ()) "lib/runner/pool.ml")
+  Alcotest.check triple "committed Runner.Pool and Runner.Epoch have no \
+                         typed findings" []
+    (analyze_runner ~pool:(pool_src ()) ~epoch:(epoch_src ()))
 
 let test_pool_mutation_caught () =
-  (* Un-atomic the job counter: [next] becomes a plain ref shared by
-     every spawned worker.  P101 must catch the escape. *)
+  (* Un-atomic the team's claim counter: [next] becomes a plain ref in
+     the control block every spawned worker shares.  The pragma covers
+     the block's creation line, not the counter's, so P101 must catch
+     the escape. *)
   let mutated =
     pool_src ()
-    |> replace_exactly ~what:"Atomic.make 0" ~by:"ref 0"
-    |> replace_exactly ~what:"Atomic.fetch_and_add next 1"
-         ~by:"(let i = !next in next := i + 1; i)"
+    |> replace_exactly ~what:"next : int Atomic.t" ~by:"next : int ref"
+    |> replace_exactly ~what:"next = Atomic.make 0" ~by:"next = ref 0"
+    |> replace_exactly ~what:"Atomic.fetch_and_add t.next 1"
+         ~by:"(let i = !(t.next) in t.next := i + 1; i)"
+    |> replace_exactly ~what:"Atomic.set t.next 0" ~by:"t.next := 0"
   in
-  let got = analyze_runner mutated "lib/runner/pool.ml" in
-  if not (List.exists (fun (_, _, r) -> r = "P101") got) then
-    Alcotest.failf "planted un-atomic pool counter escaped P101 (got: %s)"
+  let got = analyze_runner ~pool:mutated ~epoch:(epoch_src ()) in
+  if not (has_p101 got) then
+    Alcotest.failf "planted un-atomic team counter escaped P101 (got: %s)"
       (String.concat "; "
          (List.map (fun (f, l, r) -> Printf.sprintf "%s:%d %s" f l r) got))
 
@@ -473,17 +482,28 @@ let test_eventqueue_min_caught () =
     Alcotest.fail "Stdlib.min in Eventqueue.pop_min escaped H104"
 
 let test_epoch_clean_and_pragma_load_bearing () =
-  (* As committed, Epoch's control block is an audited (pragma'd)
-     exchange point; stripping the pragma must resurface the P101. *)
-  let src = epoch_src () in
-  Alcotest.check triple "committed Runner.Epoch has no typed findings" []
-    (analyze_runner src "lib/runner/epoch.ml");
+  (* The team's control block, which Epoch's windows and Pool.map
+     share, is the runner's one audited (pragma'd) exchange point;
+     stripping the pragma must resurface the P101. *)
+  let pool = pool_src () in
   let stripped =
-    replace_exactly ~what:"simlint: allow P101" ~by:"simlint-disarmed" src
+    replace_exactly ~what:"simlint: allow P101" ~by:"simlint-disarmed" pool
   in
-  let got = analyze_runner stripped "lib/runner/epoch.ml" in
-  if not (List.exists (fun (_, _, r) -> r = "P101") got) then
-    Alcotest.fail "epoch ctl pragma suppresses nothing — audit is stale"
+  if not (has_p101 (analyze_runner ~pool:stripped ~epoch:(epoch_src ()))) then
+    Alcotest.fail "team control-block pragma suppresses nothing — audit is \
+                   stale";
+  let occurrences src =
+    let what = "simlint: allow P101" in
+    let wl = String.length what in
+    let n = ref 0 in
+    for i = 0 to String.length src - wl do
+      if String.sub src i wl = what then incr n
+    done;
+    !n
+  in
+  Alcotest.(check (pair int int))
+    "one P101 pragma in the runner, on the team" (1, 0)
+    (occurrences pool, occurrences (epoch_src ()))
 
 (* ------------------------------------------------------------------ *)
 (* Stale pragmas: a pragma that suppresses no finding of a rule that

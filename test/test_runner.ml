@@ -198,10 +198,10 @@ type sim_stub = {
 
 let stub events = { events; calls = [] }
 
-let part_of_stub ?(boom = false) st =
+let part_of_stub ?boom st =
   { Runner.Epoch.advance =
       (fun limit ->
-        if boom then failwith "boom";
+        Option.iter (fun i -> raise (Boom i)) boom;
         st.events <- List.filter (fun t -> t >= limit) st.events;
         st.calls <- ('a', limit) :: st.calls);
     finish =
@@ -253,19 +253,55 @@ let test_epoch_validation () =
            [| part |]))
 
 let test_epoch_exception_deterministic () =
-  (* Parts 1 and 2 raise in the same window; whatever the schedule,
-     part 1 (smallest index) is the failure that surfaces, and the
-     workers are all joined (subsequent runs stay healthy). *)
+  (* Parts 1 and 2 raise in the same window, each its own exception;
+     whatever the schedule, part 1 (smallest index) is the failure that
+     surfaces, and the workers are all joined (subsequent runs stay
+     healthy). *)
   for jobs = 1 to 4 do
     match
       Runner.Epoch.run ~jobs ~lookahead:10 ~until:50 ~exchange:ignore
         [| part_of_stub (stub [ 0 ]);
-           part_of_stub ~boom:true (stub [ 0 ]);
-           part_of_stub ~boom:true (stub [ 0 ]) |]
+           part_of_stub ~boom:1 (stub [ 0 ]);
+           part_of_stub ~boom:2 (stub [ 0 ]) |]
     with
     | () -> Alcotest.fail "expected failure"
-    | exception Failure m ->
-      Alcotest.(check string) "smallest failing partition wins" "boom" m
+    | exception Boom i -> checki "smallest failing partition wins" 1 i
+  done
+
+(* The failure contract both runner entry points share: an early index
+   raising does not stop the round, every index still runs before the
+   smallest failing one re-raises — at every width, 1 included. *)
+let test_failure_runs_every_index () =
+  for jobs = 1 to 4 do
+    let ran = Array.make 6 false in
+    (match
+       Runner.Pool.map ~jobs
+         (fun i ->
+           ran.(i) <- true;
+           if i = 0 || i = 3 then raise (Boom i))
+         (List.init 6 Fun.id)
+     with
+    | _ -> Alcotest.fail "expected Boom"
+    | exception Boom i -> checki "Pool.map: first failing index wins" 0 i);
+    checkb (Printf.sprintf "Pool.map jobs=%d ran every job" jobs) true
+      (Array.for_all Fun.id ran);
+    let stubs = Array.init 4 (fun _ -> stub [ 0 ]) in
+    (match
+       Runner.Epoch.run ~jobs ~lookahead:10 ~until:50 ~exchange:ignore
+         (Array.mapi
+            (fun i st -> if i = 0 then part_of_stub ~boom:0 st
+              else part_of_stub st)
+            stubs)
+     with
+    | () -> Alcotest.fail "expected Boom"
+    | exception Boom i -> checki "Epoch.run: partition 0 wins" 0 i);
+    Array.iteri
+      (fun i st ->
+        if i > 0 then
+          Alcotest.(check (list (pair char int)))
+            (Printf.sprintf "Epoch.run jobs=%d advanced partition %d" jobs i)
+            [ ('a', 10) ] st.calls)
+      stubs
   done
 
 (* -------------------- partitioned single scenario ------------------ *)
@@ -308,5 +344,7 @@ let suite =
     Alcotest.test_case "epoch validation" `Quick test_epoch_validation;
     Alcotest.test_case "epoch deterministic exceptions" `Quick
       test_epoch_exception_deterministic;
+    Alcotest.test_case "failure runs every index" `Quick
+      test_failure_runs_every_index;
     Alcotest.test_case "par-leafspine jobs-invariant" `Slow
       test_par_leafspine_jobs_invariant ]
