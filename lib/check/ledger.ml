@@ -1,10 +1,11 @@
 (* Packet-conservation ledger.
 
    Generalizes the hand-rolled accounting in test/test_oracle.ml:
-   instead of relying on the packet pool (which only covers recycled
-   packets — transports allocate with [Packet.make] and never touch a
-   pool), the ledger works from the per-device counters every link and
-   switch maintains:
+   instead of relying on a packet pool's live count (transports take
+   packets from the sending host's pool and release them into the
+   receiving host's, so one pool's count says nothing about its own
+   packets), the ledger works from the per-device counters every link
+   and switch maintains:
 
    - link:    sends = delivered + qdisc drops + fault drops
                       + queued + in-flight

@@ -3,8 +3,8 @@
     link, per switch, and optionally per packet pool.
 
     The link and switch checks work from per-device counters, so they
-    also cover transports, which allocate with [Packet.make] outside
-    any pool:
+    also cover transports, whose packets move from the sending host's
+    pool to the receiving host's:
     - link: [sends = delivered + qdisc drops + fault_drops + queued +
       in-flight];
     - switch: [received + injected = forwarded + dropped + consumed].

@@ -111,6 +111,7 @@ module Itbl = Hashtbl.Make (Int)
 type t = {
   ep_node : Netsim.Node.t;
   ep_sim : Engine.Sim.t;
+  ep_pool : Netsim.Packet.pool; (* the host's: sends and claimed packets *)
   entity : int;
   mtu : int;
   max_msg_bytes : int;
@@ -338,7 +339,7 @@ let pkt_payload t msg pkt_num =
 
 let emit_header t ~dst header =
   let pkt =
-    Wire.packet t.ep_sim ~src:(Netsim.Node.addr t.ep_node) ~dst
+    Wire.packet t.ep_pool ~src:(Netsim.Node.addr t.ep_node) ~dst
       ~entity:t.entity header
   in
   Netsim.Node.send t.ep_node pkt
@@ -1020,11 +1021,15 @@ let concerns_us t (header : Wire.t) =
     any_ours t.tx_table header.Wire.sack || any_ours t.tx_table header.Wire.nack
   else Itbl.mem t.bindings header.Wire.dst_port
 
+(* The packet goes back to the pool only once handled: handling sends
+   (the pump, acks), and those sends must not be handed the cell still
+   being read. *)
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
   | Wire.Mtp header when concerns_us t header ->
     if header.Wire.is_ack then process_ack t header pkt
     else process_data t header pkt;
+    Netsim.Packet.release t.ep_pool pkt;
     true
   | _ -> false
 
@@ -1036,7 +1041,8 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
     invalid_arg "Endpoint.attach: ack_every must be in 1..255";
   let node = Netsim.Host.node host in
   let t =
-    { ep_node = node; ep_sim = Netsim.Node.sim node; entity;
+    { ep_node = node; ep_sim = Netsim.Node.sim node;
+      ep_pool = Netsim.Host.pool host; entity;
       mtu = mtu_payload; max_msg_bytes; exclusion;
       path_table =
         (* simlint: allow H103 — once per endpoint, at attach *)

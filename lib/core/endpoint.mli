@@ -41,9 +41,10 @@ val attach :
   t
 (** Register an MTP endpoint with a host's dispatcher.  It claims
     MTP data for its bound ports and acks for its outstanding
-    messages.  [algo] (default [Dctcp]) is the default
-    per-pathlet congestion controller.  Packets carry 1440 payload
-    bytes.  [max_msg_bytes] and a fixed cap of 2{^20} partially
+    messages, sends every packet from the host's pool and releases
+    each claimed packet into it once handled.  [algo] (default
+    [Dctcp]) is the default per-pathlet congestion controller.
+    Packets carry 1440 payload bytes.  [max_msg_bytes] and a fixed cap of 2{^20} partially
     received messages bound receiver state (messages beyond them are
     rejected and counted).  With [exclusion] (default true), data
     headers list recently congested and suspect pathlets in the

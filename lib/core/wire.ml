@@ -201,12 +201,12 @@ let add_feedback t fb_path fb =
   (* simlint: allow H101 — list bounded by paths-per-dst, keeps wire order *)
   t.path_feedback <- t.path_feedback @ [ { fb_path; fb } ]
 
-let packet sim ~src ~dst ~entity t =
+let packet pool ~src ~dst ~entity t =
   let flow_hash =
     Netsim.Packet.flow_hash_of ~src ~dst ~src_port:t.src_port
       ~dst_port:t.dst_port
   in
-  Netsim.Packet.make ~entity ~prio:t.msg_pri ~flow_hash ~payload:(Mtp t) sim
+  Netsim.Packet.take pool ~entity ~prio:t.msg_pri ~flow_hash ~payload:(Mtp t)
     ~src ~dst
     ~size:(encoded_size t + t.pkt_len)
 

@@ -109,14 +109,14 @@ val add_feedback : t -> path_ref -> Feedback.t -> unit
     so a list shared with another header never changes. *)
 
 val packet :
-  Engine.Sim.t ->
+  Netsim.Packet.pool ->
   src:Netsim.Packet.addr ->
   dst:Netsim.Packet.addr ->
   entity:int ->
   t ->
   Netsim.Packet.t
-(** Wrap in a simulator packet: wire size is [encoded_size h +
-    pkt_len], priority is [msg_pri], and the flow hash covers the
-    ports. *)
+(** Wrap in a packet taken from the pool ({!Netsim.Packet.take}): wire
+    size is [encoded_size h + pkt_len], priority is [msg_pri], and the
+    flow hash covers the ports. *)
 
 val equal : t -> t -> bool

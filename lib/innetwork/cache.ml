@@ -1,5 +1,6 @@
 type t = {
   sw : Netsim.Switch.t;
+  pool : Netsim.Packet.pool; (* the crafted acks and replies *)
   server : Netsim.Packet.addr;
   server_port : int;
   client_port_of : Netsim.Packet.addr -> int;
@@ -38,7 +39,6 @@ let inject_reply t ~client ~client_app_port ~key ~size =
   let msg_id = 0xC000_0000 + t.next_msg in
   t.next_msg <- t.next_msg + 1;
   let npkts = (size + mtu - 1) / mtu in
-  let sim = Netsim.Switch.sim t.sw in
   let port = t.client_port_of client in
   for pkt_num = 0 to npkts - 1 do
     let pkt_len =
@@ -51,14 +51,15 @@ let inject_reply t ~client ~client_app_port ~key ~size =
         ~pkt_len
     in
     let pkt =
-      Mtp.Wire.packet sim ~src:t.server ~dst:client ~entity:0 header
+      Mtp.Wire.packet t.pool ~src:t.server ~dst:client ~entity:0 header
     in
     Netsim.Switch.inject t.sw ~port pkt
   done
 
 let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
   let t =
-    { sw; server; server_port; client_port_of; capacity;
+    { sw; pool = Netsim.Packet.pool (Netsim.Switch.sim sw); server;
+      server_port; client_port_of; capacity;
       entries = Hashtbl.create 64; lru = Queue.create (); next_msg = 0;
       n_hits = 0; n_misses = 0; n_learned = 0 }
   in
@@ -88,9 +89,8 @@ let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
             in
             Netsim.Switch.inject t.sw
               ~port:(t.client_port_of pkt.Netsim.Packet.src)
-              (Mtp.Wire.packet
-                 (Netsim.Switch.sim t.sw)
-                 ~src:server ~dst:pkt.Netsim.Packet.src ~entity:0 ack);
+              (Mtp.Wire.packet t.pool ~src:server ~dst:pkt.Netsim.Packet.src
+                 ~entity:0 ack);
             inject_reply t ~client:pkt.Netsim.Packet.src
               ~client_app_port:h.Mtp.Wire.src_port ~key ~size;
             Netsim.Switch.Absorb

@@ -27,7 +27,9 @@ type t = {
    carries the in-flight packets, switch and node receive every
    delivery), the MTP ack path (endpoint, its pathlet table and
    controllers, and the stamping qdisc hook), guarded by the bench's
-   mtp section, and the partition exchange (conduit rings and inbox
+   mtp section, the transports' send paths (tcp and its segment
+   constructor, udp), which take every packet from the host pool, and
+   the partition exchange (conduit rings and inbox
    timers), guarded by bench/parallel.exe's words per event; and time,
    whose [tx_time] runs once per packet per link.  Matching
    is by module basename so a future move (say lib/netsim/link.ml ->
@@ -36,7 +38,8 @@ let default =
   { hot_modules =
       [ "eventqueue"; "sim"; "time"; "link"; "qdisc"; "switch"; "wire";
         "pktring"; "packet"; "node"; "routing"; "cc"; "pathlet";
-        "mtp_switch"; "endpoint"; "partition"; "host"; "tcp" ];
+        "mtp_switch"; "endpoint"; "partition"; "host"; "tcp"; "tcp_wire";
+        "udp" ];
     d001_dirs = [ "lib"; "bin" ];
     t201_dirs = [ "lib"; "bin" ];
     t201_exempt_dirs = [ "lib/telemetry" ];

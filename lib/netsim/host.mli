@@ -5,7 +5,14 @@
     function that inspects a packet and returns whether it handled it.
     Stacks are offered every inbound packet in registration order, so
     where two stacks could claim the same packet the one registered
-    first wins.  A node that carries several stacks shares one host. *)
+    first wins.  A node that carries several stacks shares one host.
+
+    Packet ownership: every stack sends packets taken from {!pool}
+    ({!Packet.take}).  A stack whose claim function answers [true]
+    owns the packet: it returns it to {!pool} with {!Packet.release}
+    once it has handled it, and keeps no reference to it.  A stack
+    answering [false] must leave the packet as it found it, for the
+    next stack. *)
 
 type t
 
@@ -19,6 +26,8 @@ val register : t -> name:string -> (Packet.t -> bool) -> unit
 val node : t -> Node.t
 val addr : t -> Packet.addr
 val pool : t -> Packet.pool
+(** The pool every stack on this host sends from and releases claimed
+    packets into. *)
 
 val unclaimed : t -> int
 (** Inbound packets no registered stack claimed. *)

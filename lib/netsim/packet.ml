@@ -46,7 +46,7 @@ let make ~entity ~prio ~flow_hash ~payload sim ~src ~dst ~size =
     entity; prio; flow_hash;
     created_at = Engine.Sim.now sim; payload }
 
-(* Free-list pool: [release] parks a packet, [recycle] re-initialises
+(* Free-list pool: [release] parks a packet, [take] re-initialises
    a parked one (or falls back to a fresh record).  Steady-state
    forwarding through a pool allocates nothing. *)
 
@@ -67,8 +67,13 @@ let pool sim =
     reused = 0;
     released = 0 }
 
+(* A parked packet's [uid] is -1, which no live packet carries (uids
+   count up from 1), so a second release of the same packet is caught
+   here instead of handing one record to two owners later. *)
 let release p pkt =
   if pkt != none then begin
+    if pkt.uid < 0 then invalid_arg "Packet.release: packet already released";
+    pkt.uid <- -1;
     p.released <- p.released + 1;
     (* Drop the payload so a parked packet retains no protocol state. *)
     pkt.payload <- Raw;
@@ -81,11 +86,13 @@ let release p pkt =
     p.free_len <- p.free_len + 1
   end
 
-let recycle ?(flow_hash = 0) ?(payload = Raw) p ~src ~dst ~size () =
+(* Every label required, like [make]: this is the constructor every
+   transport sends through. *)
+let take p ~entity ~prio ~flow_hash ~payload ~src ~dst ~size =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   if p.free_len = 0 then begin
     p.fresh <- p.fresh + 1;
-    make ~entity:0 ~prio:0 ~flow_hash ~payload p.pool_sim ~src ~dst ~size
+    make ~entity ~prio ~flow_hash ~payload p.pool_sim ~src ~dst ~size
   end
   else begin
     let n = p.free_len - 1 in
@@ -98,20 +105,23 @@ let recycle ?(flow_hash = 0) ?(payload = Raw) p ~src ~dst ~size () =
     pkt.dst <- dst;
     pkt.size <- size;
     pkt.flags <- 0;
-    pkt.entity <- 0;
-    pkt.prio <- 0;
+    pkt.entity <- entity;
+    pkt.prio <- prio;
     pkt.flow_hash <- flow_hash;
     pkt.created_at <- Engine.Sim.now p.pool_sim;
     pkt.payload <- payload;
     pkt
   end
 
+let recycle ?(flow_hash = 0) p ~src ~dst ~size () =
+  take p ~entity:0 ~prio:0 ~flow_hash ~payload:Raw ~src ~dst ~size
+
 let pool_free p = p.free_len
 
 let pool_stats p = (p.fresh, p.reused)
 
 (* Checked out through the pool and not yet released.  Packets made
-   with [make] directly (bypassing [recycle]) are invisible here. *)
+   with [make] directly (bypassing [take]) are invisible here. *)
 let pool_live p = p.fresh + p.reused - p.released
 
 (* FNV-1a over the four tuple components: stable across runs, well

@@ -5,7 +5,7 @@
     The payload type is an extensible variant so each transport library
     adds its own header type without [netsim] depending on it.
 
-    Packets can be pooled ({!pool}/{!release}/{!recycle}) so
+    Packets can be pooled ({!pool}/{!take}/{!release}) so
     steady-state forwarding allocates nothing; to make that possible
     every field is mutable, but only pool operations may re-initialise
     a packet — everything else must treat [uid], [src], [dst],
@@ -71,7 +71,18 @@ val make :
     [uid].  [size] must be positive.  Every label is required: an
     optional argument would box each value given. *)
 
-(** {1 Pooling} *)
+(** {1 Pooling}
+
+    Every transport sends packets taken from its host's pool
+    ({!Host.pool}) with {!take}.  A packet belongs to whoever holds it:
+    the links and switches while it travels (a device built with a
+    pool releases the packets it drops), then the stack on the
+    destination host that claims it.  That stack returns it to its own
+    host's pool with {!release} once it has handled it, and keeps no
+    reference to it; a packet that no stack on the host claims is not
+    released.  So packets migrate between pools: a host that receives
+    more than it sends parks the surplus, one that sends more takes
+    fresh records. *)
 
 type pool
 (** A free-list of released packets belonging to one simulator. *)
@@ -82,20 +93,31 @@ val pool : Engine.Sim.t -> pool
 
 val release : pool -> t -> unit
 (** Park a packet for reuse.  The caller must not touch it afterwards.
-    Releasing {!none} is a no-op. *)
+    Releasing {!none} is a no-op.
+    @raise Invalid_argument if the packet is already parked (released
+    and not taken since): a second release would hand one record to
+    two owners. *)
 
-val recycle :
-  ?flow_hash:int ->
-  ?payload:proto ->
+val take :
   pool ->
+  entity:int ->
+  prio:int ->
+  flow_hash:int ->
+  payload:proto ->
   src:addr ->
   dst:addr ->
   size:int ->
-  unit ->
   t
-(** Like {!make} but re-initialises a released packet when one is
-    available (fresh [uid] and timestamp included).  [entity] and
-    [prio] are [0]; omitted labels default to [0] and [Raw]. *)
+(** The pooled {!make}: re-initialises a released packet when one is
+    parked, else allocates a fresh one.  Either way the packet gets a
+    new per-sim [uid] and the sim's clock, exactly as {!make} would
+    stamp it.  Every label is required, for the same reason. *)
+
+val recycle :
+  ?flow_hash:int -> pool -> src:addr -> dst:addr -> size:int -> unit -> t
+(** {!take} of a [Raw] packet with [entity] and [prio] [0]; [flow_hash]
+    defaults to [0].  Kept for the raw sources that still call it;
+    transports use {!take}. *)
 
 val pool_free : pool -> int
 (** Packets currently parked. *)
@@ -104,9 +126,11 @@ val pool_stats : pool -> int * int
 (** [(fresh, reused)] allocation counters for bench reporting. *)
 
 val pool_live : pool -> int
-(** Packets checked out via {!recycle} and not yet {!release}d — the
-    population a conservation audit must find in queues and on wires.
-    Packets created with {!make} directly are not counted. *)
+(** Packets checked out via {!take} and not yet {!release}d into this
+    pool — the population a conservation audit must find in queues and
+    on wires when one pool's packets stay among its own users.  Packets
+    created with {!make} directly are not counted.  Negative for a
+    host pool that has taken back more packets than it sent. *)
 
 val flow_hash_of : src:addr -> dst:addr -> src_port:int -> dst_port:int -> int
 (** Deterministic 5-tuple-style hash for ECMP. *)

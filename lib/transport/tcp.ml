@@ -86,6 +86,7 @@ type conn = {
 and t = {
   t_node : Netsim.Node.t;
   t_sim : Engine.Sim.t;
+  t_pool : Netsim.Packet.pool; (* the host's: sends and claimed segments *)
   t_cc : cc;
   t_snd_buf : int; (* flight cap: models the socket send buffer *)
   t_min_rto : Engine.Time.t;
@@ -164,7 +165,7 @@ let emit conn ~syn ~fin ~is_ack ~ece ~probe ~seq ~payload =
       seq; ack = conn.rcv_nxt; payload; syn; fin; is_ack; ece; probe; rwnd }
   in
   let pkt =
-    Tcp_wire.packet stack.t_sim
+    Tcp_wire.packet stack.t_pool
       ~src:(Netsim.Node.addr stack.t_node) ~dst:conn.peer
       ~entity:stack.t_entity seg
   in
@@ -642,10 +643,13 @@ let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   if seg.syn && not seg.is_ack then Itbl.mem stack.listeners seg.dst_port
   else Conns.mem stack.conns (segment_key stack seg pkt)
 
+(* Released only once handled: the acks and data sent while handling
+   must not be handed the packet still being read. *)
 let claim stack pkt =
   match pkt.Netsim.Packet.payload with
   | Tcp_wire.Tcp seg when concerns_us stack seg pkt ->
     handle_segment stack seg pkt;
+    Netsim.Packet.release stack.t_pool pkt;
     true
   | _ -> false
 
@@ -653,7 +657,8 @@ let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
     ?(max_retries = 15) ?(entity = 0) host =
   let node = Netsim.Host.node host in
   let stack =
-    { t_node = node; t_sim = Netsim.Node.sim node; t_cc = cc;
+    { t_node = node; t_sim = Netsim.Node.sim node;
+      t_pool = Netsim.Host.pool host; t_cc = cc;
       t_snd_buf = (match snd_buf with Some b -> b | None -> infinite);
       t_min_rto = min_rto; t_max_retries = max_retries; t_entity = entity;
       conns = Conns.create 32;

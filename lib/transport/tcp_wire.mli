@@ -21,11 +21,11 @@ type t = {
 type Netsim.Packet.proto += Tcp of t
 
 val packet :
-  Engine.Sim.t ->
+  Netsim.Packet.pool ->
   src:Netsim.Packet.addr ->
   dst:Netsim.Packet.addr ->
   entity:int ->
   t ->
   Netsim.Packet.t
-(** Wrap a segment in a packet with the right wire size and flow
-    hash. *)
+(** Wrap a segment in a packet taken from the pool
+    ({!Netsim.Packet.take}), with the right wire size and flow hash. *)

@@ -7,35 +7,42 @@ let header_bytes = 28
 (* Payload bytes per fragment. *)
 let mtu_payload = 1472
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   u_node : Netsim.Node.t;
   u_sim : Engine.Sim.t;
   pool : Netsim.Packet.pool;
   listeners :
-    (int, src:Netsim.Packet.addr -> msg_id:int -> size:int -> unit) Hashtbl.t;
-  partial : (int * int, int) Hashtbl.t; (* (src, msg_id) -> bytes seen *)
+    (src:Netsim.Packet.addr -> msg_id:int -> size:int -> unit) Itbl.t;
+  partial : int Itbl.t; (* bytes seen, by [partial_key] *)
   mutable next_msg : int;
   mutable rx_bytes : int;
   mutable completed : int;
   mutable tx_msgs : int;
 }
 
+(* Message ids count up from 0 per sender, so the source address sits
+   above them in one immediate key. *)
+let partial_key ~src ~msg_id = (src lsl 32) lor msg_id
+
 let handle t (d : datagram) (pkt : Netsim.Packet.t) =
   t.rx_bytes <- t.rx_bytes + d.len;
-  match Hashtbl.find_opt t.listeners d.dst_port with
+  match Itbl.find_opt t.listeners d.dst_port with
   | None -> ()
   | Some cb ->
-    let key = (pkt.Netsim.Packet.src, d.msg_id) in
+    let src = pkt.Netsim.Packet.src in
+    let key = partial_key ~src ~msg_id:d.msg_id in
     let seen =
-      (match Hashtbl.find_opt t.partial key with Some s -> s | None -> 0)
+      (match Itbl.find_opt t.partial key with Some s -> s | None -> 0)
       + d.len
     in
     if seen >= d.total then begin
-      Hashtbl.remove t.partial key;
+      Itbl.remove t.partial key;
       t.completed <- t.completed + 1;
-      cb ~src:pkt.Netsim.Packet.src ~msg_id:d.msg_id ~size:d.total
+      cb ~src ~msg_id:d.msg_id ~size:d.total
     end
-    else Hashtbl.replace t.partial key seen
+    else Itbl.replace t.partial key seen
 
 (* Datagrams are consumed on arrival, so the packet goes straight
    back to the pool for reuse. *)
@@ -51,14 +58,14 @@ let attach host =
   let node = Netsim.Host.node host in
   let t =
     { u_node = node; u_sim = Netsim.Node.sim node;
-      pool = Netsim.Host.pool host; listeners = Hashtbl.create 4;
-      partial = Hashtbl.create 32; next_msg = 0; rx_bytes = 0;
+      pool = Netsim.Host.pool host; listeners = Itbl.create 4;
+      partial = Itbl.create 32; next_msg = 0; rx_bytes = 0;
       completed = 0; tx_msgs = 0 }
   in
   Netsim.Host.register host ~name:"udp" (claim t);
   t
 
-let listen t ~port cb = Hashtbl.replace t.listeners port cb
+let listen t ~port cb = Itbl.replace t.listeners port cb
 
 let send t ~dst ~dst_port ~size =
   let msg_id = t.next_msg in
@@ -68,11 +75,11 @@ let send t ~dst ~dst_port ~size =
   let flow_hash = Netsim.Packet.flow_hash_of ~src ~dst ~src_port ~dst_port in
   let rec fragment offset =
     if offset < size then begin
-      let len = min mtu_payload (size - offset) in
+      let len = Int.min mtu_payload (size - offset) in
       let d = { dst_port; msg_id; len; total = size } in
       let pkt =
-        Netsim.Packet.recycle ~flow_hash ~payload:(Udp d)
-          t.pool ~src ~dst ~size:(header_bytes + len) ()
+        Netsim.Packet.take t.pool ~entity:0 ~prio:0 ~flow_hash
+          ~payload:(Udp d) ~src ~dst ~size:(header_bytes + len)
       in
       Netsim.Node.send t.u_node pkt;
       fragment (offset + len)
@@ -112,16 +119,16 @@ module Messaging = struct
     match on_complete with
     | Some f ->
       let rate = Netsim.Link.rate (Netsim.Node.uplink t.u_node) in
-      let dt = max 1 (Engine.Time.tx_time ~bytes:size ~rate) in
+      let dt = Int.max 1 (Engine.Time.tx_time ~bytes:size ~rate) in
       ignore (Engine.Sim.after t.u_sim dt (fun () -> f dt))
     | None -> ()
 
   let stream t ~dst ~dst_port ?tc () =
     let chunk = 1_000_000 in
+    (* One [Some] for the whole stream, not one per chunk. *)
     let rec next () =
-      send_message t ~dst ~dst_port ?tc ~on_complete:(fun _ -> next ())
-        ~size:chunk ()
-    in
+      send_message t ~dst ~dst_port ?tc ?on_complete ~size:chunk ()
+    and on_complete = Some (fun _ -> next ()) in
     next ()
 
   let stats t =

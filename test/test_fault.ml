@@ -13,7 +13,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 (* Counter-based conservation: it also covers transport traffic,
-   which is allocated with [Packet.make] and invisible to any pool.
+   whose packets leave one host's pool and return to another's.
    Watch the links right after topology construction, assert the delta
    at the end.  With [pool], the ledger also checks that every packet
    checked out of it is queued or flying on one of [links]. *)

@@ -778,6 +778,7 @@ let test_endpoint_current_path_order () =
   let pa = { Wire.path_id = 1; path_tc = 0 } in
   let pb = { Wire.path_id = 2; path_tc = 0 } in
   let seen = ref [] in
+  let pool = Packet.pool sim in
   let ack_at us pkt named =
     let fbs =
       List.map (fun r -> { Wire.fb_path = r; fb = Feedback.Ecn false }) named
@@ -789,7 +790,8 @@ let test_endpoint_current_path_order () =
     ignore
       (Engine.Sim.schedule sim ~at:(Engine.Time.us us) (fun () ->
            Node.receive a
-             (Wire.packet sim ~src:(Node.addr b) ~dst:(Node.addr a) ~entity:0 h);
+             (Wire.packet pool ~src:(Node.addr b) ~dst:(Node.addr a)
+                ~entity:0 h);
            seen := Endpoint.current_path ea ~dst:(Node.addr b) :: !seen))
   in
   ack_at 1 0 [ pa ];
@@ -1241,13 +1243,14 @@ let test_exclusion_aware_routing () =
   Netsim.Routing.add routes 5 0;
   Netsim.Routing.add routes 5 1;
   let port_paths = [ (0, 100); (1, 200) ] in
+  let pool = Packet.pool sim in
   let header =
     Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0
       ~exclude:[ { Wire.path_id = 100; path_tc = 0 } ]
       ~src_port:1 ~dst_port:2 ~msg_id:1 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
       ~pkt_offset:0 ~pkt_len:100
   in
-  let pkt = Wire.packet sim ~src:1 ~dst:5 ~entity:0 header in
+  let pkt = Wire.packet pool ~src:1 ~dst:5 ~entity:0 header in
   (match Mtp_switch.exclusion_aware ~port_paths routes pkt with
   | Netsim.Switch.Forward 1 -> ()
   | _ -> Alcotest.fail "should avoid excluded pathlet 100 (port 0)");
@@ -1260,7 +1263,7 @@ let test_exclusion_aware_routing () =
       ~src_port:1 ~dst_port:2 ~msg_id:2 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
       ~pkt_offset:0 ~pkt_len:100
   in
-  let pkt_all = Wire.packet sim ~src:1 ~dst:5 ~entity:0 header_all in
+  let pkt_all = Wire.packet pool ~src:1 ~dst:5 ~entity:0 header_all in
   match Mtp_switch.exclusion_aware ~port_paths routes pkt_all with
   | Netsim.Switch.Forward _ -> ()
   | _ -> Alcotest.fail "must still forward when everything is excluded"
@@ -1284,12 +1287,13 @@ let test_stamp_fresh_header_allocates_nothing () =
   in
   Mtp_switch.stamp sim link ~path_id:7 ~mode:(Mtp_switch.Ecn_mark (n / 2));
   let q = Link.qdisc link in
+  let pool = Packet.pool sim in
   (* Warm up: the hook meets traffic class 0 once (its stamps are made
      then), and the FIFO's storage grows with packets the hook
      ignores. *)
   ignore
     (q.Qdisc.enqueue
-       (Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:n)));
+       (Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:n)));
   let raw =
     Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim ~src:1
       ~dst:2 ~size:64
@@ -1302,7 +1306,7 @@ let test_stamp_fresh_header_allocates_nothing () =
   done;
   let pkts =
     Array.init n (fun i ->
-        Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:i))
+        Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:i))
   in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
@@ -1327,24 +1331,51 @@ let test_stamp_fresh_header_allocates_nothing () =
     (Wire.encoded_size (data_header ~msg_id:0) + 6 + 1440)
     pkts.(0).Packet.size
 
+let wire_packet_words pool n =
+  let header = data_header ~msg_id:1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    let p = Wire.packet pool ~src:1 ~dst:2 ~entity:0 header in
+    Packet.release pool (Sys.opaque_identity p)
+  done;
+  Gc.minor_words () -. before
+
+let box_words () = 1 + Obj.size (Obj.repr (Wire.Mtp (data_header ~msg_id:1)))
+
 let test_wire_packet_allocates_record_and_box () =
-  (* One packet record and one [Mtp] box per call, nothing else: no
-     option boxes for [Packet.make]'s labels. *)
+  (* From an empty pool: one packet record and one [Mtp] box per call,
+     nothing else (no option boxes for [Packet.take]'s labels).  No
+     packet is released, so the pool never has one to hand back. *)
   let n = 10_000 in
   let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
   let header = data_header ~msg_id:1 in
   let record_words = 1 + Obj.size (Obj.repr Packet.none) in
-  let box_words = 1 + Obj.size (Obj.repr (Wire.Mtp header)) in
+  let box_words = box_words () in
   let before = Gc.minor_words () in
   for _ = 1 to n do
     ignore
-      (Sys.opaque_identity (Wire.packet sim ~src:1 ~dst:2 ~entity:0 header))
+      (Sys.opaque_identity (Wire.packet pool ~src:1 ~dst:2 ~entity:0 header))
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
     "record + box per call"
     (float_of_int (n * (record_words + box_words)))
-    words
+    words;
+  checki "every record fresh" n (fst (Packet.pool_stats pool))
+
+let test_wire_packet_warm_pool_allocates_box () =
+  (* From a warm pool the record is reused: only the [Mtp] box (the
+     extension constructor's slot and the header) is new. *)
+  let n = 10_000 in
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  ignore (wire_packet_words pool 1);
+  let words = wire_packet_words pool n in
+  Alcotest.(check (float 0.0))
+    "box per call" (float_of_int (n * box_words ())) words;
+  Alcotest.(check (pair int int)) "one fresh record" (1, n)
+    (Packet.pool_stats pool)
 
 let test_stamp_shares_no_list_across_packets () =
   (* Two stamped links in series with a tap between them.  A crosses
@@ -1360,13 +1391,14 @@ let test_stamp_shares_no_list_across_packets () =
     l
   in
   let hop1 = mk "hop1" 1 and hop2 = mk "hop2" 2 in
+  let pool = Packet.pool sim in
   let header_of p =
     match p.Packet.payload with
     | Wire.Mtp h -> h
     | _ -> Alcotest.fail "not an MTP packet"
   in
-  let a = Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:1) in
-  let b = Wire.packet sim ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:2) in
+  let a = Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:1) in
+  let b = Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:2) in
   let a_at_tap = ref [] in
   let delivered = ref 0 in
   Link.set_dst hop1 (fun p ->
@@ -1439,6 +1471,8 @@ let suite =
     Alcotest.test_case "wire golden vector" `Quick test_wire_golden_vector;
     Alcotest.test_case "wire packet allocates record and box" `Quick
       test_wire_packet_allocates_record_and_box;
+    Alcotest.test_case "wire packet from a warm pool allocates the box" `Quick
+      test_wire_packet_warm_pool_allocates_box;
     Alcotest.test_case "stamp fresh header allocates nothing" `Quick
       test_stamp_fresh_header_allocates_nothing;
     Alcotest.test_case "stamp shares no list across packets" `Quick
