@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test golden bench bench-datapath bench-parallel lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-smoke bench-datapath bench-parallel lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -34,6 +34,12 @@ golden:
 # metrics on five workloads (untraced and traced passes).
 bench:
 	dune exec bench/suite/mtpbench.exe
+
+# The benchmark's own correctness check: every workload at 1/50 size
+# against its pins in bench/suite/pins.ml (about 3 s).  Exits non-zero
+# unless it ends "correct: all checks passed".
+bench-smoke:
+	dune exec bench/suite/mtpbench.exe -- --smoke
 
 # Engine guardrails, one program writing every section of
 # BENCH_engine.json: engine event/timer costs, dispatch at depth (8192
@@ -102,7 +108,8 @@ fuzz-smoke:
 	dune exec bin/mtp_sim.exe -- fuzz --replay test/corpus
 	dune exec bin/mtp_sim.exe -- fuzz --cases 200 --seed 1 --budget-s 120
 
-# CI gate: full build, the test suite, a quick datapath bench that
+# CI gate: full build, the test suite, the benchmark's correctness
+# smoke (every workload's pins), a quick datapath bench that
 # must produce the allocation/throughput and fabric-scale guardrail
 # report, the parallel-runner scaling bench with its not-slower guardrail, a
 # shortened failover run exercising fault injection end to end and a
@@ -115,6 +122,7 @@ check:
 	$(MAKE) lint
 	dune runtest --force
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
 	rm -f BENCH_engine.json
 	$(MAKE) bench-datapath
 	test -f BENCH_engine.json

@@ -433,7 +433,7 @@ let flat_floor = 0.25
 
 (* Minor words per acked packet at a backlog of 1 when last recorded
    (allocation is deterministic, so the same on any machine). *)
-let mtp_recorded_words_1 = 65.45
+let mtp_recorded_words_1 = 21.46
 let mtp_words_bar = 1.15
 let mtp_ns_ratio_bar = 2.0
 

@@ -97,12 +97,17 @@ type rxmsg = {
   rx_first : Engine.Time.t;
 }
 
-(* Pending coalesced acknowledgement towards one source. *)
+(* Pending coalesced acknowledgement towards one source.  The reply's
+   class, ports and msg id are copied from the latest packet: its
+   header is refilled for another send once the packet is handled. *)
 type ack_acc = {
   mutable acc_sacks : Wire.pkt_ref list; (* newest first *)
   mutable acc_count : int;
   mutable acc_fb : Wire.path_fb list; (* latest packet's feedback *)
-  mutable acc_template : Wire.t; (* ports/msg id for the reply *)
+  mutable acc_tc : int;
+  mutable acc_src_port : int; (* the reply's: the data's dst port *)
+  mutable acc_dst_port : int;
+  mutable acc_msg_id : int;
   mutable acc_tm : Engine.Sim.timer;
 }
 
@@ -147,6 +152,10 @@ type t = {
   ack_every : int;
   ack_delay : Engine.Time.t;
   ack_acc : ack_acc Itbl.t;
+  (* The [Mtp] boxes of handled packets, [spare.(0 .. n_spare - 1)],
+     refilled for the next sends (see [next_box]). *)
+  mutable spare : Netsim.Packet.proto array;
+  mutable n_spare : int;
   mutable ticker_running : bool;
   (* counters *)
   mutable n_completed : int;
@@ -164,6 +173,12 @@ type t = {
    messages a receiver tracks (beyond it new messages are rejected). *)
 let mtu_payload = 1440
 let max_rx_messages = 1 lsl 20
+
+(* Header boxes an endpoint keeps for reuse; past this many a claimed
+   packet's header is left to the GC.  A receiver that coalesces acks
+   claims more packets than it sends, and would otherwise keep nearly
+   every header it is sent. *)
+let max_spare_headers = 256
 
 let node t = t.ep_node
 let sim t = t.ep_sim
@@ -337,10 +352,38 @@ let pkt_payload t msg pkt_num =
 (* ------------------------------------------------------------------ *)
 (* Emission                                                             *)
 
-let emit_header t ~dst header =
+(* A header box for the next send, to be refilled in full: the last
+   one kept, or a fresh one when none is. *)
+let next_box t =
+  let n = t.n_spare - 1 in
+  if n < 0 then Wire.Mtp (Wire.blank ())
+  else begin
+    t.n_spare <- n;
+    let box = t.spare.(n) in
+    t.spare.(n) <- Netsim.Packet.Raw;
+    box
+  end
+
+(* Keep the box of a handled packet, up to [max_spare_headers]. *)
+let keep_box t box =
+  let n = t.n_spare in
+  if n < max_spare_headers then begin
+    if n = Array.length t.spare then begin
+      let spare =
+        Array.make (Int.min max_spare_headers (Int.max 8 (2 * n)))
+          Netsim.Packet.Raw
+      in
+      Array.blit t.spare 0 spare 0 n;
+      t.spare <- spare
+    end;
+    t.spare.(n) <- box;
+    t.n_spare <- n + 1
+  end
+
+let emit_header t ~dst box =
   let pkt =
     Wire.packet t.ep_pool ~src:(Netsim.Node.addr t.ep_node) ~dst
-      ~entity:t.entity header
+      ~entity:t.entity box
   in
   Netsim.Node.send t.ep_node pkt
 
@@ -415,13 +458,13 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
     | Some pr -> List.filter (fun r -> not (Wire.same_path r pr)) path
     | None -> if t.exclusion then exclusion_list t ~path else []
   in
-  let header =
-    Wire.data ~pri:msg.tx_pri ~tc:msg.tx_tc ~cookie:msg.tx_cookie
-      ~cookie2:msg.tx_cookie2 ~exclude ~src_port:msg.tx_src_port
-      ~dst_port:msg.tx_dst_port ~msg_id:msg.tx_id ~msg_len:msg.tx_size
-      ~msg_pkts:msg.tx_npkts ~pkt_num ~pkt_offset:(pkt_num * t.mtu)
-      ~pkt_len:payload
-  in
+  let box = next_box t in
+  Wire.fill (Wire.header box) ~is_ack:false ~pri:msg.tx_pri ~tc:msg.tx_tc
+    ~cookie:msg.tx_cookie ~cookie2:msg.tx_cookie2 ~exclude
+    ~src_port:msg.tx_src_port ~dst_port:msg.tx_dst_port ~msg_id:msg.tx_id
+    ~msg_len:msg.tx_size ~msg_pkts:msg.tx_npkts ~pkt_num
+    ~pkt_offset:(pkt_num * t.mtu) ~pkt_len:payload ~sack:[] ~nack:[]
+    ~ack_path_feedback:[];
   let charged =
     match probe with
     | Some pr -> [ pr ]
@@ -450,7 +493,7 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
         ~size:(List.length exclude) ~a:(List.hd exclude).Wire.path_id
         ~b:msg.tx_tc
   end;
-  emit_header t ~dst:msg.tx_dst header
+  emit_header t ~dst:msg.tx_dst box
 
 (* ------------------------------------------------------------------ *)
 (* The send queue                                                       *)
@@ -881,20 +924,20 @@ let process_ack t (header : Wire.t) (pkt : Netsim.Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* Data processing (receiver side)                                      *)
 
-let emit_ack t ~dst (template : Wire.t) ~sacks ~nacks ~fb =
-  let ack =
-    Wire.ack ~sack:sacks ~nack:nacks ~tc:template.Wire.msg_tc
-      ~src_port:template.Wire.dst_port ~dst_port:template.Wire.src_port
-      ~msg_id:template.Wire.msg_id ~ack_path_feedback:fb
-  in
+let emit_ack t ~dst ~tc ~src_port ~dst_port ~msg_id ~sacks ~nacks ~fb =
+  let box = next_box t in
+  Wire.fill (Wire.header box) ~is_ack:true ~pri:0 ~tc ~cookie:0 ~cookie2:0
+    ~exclude:[] ~src_port ~dst_port ~msg_id ~msg_len:0 ~msg_pkts:0 ~pkt_num:0
+    ~pkt_offset:0 ~pkt_len:0 ~sack:sacks ~nack:nacks ~ack_path_feedback:fb;
   t.n_acks_tx <- t.n_acks_tx + 1;
-  emit_header t ~dst ack
+  emit_header t ~dst box
 
 let flush_acks t ~dst acc =
   Engine.Sim.disarm acc.acc_tm;
   if acc.acc_count > 0 then begin
-    emit_ack t ~dst acc.acc_template ~sacks:(List.rev acc.acc_sacks)
-      ~nacks:[] ~fb:acc.acc_fb;
+    emit_ack t ~dst ~tc:acc.acc_tc ~src_port:acc.acc_src_port
+      ~dst_port:acc.acc_dst_port ~msg_id:acc.acc_msg_id
+      ~sacks:(List.rev acc.acc_sacks) ~nacks:[] ~fb:acc.acc_fb;
     acc.acc_sacks <- [];
     acc.acc_count <- 0;
     acc.acc_fb <- []
@@ -905,12 +948,16 @@ let flush_acks t ~dst acc =
    can be aggregated").  NACKs and urgent acks always flush at once. *)
 let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
   if t.ack_every <= 1 || nack || urgent then begin
-    (* Flush anything pending first so ordering stays sane. *)
-    (match Itbl.find t.ack_acc dst with
-    | acc -> flush_acks t ~dst acc
-    | exception Not_found -> ());
+    (* Flush anything pending first so ordering stays sane.  Only a
+       coalescing endpoint ever holds a pending ack. *)
+    if t.ack_every > 1 then begin
+      match Itbl.find t.ack_acc dst with
+      | acc -> flush_acks t ~dst acc
+      | exception Not_found -> ()
+    end;
     let one = [ this ] in
-    emit_ack t ~dst header
+    emit_ack t ~dst ~tc:header.Wire.msg_tc ~src_port:header.Wire.dst_port
+      ~dst_port:header.Wire.src_port ~msg_id:header.Wire.msg_id
       ~sacks:(if nack then [] else one)
       ~nacks:(if nack then one else [])
       ~fb:header.Wire.path_feedback
@@ -921,14 +968,18 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
       | acc -> acc
       | exception Not_found ->
         let acc =
-          { acc_sacks = []; acc_count = 0; acc_fb = []; acc_template = header;
+          { acc_sacks = []; acc_count = 0; acc_fb = []; acc_tc = 0;
+            acc_src_port = 0; acc_dst_port = 0; acc_msg_id = 0;
             acc_tm = Engine.Sim.timer t.ep_sim ignore }
         in
         acc.acc_tm <- Engine.Sim.timer t.ep_sim (fun () -> flush_acks t ~dst acc);
         Itbl.add t.ack_acc dst acc;
         acc
     in
-    acc.acc_template <- header;
+    acc.acc_tc <- header.Wire.msg_tc;
+    acc.acc_src_port <- header.Wire.dst_port;
+    acc.acc_dst_port <- header.Wire.src_port;
+    acc.acc_msg_id <- header.Wire.msg_id;
     acc.acc_sacks <- this :: acc.acc_sacks;
     acc.acc_count <- acc.acc_count + 1;
     (match header.Wire.path_feedback with
@@ -1021,14 +1072,16 @@ let concerns_us t (header : Wire.t) =
     any_ours t.tx_table header.Wire.sack || any_ours t.tx_table header.Wire.nack
   else Itbl.mem t.bindings header.Wire.dst_port
 
-(* The packet goes back to the pool only once handled: handling sends
-   (the pump, acks), and those sends must not be handed the cell still
-   being read. *)
+(* The packet goes back to the pool, and its header box onto the
+   spare stack, only once handled: handling sends (the pump, acks), and
+   those sends must not be handed the cell or the header still being
+   read. *)
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
-  | Wire.Mtp header when concerns_us t header ->
+  | Wire.Mtp header as box when concerns_us t header ->
     if header.Wire.is_ack then process_ack t header pkt
     else process_data t header pkt;
+    keep_box t box;
     Netsim.Packet.release t.ep_pool pkt;
     true
   | _ -> false
@@ -1057,7 +1110,8 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
          table would cost every endpoint 4096 words at attach. *)
       recent_done = Itbl.create 64; recent_queue = Queue.create ();
       bindings = Itbl.create 8; ack_every; ack_delay;
-      ack_acc = Itbl.create 8; ticker_running = false; n_completed = 0;
+      ack_acc = Itbl.create 8; spare = [||]; n_spare = 0;
+      ticker_running = false; n_completed = 0;
       n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
       n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
   in
@@ -1221,6 +1275,7 @@ let timeouts t = t.n_timeouts
 let nacks_received t = t.n_nacks
 let rejected t = t.n_rejected
 let acks_sent t = t.n_acks_tx
+let spare_headers t = t.n_spare
 
 (* ------------------------------------------------------------------ *)
 (* Unified transport interface                                          *)

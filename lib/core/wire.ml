@@ -5,24 +5,24 @@ type path_fb = { fb_path : path_ref; fb : Feedback.t }
 type pkt_ref = { ref_msg : int; ref_pkt : int }
 
 type t = {
-  src_port : int;
-  dst_port : int;
-  msg_id : int;
-  msg_pri : int;
-  msg_tc : int;
-  msg_len : int;
-  msg_pkts : int;
-  pkt_num : int;
-  pkt_offset : int;
-  pkt_len : int;
-  is_ack : bool;
-  cookie : int;
-  cookie2 : int;
-  path_exclude : path_ref list;
+  mutable src_port : int;
+  mutable dst_port : int;
+  mutable msg_id : int;
+  mutable msg_pri : int;
+  mutable msg_tc : int;
+  mutable msg_len : int;
+  mutable msg_pkts : int;
+  mutable pkt_num : int;
+  mutable pkt_offset : int;
+  mutable pkt_len : int;
+  mutable is_ack : bool;
+  mutable cookie : int;
+  mutable cookie2 : int;
+  mutable path_exclude : path_ref list;
   mutable path_feedback : path_fb list;
-  ack_path_feedback : path_fb list;
-  sack : pkt_ref list;
-  nack : pkt_ref list;
+  mutable ack_path_feedback : path_fb list;
+  mutable sack : pkt_ref list;
+  mutable nack : pkt_ref list;
 }
 
 type Netsim.Packet.proto += Mtp of t
@@ -169,18 +169,48 @@ let decode b =
     pkt_offset; pkt_len; is_ack; cookie; cookie2; path_exclude;
     path_feedback; ack_path_feedback; sack; nack }
 
+let fill t ~is_ack ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port
+    ~msg_id ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len ~sack ~nack
+    ~ack_path_feedback =
+  t.src_port <- src_port;
+  t.dst_port <- dst_port;
+  t.msg_id <- msg_id;
+  t.msg_pri <- pri;
+  t.msg_tc <- tc;
+  t.msg_len <- msg_len;
+  t.msg_pkts <- msg_pkts;
+  t.pkt_num <- pkt_num;
+  t.pkt_offset <- pkt_offset;
+  t.pkt_len <- pkt_len;
+  t.is_ack <- is_ack;
+  t.cookie <- cookie;
+  t.cookie2 <- cookie2;
+  t.path_exclude <- exclude;
+  t.path_feedback <- [];
+  t.ack_path_feedback <- ack_path_feedback;
+  t.sack <- sack;
+  t.nack <- nack
+
+let blank () =
+  { src_port = 0; dst_port = 0; msg_id = 0; msg_pri = 0; msg_tc = 0;
+    msg_len = 0; msg_pkts = 0; pkt_num = 0; pkt_offset = 0; pkt_len = 0;
+    is_ack = false; cookie = 0; cookie2 = 0; path_exclude = [];
+    path_feedback = []; ack_path_feedback = []; sack = []; nack = [] }
+
 let data ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port ~msg_id
     ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len =
-  { src_port; dst_port; msg_id; msg_pri = pri; msg_tc = tc; msg_len;
-    msg_pkts; pkt_num; pkt_offset; pkt_len; is_ack = false; cookie; cookie2;
-    path_exclude = exclude; path_feedback = []; ack_path_feedback = [];
-    sack = []; nack = [] }
+  let t = blank () in
+  fill t ~is_ack:false ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port
+    ~msg_id ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len ~sack:[] ~nack:[]
+    ~ack_path_feedback:[];
+  t
 
 let ack ~sack ~nack ~tc ~src_port ~dst_port ~msg_id ~ack_path_feedback =
-  { src_port; dst_port; msg_id; msg_pri = 0; msg_tc = tc; msg_len = 0;
-    msg_pkts = 0; pkt_num = 0; pkt_offset = 0; pkt_len = 0; is_ack = true;
-    cookie = 0; cookie2 = 0; path_exclude = []; path_feedback = [];
-    ack_path_feedback; sack; nack }
+  let t = blank () in
+  fill t ~is_ack:true ~pri:0 ~tc ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port
+    ~dst_port ~msg_id ~msg_len:0 ~msg_pkts:0 ~pkt_num:0 ~pkt_offset:0
+    ~pkt_len:0 ~sack ~nack ~ack_path_feedback;
+  t
 
 let same_path a b = a.path_id = b.path_id && a.path_tc = b.path_tc
 
@@ -201,13 +231,17 @@ let add_feedback t fb_path fb =
   (* simlint: allow H101 — list bounded by paths-per-dst, keeps wire order *)
   t.path_feedback <- t.path_feedback @ [ { fb_path; fb } ]
 
-let packet pool ~src ~dst ~entity t =
+let header = function
+  | Mtp t -> t
+  | _ -> invalid_arg "Wire.header: not an MTP payload"
+
+let packet pool ~src ~dst ~entity payload =
+  let t = header payload in
   let flow_hash =
     Netsim.Packet.flow_hash_of ~src ~dst ~src_port:t.src_port
       ~dst_port:t.dst_port
   in
-  Netsim.Packet.take pool ~entity ~prio:t.msg_pri ~flow_hash ~payload:(Mtp t)
-    ~src ~dst
+  Netsim.Packet.take pool ~entity ~prio:t.msg_pri ~flow_hash ~payload ~src ~dst
     ~size:(encoded_size t + t.pkt_len)
 
 (* simlint: allow H104 — codec round-trip check, never per packet *)

@@ -16,37 +16,41 @@ type path_fb = { fb_path : path_ref; fb : Feedback.t }
 type pkt_ref = { ref_msg : int; ref_pkt : int }
 (** An (msg id, packet number) pair, the unit of SACK/NACK. *)
 
+(** Every field is mutable, but a header belongs to exactly one packet:
+    the holder of that packet is the only writer.  Network devices
+    stamp [path_feedback] in place ({!add_feedback}); rewriters copy
+    with [{h with ...}] instead of writing.  Once an endpoint has
+    handled a packet it claimed, the header (and its {!Mtp} box)
+    belongs to that endpoint, which refills it with {!fill} for one
+    of its own later sends; nothing may read it through the old packet
+    after that. *)
 type t = {
-  src_port : int;
-  dst_port : int;
-  msg_id : int;  (** Unique among the source's outstanding messages. *)
-  msg_pri : int;  (** Application-assigned relative priority. *)
-  msg_tc : int;  (** Traffic class (provenance/entity). *)
-  msg_len : int;  (** Message length in bytes. *)
-  msg_pkts : int;  (** Message length in packets. *)
-  pkt_num : int;  (** This packet's index within the message. *)
-  pkt_offset : int;  (** Byte offset of this packet's payload. *)
-  pkt_len : int;  (** Payload bytes in this packet. *)
-  is_ack : bool;
-  cookie : int;
+  mutable src_port : int;
+  mutable dst_port : int;
+  mutable msg_id : int;  (** Unique among the source's outstanding messages. *)
+  mutable msg_pri : int;  (** Application-assigned relative priority. *)
+  mutable msg_tc : int;  (** Traffic class (provenance/entity). *)
+  mutable msg_len : int;  (** Message length in bytes. *)
+  mutable msg_pkts : int;  (** Message length in packets. *)
+  mutable pkt_num : int;  (** This packet's index within the message. *)
+  mutable pkt_offset : int;  (** Byte offset of this packet's payload. *)
+  mutable pkt_len : int;  (** Payload bytes in this packet. *)
+  mutable is_ack : bool;
+  mutable cookie : int;
       (** Models the first four payload/application-header bytes
           (opcode, blob id, …); charged as header bytes. *)
-  cookie2 : int;  (** Second application word (key, offset, …). *)
-  path_exclude : path_ref list;
+  mutable cookie2 : int;  (** Second application word (key, offset, …). *)
+  mutable path_exclude : path_ref list;
       (** Pathlets the source asks the network to avoid. *)
   mutable path_feedback : path_fb list;
       (** Appended by network devices en route (empty at origin).  The
-          header's one mutable field: a header belongs to exactly one
-          packet ({!data} and {!ack} build a fresh one per
-          transmission, rewriters copy with [{h with ...}]), so only
-          the holder of that packet stamps it.  The list itself is
-          immutable and may be shared between headers; appending
-          replaces it, never extends it. *)
-  ack_path_feedback : path_fb list;
+          list itself is immutable and may be shared between headers;
+          appending replaces it, never extends it. *)
+  mutable ack_path_feedback : path_fb list;
       (** The receiver's copy of the data packet's [path_feedback],
           returned to the source on the ACK. *)
-  sack : pkt_ref list;  (** Selectively acknowledged packets. *)
-  nack : pkt_ref list;  (** Negatively acknowledged (e.g. trimmed). *)
+  mutable sack : pkt_ref list;  (** Selectively acknowledged packets. *)
+  mutable nack : pkt_ref list;  (** Negatively acknowledged (e.g. trimmed). *)
 }
 
 type Netsim.Packet.proto += Mtp of t
@@ -64,6 +68,35 @@ val encode : t -> Bytes.t
 val decode : Bytes.t -> t
 (** @raise Failure on malformed input. *)
 
+val fill :
+  t ->
+  is_ack:bool ->
+  pri:int ->
+  tc:int ->
+  cookie:int ->
+  cookie2:int ->
+  exclude:path_ref list ->
+  src_port:int ->
+  dst_port:int ->
+  msg_id:int ->
+  msg_len:int ->
+  msg_pkts:int ->
+  pkt_num:int ->
+  pkt_offset:int ->
+  pkt_len:int ->
+  sack:pkt_ref list ->
+  nack:pkt_ref list ->
+  ack_path_feedback:path_fb list ->
+  unit
+(** Overwrite every field of the header in place, [path_feedback] with
+    the empty list: the one way a header is filled, whether fresh
+    ({!data}, {!ack}) or reused by the endpoint that owns it.  Every
+    field is a required label: optional arguments would box each one
+    given. *)
+
+val blank : unit -> t
+(** A fresh header with every field zero or empty, for {!fill}. *)
+
 val data :
   pri:int ->
   tc:int ->
@@ -79,8 +112,7 @@ val data :
   pkt_offset:int ->
   pkt_len:int ->
   t
-(** A data-packet header with empty feedback/ack lists.  Every field is
-    a required label: optional arguments would box each one given. *)
+(** A fresh data-packet header with empty feedback/ack lists. *)
 
 val ack :
   sack:pkt_ref list ->
@@ -91,7 +123,7 @@ val ack :
   msg_id:int ->
   ack_path_feedback:path_fb list ->
   t
-(** An acknowledgement header (no payload). *)
+(** A fresh acknowledgement header (no payload). *)
 
 val same_path : path_ref -> path_ref -> bool
 (** Structural equality of two pathlet references, without the
@@ -108,15 +140,23 @@ val add_feedback : t -> path_ref -> Feedback.t -> unit
     [path_feedback], in place.  The old list is copied, not extended,
     so a list shared with another header never changes. *)
 
+val header : Netsim.Packet.proto -> t
+(** The header in an {!Mtp} payload.
+    @raise Invalid_argument on any other payload. *)
+
 val packet :
   Netsim.Packet.pool ->
   src:Netsim.Packet.addr ->
   dst:Netsim.Packet.addr ->
   entity:int ->
-  t ->
+  Netsim.Packet.proto ->
   Netsim.Packet.t
-(** Wrap in a packet taken from the pool ({!Netsim.Packet.take}): wire
-    size is [encoded_size h + pkt_len], priority is [msg_pri], and the
-    flow hash covers the ports. *)
+(** [packet pool ~src ~dst ~entity (Mtp h)] wraps [h] in a packet taken
+    from the pool ({!Netsim.Packet.take}), with the given [Mtp] value
+    as its payload, so a sender that keeps the box of a packet it
+    claimed allocates no new one: wire size is [encoded_size h +
+    pkt_len], priority is [msg_pri], and the flow hash covers the
+    ports.
+    @raise Invalid_argument when the payload is not [Mtp]. *)
 
 val equal : t -> t -> bool

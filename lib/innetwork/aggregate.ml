@@ -26,7 +26,7 @@ let ack_worker t (h : Mtp.Wire.t) ~worker =
   in
   (* Route the ACK back through normal forwarding. *)
   Netsim.Switch.receive t.sw
-    (Mtp.Wire.packet t.pool ~src:t.ps ~dst:worker ~entity:0 ack)
+    (Mtp.Wire.packet t.pool ~src:t.ps ~dst:worker ~entity:0 (Mtp.Wire.Mtp ack))
 
 let inject_aggregated t (h : Mtp.Wire.t) ~round =
   let msg_id =
@@ -49,7 +49,7 @@ let inject_aggregated t (h : Mtp.Wire.t) ~round =
   Netsim.Switch.inject t.sw ~port:t.ps_switch_port
     (Mtp.Wire.packet t.pool
        ~src:t.ps (* the PS sees a fabric-originated message *)
-       ~dst:t.ps ~entity:0 header)
+       ~dst:t.ps ~entity:0 (Mtp.Wire.Mtp header))
 
 let install sw ~ps ~ps_port ~ps_switch_port ~workers () =
   let t =

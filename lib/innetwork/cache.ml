@@ -51,7 +51,8 @@ let inject_reply t ~client ~client_app_port ~key ~size =
         ~pkt_len
     in
     let pkt =
-      Mtp.Wire.packet t.pool ~src:t.server ~dst:client ~entity:0 header
+      Mtp.Wire.packet t.pool ~src:t.server ~dst:client ~entity:0
+        (Mtp.Wire.Mtp header)
     in
     Netsim.Switch.inject t.sw ~port pkt
   done
@@ -90,7 +91,7 @@ let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
             Netsim.Switch.inject t.sw
               ~port:(t.client_port_of pkt.Netsim.Packet.src)
               (Mtp.Wire.packet t.pool ~src:server ~dst:pkt.Netsim.Packet.src
-                 ~entity:0 ack);
+                 ~entity:0 (Mtp.Wire.Mtp ack));
             inject_reply t ~client:pkt.Netsim.Packet.src
               ~client_app_port:h.Mtp.Wire.src_port ~key ~size;
             Netsim.Switch.Absorb

@@ -26,11 +26,12 @@
    links carry no pool, and the outbox is drained at the barrier), and
    the destination only sees the packet after the barrier's
    happens-before edge.  Payloads travel with the same ownership: a
-   header belongs to one packet (one header, one packet — every
-   transmission builds its own, rewriters copy), so the one write a
-   payload sees, the stamp of an MTP header's feedback list
-   ([Mtp_switch.stamp]), is made by whoever holds that packet, and no
-   two domains ever race on one.
+   header belongs to one packet (one header, one packet — rewriters
+   copy, and the endpoint that claims a packet refills its header only
+   for a later send of its own), so every write a payload sees (the
+   stamp of an MTP header's feedback list, [Mtp_switch.stamp], and that
+   refill) is made by whoever holds that packet, and no two domains
+   ever race on one.
 
    Canonical order without a sort.  The exchange walks the conduits in
    creation order and reserves the destination sim's next seq

@@ -374,7 +374,7 @@ let test_unclaimed_packet_passes_intact () =
     checki "uid untouched" uid pkt.Netsim.Packet.uid;
     checkb "payload untouched" true (pkt.Netsim.Packet.payload == payload)
   in
-  offer (Mtp.Wire.packet pool ~src:2 ~dst:1 ~entity:0 header);
+  offer (Mtp.Wire.packet pool ~src:2 ~dst:1 ~entity:0 (Mtp.Wire.Mtp header));
   offer (Transport.Tcp_wire.packet pool ~src:2 ~dst:1 ~entity:0 seg);
   checki "both reached the sink" 2 (List.length !seen);
   checki "nothing released" 0 (Netsim.Packet.pool_free (Netsim.Host.pool host))

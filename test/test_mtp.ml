@@ -791,7 +791,7 @@ let test_endpoint_current_path_order () =
       (Engine.Sim.schedule sim ~at:(Engine.Time.us us) (fun () ->
            Node.receive a
              (Wire.packet pool ~src:(Node.addr b) ~dst:(Node.addr a)
-                ~entity:0 h);
+                ~entity:0 (Wire.Mtp h));
            seen := Endpoint.current_path ea ~dst:(Node.addr b) :: !seen))
   in
   ack_at 1 0 [ pa ];
@@ -1110,6 +1110,133 @@ let test_endpoint_ack_coalescing_with_loss () =
   checkb "NACKs still flushed immediately" true
     (Endpoint.nacks_received ea > 0)
 
+(* ------------------------- Recycled headers ------------------------ *)
+
+let test_endpoint_headers_reach_steady_state () =
+  (* 100 KB messages back to back over a lossless 10G pair: once warm,
+     every data packet and ack is sent in the header of a packet its
+     sender handled earlier, so thousands of packets between 2 and
+     10 ms share a small fixed set of headers. *)
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  let ab, ba =
+    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach (Host.create b) in
+  Endpoint.bind eb ~port:80 (fun _ -> ());
+  let rec next () =
+    ignore
+      (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80
+         ~on_complete:(fun _ -> next ())
+         ~size:100_000 ())
+  in
+  next ();
+  Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  (* Distinct headers by physical identity. *)
+  let headers = ref [] and pkts = ref 0 in
+  let tap _ p =
+    match p.Packet.payload with
+    | Wire.Mtp h ->
+      incr pkts;
+      if not (List.memq h !headers) then headers := h :: !headers
+    | _ -> ()
+  in
+  Link.add_tap ab tap;
+  Link.add_tap ba tap;
+  Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+  let n = List.length !headers in
+  checkb "thousands of packets" true (!pkts > 5_000);
+  checkb (Printf.sprintf "%d headers for %d packets" n !pkts) true (n <= 128)
+
+let test_endpoint_spare_headers_capped () =
+  (* A receiver acking every 16th packet claims 16 packets per header
+     it sends: its spare stack fills to the cap and stays there. *)
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  let ab, _ =
+    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach ~ack_every:16 (Host.create b) in
+  Endpoint.bind eb ~port:80 (fun _ -> ());
+  let deepest = ref 0 in
+  Link.add_tap ab (fun _ _ ->
+      deepest := Int.max !deepest (Endpoint.spare_headers eb));
+  for _ = 1 to 4 do
+    ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:1_000_000 ())
+  done;
+  Engine.Sim.run sim;
+  checki "all delivered" 4 (Endpoint.delivered_messages eb);
+  checki "reaches the cap, never past it" Endpoint.max_spare_headers !deepest
+
+let test_endpoint_coalesced_ack_outlives_header () =
+  (* b coalesces acks 4 at a time.  a's second message loses its second
+     packet, so b holds an ack for its first one until the [ack_delay]
+     timer.  Meanwhile b sends a message of its own, in the header of
+     the very packet that ack answers (the top of b's spare stack).
+     The flushed ack must still carry that packet's class, ports and
+     msg id. *)
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  let inner = Qdisc.fifo ~cap_pkts:64 () in
+  let dropped = ref false in
+  let enqueue p =
+    match p.Packet.payload with
+    | Wire.Mtp h
+      when (not h.Wire.is_ack) && h.Wire.msg_id = 2 && h.Wire.pkt_num = 1
+           && not !dropped ->
+      dropped := true;
+      false
+    | _ -> inner.Qdisc.enqueue p
+  in
+  let _, ba =
+    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2)
+      ~ab_qdisc:
+        { inner with Qdisc.enqueue; enqueue_burst = Qdisc.burst_of_enqueue enqueue }
+      ()
+  in
+  let ea = Endpoint.attach (Host.create a) in
+  let eb = Endpoint.attach ~ack_every:4 (Host.create b) in
+  Endpoint.bind ea ~port:81 (fun _ -> ());
+  Endpoint.bind eb ~port:80 (fun _ -> ());
+  let acks = ref [] in
+  Link.add_tap ba (fun _ p ->
+      match p.Packet.payload with
+      | Wire.Mtp h when h.Wire.is_ack ->
+        acks :=
+          ( List.map (fun r -> (r.Wire.ref_msg, r.Wire.ref_pkt)) h.Wire.sack,
+            [ h.Wire.src_port; h.Wire.dst_port; h.Wire.msg_id; h.Wire.msg_tc ]
+          )
+          :: !acks
+      | _ -> ());
+  let send_a ~size =
+    ignore
+      (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~src_port:7000 ~tc:3
+         ~size ())
+  in
+  send_a ~size:1440;
+  send_a ~size:2880;
+  ignore
+    (Engine.Sim.schedule sim ~at:(Engine.Time.us 8) (fun () ->
+         ignore
+           (Endpoint.send eb ~dst:(Node.addr a) ~dst_port:81 ~src_port:9000
+              ~size:1440 ())));
+  Engine.Sim.run ~until:(Engine.Time.ms 5) sim;
+  checkb "second packet dropped once" true !dropped;
+  checki "both of a's messages completed" 2 (Endpoint.completed ea);
+  match List.assoc_opt [ (2, 0) ] !acks with
+  | Some fields ->
+    Alcotest.(check (list int))
+      "ports, msg id and class of the acked packet" [ 80; 7000; 2; 3 ] fields
+  | None -> Alcotest.fail "no timer-flushed ack for (2, 0) alone"
+
 let test_blob_survives_loss () =
   let sim, _, b, _, ea, eb =
     mtp_pair ~rate:(Engine.Time.gbps 1)
@@ -1250,7 +1377,7 @@ let test_exclusion_aware_routing () =
       ~src_port:1 ~dst_port:2 ~msg_id:1 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
       ~pkt_offset:0 ~pkt_len:100
   in
-  let pkt = Wire.packet pool ~src:1 ~dst:5 ~entity:0 header in
+  let pkt = Wire.packet pool ~src:1 ~dst:5 ~entity:0 (Wire.Mtp header) in
   (match Mtp_switch.exclusion_aware ~port_paths routes pkt with
   | Netsim.Switch.Forward 1 -> ()
   | _ -> Alcotest.fail "should avoid excluded pathlet 100 (port 0)");
@@ -1263,7 +1390,7 @@ let test_exclusion_aware_routing () =
       ~src_port:1 ~dst_port:2 ~msg_id:2 ~msg_len:100 ~msg_pkts:1 ~pkt_num:0
       ~pkt_offset:0 ~pkt_len:100
   in
-  let pkt_all = Wire.packet pool ~src:1 ~dst:5 ~entity:0 header_all in
+  let pkt_all = Wire.packet pool ~src:1 ~dst:5 ~entity:0 (Wire.Mtp header_all) in
   match Mtp_switch.exclusion_aware ~port_paths routes pkt_all with
   | Netsim.Switch.Forward _ -> ()
   | _ -> Alcotest.fail "must still forward when everything is excluded"
@@ -1293,7 +1420,8 @@ let test_stamp_fresh_header_allocates_nothing () =
      ignores. *)
   ignore
     (q.Qdisc.enqueue
-       (Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:n)));
+       (Wire.packet pool ~src:1 ~dst:2 ~entity:0
+          (Wire.Mtp (data_header ~msg_id:n))));
   let raw =
     Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim ~src:1
       ~dst:2 ~size:64
@@ -1306,7 +1434,8 @@ let test_stamp_fresh_header_allocates_nothing () =
   done;
   let pkts =
     Array.init n (fun i ->
-        Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:i))
+        Wire.packet pool ~src:1 ~dst:2 ~entity:0
+          (Wire.Mtp (data_header ~msg_id:i)))
   in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
@@ -1331,11 +1460,12 @@ let test_stamp_fresh_header_allocates_nothing () =
     (Wire.encoded_size (data_header ~msg_id:0) + 6 + 1440)
     pkts.(0).Packet.size
 
-let wire_packet_words pool n =
-  let header = data_header ~msg_id:1 in
+(* Words for [n] packets taken from [pool] and released at once, the
+   [i]-th with payload [payload i]. *)
+let wire_packet_words pool n payload =
   let before = Gc.minor_words () in
-  for _ = 1 to n do
-    let p = Wire.packet pool ~src:1 ~dst:2 ~entity:0 header in
+  for i = 1 to n do
+    let p = Wire.packet pool ~src:1 ~dst:2 ~entity:0 (payload i) in
     Packet.release pool (Sys.opaque_identity p)
   done;
   Gc.minor_words () -. before
@@ -1343,9 +1473,10 @@ let wire_packet_words pool n =
 let box_words () = 1 + Obj.size (Obj.repr (Wire.Mtp (data_header ~msg_id:1)))
 
 let test_wire_packet_allocates_record_and_box () =
-  (* From an empty pool: one packet record and one [Mtp] box per call,
-     nothing else (no option boxes for [Packet.take]'s labels).  No
-     packet is released, so the pool never has one to hand back. *)
+  (* A sender that boxes a header per packet, from an empty pool: one
+     packet record and one [Mtp] box per call, nothing else (no option
+     boxes for [Packet.take]'s labels).  No packet is released, so the
+     pool never has one to hand back. *)
   let n = 10_000 in
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
@@ -1355,7 +1486,8 @@ let test_wire_packet_allocates_record_and_box () =
   let before = Gc.minor_words () in
   for _ = 1 to n do
     ignore
-      (Sys.opaque_identity (Wire.packet pool ~src:1 ~dst:2 ~entity:0 header))
+      (Sys.opaque_identity
+         (Wire.packet pool ~src:1 ~dst:2 ~entity:0 (Wire.Mtp header)))
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
@@ -1370,12 +1502,35 @@ let test_wire_packet_warm_pool_allocates_box () =
   let n = 10_000 in
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
-  ignore (wire_packet_words pool 1);
-  let words = wire_packet_words pool n in
+  let header = data_header ~msg_id:1 in
+  let fresh_box _ = Wire.Mtp header in
+  ignore (wire_packet_words pool 1 fresh_box);
+  let words = wire_packet_words pool n fresh_box in
   Alcotest.(check (float 0.0))
     "box per call" (float_of_int (n * box_words ())) words;
   Alcotest.(check (pair int int)) "one fresh record" (1, n)
     (Packet.pool_stats pool)
+
+let test_wire_packet_kept_box_allocates_nothing () =
+  (* An endpoint refills the header of a packet it handled and sends
+     its box again: from a warm pool, nothing is allocated. *)
+  let n = 10_000 in
+  let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
+  let box = Wire.Mtp (Wire.blank ()) in
+  let refill i =
+    Wire.fill (Wire.header box) ~is_ack:false ~pri:0 ~tc:0 ~cookie:0
+      ~cookie2:0 ~exclude:[] ~src_port:1 ~dst_port:2 ~msg_id:i
+      ~msg_len:1440 ~msg_pkts:1 ~pkt_num:0 ~pkt_offset:0 ~pkt_len:1440
+      ~sack:[] ~nack:[] ~ack_path_feedback:[];
+    box
+  in
+  ignore (wire_packet_words pool 1 refill);
+  Alcotest.(check (float 0.0))
+    "no words" 0.0
+    (wire_packet_words pool n refill);
+  checkb "refilled in place" true
+    (Wire.equal (Wire.header box) (data_header ~msg_id:n))
 
 let test_stamp_shares_no_list_across_packets () =
   (* Two stamped links in series with a tap between them.  A crosses
@@ -1397,8 +1552,10 @@ let test_stamp_shares_no_list_across_packets () =
     | Wire.Mtp h -> h
     | _ -> Alcotest.fail "not an MTP packet"
   in
-  let a = Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:1) in
-  let b = Wire.packet pool ~src:1 ~dst:2 ~entity:0 (data_header ~msg_id:2) in
+  let a = Wire.packet pool ~src:1 ~dst:2 ~entity:0
+      (Wire.Mtp (data_header ~msg_id:1)) in
+  let b = Wire.packet pool ~src:1 ~dst:2 ~entity:0
+      (Wire.Mtp (data_header ~msg_id:2)) in
   let a_at_tap = ref [] in
   let delivered = ref 0 in
   Link.set_dst hop1 (fun p ->
@@ -1473,6 +1630,8 @@ let suite =
       test_wire_packet_allocates_record_and_box;
     Alcotest.test_case "wire packet from a warm pool allocates the box" `Quick
       test_wire_packet_warm_pool_allocates_box;
+    Alcotest.test_case "wire packet with a kept box allocates nothing" `Quick
+      test_wire_packet_kept_box_allocates_nothing;
     Alcotest.test_case "stamp fresh header allocates nothing" `Quick
       test_stamp_fresh_header_allocates_nothing;
     Alcotest.test_case "stamp shares no list across packets" `Quick
@@ -1539,6 +1698,12 @@ let suite =
       test_endpoint_ack_coalescing_correctness;
     Alcotest.test_case "ack coalescing + loss" `Quick
       test_endpoint_ack_coalescing_with_loss;
+    Alcotest.test_case "endpoint headers reach steady state" `Quick
+      test_endpoint_headers_reach_steady_state;
+    Alcotest.test_case "endpoint spare headers capped" `Quick
+      test_endpoint_spare_headers_capped;
+    Alcotest.test_case "coalesced ack outlives its header" `Quick
+      test_endpoint_coalesced_ack_outlives_header;
     Alcotest.test_case "blob under loss" `Quick test_blob_survives_loss;
     QCheck_alcotest.to_alcotest prop_exactly_once_delivery;
     Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
