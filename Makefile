@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test golden bench bench-smoke bench-datapath bench-parallel lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-smoke bench-datapath bench-parallel bench-record lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -42,7 +42,7 @@ bench-smoke:
 	dune exec bench/suite/mtpbench.exe -- --smoke
 
 # Engine guardrails, one program writing every section of
-# BENCH_engine.json: engine event/timer costs, dispatch at depth (8192
+# _build/BENCH_engine.json: engine event/timer costs, dispatch at depth (8192
 # pending timers re-armed at random offsets), pooled packet
 # forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
 # sender's minor words and ns per acked packet at backlogs of 1, 16
@@ -65,17 +65,24 @@ bench-datapath:
 
 # Scaling bench: the fixed fig5 sweep at jobs {1,2,4,8} plus the
 # partitioned single-scenario exhibit at jobs 1 vs 2.  Writes
-# BENCH_parallel.json (core count, scaling array, single-scenario
+# _build/BENCH_parallel.json (core count, scaling array, single-scenario
 # digest check and jobs=1 minor words per event; see README for the
 # schema).  Always fails if any width's rows or the scenario digests
 # differ (determinism).  `--guardrail` additionally enforces, on any
 # host, that the scenario's words per event stay within 1.15x of the
 # value recorded in bench/parallel.ml, and, on multi-core hosts, the
 # not-slower bound at the requested width and that the jobs=2 speedup
-# has not regressed below the recorded baseline beyond the tolerance;
-# single-core hosts skip the wall-clock checks with a JSON note.
+# has not regressed below the committed BENCH_parallel.json baseline
+# beyond the tolerance; single-core hosts skip the wall-clock checks
+# with a JSON note.
 bench-parallel:
 	dune exec bench/parallel.exe -- --jobs 2 --guardrail
+
+# Commit what the last bench-datapath and bench-parallel runs wrote
+# under _build/: copies both files over the committed ones.  Only on
+# purpose; `make check` leaves the committed files as they are.
+bench-record:
+	cp _build/BENCH_engine.json _build/BENCH_parallel.json .
 
 # Static analysis: determinism, domain-safety, hot-path and
 # unused-surface policy (see DESIGN.md "Static analysis: simlint" and
@@ -116,20 +123,22 @@ fuzz-smoke:
 # parallel `all --smoke` pass regenerating every exhibit on two
 # domains (diffed with the other stdout goldens), a telemetry
 # export check (JSONL parses, same-seed runs byte-identical), and the
-# corpus-replay + seeded-fuzz smoke.
+# corpus-replay + seeded-fuzz smoke.  It ends by checking that the
+# committed bench files are unchanged: the benches write under _build/.
 check:
 	dune build @all
 	$(MAKE) lint
 	dune runtest --force
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
-	rm -f BENCH_engine.json
+	rm -f _build/BENCH_engine.json _build/BENCH_parallel.json
 	$(MAKE) bench-datapath
-	test -f BENCH_engine.json
+	test -f _build/BENCH_engine.json
 	$(MAKE) bench-parallel
-	test -f BENCH_parallel.json
+	test -f _build/BENCH_parallel.json
 	dune build @test/golden/smoke
 	$(MAKE) telemetry-check
+	git diff --exit-code -- BENCH_engine.json BENCH_parallel.json
 
 # Run one exhibit twice with telemetry export on: the JSONL trace must
 # parse line by line and both same-seed runs must be byte-identical.

@@ -10,7 +10,8 @@
    of minor words per acked packet as one sender's backlog grows from
    1 to 128 messages, and bounds the growth of its ns per acked
    packet.  Results go to stdout and, every section
-   in one pass, BENCH_engine.json (with the host's core count).
+   in one pass, _build/BENCH_engine.json (with the host's core count),
+   which `make bench-record` commits.
 
    `--guardrail` additionally enforces the bars (non-zero exit on
    regression) — wired into `make check` and CI next to the parallel
@@ -583,7 +584,7 @@ let print_report r =
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar
 
 let write_json r =
-  let oc = open_out "BENCH_engine.json" in
+  let oc = open_out "_build/BENCH_engine.json" in
   Printf.fprintf oc
     {|{
   "cores": %d,
@@ -641,7 +642,7 @@ let write_json r =
     m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
   close_out oc;
-  Printf.printf "wrote BENCH_engine.json\n"
+  Printf.printf "wrote _build/BENCH_engine.json\n"
 
 (* Allocation bars are stable across machines and enforced tightly;
    the one wall-clock bar is a ratio within one run, so it holds on any

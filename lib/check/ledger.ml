@@ -2,10 +2,10 @@
 
    Generalizes the hand-rolled accounting in test/test_oracle.ml:
    instead of relying on a packet pool's live count (transports take
-   packets from the sending host's pool and release them into the
-   receiving host's, so one pool's count says nothing about its own
-   packets), the ledger works from the per-device counters every link
-   and switch maintains:
+   packets from the sending host's pool and the receiving host
+   releases them into its own, so one pool's count says nothing about
+   its own packets), the ledger works from the per-device counters
+   every link and switch maintains:
 
    - link:    sends = delivered + qdisc drops + fault drops
                       + queued + in-flight

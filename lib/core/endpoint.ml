@@ -116,7 +116,7 @@ module Itbl = Hashtbl.Make (Int)
 type t = {
   ep_node : Netsim.Node.t;
   ep_sim : Engine.Sim.t;
-  ep_pool : Netsim.Packet.pool; (* the host's: sends and claimed packets *)
+  ep_pool : Netsim.Packet.pool; (* the host's *)
   entity : int;
   mtu : int;
   max_msg_bytes : int;
@@ -152,10 +152,6 @@ type t = {
   ack_every : int;
   ack_delay : Engine.Time.t;
   ack_acc : ack_acc Itbl.t;
-  (* The [Mtp] boxes of handled packets, [spare.(0 .. n_spare - 1)],
-     refilled for the next sends (see [next_box]). *)
-  mutable spare : Netsim.Packet.proto array;
-  mutable n_spare : int;
   mutable ticker_running : bool;
   (* counters *)
   mutable n_completed : int;
@@ -173,12 +169,6 @@ type t = {
    messages a receiver tracks (beyond it new messages are rejected). *)
 let mtu_payload = 1440
 let max_rx_messages = 1 lsl 20
-
-(* Header boxes an endpoint keeps for reuse; past this many a claimed
-   packet's header is left to the GC.  A receiver that coalesces acks
-   claims more packets than it sends, and would otherwise keep nearly
-   every header it is sent. *)
-let max_spare_headers = 256
 
 let node t = t.ep_node
 let sim t = t.ep_sim
@@ -352,33 +342,12 @@ let pkt_payload t msg pkt_num =
 (* ------------------------------------------------------------------ *)
 (* Emission                                                             *)
 
-(* A header box for the next send, to be refilled in full: the last
-   one kept, or a fresh one when none is. *)
+(* A header box to refill in full and send at once: that of the packet
+   the pool hands out next, or a fresh one. *)
 let next_box t =
-  let n = t.n_spare - 1 in
-  if n < 0 then Wire.Mtp (Wire.blank ())
-  else begin
-    t.n_spare <- n;
-    let box = t.spare.(n) in
-    t.spare.(n) <- Netsim.Packet.Raw;
-    box
-  end
-
-(* Keep the box of a handled packet, up to [max_spare_headers]. *)
-let keep_box t box =
-  let n = t.n_spare in
-  if n < max_spare_headers then begin
-    if n = Array.length t.spare then begin
-      let spare =
-        Array.make (Int.min max_spare_headers (Int.max 8 (2 * n)))
-          Netsim.Packet.Raw
-      in
-      Array.blit t.spare 0 spare 0 n;
-      t.spare <- spare
-    end;
-    t.spare.(n) <- box;
-    t.n_spare <- n + 1
-  end
+  match Netsim.Packet.parked_payload t.ep_pool with
+  | Wire.Mtp _ as box -> box
+  | _ -> Wire.Mtp (Wire.blank ())
 
 let emit_header t ~dst box =
   let pkt =
@@ -458,13 +427,6 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
     | Some pr -> List.filter (fun r -> not (Wire.same_path r pr)) path
     | None -> if t.exclusion then exclusion_list t ~path else []
   in
-  let box = next_box t in
-  Wire.fill (Wire.header box) ~is_ack:false ~pri:msg.tx_pri ~tc:msg.tx_tc
-    ~cookie:msg.tx_cookie ~cookie2:msg.tx_cookie2 ~exclude
-    ~src_port:msg.tx_src_port ~dst_port:msg.tx_dst_port ~msg_id:msg.tx_id
-    ~msg_len:msg.tx_size ~msg_pkts:msg.tx_npkts ~pkt_num
-    ~pkt_offset:(pkt_num * t.mtu) ~pkt_len:payload ~sack:[] ~nack:[]
-    ~ack_path_feedback:[];
   let charged =
     match probe with
     | Some pr -> [ pr ]
@@ -493,6 +455,13 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
         ~size:(List.length exclude) ~a:(List.hd exclude).Wire.path_id
         ~b:msg.tx_tc
   end;
+  let box = next_box t in
+  Wire.fill (Wire.header box) ~is_ack:false ~pri:msg.tx_pri ~tc:msg.tx_tc
+    ~cookie:msg.tx_cookie ~cookie2:msg.tx_cookie2 ~exclude
+    ~src_port:msg.tx_src_port ~dst_port:msg.tx_dst_port ~msg_id:msg.tx_id
+    ~msg_len:msg.tx_size ~msg_pkts:msg.tx_npkts ~pkt_num
+    ~pkt_offset:(pkt_num * t.mtu) ~pkt_len:payload ~sack:[] ~nack:[]
+    ~ack_path_feedback:[];
   emit_header t ~dst:msg.tx_dst box
 
 (* ------------------------------------------------------------------ *)
@@ -1072,17 +1041,11 @@ let concerns_us t (header : Wire.t) =
     any_ours t.tx_table header.Wire.sack || any_ours t.tx_table header.Wire.nack
   else Itbl.mem t.bindings header.Wire.dst_port
 
-(* The packet goes back to the pool, and its header box onto the
-   spare stack, only once handled: handling sends (the pump, acks), and
-   those sends must not be handed the cell or the header still being
-   read. *)
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
-  | Wire.Mtp header as box when concerns_us t header ->
+  | Wire.Mtp header when concerns_us t header ->
     if header.Wire.is_ack then process_ack t header pkt
     else process_data t header pkt;
-    keep_box t box;
-    Netsim.Packet.release t.ep_pool pkt;
     true
   | _ -> false
 
@@ -1110,8 +1073,7 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
          table would cost every endpoint 4096 words at attach. *)
       recent_done = Itbl.create 64; recent_queue = Queue.create ();
       bindings = Itbl.create 8; ack_every; ack_delay;
-      ack_acc = Itbl.create 8; spare = [||]; n_spare = 0;
-      ticker_running = false; n_completed = 0;
+      ack_acc = Itbl.create 8; ticker_running = false; n_completed = 0;
       n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
       n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
   in
@@ -1275,7 +1237,6 @@ let timeouts t = t.n_timeouts
 let nacks_received t = t.n_nacks
 let rejected t = t.n_rejected
 let acks_sent t = t.n_acks_tx
-let spare_headers t = t.n_spare
 
 (* ------------------------------------------------------------------ *)
 (* Unified transport interface                                          *)

@@ -41,9 +41,7 @@ val attach :
   t
 (** Register an MTP endpoint with a host's dispatcher.  It claims
     MTP data for its bound ports and acks for its outstanding
-    messages, sends every packet from the host's pool and releases
-    each claimed packet into it once handled, keeping the packet's
-    header to refill for a later send (see {!spare_headers}).  [algo] (default
+    messages, and sends every packet from the host's pool.  [algo] (default
     [Dctcp]) is the default per-pathlet congestion controller.
     Packets carry 1440 payload bytes.  [max_msg_bytes] and a fixed cap of 2{^20} partially
     received messages bound receiver state (messages beyond them are
@@ -144,13 +142,6 @@ val rejected : t -> int
 
 val acks_sent : t -> int
 (** Acknowledgement packets emitted (drops with coalescing). *)
-
-val spare_headers : t -> int
-(** Header boxes of handled packets kept for the endpoint's next sends
-    (each send takes one and refills it in place, and builds a fresh
-    header only when none is kept); at most {!max_spare_headers}. *)
-
-val max_spare_headers : int
 
 module Messaging : Netsim.Transport_intf.S with type t = t
 (** Drive this endpoint through the unified transport interface;

@@ -19,11 +19,10 @@ type pkt_ref = { ref_msg : int; ref_pkt : int }
 (** Every field is mutable, but a header belongs to exactly one packet:
     the holder of that packet is the only writer.  Network devices
     stamp [path_feedback] in place ({!add_feedback}); rewriters copy
-    with [{h with ...}] instead of writing.  Once an endpoint has
-    handled a packet it claimed, the header (and its {!Mtp} box)
-    belongs to that endpoint, which refills it with {!fill} for one
-    of its own later sends; nothing may read it through the old packet
-    after that. *)
+    with [{h with ...}] instead of writing.  A released packet keeps
+    its {!Mtp} box, which the host's next MTP sender refills ({!fill})
+    and sends again: nothing may read a header after its claim
+    returns. *)
 type t = {
   mutable src_port : int;
   mutable dst_port : int;
@@ -153,8 +152,8 @@ val packet :
   Netsim.Packet.t
 (** [packet pool ~src ~dst ~entity (Mtp h)] wraps [h] in a packet taken
     from the pool ({!Netsim.Packet.take}), with the given [Mtp] value
-    as its payload, so a sender that keeps the box of a packet it
-    claimed allocates no new one: wire size is [encoded_size h +
+    as its payload, so a sender that refills the box of a parked packet
+    allocates no new one: wire size is [encoded_size h +
     pkt_len], priority is [msg_pri], and the flow hash covers the
     ports.
     @raise Invalid_argument when the payload is not [Mtp]. *)

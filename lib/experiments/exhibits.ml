@@ -34,6 +34,11 @@ let count lo = Int { lo; unit = One; hi = max_int }
 let scaled lo unit = Int { lo; unit; hi = max_int / 4 }
 let msg_size unit = Int { lo = 1; unit; hi = 0xFFFF_FFFF }
 
+(* A chain keeps one message outstanding, each with its own 16-bit
+   source port (a TCP connection's, or the one MTP gives a message);
+   MTP numbers them from 30 001, so a host holds 35 535 chains. *)
+let chains = Int { lo = 1; unit = One; hi = 65_535 - 30_000 }
+
 let duration get set =
   flag "duration-ms" "Simulated duration in milliseconds." (scaled 0 Ms) get
     set
@@ -74,7 +79,8 @@ let fig3 =
     [ duration (fun c -> c.duration) (fun v c -> { c with duration = v });
       flag "hosts" "Sender/receiver pairs; 2 x N hosts, at most 4096."
         (count 1) (fun c -> c.hosts) (fun v c -> { c with hosts = v });
-      flag "chains" "Concurrent message chains per host." (count 1)
+      flag "chains" "Concurrent message chains per host, at most 35535."
+        chains
         (fun c -> c.chains_per_host)
         (fun v c -> { c with chains_per_host = v }) ]
     (one (fun config -> result ~config ()))
@@ -143,7 +149,7 @@ let messaging =
     [ duration (fun c -> c.duration) (fun v c -> { c with duration = v });
       flag "msg-bytes" "Message size in bytes." (msg_size One)
         (fun c -> c.msg_size) (fun v c -> { c with msg_size = v });
-      flag "parallel" "Concurrent closed-loop chains." (count 1)
+      flag "parallel" "Concurrent closed-loop chains, at most 35535." chains
         (fun c -> c.parallel) (fun v c -> { c with parallel = v }) ]
     (one (fun config -> result ~config ()))
 

@@ -12,10 +12,12 @@ type t = {
   mutable h_unclaimed : int;
 }
 
-(* Top level, not a closure over [pkt]: a dispatch allocates nothing. *)
+(* Top level, not a closure over [pkt]: a dispatch allocates nothing.
+   Released once handled, so no send while handling reuses the record. *)
 let rec offer t pkt = function
   | [] -> t.h_unclaimed <- t.h_unclaimed + 1
-  | e :: rest -> if not (e.claim pkt) then offer t pkt rest
+  | e :: rest ->
+    if e.claim pkt then Packet.release t.h_pool pkt else offer t pkt rest
 
 let create node =
   if Node.has_handler node then

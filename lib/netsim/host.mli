@@ -8,11 +8,11 @@
     first wins.  A node that carries several stacks shares one host.
 
     Packet ownership: every stack sends packets taken from {!pool}
-    ({!Packet.take}).  A stack whose claim function answers [true]
-    owns the packet: it returns it to {!pool} with {!Packet.release}
-    once it has handled it, and keeps no reference to it.  A stack
-    answering [false] must leave the packet as it found it, for the
-    next stack. *)
+    ({!Packet.take}).  When a claim answers [true], the host releases
+    the packet, payload and all, into {!pool} for a later send to
+    refill; so a claim must keep no reference to the packet or its
+    payload after it returns.  A claim answering [false] must leave the
+    packet as it found it, for the next stack. *)
 
 type t
 
@@ -26,8 +26,7 @@ val register : t -> name:string -> (Packet.t -> bool) -> unit
 val node : t -> Node.t
 val addr : t -> Packet.addr
 val pool : t -> Packet.pool
-(** The pool every stack on this host sends from and releases claimed
-    packets into. *)
+(** The pool every stack sends from and claimed packets return to. *)
 
 val unclaimed : t -> int
 (** Inbound packets no registered stack claimed. *)

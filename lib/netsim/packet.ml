@@ -48,7 +48,11 @@ let make ~entity ~prio ~flow_hash ~payload sim ~src ~dst ~size =
 
 (* Free-list pool: [release] parks a packet, [take] re-initialises
    a parked one (or falls back to a fresh record).  Steady-state
-   forwarding through a pool allocates nothing. *)
+   forwarding through a pool allocates nothing.  A parked packet keeps
+   its payload for the next sender to refill.  The cap: a host that
+   receives more than it sends would otherwise park the surplus for
+   the rest of the run. *)
+let max_parked = 512
 
 type pool = {
   pool_sim : Engine.Sim.t;
@@ -75,16 +79,20 @@ let release p pkt =
     if pkt.uid < 0 then invalid_arg "Packet.release: packet already released";
     pkt.uid <- -1;
     p.released <- p.released + 1;
-    (* Drop the payload so a parked packet retains no protocol state. *)
-    pkt.payload <- Raw;
-    if p.free_len = Array.length p.free then begin
-      let free = Array.make (2 * p.free_len) none in
-      Array.blit p.free 0 free 0 p.free_len;
-      p.free <- free
-    end;
-    p.free.(p.free_len) <- pkt;
-    p.free_len <- p.free_len + 1
+    let n = p.free_len in
+    if n < max_parked then begin
+      if n = Array.length p.free then begin
+        let free = Array.make (Int.min max_parked (2 * n)) none in
+        Array.blit p.free 0 free 0 n;
+        p.free <- free
+      end;
+      p.free.(n) <- pkt;
+      p.free_len <- n + 1
+    end
   end
+
+let parked_payload p =
+  if p.free_len = 0 then Raw else p.free.(p.free_len - 1).payload
 
 (* Every label required, like [make]: this is the constructor every
    transport sends through. *)

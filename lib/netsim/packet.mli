@@ -77,23 +77,28 @@ val make :
     ({!Host.pool}) with {!take}.  A packet belongs to whoever holds it:
     the links and switches while it travels (a device built with a
     pool releases the packets it drops), then the stack on the
-    destination host that claims it.  That stack returns it to its own
-    host's pool with {!release} once it has handled it, and keeps no
-    reference to it; a packet that no stack on the host claims is not
-    released.  So packets migrate between pools: a host that receives
-    more than it sends parks the surplus, one that sends more takes
-    fresh records. *)
+    destination host that claims it, after which that host {!release}s
+    it into its own pool ({!Host}).  So packets migrate between pools: a
+    host that receives more than it sends parks the surplus (up to
+    {!max_parked}), one that sends more takes fresh records.  A parked
+    packet keeps its payload: a sender whose protocol's header box is
+    the {!parked_payload} refills it and passes it to {!take}, so a
+    steady exchange allocates neither records nor headers. *)
 
 type pool
 (** A free-list of released packets belonging to one simulator. *)
 
 val pool : Engine.Sim.t -> pool
 (** An empty pool; its free-list starts with room for 64 packets and
-    grows as needed. *)
+    grows as needed, up to {!max_parked}. *)
+
+val max_parked : int
+(** Packets one pool parks at most (512); past it a released packet is
+    left to the GC. *)
 
 val release : pool -> t -> unit
-(** Park a packet for reuse.  The caller must not touch it afterwards.
-    Releasing {!none} is a no-op.
+(** Park a packet for reuse, payload and all.  The caller must not
+    touch it afterwards.  Releasing {!none} is a no-op.
     @raise Invalid_argument if the packet is already parked (released
     and not taken since): a second release would hand one record to
     two owners. *)
@@ -112,6 +117,10 @@ val take :
     parked, else allocates a fresh one.  Either way the packet gets a
     new per-sim [uid] and the sim's clock, exactly as {!make} would
     stamp it.  Every label is required, for the same reason. *)
+
+val parked_payload : pool -> proto
+(** The payload of the packet the next {!take} hands out; [Raw] when
+    none is parked. *)
 
 val recycle :
   ?flow_hash:int -> pool -> src:addr -> dst:addr -> size:int -> unit -> t

@@ -27,7 +27,7 @@
    the destination only sees the packet after the barrier's
    happens-before edge.  Payloads travel with the same ownership: a
    header belongs to one packet (one header, one packet — rewriters
-   copy, and the endpoint that claims a packet refills its header only
+   copy, and the host that claims a packet parks it, header and all,
    for a later send of its own), so every write a payload sees (the
    stamp of an MTP header's feedback list, [Mtp_switch.stamp], and that
    refill) is made by whoever holds that packet, and no two domains

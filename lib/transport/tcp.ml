@@ -86,7 +86,7 @@ type conn = {
 and t = {
   t_node : Netsim.Node.t;
   t_sim : Engine.Sim.t;
-  t_pool : Netsim.Packet.pool; (* the host's: sends and claimed segments *)
+  t_pool : Netsim.Packet.pool; (* the host's *)
   t_cc : cc;
   t_snd_buf : int; (* flight cap: models the socket send buffer *)
   t_min_rto : Engine.Time.t;
@@ -157,17 +157,22 @@ let probe_event conn ~kind ~size ~a ~b =
 (* ------------------------------------------------------------------ *)
 (* Segment emission                                                     *)
 
+(* Refill the segment of the packet the pool hands out next, if any. *)
 let emit conn ~syn ~fin ~is_ack ~ece ~probe ~seq ~payload =
   let stack = conn.stack in
   let rwnd = Int.max 0 (conn.c_rcv_buf - conn.buffered) in
-  let seg =
-    { Tcp_wire.src_port = conn.local_port; dst_port = conn.remote_port;
-      seq; ack = conn.rcv_nxt; payload; syn; fin; is_ack; ece; probe; rwnd }
+  let box =
+    match Netsim.Packet.parked_payload stack.t_pool with
+    | Tcp_wire.Tcp _ as box -> box
+    | _ -> Tcp_wire.Tcp (Tcp_wire.blank ())
   in
+  Tcp_wire.fill (Tcp_wire.segment box) ~src_port:conn.local_port
+    ~dst_port:conn.remote_port ~seq ~ack:conn.rcv_nxt ~payload ~syn ~fin
+    ~is_ack ~ece ~probe ~rwnd;
   let pkt =
     Tcp_wire.packet stack.t_pool
       ~src:(Netsim.Node.addr stack.t_node) ~dst:conn.peer
-      ~entity:stack.t_entity seg
+      ~entity:stack.t_entity box
   in
   if payload > 0 && Telemetry.Ctx.on () then
     probe_event conn ~kind:Telemetry.Events.Send ~size:payload ~a:seq
@@ -643,13 +648,10 @@ let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   if seg.syn && not seg.is_ack then Itbl.mem stack.listeners seg.dst_port
   else Conns.mem stack.conns (segment_key stack seg pkt)
 
-(* Released only once handled: the acks and data sent while handling
-   must not be handed the packet still being read. *)
 let claim stack pkt =
   match pkt.Netsim.Packet.payload with
   | Tcp_wire.Tcp seg when concerns_us stack seg pkt ->
     handle_segment stack seg pkt;
-    Netsim.Packet.release stack.t_pool pkt;
     true
   | _ -> false
 

@@ -35,9 +35,8 @@ val attach :
   Netsim.Host.t ->
   t
 (** Register a stack with a host's dispatcher.  It claims SYNs for its
-    listeners and segments of its connections, sends every segment
-    from the host's pool and releases each claimed segment into it
-    once handled.  Segments carry 1460
+    listeners and segments of its connections, and sends every segment
+    from the host's pool.  Segments carry 1460
     payload bytes, the initial window is 10 segments, and connections
     get an unbounded receive buffer unless {!listen} sets one;
     [snd_buf] (default unbounded) caps bytes in flight like a kernel's

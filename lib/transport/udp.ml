@@ -44,13 +44,10 @@ let handle t (d : datagram) (pkt : Netsim.Packet.t) =
     end
     else Itbl.replace t.partial key seen
 
-(* Datagrams are consumed on arrival, so the packet goes straight
-   back to the pool for reuse. *)
 let claim t pkt =
   match pkt.Netsim.Packet.payload with
   | Udp d ->
     handle t d pkt;
-    Netsim.Packet.release t.pool pkt;
     true
   | _ -> false
 

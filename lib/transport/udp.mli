@@ -9,8 +9,7 @@ type t
 
 val attach : Netsim.Host.t -> t
 (** Register a stack with a host's dispatcher.  It claims every
-    datagram and uses the host's packet pool: sends take released
-    packets and received datagrams are released after delivery.
+    datagram and sends from the host's packet pool.
     Messages go out in fragments of 1472 payload bytes. *)
 
 val listen :

@@ -136,12 +136,16 @@ let test_host_refuses_handled_node () =
   refused raw
 
 (* Dispatch is on every packet's path: offering a packet to one stack
-   or past a declining stack to a second must allocate nothing. *)
+   or past a declining stack to a second must allocate nothing.  Each
+   packet is taken from the host's pool, and the host releases it
+   again once the last stack claims it: one record serves every
+   receive, and the release allocates nothing either. *)
 let test_host_dispatch_allocates_nothing () =
   let words_per_run stacks =
     let sim = Engine.Sim.create () in
     let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
     let host = Netsim.Host.create node in
+    let pool = Netsim.Host.pool host in
     let claimed = ref 0 in
     for i = 1 to stacks do
       let last = i = stacks in
@@ -149,14 +153,22 @@ let test_host_dispatch_allocates_nothing () =
           if last then incr claimed;
           last)
     done;
-    let pkt = raw sim ~src:2 ~dst:1 ~size:64 in
+    let receive () =
+      Netsim.Node.receive node
+        (Netsim.Packet.recycle pool ~src:2 ~dst:1 ~size:64 ())
+    in
+    receive ();
     let before = Gc.minor_words () in
     for _ = 1 to 10_000 do
-      Netsim.Node.receive node pkt
+      receive ()
     done;
     let words = Gc.minor_words () -. before in
-    checki "every packet claimed" 10_000 !claimed;
+    checki "every packet claimed" 10_001 !claimed;
     checki "nothing unclaimed" 0 (Netsim.Host.unclaimed host);
+    Alcotest.(check (pair int int))
+      "one record, released by the host after every claim" (1, 10_000)
+      (Netsim.Packet.pool_stats pool);
+    checki "parked again" 1 (Netsim.Packet.pool_free pool);
     words
   in
   Alcotest.(check (float 0.0)) "one stack" 0.0 (words_per_run 1);
@@ -340,10 +352,46 @@ let test_dctcp_steady_pool () =
     (fun client ~dst ~dst_port ->
       Netsim.Transport_intf.stream client ~dst ~dst_port ())
 
-(* A stack releases only what it claims: an MTP packet for an unbound
-   port and a TCP segment for a port nobody listens on pass the MTP
-   and TCP stacks and reach the next registered stack as they were
-   sent, live, with nothing parked in the host's pool. *)
+(* The DCTCP flow above, over a lossless 10G pair: once warm, every
+   data segment and ack is sent in the segment of a packet its host
+   released earlier, so thousands of packets between 2 and 10 ms share
+   a small fixed set of segments. *)
+let test_dctcp_segments_steady () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let a = Netsim.Topology.host topo "a" in
+  let b = Netsim.Topology.host topo "b" in
+  let ab, ba =
+    Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let client = Transport.Dctcp.attach ~snd_buf:64_000 (Netsim.Host.create a) in
+  let server = Transport.Dctcp.attach (Netsim.Host.create b) in
+  Transport.Dctcp.Messaging.listen server ~port:80 ();
+  Transport.Dctcp.Messaging.stream client ~dst:(Netsim.Node.addr b)
+    ~dst_port:80 ();
+  Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  (* Distinct segments by physical identity. *)
+  let segs = ref [] and pkts = ref 0 in
+  let tap _ p =
+    match p.Netsim.Packet.payload with
+    | Transport.Tcp_wire.Tcp s ->
+      incr pkts;
+      if not (List.memq s !segs) then segs := s :: !segs
+    | _ -> ()
+  in
+  Netsim.Link.add_tap ab tap;
+  Netsim.Link.add_tap ba tap;
+  Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+  let n = List.length !segs in
+  checkb "thousands of packets" true (!pkts > 5_000);
+  checkb (Printf.sprintf "%d segments for %d packets" n !pkts) true (n <= 64)
+
+(* The host releases only what a stack claims: an MTP packet for an
+   unbound port and a TCP segment for a port nobody listens on pass the
+   MTP and TCP stacks and reach the next registered stack as they were
+   sent.  That sink declines them too, so both stay live, nothing is
+   parked in the host's pool, and both count as unclaimed. *)
 let test_unclaimed_packet_passes_intact () =
   let sim = Engine.Sim.create () in
   let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
@@ -353,7 +401,7 @@ let test_unclaimed_packet_passes_intact () =
   let seen = ref [] in
   Netsim.Host.register host ~name:"sink" (fun pkt ->
       seen := pkt :: !seen;
-      true);
+      false);
   let pool = Netsim.Packet.pool sim in
   let header =
     Mtp.Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:7
@@ -361,9 +409,10 @@ let test_unclaimed_packet_passes_intact () =
       ~pkt_offset:0 ~pkt_len:1440
   in
   let seg =
-    { Transport.Tcp_wire.src_port = 7; dst_port = 99; seq = 0; ack = 0;
-      payload = 100; syn = false; fin = false; is_ack = true; ece = false;
-      probe = false; rwnd = 0 }
+    Transport.Tcp_wire.Tcp
+      { Transport.Tcp_wire.src_port = 7; dst_port = 99; seq = 0; ack = 0;
+        payload = 100; syn = false; fin = false; is_ack = true; ece = false;
+        probe = false; rwnd = 0 }
   in
   let offer pkt =
     let uid = pkt.Netsim.Packet.uid and payload = pkt.Netsim.Packet.payload in
@@ -377,6 +426,7 @@ let test_unclaimed_packet_passes_intact () =
   offer (Mtp.Wire.packet pool ~src:2 ~dst:1 ~entity:0 (Mtp.Wire.Mtp header));
   offer (Transport.Tcp_wire.packet pool ~src:2 ~dst:1 ~entity:0 seg);
   checki "both reached the sink" 2 (List.length !seen);
+  checki "both unclaimed" 2 (Netsim.Host.unclaimed host);
   checki "nothing released" 0 (Netsim.Packet.pool_free (Netsim.Host.pool host))
 
 (* A claimed segment goes back to the pool only once handled.  Every
@@ -462,6 +512,8 @@ let suite =
       test_mtp_steady_pool;
     Alcotest.test_case "dctcp exchange pools reach steady state" `Quick
       test_dctcp_steady_pool;
+    Alcotest.test_case "dctcp segments reach steady state" `Quick
+      test_dctcp_segments_steady;
     Alcotest.test_case "unclaimed packet passes intact" `Quick
       test_unclaimed_packet_passes_intact;
     Alcotest.test_case "tcp releases a segment after handling it" `Quick

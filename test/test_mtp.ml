@@ -1151,9 +1151,10 @@ let test_endpoint_headers_reach_steady_state () =
   checkb "thousands of packets" true (!pkts > 5_000);
   checkb (Printf.sprintf "%d headers for %d packets" n !pkts) true (n <= 128)
 
-let test_endpoint_spare_headers_capped () =
+let test_host_pool_capped () =
   (* A receiver acking every 16th packet claims 16 packets per header
-     it sends: its spare stack fills to the cap and stays there. *)
+     it sends: its host parks the surplus until the pool holds
+     [Packet.max_parked], and leaves the rest to the GC. *)
   let sim = Engine.Sim.create () in
   let topo = Topology.create sim in
   let a = Topology.host topo "a" and b = Topology.host topo "b" in
@@ -1162,23 +1163,61 @@ let test_endpoint_spare_headers_capped () =
       ~delay:(Engine.Time.us 2) ()
   in
   let ea = Endpoint.attach (Host.create a) in
-  let eb = Endpoint.attach ~ack_every:16 (Host.create b) in
+  let hb = Host.create b in
+  let eb = Endpoint.attach ~ack_every:16 hb in
   Endpoint.bind eb ~port:80 (fun _ -> ());
   let deepest = ref 0 in
   Link.add_tap ab (fun _ _ ->
-      deepest := Int.max !deepest (Endpoint.spare_headers eb));
+      deepest := Int.max !deepest (Packet.pool_free (Host.pool hb)));
   for _ = 1 to 4 do
     ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:1_000_000 ())
   done;
   Engine.Sim.run sim;
   checki "all delivered" 4 (Endpoint.delivered_messages eb);
-  checki "reaches the cap, never past it" Endpoint.max_spare_headers !deepest
+  checki "reaches the cap, never past it" Packet.max_parked !deepest
+
+let test_endpoint_completion_send_keeps_nack () =
+  (* One ack SACKs a's first message, which completes it, and NACKs a
+     packet of its second; the completion callback sends a third
+     message at once, while the ack is still being read.  That send
+     must not be handed the ack's record: released before handling, the
+     ack's header would be refilled for the new data packet and its
+     NACK lost. *)
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let a = Topology.host topo "a" and b = Topology.host topo "b" in
+  ignore
+    (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+       ~delay:(Engine.Time.us 2) ());
+  let ea = Endpoint.attach (Host.create a) in
+  let hb = Host.create b in
+  let send size = Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size () in
+  let first =
+    Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80
+      ~on_complete:(fun _ -> ignore (send 1440))
+      ~size:1440 ()
+  in
+  let second = send 2880 in
+  Engine.Sim.run ~until:(Engine.Time.us 20) sim;
+  checki "b got every data packet" 3 (Host.unclaimed hb);
+  let ack =
+    Wire.ack
+      ~sack:[ { Wire.ref_msg = first; ref_pkt = 0 } ]
+      ~nack:[ { Wire.ref_msg = second; ref_pkt = 1 } ]
+      ~tc:0 ~src_port:80 ~dst_port:0 ~msg_id:first ~ack_path_feedback:[]
+  in
+  Node.receive a
+    (Wire.packet (Host.pool hb) ~src:(Node.addr b) ~dst:(Node.addr a)
+       ~entity:0 (Wire.Mtp ack));
+  checki "first completed" 1 (Endpoint.completed ea);
+  checki "the NACK was read" 1 (Endpoint.nacks_received ea);
+  checki "and its packet resent at once" 1 (Endpoint.retransmits ea)
 
 let test_endpoint_coalesced_ack_outlives_header () =
   (* b coalesces acks 4 at a time.  a's second message loses its second
      packet, so b holds an ack for its first one until the [ack_delay]
      timer.  Meanwhile b sends a message of its own, in the header of
-     the very packet that ack answers (the top of b's spare stack).
+     the very packet that ack answers (the top of b's host pool).
      The flushed ack must still carry that packet's class, ports and
      msg id. *)
   let sim = Engine.Sim.create () in
@@ -1700,8 +1739,9 @@ let suite =
       test_endpoint_ack_coalescing_with_loss;
     Alcotest.test_case "endpoint headers reach steady state" `Quick
       test_endpoint_headers_reach_steady_state;
-    Alcotest.test_case "endpoint spare headers capped" `Quick
-      test_endpoint_spare_headers_capped;
+    Alcotest.test_case "host pool capped" `Quick test_host_pool_capped;
+    Alcotest.test_case "completion send keeps the nack" `Quick
+      test_endpoint_completion_send_keeps_nack;
     Alcotest.test_case "coalesced ack outlives its header" `Quick
       test_endpoint_coalesced_ack_outlives_header;
     Alcotest.test_case "blob under loss" `Quick test_blob_survives_loss;
