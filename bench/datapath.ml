@@ -74,14 +74,14 @@ let datapath_events () =
   timed (fun () ->
       let sim = Engine.Sim.create () in
       let rec tick k =
-        if k > 0 then ignore (Engine.Sim.after sim 10 (fun () -> tick (k - 1)))
+        if k > 0 then Engine.Sim.after sim 10 (fun () -> tick (k - 1))
       in
       tick n;
       Engine.Sim.run sim;
       n)
 
 (* One timer object re-armed for every firing: the reusable-timer fast
-   path (no per-occurrence closure or handle allocation). *)
+   path (no per-occurrence closure). *)
 let datapath_timer () =
   let n = 200_000 in
   timed (fun () ->
@@ -158,12 +158,11 @@ let datapath_packets () =
       Netsim.Packet.release pool pkt);
   let gap = Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.gbps 100) in
   let sent = ref 0 in
-  ignore
-  @@ Engine.Sim.periodic sim ~interval:gap (fun () ->
-         Netsim.Link.send link
-           (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
-         incr sent;
-         !sent < n);
+  Engine.Sim.periodic sim ~interval:gap (fun () ->
+      Netsim.Link.send link
+        (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 ());
+      incr sent;
+      !sent < n);
   timed (fun () ->
       Engine.Sim.run sim;
       !delivered)
@@ -246,17 +245,16 @@ let workload w pool =
     let src_addr = Netsim.Node.addr src in
     let link = Netsim.Node.uplink src in
     let sent = ref 0 in
-    ignore
-      (Engine.Sim.periodic w.sim ~interval:gap (fun () ->
-           hash := !hash + 1;
-           let p =
-             Netsim.Packet.recycle pool ~src:src_addr ~dst:dst_addr
-               ~size:1500 ()
-           in
-           p.Netsim.Packet.flow_hash <- !hash * 0x9E3779B1 land 0xFFFFFF;
-           Netsim.Link.send link p;
-           incr sent;
-           !sent < pkts_per_source))
+    Engine.Sim.periodic w.sim ~interval:gap (fun () ->
+        hash := !hash + 1;
+        let p =
+          Netsim.Packet.recycle pool ~src:src_addr ~dst:dst_addr
+            ~size:1500 ()
+        in
+        p.Netsim.Packet.flow_hash <- !hash * 0x9E3779B1 land 0xFFFFFF;
+        Netsim.Link.send link p;
+        incr sent;
+        !sent < pkts_per_source)
   done;
   Engine.Sim.run w.sim
 

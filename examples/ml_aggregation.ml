@@ -59,7 +59,7 @@ let run ~aggregate =
             (Mtp.Endpoint.send ep ~dst:(Netsim.Node.addr ps) ~dst_port:5000
                ~cookie:r ~cookie2:i ~size:gradient_bytes ()))
         worker_eps;
-      ignore (Engine.Sim.after sim (Engine.Time.us 100) (fun () -> round (r + 1)))
+      Engine.Sim.after sim (Engine.Time.us 100) (fun () -> round (r + 1))
     end
   in
   round 0;

@@ -249,15 +249,14 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
         in
         let sim = Node.sim shape.srcs.(src) in
         let p = part_of sim in
-        ignore
-          (Engine.Sim.schedule sim ~at:(Engine.Time.us f.Spec.f_start_us)
-             (fun () ->
-               Transport_intf.send_message src_stack ~dst:dst_addr
-                 ~dst_port:msg_port
-                 ~on_complete:(fun fct ->
-                   completions.(i) <- completions.(i) + 1;
-                   tr p "done flow=%d t=%d fct=%d" i (Engine.Sim.now sim) fct)
-                 ~size:f.Spec.f_size ()))
+        Engine.Sim.schedule sim ~at:(Engine.Time.us f.Spec.f_start_us)
+          (fun () ->
+            Transport_intf.send_message src_stack ~dst:dst_addr
+              ~dst_port:msg_port
+              ~on_complete:(fun fct ->
+                completions.(i) <- completions.(i) + 1;
+                tr p "done flow=%d t=%d fct=%d" i (Engine.Sim.now sim) fct)
+              ~size:f.Spec.f_size ())
       end)
     flows;
   (* Fault plan: the spec's faults, or — for the differential pair —
@@ -326,16 +325,15 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
   in
   for p = 0 to nparts - 1 do
     let sim = Topology.sim ~part:p topo in
-    ignore
-      (Engine.Sim.periodic sim ~interval (fun () ->
-           Array.iteri
-             (fun i l ->
-               if link_part.(i) = p then
-                 tr p "q t=%d link=%d q=%d f=%d b=%d" (Engine.Sim.now sim) i
-                   (Link.queued_pkts l) (Link.in_flight_pkts l)
-                   (Link.bytes_sent l))
-             links;
-           Engine.Sim.now sim < duration))
+    Engine.Sim.periodic sim ~interval (fun () ->
+        Array.iteri
+          (fun i l ->
+            if link_part.(i) = p then
+              tr p "q t=%d link=%d q=%d f=%d b=%d" (Engine.Sim.now sim) i
+                (Link.queued_pkts l) (Link.in_flight_pkts l)
+                (Link.bytes_sent l))
+          links;
+        Engine.Sim.now sim < duration)
   done;
   { topo; run_world; links; switches; host_wraps; stacks;
     endpoints = List.rev !endpoints; plans; ledger; monotone; completions;

@@ -720,16 +720,15 @@ let rec pump t =
 and ensure_ticker t =
   if (not t.ticker_running) && Itbl.length t.tx_table > 0 then begin
     t.ticker_running <- true;
-    ignore
-      (Engine.Sim.periodic t.ep_sim ~interval:(Engine.Time.us 100) (fun () ->
-           if Itbl.length t.tx_table = 0 then begin
-             t.ticker_running <- false;
-             false
-           end
-           else begin
-             check_timeouts t;
-             true
-           end))
+    Engine.Sim.periodic t.ep_sim ~interval:(Engine.Time.us 100) (fun () ->
+        if Itbl.length t.tx_table = 0 then begin
+          t.ticker_running <- false;
+          false
+        end
+        else begin
+          check_timeouts t;
+          true
+        end)
   end
 
 and check_timeouts t =

@@ -16,7 +16,7 @@ let rcp_controller sim link ~capacity =
       arrived_bytes = 0 }
   in
   let interval = Engine.Time.us 50 in
-  ignore @@ Engine.Sim.periodic sim ~interval (fun () ->
+  Engine.Sim.periodic sim ~interval (fun () ->
       let cap_bytes = Engine.Time.bytes_in ~rate:capacity interval in
       let spare =
         float_of_int (cap_bytes - state.arrived_bytes)
@@ -125,7 +125,7 @@ let stamp sim link ~path_id ~mode =
 
 let alternate_path sim sw ~dst ~ports ~interval ~fallback =
   let current = ref 0 in
-  ignore @@ Engine.Sim.periodic sim ~interval (fun () ->
+  Engine.Sim.periodic sim ~interval (fun () ->
       current := (!current + 1) mod Array.length ports;
       true);
   Netsim.Switch.set_forward sw (fun pkt ->

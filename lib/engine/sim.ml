@@ -2,11 +2,12 @@
 
    The heap stores int slot indices; each slot holds the event's
    closure in a preallocated parallel array.  Scheduling therefore
-   allocates nothing beyond the user's closure, and cancellation is a
-   slot overwrite instead of a boxed [handle] record.  A handle packs
-   (slot index, generation): the generation is bumped each time the
-   slot is recycled, so a stale handle can never cancel an unrelated
-   later event. *)
+   allocates nothing beyond the user's closure.  Only a {!timer} can
+   take back a pending firing: it remembers its slot index and
+   overwrites the slot's action with [noop].  No generation check is
+   needed: only the timer holds the index, and it drops it before the
+   slot can be reused (on firing, before its action runs; on disarm;
+   on re-arm). *)
 
 let noop = Sys.opaque_identity (fun () -> ())
 
@@ -28,8 +29,6 @@ let () =
            time seq (Printexc.to_string inner))
     | _ -> None)
 
-type handle = int
-
 type t = {
   mutable clock : Time.t;
   heap : Eventqueue.t;
@@ -38,16 +37,9 @@ type t = {
   root_rng : Rng.t;
   mutable next_uid : int;
   mutable actions : (unit -> unit) array;
-  mutable gens : int array;
   mutable free : int array;
   mutable free_len : int;
 }
-
-let gen_bits = 31
-
-let gen_mask = (1 lsl gen_bits) - 1
-
-let no_handle : handle = -1
 
 let create ?(seed = 42) () =
   let cap = 64 in
@@ -59,7 +51,6 @@ let create ?(seed = 42) () =
     root_rng = Rng.create seed;
     next_uid = 0;
     actions = Array.make cap noop;
-    gens = Array.make cap 0;
     free = Array.init cap (fun i -> cap - 1 - i);
     free_len = cap }
 
@@ -78,14 +69,11 @@ let grow_slots t =
   let cap = 2 * old_cap in
   let actions = Array.make cap noop in
   Array.blit t.actions 0 actions 0 old_cap;
-  let gens = Array.make cap 0 in
-  Array.blit t.gens 0 gens 0 old_cap;
   let free = Array.make cap 0 in
   for i = 0 to old_cap - 1 do
     free.(i) <- cap - 1 - i
   done;
   t.actions <- actions;
-  t.gens <- gens;
   t.free <- free;
   t.free_len <- old_cap
 
@@ -107,24 +95,18 @@ let insert t ~at ~seq action =
   let idx = t.free.(n) in
   t.actions.(idx) <- action;
   Eventqueue.add t.heap ~time:at ~seq idx;
-  (idx lsl gen_bits) lor (t.gens.(idx) land gen_mask)
+  idx
 
-let schedule t ~at action =
+(* [schedule], answering the slot for a timer to hold. *)
+let schedule_slot t ~at action =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.schedule: at=%d is before now=%d" at t.clock);
   insert t ~at ~seq:(reserve_seq t) action
 
-let after t dt action = schedule t ~at:(t.clock + dt) action
+let schedule t ~at action = ignore (schedule_slot t ~at action)
 
-let cancel t h =
-  if h >= 0 then begin
-    let idx = h lsr gen_bits in
-    if
-      idx < Array.length t.actions
-      && t.gens.(idx) land gen_mask = h land gen_mask
-    then t.actions.(idx) <- noop
-  end
+let after t dt action = schedule t ~at:(t.clock + dt) action
 
 let step t =
   if Eventqueue.is_empty t.heap then false
@@ -137,7 +119,6 @@ let step t =
     (* Recycle the slot before running the action so the action may
        itself schedule into it. *)
     t.actions.(idx) <- noop;
-    t.gens.(idx) <- t.gens.(idx) + 1;
     t.free.(t.free_len) <- idx;
     t.free_len <- t.free_len + 1;
     if action != noop then begin
@@ -187,10 +168,11 @@ let run_before t ~limit =
   done;
   if t.clock < limit then t.clock <- limit
 
-(* Conservative peek: cancelled events still occupy their heap slot,
-   so the reported time may belong to a no-op — that only costs the
-   epoch loop a redundant window, never correctness, and keeps the
-   result a pure function of scheduling history (deterministic). *)
+(* Conservative peek: a disarmed or re-armed timer's old firing still
+   occupies its heap slot, so the reported time may belong to a
+   no-op — that only costs the epoch loop a redundant window, never
+   correctness, and keeps the result a pure function of scheduling
+   history (deterministic). *)
 let next_time t =
   if Eventqueue.is_empty t.heap then None
   else Some (Eventqueue.min_time t.heap)
@@ -200,52 +182,45 @@ let pending t = Eventqueue.size t.heap
 let events_processed t = t.executed
 
 (* Re-armable timers: the wrapper closure is built once at creation,
-   so arming/disarming in steady state allocates nothing. *)
+   so arming/disarming in steady state allocates nothing.  [tm_slot]
+   is the pending firing's slot, [-1] when disarmed; only the timer
+   holds it, and it lets go before the slot can be reused. *)
 
 type timer = {
   tm_sim : t;
-  mutable tm_handle : handle;
+  mutable tm_slot : int;
   mutable tm_action : unit -> unit;
 }
 
 let timer t f =
-  let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
-  in
+  let tm = { tm_sim = t; tm_slot = -1; tm_action = noop } in
   tm.tm_action <-
     (fun () ->
-      tm.tm_handle <- no_handle;
+      tm.tm_slot <- -1;
       f ());
   tm
 
+let disarm tm =
+  if tm.tm_slot >= 0 then begin
+    tm.tm_sim.actions.(tm.tm_slot) <- noop;
+    tm.tm_slot <- -1
+  end
+
 let arm tm ~at =
-  if tm.tm_handle >= 0 then cancel tm.tm_sim tm.tm_handle;
-  tm.tm_handle <- schedule tm.tm_sim ~at tm.tm_action
+  disarm tm;
+  tm.tm_slot <- schedule_slot tm.tm_sim ~at tm.tm_action
 
 let arm_after tm dt = arm tm ~at:(tm.tm_sim.clock + dt)
 
 let arm_reserved tm ~at ~seq =
   let t = tm.tm_sim in
   if at < t.clock then invalid_arg "Sim.arm_reserved: at is before now";
-  if tm.tm_handle >= 0 then cancel t tm.tm_handle;
-  tm.tm_handle <- insert t ~at ~seq tm.tm_action
+  disarm tm;
+  tm.tm_slot <- insert t ~at ~seq tm.tm_action
 
-let disarm tm =
-  if tm.tm_handle >= 0 then begin
-    cancel tm.tm_sim tm.tm_handle;
-    tm.tm_handle <- no_handle
-  end
-
-let armed tm = tm.tm_handle >= 0
+let armed tm = tm.tm_slot >= 0
 
 let periodic t ~interval f =
   assert (interval > 0);
-  let tm =
-    { tm_sim = t; tm_handle = no_handle; tm_action = noop }
-  in
-  tm.tm_action <-
-    (fun () ->
-      tm.tm_handle <- no_handle;
-      if f () then arm tm ~at:(t.clock + interval));
-  arm tm ~at:(t.clock + interval);
-  tm
+  let rec tick () = if f () then after t interval tick in
+  after t interval tick

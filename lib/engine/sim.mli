@@ -7,14 +7,10 @@
 
     Event slots are pooled: scheduling allocates nothing beyond the
     user's closure, and a {!timer} re-arms without allocating at
-    all. *)
+    all.  A scheduled event always fires; a pending firing can be
+    taken back only through a {!timer}. *)
 
 type t
-
-type handle
-(** A scheduled event, usable for cancellation.  Handles are
-    generation-checked: cancelling after the event fired (or after its
-    slot was reused) is a safe no-op. *)
 
 val create : ?seed:int -> unit -> t
 (** Fresh simulator.  [seed] (default 42) seeds the root {!Rng.t}. *)
@@ -32,17 +28,13 @@ val fresh_uid : t -> int
     for packet uids so concurrent sims stay independent and
     deterministic. *)
 
-val schedule : t -> at:Time.t -> (unit -> unit) -> handle
+val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** Run a closure at absolute time [at].  [at] must not be in the
     past (a single int comparison on the fast path; the error string
     is only built on failure). *)
 
-val after : t -> Time.t -> (unit -> unit) -> handle
+val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t dt f] runs [f] at [now t + dt]. *)
-
-val cancel : t -> handle -> unit
-(** Prevent a pending event from firing.  Cancelling a fired or
-    already-cancelled event is a no-op. *)
 
 (** {1 Re-armable timers} *)
 
@@ -70,11 +62,10 @@ val disarm : timer -> unit
 val armed : timer -> bool
 (** Whether a firing is pending. *)
 
-val periodic : t -> interval:Time.t -> (unit -> bool) -> timer
+val periodic : t -> interval:Time.t -> (unit -> bool) -> unit
 (** [periodic t ~interval f] runs [f] every [interval], starting one
-    interval from now, until [f] returns [false].
-    The returned timer can be {!disarm}ed to stop the recurrence
-    mid-run. *)
+    interval from now, until [f] returns [false]: the only way to stop
+    the recurrence. *)
 
 (** {1 Reserved tie positions} *)
 
@@ -125,12 +116,14 @@ val run_before : t -> limit:Time.t -> unit
 
 val next_time : t -> Time.t option
 (** Earliest pending event time, or [None] on an empty heap.  May
-    report a cancelled event's slot (conservative, like the heap
-    itself) — callers use it as a lower bound, e.g. the epoch driver's
-    idle-window skip. *)
+    report the old firing of a disarmed or re-armed {!timer}, which
+    keeps its heap slot until its time comes (conservative, like the
+    heap itself) — callers use it as a lower bound, e.g. the epoch
+    driver's idle-window skip. *)
 
 val pending : t -> int
-(** Number of events in the heap (including cancelled ones). *)
+(** Number of events in the heap, counting the old firings of
+    disarmed or re-armed timers until their time comes. *)
 
 val events_processed : t -> int
 (** Total events executed so far, for reporting. *)

@@ -38,7 +38,7 @@ let run_variant ~rate ~duration (name, algo, mode) =
            ~dst_port:80 ~on_complete ~size ()));
   let queue_depth = Stats.Summary.create () in
   let max_queue = ref 0 in
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->
       let d = qd.Netsim.Qdisc.pkt_length () in
       Stats.Summary.add queue_depth (float_of_int d);
       if d > !max_queue then max_queue := d;

@@ -35,10 +35,11 @@ let run_variant ~duration ~seed ~exclusion =
   let interferer_gap =
     Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.mbps 8_500)
   in
-  ignore @@ Engine.Sim.periodic sim ~interval:interferer_gap (fun () ->
+  let interferer_pool = Netsim.Packet.pool sim in
+  Engine.Sim.periodic sim ~interval:interferer_gap (fun () ->
       Netsim.Link.send tp.Netsim.Topology.tp_link_a
-        (Netsim.Packet.make ~entity:0 ~prio:0 ~flow_hash:0
-           ~payload:Netsim.Packet.Raw sim
+        (Netsim.Packet.take interferer_pool ~entity:0 ~prio:0 ~flow_hash:0
+           ~payload:Netsim.Packet.Raw
            ~src:(Netsim.Node.addr tp.Netsim.Topology.tp_src)
            ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
            ~size:1500);

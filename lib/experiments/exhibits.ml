@@ -37,7 +37,9 @@ let msg_size unit = Int { lo = 1; unit; hi = 0xFFFF_FFFF }
 (* A chain keeps one message outstanding, each with its own 16-bit
    source port (a TCP connection's, or the one MTP gives a message);
    MTP numbers them from 30 001, so a host holds 35 535 chains. *)
-let chains = Int { lo = 1; unit = One; hi = 65_535 - 30_000 }
+let max_chains = 65_535 - 30_000
+
+let chains = Int { lo = 1; unit = One; hi = max_chains }
 
 let duration get set =
   flag "duration-ms" "Simulated duration in milliseconds." (scaled 0 Ms) get
@@ -72,14 +74,28 @@ let fig2 =
         (fun v c -> { c with rwnd_limit = v }) ]
     (one (fun config -> result ~config ()))
 
+(* Every fig3 chain crosses the dumbbell's one bottleneck, as every
+   chain of [messaging --parallel] crosses its one pair, so the
+   dumbbell gets the chain budget of one host: --hosts x --chains at
+   most [max_chains], the largest closed loop the other exhibits
+   accept (17 chains per pair at 2048 pairs).  The fabric cap runs
+   first, so the int product cannot overflow. *)
 let fig3 =
   let open Fig3_one_rpf in
+  let check c =
+    Result.bind (fabric ~what:"2 x --hosts" (2.0 *. float_of_int c.hosts))
+      (fun () ->
+        if c.hosts * c.chains_per_host <= max_chains then Ok ()
+        else Error "--hosts x --chains is above the 35535-chain cap")
+  in
   exhibit "fig3" "One request per flow breaks congestion control" default
-    ~check:(fun c -> fabric ~what:"2 x --hosts" (2.0 *. float_of_int c.hosts))
+    ~check
     [ duration (fun c -> c.duration) (fun v c -> { c with duration = v });
       flag "hosts" "Sender/receiver pairs; 2 x N hosts, at most 4096."
         (count 1) (fun c -> c.hosts) (fun v c -> { c with hosts = v });
-      flag "chains" "Concurrent message chains per host, at most 35535."
+      flag "chains"
+        "Concurrent message chains per host; at most 35535, and hosts x \
+         chains at most 35535."
         chains
         (fun c -> c.chains_per_host)
         (fun v c -> { c with chains_per_host = v }) ]

@@ -29,8 +29,9 @@ type 'c flag =
       get : 'c -> 'v; set : 'v -> 'c -> 'c } -> 'c flag
 
 (** Every flag's default is read from [default]; [smoke] is the config
-    of [mtp_sim all --smoke]; [check] holds the fabric caps and incast's
-    even [k] and fanout bound. *)
+    of [mtp_sim all --smoke]; [check] holds the fabric caps, fig3's
+    cap on its total chain count and incast's even [k] and fanout
+    bound. *)
 type t =
   | Exhibit : {
       name : string; doc : string; default : 'c; smoke : 'c;

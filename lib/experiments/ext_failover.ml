@@ -74,10 +74,9 @@ let build cfg ~qdisc_a ~qdisc_b =
 let drive cfg sim meter ~client ~server ~dst =
   let module T = Netsim.Transport_intf in
   T.listen server ~port ~on_data:(Stats.Meter.count_bytes meter) ();
-  ignore
-    (Engine.Sim.periodic sim ~interval:cfg.msg_interval (fun () ->
-         T.send_message client ~dst ~dst_port:port ~size:cfg.msg_size ();
-         Engine.Sim.now sim + cfg.msg_interval < cfg.duration));
+  Engine.Sim.periodic sim ~interval:cfg.msg_interval (fun () ->
+      T.send_message client ~dst ~dst_port:port ~size:cfg.msg_size ();
+      Engine.Sim.now sim + cfg.msg_interval < cfg.duration);
   Engine.Sim.run ~until:cfg.duration sim;
   Stats.Meter.stop meter;
   Stats.Meter.series meter

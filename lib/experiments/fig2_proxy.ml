@@ -63,7 +63,7 @@ let run_variant cfg ~limited =
       ~dst_port:80 ()
   in
   let buffer = Stats.Timeseries.create () in
-  ignore @@ Engine.Sim.periodic sim ~interval:cfg.sample_interval (fun () ->
+  Engine.Sim.periodic sim ~interval:cfg.sample_interval (fun () ->
       Stats.Timeseries.add buffer ~time:(Engine.Sim.now sim)
         (float_of_int (Transport.Proxy.occupancy proxy));
       Engine.Sim.now sim < cfg.duration);

@@ -80,7 +80,7 @@ let run_mtp cfg =
   (* Meter at packet granularity (delivered-byte deltas), like the TCP
      sinks, so binning reflects the wire and not completion lumps. *)
   let last = ref 0 in
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 8) (fun () ->
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 8) (fun () ->
       let total =
         List.fold_left
           (fun acc eb -> acc + Mtp.Endpoint.delivered_bytes eb)

@@ -82,10 +82,9 @@ let run_tcp cfg ~route =
       ~mean_interarrival:(interarrival cfg ~mean_size)
       ~until:cfg.duration send
   in
-  ignore
-    (Engine.Sim.schedule sim
-       ~at:(cfg.duration * 3)
-       (fun () -> Workload.Driver.stop driver));
+  Engine.Sim.schedule sim
+    ~at:(cfg.duration * 3)
+    (fun () -> Workload.Driver.stop driver);
   (* Let in-flight transfers finish well past the arrival window. *)
   Engine.Sim.run ~until:(cfg.duration * 4) sim;
   let stats = Transport.Tcp.Messaging.stats client in
@@ -130,10 +129,9 @@ let run_mtp cfg =
       ~mean_interarrival:(interarrival cfg ~mean_size)
       ~until:cfg.duration send
   in
-  ignore
-    (Engine.Sim.schedule sim
-       ~at:(cfg.duration * 3)
-       (fun () -> Workload.Driver.stop driver));
+  Engine.Sim.schedule sim
+    ~at:(cfg.duration * 3)
+    (fun () -> Workload.Driver.stop driver);
   Engine.Sim.run ~until:(cfg.duration * 4) sim;
   summarize driver ~retransmits:(Mtp.Endpoint.retransmits ea)
 

@@ -18,15 +18,14 @@ let rec serve_next s =
   | None -> s.busy <- false
   | Some d ->
     s.busy <- true;
-    ignore
-      (Engine.Sim.after (Mtp.Endpoint.sim s.s_ep) s.service_time (fun () ->
-           s.served <- s.served + 1;
-           let key = d.Mtp.Endpoint.dl_cookie2 in
-           ignore
-             (Mtp.Endpoint.send s.s_ep ~dst:d.Mtp.Endpoint.dl_src
-                ~dst_port:d.Mtp.Endpoint.dl_src_port ~src_port:s.s_port
-                ~cookie:op_reply ~cookie2:key ~size:(s.value_size key) ());
-           serve_next s))
+    Engine.Sim.after (Mtp.Endpoint.sim s.s_ep) s.service_time (fun () ->
+        s.served <- s.served + 1;
+        let key = d.Mtp.Endpoint.dl_cookie2 in
+        ignore
+          (Mtp.Endpoint.send s.s_ep ~dst:d.Mtp.Endpoint.dl_src
+             ~dst_port:d.Mtp.Endpoint.dl_src_port ~src_port:s.s_port
+             ~cookie:op_reply ~cookie2:key ~size:(s.value_size key) ());
+        serve_next s)
 
 let server ep ~port ?(service_time = Engine.Time.us 1) ~value_size () =
   let s =

@@ -50,38 +50,35 @@ let notify_watchers t link up =
 (* ------------------------- topology faults ------------------------- *)
 
 let link_down t ~at link =
-  ignore
-    (Engine.Sim.schedule t.sim ~at (fun () ->
-         if Link.is_up link then begin
-           Link.set_down link;
-           note t (Link.name link ^ " down");
-           notify_watchers t link false
-         end))
+  Engine.Sim.schedule t.sim ~at (fun () ->
+      if Link.is_up link then begin
+        Link.set_down link;
+        note t (Link.name link ^ " down");
+        notify_watchers t link false
+      end)
 
 let link_up t ~at link =
-  ignore
-    (Engine.Sim.schedule t.sim ~at (fun () ->
-         if not (Link.is_up link) then begin
-           Link.set_up link;
-           note t (Link.name link ^ " up");
-           notify_watchers t link true
-         end))
+  Engine.Sim.schedule t.sim ~at (fun () ->
+      if not (Link.is_up link) then begin
+        Link.set_up link;
+        note t (Link.name link ^ " up");
+        notify_watchers t link true
+      end)
 
 let reroute t routes ~port ~detect link =
   let on_change up =
-    ignore
-      (Engine.Sim.after t.sim detect (fun () ->
-           (* Only act if the link still has the state we detected —
-              a flap shorter than the detection delay goes unnoticed,
-              as it would for a real failure detector. *)
-           if up && Link.is_up link then begin
-             Routing.restore_port routes port;
-             note t (Link.name link ^ " port restored")
-           end
-           else if (not up) && not (Link.is_up link) then begin
-             Routing.remove_port routes port;
-             note t (Link.name link ^ " port withdrawn")
-           end))
+    Engine.Sim.after t.sim detect (fun () ->
+        (* Only act if the link still has the state we detected —
+           a flap shorter than the detection delay goes unnoticed,
+           as it would for a real failure detector. *)
+        if up && Link.is_up link then begin
+          Routing.restore_port routes port;
+          note t (Link.name link ^ " port restored")
+        end
+        else if (not up) && not (Link.is_up link) then begin
+          Routing.remove_port routes port;
+          note t (Link.name link ^ " port withdrawn")
+        end)
   in
   t.watchers <- { w_link = link; w_notify = on_change } :: t.watchers
 

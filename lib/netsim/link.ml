@@ -94,7 +94,7 @@ let tx_done t =
   t.cur <- Packet.none;
   t.sent_bytes <- t.sent_bytes + p.Packet.size;
   Pktring.push t.flight p;
-  ignore (Engine.Sim.after t.sim t.link_delay t.on_deliver);
+  Engine.Sim.after t.sim t.link_delay t.on_deliver;
   start t
 
 let create sim ~name ~rate ~delay ?qdisc ?pool () =

@@ -40,12 +40,6 @@ let none =
   { uid = -1; src = -1; dst = -1; size = 0; flags = 0;
     entity = 0; prio = 0; flow_hash = 0; created_at = 0; payload = Raw }
 
-let make ~entity ~prio ~flow_hash ~payload sim ~src ~dst ~size =
-  if size <= 0 then invalid_arg "Packet.make: size must be positive";
-  { uid = Engine.Sim.fresh_uid sim; src; dst; size; flags = 0;
-    entity; prio; flow_hash;
-    created_at = Engine.Sim.now sim; payload }
-
 (* Free-list pool: [release] parks a packet, [take] re-initialises
    a parked one (or falls back to a fresh record).  Steady-state
    forwarding through a pool allocates nothing.  A parked packet keeps
@@ -94,13 +88,15 @@ let release p pkt =
 let parked_payload p =
   if p.free_len = 0 then Raw else p.free.(p.free_len - 1).payload
 
-(* Every label required, like [make]: this is the constructor every
-   transport sends through. *)
+(* The one constructor, with every label required: an optional
+   argument would box each value given. *)
 let take p ~entity ~prio ~flow_hash ~payload ~src ~dst ~size =
-  if size <= 0 then invalid_arg "Packet.make: size must be positive";
+  if size <= 0 then invalid_arg "Packet.take: size must be positive";
   if p.free_len = 0 then begin
     p.fresh <- p.fresh + 1;
-    make ~entity ~prio ~flow_hash ~payload p.pool_sim ~src ~dst ~size
+    { uid = Engine.Sim.fresh_uid p.pool_sim; src; dst; size; flags = 0;
+      entity; prio; flow_hash;
+      created_at = Engine.Sim.now p.pool_sim; payload }
   end
   else begin
     let n = p.free_len - 1 in
@@ -128,8 +124,7 @@ let pool_free p = p.free_len
 
 let pool_stats p = (p.fresh, p.reused)
 
-(* Checked out through the pool and not yet released.  Packets made
-   with [make] directly (bypassing [take]) are invisible here. *)
+(* Checked out through the pool and not yet released. *)
 let pool_live p = p.fresh + p.reused - p.released
 
 (* FNV-1a over the four tuple components: stable across runs, well

@@ -5,7 +5,7 @@
     The payload type is an extensible variant so each transport library
     adds its own header type without [netsim] depending on it.
 
-    Packets can be pooled ({!pool}/{!take}/{!release}) so
+    Every packet comes from a pool ({!pool}/{!take}/{!release}), so
     steady-state forwarding allocates nothing; to make that possible
     every field is mutable, but only pool operations may re-initialise
     a packet — everything else must treat [uid], [src], [dst],
@@ -57,20 +57,6 @@ val set_ecn_ce : t -> unit
 val set_trimmed : t -> unit
 (** Set the trimmed bit (the qdisc also shrinks [size]). *)
 
-val make :
-  entity:int ->
-  prio:int ->
-  flow_hash:int ->
-  payload:proto ->
-  Engine.Sim.t ->
-  src:addr ->
-  dst:addr ->
-  size:int ->
-  t
-(** Fresh packet stamped with the sim's clock and a new per-sim
-    [uid].  [size] must be positive.  Every label is required: an
-    optional argument would box each value given. *)
-
 (** {1 Pooling}
 
     Every transport sends packets taken from its host's pool
@@ -113,10 +99,11 @@ val take :
   dst:addr ->
   size:int ->
   t
-(** The pooled {!make}: re-initialises a released packet when one is
-    parked, else allocates a fresh one.  Either way the packet gets a
-    new per-sim [uid] and the sim's clock, exactly as {!make} would
-    stamp it.  Every label is required, for the same reason. *)
+(** The one way to make a packet: re-initialises a released packet
+    when one is parked, else allocates a fresh one.  Either way the
+    packet gets a new per-sim [uid] and the sim's clock.  [size] must
+    be positive.  Every label is required: an optional argument would
+    box each value given. *)
 
 val parked_payload : pool -> proto
 (** The payload of the packet the next {!take} hands out; [Raw] when
@@ -137,9 +124,9 @@ val pool_stats : pool -> int * int
 val pool_live : pool -> int
 (** Packets checked out via {!take} and not yet {!release}d into this
     pool — the population a conservation audit must find in queues and
-    on wires when one pool's packets stay among its own users.  Packets
-    created with {!make} directly are not counted.  Negative for a
-    host pool that has taken back more packets than it sent. *)
+    on wires when one pool's packets stay among its own users.
+    Negative for a host pool that has taken back more packets than it
+    sent. *)
 
 val flow_hash_of : src:addr -> dst:addr -> src_port:int -> dst_port:int -> int
 (** Deterministic 5-tuple-style hash for ECMP. *)

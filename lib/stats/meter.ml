@@ -10,7 +10,7 @@ let create sim ~interval () =
     { interval_bytes = 0; total = 0; running = true;
       rates = Timeseries.create () }
   in
-  ignore @@ Engine.Sim.periodic sim ~interval (fun () ->
+  Engine.Sim.periodic sim ~interval (fun () ->
       if t.running then begin
         let gbps =
           float_of_int t.interval_bytes *. 8.0 /. float_of_int interval

@@ -117,7 +117,7 @@ module Messaging = struct
     | Some f ->
       let rate = Netsim.Link.rate (Netsim.Node.uplink t.u_node) in
       let dt = Int.max 1 (Engine.Time.tx_time ~bytes:size ~rate) in
-      ignore (Engine.Sim.after t.u_sim dt (fun () -> f dt))
+      Engine.Sim.after t.u_sim dt (fun () -> f dt)
     | None -> ()
 
   let stream t ~dst ~dst_port ?tc () =

@@ -42,7 +42,7 @@ let poisson sim ~rng ~size ~mean_interarrival ?until send =
              (Engine.Rng.exponential rng
                 ~mean:(float_of_int mean_interarrival)))
       in
-      ignore (Engine.Sim.after sim gap arrival)
+      Engine.Sim.after sim gap arrival
     end
   in
   arrival ();

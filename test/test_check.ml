@@ -67,10 +67,9 @@ let test_diff_first_divergence () =
 
 let test_dispatch_error_context () =
   let sim = Engine.Sim.create () in
-  ignore (Engine.Sim.schedule sim ~at:(Engine.Time.us 3) (fun () -> ()));
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 9) (fun () ->
-         failwith "boom"));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 3) (fun () -> ());
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 9) (fun () ->
+      failwith "boom");
   match Engine.Sim.run sim with
   | () -> Alcotest.fail "crashing callback did not raise"
   | exception Engine.Sim.Dispatch_error { time; seq; uid; inner } ->
@@ -96,9 +95,7 @@ let test_ledger_catches_theft () =
   let ledger = Check.Ledger.create () in
   Check.Ledger.watch_link ledger link;
   for _ = 1 to 10 do
-    Link.send link
-      (Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim
-         ~src:0 ~dst:1 ~size:1500)
+    Link.send link (Testpkt.raw sim)
   done;
   (* 1500 B at 1 Gbps is 12 us per packet: at t=20us most still queue. *)
   Engine.Sim.run ~until:(Engine.Time.us 20) sim;
@@ -150,14 +147,13 @@ let steal_one_packet sc =
   let sim = Check.Scenario.sim sc in
   let links = Check.Scenario.links sc in
   let stolen = ref false in
-  ignore
-    (Engine.Sim.periodic sim ~interval:(Engine.Time.us 5) (fun () ->
-         Array.iter
-           (fun l ->
-             if (not !stolen) && Link.queued_pkts l > 0 then
-               stolen := (Link.qdisc l).Qdisc.dequeue () != Packet.none)
-           links;
-         not !stolen))
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 5) (fun () ->
+      Array.iter
+        (fun l ->
+          if (not !stolen) && Link.queued_pkts l > 0 then
+            stolen := (Link.qdisc l).Qdisc.dequeue () != Packet.none)
+        links;
+      not !stolen)
 
 let incast_spec =
   { Check.Spec.seed = 7001;

@@ -8,9 +8,9 @@
    -1, --jobs 0) exit 0, or 2 where the exhibit's check refuses it.
    `all` and `fuzz` are not exhibits, so their rows are written here.
    More cases: a removed knob, a fabric above the 4096-host cap, a
-   chain count above the 35 535-port cap and a
-   value that would overflow once scaled exit 2, and fig6's seed
-   changes its output. *)
+   chain count above the 35 535-port cap (per host, and fig3's hosts x
+   chains) and a value that would overflow once scaled exit 2, and
+   fig6's seed changes its output. *)
 
 open Experiments
 
@@ -137,12 +137,14 @@ let usage_errors cases () = List.iter (expect 2) cases
 
 let removed_flags = [ [ "fig2"; "--seed"; "1" ]; [ "fig5"; "--reps"; "2" ] ]
 
-(* Fabrics above the 4096-host cap, and one chain past the 35 535 a
-   host's source ports allow. *)
+(* Fabrics above the 4096-host cap, one chain past the 35 535 a
+   host's source ports allow, and fig3's hosts x chains one past the
+   same total. *)
 let oversized_fabrics =
   [ [ "incast"; "-k"; "64" ]; [ "par-leafspine"; "--leaves"; "4096" ];
     [ "fig3"; "--hosts"; "1000000" ]; [ "fig3"; "--chains"; "35536" ];
-    [ "messaging"; "--parallel"; "35536" ] ]
+    [ "messaging"; "--parallel"; "35536" ];
+    [ "fig3"; "--hosts"; "16"; "--chains"; "2221" ] ]
 
 (* Values that once overflowed after scaling, or built arrays of that
    size, and one past the u32 msg_len that caps every message size. *)

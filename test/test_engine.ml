@@ -306,9 +306,9 @@ let prop_rng_derive_streams_independent =
 let test_sim_runs_in_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule sim ~at:(Time.us 3) (fun () -> log := 3 :: !log));
-  ignore (Sim.schedule sim ~at:(Time.us 1) (fun () -> log := 1 :: !log));
-  ignore (Sim.schedule sim ~at:(Time.us 2) (fun () -> log := 2 :: !log));
+  Sim.schedule sim ~at:(Time.us 3) (fun () -> log := 3 :: !log);
+  Sim.schedule sim ~at:(Time.us 1) (fun () -> log := 1 :: !log);
+  Sim.schedule sim ~at:(Time.us 2) (fun () -> log := 2 :: !log);
   Sim.run sim;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
   check "clock at last event" (Time.us 3) (Sim.now sim)
@@ -317,24 +317,16 @@ let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 0 to 4 do
-    ignore (Sim.schedule sim ~at:(Time.us 1) (fun () -> log := i :: !log))
+    Sim.schedule sim ~at:(Time.us 1) (fun () -> log := i :: !log)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4 ] (List.rev !log)
 
-let test_sim_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let h = Sim.schedule sim ~at:(Time.us 1) (fun () -> fired := true) in
-  Sim.cancel sim h;
-  Sim.run sim;
-  checkb "cancelled event did not fire" false !fired
-
 let test_sim_until () =
   let sim = Sim.create () in
   let fired = ref 0 in
-  ignore (Sim.schedule sim ~at:(Time.us 1) (fun () -> incr fired));
-  ignore (Sim.schedule sim ~at:(Time.us 10) (fun () -> incr fired));
+  Sim.schedule sim ~at:(Time.us 1) (fun () -> incr fired);
+  Sim.schedule sim ~at:(Time.us 10) (fun () -> incr fired);
   Sim.run ~until:(Time.us 5) sim;
   check "only first fired" 1 !fired;
   check "clock advanced to limit" (Time.us 5) (Sim.now sim);
@@ -344,21 +336,20 @@ let test_sim_until () =
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore
-    (Sim.schedule sim ~at:(Time.us 1) (fun () ->
-         log := "outer" :: !log;
-         ignore (Sim.after sim (Time.us 1) (fun () -> log := "inner" :: !log))));
+  Sim.schedule sim ~at:(Time.us 1) (fun () ->
+      log := "outer" :: !log;
+      Sim.after sim (Time.us 1) (fun () -> log := "inner" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   check "events processed" 2 (Sim.events_processed sim)
 
 let test_sim_rejects_past () =
   let sim = Sim.create () in
-  ignore (Sim.schedule sim ~at:(Time.us 5) (fun () -> ()));
+  Sim.schedule sim ~at:(Time.us 5) (fun () -> ());
   Sim.run sim;
   Alcotest.check_raises "past scheduling rejected"
     (Invalid_argument "Sim.schedule: at=1000 is before now=5000") (fun () ->
-      ignore (Sim.schedule sim ~at:(Time.us 1) (fun () -> ())))
+      Sim.schedule sim ~at:(Time.us 1) (fun () -> ()))
 
 let test_sim_timer_rearm () =
   let sim = Sim.create () in
@@ -388,22 +379,46 @@ let test_sim_timer_disarm () =
   (* Disarming an idle timer is a no-op. *)
   Sim.disarm tm
 
-let test_sim_periodic_cancel () =
+(* A timer holds a bare slot index, with no generation to check: it
+   must let go of the index on disarm and on firing, or a later
+   re-arm or disarm would overwrite whatever plain event took the
+   recycled slot (the free stack hands the last freed slot out
+   first). *)
+let test_sim_timer_slot_reuse () =
   let sim = Sim.create () in
-  let ticks = ref 0 in
-  let tm =
-    Sim.periodic sim ~interval:(Time.us 10) (fun () ->
-        incr ticks;
-        true)
-  in
-  ignore (Sim.schedule sim ~at:(Time.us 35) (fun () -> Sim.disarm tm));
-  Sim.run ~until:(Time.ms 1) sim;
-  check "recurrence stopped by disarm" 3 !ticks
+  let fired = ref 0 and plain = ref 0 in
+  let a = Sim.timer sim (fun () -> incr fired) in
+  Sim.arm a ~at:(Time.us 1);
+  Sim.disarm a;
+  check "disarmed firing keeps its heap entry" 1 (Sim.pending sim);
+  Sim.run ~until:(Time.us 1) sim;
+  check "noop entry popped" 0 (Sim.pending sim);
+  check "noop entry not executed" 0 (Sim.events_processed sim);
+  Sim.schedule sim ~at:(Time.us 5) (fun () -> incr plain);
+  Sim.arm a ~at:(Time.us 3);
+  Sim.disarm a;
+  check "plain event plus A's noop" 2 (Sim.pending sim);
+  Sim.run ~until:(Time.us 4) sim;
+  check "disarmed A never fired" 0 !fired;
+  check "plain event pending" 1 (Sim.pending sim);
+  Sim.arm a ~at:(Time.us 4);
+  Sim.run ~until:(Time.us 4) sim;
+  check "armed A fired" 1 !fired;
+  (* A's slot is free again: a second plain event takes it, and
+     disarming the fired timer must leave that event alone. *)
+  Sim.schedule sim ~at:(Time.us 6) (fun () -> incr plain);
+  Sim.disarm a;
+  check "both plain events pending" 2 (Sim.pending sim);
+  Sim.run sim;
+  check "plain events fired" 2 !plain;
+  check "A fired once" 1 !fired;
+  check "events executed" 3 (Sim.events_processed sim);
+  check "heap drained" 0 (Sim.pending sim)
 
 let test_sim_periodic () =
   let sim = Sim.create () in
   let ticks = ref 0 in
-  ignore @@ Sim.periodic sim ~interval:(Time.us 10) (fun () ->
+  Sim.periodic sim ~interval:(Time.us 10) (fun () ->
       incr ticks;
       !ticks < 5);
   Sim.run sim;
@@ -421,14 +436,12 @@ let prop_sim_deterministic =
         let log = ref [] in
         List.iteri
           (fun i (at, nest) ->
-            ignore
-              (Sim.schedule sim ~at (fun () ->
-                   log := (i, Sim.now sim) :: !log;
-                   for j = 1 to nest do
-                     ignore
-                       (Sim.after sim (j * 3) (fun () ->
-                            log := (1000 + i + j, Sim.now sim) :: !log))
-                   done)))
+            Sim.schedule sim ~at (fun () ->
+                log := (i, Sim.now sim) :: !log;
+                for j = 1 to nest do
+                  Sim.after sim (j * 3) (fun () ->
+                      log := (1000 + i + j, Sim.now sim) :: !log)
+                done))
           events;
         Sim.run sim;
         !log
@@ -444,7 +457,7 @@ let prop_sim_until_boundary =
       let sim = Sim.create () in
       let fired = ref [] in
       List.iter
-        (fun at -> ignore (Sim.schedule sim ~at (fun () -> fired := at :: !fired)))
+        (fun at -> Sim.schedule sim ~at (fun () -> fired := at :: !fired))
         times;
       Sim.run ~until:limit sim;
       List.for_all (fun t -> t <= limit) !fired && Sim.now sim >= limit)
@@ -461,22 +474,21 @@ let test_arm_reserved_takes_eager_tie_position () =
     let log = ref [] in
     let note name () = log := name :: !log in
     let tm = Sim.timer sim (note "R") in
-    ignore (Sim.schedule sim ~at:100 (note "A"));
+    Sim.schedule sim ~at:100 (note "A");
     let arm_r =
       if eager then begin
-        ignore (Sim.schedule sim ~at:100 (note "R"));
+        Sim.schedule sim ~at:100 (note "R");
         ignore
       end
       else
         let seq = Sim.reserve_seq sim in
         fun () -> Sim.arm_reserved tm ~at:100 ~seq
     in
-    ignore (Sim.schedule sim ~at:100 (note "B"));
-    ignore
-      (Sim.schedule sim ~at:50 (fun () ->
-           note "C" ();
-           arm_r ();
-           ignore (Sim.schedule sim ~at:100 (note "D"))));
+    Sim.schedule sim ~at:100 (note "B");
+    Sim.schedule sim ~at:50 (fun () ->
+        note "C" ();
+        arm_r ();
+        Sim.schedule sim ~at:100 (note "D"));
     Sim.run sim;
     List.rev !log
   in
@@ -511,14 +523,13 @@ let suite =
     Alcotest.test_case "heap interleaved" `Quick test_heap_interleaved;
     Alcotest.test_case "sim order" `Quick test_sim_runs_in_order;
     Alcotest.test_case "sim fifo" `Quick test_sim_same_time_fifo;
-    Alcotest.test_case "sim cancel" `Quick test_sim_cancel;
     Alcotest.test_case "sim until" `Quick test_sim_until;
     Alcotest.test_case "sim nested" `Quick test_sim_nested_schedule;
     Alcotest.test_case "sim rejects past" `Quick test_sim_rejects_past;
     Alcotest.test_case "sim periodic" `Quick test_sim_periodic;
     Alcotest.test_case "sim timer rearm" `Quick test_sim_timer_rearm;
     Alcotest.test_case "sim timer disarm" `Quick test_sim_timer_disarm;
-    Alcotest.test_case "sim periodic cancel" `Quick test_sim_periodic_cancel;
+    Alcotest.test_case "sim timer slot reuse" `Quick test_sim_timer_slot_reuse;
     Alcotest.test_case "sim arm_reserved tie order" `Quick
       test_arm_reserved_takes_eager_tie_position;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;

@@ -95,11 +95,10 @@ let ge_run seed =
   Fault.gilbert_elliott fault ~p_gb:0.05 ~p_bg:0.2 ~loss_bad:0.5 link;
   let ledger = watch_links ~pool [ link ] in
   let sent = ref 0 in
-  ignore
-    (Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
-         send_one pool link;
-         incr sent;
-         !sent < 1000));
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
+      send_one pool link;
+      incr sent;
+      !sent < 1000);
   Engine.Sim.run sim;
   ledger_ok ledger;
   (Fault.loss_drops fault, !delivered)
@@ -120,11 +119,10 @@ let test_corrupt_rate_and_validation () =
   Fault.corrupt fault ~rate:0.3 link;
   let ledger = watch_links ~pool [ link ] in
   let sent = ref 0 in
-  ignore
-    (Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
-         send_one pool link;
-         incr sent;
-         !sent < 1000));
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 2) (fun () ->
+      send_one pool link;
+      incr sent;
+      !sent < 1000);
   Engine.Sim.run sim;
   let drops = Fault.loss_drops fault in
   checki "conservation" 1000 (drops + !delivered);
@@ -159,9 +157,8 @@ let test_blackhole_absorbs_in_window () =
   Fault.blackhole fault ~from:(Engine.Time.us 10) ~until:(Engine.Time.us 20)
     sw ~dst:7;
   let inject at =
-    ignore
-      (Engine.Sim.schedule sim ~at (fun () ->
-           Switch.receive sw (Packet.recycle pool ~src:0 ~dst:7 ~size:100 ())))
+    Engine.Sim.schedule sim ~at (fun () ->
+        Switch.receive sw (Packet.recycle pool ~src:0 ~dst:7 ~size:100 ()))
   in
   inject (Engine.Time.us 5);
   inject (Engine.Time.us 15);
@@ -343,8 +340,7 @@ let test_endpoint_deadline_abort_in_backlog () =
   let eb = Mtp.Endpoint.attach (Host.create b) in
   Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
   Link.set_down ab;
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.ms 1) (fun () -> Link.set_up ab));
+  Engine.Sim.schedule sim ~at:(Engine.Time.ms 1) (fun () -> Link.set_up ab);
   let doomed = ref [] and completed = ref 0 in
   for i = 0 to 7 do
     let deadline = if i = 3 || i = 4 then Some (Engine.Time.us 300) else None in
@@ -399,7 +395,7 @@ let test_endpoint_flight_conserved () =
     | Ok () -> ()
     | Error e -> Alcotest.fail e);
     if Mtp.Endpoint.active_messages ea > 0 then
-      ignore (Engine.Sim.after sim (Engine.Time.us 7) sample)
+      Engine.Sim.after sim (Engine.Time.us 7) sample
   in
   sample ();
   Engine.Sim.run ~until:(Engine.Time.ms 20) sim;
@@ -446,12 +442,10 @@ let test_tcp_survives_within_retry_budget () =
     Transport.Tcp.connect client ~dst:(Node.addr b) ~dst_port:80 ()
   in
   Transport.Tcp.send conn 100_000;
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
-         Link.set_down ab));
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.ms 2) (fun () ->
-         Link.set_up ab));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
+      Link.set_down ab);
+  Engine.Sim.schedule sim ~at:(Engine.Time.ms 2) (fun () ->
+      Link.set_up ab);
   Engine.Sim.run ~until:(Engine.Time.ms 100) sim;
   checkb "not aborted" false (Transport.Tcp.aborted conn);
   checki "all bytes eventually through" 100_000 !received;

@@ -5,17 +5,12 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* A packet with no protocol header. *)
-let raw sim ~src ~dst ~size =
-  Netsim.Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Netsim.Packet.Raw
-    sim ~src ~dst ~size
-
 (* ------------------------------ Pool ------------------------------- *)
 
 let test_pool_recycles () =
   let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.pool sim in
-  let p = raw sim ~src:1 ~dst:2 ~size:100 in
+  let p = Testpkt.raw ~src:1 ~dst:2 ~size:100 sim in
   let uid0 = p.Netsim.Packet.uid in
   Netsim.Packet.release pool p;
   checki "parked" 1 (Netsim.Packet.pool_free pool);
@@ -37,7 +32,7 @@ let test_pool_recycle_rejects_empty () =
   let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.pool sim in
   Alcotest.check_raises "size check survives recycling"
-    (Invalid_argument "Packet.make: size must be positive") (fun () ->
+    (Invalid_argument "Packet.take: size must be positive") (fun () ->
       ignore (Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:0 ()))
 
 (* A second release would park one record twice and hand it to two
@@ -45,7 +40,7 @@ let test_pool_recycle_rejects_empty () =
 let test_pool_double_release_raises () =
   let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.pool sim and other = Netsim.Packet.pool sim in
-  let p = raw sim ~src:1 ~dst:2 ~size:100 in
+  let p = Testpkt.raw ~src:1 ~dst:2 ~size:100 sim in
   Netsim.Packet.release pool p;
   let refused pool =
     Alcotest.check_raises "second release refused"
@@ -69,7 +64,7 @@ let test_pool_double_release_raises () =
 let test_pktring_fifo () =
   let sim = Engine.Sim.create () in
   let r = Netsim.Pktring.create ~capacity:2 () in
-  let mk i = raw sim ~src:i ~dst:9 ~size:100 in
+  let mk i = Testpkt.raw ~src:i ~dst:9 ~size:100 sim in
   (* Push past the initial capacity to exercise growth + wraparound. *)
   let pkts = Array.init 7 (fun i -> mk i) in
   Array.iter (Netsim.Pktring.push r) pkts;
@@ -103,7 +98,7 @@ let test_host_dispatch_order () =
     "registration order" [ "evens"; "rest" ]
     (Netsim.Host.stacks host);
   for _ = 1 to 4 do
-    Netsim.Node.receive node (raw sim ~src:2 ~dst:1 ~size:64)
+    Netsim.Node.receive node (Testpkt.raw ~src:2 ~dst:1 ~size:64 sim)
   done;
   let evens = List.filter (fun (s, _) -> s = "evens") !seen in
   let rest = List.filter (fun (s, _) -> s = "rest") !seen in
@@ -115,7 +110,7 @@ let test_host_counts_unclaimed () =
   let sim = Engine.Sim.create () in
   let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
   let host = Netsim.Host.create node in
-  Netsim.Node.receive node (raw sim ~src:2 ~dst:1 ~size:64);
+  Netsim.Node.receive node (Testpkt.raw ~src:2 ~dst:1 ~size:64 sim);
   checki "unclaimed counted" 1 (Netsim.Host.unclaimed host)
 
 (* A second host on one node would silently unplug every stack

@@ -787,12 +787,11 @@ let test_endpoint_current_path_order () =
       Wire.ack ~sack:[ { Wire.ref_msg = id; ref_pkt = pkt } ] ~nack:[] ~tc:0
         ~src_port:80 ~dst_port:0 ~msg_id:id ~ack_path_feedback:fbs
     in
-    ignore
-      (Engine.Sim.schedule sim ~at:(Engine.Time.us us) (fun () ->
-           Node.receive a
-             (Wire.packet pool ~src:(Node.addr b) ~dst:(Node.addr a)
-                ~entity:0 (Wire.Mtp h));
-           seen := Endpoint.current_path ea ~dst:(Node.addr b) :: !seen))
+    Engine.Sim.schedule sim ~at:(Engine.Time.us us) (fun () ->
+        Node.receive a
+          (Wire.packet pool ~src:(Node.addr b) ~dst:(Node.addr a)
+             ~entity:0 (Wire.Mtp h));
+        seen := Endpoint.current_path ea ~dst:(Node.addr b) :: !seen)
   in
   ack_at 1 0 [ pa ];
   ack_at 2 1 [ pa ];
@@ -884,11 +883,10 @@ let test_endpoint_send_sequence_pinned () =
   for i = 0 to 13 do
     send i
   done;
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
-         for i = 14 to 20 do
-           send i
-         done));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
+      for i = 14 to 20 do
+        send i
+      done);
   Engine.Sim.run ~until:(Engine.Time.ms 50) sim;
   checki "all messages complete" 21 (Endpoint.completed ea);
   checkb "trimming drove NACKs" true (Endpoint.nacks_received ea > 0);
@@ -951,11 +949,10 @@ let test_endpoint_multi_lane_sequence_pinned () =
   for i = 0 to 17 do
     send i
   done;
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 40) (fun () ->
-         for i = 18 to 29 do
-           send i
-         done));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 40) (fun () ->
+      for i = 18 to 29 do
+        send i
+      done);
   Engine.Sim.run ~until:(Engine.Time.ms 50) sim;
   checki "all messages complete" 30 (Endpoint.completed ea);
   checkb "trimming drove NACKs" true (Endpoint.nacks_received ea > 0);
@@ -1002,7 +999,7 @@ let test_endpoint_swift_delay_control () =
   let got = ref 0 in
   let max_queue = ref 0 in
   Endpoint.bind eb ~port:80 (fun d -> got := !got + d.Endpoint.dl_size);
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->
       max_queue := max !max_queue (qd.Qdisc.pkt_length ());
       Engine.Sim.now sim < Engine.Time.ms 50);
   ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size:5_000_000 ());
@@ -1262,11 +1259,10 @@ let test_endpoint_coalesced_ack_outlives_header () =
   in
   send_a ~size:1440;
   send_a ~size:2880;
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 8) (fun () ->
-         ignore
-           (Endpoint.send eb ~dst:(Node.addr a) ~dst_port:81 ~src_port:9000
-              ~size:1440 ())));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 8) (fun () ->
+      ignore
+        (Endpoint.send eb ~dst:(Node.addr a) ~dst_port:81 ~src_port:9000
+           ~size:1440 ()));
   Engine.Sim.run ~until:(Engine.Time.ms 5) sim;
   checkb "second packet dropped once" true !dropped;
   checki "both of a's messages completed" 2 (Endpoint.completed ea);
@@ -1391,13 +1387,12 @@ let test_msg_lb_balances_by_size () =
   ignore
     (Endpoint.send ea ~dst:(Node.addr tp.Topology.tp_dst) ~dst_port:80 ~pri:1
        ~size:10_000_000 ());
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
-         for _ = 1 to 20 do
-           ignore
-             (Endpoint.send ea ~dst:(Node.addr tp.Topology.tp_dst)
-                ~dst_port:80 ~pri:0 ~size:10_000 ())
-         done));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 50) (fun () ->
+      for _ = 1 to 20 do
+        ignore
+          (Endpoint.send ea ~dst:(Node.addr tp.Topology.tp_dst)
+             ~dst_port:80 ~pri:0 ~size:10_000 ())
+      done);
   Engine.Sim.run ~until:(Engine.Time.ms 20) sim;
   let assigned = Mtp_switch.lb_assignments lb in
   checki "elephant alone on one path" 1 assigned.(0);
@@ -1461,10 +1456,7 @@ let test_stamp_fresh_header_allocates_nothing () =
     (q.Qdisc.enqueue
        (Wire.packet pool ~src:1 ~dst:2 ~entity:0
           (Wire.Mtp (data_header ~msg_id:n))));
-  let raw =
-    Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw sim ~src:1
-      ~dst:2 ~size:64
-  in
+  let raw = Testpkt.raw ~src:1 ~dst:2 ~size:64 sim in
   for _ = 2 to n do
     ignore (q.Qdisc.enqueue raw)
   done;

@@ -7,9 +7,8 @@ let checkb = Alcotest.(check bool)
 
 let psim = Engine.Sim.create ()
 
-let pkt ?(size = 1500) ?(entity = 0) ?(prio = 0) ?(flow_hash = 0) ?(src = 0)
-    ?(dst = 1) () =
-  Packet.make ~entity ~prio ~flow_hash ~payload:Packet.Raw psim ~src ~dst ~size
+let pkt ?size ?entity ?prio ?flow_hash ?src ?dst () =
+  Testpkt.raw ?size ?entity ?prio ?flow_hash ?src ?dst psim
 
 (* ------------------------------ Packet ----------------------------- *)
 
@@ -19,7 +18,7 @@ let test_packet_uids_unique () =
 
 let test_packet_rejects_empty () =
   Alcotest.check_raises "positive size"
-    (Invalid_argument "Packet.make: size must be positive") (fun () ->
+    (Invalid_argument "Packet.take: size must be positive") (fun () ->
       ignore (pkt ~size:0 ()))
 
 let test_flow_hash_stable () =
@@ -430,7 +429,7 @@ let test_pooled_hop_allocates_nothing () =
   let gap = Engine.Time.tx_time ~bytes:1500 ~rate in
   let burst n =
     quota := !sent + n;
-    ignore (Engine.Sim.periodic sim ~interval:gap source);
+    Engine.Sim.periodic sim ~interval:gap source;
     let before = Gc.minor_words () in
     Engine.Sim.run sim;
     Gc.minor_words () -. before
@@ -1093,8 +1092,7 @@ let test_partition_equal_time_arrivals_in_creation_order () =
         (fun h ->
           for _ = 1 to 2 do
             Node.send h
-              (Packet.make ~entity:0 ~prio:0 ~flow_hash:0 ~payload:Packet.Raw
-                 (Node.sim h) ~src:(Node.addr h) ~dst:(Node.addr r) ~size:1500)
+              (Testpkt.raw ~src:(Node.addr h) ~dst:(Node.addr r) (Node.sim h))
           done)
         [ b; a ];
       Partition.run ~jobs ~until:(Engine.Time.us 20) world;
@@ -1130,8 +1128,8 @@ let test_partition_flits_wait_across_windows () =
     let src = tp.Topology.tp_src in
     for i = 0 to 39 do
       Node.send src
-        (Packet.make ~entity:0 ~prio:0 ~flow_hash:i ~payload:Packet.Raw
-           (Node.sim src) ~src:(Node.addr src) ~dst:(Node.addr dst) ~size:1500)
+        (Testpkt.raw ~flow_hash:i ~src:(Node.addr src) ~dst:(Node.addr dst)
+           (Node.sim src))
     done;
     go ();
     let path k = List.filter (fun (h, _) -> h land 1 = k) (List.rev !got) in
@@ -1263,21 +1261,19 @@ let test_link_occupancy_pinned () =
   Link.set_dst link (fun p ->
       incr delivered;
       Packet.release pool p);
-  ignore
-  @@ Engine.Sim.schedule sim ~at:0 (fun () ->
-         for _ = 1 to 8 do
-           Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
-         done);
+  Engine.Sim.schedule sim ~at:0 (fun () ->
+      for _ = 1 to 8 do
+        Link.send link (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ())
+      done);
   let samples = ref [] in
   List.iter
     (fun t ->
-      ignore
-      @@ Engine.Sim.schedule sim ~at:t (fun () ->
-             let q = Link.queued_pkts link in
-             let fl = Link.in_flight_pkts link in
-             checki "population conserved at sample" 8 (q + fl + !delivered);
-             samples :=
-               (t, (q, (fl, (Link.bytes_sent link, !delivered)))) :: !samples))
+      Engine.Sim.schedule sim ~at:t (fun () ->
+          let q = Link.queued_pkts link in
+          let fl = Link.in_flight_pkts link in
+          checki "population conserved at sample" 8 (q + fl + !delivered);
+          samples :=
+            (t, (q, (fl, (Link.bytes_sent link, !delivered)))) :: !samples))
     [ 600; 1_800; 3_000; 6_100; 9_700; 12_000; 14_500; 20_000 ];
   Engine.Sim.run sim;
   checki "all delivered" 8 !delivered;

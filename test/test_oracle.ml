@@ -38,17 +38,15 @@ let conservation_run ~delay ~rate2 () =
     checki "pool_live = queued + in-flight" live accounted
   in
   let sent = ref 0 in
-  ignore
-  @@ Engine.Sim.periodic sim ~interval:(Engine.Time.ns 800) (fun () ->
-         (* Two back-to-back sends so bursts actually form. *)
-         Link.send l1 (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ());
-         Link.send l1 (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ());
-         sent := !sent + 2;
-         !sent < 2_000);
-  ignore
-  @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 3) (fun () ->
-         audit ();
-         Engine.Sim.now sim < Engine.Time.ms 2);
+  Engine.Sim.periodic sim ~interval:(Engine.Time.ns 800) (fun () ->
+      (* Two back-to-back sends so bursts actually form. *)
+      Link.send l1 (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ());
+      Link.send l1 (Packet.recycle pool ~src:1 ~dst:2 ~size:1500 ());
+      sent := !sent + 2;
+      !sent < 2_000);
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 3) (fun () ->
+      audit ();
+      Engine.Sim.now sim < Engine.Time.ms 2);
   Engine.Sim.run sim;
   audit ();
   let fresh, reused = Packet.pool_stats pool in

@@ -194,7 +194,7 @@ let test_meter_measures_rate () =
   let sim = Engine.Sim.create () in
   let m = Stats.Meter.create sim ~interval:(Engine.Time.us 10) () in
   (* 12500 bytes per 10 us = 10 Gbps. *)
-  ignore @@ Engine.Sim.periodic sim ~interval:(Engine.Time.us 1) (fun () ->
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 1) (fun () ->
       Stats.Meter.count_bytes m 1250;
       Engine.Sim.now sim < Engine.Time.us 100);
   Engine.Sim.run ~until:(Engine.Time.us 101) sim;
@@ -206,10 +206,9 @@ let test_meter_measures_rate () =
 let test_meter_stop () =
   let sim = Engine.Sim.create () in
   let m = Stats.Meter.create sim ~interval:(Engine.Time.us 10) () in
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 35) (fun () ->
-         Stats.Meter.stop m));
-  ignore (Engine.Sim.schedule sim ~at:(Engine.Time.ms 1) (fun () -> ()));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 35) (fun () ->
+      Stats.Meter.stop m);
+  Engine.Sim.schedule sim ~at:(Engine.Time.ms 1) (fun () -> ());
   Engine.Sim.run sim;
   checkb "sampling stopped" true
     (Stats.Timeseries.length (Stats.Meter.series m) <= 4)

@@ -544,9 +544,8 @@ let test_closed_loop_measures_fct () =
         Tcp.Messaging.send_message client ~dst:(Node.addr b) ~dst_port:80
           ~on_complete ~size ())
   in
-  ignore
-    (Engine.Sim.schedule sim ~at:(Engine.Time.us 500) (fun () ->
-         Workload.Driver.stop driver));
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 500) (fun () ->
+      Workload.Driver.stop driver);
   Engine.Sim.run ~until:(Engine.Time.ms 20) sim;
   let fcts = Workload.Driver.fcts driver in
   let n = Workload.Driver.completed driver in

@@ -440,13 +440,8 @@ let test_link_emits_events () =
       in
       let delivered = ref 0 in
       Netsim.Link.set_dst link (fun _ -> incr delivered);
-      for i = 0 to 4 do
-        let p =
-          Netsim.Packet.make ~entity:0 ~prio:0 ~flow_hash:0
-            ~payload:Netsim.Packet.Raw sim ~src:0 ~dst:1 ~size:1500
-        in
-        ignore i;
-        Netsim.Link.send link p
+      for _ = 0 to 4 do
+        Netsim.Link.send link (Testpkt.raw sim)
       done;
       Engine.Sim.run sim;
       checki "all delivered" 5 !delivered;

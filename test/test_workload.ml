@@ -105,16 +105,15 @@ let test_paper_mix_cap () =
 
 (* Stop [driver] at [at]: transfers already started still complete. *)
 let stop_at sim driver at =
-  ignore (Engine.Sim.schedule sim ~at (fun () -> Workload.Driver.stop driver))
+  Engine.Sim.schedule sim ~at (fun () -> Workload.Driver.stop driver)
 
 let test_closed_loop_counts () =
   let sim = Engine.Sim.create () in
   let driver =
     Workload.Driver.closed_loop ~size:1000 (fun ~size ~on_complete ->
         (* Instant "network": complete after 1 us. *)
-        ignore
-          (Engine.Sim.after sim (Engine.Time.us 1) (fun () ->
-               on_complete (Engine.Time.us size))))
+        Engine.Sim.after sim (Engine.Time.us 1) (fun () ->
+            on_complete (Engine.Time.us size)))
   in
   (* Starts at 0..4 us; the stop lands before the fifth completion. *)
   stop_at sim driver (Engine.Time.us 4 + 500);
@@ -131,10 +130,9 @@ let test_closed_loop_parallel () =
       (fun ~size:_ ~on_complete ->
         incr active;
         if !active > !peak then peak := !active;
-        ignore
-          (Engine.Sim.after sim (Engine.Time.us 10) (fun () ->
-               decr active;
-               on_complete (Engine.Time.us 10))))
+        Engine.Sim.after sim (Engine.Time.us 10) (fun () ->
+            decr active;
+            on_complete (Engine.Time.us 10)))
   in
   (* Four rounds of three start at 0, 10, 20 and 30 us. *)
   stop_at sim driver (Engine.Time.us 35);
@@ -151,7 +149,7 @@ let test_poisson_respects_until () =
       ~until:(Engine.Time.ms 1)
       (fun ~size:_ ~on_complete -> on_complete 0)
   in
-  ignore (Engine.Sim.schedule sim ~at:(Engine.Time.ms 2) (fun () -> ()));
+  Engine.Sim.schedule sim ~at:(Engine.Time.ms 2) (fun () -> ());
   Engine.Sim.run sim;
   (* ~100 expected arrivals in 1 ms at 10 us spacing. *)
   let n = Workload.Driver.started driver in
