@@ -44,9 +44,10 @@ let run ~fair =
     ignore
       (Workload.Driver.closed_loop ~parallel:2 ~size:200_000
          (fun ~size ~on_complete ->
-           Mtp.Endpoint.Messaging.send_message ep
-             ~dst:(Netsim.Node.addr st.Netsim.Topology.st_server)
-             ~dst_port:port ~tc:entity ~on_complete ~size ()))
+           ignore
+             (Mtp.Endpoint.send ep
+                ~dst:(Netsim.Node.addr st.Netsim.Topology.st_server)
+                ~dst_port:port ~tc:entity ~on_complete ~size ())))
   in
   (* Client 0 is the latency tenant (entity 1); clients 1-6 belong to
      the batch tenant (entity 2). *)

@@ -1,13 +1,11 @@
 type delivery = {
   dl_src : Netsim.Packet.addr;
   dl_src_port : int;
-  dl_dst_port : int;
   dl_msg_id : int;
   dl_size : int;
   dl_cookie : int;
   dl_cookie2 : int;
   dl_pri : int;
-  dl_tc : int;
   dl_latency : Engine.Time.t;
 }
 
@@ -91,7 +89,6 @@ type rxmsg = {
   rx_cookie : int;
   rx_cookie2 : int;
   rx_pri : int;
-  rx_tc : int;
   got : Bytes.t; (* bitmap *)
   mutable rx_count : int;
   rx_first : Engine.Time.t;
@@ -170,7 +167,6 @@ type t = {
 let mtu_payload = 1440
 let max_rx_messages = 1 lsl 20
 
-let node t = t.ep_node
 let sim t = t.ep_sim
 let pathlets t = t.path_table
 
@@ -965,9 +961,8 @@ let deliver t rx =
   | Some callback ->
     callback
       { dl_src = rx.rx_src; dl_src_port = rx.rx_src_port;
-        dl_dst_port = rx.rx_dst_port; dl_msg_id = rx.rx_id;
-        dl_size = rx.rx_size; dl_cookie = rx.rx_cookie;
-        dl_cookie2 = rx.rx_cookie2; dl_pri = rx.rx_pri; dl_tc = rx.rx_tc;
+        dl_msg_id = rx.rx_id; dl_size = rx.rx_size; dl_cookie = rx.rx_cookie;
+        dl_cookie2 = rx.rx_cookie2; dl_pri = rx.rx_pri;
         dl_latency = now t - rx.rx_first }
 
 (* Receiver state key: msg ids are wire u32s, so the source address
@@ -1019,7 +1014,7 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
             rx_dst_port = header.Wire.dst_port; rx_id = header.Wire.msg_id;
             rx_size = header.Wire.msg_len; rx_npkts = header.Wire.msg_pkts;
             rx_cookie = header.Wire.cookie; rx_cookie2 = header.Wire.cookie2;
-            rx_pri = header.Wire.msg_pri; rx_tc = header.Wire.msg_tc;
+            rx_pri = header.Wire.msg_pri;
             got = Bytes.make ((header.Wire.msg_pkts + 7) / 8) '\000';
             rx_count = 0; rx_first = now t }
         in
@@ -1245,8 +1240,6 @@ module Messaging = struct
 
   let id = "mtp"
 
-  let node = node
-
   let listen t ~port ?on_data ?on_message () =
     bind t ~port (fun dl ->
         (match on_data with Some f -> f dl.dl_size | None -> ());
@@ -1259,21 +1252,8 @@ module Messaging = struct
               msg_latency = dl.dl_latency }
         | None -> ())
 
-  let send_message t ~dst ~dst_port ?tc ?on_complete ~size () =
-    ignore (send t ~dst ~dst_port ?tc ?on_complete ~size ())
-
-  (* A closed-loop chain of paper-sized messages: MTP has no byte
-     streams, so "saturating" means the next message starts the moment
-     the previous one completes. *)
-  let stream t ~dst ~dst_port ?tc () =
-    let chunk = 250_000 in
-    let rec chain () =
-      ignore
-        (* simlint: allow H103 — one callback box per 250 kB message *)
-        (send t ~dst ~dst_port ?tc ~on_complete:(fun _ -> chain ())
-           ~size:chunk ())
-    in
-    chain ()
+  let send_message t ~dst ~dst_port ?on_complete ~size () =
+    ignore (send t ~dst ~dst_port ?on_complete ~size ())
 
   let stats t =
     { Netsim.Transport_intf.tx_messages = t.next_msg_id - 1;

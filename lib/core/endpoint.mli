@@ -18,13 +18,11 @@ type t
 type delivery = {
   dl_src : Netsim.Packet.addr;
   dl_src_port : int;
-  dl_dst_port : int;
   dl_msg_id : int;
   dl_size : int;
   dl_cookie : int;
   dl_cookie2 : int;
   dl_pri : int;
-  dl_tc : int;
   dl_latency : Engine.Time.t;
       (** First-packet-seen to completion at the receiver. *)
 }
@@ -144,5 +142,5 @@ val acks_sent : t -> int
 (** Acknowledgement packets emitted (drops with coalescing). *)
 
 module Messaging : Netsim.Transport_intf.S with type t = t
-(** Drive this endpoint through the unified transport interface;
-    [stream] runs a closed-loop chain of 250 kB messages. *)
+(** Drive this endpoint through the unified transport interface.
+    Messages go out at traffic class 0; {!send} sets another. *)

@@ -38,8 +38,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t in
   -.mean *. log (1.0 -. u)
@@ -48,6 +46,7 @@ let pareto t ~shape ~scale =
   let u = float t in
   scale /. ((1.0 -. u) ** (1.0 /. shape))
 
+(* Gaussian via Box–Muller. *)
 let normal t ~mean ~stddev =
   let u1 = max 1e-300 (float t) in
   let u2 = float t in

@@ -34,8 +34,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be
     positive. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
@@ -44,6 +42,3 @@ val pareto : t -> shape:float -> scale:float -> float
 
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal with the given parameters of the underlying normal. *)
-
-val normal : t -> mean:float -> stddev:float -> float
-(** Gaussian via Box–Muller. *)

@@ -26,9 +26,10 @@ let run ?(duration = Engine.Time.ms 20) () =
   in
   Transport.Dctcp.Messaging.listen tcp_server ~port:80
     ~on_data:(Stats.Meter.count_bytes tcp_meter) ();
-  Transport.Dctcp.Messaging.stream tcp_client
-    ~dst:(Netsim.Node.addr db.Netsim.Topology.db_receivers.(0))
-    ~dst_port:80 ();
+  ignore
+    (Transport.Tcp.stream tcp_client
+       ~dst:(Netsim.Node.addr db.Netsim.Topology.db_receivers.(0))
+       ~dst_port:80 ());
   let ea =
     Mtp.Endpoint.attach (Netsim.Host.create db.Netsim.Topology.db_senders.(1))
   in
@@ -38,11 +39,13 @@ let run ?(duration = Engine.Time.ms 20) () =
   in
   Mtp.Endpoint.Messaging.listen eb ~port:80
     ~on_data:(Stats.Meter.count_bytes mtp_meter) ();
-  for _ = 1 to 2 do
-    Mtp.Endpoint.Messaging.stream ea
-      ~dst:(Netsim.Node.addr db.Netsim.Topology.db_receivers.(1))
-      ~dst_port:80 ()
-  done;
+  ignore
+    (Workload.Driver.closed_loop ~parallel:2 ~size:250_000
+       (fun ~size ~on_complete ->
+         ignore
+           (Mtp.Endpoint.send ea
+              ~dst:(Netsim.Node.addr db.Netsim.Topology.db_receivers.(1))
+              ~dst_port:80 ~on_complete ~size ())));
   Engine.Sim.run ~until:duration sim;
   Stats.Meter.stop tcp_meter;
   Stats.Meter.stop mtp_meter;

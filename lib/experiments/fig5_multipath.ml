@@ -52,9 +52,10 @@ let run_dctcp cfg =
   in
   Transport.Dctcp.Messaging.listen server ~port:80
     ~on_data:(Stats.Meter.count_bytes meter) ();
-  Transport.Dctcp.Messaging.stream client
-    ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
-    ~dst_port:80 ();
+  ignore
+    (Transport.Tcp.stream client
+       ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
+       ~dst_port:80 ());
   Engine.Sim.run ~until:cfg.duration sim;
   Stats.Meter.stop meter;
   Stats.Meter.series meter
@@ -74,11 +75,13 @@ let run_mtp cfg =
     ~on_data:(Stats.Meter.count_bytes meter) ();
   (* A continuously backlogged message stream (the long-lasting flow):
      several chains so completion gaps never idle the sender. *)
-  for _ = 1 to 4 do
-    Mtp.Endpoint.Messaging.stream ea
-      ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
-      ~dst_port:80 ()
-  done;
+  ignore
+    (Workload.Driver.closed_loop ~parallel:4 ~size:250_000
+       (fun ~size ~on_complete ->
+         ignore
+           (Mtp.Endpoint.send ea
+              ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst)
+              ~dst_port:80 ~on_complete ~size ())));
   Engine.Sim.run ~until:cfg.duration sim;
   Stats.Meter.stop meter;
   Stats.Meter.series meter

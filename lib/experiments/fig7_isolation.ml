@@ -105,8 +105,9 @@ let run_dctcp cfg ~qdisc =
     Transport.Dctcp.Messaging.listen server ~port
       ~on_data:(Stats.Meter.count_bytes meter) ();
     for _ = 1 to flows_per_source do
-      Transport.Dctcp.Messaging.stream client
-        ~dst:(Netsim.Node.addr receiver) ~dst_port:port ()
+      ignore
+        (Transport.Tcp.stream client ~dst:(Netsim.Node.addr receiver)
+           ~dst_port:port ())
     done
   in
   start ~entity:1 ~meter:m1 ~server:srv1 t1s t1r;
@@ -133,10 +134,12 @@ let run_mtp cfg =
     let port = 80 + Netsim.Node.addr sender in
     Mtp.Endpoint.Messaging.listen server_ep ~port
       ~on_data:(Stats.Meter.count_bytes meter) ();
-    for _ = 1 to flows_per_source do
-      Mtp.Endpoint.Messaging.stream ea ~dst:(Netsim.Node.addr receiver)
-        ~dst_port:port ~tc:entity ()
-    done
+    ignore
+      (Workload.Driver.closed_loop ~parallel:flows_per_source ~size:250_000
+         (fun ~size ~on_complete ->
+           ignore
+             (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr receiver)
+                ~dst_port:port ~tc:entity ~on_complete ~size ())))
   in
   start ~entity:1 ~meter:m1 ~server_ep:e1r t1s t1r;
   Array.iter (fun s -> start ~entity:2 ~meter:m2 ~server_ep:e2r s t2r) t2s;

@@ -16,10 +16,12 @@
        allocation accounting (H101, H102).
 
    Same-unit references are resolved through the unit's own top-level
-   ident and submodule tables; cross-unit ones arrive from the typer
-   already canonical ([Engine.Sim.run], [Stdlib.Atomic.make]); dune's
-   [Lib__Module] manglings are split and a leading [Stdlib] dropped,
-   so one naming scheme covers both producers.
+   ident and submodule tables, and a reference through a module alias
+   ([module H = Hashtbl], [let module U = Unix in]) as one to the path
+   it names; cross-unit ones arrive from the typer already canonical
+   ([Engine.Sim.run], [Stdlib.Atomic.make]); dune's [Lib__Module]
+   manglings are split and a leading [Stdlib] dropped, so one naming
+   scheme covers both producers.
 
    Every reference also lands, once, in its file's [sites] list —
    module-scope bindings, [let () = ...] and functor arguments alike —
@@ -192,12 +194,46 @@ let rec head (p : Path.t) =
   | Path.Pident id -> id
   | Path.Pdot (q, _) | Path.Papply (q, _) | Path.Pextra_ty (q, _) -> head q
 
-(* A dotted path whose head is a submodule of this unit ([Tbl.fold],
-   [F.enqueue]) is named from the unit's root like every node. *)
-let resolve ctx (p : Path.t) =
-  match Hashtbl.find_opt ctx.w_mods (Ident.unique_name (head p)) with
+let resolve_in mods (p : Path.t) =
+  match Hashtbl.find_opt mods (Ident.unique_name (head p)) with
   | Some m -> m @ List.tl (flatten_path p)
   | None -> canonical p
+
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me', _, _, _) -> alias_target me'
+  | _ -> None
+
+(* Bind each [module X = P] and [let module X = P in] the walk meets
+   in [mods] to [P]'s components, without walking [P] itself: an alias
+   is a name, not a use of [P]. *)
+let with_aliases mods (it : Tast_iterator.iterator) =
+  let bind id p =
+    Hashtbl.replace mods (Ident.unique_name id) (resolve_in mods p)
+  in
+  let expr self (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_letmodule (Some id, _, _, me, body) -> (
+      match alias_target me with
+      | Some p ->
+        bind id p;
+        self.Tast_iterator.expr self body
+      | None -> it.Tast_iterator.expr self e)
+    | _ -> it.Tast_iterator.expr self e
+  in
+  let module_binding self (mb : Typedtree.module_binding) =
+    match (mb.mb_id, alias_target mb.mb_expr) with
+    | Some id, Some p -> bind id p
+    | _ -> it.Tast_iterator.module_binding self mb
+  in
+  { it with Tast_iterator.expr; module_binding }
+
+(* A dotted path whose head is a submodule of this unit ([Tbl.fold],
+   [F.enqueue]) is named from the unit's root like every node; one
+   whose head is an alias ([module H = Hashtbl], [let module U = Unix
+   in]) is named as the aliased path. *)
+let resolve ctx p = resolve_in ctx.w_mods p
 
 let handle_ident ctx ~line (p : Path.t) =
   match p with
@@ -217,7 +253,7 @@ let mentions_guard ctx (e : Typedtree.expression) =
   let expr it (x : Typedtree.expression) =
     (match x.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
-      if contains_seq ctx.w_config.Config.guard_path (canonical p)
+      if contains_seq ctx.w_config.Config.guard_path (resolve ctx p)
       then found := true
     | _ -> ());
     super.Tast_iterator.expr it x
@@ -322,7 +358,7 @@ let iterator ctx =
       super.Tast_iterator.expr it e
     | _ -> super.Tast_iterator.expr it e
   in
-  { super with Tast_iterator.expr }
+  with_aliases ctx.w_mods { super with Tast_iterator.expr }
 
 let expr_is_function (e : Typedtree.expression) =
   match e.exp_desc with Typedtree.Texp_function _ -> true | _ -> false
@@ -353,12 +389,16 @@ let rec walk_module_expr ctx prefix (me : Typedtree.module_expr) =
 
 and walk_module ctx prefix (mb : Typedtree.module_binding) =
   match mb.mb_id with
-  | Some id ->
-    let path = prefix @ [ Ident.name id ] in
-    Hashtbl.replace ctx.w_mods (Ident.unique_name id) path;
-    if is_table ~applied:false mb.mb_expr then
-      ctx.w_tables <- dotted path :: ctx.w_tables;
-    walk_module_expr ctx path mb.mb_expr
+  | Some id -> (
+    let key = Ident.unique_name id in
+    match alias_target mb.mb_expr with
+    | Some p -> Hashtbl.replace ctx.w_mods key (resolve ctx p)
+    | None ->
+      let path = prefix @ [ Ident.name id ] in
+      Hashtbl.replace ctx.w_mods key path;
+      if is_table ~applied:false mb.mb_expr then
+        ctx.w_tables <- dotted path :: ctx.w_tables;
+      walk_module_expr ctx path mb.mb_expr)
   | None -> ()
 
 and walk_structure ctx prefix (s : Typedtree.structure) =

@@ -68,8 +68,20 @@ val build :
 
 val dotted : string list -> string
 val normalize : string list -> string list
-val canonical : Path.t -> string list
-(** A resolved path's canonical components ([normalize]d). *)
+val resolve_in : (string, string list) Hashtbl.t -> Path.t -> string list
+(** A resolved path's canonical components ([normalize]d), except
+    that a head bound in the table (keyed by [Ident.unique_name]) is
+    replaced by its components: how a reference through a module alias
+    names the aliased path. *)
+
+val with_aliases :
+  (string, string list) Hashtbl.t ->
+  Tast_iterator.iterator ->
+  Tast_iterator.iterator
+(** The iterator, except that each [module X = P] and [let module X =
+    P in] it meets binds [X] in the table to [P]'s components (for
+    {!resolve_in}) and [P] itself is not walked: an alias is a name,
+    not a use of [P]. *)
 
 val contains_seq : string list -> string list -> bool
 (** [contains_seq pat path]: does [path] contain [pat]'s components

@@ -16,7 +16,12 @@
      application escapes as a value (into a record, a first-class
      module, a higher-order call), so all of its parameters count as
      used; so do the values of a unit that escapes whole
-     ([include], [(module M)], a functor argument). *)
+     ([include], [(module M)], a functor argument).
+
+   A module alias ([module T = Netsim.Transport_intf], [let module R =
+   Engine.Rng in]) is a name, not a use: a reference through it is a
+   reference to the aliased unit's value, judged like any other, and
+   the alias itself lets nothing escape. *)
 
 type export = {
   e_file : string;
@@ -70,9 +75,10 @@ let typer_none (e : Typedtree.expression) =
   | _ -> false
 
 (* Walk one implementation unit, marking what it uses.  Same-unit
-   references arrive as [Pident]s of the unit's top-level bindings. *)
+   references arrive as [Pident]s of the unit's top-level bindings;
+   [aliases] maps each module alias to the path it names. *)
 let scan_unit ~by_name ~by_unit unit_path (str : Typedtree.structure) =
-  let tops = Hashtbl.create 64 in
+  let tops = Hashtbl.create 64 and aliases = Hashtbl.create 8 in
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
@@ -91,7 +97,7 @@ let scan_unit ~by_name ~by_unit unit_path (str : Typedtree.structure) =
     let comps =
       match p with
       | Path.Pident id -> Hashtbl.find_opt tops (Ident.unique_name id)
-      | _ -> Some (Callgraph.canonical p)
+      | _ -> Some (Callgraph.resolve_in aliases p)
     in
     Option.bind comps (fun c -> Hashtbl.find_opt by_name (Callgraph.dotted c))
   in
@@ -125,7 +131,8 @@ let scan_unit ~by_name ~by_unit unit_path (str : Typedtree.structure) =
     | Typedtree.Tmod_ident (p, _) ->
       List.iter escape
         (Option.value ~default:[]
-           (Hashtbl.find_opt by_unit (Callgraph.dotted (Callgraph.canonical p))))
+           (Hashtbl.find_opt by_unit
+              (Callgraph.dotted (Callgraph.resolve_in aliases p))))
     | _ -> ());
     super.Tast_iterator.module_expr it me
   in
@@ -135,7 +142,10 @@ let scan_unit ~by_name ~by_unit unit_path (str : Typedtree.structure) =
     | Typedtree.Tmod_ident _ -> ()
     | _ -> super.Tast_iterator.open_declaration it od
   in
-  let it = { super with Tast_iterator.expr; module_expr; open_declaration } in
+  let it =
+    Callgraph.with_aliases aliases
+      { super with Tast_iterator.expr; module_expr; open_declaration }
+  in
   it.Tast_iterator.structure it str
 
 let check ~config ~intfs world =

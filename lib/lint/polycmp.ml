@@ -58,8 +58,8 @@ let specialised env ty =
   || base Predef.path_int32 || base Predef.path_int64
 
 (* [Stdlib.min]/[max] match on the resolved path, so a local [min]
-   does not. *)
-let generic_call (path : Path.t) =
+   does not; the others also through a module alias. *)
+let generic_call aliases (path : Path.t) =
   match path with
   | Path.Pdot (Path.Pident m, (("min" | "max") as f))
     when Ident.name m = "Stdlib" ->
@@ -67,7 +67,7 @@ let generic_call (path : Path.t) =
       (Printf.sprintf "Stdlib.%s compares polymorphically; use Int.%s or \
                        Float.%s" f f f)
   | _ -> (
-    match Callgraph.canonical path with
+    match Callgraph.resolve_in aliases path with
     | [ "Hashtbl"; ("find" | "find_opt" | "mem" | "add" | "replace" | "remove")
         as f ] ->
       Some
@@ -81,7 +81,7 @@ let generic_call (path : Path.t) =
     | _ -> None)
 
 let check_unit ~expand_env ~hot file (str : Typedtree.structure) =
-  let found = ref [] in
+  let found = ref [] and aliases = Hashtbl.create 8 in
   let report ~rule (loc : Location.t) msg =
     found :=
       Finding.make ~file ~line:loc.Location.loc_start.Lexing.pos_lnum ~rule
@@ -129,7 +129,7 @@ let check_unit ~expand_env ~hot file (str : Typedtree.structure) =
         List.iter (it.Tast_iterator.expr it) operands
       | None -> super.Tast_iterator.expr it e)
     | Typedtree.Texp_ident (path, _, _) when hot -> (
-      match (primitive e, generic_call path) with
+      match (primitive e, generic_call aliases path) with
       | Some ((_, prim) as cmp), _ when List.mem prim comparisons ->
         check_comparison e cmp ~constant:false
       | _, Some msg ->
@@ -137,7 +137,7 @@ let check_unit ~expand_env ~hot file (str : Typedtree.structure) =
       | _ -> ())
     | _ -> super.Tast_iterator.expr it e
   in
-  let it = { super with Tast_iterator.expr } in
+  let it = Callgraph.with_aliases aliases { super with Tast_iterator.expr } in
   it.Tast_iterator.structure it str;
   !found
 

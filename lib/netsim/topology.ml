@@ -227,8 +227,6 @@ type chain = {
   ch_client : Node.t;
   ch_proxy : Node.t;
   ch_server : Node.t;
-  ch_client_to_proxy : Link.t;
-  ch_proxy_to_server : Link.t;
 }
 
 let proxy_chain t ~front_rate ~back_rate ~delay ?back_qdisc () =
@@ -236,15 +234,11 @@ let proxy_chain t ~front_rate ~back_rate ~delay ?back_qdisc () =
   let client = host ~part:(hop 0) t "client" in
   let proxy = host ~part:(hop 1) t "proxy" in
   let server = host ~part:(hop 2) t "server" in
-  let c2p, _p2c =
-    wire_host_pair t client proxy ~rate:front_rate ~delay ()
-  in
-  let p2s, _s2p =
-    wire_host_pair t proxy server ~rate:back_rate ~delay ?ab_qdisc:back_qdisc
-      ()
-  in
-  { ch_client = client; ch_proxy = proxy; ch_server = server;
-    ch_client_to_proxy = c2p; ch_proxy_to_server = p2s }
+  ignore (wire_host_pair t client proxy ~rate:front_rate ~delay ());
+  ignore
+    (wire_host_pair t proxy server ~rate:back_rate ~delay ?ab_qdisc:back_qdisc
+       ());
+  { ch_client = client; ch_proxy = proxy; ch_server = server }
 
 type star = {
   st_clients : Node.t array;
@@ -269,17 +263,15 @@ let mesh t lower upper ~rate ~delay uplink_qdisc =
 (* One interval-routed fabric edge of a fabric whose hosts hold the
    addresses [base, top]: [upper] routes the block [lo, hi] below
    [lower] down the new edge, and [lower] routes the rest of
-   [base, top] (one interval on each side of its block) up it.
-   Returns the upward link. *)
+   [base, top] (one interval on each side of its block) up it. *)
 let mesh_block t ~base ~top ~lo ~hi lower lower_routes upper upper_routes
     ~rate ~delay uplink_qdisc =
-  let up_port, down_port, up = mesh t lower upper ~rate ~delay uplink_qdisc in
+  let up_port, down_port, _ = mesh t lower upper ~rate ~delay uplink_qdisc in
   Routing.add_range upper_routes ~lo ~hi down_port;
   if lo > base then
     Routing.add_range lower_routes ~lo:base ~hi:(lo - 1) up_port;
   if hi < top then
-    Routing.add_range lower_routes ~lo:(hi + 1) ~hi:top up_port;
-  up
+    Routing.add_range lower_routes ~lo:(hi + 1) ~hi:top up_port
 
 type leaf_spine = {
   ls_hosts : Node.t array array;
@@ -361,14 +353,11 @@ let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
 let fabric_salt i = 0x5DEECE66D + i
 
 type fat_tree = {
-  ft_k : int;
   ft_base : Packet.addr;
   ft_hosts : Node.t array;
   ft_edges : Switch.t array;
   ft_aggs : Switch.t array;
   ft_cores : Switch.t array;
-  ft_edge_up : Link.t array array;
-  ft_agg_up : Link.t array array;
   ft_edge_routes : Routing.t array;
   ft_agg_routes : Routing.t array;
   ft_core_routes : Routing.t array;
@@ -434,29 +423,27 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
   (* Edge <-> agg mesh within each pod.  Remote destinations at an edge
      are two intervals (below / above its own hosts) sharing the k/2
      uplink ports; each agg statically owns its edges' host blocks. *)
-  let edge_up =
-    Array.init nedges (fun ei ->
-        let pod = ei / half in
-        let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
-        Array.init half (fun a ->
-            let ai = (pod * half) + a in
-            mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi edges.(ei)
-              edge_routes.(ei) aggs.(ai) agg_routes.(ai) ~rate:fabric_rate
-              ~delay uplink_qdisc))
-  in
+  for ei = 0 to nedges - 1 do
+    let pod = ei / half in
+    let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
+    for a = 0 to half - 1 do
+      let ai = (pod * half) + a in
+      mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi edges.(ei) edge_routes.(ei)
+        aggs.(ai) agg_routes.(ai) ~rate:fabric_rate ~delay uplink_qdisc
+    done
+  done;
   (* Agg <-> core: agg [a] of every pod meshes with cores
      [a*k/2 .. a*k/2 + k/2 - 1]; cores statically own whole pods. *)
-  let agg_up =
-    Array.init naggs (fun ai ->
-        let pod = ai / half and a = ai mod half in
-        let pod_lo = base + (pod * half * half) in
-        let pod_hi = base + ((pod + 1) * half * half) - 1 in
-        Array.init half (fun j ->
-            let ci = (a * half) + j in
-            mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi aggs.(ai)
-              agg_routes.(ai) cores.(ci) core_routes.(ci) ~rate:fabric_rate
-              ~delay uplink_qdisc))
-  in
+  for ai = 0 to naggs - 1 do
+    let pod = ai / half and a = ai mod half in
+    let pod_lo = base + (pod * half * half) in
+    let pod_hi = base + ((pod + 1) * half * half) - 1 in
+    for j = 0 to half - 1 do
+      let ci = (a * half) + j in
+      mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi aggs.(ai) agg_routes.(ai)
+        cores.(ci) core_routes.(ci) ~rate:fabric_rate ~delay uplink_qdisc
+    done
+  done;
   Array.iteri
     (fun i sw -> Switch.set_forward sw (Routing.ecmp edge_routes.(i)))
     edges;
@@ -466,22 +453,16 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
   Array.iteri
     (fun i sw -> Switch.set_forward sw (Routing.ecmp core_routes.(i)))
     cores;
-  { ft_k = k; ft_base = base; ft_hosts = hosts; ft_edges = edges;
-    ft_aggs = aggs; ft_cores = cores; ft_edge_up = edge_up;
-    ft_agg_up = agg_up; ft_edge_routes = edge_routes;
-    ft_agg_routes = agg_routes; ft_core_routes = core_routes }
+  { ft_base = base; ft_hosts = hosts; ft_edges = edges; ft_aggs = aggs;
+    ft_cores = cores; ft_edge_routes = edge_routes; ft_agg_routes = agg_routes;
+    ft_core_routes = core_routes }
 
 type multi_tier = {
-  mt_pods : int;
-  mt_leaves_per_pod : int;
-  mt_base : Packet.addr;
   mt_hosts : Node.t array;
   mt_leaves : Switch.t array;
   mt_spines : Switch.t array;
   mt_supers : Switch.t array;
   mt_leaf_routes : Routing.t array;
-  mt_spine_routes : Routing.t array;
-  mt_super_routes : Routing.t array;
 }
 
 let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
@@ -547,10 +528,9 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
     let my_hi = my_lo + hosts_per_leaf - 1 in
     for s = 0 to spines - 1 do
       let si = (pod * spines) + s in
-      ignore
-        (mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi leaf_sw.(li)
-           leaf_routes.(li) spine_sw.(si) spine_routes.(si) ~rate:fabric_rate
-           ~delay None)
+      mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi leaf_sw.(li)
+        leaf_routes.(li) spine_sw.(si) spine_routes.(si) ~rate:fabric_rate
+        ~delay None
     done
   done;
   (* Spine <-> super full mesh (only when multi-pod). *)
@@ -560,10 +540,9 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
       let pod_lo = base + (pod * hosts_per_pod) in
       let pod_hi = pod_lo + hosts_per_pod - 1 in
       for u = 0 to supers - 1 do
-        ignore
-          (mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi spine_sw.(si)
-             spine_routes.(si) super_sw.(u) super_routes.(u)
-             ~rate:fabric_rate ~delay None)
+        mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi spine_sw.(si)
+          spine_routes.(si) super_sw.(u) super_routes.(u) ~rate:fabric_rate
+          ~delay None
       done
     done;
   Array.iteri
@@ -575,10 +554,8 @@ let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
   Array.iteri
     (fun i sw -> Switch.set_forward sw (Routing.ecmp super_routes.(i)))
     super_sw;
-  { mt_pods = pods; mt_leaves_per_pod = leaves; mt_base = base;
-    mt_hosts = hosts; mt_leaves = leaf_sw; mt_spines = spine_sw;
-    mt_supers = super_sw; mt_leaf_routes = leaf_routes;
-    mt_spine_routes = spine_routes; mt_super_routes = super_routes }
+  { mt_hosts = hosts; mt_leaves = leaf_sw; mt_spines = spine_sw;
+    mt_supers = super_sw; mt_leaf_routes = leaf_routes }
 
 let star t ~n ~rate ~delay ?server_qdisc () =
   (* The switch stays in partition 0; hosts are dealt out in blocks. *)

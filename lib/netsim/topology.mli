@@ -156,8 +156,6 @@ type chain = {
   ch_client : Node.t;
   ch_proxy : Node.t;
   ch_server : Node.t;
-  ch_client_to_proxy : Link.t;
-  ch_proxy_to_server : Link.t;
 }
 
 val proxy_chain :
@@ -223,7 +221,6 @@ val fabric_salt : int -> int
     {!multi_leaf_spine}. *)
 
 type fat_tree = {
-  ft_k : int;
   ft_base : Packet.addr;  (** Address of host 0. *)
   ft_hosts : Node.t array;
       (** In address order: host [i] has address [ft_base + i] and
@@ -231,10 +228,6 @@ type fat_tree = {
   ft_edges : Switch.t array;  (** [pod·k/2 + e]. *)
   ft_aggs : Switch.t array;  (** [pod·k/2 + a]. *)
   ft_cores : Switch.t array;  (** [(k/2)²] of them. *)
-  ft_edge_up : Link.t array array;
-      (** [ft_edge_up.(edge).(a)]: edge→agg uplink. *)
-  ft_agg_up : Link.t array array;
-      (** [ft_agg_up.(agg).(j)]: agg→core uplink (core [a·k/2 + j]). *)
   ft_edge_routes : Routing.t array;
   ft_agg_routes : Routing.t array;
   ft_core_routes : Routing.t array;
@@ -263,16 +256,11 @@ val fat_tree :
     downlink queue (incast bottleneck). *)
 
 type multi_tier = {
-  mt_pods : int;
-  mt_leaves_per_pod : int;
-  mt_base : Packet.addr;
   mt_hosts : Node.t array;  (** In address order, pod-major. *)
   mt_leaves : Switch.t array;  (** [pod·leaves + l]. *)
   mt_spines : Switch.t array;  (** [pod·spines + s]. *)
   mt_supers : Switch.t array;
   mt_leaf_routes : Routing.t array;
-  mt_spine_routes : Routing.t array;
-  mt_super_routes : Routing.t array;
 }
 
 val multi_leaf_spine :

@@ -24,8 +24,6 @@ module type S = sig
   val id : string
   (** Short transport name for reports ("tcp", "udp", "mtp", ...). *)
 
-  val node : t -> Node.t
-
   val listen :
     t ->
     port:int ->
@@ -41,20 +39,13 @@ module type S = sig
     t ->
     dst:Packet.addr ->
     dst_port:int ->
-    ?tc:int ->
     ?on_complete:(Engine.Time.t -> unit) ->
     size:int ->
     unit ->
     unit
   (** Send one [size]-byte message; [on_complete] fires with the
       message completion time (transport-defined: acked, FIN-acked, or
-      drained).  [tc] is the traffic class for transports that honour
-      it. *)
-
-  val stream :
-    t -> dst:Packet.addr -> dst_port:int -> ?tc:int -> unit -> unit
-  (** Start a saturating long-lived transfer (an open-loop message
-      chain or a backlogged byte stream, per transport). *)
+      drained). *)
 
   val stats : t -> stats
 end
@@ -65,16 +56,11 @@ let pack (type a) (module M : S with type t = a) stack = Packed ((module M), sta
 
 let id (Packed ((module M), _)) = M.id
 
-let node (Packed ((module M), stack)) = M.node stack
-
 let listen (Packed ((module M), stack)) ~port ?on_data ?on_message () =
   M.listen stack ~port ?on_data ?on_message ()
 
-let send_message (Packed ((module M), stack)) ~dst ~dst_port ?tc ?on_complete
+let send_message (Packed ((module M), stack)) ~dst ~dst_port ?on_complete
     ~size () =
-  M.send_message stack ~dst ~dst_port ?tc ?on_complete ~size ()
-
-let stream (Packed ((module M), stack)) ~dst ~dst_port ?tc () =
-  M.stream stack ~dst ~dst_port ?tc ()
+  M.send_message stack ~dst ~dst_port ?on_complete ~size ()
 
 let stats (Packed ((module M), stack)) = M.stats stack

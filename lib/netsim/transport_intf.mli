@@ -3,7 +3,14 @@
     Every transport stack (TCP, DCTCP, UDP, proxied TCP, MTP
     endpoints) exposes a [Messaging] module satisfying {!S}; {!packed}
     pairs the module with a stack value so heterogeneous transports
-    can be stored and driven uniformly by experiments. *)
+    can be stored and driven uniformly by experiments.
+
+    The interface carries messages only: listen on a port, send one
+    message, read counters.  A saturating transfer is a closed loop of
+    messages ([Workload.Driver.closed_loop]) or, for TCP, the stack's
+    own byte stream ([Transport.Tcp.stream]); knobs one stack alone
+    honours, such as MTP's traffic class, are set through that stack's
+    own functions. *)
 
 type delivery = {
   msg_src : Packet.addr;
@@ -24,8 +31,6 @@ module type S = sig
 
   val id : string
 
-  val node : t -> Node.t
-
   val listen :
     t ->
     port:int ->
@@ -38,13 +43,10 @@ module type S = sig
     t ->
     dst:Packet.addr ->
     dst_port:int ->
-    ?tc:int ->
     ?on_complete:(Engine.Time.t -> unit) ->
     size:int ->
     unit ->
     unit
-
-  val stream : t -> dst:Packet.addr -> dst_port:int -> ?tc:int -> unit -> unit
 
   val stats : t -> stats
 end
@@ -56,7 +58,6 @@ val pack : (module S with type t = 'a) -> 'a -> packed
 (** Generic dispatchers over a packed transport. *)
 
 val id : packed -> string
-val node : packed -> Node.t
 
 val listen :
   packed ->
@@ -70,12 +71,9 @@ val send_message :
   packed ->
   dst:Packet.addr ->
   dst_port:int ->
-  ?tc:int ->
   ?on_complete:(Engine.Time.t -> unit) ->
   size:int ->
   unit ->
   unit
-
-val stream : packed -> dst:Packet.addr -> dst_port:int -> ?tc:int -> unit -> unit
 
 val stats : packed -> stats

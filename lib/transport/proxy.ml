@@ -83,19 +83,14 @@ module Messaging = struct
 
   let id = "tcp-proxy"
 
-  let node v = Tcp.node v.v_stack
-
   let listen v ~port ?on_data ?on_message () =
     Tcp.Messaging.listen v.v_stack ~port ?on_data ?on_message ()
 
   (* The destination is fixed at the proxy front: the proxy relays to
      its configured server, so [dst]/[dst_port] are ignored. *)
-  let send_message v ~dst:_ ~dst_port:_ ?tc:_ ?on_complete ~size () =
+  let send_message v ~dst:_ ~dst_port:_ ?on_complete ~size () =
     Tcp.Messaging.send_message v.v_stack ~dst:v.v_proxy
       ~dst_port:v.v_proxy_port ?on_complete ~size ()
-
-  let stream v ~dst:_ ~dst_port:_ ?tc:_ () =
-    Tcp.Messaging.stream v.v_stack ~dst:v.v_proxy ~dst_port:v.v_proxy_port ()
 
   let stats v = Tcp.Messaging.stats v.v_stack
 end

@@ -45,5 +45,5 @@ type via
 val via : Tcp.t -> proxy:Netsim.Packet.addr -> proxy_port:int -> via
 
 module Messaging : Netsim.Transport_intf.S with type t = via
-(** [send_message]/[stream] ignore [dst] and go to the proxy front;
-    the proxy relays to its configured server. *)
+(** [send_message] ignores [dst] and goes to the proxy front; the
+    proxy relays to its configured server. *)

@@ -103,8 +103,6 @@ and t = {
   mutable t_retx : int;
 }
 
-let node t = t.t_node
-
 let scratch_key t ~local_port ~peer ~remote_port =
   let k = t.scratch in
   k.k_port <- local_port;
@@ -766,8 +764,6 @@ module Messaging = struct
 
   let id = "tcp"
 
-  let node = node
-
   let listen t ~port ?on_data ?on_message () =
     listen t ~port (fun conn ->
         (match on_data with
@@ -787,7 +783,7 @@ module Messaging = struct
   (* One message = one connection, closed after the last byte; the
      completion time is FIN-acked minus connect, i.e. the flow
      completion time. *)
-  let send_message t ~dst ~dst_port ?tc:_ ?on_complete ~size () =
+  let send_message t ~dst ~dst_port ?on_complete ~size () =
     t.t_tx_msgs <- t.t_tx_msgs + 1;
     let conn = connect t ~dst ~dst_port () in
     (match on_complete with
@@ -799,8 +795,6 @@ module Messaging = struct
     | None -> ());
     send conn size;
     close conn
-
-  let stream t ~dst ~dst_port ?tc:_ () = ignore (stream t ~dst ~dst_port ())
 
   let stats t =
     { Netsim.Transport_intf.tx_messages = t.t_tx_msgs;

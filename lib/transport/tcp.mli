@@ -47,8 +47,6 @@ val attach :
     {!aborted}); [entity] tags every packet for per-entity network
     policies. *)
 
-val node : t -> Netsim.Node.t
-
 val listen : t -> port:int -> ?rcv_buf:int -> (conn -> unit) -> unit
 (** Accept connections on [port]; the callback fires when the SYN
     arrives.  [rcv_buf] overrides the stack default for accepted
@@ -145,4 +143,4 @@ val stall_time : conn -> Engine.Time.t
 module Messaging : Netsim.Transport_intf.S with type t = t
 (** Drive this stack through the unified transport interface:
     [send_message] opens a connection per message and closes it after
-    the last byte; [stream] keeps a connection backlogged. *)
+    the last byte.  A backlogged connection is {!stream}. *)

@@ -92,8 +92,6 @@ module Messaging = struct
 
   let id = "udp"
 
-  let node t = t.u_node
-
   let listen t ~port ?on_data ?on_message () =
     listen t ~port (fun ~src ~msg_id:_ ~size ->
         (match on_data with Some f -> f size | None -> ());
@@ -110,7 +108,7 @@ module Messaging = struct
 
   (* UDP blasts at line rate with no acknowledgements, so "complete"
      is modelled as the sender-side drain time at the uplink rate. *)
-  let send_message t ~dst ~dst_port ?tc:_ ?on_complete ~size () =
+  let send_message t ~dst ~dst_port ?on_complete ~size () =
     t.tx_msgs <- t.tx_msgs + 1;
     ignore (send t ~dst ~dst_port ~size);
     match on_complete with
@@ -119,14 +117,6 @@ module Messaging = struct
       let dt = Int.max 1 (Engine.Time.tx_time ~bytes:size ~rate) in
       Engine.Sim.after t.u_sim dt (fun () -> f dt)
     | None -> ()
-
-  let stream t ~dst ~dst_port ?tc () =
-    let chunk = 1_000_000 in
-    (* One [Some] for the whole stream, not one per chunk. *)
-    let rec next () =
-      send_message t ~dst ~dst_port ?tc ?on_complete ~size:chunk ()
-    and on_complete = Some (fun _ -> next ()) in
-    next ()
 
   let stats t =
     { Netsim.Transport_intf.tx_messages = t.tx_msgs;

@@ -4,3 +4,6 @@ let tod () = Unix.gettimeofday ()
 let reseed () = Random.self_init ()
 let pick n = Random.int n
 let who () = (Domain.self () :> int)
+let tod' () = let module U = Unix in U.gettimeofday ()
+module R = Random
+let pick' n = R.int n

@@ -68,9 +68,10 @@ let fx name = "lint_fixtures/fixture_" ^ name ^ ".ml"
 
 let expected =
   [ (fx "d001", 4, "D001"); (fx "d001", 7, "D001"); (fx "d001", 10, "D001");
+    (fx "d001", 14, "D001"); (fx "d001", 15, "D001"); (fx "d001", 17, "D001");
     (fx "d002", 2, "D002"); (fx "d002", 3, "D002");
     (fx "d002", 4, "D002"); (fx "d002", 5, "D002");
-    (fx "d002", 6, "D002");
+    (fx "d002", 6, "D002"); (fx "d002", 7, "D002"); (fx "d002", 9, "D002");
     (fx "d003", 2, "D003"); (fx "d003", 3, "D003");
     (fx "d003", 4, "D003");
     (fx "h101", 2, "H101"); (fx "h101", 3, "H101");
@@ -293,20 +294,26 @@ let compares =
    let typed (t : int Itbl.t) k = Itbl.find_opt t k\n\
    let setup (a : int) b =\n\
   \  (* simlint: allow H104 — once, at setup *)\n\
-  \  max a b\n"
+  \  max a b\n\
+   let aliased (t : (int, int) Hashtbl.t) k =\n\
+  \  let module H = Hashtbl in H.mem t k\n\
+   module L = List\n\
+   let paired (x : int) l = L.assoc x l\n"
 
 let test_h104_polymorphic_compare () =
   (* [min] at int, [=] at an option type, a generic [Hashtbl.find_opt]
      and [List.mem] go through the runtime's polymorphic compare or
      hash.  [Int.min], [=] at int or an abbreviation of it, [= None]
      (the compiler's constant-constructor case) and a functor table do
-     not, and a pragma clears a setup-only site.  Only hot modules are
-     scanned. *)
+     not, and a pragma clears a setup-only site.  A module alias hides
+     nothing.  Only hot modules are scanned. *)
   Alcotest.check triple "polymorphic compare and hash fire H104"
     [ ("lint_fixtures/typed/hot.ml", 1, "H104");
       ("lint_fixtures/typed/hot.ml", 2, "H104");
       ("lint_fixtures/typed/hot.ml", 3, "H104");
-      ("lint_fixtures/typed/hot.ml", 4, "H104") ]
+      ("lint_fixtures/typed/hot.ml", 4, "H104");
+      ("lint_fixtures/typed/hot.ml", 16, "H104");
+      ("lint_fixtures/typed/hot.ml", 18, "H104") ]
     (analyze [ unit_ ~name:"Hot" ~file:"lint_fixtures/typed/hot.ml" compares ]);
   Alcotest.check triple "cold modules are not scanned" []
     (analyze [ unit_ compares ])
@@ -350,6 +357,24 @@ let test_u101_pragma () =
            ();
          user "let () = ignore (Exported.used 1)\n" ])
 
+let test_u101_through_alias () =
+  (* An alias is a name, not a use: what is reached through it counts,
+     and the rest of the unit is still reported.  [include] still lets
+     the whole unit escape. *)
+  List.iter
+    (fun (name, src, expect) ->
+      Alcotest.check triple name expect (analyze [ exported (); user src ]))
+    [ ( "module alias",
+        "module E = Exported\nlet () = ignore (E.used 1)\n",
+        [ ("lint_fixtures/typed/exported.mli", 2, "U101") ] );
+      ( "let module alias",
+        "let () = let module E = Exported in ignore (E.used 1)\n",
+        [ ("lint_fixtures/typed/exported.mli", 2, "U101") ] );
+      ( "alias of an alias",
+        "module E = Exported\nmodule F = E\nlet () = ignore (F.unused 1)\n",
+        [ ("lint_fixtures/typed/exported.mli", 1, "U101") ] );
+      ("include escapes", "include Exported\n", []) ]
+
 let knobs =
   unit_ ~name:"Knobs" ~file:"lint_fixtures/typed/knobs.ml"
     ~intf:
@@ -374,6 +399,17 @@ let test_u102_never_passed () =
          user
            "let a = Knobs.f ~x:1 ~y:2 ()\n\
             let b = Knobs.g () + Knobs.h ()\n" ])
+
+let test_u102_through_alias () =
+  Alcotest.check triple "a pass through an alias counts, the alias does not"
+    [ ("lint_fixtures/typed/knobs.mli", 4, "U102");
+      ("lint_fixtures/typed/knobs.mli", 7, "U102") ]
+    (analyze
+       [ knobs;
+         user
+           "module K = Knobs\n\
+            let a = K.f ~x:1 ~y:2 ()\n\
+            let b = let module G = Knobs in G.g ~w:1 () + K.h ()\n" ])
 
 let test_u102_passed_through_escaped () =
   (* [~x:] passes x, [?y] passes the caller's option through, and [g]
@@ -658,10 +694,14 @@ let suite =
     Alcotest.test_case "U101 test and example references" `Quick
       test_u101_test_and_example_refs;
     Alcotest.test_case "U101 pragma" `Quick test_u101_pragma;
+    Alcotest.test_case "U101 through a module alias" `Quick
+      test_u101_through_alias;
     Alcotest.test_case "U102 never-passed optional" `Quick
       test_u102_never_passed;
     Alcotest.test_case "U102 passed, passed through or escaped" `Quick
       test_u102_passed_through_escaped;
+    Alcotest.test_case "U102 through a module alias" `Quick
+      test_u102_through_alias;
     Alcotest.test_case "pool clean as committed" `Quick
       test_pool_clean_as_committed;
     Alcotest.test_case "pool mutation caught" `Quick

@@ -282,7 +282,7 @@ let test_host_shares_tcp_and_mtp () =
    released into its receiver's, so once the flight has reached its
    largest size neither pool allocates another record: [fresh] stops
    growing while [reused] keeps climbing. *)
-let steady_exchange packed_of_hosts drive =
+let steady_exchange stacks_of_hosts drive =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let a = Netsim.Topology.host topo "a" in
@@ -291,7 +291,7 @@ let steady_exchange packed_of_hosts drive =
     (Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
        ~delay:(Engine.Time.us 2) ());
   let ha = Netsim.Host.create a and hb = Netsim.Host.create b in
-  let client, server = packed_of_hosts ha hb in
+  let client, server = stacks_of_hosts ha hb in
   let module T = Netsim.Transport_intf in
   T.listen server ~port:80 ();
   drive client ~dst:(Netsim.Host.addr hb) ~dst_port:80;
@@ -338,14 +338,12 @@ let test_mtp_steady_pool () =
 let test_dctcp_steady_pool () =
   steady_exchange
     (fun ha hb ->
-      ( Netsim.Transport_intf.pack
-          (module Transport.Dctcp.Messaging)
-          (Transport.Dctcp.attach ~snd_buf:64_000 ha),
+      ( Transport.Dctcp.attach ~snd_buf:64_000 ha,
         Netsim.Transport_intf.pack
           (module Transport.Dctcp.Messaging)
           (Transport.Dctcp.attach hb) ))
     (fun client ~dst ~dst_port ->
-      Netsim.Transport_intf.stream client ~dst ~dst_port ())
+      ignore (Transport.Tcp.stream client ~dst ~dst_port ()))
 
 (* The DCTCP flow above, over a lossless 10G pair: once warm, every
    data segment and ack is sent in the segment of a packet its host
@@ -363,8 +361,8 @@ let test_dctcp_segments_steady () =
   let client = Transport.Dctcp.attach ~snd_buf:64_000 (Netsim.Host.create a) in
   let server = Transport.Dctcp.attach (Netsim.Host.create b) in
   Transport.Dctcp.Messaging.listen server ~port:80 ();
-  Transport.Dctcp.Messaging.stream client ~dst:(Netsim.Node.addr b)
-    ~dst_port:80 ();
+  ignore
+    (Transport.Tcp.stream client ~dst:(Netsim.Node.addr b) ~dst_port:80 ());
   Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
   (* Distinct segments by physical identity. *)
   let segs = ref [] and pkts = ref 0 in
