@@ -9,11 +9,12 @@ type delivery = {
   dl_latency : Engine.Time.t;
 }
 
-type pkt_state =
-  | Unsent
-  | Inflight of { at : Engine.Time.t; charged : Wire.path_ref list; rtx : bool }
-  | Lost (* awaiting retransmission *)
-  | Acked
+(* A packet's state, in a message's [states]: a packet in flight holds
+   its slot in the endpoint's flight table (see [t]), any other one of
+   the negative constants below. *)
+let unsent = -1
+let lost = -2 (* awaiting retransmission, or abandoned with its message *)
+let acked = -3
 
 (* A pathlet an ack named for a destination, and when it last did. *)
 type seen = { s_ref : Wire.path_ref; mutable s_at : Engine.Time.t }
@@ -61,12 +62,12 @@ type txmsg = {
   tx_cookie : int;
   tx_cookie2 : int;
   tx_lane : lane;
-  states : pkt_state array;
+  states : int array; (* a flight slot, [unsent], [lost] or [acked] *)
   mutable acked_pkts : int;
-  mutable n_inflight : int; (* packets in state Inflight *)
-  mutable scan : int; (* all packets below this index are not Unsent *)
+  mutable n_inflight : int; (* packets holding a flight slot *)
+  mutable scan : int; (* all packets below this index are not [unsent] *)
   (* Packet numbers awaiting retransmission, a FIFO ring allocated on
-     the first loss: a packet is queued only on leaving Inflight, so at
+     the first loss: a packet is queued only on leaving flight, so at
      most [tx_npkts] wait at once. *)
   mutable retx : int array;
   mutable retx_head : int;
@@ -150,6 +151,21 @@ type t = {
   ack_delay : Engine.Time.t;
   ack_acc : ack_acc Itbl.t;
   mutable ticker_running : bool;
+  (* The flight table: one slot per data packet in flight, shared by
+     every message, so a send allocates nothing and a queued message
+     holds no flight state.  A packet in flight names its slot in its
+     message's [states]; the slot holds when the packet left
+     ([fl_at]), the pathlets charged for it ([fl_charged]) and whether
+     it was a retransmission ([fl_rtx]).  Free slots are stacked in
+     [fl_free.(0 .. fl_nfree - 1)]; every other slot belongs to exactly
+     one packet, until an ack, a NACK, a timeout or its message's
+     deadline returns it ([leave_flight]).  The arrays double when the
+     stack runs dry. *)
+  mutable fl_at : Engine.Time.t array;
+  mutable fl_charged : Wire.path_ref list array;
+  mutable fl_rtx : bool array;
+  mutable fl_free : int array;
+  mutable fl_nfree : int;
   (* counters *)
   mutable n_completed : int;
   mutable n_failed : int;
@@ -237,11 +253,24 @@ let rec all_live t time = function
   | [] -> true
   | s :: rest -> is_live t time s && all_live t time rest
 
-(* The cached [refs] when every entry is live (no allocation), else a
+(* Whether the live entries of [entries], in order, name exactly the
+   pathlets of [live]. *)
+let rec same_live t time live = function
+  | [] -> ( match live with [] -> true | _ :: _ -> false)
+  | s :: rest ->
+    if is_live t time s then
+      match live with
+      | r :: more -> Wire.same_path r s.s_ref && same_live t time more rest
+      | [] -> false
+    else same_live t time live rest
+
+(* The cached [refs] when every entry is live, the last live set [live]
+   when the live entries still name it (neither allocates), else a
    filtered copy. *)
 let live_refs t d =
   let time = Engine.Sim.now t.ep_sim in
   if all_live t time d.entries then d.refs
+  else if same_live t time d.live d.entries then d.live
   else
     List.filter_map
       (fun s -> if is_live t time s then Some s.s_ref else None)
@@ -336,6 +365,50 @@ let pkt_payload t msg pkt_num =
   else msg.tx_size - (full * (msg.tx_npkts - 1))
 
 (* ------------------------------------------------------------------ *)
+(* The flight table                                                     *)
+
+let grow_flight t =
+  let cap = Array.length t.fl_at in
+  let cap' = Int.max 16 (2 * cap) in
+  let at = Array.make cap' 0 and charged = Array.make cap' [] in
+  let rtx = Array.make cap' false in
+  Array.blit t.fl_at 0 at 0 cap;
+  Array.blit t.fl_charged 0 charged 0 cap;
+  Array.blit t.fl_rtx 0 rtx 0 cap;
+  t.fl_at <- at;
+  t.fl_charged <- charged;
+  t.fl_rtx <- rtx;
+  (* The stack was empty: it now holds the new slots, lowest on top. *)
+  let free = Array.make cap' 0 in
+  for i = 0 to cap' - cap - 1 do
+    free.(i) <- cap' - 1 - i
+  done;
+  t.fl_free <- free;
+  t.fl_nfree <- cap' - cap
+
+let enter_flight t msg i ~charged ~rtx =
+  if t.fl_nfree = 0 then grow_flight t;
+  let n = t.fl_nfree - 1 in
+  let slot = t.fl_free.(n) in
+  t.fl_nfree <- n;
+  t.fl_at.(slot) <- now t;
+  t.fl_charged.(slot) <- charged;
+  t.fl_rtx.(slot) <- rtx;
+  msg.states.(i) <- slot;
+  msg.n_inflight <- msg.n_inflight + 1
+
+(* Packet [i] of [msg], in flight in [slot], leaves it for state [st]:
+   its charge is discharged and the slot is freed.  Read the slot
+   before, not after. *)
+let leave_flight t msg i slot st =
+  Pathlet.discharge t.path_table t.fl_charged.(slot) (pkt_payload t msg i);
+  t.fl_charged.(slot) <- [];
+  t.fl_free.(t.fl_nfree) <- slot;
+  t.fl_nfree <- t.fl_nfree + 1;
+  msg.states.(i) <- st;
+  msg.n_inflight <- msg.n_inflight - 1
+
+(* ------------------------------------------------------------------ *)
 (* Emission                                                             *)
 
 (* A header box to refill in full and send at once: that of the packet
@@ -359,14 +432,6 @@ let rec any_idle tbl = function
 (* The exclusion list names congested and suspect pathlets, at most
    [max_excluded] so headers stay small. *)
 let max_excluded = 4
-
-(* No suspects: the first [max_excluded] congested pathlets, last
-   first.  The full advisory list goes out even when it names every
-   known pathlet (the network may have alternatives the sender cannot
-   see). *)
-let rec advisory n acc = function
-  | r :: rest when n < max_excluded -> advisory (n + 1) (r :: acc) rest
-  | _ :: _ | [] -> acc
 
 let rec mem_path r = function
   | [] -> false
@@ -396,15 +461,18 @@ let with_suspects t ~path sus =
       else r :: acc)
     [] merged
 
-(* With no suspects the list depends on congestion state alone, which
-   is fixed within a scheduling epoch (see [refused]): compute it once
-   per epoch. *)
+(* No suspects: the first [max_excluded] congested pathlets, last
+   first.  The full advisory list goes out even when it names every
+   known pathlet (the network may have alternatives the sender cannot
+   see).  It depends on congestion state alone, which is fixed within
+   a scheduling epoch (see [refused]): it is checked once per epoch,
+   and rebuilt only when it changed. *)
 let exclusion_list t ~path =
   match Pathlet.suspects t.path_table with
   | [] ->
     if t.excl_epoch <> t.epoch then begin
       t.excl <-
-        advisory 0 [] (Pathlet.congested_paths t.path_table ~now:(now t));
+        Pathlet.advisory t.path_table ~now:(now t) ~max:max_excluded t.excl;
       t.excl_epoch <- t.epoch
     end;
     t.excl
@@ -434,8 +502,7 @@ let send_data_pkt t msg pkt_num ~path ~rtx =
      outlives this charge. *)
   if any_idle t.path_table charged then t.epoch <- t.epoch + 1;
   Pathlet.charge t.path_table charged payload;
-  msg.states.(pkt_num) <- Inflight { at = now t; charged; rtx };
-  msg.n_inflight <- msg.n_inflight + 1;
+  enter_flight t msg pkt_num ~charged ~rtx;
   msg.tx_last_progress <- now t;
   if rtx then t.n_retransmits <- t.n_retransmits + 1;
   if Telemetry.Ctx.on () then begin
@@ -548,13 +615,10 @@ let remove_active t msg =
 (* Message failure (deadline exceeded)                                  *)
 
 let fail_message t msg =
-  Array.iteri
-    (fun i st ->
-      match st with
-      | Inflight { charged; _ } ->
-        Pathlet.discharge t.path_table charged (pkt_payload t msg i)
-      | Unsent | Lost | Acked -> ())
-    msg.states;
+  for i = 0 to msg.tx_npkts - 1 do
+    let slot = msg.states.(i) in
+    if slot >= 0 then leave_flight t msg i slot lost
+  done;
   Itbl.remove t.tx_table msg.tx_id;
   (* Nothing more goes out for it. *)
   msg.scan <- msg.tx_npkts;
@@ -629,7 +693,7 @@ let send_quantum t msg =
            messages over several of them concurrently. *)
         let path = lane_path t ln in
         if payload <= Pathlet.headroom_sum t.path_table path then begin
-          let rtx = match msg.states.(p) with Unsent -> false | _ -> true in
+          let rtx = msg.states.(p) <> unsent in
           take_next t msg;
           send_data_pkt t msg p ~path ~rtx;
           incr sent
@@ -696,6 +760,76 @@ let rec max_rto tbl acc = function
   | [] -> acc
   | r :: rest -> max_rto tbl (Int.max acc (Cc.rto (Pathlet.get tbl r))) rest
 
+(* The tick's two tests, walked over [active.(i ..)] (the messages of
+   [tx_table]) so that a tick with nothing due allocates nothing. *)
+let past_deadline time msg =
+  match msg.tx_deadline with Some d -> time >= d | None -> false
+
+let rec any_past_deadline t time i =
+  i < t.n_active
+  && (past_deadline time t.active.(i) || any_past_deadline t time (i + 1))
+
+(* Only messages with packets actually in the network can time out; a
+   message merely blocked on the window is not stalled. *)
+let timed_out t time msg =
+  msg.n_inflight > 0
+  && time - msg.tx_last_progress
+     > max_rto t.path_table 0 (lane_path t msg.tx_lane)
+
+let rec any_timed_out t time i =
+  i < t.n_active
+  && (timed_out t time t.active.(i) || any_timed_out t time (i + 1))
+
+(* Both sweeps collect from the hash table and then sort by message id
+   before acting, so failure/retransmit event order is a function of
+   the ids, never of OCaml's hash layout. *)
+let by_id a b = Int.compare a.tx_id b.tx_id
+
+(* Deadline sweep: a message past its deadline is aborted even if it
+   is merely window-blocked and could never time out. *)
+let fail_late t time =
+  let dead = ref [] in
+  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
+  Itbl.iter
+    (fun _ msg -> if past_deadline time msg then dead := msg :: !dead)
+    t.tx_table;
+  List.iter (fail_message t) (List.sort by_id !dead)
+
+(* Timeout sweep: every packet in flight of a timed-out message is
+   presumed lost.  The loss (and the health strike) is attributed to
+   the pathlets those packets were actually charged to, not the whole
+   current path set — a timeout on a dead pathlet must not penalise
+   the healthy one carrying the rest of the traffic. *)
+let expire t time =
+  let expired = ref [] in
+  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
+  Itbl.iter
+    (fun _ msg -> if timed_out t time msg then expired := msg :: !expired)
+    t.tx_table;
+  List.iter
+    (fun msg ->
+      t.n_timeouts <- t.n_timeouts + 1;
+      if Telemetry.Ctx.on () then
+        probe_event t ~kind:Telemetry.Events.Rto ~dst:msg.tx_dst ~size:0
+          ~a:msg.tx_id ~b:t.n_timeouts;
+      msg.tx_last_progress <- time;
+      let blamed = ref [] in
+      for i = 0 to msg.tx_npkts - 1 do
+        let slot = msg.states.(i) in
+        if slot >= 0 then begin
+          List.iter
+            (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
+            t.fl_charged.(slot);
+          leave_flight t msg i slot lost;
+          push_retx t msg i
+        end
+      done;
+      List.iter
+        (fun r -> Cc.on_loss (Pathlet.get t.path_table r) ~now:time)
+        !blamed;
+      Pathlet.note_timeout t.path_table !blamed ~now:time)
+    (List.sort by_id !expired)
+
 (* Rounds repeat while a message may still send.  A round that opened
    a new epoch is followed by a full one, since any refusal may have
    lapsed. *)
@@ -729,67 +863,15 @@ and ensure_ticker t =
 
 and check_timeouts t =
   let time = now t in
-  (* Both sweeps collect from the hash table and then sort by message
-     id before acting, so failure/retransmit event order is a function
-     of the ids, never of OCaml's hash layout. *)
-  let by_id = List.sort (fun a b -> compare a.tx_id b.tx_id) in
-  (* Deadline sweep first: a message past its deadline is aborted even
-     if it is merely window-blocked and could never time out. *)
-  let dead = ref [] in
-  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Itbl.iter
-    (fun _ msg ->
-      match msg.tx_deadline with
-      | Some d when time >= d -> dead := msg :: !dead
-      | _ -> ())
-    t.tx_table;
-  List.iter (fail_message t) (by_id !dead);
-  (* The aborts above discharged flight; path sets are read afresh. *)
+  if any_past_deadline t time 0 then fail_late t time;
+  (* The aborts above discharged flight, and the clock moved: path sets
+     are read afresh, so the epoch turns before the timeout test reads
+     them, whether or not any message is due. *)
   t.epoch <- t.epoch + 1;
-  let expired = ref [] in
-  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Itbl.iter
-    (fun _ msg ->
-      (* Only messages with packets actually in the network can time
-         out; a message merely blocked on the window is not stalled. *)
-      if msg.n_inflight > 0 then begin
-        let rto = max_rto t.path_table 0 (lane_path t msg.tx_lane) in
-        if time - msg.tx_last_progress > rto then expired := msg :: !expired
-      end)
-    t.tx_table;
-  expired := by_id !expired;
-  List.iter
-    (fun msg ->
-      t.n_timeouts <- t.n_timeouts + 1;
-      if Telemetry.Ctx.on () then
-        probe_event t ~kind:Telemetry.Events.Rto ~dst:msg.tx_dst ~size:0
-          ~a:msg.tx_id ~b:t.n_timeouts;
-      msg.tx_last_progress <- time;
-      (* All in-flight packets of this message are presumed lost.  The
-         loss (and the health strike) is attributed to the pathlets the
-         expired packets were actually charged to, not the whole
-         current path set — a timeout on a dead pathlet must not
-         penalise the healthy one carrying the rest of the traffic. *)
-      let blamed = ref [] in
-      Array.iteri
-        (fun i st ->
-          match st with
-          | Inflight { charged; _ } ->
-            Pathlet.discharge t.path_table charged (pkt_payload t msg i);
-            List.iter
-              (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
-              charged;
-            msg.states.(i) <- Lost;
-            msg.n_inflight <- msg.n_inflight - 1;
-            push_retx t msg i
-          | Unsent | Lost | Acked -> ())
-        msg.states;
-      List.iter
-        (fun r -> Cc.on_loss (Pathlet.get t.path_table r) ~now:time)
-        !blamed;
-      Pathlet.note_timeout t.path_table !blamed ~now:time)
-    !expired;
-  if !expired != [] then pump t
+  if any_timed_out t time 0 then begin
+    expire t time;
+    pump t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* ACK processing (sender side)                                         *)
@@ -823,11 +905,13 @@ let rec ack_sacks t fbs tc = function
   | { Wire.ref_msg; ref_pkt } :: rest ->
     (match Itbl.find t.tx_table ref_msg with
     | exception Not_found -> ()
-    | msg -> (
-      match msg.states.(ref_pkt) with
-      | Inflight { at; charged; rtx } ->
+    | msg ->
+      let slot = msg.states.(ref_pkt) in
+      if slot >= 0 then begin
         let payload = pkt_payload t msg ref_pkt in
-        Pathlet.discharge t.path_table charged payload;
+        let at = t.fl_at.(slot) and charged = t.fl_charged.(slot) in
+        let rtx = t.fl_rtx.(slot) in
+        leave_flight t msg ref_pkt slot acked;
         (* Forward progress clears health strikes (and any suspect flag
            — this is how a probe revives a recovered pathlet).  When the
            ack carries path feedback, the pathlets the network reported
@@ -839,8 +923,6 @@ let rec ack_sacks t fbs tc = function
         (match fbs with
         | [] -> Pathlet.note_progress t.path_table charged
         | _ :: _ -> Pathlet.note_progress_fb t.path_table fbs);
-        msg.states.(ref_pkt) <- Acked;
-        msg.n_inflight <- msg.n_inflight - 1;
         msg.acked_pkts <- msg.acked_pkts + 1;
         msg.tx_last_progress <- now t;
         let rtt = if rtx then -1 else now t - at in
@@ -849,7 +931,7 @@ let rec ack_sacks t fbs tc = function
         Pathlet.on_ack t.path_table ~now:(now t) ~acked:payload ~rtt
           ~implicit_trim:false ~tc fbs;
         if msg.acked_pkts = msg.tx_npkts then finish_message t msg
-      | Lost | Acked | Unsent -> ()));
+      end);
     ack_sacks t fbs tc rest
 
 (* NACKed packets: retransmit promptly; congestion already flows in via
@@ -861,17 +943,15 @@ let rec ack_nacks t fbs tc = function
     t.n_nacks <- t.n_nacks + 1;
     (match Itbl.find t.tx_table ref_msg with
     | exception Not_found -> ()
-    | msg -> (
-      match msg.states.(ref_pkt) with
-      | Inflight { charged; _ } ->
-        Pathlet.discharge t.path_table charged (pkt_payload t msg ref_pkt);
-        msg.states.(ref_pkt) <- Lost;
-        msg.n_inflight <- msg.n_inflight - 1;
+    | msg ->
+      let slot = msg.states.(ref_pkt) in
+      if slot >= 0 then begin
+        leave_flight t msg ref_pkt slot lost;
         push_retx t msg ref_pkt;
         msg.tx_last_progress <- now t;
         Pathlet.on_ack t.path_table ~now:(now t) ~acked:0 ~rtt:(-1)
           ~implicit_trim:true ~tc fbs
-      | Lost | Acked | Unsent -> ()));
+      end);
     ack_nacks t fbs tc rest
 
 let process_ack t (header : Wire.t) (pkt : Netsim.Packet.t) =
@@ -888,8 +968,8 @@ let process_ack t (header : Wire.t) (pkt : Netsim.Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* Data processing (receiver side)                                      *)
 
-let emit_ack t ~dst ~tc ~src_port ~dst_port ~msg_id ~sacks ~nacks ~fb =
-  let box = next_box t in
+(* [box] is [next_box]'s. *)
+let emit_ack t box ~dst ~tc ~src_port ~dst_port ~msg_id ~sacks ~nacks ~fb =
   Wire.fill (Wire.header box) ~is_ack:true ~pri:0 ~tc ~cookie:0 ~cookie2:0
     ~exclude:[] ~src_port ~dst_port ~msg_id ~msg_len:0 ~msg_pkts:0 ~pkt_num:0
     ~pkt_offset:0 ~pkt_len:0 ~sack:sacks ~nack:nacks ~ack_path_feedback:fb;
@@ -899,7 +979,7 @@ let emit_ack t ~dst ~tc ~src_port ~dst_port ~msg_id ~sacks ~nacks ~fb =
 let flush_acks t ~dst acc =
   Engine.Sim.disarm acc.acc_tm;
   if acc.acc_count > 0 then begin
-    emit_ack t ~dst ~tc:acc.acc_tc ~src_port:acc.acc_src_port
+    emit_ack t (next_box t) ~dst ~tc:acc.acc_tc ~src_port:acc.acc_src_port
       ~dst_port:acc.acc_dst_port ~msg_id:acc.acc_msg_id
       ~sacks:(List.rev acc.acc_sacks) ~nacks:[] ~fb:acc.acc_fb;
     acc.acc_sacks <- [];
@@ -907,10 +987,13 @@ let flush_acks t ~dst acc =
     acc.acc_fb <- []
   end
 
-(* Acknowledge the packet [this] (a NACK when [nack]): immediately, or
-   accumulated when coalescing is enabled (paper section 4: "feedback
-   can be aggregated").  NACKs and urgent acks always flush at once. *)
-let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
+(* Acknowledge the data packet of [header] (a NACK when [nack]):
+   immediately, or accumulated when coalescing is enabled (paper
+   section 4: "feedback can be aggregated").  NACKs and urgent acks
+   always flush at once.  An immediate ack names the packet in the
+   cell of the box it goes out in, so it allocates no list; only a
+   coalesced one holds a reference of its own. *)
+let send_ack t ~dst (header : Wire.t) ~urgent ~nack =
   if t.ack_every <= 1 || nack || urgent then begin
     (* Flush anything pending first so ordering stays sane.  Only a
        coalescing endpoint ever holds a pending ack. *)
@@ -919,8 +1002,12 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
       | acc -> flush_acks t ~dst acc
       | exception Not_found -> ()
     end;
-    let one = [ this ] in
-    emit_ack t ~dst ~tc:header.Wire.msg_tc ~src_port:header.Wire.dst_port
+    let box = next_box t in
+    let one =
+      Wire.refill_cell (Wire.header box) ~msg_id:header.Wire.msg_id
+        ~pkt_num:header.Wire.pkt_num
+    in
+    emit_ack t box ~dst ~tc:header.Wire.msg_tc ~src_port:header.Wire.dst_port
       ~dst_port:header.Wire.src_port ~msg_id:header.Wire.msg_id
       ~sacks:(if nack then [] else one)
       ~nacks:(if nack then one else [])
@@ -944,7 +1031,9 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack this =
     acc.acc_src_port <- header.Wire.dst_port;
     acc.acc_dst_port <- header.Wire.src_port;
     acc.acc_msg_id <- header.Wire.msg_id;
-    acc.acc_sacks <- this :: acc.acc_sacks;
+    acc.acc_sacks <-
+      { Wire.ref_msg = header.Wire.msg_id; ref_pkt = header.Wire.pkt_num }
+      :: acc.acc_sacks;
     acc.acc_count <- acc.acc_count + 1;
     (match header.Wire.path_feedback with
     | [] -> ()
@@ -969,7 +1058,7 @@ let deliver t rx =
    sits above them. *)
 let rx_key ~src ~msg_id = (src lsl 32) lor msg_id
 
-let receive t ~src (header : Wire.t) key this rx =
+let receive t ~src (header : Wire.t) key rx =
   if not (bit_get rx.got header.Wire.pkt_num) then begin
     bit_set rx.got header.Wire.pkt_num;
     rx.rx_count <- rx.rx_count + 1;
@@ -978,7 +1067,7 @@ let receive t ~src (header : Wire.t) key this rx =
   let complete = rx.rx_count = rx.rx_npkts in
   (* A message-completing packet flushes immediately so the sender
      finishes without waiting out the coalescing delay. *)
-  send_ack t ~dst:src header ~urgent:complete ~nack:false this;
+  send_ack t ~dst:src header ~urgent:complete ~nack:false;
   if complete then begin
     Itbl.remove t.rx_table key;
     remember_done t key;
@@ -988,18 +1077,15 @@ let receive t ~src (header : Wire.t) key this rx =
 let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
   let src = pkt.Netsim.Packet.src in
   let key = rx_key ~src ~msg_id:header.Wire.msg_id in
-  let this =
-    { Wire.ref_msg = header.Wire.msg_id; ref_pkt = header.Wire.pkt_num }
-  in
   if Netsim.Packet.trimmed pkt then
     (* NDP-style: the payload is gone; tell the sender immediately. *)
-    send_ack t ~dst:src header ~urgent:false ~nack:true this
+    send_ack t ~dst:src header ~urgent:false ~nack:true
   else if Itbl.mem t.recent_done key then
     (* Duplicate of a completed message: re-ACK so the sender stops. *)
-    send_ack t ~dst:src header ~urgent:false ~nack:false this
+    send_ack t ~dst:src header ~urgent:false ~nack:false
   else
     match Itbl.find t.rx_table key with
-    | rx -> receive t ~src header key this rx
+    | rx -> receive t ~src header key rx
     | exception Not_found ->
       if
         header.Wire.msg_len > t.max_msg_bytes
@@ -1019,7 +1105,7 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
             rx_count = 0; rx_first = now t }
         in
         Itbl.add t.rx_table key rx;
-        receive t ~src header key this rx
+        receive t ~src header key rx
       end
 
 (* ------------------------------------------------------------------ *)
@@ -1067,7 +1153,9 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
          table would cost every endpoint 4096 words at attach. *)
       recent_done = Itbl.create 64; recent_queue = Queue.create ();
       bindings = Itbl.create 8; ack_every; ack_delay;
-      ack_acc = Itbl.create 8; ticker_running = false; n_completed = 0;
+      ack_acc = Itbl.create 8; ticker_running = false; fl_at = [||];
+      fl_charged = [||]; fl_rtx = [||]; fl_free = [||]; fl_nfree = 0;
+      n_completed = 0;
       n_failed = 0; n_delivered = 0; n_delivered_bytes = 0; n_retransmits = 0;
       n_timeouts = 0; n_nacks = 0; n_rejected = 0; n_acks_tx = 0 }
   in
@@ -1122,7 +1210,7 @@ let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
     { tx_id = id; tx_dst = dst; tx_dst_port = dst_port; tx_src_port = src_port;
       tx_pri = pri; tx_tc = tc; tx_size = size; tx_npkts = npkts;
       tx_cookie = cookie; tx_cookie2 = cookie2; tx_lane = lane_for t ~dst ~tc;
-      states = Array.make npkts Unsent; acked_pkts = 0; n_inflight = 0;
+      states = Array.make npkts unsent; acked_pkts = 0; n_inflight = 0;
       scan = 0; retx = [||]; retx_head = 0; retx_len = 0; tx_ready = Dry;
       tx_created = now t;
       tx_deadline = Option.map (fun d -> now t + d) deadline;
@@ -1143,17 +1231,15 @@ let charged_flight t =
   Itbl.iter
     (fun _ msg ->
       Array.iteri
-        (fun i st ->
-          match st with
-          | Inflight { charged; _ } ->
+        (fun i slot ->
+          if slot >= 0 then
             List.iter
               (fun r ->
                 (* simlint: allow H104 — oracle-only: Check.Oracle's ledger *)
                 let sum = Option.value ~default:0 (Hashtbl.find_opt sums r) in
                 (* simlint: allow H104 — oracle-only: Check.Oracle's ledger *)
                 Hashtbl.replace sums r (sum + pkt_payload t msg i))
-              charged
-          | Unsent | Lost | Acked -> ())
+              t.fl_charged.(slot))
         msg.states)
     t.tx_table;
   (* simlint: allow D001 — fold result is sorted just below *)
@@ -1220,7 +1306,49 @@ let check_pump t =
   if t.n_ready_lanes <> !ready_lanes then
     failwith
       (Printf.sprintf "pump: %d lanes counted ready; a recount finds %d"
-         t.n_ready_lanes !ready_lanes)
+         t.n_ready_lanes !ready_lanes);
+  (* The flight table: every slot is free and charges nothing, or is
+     named by exactly one packet in flight; a message counts its own. *)
+  let cap = Array.length t.fl_at in
+  let owner = Array.make cap 0 (* 0 unnamed, -1 free, else a msg id *) in
+  for k = 0 to t.fl_nfree - 1 do
+    let slot = t.fl_free.(k) in
+    if
+      slot < 0 || slot >= cap || owner.(slot) <> 0
+      || t.fl_charged.(slot) != []
+    then
+      failwith
+        (Printf.sprintf "flight: free slot %d out of range, twice or charged"
+           slot);
+    owner.(slot) <- -1
+  done;
+  let in_flight = ref 0 in
+  for i = 0 to n - 1 do
+    let m = t.active.(i) in
+    let named = ref 0 in
+    Array.iteri
+      (fun p slot ->
+        if slot >= 0 then begin
+          if slot >= cap || owner.(slot) <> 0 then
+            failwith
+              (Printf.sprintf
+                 "flight: message %d packet %d names slot %d, which is out \
+                  of range, free or named before"
+                 m.tx_id p slot);
+          owner.(slot) <- m.tx_id;
+          incr named
+        end)
+      m.states;
+    if !named <> m.n_inflight then
+      failwith
+        (Printf.sprintf "flight: message %d counts %d packets in flight of %d"
+           m.tx_id m.n_inflight !named);
+    in_flight := !in_flight + !named
+  done;
+  if !in_flight <> cap - t.fl_nfree then
+    failwith
+      (Printf.sprintf "flight: %d slots in use for %d packets in flight"
+         (cap - t.fl_nfree) !in_flight)
 
 let completed t = t.n_completed
 let failed t = t.n_failed

@@ -118,7 +118,9 @@ val check_pump : t -> unit
     unacknowledged messages, in strictly increasing (priority, id)
     order, and each (destination, traffic class) lane's counts of
     messages with a next packet and with a sub-MTU one, and the count
-    of lanes with a ready message, equal a recount.
+    of lanes with a ready message, equal a recount.  The flight
+    table's slots in use number the packets in flight, each named by
+    exactly one of them; the free slots charge nothing.
 
     @raise Failure naming the first discrepancy. *)
 

@@ -294,3 +294,30 @@ let rec congested_from ~now = function
     | Some _ | None -> congested_from ~now rest)
 
 let congested_paths t ~now = congested_from ~now t.controlled
+
+let mismatch = [ { Wire.path_id = -1; path_tc = -1 } ]
+
+(* Walk the first [n] congested entries of a [controlled] suffix and
+   match them, last first, against the head of [prev] as the recursion
+   unwinds: what is left of [prev] when each matches, else [mismatch].
+   Nothing is allocated. *)
+let rec match_congested ~now n prev = function
+  | [] -> prev
+  | e :: rest -> (
+    if n = 0 then prev
+    else
+      match e.cc with
+      | Some cc when Cc.congested cc ~now -> (
+        match match_congested ~now (n - 1) prev rest with
+        | r :: more when Wire.same_path r e.e_ref -> more
+        | _ :: _ | [] -> mismatch)
+      | Some _ | None -> match_congested ~now n prev rest)
+
+let rec first_rev n acc = function
+  | r :: rest when n > 0 -> first_rev (n - 1) (r :: acc) rest
+  | _ :: _ | [] -> acc
+
+let advisory t ~now ~max prev =
+  match match_congested ~now max prev t.controlled with
+  | [] -> prev
+  | _ :: _ -> first_rev max [] (congested_paths t ~now)

@@ -2,7 +2,7 @@ type path_ref = { path_id : int; path_tc : int }
 
 type path_fb = { fb_path : path_ref; fb : Feedback.t }
 
-type pkt_ref = { ref_msg : int; ref_pkt : int }
+type pkt_ref = { mutable ref_msg : int; mutable ref_pkt : int }
 
 type t = {
   mutable src_port : int;
@@ -23,6 +23,7 @@ type t = {
   mutable ack_path_feedback : path_fb list;
   mutable sack : pkt_ref list;
   mutable nack : pkt_ref list;
+  sack_cell : pkt_ref list;
 }
 
 type Netsim.Packet.proto += Mtp of t
@@ -104,6 +105,8 @@ let encode t =
   List.iter (encode_pkt_ref buf) t.nack;
   Buffer.to_bytes buf
 
+let new_cell () = [ { ref_msg = 0; ref_pkt = 0 } ]
+
 let get_u8 b pos = Char.code (Bytes.get b pos)
 
 let get_u16 b pos = (get_u8 b pos lsl 8) lor get_u8 b (pos + 1)
@@ -167,7 +170,7 @@ let decode b =
   let nack = list_of pkt_ref in
   { src_port; dst_port; msg_id; msg_pri; msg_tc; msg_len; msg_pkts; pkt_num;
     pkt_offset; pkt_len; is_ack; cookie; cookie2; path_exclude;
-    path_feedback; ack_path_feedback; sack; nack }
+    path_feedback; ack_path_feedback; sack; nack; sack_cell = new_cell () }
 
 let fill t ~is_ack ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port
     ~msg_id ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len ~sack ~nack
@@ -195,7 +198,18 @@ let blank () =
   { src_port = 0; dst_port = 0; msg_id = 0; msg_pri = 0; msg_tc = 0;
     msg_len = 0; msg_pkts = 0; pkt_num = 0; pkt_offset = 0; pkt_len = 0;
     is_ack = false; cookie = 0; cookie2 = 0; path_exclude = [];
-    path_feedback = []; ack_path_feedback = []; sack = []; nack = [] }
+    path_feedback = []; ack_path_feedback = []; sack = []; nack = [];
+    sack_cell = new_cell () }
+
+let copy t = { t with sack_cell = new_cell () }
+
+let refill_cell t ~msg_id ~pkt_num =
+  match t.sack_cell with
+  | r :: _ ->
+    r.ref_msg <- msg_id;
+    r.ref_pkt <- pkt_num;
+    t.sack_cell
+  | [] -> invalid_arg "Wire.refill_cell: a header without its cell"
 
 let data ~pri ~tc ~cookie ~cookie2 ~exclude ~src_port ~dst_port ~msg_id
     ~msg_len ~msg_pkts ~pkt_num ~pkt_offset ~pkt_len =
@@ -244,5 +258,7 @@ let packet pool ~src ~dst ~entity payload =
   Netsim.Packet.take pool ~entity ~prio:t.msg_pri ~flow_hash ~payload ~src ~dst
     ~size:(encoded_size t + t.pkt_len)
 
-(* simlint: allow H104 — codec round-trip check, never per packet *)
-let equal a b = a = b
+(* The cell is the box's, not the header's content. *)
+let equal a b =
+  (* simlint: allow H104 — codec round-trip check, never per packet *)
+  { a with sack_cell = b.sack_cell } = b

@@ -13,8 +13,10 @@ type path_ref = { path_id : int; path_tc : int }
 
 type path_fb = { fb_path : path_ref; fb : Feedback.t }
 
-type pkt_ref = { ref_msg : int; ref_pkt : int }
-(** An (msg id, packet number) pair, the unit of SACK/NACK. *)
+type pkt_ref = { mutable ref_msg : int; mutable ref_pkt : int }
+(** An (msg id, packet number) pair, the unit of SACK/NACK.  Mutable
+    only for a header's own cell ({!refill_cell}); every other
+    reference is built fresh and never written. *)
 
 (** Every field is mutable, but a header belongs to exactly one packet:
     the holder of that packet is the only writer.  Network devices
@@ -22,7 +24,16 @@ type pkt_ref = { ref_msg : int; ref_pkt : int }
     with [{h with ...}] instead of writing.  A released packet keeps
     its {!Mtp} box, which the host's next MTP sender refills ({!fill})
     and sends again: nothing may read a header after its claim
-    returns. *)
+    returns.
+
+    A header box owns its SACK cell, [sack_cell]: a one-entry list
+    whose reference an acking endpoint refills ({!refill_cell}) and
+    hands to {!fill} as the box's [sack] or [nack], so an immediate
+    ack allocates no list.  The cell goes with the box from packet to
+    packet and is never shared: {!blank}, {!decode} and {!copy} give
+    each header its own, and a rewriter copies with {!copy}, not
+    [{h with ...}], which would share it.  It is not on the wire:
+    {!encode} and {!equal} ignore it. *)
 type t = {
   mutable src_port : int;
   mutable dst_port : int;
@@ -50,6 +61,7 @@ type t = {
           returned to the source on the ACK. *)
   mutable sack : pkt_ref list;  (** Selectively acknowledged packets. *)
   mutable nack : pkt_ref list;  (** Negatively acknowledged (e.g. trimmed). *)
+  sack_cell : pkt_ref list;  (** This box's own cell; see above. *)
 }
 
 type Netsim.Packet.proto += Mtp of t
@@ -94,7 +106,18 @@ val fill :
     given. *)
 
 val blank : unit -> t
-(** A fresh header with every field zero or empty, for {!fill}. *)
+(** A fresh header with every field zero or empty, for {!fill}, and a
+    cell of its own. *)
+
+val copy : t -> t
+(** A copy of the header with a fresh cell: the one way to rewrite a
+    header into a new box. *)
+
+val refill_cell : t -> msg_id:int -> pkt_num:int -> pkt_ref list
+(** Point the header's own cell at packet [pkt_num] of message
+    [msg_id] and return it: the one-entry SACK or NACK list of an ack
+    sent in this box.  Earlier contents of the cell are overwritten, so
+    it may only be handed to {!fill} of the same header. *)
 
 val data :
   pri:int ->
@@ -159,3 +182,4 @@ val packet :
     @raise Invalid_argument when the payload is not [Mtp]. *)
 
 val equal : t -> t -> bool
+(** Field-by-field equality of two headers, cells aside. *)

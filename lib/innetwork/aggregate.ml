@@ -39,12 +39,10 @@ let inject_aggregated t (h : Mtp.Wire.t) ~round =
       Hashtbl.add t.agg_ids round id;
       id
   in
-  let header =
-    { h with
-      Mtp.Wire.msg_id;
-      cookie2 = t.workers (* aggregated over this many workers *);
-      path_feedback = [] }
-  in
+  let header = Mtp.Wire.copy h in
+  header.Mtp.Wire.msg_id <- msg_id;
+  header.Mtp.Wire.cookie2 <- t.workers (* aggregated over this many workers *);
+  header.Mtp.Wire.path_feedback <- [];
   t.n_injected <- t.n_injected + 1;
   Netsim.Switch.inject t.sw ~port:t.ps_switch_port
     (Mtp.Wire.packet t.pool

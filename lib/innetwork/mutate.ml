@@ -27,12 +27,10 @@ let install sw ~dst_port ~factor () =
             ~msg_pkts:h.Mtp.Wire.msg_pkts ~mtu_payload ~factor
         in
         let full = compressed_len ~orig:mtu_payload ~factor in
-        let h' =
-          { h with
-            Mtp.Wire.pkt_len = new_len;
-            msg_len = new_msg_len;
-            pkt_offset = h.Mtp.Wire.pkt_num * full }
-        in
+        let h' = Mtp.Wire.copy h in
+        h'.Mtp.Wire.pkt_len <- new_len;
+        h'.Mtp.Wire.msg_len <- new_msg_len;
+        h'.Mtp.Wire.pkt_offset <- h.Mtp.Wire.pkt_num * full;
         t.rewritten <- t.rewritten + 1;
         pkt.Netsim.Packet.payload <- Mtp.Wire.Mtp h';
         pkt.Netsim.Packet.size <- Mtp.Wire.encoded_size h' + new_len

@@ -367,6 +367,69 @@ let test_endpoint_deadline_abort_in_backlog () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The flight table gets every slot back.  A message behind a down
+   link times out, so its packets leave flight and are sent again,
+   until its deadline aborts it: sampled every 7 us, every slot in use
+   is named by exactly one packet in flight ([check_pump], through the
+   oracle), and after the abort none is in use and nothing is charged. *)
+let test_endpoint_abort_returns_flight_slots () =
+  let sim, a, b, ab, ledger = mtp_pair () in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  Link.set_down ab;
+  ignore
+    (Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80
+       ~deadline:(Engine.Time.ms 2) ~size:100_000 ());
+  let busy = ref 0 in
+  let rec sample () =
+    if Mtp.Endpoint.charged_flight ea <> [] then incr busy;
+    (match Check.Oracle.endpoint_ok ea with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    if Engine.Sim.now sim < Engine.Time.ms 3 then
+      Engine.Sim.after sim (Engine.Time.us 7) sample
+  in
+  sample ();
+  Engine.Sim.run ~until:(Engine.Time.ms 3) sim;
+  checkb "timed out and resent" true (Mtp.Endpoint.timeouts ea >= 2);
+  checkb "sampled with packets in flight" true (!busy > 10);
+  checki "aborted" 1 (Mtp.Endpoint.failed ea);
+  checkb "nothing charged after the abort" true
+    (Mtp.Endpoint.charged_flight ea = []);
+  ledger_ok ledger;
+  match Check.Oracle.endpoint_ok ea with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* A timeout alone gives the slots back too: the link comes back after
+   the first timeouts, the message completes, and the table ends with
+   no slot in use. *)
+let test_endpoint_timeout_returns_flight_slots () =
+  let sim, a, b, ab, ledger = mtp_pair () in
+  let ea = Mtp.Endpoint.attach (Host.create a) in
+  let eb = Mtp.Endpoint.attach (Host.create b) in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  Link.set_down ab;
+  Engine.Sim.schedule sim ~at:(Engine.Time.us 700) (fun () -> Link.set_up ab);
+  let completed = ref false in
+  ignore
+    (Mtp.Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80
+       ~on_complete:(fun _ -> completed := true)
+       ~size:100_000 ());
+  Engine.Sim.run ~until:(Engine.Time.us 650) sim;
+  checkb "timed out while down" true (Mtp.Endpoint.timeouts ea >= 1);
+  (match Check.Oracle.endpoint_ok ea with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+  checkb "completed once back" true !completed;
+  checkb "nothing charged" true (Mtp.Endpoint.charged_flight ea = []);
+  ledger_ok ledger;
+  match Check.Oracle.endpoint_ok ea with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* Flight conservation: mid-transfer, over a lossy link, every
    pathlet's in-flight bytes match the packets charged to it; a stray
    charge breaks the match and the oracle names it. *)
@@ -471,6 +534,10 @@ let suite =
       test_endpoint_deadline_met_no_error;
     Alcotest.test_case "endpoint deadline abort in backlog" `Quick
       test_endpoint_deadline_abort_in_backlog;
+    Alcotest.test_case "endpoint abort returns flight slots" `Quick
+      test_endpoint_abort_returns_flight_slots;
+    Alcotest.test_case "endpoint timeout returns flight slots" `Quick
+      test_endpoint_timeout_returns_flight_slots;
     Alcotest.test_case "endpoint flight conserved" `Quick
       test_endpoint_flight_conserved;
     Alcotest.test_case "tcp abort" `Quick test_tcp_max_retries_aborts;

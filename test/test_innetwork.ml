@@ -285,6 +285,45 @@ let test_mutate_leaves_other_ports_alone () =
   checki "untouched" 50_000 !got;
   checki "nothing rewritten" 0 (Innetwork.Mutate.packets_rewritten m)
 
+(* Mutate rewrites a data header into a copy, which must own its SACK
+   cell: once the original box is refilled as an ack (as the host the
+   packet came from may do after releasing it), the copy that went on
+   is unchanged. *)
+let test_mutate_copy_owns_its_cell () =
+  let sim, st = star () in
+  ignore
+    (Innetwork.Mutate.install st.Topology.st_switch ~dst_port:80 ~factor:0.5
+       ());
+  let client = st.Topology.st_clients.(0) and server = st.Topology.st_server in
+  let seen = ref [] in
+  Node.set_handler server (fun pkt -> seen := pkt.Packet.payload :: !seen);
+  let h =
+    Mtp.Wire.data ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[] ~src_port:7
+      ~dst_port:80 ~msg_id:3 ~msg_len:1440 ~msg_pkts:1 ~pkt_num:0
+      ~pkt_offset:0 ~pkt_len:1440
+  in
+  Node.send client
+    (Mtp.Wire.packet (Packet.pool sim) ~src:(Node.addr client)
+       ~dst:(Node.addr server) ~entity:0 (Mtp.Wire.Mtp h));
+  Engine.Sim.run sim;
+  let refs l = List.map (fun r -> (r.Mtp.Wire.ref_msg, r.Mtp.Wire.ref_pkt)) l in
+  match !seen with
+  | [ Mtp.Wire.Mtp h' ] ->
+    checkb "rewritten into a copy" false (h' == h);
+    checki "compressed" 720 h'.Mtp.Wire.pkt_len;
+    let one = Mtp.Wire.refill_cell h ~msg_id:9 ~pkt_num:4 in
+    Mtp.Wire.fill h ~is_ack:true ~pri:0 ~tc:0 ~cookie:0 ~cookie2:0 ~exclude:[]
+      ~src_port:80 ~dst_port:7 ~msg_id:9 ~msg_len:0 ~msg_pkts:0 ~pkt_num:0
+      ~pkt_offset:0 ~pkt_len:0 ~sack:one ~nack:[] ~ack_path_feedback:[];
+    Alcotest.(check (list (pair int int)))
+      "the box acks" [ (9, 4) ] (refs h.Mtp.Wire.sack);
+    Alcotest.(check (list (pair int int)))
+      "the copy's cell is its own" [ (0, 0) ] (refs h'.Mtp.Wire.sack_cell);
+    checkb "the copy is still data" false h'.Mtp.Wire.is_ack;
+    checki "for its message" 3 h'.Mtp.Wire.msg_id;
+    checki "with no sack" 0 (List.length h'.Mtp.Wire.sack)
+  | _ -> Alcotest.fail "expected one MTP packet at the server"
+
 (* ----------------------------- Aggregate --------------------------- *)
 
 let test_aggregation_reduces_ps_traffic () =
@@ -401,6 +440,8 @@ let suite =
     Alcotest.test_case "mutate compress" `Quick test_mutate_compresses_in_flight;
     Alcotest.test_case "mutate model" `Quick test_mutate_length_model;
     Alcotest.test_case "mutate scoped" `Quick test_mutate_leaves_other_ports_alone;
+    Alcotest.test_case "mutate copy owns its cell" `Quick
+      test_mutate_copy_owns_its_cell;
     Alcotest.test_case "aggregate reduce" `Quick
       test_aggregation_reduces_ps_traffic;
     Alcotest.test_case "aggregate barrier" `Quick
