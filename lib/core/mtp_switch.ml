@@ -201,9 +201,9 @@ let msg_lb sw ~dst ~ports ~fallback =
         (* Msg ids are wire u32s, so the source sits above them. *)
         let key = (pkt.Netsim.Packet.src lsl 32) lor header.Wire.msg_id in
         let idx =
-          match Itbl.find_opt lb.table key with
-          | Some idx -> idx
-          | None ->
+          match Itbl.find lb.table key with
+          | idx -> idx
+          | exception Not_found ->
             (* First packet of the message: its header announces the
                total length, so commit the whole message to the least
                loaded path (size- and load-aware placement). *)

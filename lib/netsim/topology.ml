@@ -363,29 +363,31 @@ type fat_tree = {
   ft_core_routes : Routing.t array;
 }
 
-let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
-    =
-  if k < 2 || k mod 2 <> 0 then
-    invalid_arg "Topology.fat_tree: k must be even and >= 2";
-  let half = k / 2 in
-  let pods = k in
-  let nedges = pods * half and naggs = pods * half in
-  let ncores = half * half in
-  let nhosts = pods * half * half in
+let clos t ~pods ~leaves ~spines ~supers ~hosts_per_leaf ~host_rate
+    ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc () =
+  if pods < 1 || leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
+    invalid_arg "Topology.clos: every tier must be positive";
+  if pods > 1 && (supers < 1 || supers mod spines <> 0) then
+    invalid_arg "Topology.clos: supers must be a positive multiple of spines";
+  let ncores = if pods > 1 then supers else 0 in
+  let m = ncores / spines in
+  let nedges = pods * leaves and naggs = pods * spines in
+  let hosts_per_pod = leaves * hosts_per_leaf in
+  let nhosts = pods * hosts_per_pod in
   let base = t.next_addr in
   let top = base + nhosts - 1 in
   (* A pod's hosts, edges and aggs share a partition; core [c] lives
-     with pod [c mod k]. *)
+     with pod [c mod pods]. *)
   let at_pod p = place t ~groups:pods p in
   let edges =
     Array.init nedges (fun i ->
-        switch ~part:(at_pod (i / half)) t
-          (Printf.sprintf "edge%d_%d" (i / half) (i mod half)))
+        switch ~part:(at_pod (i / leaves)) t
+          (Printf.sprintf "edge%d_%d" (i / leaves) (i mod leaves)))
   in
   let aggs =
     Array.init naggs (fun i ->
-        switch ~part:(at_pod (i / half)) t
-          (Printf.sprintf "agg%d_%d" (i / half) (i mod half)))
+        switch ~part:(at_pod (i / spines)) t
+          (Printf.sprintf "agg%d_%d" (i / spines) (i mod spines)))
   in
   let cores =
     Array.init ncores (fun i ->
@@ -405,14 +407,15 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
   (* Hosts in address order: pod-major, edge-major. *)
   let hosts =
     Array.init nhosts (fun i ->
-        let pod = i / (half * half) in
-        let rem = i mod (half * half) in
+        let pod = i / hosts_per_pod in
+        let rem = i mod hosts_per_pod in
         host ~part:(at_pod pod) t
-          (Printf.sprintf "h%d_%d_%d" pod (rem / half) (rem mod half)))
+          (Printf.sprintf "h%d_%d_%d" pod (rem / hosts_per_leaf)
+             (rem mod hosts_per_leaf)))
   in
   Array.iteri
     (fun i h ->
-      let e = i / half in
+      let e = i / hosts_per_leaf in
       let down_qdisc = mk_qdisc host_qdisc in
       let port =
         wire_host_to_switch t h edges.(e) ~rate:host_rate ~delay ?down_qdisc
@@ -421,25 +424,28 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
       Routing.add edge_routes.(e) (Node.addr h) port)
     hosts;
   (* Edge <-> agg mesh within each pod.  Remote destinations at an edge
-     are two intervals (below / above its own hosts) sharing the k/2
-     uplink ports; each agg statically owns its edges' host blocks. *)
+     are two intervals (below / above its own hosts) sharing its
+     [spines] uplink ports; each agg statically owns its edges' host
+     blocks. *)
   for ei = 0 to nedges - 1 do
-    let pod = ei / half in
-    let my_lo = base + (ei * half) and my_hi = base + (ei * half) + half - 1 in
-    for a = 0 to half - 1 do
-      let ai = (pod * half) + a in
+    let pod = ei / leaves in
+    let my_lo = base + (ei * hosts_per_leaf) in
+    let my_hi = my_lo + hosts_per_leaf - 1 in
+    for a = 0 to spines - 1 do
+      let ai = (pod * spines) + a in
       mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi edges.(ei) edge_routes.(ei)
         aggs.(ai) agg_routes.(ai) ~rate:fabric_rate ~delay uplink_qdisc
     done
   done;
-  (* Agg <-> core: agg [a] of every pod meshes with cores
-     [a*k/2 .. a*k/2 + k/2 - 1]; cores statically own whole pods. *)
+  (* Agg <-> core, one plane per agg position: agg [a] of every pod
+     meshes with cores [a*m .. a*m + m - 1]; cores statically own whole
+     pods. *)
   for ai = 0 to naggs - 1 do
-    let pod = ai / half and a = ai mod half in
-    let pod_lo = base + (pod * half * half) in
-    let pod_hi = base + ((pod + 1) * half * half) - 1 in
-    for j = 0 to half - 1 do
-      let ci = (a * half) + j in
+    let pod = ai / spines and a = ai mod spines in
+    let pod_lo = base + (pod * hosts_per_pod) in
+    let pod_hi = pod_lo + hosts_per_pod - 1 in
+    for j = 0 to m - 1 do
+      let ci = (a * m) + j in
       mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi aggs.(ai) agg_routes.(ai)
         cores.(ci) core_routes.(ci) ~rate:fabric_rate ~delay uplink_qdisc
     done
@@ -457,105 +463,14 @@ let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
     ft_cores = cores; ft_edge_routes = edge_routes; ft_agg_routes = agg_routes;
     ft_core_routes = core_routes }
 
-type multi_tier = {
-  mt_hosts : Node.t array;
-  mt_leaves : Switch.t array;
-  mt_spines : Switch.t array;
-  mt_supers : Switch.t array;
-  mt_leaf_routes : Routing.t array;
-}
-
-let multi_leaf_spine t ~pods ~leaves ~spines ~supers ~hosts_per_leaf
-    ~host_rate ~fabric_rate ~delay () =
-  if pods < 1 || leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
-    invalid_arg "Topology.multi_leaf_spine: all tiers must be positive";
-  if pods > 1 && supers < 1 then
-    invalid_arg "Topology.multi_leaf_spine: multi-pod needs super-spines";
-  let nleaves = pods * leaves and nspines = pods * spines in
-  let nhosts = pods * leaves * hosts_per_leaf in
-  let hosts_per_pod = leaves * hosts_per_leaf in
-  let base = t.next_addr in
-  let top = base + nhosts - 1 in
-  (* A leaf lives with its hosts; spine [s] of a pod with that pod's
-     leaf [s mod leaves]; super [u] with leaf [u mod nleaves]. *)
-  let at_leaf li = place t ~groups:nleaves li in
-  let leaf_sw =
-    Array.init nleaves (fun i ->
-        switch ~part:(at_leaf i) t
-          (Printf.sprintf "leaf%d_%d" (i / leaves) (i mod leaves)))
-  in
-  let spine_sw =
-    Array.init nspines (fun i ->
-        let pod = i / spines and s = i mod spines in
-        switch ~part:(at_leaf ((pod * leaves) + (s mod leaves))) t
-          (Printf.sprintf "spine%d_%d" pod s))
-  in
-  let super_sw =
-    Array.init supers (fun i ->
-        switch ~part:(at_leaf i) t (Printf.sprintf "super%d" i))
-  in
-  let leaf_routes =
-    Array.init nleaves (fun i -> Routing.create ~salt:(fabric_salt i) ())
-  in
-  let spine_routes =
-    Array.init nspines (fun i ->
-        Routing.create ~salt:(fabric_salt (nleaves + i)) ())
-  in
-  let super_routes =
-    Array.init supers (fun i ->
-        Routing.create ~salt:(fabric_salt (nleaves + nspines + i)) ())
-  in
-  let hosts =
-    Array.init nhosts (fun i ->
-        let pod = i / hosts_per_pod in
-        let rem = i mod hosts_per_pod in
-        host ~part:(at_leaf (i / hosts_per_leaf)) t
-          (Printf.sprintf "h%d_%d_%d" pod (rem / hosts_per_leaf)
-             (rem mod hosts_per_leaf)))
-  in
-  Array.iteri
-    (fun i h ->
-      let l = i / hosts_per_leaf in
-      let port =
-        wire_host_to_switch t h leaf_sw.(l) ~rate:host_rate ~delay ()
-      in
-      Routing.add leaf_routes.(l) (Node.addr h) port)
-    hosts;
-  (* Leaf <-> spine mesh within each pod; interval routes. *)
-  for li = 0 to nleaves - 1 do
-    let pod = li / leaves in
-    let my_lo = base + (li * hosts_per_leaf) in
-    let my_hi = my_lo + hosts_per_leaf - 1 in
-    for s = 0 to spines - 1 do
-      let si = (pod * spines) + s in
-      mesh_block t ~base ~top ~lo:my_lo ~hi:my_hi leaf_sw.(li)
-        leaf_routes.(li) spine_sw.(si) spine_routes.(si) ~rate:fabric_rate
-        ~delay None
-    done
-  done;
-  (* Spine <-> super full mesh (only when multi-pod). *)
-  if pods > 1 then
-    for si = 0 to nspines - 1 do
-      let pod = si / spines in
-      let pod_lo = base + (pod * hosts_per_pod) in
-      let pod_hi = pod_lo + hosts_per_pod - 1 in
-      for u = 0 to supers - 1 do
-        mesh_block t ~base ~top ~lo:pod_lo ~hi:pod_hi spine_sw.(si)
-          spine_routes.(si) super_sw.(u) super_routes.(u) ~rate:fabric_rate
-          ~delay None
-      done
-    done;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp leaf_routes.(i)))
-    leaf_sw;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp spine_routes.(i)))
-    spine_sw;
-  Array.iteri
-    (fun i sw -> Switch.set_forward sw (Routing.ecmp super_routes.(i)))
-    super_sw;
-  { mt_hosts = hosts; mt_leaves = leaf_sw; mt_spines = spine_sw;
-    mt_supers = super_sw; mt_leaf_routes = leaf_routes }
+let fat_tree t ~k ~host_rate ~fabric_rate ~delay ?uplink_qdisc ?host_qdisc ()
+    =
+  if k < 2 || k mod 2 <> 0 then
+    invalid_arg "Topology.fat_tree: k must be even and >= 2";
+  let half = k / 2 in
+  clos t ~pods:k ~leaves:half ~spines:half ~supers:(half * half)
+    ~hosts_per_leaf:half ~host_rate ~fabric_rate ~delay ?uplink_qdisc
+    ?host_qdisc ()
 
 let star t ~n ~rate ~delay ?server_qdisc () =
   (* The switch stays in partition 0; hosts are dealt out in blocks. *)

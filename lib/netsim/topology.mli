@@ -217,21 +217,55 @@ val leaf_spine :
 
 val fabric_salt : int -> int
 (** Deterministic nonzero ECMP salt for fabric switch ordinal [i]
-    (see {!Routing.create}), shared by {!fat_tree} and
-    {!multi_leaf_spine}. *)
+    (see {!Routing.create}), shared by every {!clos} tier: edges
+    first, then aggs, then cores. *)
 
 type fat_tree = {
   ft_base : Packet.addr;  (** Address of host 0. *)
   ft_hosts : Node.t array;
       (** In address order: host [i] has address [ft_base + i] and
-          lives in pod [i / (k²/4)], edge [(i mod k²/4) / (k/2)]. *)
-  ft_edges : Switch.t array;  (** [pod·k/2 + e]. *)
-  ft_aggs : Switch.t array;  (** [pod·k/2 + a]. *)
-  ft_cores : Switch.t array;  (** [(k/2)²] of them. *)
+          lives in pod [i / (leaves·hosts_per_leaf)], edge
+          [(i mod leaves·hosts_per_leaf) / hosts_per_leaf]. *)
+  ft_edges : Switch.t array;  (** [pod·leaves + e]. *)
+  ft_aggs : Switch.t array;  (** [pod·spines + a]. *)
+  ft_cores : Switch.t array;  (** [supers] of them; none for one pod. *)
   ft_edge_routes : Routing.t array;
   ft_agg_routes : Routing.t array;
   ft_core_routes : Routing.t array;
 }
+
+val clos :
+  t ->
+  pods:int ->
+  leaves:int ->
+  spines:int ->
+  supers:int ->
+  hosts_per_leaf:int ->
+  host_rate:Engine.Time.rate ->
+  fabric_rate:Engine.Time.rate ->
+  delay:Engine.Time.t ->
+  ?uplink_qdisc:(unit -> Qdisc.t) ->
+  ?host_qdisc:(unit -> Qdisc.t) ->
+  unit ->
+  fat_tree
+(** Three-tier Clos: [pods] pods of [leaves] edge and [spines] agg
+    switches, [hosts_per_leaf] hosts per edge, and [supers] cores
+    split into [spines] planes of [m = supers / spines]: agg [a] of
+    every pod meshes with cores [a·m .. a·m + m - 1], so each core
+    has one port per pod.  One pod builds no core (and ignores
+    [supers]): a two-tier leaf-spine on interval routes.  All routing
+    is by address {e interval} ({!Routing.add_range}): remote
+    destinations at an edge are two ranges sharing its agg uplinks,
+    aggs own their pod's edge blocks downward and split their [m]
+    core uplinks by range upward, cores own whole pods — so table
+    state per switch is O(ports), not O(hosts).  Every tier forwards
+    with salted {!Routing.ecmp} ({!fabric_salt}), giving [supers]
+    distinct inter-pod paths across flows.  [uplink_qdisc] builds
+    each switch-to-switch upward queue, [host_qdisc] each edge→host
+    downlink queue (incast bottleneck).  A pod's devices share a
+    partition; core [c] lives with pod [c mod pods].  Raises
+    [Invalid_argument] unless every tier is positive and, with more
+    than one pod, [supers] is a positive multiple of [spines]. *)
 
 val fat_tree :
   t ->
@@ -243,42 +277,6 @@ val fat_tree :
   ?host_qdisc:(unit -> Qdisc.t) ->
   unit ->
   fat_tree
-(** Canonical k-ary fat-tree (k even): k pods of k/2 edge + k/2 agg
-    switches, (k/2)² cores, k³/4 hosts.  All routing is by address
-    {e interval} ({!Routing.add_range}): remote destinations at an
-    edge are two ranges sharing the k/2 agg uplinks, aggs own their
-    pod's edge blocks downward and split the (k/2) core uplinks by
-    range upward, cores own whole pods — so table state per switch is
-    O(k), not O(hosts).  Every tier forwards with salted
-    {!Routing.ecmp} ({!fabric_salt}), giving (k/2)² distinct
-    inter-pod paths across flows.  [uplink_qdisc] builds each
-    switch-to-switch upward queue, [host_qdisc] each edge→host
-    downlink queue (incast bottleneck). *)
-
-type multi_tier = {
-  mt_hosts : Node.t array;  (** In address order, pod-major. *)
-  mt_leaves : Switch.t array;  (** [pod·leaves + l]. *)
-  mt_spines : Switch.t array;  (** [pod·spines + s]. *)
-  mt_supers : Switch.t array;
-  mt_leaf_routes : Routing.t array;
-}
-
-val multi_leaf_spine :
-  t ->
-  pods:int ->
-  leaves:int ->
-  spines:int ->
-  supers:int ->
-  hosts_per_leaf:int ->
-  host_rate:Engine.Time.rate ->
-  fabric_rate:Engine.Time.rate ->
-  delay:Engine.Time.t ->
-  unit ->
-  multi_tier
-(** Generalized multi-tier Clos: [pods] two-tier leaf-spine blocks
-    whose spines all mesh with [supers] super-spines.  [pods = 1] with
-    [supers = 0] degenerates to a two-tier leaf-spine built on
-    interval routes.  Like {!fat_tree}, every tier forwards with
-    salted {!Routing.ecmp} over {!Routing.add_range} intervals, so
-    state per switch is O(ports), and inter-pod flows fan out over
-    spines × supers paths.  Every link keeps its default queue. *)
+(** Canonical k-ary fat-tree (k even, [Invalid_argument] otherwise):
+    {!clos} with k pods of k/2 edges, k/2 aggs and k/2 hosts per
+    edge, and (k/2)² cores — k³/4 hosts and (k/2)² inter-pod paths. *)

@@ -1176,25 +1176,13 @@ let test_endpoint_headers_reach_steady_state () =
   checkb "thousands of packets" true (!pkts > 5_000);
   checkb (Printf.sprintf "%d headers for %d packets" n !pkts) true (n <= 128)
 
-let test_endpoint_steady_state_allocates_nothing () =
-  (* One 20 MB message from a client to the server of a 10G star (one
-     lane; hosts on uplinks, so no route lookup boxes an option), the
-     client's uplink ECN-stamped to bound the window.  Once warm (2 ms),
-     sending, acking and the retransmission tick run on kept state: an
-     immediate ack names its packet in its box's own SACK cell, and a
-     send takes a slot of the flight table.  From 2 to 10 ms the
-     exchange allocates less than a word per acked packet (measured:
-     0.03); a one-entry SACK list per ack would add 6, an [Inflight]
-     record per send 4. *)
+(* Minor words per acked packet of one 20 MB message between the two
+   hosts [wire] builds, the sender's link ECN-stamped to bound the
+   window, from 2 to 10 ms (after warm-up). *)
+let steady_words_per_ack wire =
   let sim = Engine.Sim.create () in
-  let topo = Topology.create sim in
-  let st =
-    Topology.star topo ~n:1 ~rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 2) ()
-  in
-  let a = st.Topology.st_clients.(0) and b = st.Topology.st_server in
-  Mtp_switch.stamp sim (Node.uplink a) ~path_id:7
-    ~mode:(Mtp_switch.Ecn_mark 20);
+  let a, b, link = wire (Topology.create sim) in
+  Mtp_switch.stamp sim link ~path_id:7 ~mode:(Mtp_switch.Ecn_mark 20);
   let ea = Endpoint.attach (Host.create a) in
   let eb = Endpoint.attach (Host.create b) in
   Endpoint.bind eb ~port:80 (fun _ -> ());
@@ -1207,10 +1195,37 @@ let test_endpoint_steady_state_allocates_nothing () =
   let acked = Endpoint.acks_sent eb - acks in
   checkb "thousands of packets acked" true (acked > 5_000);
   checki "still sending" 1 (Endpoint.active_messages ea);
-  let per_pkt = words /. float_of_int acked in
-  checkb
-    (Printf.sprintf "%.3f words per acked packet" per_pkt)
-    true (per_pkt < 1.0)
+  words /. float_of_int acked
+
+let test_endpoint_steady_state_allocates_nothing () =
+  (* One lane, twice: a client and the server of a 10G star (hosts on
+     uplinks), and a host pair (each host routes its peer through a
+     route entry, so [Node.link_for] looks it up on every send).  Once
+     warm, sending, acking and the retransmission tick run on kept
+     state: an immediate ack names its packet in its box's own SACK
+     cell, a send takes a slot of the flight table, and a route lookup
+     boxes no option.  Each exchange allocates less than a word per
+     acked packet (measured: 0.032 and 0.037); a one-entry SACK list per
+     ack would add 6, an [Inflight] record per send 4, and an option
+     per route lookup 4. *)
+  let g = Engine.Time.gbps 10 and delay = Engine.Time.us 2 in
+  let star topo =
+    let st = Topology.star topo ~n:1 ~rate:g ~delay () in
+    let a = st.Topology.st_clients.(0) in
+    (a, st.Topology.st_server, Node.uplink a)
+  in
+  let pair topo =
+    let a = Topology.host topo "a" and b = Topology.host topo "b" in
+    let ab, _ = Topology.wire_host_pair topo a b ~rate:g ~delay () in
+    (a, b, ab)
+  in
+  List.iter
+    (fun (what, wire) ->
+      let per_pkt = steady_words_per_ack wire in
+      checkb
+        (Printf.sprintf "%s: %.3f words per acked packet" what per_pkt)
+        true (per_pkt < 1.0))
+    [ ("star", star); ("host pair", pair) ]
 
 let test_host_pool_capped () =
   (* A receiver acking every 16th packet claims 16 packets per header

@@ -931,32 +931,97 @@ let test_fat_tree_ecmp_uses_all_cores () =
         (Switch.received core > 0))
     ft.Topology.ft_cores
 
-let test_multi_leaf_spine_connectivity () =
+let test_clos_connectivity () =
   let sim = Engine.Sim.create () in
   let topo = Topology.create sim in
-  let mt =
-    Topology.multi_leaf_spine topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
+  let ft =
+    Topology.clos topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
       ~hosts_per_leaf:2 ~host_rate:(Engine.Time.gbps 10)
       ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 1) ()
   in
-  let n = Array.length mt.Topology.mt_hosts in
+  let n = Array.length ft.Topology.ft_hosts in
   checki "hosts = pods*leaves*hpl" 8 n;
   let got = Array.make n 0 in
   Array.iteri
     (fun i h -> Node.set_handler h (fun _ -> got.(i) <- got.(i) + 1))
-    mt.Topology.mt_hosts;
+    ft.Topology.ft_hosts;
   Array.iter
     (fun src ->
       Array.iter
         (fun dst ->
           if Node.addr src <> Node.addr dst then
             Node.send src (pkt ~src:(Node.addr src) ~dst:(Node.addr dst) ()))
-        mt.Topology.mt_hosts)
-    mt.Topology.mt_hosts;
+        ft.Topology.ft_hosts)
+    ft.Topology.ft_hosts;
   Engine.Sim.run sim;
   Array.iteri
     (fun i c -> checki (Printf.sprintf "host %d full mesh" i) (n - 1) c)
     got
+
+let mk_clos topo ~pods ~leaves ~spines ~supers ~hosts_per_leaf =
+  let g = Engine.Time.gbps 10 in
+  Topology.clos topo ~pods ~leaves ~spines ~supers ~hosts_per_leaf
+    ~host_rate:g ~fabric_rate:g ~delay:(Engine.Time.us 1) ()
+
+(* The switches [sw]'s ports lead to, by name ("a->b" gives "b"). *)
+let port_peers sw =
+  List.init (Switch.port_count sw) (fun i ->
+      let name = Link.name (Switch.port sw i) in
+      let at = String.index name '>' + 1 in
+      String.sub name at (String.length name - at))
+
+(* The plane rule: with m = supers / spines, agg [a] of every pod
+   meshes with cores [a*m .. a*m + m - 1] and nothing else above it, so
+   every core has one port per pod; one pod builds no core tier. *)
+let test_clos_plane_rule () =
+  let pods = 3 and leaves = 2 and spines = 2 and supers = 6 in
+  let m = supers / spines in
+  let ft =
+    mk_clos (Topology.create psim) ~pods ~leaves ~spines ~supers
+      ~hosts_per_leaf:1
+  in
+  checki "cores" supers (Array.length ft.Topology.ft_cores);
+  Array.iteri
+    (fun ai agg ->
+      let a = ai mod spines in
+      let cores =
+        List.filter (String.starts_with ~prefix:"core") (port_peers agg)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "agg %d cores" ai)
+        (List.init m (fun j -> Printf.sprintf "core%d" ((a * m) + j)))
+        cores)
+    ft.Topology.ft_aggs;
+  Array.iteri
+    (fun c core ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "core %d one port per pod" c)
+        (List.init pods (fun p -> Printf.sprintf "agg%d_%d" p (c / m)))
+        (port_peers core))
+    ft.Topology.ft_cores;
+  let one =
+    mk_clos (Topology.create psim) ~pods:1 ~leaves ~spines ~supers
+      ~hosts_per_leaf:1
+  in
+  checki "one pod, no core" 0 (Array.length one.Topology.ft_cores);
+  Array.iter
+    (fun agg -> checki "one-pod agg ports" leaves (Switch.port_count agg))
+    one.Topology.ft_aggs;
+  List.iter
+    (fun (what, pods, leaves, spines, supers, hosts_per_leaf) ->
+      match
+        mk_clos (Topology.create psim) ~pods ~leaves ~spines ~supers
+          ~hosts_per_leaf
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must raise" what)
+    [ ("no pod", 0, 2, 2, 4, 1);
+      ("no leaf", 2, 0, 2, 4, 1);
+      ("no spine", 2, 2, 0, 4, 1);
+      ("no host", 2, 2, 2, 4, 0);
+      ("multi-pod without supers", 2, 2, 2, 0, 1);
+      ("negative supers", 2, 2, 2, -2, 1);
+      ("supers not a multiple of spines", 2, 2, 2, 3, 1) ]
 
 (* ---------------------------- Partitioned -------------------------- *)
 
@@ -1000,14 +1065,14 @@ let prebuilt =
         let ft = Topology.fat_tree topo ~k:4 ~host_rate:g ~fabric_rate:g ~delay:d () in
         ( ft.Topology.ft_hosts,
           Array.concat [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] ) );
-    ( "multi_leaf_spine",
+    ( "clos",
       fun topo ->
-        let mt =
-          Topology.multi_leaf_spine topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
+        let ft =
+          Topology.clos topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
             ~hosts_per_leaf:2 ~host_rate:g ~fabric_rate:g ~delay:d ()
         in
-        ( mt.Topology.mt_hosts,
-          Array.concat [ mt.Topology.mt_leaves; mt.Topology.mt_spines; mt.Topology.mt_supers ] ) ) ]
+        ( ft.Topology.ft_hosts,
+          Array.concat [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] ) ) ]
 
 (* Every host sends one packet to every other host; returns what each
    host and switch received. *)
@@ -1375,7 +1440,8 @@ let suite =
     Alcotest.test_case "fat-tree ecmp cores" `Quick
       test_fat_tree_ecmp_uses_all_cores;
     Alcotest.test_case "multi-tier leaf-spine connectivity" `Quick
-      test_multi_leaf_spine_connectivity;
+      test_clos_connectivity;
+    Alcotest.test_case "clos plane rule" `Quick test_clos_plane_rule;
     Alcotest.test_case "partitioned builds match single-sim" `Quick
       test_partitioned_builds_match_single_sim;
     Alcotest.test_case "partition lookahead = min cut delay" `Quick
