@@ -11,16 +11,17 @@
 
    One build serves the single-sim world and the partitioned one (one
    partition per leaf or pod, two for the smaller shapes): the
-   topology places every device, and all workload state is kept per
-   partition — each trace buffer, monotone oracle and fault plan
-   belongs to one partition, and a flow's completion slot is written
-   only by its source host's partition.  The ledger and MTP endpoints
-   are read on main after the run.  A partitioned digest concatenates
-   the per-partition traces in partition order, a canonical merge:
-   the single-sim interleave depends on one global heap's tie-breaking,
-   which a partitioned world deliberately does not reproduce, so
-   partitioned digests are compared with each other across [jobs]
-   values, never with the single-sim one. *)
+   topology places and lists every device (hosts in address order),
+   and all workload state is kept per partition — each trace buffer,
+   monotone oracle and fault plan belongs to one partition, and a
+   flow's completion slot is written only by its source host's
+   partition.  The ledger and MTP endpoints are read on main after
+   the run.  A partitioned digest concatenates the per-partition
+   traces in partition order, a canonical merge: the single-sim
+   interleave depends on one global heap's tie-breaking, which a
+   partitioned world deliberately does not reproduce, so partitioned
+   digests are compared with each other across [jobs] values, never
+   with the single-sim one. *)
 
 open Netsim
 
@@ -62,17 +63,17 @@ let make_qdisc spec counter () =
 (* Hosts eligible as flow sources/destinations, in a deterministic
    order; flow indices are reduced mod these arrays so any spec maps
    onto any topology. *)
-type endpoints_shape = {
-  srcs : Node.t array;
-  dsts : Node.t array;
-  all : Node.t array;
-}
+type endpoints_shape = { srcs : Node.t array; dsts : Node.t array }
 
 let build_topology spec topo =
   let rate = Engine.Time.mbps spec.Spec.rate_mbps in
   let delay = Engine.Time.us spec.Spec.delay_us in
   let counter = ref 0 in
   let q = make_qdisc spec counter in
+  let every_host () =
+    let all = Topology.hosts topo in
+    { srcs = all; dsts = all }
+  in
   match spec.Spec.topo with
   | Spec.Pair ->
     let a = Topology.host topo "a"
@@ -80,67 +81,33 @@ let build_topology spec topo =
     ignore
       (Topology.wire_host_pair topo a b ~rate ~delay ~ab_qdisc:(q ())
          ~ba_qdisc:(q ()) ());
-    let shape = { srcs = [| a; b |]; dsts = [| a; b |]; all = [| a; b |] } in
-    (shape, [||])
+    every_host ()
   | Spec.Star n ->
-    let st = Topology.star topo ~n ~rate ~delay ~server_qdisc:(q ()) () in
-    let all = Array.append st.Topology.st_clients [| st.Topology.st_server |] in
-    ({ srcs = all; dsts = all; all }, [| st.Topology.st_switch |])
+    ignore (Topology.star topo ~n ~rate ~delay ~server_qdisc:(q ()) ());
+    every_host ()
   | Spec.Dumbbell n ->
     let db =
       Topology.dumbbell topo ~n ~edge_rate:rate ~bottleneck_rate:rate ~delay
         ~bottleneck_qdisc:(q ()) ()
     in
-    let all =
-      Array.append db.Topology.db_senders db.Topology.db_receivers
-    in
-    ( { srcs = db.Topology.db_senders; dsts = db.Topology.db_receivers; all },
-      [| db.Topology.db_left; db.Topology.db_right |] )
+    { srcs = db.Topology.db_senders; dsts = db.Topology.db_receivers }
   | Spec.Two_path ->
     let tp =
       Topology.two_path topo ~rate_a:rate ~rate_b:rate ~delay_a:delay
         ~delay_b:(2 * delay) ~edge_rate:(2 * rate) ~qdisc_a:(q ())
         ~qdisc_b:(q ()) ()
     in
-    ( { srcs = [| tp.Topology.tp_src |];
-        dsts = [| tp.Topology.tp_dst |];
-        all = [| tp.Topology.tp_src; tp.Topology.tp_dst |] },
-      [| tp.Topology.tp_ingress; tp.Topology.tp_egress |] )
+    { srcs = [| tp.Topology.tp_src |]; dsts = [| tp.Topology.tp_dst |] }
   | Spec.Leaf_spine { leaves; spines; hosts } ->
-    let ls =
-      Topology.leaf_spine topo ~leaves ~spines ~hosts_per_leaf:hosts
-        ~host_rate:rate ~fabric_rate:rate ~delay ~uplink_qdisc:q ()
-    in
-    let all =
-      Array.concat (Array.to_list ls.Topology.ls_hosts)
-    in
-    ( { srcs = all; dsts = all; all },
-      Array.append ls.Topology.ls_leaves ls.Topology.ls_spines )
+    ignore
+      (Topology.leaf_spine topo ~leaves ~spines ~hosts_per_leaf:hosts
+         ~host_rate:rate ~fabric_rate:rate ~delay ~uplink_qdisc:q ());
+    every_host ()
   | Spec.Fat_tree { k } ->
-    let ft =
-      Topology.fat_tree topo ~k ~host_rate:rate ~fabric_rate:rate ~delay
-        ~uplink_qdisc:q ()
-    in
-    let all = ft.Topology.ft_hosts in
-    ( { srcs = all; dsts = all; all },
-      Array.concat
-        [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] )
-
-(* Every link in the scenario: host uplinks plus every switch egress
-   port, deduplicated by identity (an uplink can be some switch's
-   port from the other side — it is not, in this wiring, but stay
-   safe). *)
-let collect_links (nodes : Node.t array) (switches : Switch.t array) =
-  let acc = ref [] in
-  let add l = if not (List.memq l !acc) then acc := l :: !acc in
-  Array.iter (fun n -> add (Node.uplink n)) nodes;
-  Array.iter
-    (fun sw ->
-      for i = 0 to Switch.port_count sw - 1 do
-        add (Switch.port sw i)
-      done)
-    switches;
-  Array.of_list (List.rev !acc)
+    ignore
+      (Topology.fat_tree topo ~k ~host_rate:rate ~fabric_rate:rate ~delay
+         ~uplink_qdisc:q ());
+    every_host ()
 
 let attach_stack transport host =
   match transport with
@@ -193,8 +160,15 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
   in
   let nparts = Topology.nparts topo in
   let part_of = Topology.part topo in
-  let shape, switches = build_topology spec topo in
-  let links = collect_links shape.all switches in
+  let shape = build_topology spec topo in
+  let hosts = Topology.hosts topo and switches = Topology.switches topo in
+  (* The links the digest and fault targets index: host uplinks, then
+     every switch's egress ports. *)
+  let ports sw = Array.init (Switch.port_count sw) (Switch.port sw) in
+  let links =
+    Array.concat
+      (Array.map Node.uplink hosts :: List.map ports (Array.to_list switches))
+  in
   let link_part = Array.map (fun l -> part_of (Link.sim l)) links in
   let traces = Array.init nparts (fun _ -> Buffer.create 4096) in
   let tr p fmt =
@@ -202,7 +176,7 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
   in
   (* Stacks + listeners on every host, creation order = address
      order. *)
-  let host_wraps = Array.map (fun n -> Host.create n) shape.all in
+  let host_wraps = Array.map (fun n -> Host.create n) hosts in
   let endpoints = ref [] in
   let stacks =
     Array.map
@@ -215,7 +189,7 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
   Array.iteri
     (fun i stack ->
       let here = Host.addr host_wraps.(i) in
-      let sim = Node.sim shape.all.(i) in
+      let sim = Node.sim hosts.(i) in
       let p = part_of sim in
       Transport_intf.listen stack ~port:msg_port
         ~on_message:(fun d ->
@@ -239,14 +213,7 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
       let dst_node = shape.dsts.(!dst) in
       if dst_node != shape.srcs.(src) then begin
         let dst_addr = Node.addr dst_node in
-        let src_stack =
-          (* srcs is a sub-array of all; find the host wrapper index. *)
-          let rec find j =
-            if shape.all.(j) == shape.srcs.(src) then stacks.(j)
-            else find (j + 1)
-          in
-          find 0
-        in
+        let src_stack = stacks.(Node.addr shape.srcs.(src)) in
         let sim = Node.sim shape.srcs.(src) in
         let p = part_of sim in
         Engine.Sim.schedule sim ~at:(Engine.Time.us f.Spec.f_start_us)

@@ -98,19 +98,23 @@ let int_field what s =
 
 let ( let* ) = Result.bind
 
+let positive what s =
+  let* n = int_field what s in
+  if n < 1 then parse_error "%s must be >= 1" what else Ok n
+
 let parse_topo = function
   | [ "pair" ] -> Ok Pair
   | [ "star"; n ] ->
-    let* n = int_field "star" n in
+    let* n = positive "star" n in
     Ok (Star n)
   | [ "dumbbell"; n ] ->
-    let* n = int_field "dumbbell" n in
+    let* n = positive "dumbbell" n in
     Ok (Dumbbell n)
   | [ "two_path" ] -> Ok Two_path
   | [ "leaf_spine"; l; s; h ] ->
-    let* leaves = int_field "leaf_spine leaves" l in
-    let* spines = int_field "leaf_spine spines" s in
-    let* hosts = int_field "leaf_spine hosts" h in
+    let* leaves = positive "leaf_spine leaves" l in
+    let* spines = positive "leaf_spine spines" s in
+    let* hosts = positive "leaf_spine hosts" h in
     Ok (Leaf_spine { leaves; spines; hosts })
   | [ "fat_tree"; k ] ->
     let* k = int_field "fat_tree k" k in

@@ -8,7 +8,7 @@
    fabric propagation delay, so lookahead = [delay] and the epoch
    machinery is exercised on every fabric RTT.  The [digest] renders
    the complete final state (per-partition workload counters in
-   integers, per-link and per-switch counters in canonical order) and
+   integers, per-link and per-switch counters in creation order) and
    must be byte-identical for any [jobs] value — the jobs-invariance
    tests and the fuzz pairing both lean on it.
 
@@ -57,8 +57,11 @@ type part_state = {
 let msg_port = 5001
 
 let run ?(jobs = 1) (c : config) =
-  let pls =
-    Netsim.Partition.leaf_spine ~leaves:c.leaves ~spines:c.spines
+  if c.leaves < 2 then invalid_arg "Par_leafspine.run: need >= 2 leaves";
+  let world = Netsim.Partition.create ~nparts:c.leaves () in
+  let topo = Netsim.Partition.topology world in
+  let ls =
+    Netsim.Topology.leaf_spine topo ~leaves:c.leaves ~spines:c.spines
       ~hosts_per_leaf:c.hosts_per_leaf
       ~host_rate:(Engine.Time.gbps 10)
       ~fabric_rate:(Engine.Time.gbps 10) ~delay:(Engine.Time.us 2)
@@ -66,7 +69,6 @@ let run ?(jobs = 1) (c : config) =
         Netsim.Qdisc.ecn ~cap_pkts:128 ~mark_threshold:20 ())
       ()
   in
-  let world = pls.Netsim.Partition.pls_world in
   let state =
     Array.init c.leaves (fun _ ->
         { ps_rx_bytes = 0; ps_fct_sum = 0; ps_fct_max = 0 })
@@ -74,24 +76,20 @@ let run ?(jobs = 1) (c : config) =
   let wraps =
     Array.map
       (Array.map (fun n -> Netsim.Host.create n))
-      pls.Netsim.Partition.pls_hosts
+      ls.Netsim.Topology.ls_hosts
   in
   (if c.transport = Mtp then
      (* Stamp every leaf->spine uplink as a pathlet (ECN-mark mode has
         no timers, so stamping is partition-local and passive). *)
-     let base = c.leaves * c.hosts_per_leaf * 2 in
-     for l = 0 to c.leaves - 1 do
-       for s = 0 to c.spines - 1 do
-         let up =
-           pls.Netsim.Partition.pls_links.(base + (2 * ((l * c.spines) + s)))
-         in
-         Mtp.Mtp_switch.stamp
-           (Netsim.Partition.sim world l)
-           up
-           ~path_id:((l * c.spines) + s + 1)
-           ~mode:(Mtp.Mtp_switch.Ecn_mark 20)
-       done
-     done);
+     Array.iteri
+       (fun l ups ->
+         Array.iteri
+           (fun s up ->
+             Mtp.Mtp_switch.stamp (Netsim.Link.sim up) up
+               ~path_id:((l * c.spines) + s + 1)
+               ~mode:(Mtp.Mtp_switch.Ecn_mark 20))
+           ups)
+       ls.Netsim.Topology.ls_uplinks);
   let stacks =
     Array.map
       (Array.map (fun h ->
@@ -127,7 +125,7 @@ let run ?(jobs = 1) (c : config) =
         Array.init c.hosts_per_leaf (fun i ->
             let dst =
               Netsim.Node.addr
-                pls.Netsim.Partition.pls_hosts.((l + 1) mod c.leaves).(i)
+                ls.Netsim.Topology.ls_hosts.((l + 1) mod c.leaves).(i)
             in
             Workload.Driver.closed_loop ~size:c.message_bytes
               (fun ~size ~on_complete ->
@@ -162,15 +160,14 @@ let run ?(jobs = 1) (c : config) =
         (q.Netsim.Qdisc.drops ())
         (q.Netsim.Qdisc.marks ())
         (Netsim.Link.bytes_sent l))
-    pls.Netsim.Partition.pls_links;
-  let sw_line sw =
-    line "switch %s rx=%d fwd=%d drop=%d" (Netsim.Switch.name sw)
-      (Netsim.Switch.received sw)
-      (Netsim.Switch.forwarded sw)
-      (Netsim.Switch.dropped sw)
-  in
-  Array.iter sw_line pls.Netsim.Partition.pls_leaves;
-  Array.iter sw_line pls.Netsim.Partition.pls_spines;
+    (Netsim.Topology.links topo);
+  Array.iter
+    (fun sw ->
+      line "switch %s rx=%d fwd=%d drop=%d" (Netsim.Switch.name sw)
+        (Netsim.Switch.received sw)
+        (Netsim.Switch.forwarded sw)
+        (Netsim.Switch.dropped sw))
+    (Netsim.Topology.switches topo);
   Array.iter
     (Array.iter (fun h ->
          line "host %d unclaimed=%d" (Netsim.Host.addr h)

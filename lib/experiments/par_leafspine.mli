@@ -30,5 +30,6 @@ type output = {
 }
 
 val run : ?jobs:int -> config -> output
+(** @raise Invalid_argument below 2 leaves (one partition per leaf). *)
 
 val result : ?jobs:int -> ?config:config -> unit -> Exp_common.result

@@ -225,8 +225,8 @@ let run ?(jobs = 1) ~until t =
   Runner.Epoch.run ~jobs ~lookahead ~until ~exchange:(fun () -> exchange t)
     parts
 
-(* The leaf-per-partition cut of [Topology.leaf_spine], with its links
-   listed in one canonical order for digests and fault targeting. *)
+(* The leaf-per-partition cut of [Topology.leaf_spine]; its links are
+   the topology's, in creation order. *)
 
 type leaf_spine = {
   pls_world : t;
@@ -245,20 +245,11 @@ let leaf_spine ?seed ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
     Topology.leaf_spine t.p_topo ~leaves ~spines ~hosts_per_leaf ~host_rate
       ~fabric_rate ~delay ?uplink_qdisc ()
   in
-  let per_leaf n f = List.concat (List.init leaves (fun l -> List.init n (f l))) in
-  let links =
-    Array.concat
-      (per_leaf hosts_per_leaf (fun l i ->
-           [| Node.uplink ls.Topology.ls_hosts.(l).(i);
-              Switch.port ls.Topology.ls_leaves.(l) i |])
-      (* simlint: allow H101 — canonical link listing, built once at setup *)
-      @ per_leaf spines (fun l s ->
-            [| ls.Topology.ls_uplinks.(l).(s);
-               Switch.port ls.Topology.ls_spines.(s) l |]))
-  in
+  let links = Topology.links t.p_topo in
   { pls_world = t;
     pls_hosts = ls.Topology.ls_hosts;
     pls_leaves = ls.Topology.ls_leaves;
     pls_spines = ls.Topology.ls_spines;
     pls_links = links;
-    pls_link_part = Array.map (fun l -> Topology.part t.p_topo (Link.sim l)) links }
+    pls_link_part =
+      Array.map (fun l -> Topology.part t.p_topo (Link.sim l)) links }

@@ -53,8 +53,9 @@ type leaf_spine = {
   pls_leaves : Switch.t array;
   pls_spines : Switch.t array;
   pls_links : Link.t array;
-      (** Canonical link order: per leaf, host up/down pairs; then the
-          fabric mesh in (leaf, spine) order, up then down. *)
+      (** [Topology.links] of the world: creation order, so per leaf,
+          host up/down pairs; then the fabric mesh in (leaf, spine)
+          order, up then down. *)
   pls_link_part : int array;  (** Owning partition of each link in {!pls_links}. *)
 }
 

@@ -6,7 +6,9 @@
    ends share a partition, the world's conduit when they do not.  Names,
    addresses, routes and salts therefore never depend on the cut.
    Either way the link hands each packet to the receiving device's one
-   entry point, [Switch.receive] or [Node.receive]. *)
+   entry point, [Switch.receive] or [Node.receive].  Every host, switch
+   and link is made at one of three sites ([host], [switch], [connect]),
+   which list it in [t], newest first. *)
 
 type conduit =
   src:int ->
@@ -23,10 +25,13 @@ type t = {
   sims : Engine.Sim.t array;
   conduit : conduit;
   mutable next_addr : int;
+  mutable hosts : Node.t list;
+  mutable switches : Switch.t list;
+  mutable links : Link.t list;
 }
 
 let partitioned sims ~conduit =
-  { sims; conduit; next_addr = 0 }
+  { sims; conduit; next_addr = 0; hosts = []; switches = []; links = [] }
 
 let create sim =
   let no_conduit : conduit =
@@ -53,9 +58,21 @@ let place t ~groups g = (g mod groups) * nparts t / groups
 let host ?(part = 0) t name =
   let node = Node.create t.sims.(part) ~name ~addr:t.next_addr in
   t.next_addr <- t.next_addr + 1;
+  t.hosts <- node :: t.hosts;
   node
 
-let switch ?(part = 0) t name = Switch.create t.sims.(part) ~name ()
+let switch ?(part = 0) t name =
+  let sw = Switch.create t.sims.(part) ~name () in
+  t.switches <- sw :: t.switches;
+  sw
+
+(* Creation order.  [Array.of_list] would force a minor collection (a
+   large array made from a young value), promoting the world mid-build
+   in a heap layout that slows the partitioned runs after it. *)
+let listed devices = Array.concat (List.rev_map (fun d -> [| d |]) devices)
+let hosts t = listed t.hosts
+let switches t = listed t.switches
+let links t = listed t.links
 
 (* Where a link delivers: the receiving device's simulator and its
    entry point. *)
@@ -69,14 +86,18 @@ let arrow from into =
   from ^ "->" ^ into
 
 let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver) =
-  if from == into then begin
-    let link = Link.create from ~name ~rate ~delay ?qdisc () in
-    Link.set_dst link deliver;
-    link
-  end
-  else
-    t.conduit ~src:(part t from) ~dst:(part t into) ~name ~rate ~delay ?qdisc
-      ~deliver ()
+  let link =
+    if from == into then begin
+      let link = Link.create from ~name ~rate ~delay ?qdisc () in
+      Link.set_dst link deliver;
+      link
+    end
+    else
+      t.conduit ~src:(part t from) ~dst:(part t into) ~name ~rate ~delay
+        ?qdisc ~deliver ()
+  in
+  t.links <- link :: t.links;
+  link
 
 let wire_host_to_switch t node sw ~rate ~delay ?down_qdisc () =
   let up =
@@ -283,6 +304,8 @@ type leaf_spine = {
 
 let leaf_spine t ~leaves ~spines ~hosts_per_leaf ~host_rate ~fabric_rate
     ~delay ?uplink_qdisc () =
+  if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
+    invalid_arg "Topology.leaf_spine: every tier must be positive";
   (* A leaf lives with its hosts; spine [s] with leaf [s mod leaves]. *)
   let at_leaf l = place t ~groups:leaves l in
   let leaf_sw =

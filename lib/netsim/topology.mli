@@ -52,11 +52,23 @@ val place : t -> groups:int -> int -> int
     partition [g], and a single partition maps everything to 0.
     Shared switches (spines, cores) are placed as group [i]. *)
 
+(** {1 Devices}
+
+    Every host, switch and link is made by {!host}, {!switch} or a
+    wiring helper (plain link and conduit alike) and listed in
+    creation order, so host [i] has address [i]. *)
+
 val host : ?part:int -> t -> string -> Node.t
-(** Fresh host with a unique address, in partition [part] (default
+(** Fresh host with the next address, in partition [part] (default
     0). *)
 
 val switch : ?part:int -> t -> string -> Switch.t
+val hosts : t -> Node.t array
+val switches : t -> Switch.t array
+
+val links : t -> Link.t array
+(** A wiring helper makes its forward direction first: a host's uplink
+    before its downlink. *)
 
 (** {1 Wiring} *)
 
@@ -213,7 +225,8 @@ val leaf_spine :
     [fabric_rate].  Leaves forward with {!Routing.ecmp} by default
     (override via [ls_leaf_routes]); spines route statically to the
     destination leaf.  [uplink_qdisc] creates the queue for each
-    leaf→spine link (spine→leaf and host links use defaults). *)
+    leaf→spine link (spine→leaf and host links use defaults).  Raises
+    [Invalid_argument] unless every tier is positive. *)
 
 val fabric_salt : int -> int
 (** Deterministic nonzero ECMP salt for fabric switch ordinal [i]

@@ -42,7 +42,18 @@ let test_spec_rejects_garbage () =
   checkb "unknown key rejected" true
     (bad "mtpcase v1\nseed 1\ntopo pair\nbogus 3\n");
   checkb "malformed flow rejected" true
-    (bad "mtpcase v1\nseed 1\ntopo pair\nflow 1\n")
+    (bad "mtpcase v1\nseed 1\ntopo pair\nflow 1\n");
+  (* Sizes no builder can build, in an otherwise complete spec. *)
+  let with_topo topo =
+    Printf.sprintf
+      "mtpcase v1\nseed 1\ntopo %s\nqdisc fifo 8\ntransport udp\n\
+       rate_mbps 100\ndelay_us 1\nduration_us 100\nflow 0 1 1000 0\n"
+      topo
+  in
+  checkb "star 1 accepted" false (bad (with_topo "star 1"));
+  List.iter
+    (fun topo -> checkb (topo ^ " rejected") true (bad (with_topo topo)))
+    [ "star 0"; "dumbbell 0"; "leaf_spine 0 2 1"; "leaf_spine 2 2 0" ]
 
 (* ------------------------- diff reporting -------------------------- *)
 

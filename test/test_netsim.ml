@@ -1006,77 +1006,77 @@ let test_clos_plane_rule () =
   checki "one pod, no core" 0 (Array.length one.Topology.ft_cores);
   Array.iter
     (fun agg -> checki "one-pod agg ports" leaves (Switch.port_count agg))
-    one.Topology.ft_aggs;
+    one.Topology.ft_aggs
+
+let test_builders_refuse_bad_sizes () =
+  let topo () = Topology.create (Engine.Sim.create ()) in
+  let clos (pods, leaves, spines, supers, hosts_per_leaf) () =
+    ignore (mk_clos (topo ()) ~pods ~leaves ~spines ~supers ~hosts_per_leaf)
+  in
+  let leaf_spine (leaves, spines, hosts_per_leaf) () =
+    let g = Engine.Time.gbps 10 in
+    ignore
+      (Topology.leaf_spine (topo ()) ~leaves ~spines ~hosts_per_leaf
+         ~host_rate:g ~fabric_rate:g ~delay:(Engine.Time.us 1) ())
+  in
   List.iter
-    (fun (what, pods, leaves, spines, supers, hosts_per_leaf) ->
-      match
-        mk_clos (Topology.create psim) ~pods ~leaves ~spines ~supers
-          ~hosts_per_leaf
-      with
+    (fun (what, build) ->
+      match build () with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "%s must raise" what)
-    [ ("no pod", 0, 2, 2, 4, 1);
-      ("no leaf", 2, 0, 2, 4, 1);
-      ("no spine", 2, 2, 0, 4, 1);
-      ("no host", 2, 2, 2, 4, 0);
-      ("multi-pod without supers", 2, 2, 2, 0, 1);
-      ("negative supers", 2, 2, 2, -2, 1);
-      ("supers not a multiple of spines", 2, 2, 2, 3, 1) ]
+      | () -> Alcotest.failf "%s must raise" what)
+    [ ("clos no pod", clos (0, 2, 2, 4, 1));
+      ("clos no leaf", clos (2, 0, 2, 4, 1));
+      ("clos no spine", clos (2, 2, 0, 4, 1));
+      ("clos no host", clos (2, 2, 2, 4, 0));
+      ("clos multi-pod without supers", clos (2, 2, 2, 0, 1));
+      ("clos negative supers", clos (2, 2, 2, -2, 1));
+      ("clos supers not a multiple of spines", clos (2, 2, 2, 3, 1));
+      ("leaf_spine no leaf", leaf_spine (0, 2, 1));
+      ("leaf_spine no spine", leaf_spine (2, 0, 1));
+      ("leaf_spine no host", leaf_spine (2, 2, 0)) ]
 
 (* ---------------------------- Partitioned -------------------------- *)
 
-(* Every prebuilt network, as (hosts, switches) built on a topology. *)
+(* Every prebuilt network, built on a topology. *)
 let prebuilt =
   let g = Engine.Time.gbps 10 and d = Engine.Time.us 1 in
   [ ( "dumbbell",
       fun topo ->
-        let db =
-          Topology.dumbbell topo ~n:2 ~edge_rate:g ~bottleneck_rate:g ~delay:d ()
-        in
-        ( Array.append db.Topology.db_senders db.Topology.db_receivers,
-          [| db.Topology.db_left; db.Topology.db_right |] ) );
+        ignore
+          (Topology.dumbbell topo ~n:2 ~edge_rate:g ~bottleneck_rate:g
+             ~delay:d ()) );
     ( "two_path",
       fun topo ->
-        let tp =
-          Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:d ~delay_b:(2 * d)
-            ~edge_rate:g ()
-        in
-        ( [| tp.Topology.tp_src; tp.Topology.tp_dst |],
-          [| tp.Topology.tp_ingress; tp.Topology.tp_egress |] ) );
+        ignore
+          (Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:d
+             ~delay_b:(2 * d) ~edge_rate:g ()) );
     ( "proxy_chain",
       fun topo ->
-        let ch = Topology.proxy_chain topo ~front_rate:g ~back_rate:g ~delay:d () in
-        ([| ch.Topology.ch_client; ch.Topology.ch_proxy; ch.Topology.ch_server |], [||]) );
+        ignore
+          (Topology.proxy_chain topo ~front_rate:g ~back_rate:g ~delay:d ()) );
     ( "star",
-      fun topo ->
-        let st = Topology.star topo ~n:3 ~rate:g ~delay:d () in
-        ( Array.append st.Topology.st_clients [| st.Topology.st_server |],
-          [| st.Topology.st_switch |] ) );
+      fun topo -> ignore (Topology.star topo ~n:3 ~rate:g ~delay:d ()) );
     ( "leaf_spine",
       fun topo ->
-        let ls =
-          Topology.leaf_spine topo ~leaves:3 ~spines:2 ~hosts_per_leaf:2
-            ~host_rate:g ~fabric_rate:g ~delay:d ()
-        in
-        ( Array.concat (Array.to_list ls.Topology.ls_hosts),
-          Array.append ls.Topology.ls_leaves ls.Topology.ls_spines ) );
+        ignore
+          (Topology.leaf_spine topo ~leaves:3 ~spines:2 ~hosts_per_leaf:2
+             ~host_rate:g ~fabric_rate:g ~delay:d ()) );
     ( "fat_tree",
       fun topo ->
-        let ft = Topology.fat_tree topo ~k:4 ~host_rate:g ~fabric_rate:g ~delay:d () in
-        ( ft.Topology.ft_hosts,
-          Array.concat [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] ) );
+        ignore
+          (Topology.fat_tree topo ~k:4 ~host_rate:g ~fabric_rate:g ~delay:d ())
+    );
     ( "clos",
       fun topo ->
-        let ft =
-          Topology.clos topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
-            ~hosts_per_leaf:2 ~host_rate:g ~fabric_rate:g ~delay:d ()
-        in
-        ( ft.Topology.ft_hosts,
-          Array.concat [ ft.Topology.ft_edges; ft.Topology.ft_aggs; ft.Topology.ft_cores ] ) ) ]
+        ignore
+          (Topology.clos topo ~pods:2 ~leaves:2 ~spines:2 ~supers:2
+             ~hosts_per_leaf:2 ~host_rate:g ~fabric_rate:g ~delay:d ()) ) ]
 
-(* Every host sends one packet to every other host; returns what each
-   host and switch received. *)
-let all_pairs (hosts, switches) run =
+(* Build a network on [topo], then every host sends one packet to every
+   other host; returns what each host and switch received. *)
+let all_pairs build topo run =
+  build topo;
+  let hosts = Topology.hosts topo in
   let got = Array.make (Array.length hosts) 0 in
   Array.iteri (fun i h -> Node.set_handler h (fun _ -> got.(i) <- got.(i) + 1)) hosts;
   Array.iter
@@ -1088,7 +1088,8 @@ let all_pairs (hosts, switches) run =
         hosts)
     hosts;
   run ();
-  (Array.to_list got, Array.to_list (Array.map Switch.received switches))
+  ( Array.to_list got,
+    Array.to_list (Array.map Switch.received (Topology.switches topo)) )
 
 let test_partitioned_builds_match_single_sim () =
   (* One builder, any cut: each prebuilt network on a 2- and a
@@ -1097,20 +1098,86 @@ let test_partitioned_builds_match_single_sim () =
   List.iter
     (fun (name, build) ->
       let sim = Engine.Sim.create () in
-      let single = all_pairs (build (Topology.create sim)) (fun () -> Engine.Sim.run sim) in
+      let single =
+        all_pairs build (Topology.create sim) (fun () -> Engine.Sim.run sim)
+      in
       List.iter
         (fun (nparts, jobs) ->
           let world = Partition.create ~nparts () in
           let got =
-            all_pairs
-              (build (Partition.topology world))
-              (fun () -> Partition.run ~jobs ~until:(Engine.Time.ms 1) world)
+            all_pairs build (Partition.topology world) (fun () ->
+                Partition.run ~jobs ~until:(Engine.Time.ms 1) world)
           in
           Alcotest.(check (pair (list int) (list int)))
             (Printf.sprintf "%s: %d partitions, jobs=%d" name nparts jobs)
             single got)
         [ (2, 1); (2, 2); (3, 1); (3, 2) ])
     prebuilt
+
+let test_topology_lists_every_device () =
+  (* Each prebuilt network, on 1, 2 and 3 partitions, lists every
+     device once: hosts in address order, every host uplink and switch
+     port among the links (conduits too), each link in one of the
+     world's simulators. *)
+  let once at what devices =
+    Array.iteri
+      (fun i x ->
+        Array.iteri
+          (fun j y ->
+            if i < j && x == y then
+              Alcotest.failf "%s: %s %d listed twice" at what i)
+          devices)
+      devices
+  in
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun nparts ->
+          let world = Partition.create ~nparts () in
+          let topo = Partition.topology world in
+          build topo;
+          let at = Printf.sprintf "%s, %d partitions" name nparts in
+          let hosts = Topology.hosts topo
+          and switches = Topology.switches topo
+          and links = Topology.links topo in
+          once at "host" hosts;
+          once at "switch" switches;
+          once at "link" links;
+          Array.iteri
+            (fun i h -> checki (at ^ ": host address") i (Node.addr h))
+            hosts;
+          let listed l = Array.exists (fun l' -> l' == l) links in
+          Array.iter
+            (fun h ->
+              checkb (at ^ ": uplink listed") true (listed (Node.uplink h)))
+            hosts;
+          Array.iter
+            (fun sw ->
+              for i = 0 to Switch.port_count sw - 1 do
+                checkb (at ^ ": port listed") true (listed (Switch.port sw i))
+              done)
+            switches;
+          let sims = List.init nparts (Partition.sim world) in
+          Array.iter
+            (fun l ->
+              checkb (at ^ ": link in the world") true
+                (List.exists (fun s -> s == Link.sim l) sims))
+            links)
+        [ 1; 2; 3 ])
+    prebuilt;
+  let g = Engine.Time.gbps 10 in
+  let pls =
+    Partition.leaf_spine ~leaves:3 ~spines:2 ~hosts_per_leaf:2 ~host_rate:g
+      ~fabric_rate:g ~delay:(Engine.Time.us 1) ()
+  in
+  let links = Topology.links (Partition.topology pls.Partition.pls_world) in
+  checki "pls_links count" (Array.length links)
+    (Array.length pls.Partition.pls_links);
+  Array.iteri
+    (fun i l ->
+      checkb (Printf.sprintf "pls_links.(%d) is Topology.links" i) true
+        (pls.Partition.pls_links.(i) == l))
+    links
 
 let test_partition_lookahead_is_min_cut_delay () =
   (* The two-path cut crosses path A (3 us), path B (7 us) and the
@@ -1442,6 +1509,10 @@ let suite =
     Alcotest.test_case "multi-tier leaf-spine connectivity" `Quick
       test_clos_connectivity;
     Alcotest.test_case "clos plane rule" `Quick test_clos_plane_rule;
+    Alcotest.test_case "builders refuse bad sizes" `Quick
+      test_builders_refuse_bad_sizes;
+    Alcotest.test_case "topology lists every device" `Quick
+      test_topology_lists_every_device;
     Alcotest.test_case "partitioned builds match single-sim" `Quick
       test_partitioned_builds_match_single_sim;
     Alcotest.test_case "partition lookahead = min cut delay" `Quick
