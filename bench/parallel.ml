@@ -9,7 +9,7 @@
      Rows must be structurally identical at every width (determinism
      contract).
    - single scenario: the partitioned leaf-spine exhibit
-     (Experiments.Par_leafspine on Netsim.Partition + Runner.Epoch) at
+     (Experiments.Ext_leafspine on Netsim.Partition + Runner.Epoch) at
      jobs 1 vs 2 — the same ONE simulation on one worker and on two,
      digests compared byte-for-byte.
 
@@ -62,10 +62,10 @@ let sweep ?(flips_us = fixed_flips) ~jobs () =
         ~emit ())
 
 let scenario_config =
-  { Experiments.Par_leafspine.default with
-    Experiments.Par_leafspine.duration = fixed_duration }
+  { Experiments.Ext_leafspine.default with
+    Experiments.Ext_leafspine.duration = fixed_duration }
 
-let scenario ~jobs = Experiments.Par_leafspine.run ~jobs scenario_config
+let scenario ~jobs = Experiments.Ext_leafspine.run ~jobs scenario_config
 
 (* ------------------------- baseline parsing ------------------------ *)
 
@@ -159,12 +159,12 @@ let () =
   let sc1, sc1_s = wall (fun () -> scenario ~jobs:1) in
   let sc1_words =
     (Gc.minor_words () -. w0)
-    /. float_of_int (max 1 sc1.Experiments.Par_leafspine.events)
+    /. float_of_int (max 1 sc1.Experiments.Ext_leafspine.events)
   in
   let sc2, sc2_s = wall (fun () -> scenario ~jobs:2) in
   let sc_speedup = sc1_s /. Float.max 1e-9 sc2_s in
   let digests_identical =
-    sc1.Experiments.Par_leafspine.digest = sc2.Experiments.Par_leafspine.digest
+    sc1.Experiments.Ext_leafspine.digest = sc2.Experiments.Ext_leafspine.digest
   in
   Printf.printf "%-24s %8.2f s\n" "scenario --jobs 1" sc1_s;
   Printf.printf "%-24s %8.2f s\n" "scenario --jobs 2" sc2_s;
@@ -227,9 +227,9 @@ let () =
                \"speedup\": %.2f }"
               jobs (min jobs points) s (speedup_of s))
           runs))
-    scenario_config.Experiments.Par_leafspine.leaves
-    scenario_config.Experiments.Par_leafspine.spines
-    scenario_config.Experiments.Par_leafspine.hosts_per_leaf sc1_s sc2_s
+    scenario_config.Experiments.Ext_leafspine.leaves
+    scenario_config.Experiments.Ext_leafspine.spines
+    scenario_config.Experiments.Ext_leafspine.hosts_per_leaf sc1_s sc2_s
     sc_speedup digests_identical sc1_words scenario_recorded_words words_bar
     identical tolerance
     (String.concat ", "

@@ -98,9 +98,15 @@ let int_field what s =
 
 let ( let* ) = Result.bind
 
-let positive what s =
+(* Bounds are what [Scenario.build] can run, not the generator's
+   narrower ranges: a rate divides, and times, sizes and indices are
+   scheduled or reduced mod a device count. *)
+let at_least lo what s =
   let* n = int_field what s in
-  if n < 1 then parse_error "%s must be >= 1" what else Ok n
+  if n < lo then parse_error "%s must be >= %d" what lo else Ok n
+
+let positive = at_least 1
+let non_negative = at_least 0
 
 let parse_topo = function
   | [ "pair" ] -> Ok Pair
@@ -132,9 +138,11 @@ let parse_qdisc = function
     Ok (Q_ecn { cap; thresh })
   | [ "red"; cap; mn; mx ] ->
     let* cap = int_field "red cap" cap in
-    let* min_th = int_field "red min_th" mn in
+    let* min_th = non_negative "red min_th" mn in
     let* max_th = int_field "red max_th" mx in
-    Ok (Q_red { cap; min_th; max_th })
+    (* [Scenario] clamps max_th into (min_th, cap]. *)
+    if min_th >= cap then parse_error "red min_th must be below cap"
+    else Ok (Q_red { cap; min_th; max_th })
   | [ "trim"; cap ] ->
     let* cap = int_field "trim cap" cap in
     Ok (Q_trim cap)
@@ -149,16 +157,16 @@ let parse_transport = function
 
 let parse_fault = function
   | [ "down"; l; d; u ] ->
-    let* link = int_field "fault down link" l in
-    let* down_us = int_field "fault down at" d in
-    let* up_us = int_field "fault down up" u in
+    let* link = non_negative "fault down link" l in
+    let* down_us = non_negative "fault down at" d in
+    let* up_us = non_negative "fault down up" u in
     Ok (F_down_up { link; down_us; up_us })
   | [ "corrupt"; l; r ] ->
-    let* link = int_field "fault corrupt link" l in
-    let* rate_pct = int_field "fault corrupt rate" r in
+    let* link = non_negative "fault corrupt link" l in
+    let* rate_pct = non_negative "fault corrupt rate" r in
     Ok (F_corrupt { link; rate_pct })
   | [ "gilbert"; l ] ->
-    let* link = int_field "fault gilbert link" l in
+    let* link = non_negative "fault gilbert link" l in
     Ok (F_gilbert { link })
   | ws -> parse_error "bad fault: %S" (String.concat " " ws)
 
@@ -210,22 +218,22 @@ let of_string s =
           p.p_transport <- Some v;
           Ok ()
         | "rate_mbps" :: [ v ] ->
-          let* v = int_field "rate_mbps" v in
+          let* v = positive "rate_mbps" v in
           p.p_rate <- Some v;
           Ok ()
         | "delay_us" :: [ v ] ->
-          let* v = int_field "delay_us" v in
+          let* v = non_negative "delay_us" v in
           p.p_delay <- Some v;
           Ok ()
         | "duration_us" :: [ v ] ->
-          let* v = int_field "duration_us" v in
+          let* v = non_negative "duration_us" v in
           p.p_duration <- Some v;
           Ok ()
         | "flow" :: [ a; b; c; d ] ->
-          let* f_src = int_field "flow src" a in
-          let* f_dst = int_field "flow dst" b in
-          let* f_size = int_field "flow size" c in
-          let* f_start_us = int_field "flow start" d in
+          let* f_src = non_negative "flow src" a in
+          let* f_dst = non_negative "flow dst" b in
+          let* f_size = positive "flow size" c in
+          let* f_start_us = non_negative "flow start" d in
           p.p_flows <- { f_src; f_dst; f_size; f_start_us } :: p.p_flows;
           Ok ()
         | "fault" :: ws ->

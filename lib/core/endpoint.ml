@@ -760,14 +760,18 @@ let rec max_rto tbl acc = function
   | [] -> acc
   | r :: rest -> max_rto tbl (Int.max acc (Cc.rto (Pathlet.get tbl r))) rest
 
-(* The tick's two tests, walked over [active.(i ..)] (the messages of
-   [tx_table]) so that a tick with nothing due allocates nothing. *)
+(* The tick's two tests.  Each is walked over [active.(i ..)] (the
+   messages of [tx_table]) by its own closure-free recursion that
+   conses only due messages, so a tick with nothing due allocates
+   nothing. *)
 let past_deadline time msg =
   match msg.tx_deadline with Some d -> time >= d | None -> false
 
-let rec any_past_deadline t time i =
-  i < t.n_active
-  && (past_deadline time t.active.(i) || any_past_deadline t time (i + 1))
+let rec late t time i acc =
+  if i >= t.n_active then acc
+  else
+    let msg = t.active.(i) in
+    late t time (i + 1) (if past_deadline time msg then msg :: acc else acc)
 
 (* Only messages with packets actually in the network can time out; a
    message merely blocked on the window is not stalled. *)
@@ -776,59 +780,60 @@ let timed_out t time msg =
   && time - msg.tx_last_progress
      > max_rto t.path_table 0 (lane_path t msg.tx_lane)
 
-let rec any_timed_out t time i =
-  i < t.n_active
-  && (timed_out t time t.active.(i) || any_timed_out t time (i + 1))
+let rec stalled t time i acc =
+  if i >= t.n_active then acc
+  else
+    let msg = t.active.(i) in
+    stalled t time (i + 1) (if timed_out t time msg then msg :: acc else acc)
 
-(* Both sweeps collect from the hash table and then sort by message id
-   before acting, so failure/retransmit event order is a function of
-   the ids, never of OCaml's hash layout. *)
+(* Both sweeps act in message-id order, so failure/retransmit event
+   order is a function of the ids alone. *)
 let by_id a b = Int.compare a.tx_id b.tx_id
+
+let in_id_order = function
+  | ([] | [ _ ]) as msgs -> msgs
+  | msgs -> List.sort by_id msgs
 
 (* Deadline sweep: a message past its deadline is aborted even if it
    is merely window-blocked and could never time out. *)
-let fail_late t time =
-  let dead = ref [] in
-  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Itbl.iter
-    (fun _ msg -> if past_deadline time msg then dead := msg :: !dead)
-    t.tx_table;
-  List.iter (fail_message t) (List.sort by_id !dead)
+let rec fail_late t = function
+  | [] -> ()
+  | msg :: rest ->
+    fail_message t msg;
+    fail_late t rest
 
 (* Timeout sweep: every packet in flight of a timed-out message is
    presumed lost.  The loss (and the health strike) is attributed to
    the pathlets those packets were actually charged to, not the whole
    current path set — a timeout on a dead pathlet must not penalise
    the healthy one carrying the rest of the traffic. *)
-let expire t time =
-  let expired = ref [] in
-  (* simlint: allow D001 — collected messages are sorted by tx_id below *)
-  Itbl.iter
-    (fun _ msg -> if timed_out t time msg then expired := msg :: !expired)
-    t.tx_table;
-  List.iter
-    (fun msg ->
-      t.n_timeouts <- t.n_timeouts + 1;
-      if Telemetry.Ctx.on () then
-        probe_event t ~kind:Telemetry.Events.Rto ~dst:msg.tx_dst ~size:0
-          ~a:msg.tx_id ~b:t.n_timeouts;
-      msg.tx_last_progress <- time;
-      let blamed = ref [] in
-      for i = 0 to msg.tx_npkts - 1 do
-        let slot = msg.states.(i) in
-        if slot >= 0 then begin
-          List.iter
-            (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
-            t.fl_charged.(slot);
-          leave_flight t msg i slot lost;
-          push_retx t msg i
-        end
-      done;
+let expire_one t time msg =
+  t.n_timeouts <- t.n_timeouts + 1;
+  if Telemetry.Ctx.on () then
+    probe_event t ~kind:Telemetry.Events.Rto ~dst:msg.tx_dst ~size:0
+      ~a:msg.tx_id ~b:t.n_timeouts;
+  msg.tx_last_progress <- time;
+  let blamed = ref [] in
+  for i = 0 to msg.tx_npkts - 1 do
+    let slot = msg.states.(i) in
+    if slot >= 0 then begin
       List.iter
-        (fun r -> Cc.on_loss (Pathlet.get t.path_table r) ~now:time)
-        !blamed;
-      Pathlet.note_timeout t.path_table !blamed ~now:time)
-    (List.sort by_id !expired)
+        (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
+        t.fl_charged.(slot);
+      leave_flight t msg i slot lost;
+      push_retx t msg i
+    end
+  done;
+  List.iter
+    (fun r -> Cc.on_loss (Pathlet.get t.path_table r) ~now:time)
+    !blamed;
+  Pathlet.note_timeout t.path_table !blamed ~now:time
+
+let rec expire t time = function
+  | [] -> ()
+  | msg :: rest ->
+    expire_one t time msg;
+    expire t time rest
 
 (* Rounds repeat while a message may still send.  A round that opened
    a new epoch is followed by a full one, since any refusal may have
@@ -863,15 +868,16 @@ and ensure_ticker t =
 
 and check_timeouts t =
   let time = now t in
-  if any_past_deadline t time 0 then fail_late t time;
+  fail_late t (in_id_order (late t time 0 []));
   (* The aborts above discharged flight, and the clock moved: path sets
      are read afresh, so the epoch turns before the timeout test reads
      them, whether or not any message is due. *)
   t.epoch <- t.epoch + 1;
-  if any_timed_out t time 0 then begin
-    expire t time;
+  match stalled t time 0 [] with
+  | [] -> ()
+  | expired ->
+    expire t time (in_id_order expired);
     pump t
-  end
 
 (* ------------------------------------------------------------------ *)
 (* ACK processing (sender side)                                         *)

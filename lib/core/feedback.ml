@@ -14,49 +14,33 @@ let encoded_size = function
   | Delay _ -> 6
   | Trimmed -> 2
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let add_u16 buf v =
-  add_u8 buf (v lsr 8);
-  add_u8 buf v
-
-let add_u32 buf v =
-  add_u16 buf (v lsr 16);
-  add_u16 buf v
-
 let encode buf t =
-  add_u8 buf (type_code t);
+  Buffer.add_uint8 buf (type_code t);
   match t with
   | Ecn b ->
-    add_u8 buf 1;
-    add_u8 buf (if b then 1 else 0)
+    Buffer.add_uint8 buf 1;
+    Buffer.add_uint8 buf (if b then 1 else 0)
   | Queue d ->
-    add_u8 buf 2;
-    add_u16 buf d
+    Buffer.add_uint8 buf 2;
+    Buffer.add_uint16_be buf d
   | Rate mbps ->
-    add_u8 buf 4;
-    add_u32 buf mbps
+    Buffer.add_uint8 buf 4;
+    Buffer.add_int32_be buf (Int32.of_int mbps)
   | Delay ns ->
-    add_u8 buf 4;
-    add_u32 buf ns
-  | Trimmed -> add_u8 buf 0
-
-let get_u8 b pos = Char.code (Bytes.get b pos)
-
-let get_u16 b pos = (get_u8 b pos lsl 8) lor get_u8 b (pos + 1)
-
-let get_u32 b pos = (get_u16 b pos lsl 16) lor get_u16 b (pos + 2)
+    Buffer.add_uint8 buf 4;
+    Buffer.add_int32_be buf (Int32.of_int ns)
+  | Trimmed -> Buffer.add_uint8 buf 0
 
 let decode b ~pos =
-  let code = get_u8 b pos in
-  let len = get_u8 b (pos + 1) in
+  let code = Bytes.get_uint8 b pos in
+  let len = Bytes.get_uint8 b (pos + 1) in
   let body = pos + 2 in
   let value =
     match code with
-    | 1 -> Ecn (get_u8 b body <> 0)
-    | 2 -> Queue (get_u16 b body)
-    | 3 -> Rate (get_u32 b body)
-    | 4 -> Delay (get_u32 b body)
+    | 1 -> Ecn (Bytes.get_uint8 b body <> 0)
+    | 2 -> Queue (Bytes.get_uint16_be b body)
+    | 3 -> Rate (Int32.to_int (Bytes.get_int32_be b body) land 0xFFFF_FFFF)
+    | 4 -> Delay (Int32.to_int (Bytes.get_int32_be b body) land 0xFFFF_FFFF)
     | 5 -> Trimmed
     | n -> failwith (Printf.sprintf "Feedback.decode: unknown type %d" n)
   in

@@ -48,27 +48,17 @@ let encoded_size t =
   + (pkt_ref_size * List.length t.sack)
   + (pkt_ref_size * List.length t.nack)
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let add_u16 buf v =
-  add_u8 buf (v lsr 8);
-  add_u8 buf v
-
-let add_u32 buf v =
-  add_u16 buf (v lsr 16);
-  add_u16 buf v
-
 let encode_path_ref buf { path_id; path_tc } =
-  add_u16 buf path_id;
-  add_u8 buf path_tc
+  Buffer.add_uint16_be buf path_id;
+  Buffer.add_uint8 buf path_tc
 
 let encode_path_fb buf { fb_path; fb } =
   encode_path_ref buf fb_path;
   Feedback.encode buf fb
 
 let encode_pkt_ref buf { ref_msg; ref_pkt } =
-  add_u32 buf ref_msg;
-  add_u32 buf ref_pkt
+  Buffer.add_int32_be buf (Int32.of_int ref_msg);
+  Buffer.add_int32_be buf (Int32.of_int ref_pkt)
 
 (* Each list goes out behind a u8 count. *)
 let add_count buf what l =
@@ -76,23 +66,23 @@ let add_count buf what l =
   if n > 0xff then
     invalid_arg
       (Printf.sprintf "Wire.encode: %d %s entries exceed the u8 count" n what);
-  add_u8 buf n
+  Buffer.add_uint8 buf n
 
 let encode t =
   let buf = Buffer.create 64 in
-  add_u16 buf t.src_port;
-  add_u16 buf t.dst_port;
-  add_u32 buf t.msg_id;
-  add_u8 buf t.msg_pri;
-  add_u8 buf t.msg_tc;
-  add_u32 buf t.msg_len;
-  add_u32 buf t.msg_pkts;
-  add_u32 buf t.pkt_num;
-  add_u32 buf t.pkt_offset;
-  add_u16 buf t.pkt_len;
-  add_u8 buf (if t.is_ack then 1 else 0);
-  add_u32 buf t.cookie;
-  add_u32 buf t.cookie2;
+  Buffer.add_uint16_be buf t.src_port;
+  Buffer.add_uint16_be buf t.dst_port;
+  Buffer.add_int32_be buf (Int32.of_int t.msg_id);
+  Buffer.add_uint8 buf t.msg_pri;
+  Buffer.add_uint8 buf t.msg_tc;
+  Buffer.add_int32_be buf (Int32.of_int t.msg_len);
+  Buffer.add_int32_be buf (Int32.of_int t.msg_pkts);
+  Buffer.add_int32_be buf (Int32.of_int t.pkt_num);
+  Buffer.add_int32_be buf (Int32.of_int t.pkt_offset);
+  Buffer.add_uint16_be buf t.pkt_len;
+  Buffer.add_uint8 buf (if t.is_ack then 1 else 0);
+  Buffer.add_int32_be buf (Int32.of_int t.cookie);
+  Buffer.add_int32_be buf (Int32.of_int t.cookie2);
   add_count buf "path_exclude" t.path_exclude;
   List.iter (encode_path_ref buf) t.path_exclude;
   add_count buf "path_feedback" t.path_feedback;
@@ -107,26 +97,20 @@ let encode t =
 
 let new_cell () = [ { ref_msg = 0; ref_pkt = 0 } ]
 
-let get_u8 b pos = Char.code (Bytes.get b pos)
-
-let get_u16 b pos = (get_u8 b pos lsl 8) lor get_u8 b (pos + 1)
-
-let get_u32 b pos = (get_u16 b pos lsl 16) lor get_u16 b (pos + 2)
-
 let decode b =
   let pos = ref 0 in
   let u8 () =
-    let v = get_u8 b !pos in
+    let v = Bytes.get_uint8 b !pos in
     incr pos;
     v
   in
   let u16 () =
-    let v = get_u16 b !pos in
+    let v = Bytes.get_uint16_be b !pos in
     pos := !pos + 2;
     v
   in
   let u32 () =
-    let v = get_u32 b !pos in
+    let v = Int32.to_int (Bytes.get_int32_be b !pos) land 0xFFFF_FFFF in
     pos := !pos + 4;
     v
   in

@@ -238,7 +238,7 @@ let incast =
     (one (fun config -> result ~config ()))
 
 let par_leafspine =
-  let open Par_leafspine in
+  let open Ext_leafspine in
   exhibit "par-leafspine"
     "One large leaf-spine scenario on the partitioned world: per-leaf \
      simulation domains exchange fabric traffic through lookahead-delay \
@@ -251,8 +251,8 @@ let par_leafspine =
         *. (float_of_int c.hosts_per_leaf +. float_of_int c.spines)))
     [ duration (fun c -> c.duration) (fun v c -> { c with duration = v });
       flag "transport" "Transport on every host: $(b,dctcp) or $(b,mtp)."
-        (Enum [ ("dctcp", Dctcp); ("mtp", Mtp) ])
-        (fun c -> c.transport) (fun v c -> { c with transport = v });
+        (Enum [ ("dctcp", Dctcp_messages); ("mtp", Mtp) ])
+        (fun c -> c.scheme) (fun v c -> { c with scheme = v });
       flag "leaves"
         "Leaf switches (= partitions); >= 2, and leaves x (hosts + spines) \
          at most 4096."
@@ -264,7 +264,7 @@ let par_leafspine =
       flag "msg-kb" "Message size (KB) of each chain." (msg_size Kb)
         (fun c -> c.message_bytes) (fun v c -> { c with message_bytes = v }) ]
     (fun ~jobs ~emit config ->
-      [ Exp_common.job (fun () -> result ~jobs ~config ()) ~commit:emit ])
+      [ Exp_common.job (fun () -> par_result ~jobs ~config ()) ~commit:emit ])
 
 let all =
   [ table1; fig2; fig3; fig5; fig6; fig7; extensions; messaging; failover;

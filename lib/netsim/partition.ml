@@ -170,8 +170,6 @@ let create ?(seed = 42) ~nparts () =
   { p_sims = sims; p_conduits = reg;
     p_topo = Topology.partitioned sims ~conduit }
 
-let nparts t = Array.length t.p_sims
-
 let sim t p = t.p_sims.(p)
 
 let topology t = t.p_topo

@@ -22,8 +22,6 @@ val create : ?seed:int -> nparts:int -> unit -> t
 (** [nparts] worlds with per-partition [Sim] seeds derived from
     [seed] (default 42) via [Engine.Rng.derive]. *)
 
-val nparts : t -> int
-
 val sim : t -> int -> Engine.Sim.t
 (** Partition [p]'s simulator. *)
 

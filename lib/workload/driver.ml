@@ -12,13 +12,6 @@ let started t = t.n_started
 let completed t = t.n_completed
 let stop t = t.running <- false
 
-let pooled_fcts ts =
-  let all = Stats.Summary.create () in
-  List.iter
-    (fun t -> Array.iter (Stats.Summary.add all) (Stats.Summary.samples t.d_fcts))
-    ts;
-  all
-
 let create () =
   { d_fcts = Stats.Summary.create (); n_started = 0; n_completed = 0;
     running = true }

@@ -19,10 +19,6 @@ val completed : t -> int
 
 val stop : t -> unit
 
-val pooled_fcts : t list -> Stats.Summary.t
-(** The completion times of every driver in one summary, e.g. for a
-    percentile across many independent chains. *)
-
 val poisson :
   Engine.Sim.t ->
   rng:Engine.Rng.t ->

@@ -43,17 +43,34 @@ let test_spec_rejects_garbage () =
     (bad "mtpcase v1\nseed 1\ntopo pair\nbogus 3\n");
   checkb "malformed flow rejected" true
     (bad "mtpcase v1\nseed 1\ntopo pair\nflow 1\n");
-  (* Sizes no builder can build, in an otherwise complete spec. *)
-  let with_topo topo =
-    Printf.sprintf
-      "mtpcase v1\nseed 1\ntopo %s\nqdisc fifo 8\ntransport udp\n\
-       rate_mbps 100\ndelay_us 1\nduration_us 100\nflow 0 1 1000 0\n"
-      topo
+  (* One value per line of an otherwise complete spec: the lowest a
+     scenario can run is accepted, values no scenario can run are
+     parse errors. *)
+  let lines =
+    [ ("topo", "pair"); ("qdisc", "fifo 8"); ("transport", "udp");
+      ("rate_mbps", "100"); ("delay_us", "1"); ("duration_us", "100");
+      ("flow", "0 1 1000 0") ]
   in
-  checkb "star 1 accepted" false (bad (with_topo "star 1"));
+  let with_line key v =
+    let line (k, d) = Printf.sprintf "%s %s\n" k (if k = key then v else d) in
+    "mtpcase v1\nseed 1\n"
+    ^ String.concat "" (List.map line lines)
+    ^ if key = "fault" then Printf.sprintf "fault %s\n" v else ""
+  in
   List.iter
-    (fun topo -> checkb (topo ^ " rejected") true (bad (with_topo topo)))
-    [ "star 0"; "dumbbell 0"; "leaf_spine 0 2 1"; "leaf_spine 2 2 0" ]
+    (fun (key, v) ->
+      checkb (key ^ " " ^ v ^ " accepted") false (bad (with_line key v)))
+    [ ("topo", "star 1"); ("delay_us", "0"); ("duration_us", "0");
+      ("qdisc", "red 1 0 0"); ("fault", "down 0 0 0") ];
+  List.iter
+    (fun (key, v) ->
+      checkb (key ^ " " ^ v ^ " rejected") true (bad (with_line key v)))
+    [ ("topo", "star 0"); ("topo", "dumbbell 0"); ("topo", "leaf_spine 0 2 1");
+      ("topo", "leaf_spine 2 2 0"); ("rate_mbps", "0"); ("delay_us", "-5");
+      ("duration_us", "-100"); ("flow", "-1 1 1000 0"); ("flow", "0 1 0 0");
+      ("flow", "0 1 1000 -10"); ("qdisc", "red 0 0 0");
+      ("fault", "down -1 100 200"); ("fault", "down 0 -5 100");
+      ("fault", "corrupt 0 -5") ]
 
 (* ------------------------- diff reporting -------------------------- *)
 

@@ -11,7 +11,7 @@
 
    End-to-end (the jobs-invariance tests): the fig5/fig6 sweeps, the
    failover experiment, sweep replications and the partitioned
-   single-scenario exhibit (Par_leafspine) must produce byte-identical
+   single-scenario exhibit (Ext_leafspine) must produce byte-identical
    printed output/digests at [~jobs:1] and wider.  These run the real
    exhibits at reduced scale on real domains. *)
 
@@ -307,23 +307,28 @@ let test_failure_runs_every_index () =
 (* -------------------- partitioned single scenario ------------------ *)
 
 let test_par_leafspine_jobs_invariant () =
-  let config =
-    { Experiments.Par_leafspine.default with
-      Experiments.Par_leafspine.leaves = 3;
-      spines = 2;
-      hosts_per_leaf = 2;
-      duration = Engine.Time.us 400 }
-  in
-  let out jobs = Experiments.Par_leafspine.run ~jobs config in
-  let o1 = out 1 and o2 = out 2 and o4 = out 4 in
-  Alcotest.(check string)
-    "digest byte-identical, jobs 1 vs 2"
-    o1.Experiments.Par_leafspine.digest o2.Experiments.Par_leafspine.digest;
-  Alcotest.(check string)
-    "digest byte-identical, jobs 1 vs 4"
-    o1.Experiments.Par_leafspine.digest o4.Experiments.Par_leafspine.digest;
-  checkb "simulation made progress" true
-    (o1.Experiments.Par_leafspine.events > 0)
+  let module L = Experiments.Ext_leafspine in
+  List.iter
+    (fun (name, scheme) ->
+      let config =
+        { L.default with
+          L.leaves = 3;
+          spines = 2;
+          hosts_per_leaf = 2;
+          duration = Engine.Time.us 400;
+          scheme }
+      in
+      let out jobs = L.run ~jobs config in
+      let o1 = out 1 and o2 = out 2 and o4 = out 4 in
+      Alcotest.(check string)
+        (name ^ ": digest byte-identical, jobs 1 vs 2")
+        o1.L.digest o2.L.digest;
+      Alcotest.(check string)
+        (name ^ ": digest byte-identical, jobs 1 vs 4")
+        o1.L.digest o4.L.digest;
+      checkb (name ^ ": messages completed") true (o1.L.messages > 0))
+    [ ("dctcp flows", L.Dctcp_flows); ("dctcp messages", L.Dctcp_messages);
+      ("mtp", L.Mtp) ]
 
 let suite =
   [ Alcotest.test_case "map order" `Quick test_map_order;
