@@ -46,7 +46,8 @@ bench-smoke:
 # pending timers re-armed at random offsets), pooled packet
 # forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
 # sender's minor words and ns per acked packet at backlogs of 1, 16
-# and 128 messages.  `--guardrail` fails on an allocation regression
+# and 128 messages, and a warm DCTCP stream's minor words per delivered
+# segment.  `--guardrail` fails on an allocation regression
 # against the seed's words per event, on a timer re-arm, a pooled
 # packet forward or deep-heap dispatch allocating (bar 0.00 words per
 # re-arm, per packet and per event), on minor words/event growing
@@ -56,7 +57,8 @@ bench-smoke:
 # lookup or a switch ingress (through a real Routing.ecmp verdict)
 # allocating, or on MTP words per acked packet growing with the
 # backlog (bar 1.15x of the 1-message value) or, at 1 message,
-# exceeding 1.15x of the value recorded in bench/datapath.ml.  MTP ns per acked packet at 128
+# exceeding 1.15x of the value recorded in bench/datapath.ml, or on the
+# DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
 # messages must stay within 2.0x of the 1-message value (absolute ns
 # are recorded, not gated), the median of 11 per-round ratios of
 # passes run back to back.

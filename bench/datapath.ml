@@ -1,6 +1,6 @@
 (* Engine guardrail bench: engine event/timer costs, pooled packet
-   forwarding, the fabric-scale sweep, and the MTP sender's per-ack
-   cost against its backlog.
+   forwarding, the fabric-scale sweep, the MTP sender's per-ack cost
+   against its backlog, and a TCP stream's per-segment cost.
 
    Event dispatch is compared against the pre-refactor growth-seed
    baseline; a timer re-arm, a pooled packet forward and dispatch at
@@ -9,7 +9,9 @@
    that minor words/event stay flat; the mtp section checks the same
    of minor words per acked packet as one sender's backlog grows from
    1 to 128 messages, and bounds the growth of its ns per acked
-   packet.  Results go to stdout and, every section
+   packet; the tcp section checks that a warm DCTCP stream allocates
+   (next to) nothing per delivered segment.  Results go to stdout and,
+   every section
    in one pass, _build/BENCH_engine.json (with the host's core count),
    which `make bench-record` commits.
 
@@ -504,6 +506,38 @@ let mtp_flatness pts = ((mtp_point pts 1).m_words, (mtp_point pts 128).m_words)
 let mtp_ns_ratio pts =
   paired (mtp_point pts 128).m_ns_runs (mtp_point pts 1).m_ns_runs
 
+(* ------------------------------- TCP ------------------------------- *)
+
+(* A backlogged DCTCP stream over a lossless 10G host pair, warmed up
+   for 2 ms off the clock: minor words per delivered segment (data and
+   acks, both links) from 2 to 10 ms.  The TCP endpoint's per-segment
+   work (lookup, ack clocking, window and RTT updates, reassembly)
+   must allocate nothing in steady state; the bar is the scale sweep's
+   per-packet bar. *)
+let tcp_words_bar = 0.05
+
+let tcp_stream () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let a = Netsim.Topology.host topo "a" and b = Netsim.Topology.host topo "b" in
+  let ab, ba =
+    Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let client = Transport.Dctcp.attach ~snd_buf:64_000 (Netsim.Host.create a) in
+  let server = Transport.Dctcp.attach (Netsim.Host.create b) in
+  Transport.Dctcp.Messaging.listen server ~port:80 ();
+  ignore
+    (Transport.Tcp.stream client ~dst:(Netsim.Node.addr b) ~dst_port:80 ());
+  Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  let delivered () =
+    Netsim.Link.delivered_pkts ab + Netsim.Link.delivered_pkts ba
+  in
+  let segs0 = delivered () in
+  timed (fun () ->
+      Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+      delivered () - segs0)
+
 (* ------------------------------ Report ----------------------------- *)
 
 type report = {
@@ -517,6 +551,8 @@ type report = {
   dh_rate : float;
   scale : scale;
   mtp : mtp_point list;
+  tcp_words : float;
+  tcp_rate : float;
 }
 
 let collect () =
@@ -530,8 +566,9 @@ let collect () =
   let dh_words, dh_rate = per_op engine.(3) in
   let scale = collect_scale () in
   let mtp = collect_mtp () in
+  let tcp_words, tcp_rate = per_op (interleave [| tcp_stream |]).(0) in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; dh_words;
-    dh_rate; scale; mtp }
+    dh_rate; scale; mtp; tcp_words; tcp_rate }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -577,7 +614,10 @@ let print_report r =
   Printf.printf "%-14s %.2f words/acked pkt at 1 vs recorded %.2f (bar %.2fx)\n"
     "absolute" m1 mtp_recorded_words_1 mtp_words_bar;
   Printf.printf "%-14s %.2fx ns/acked pkt at 128 vs 1 (bar %.2fx)\n" "ns ratio"
-    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar
+    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
+  Printf.printf "\n== tcp endpoint (warm dctcp stream) ==\n";
+  Printf.printf "%-14s %8.3f words/segment %10.0f segments/s (bar %.2f)\n"
+    "dctcp stream" r.tcp_words r.tcp_rate tcp_words_bar
 
 let write_json r =
   let oc = open_out "_build/BENCH_engine.json" in
@@ -634,9 +674,12 @@ let write_json r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f\n  }\n}\n"
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f\n  },\n"
     m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
+  Printf.fprintf oc
+    "  \"tcp\": {\n    \"minor_words_per_segment\": %.3f,\n    \"segments_per_sec\": %.0f,\n    \"words_bar\": %.2f\n  }\n}\n"
+    r.tcp_words r.tcp_rate tcp_words_bar;
   close_out oc;
   Printf.printf "wrote _build/BENCH_engine.json\n"
 
@@ -690,6 +733,9 @@ let guardrail r =
       "mtp words/acked packet at a backlog of 1: %.2f exceeds the recorded \
        %.2f by more than %.2fx"
       m1 mtp_recorded_words_1 mtp_words_bar;
+  if not (r.tcp_words < tcp_words_bar) then
+    fail "warm dctcp stream allocates %.3f minor words per delivered \
+          segment (bar %.2f)" r.tcp_words tcp_words_bar;
   let ratio = mtp_ns_ratio r.mtp in
   if not (ratio <= mtp_ns_ratio_bar) then
     fail

@@ -41,7 +41,7 @@ let scaling_widths = [ 1; 2; 4; 8 ]
    minor heap, so the figure is exact).  Recorded from this bench; the
    guardrail fails above [words_bar] times it.  Re-record it when the
    partition exchange or the per-event cost changes on purpose. *)
-let scenario_recorded_words = 1.06
+let scenario_recorded_words = 0.54
 let words_bar = 1.15
 
 let usage () =

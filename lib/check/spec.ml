@@ -130,21 +130,21 @@ let parse_topo = function
 
 let parse_qdisc = function
   | [ "fifo"; cap ] ->
-    let* cap = int_field "fifo cap" cap in
+    let* cap = positive "fifo cap" cap in
     Ok (Q_fifo cap)
   | [ "ecn"; cap; thresh ] ->
-    let* cap = int_field "ecn cap" cap in
-    let* thresh = int_field "ecn thresh" thresh in
+    let* cap = positive "ecn cap" cap in
+    let* thresh = non_negative "ecn thresh" thresh in
     Ok (Q_ecn { cap; thresh })
   | [ "red"; cap; mn; mx ] ->
-    let* cap = int_field "red cap" cap in
+    let* cap = positive "red cap" cap in
     let* min_th = non_negative "red min_th" mn in
     let* max_th = int_field "red max_th" mx in
     (* [Scenario] clamps max_th into (min_th, cap]. *)
     if min_th >= cap then parse_error "red min_th must be below cap"
     else Ok (Q_red { cap; min_th; max_th })
   | [ "trim"; cap ] ->
-    let* cap = int_field "trim cap" cap in
+    let* cap = positive "trim cap" cap in
     Ok (Q_trim cap)
   | ws -> parse_error "bad qdisc: %S" (String.concat " " ws)
 

@@ -55,8 +55,8 @@ val generate : Engine.Rng.t -> t
 val to_string : t -> string
 val of_string : string -> (t, string) result
 (** [Error] for a malformed line and for a value no scenario can run
-    (a zero rate, a negative time, index or size, RED thresholds at or
-    above the capacity). *)
+    (a zero rate or queue capacity, a negative time, index, size or ECN
+    threshold, RED thresholds at or above the capacity). *)
 
 val save : path:string -> t -> unit
 val load : string -> (t, string) result

@@ -44,7 +44,7 @@ let default =
     t201_dirs = [ "lib"; "bin" ];
     t201_exempt_dirs = [ "lib/telemetry" ];
     rng_modules = [ "rng" ];
-    (* M001, and the interfaces U101/U102 check. *)
+    (* M001, H105, and the interfaces U101/U102 check. *)
     mli_dirs = [ "lib" ];
     spawn_spec =
       [ { s_path = [ "Domain"; "spawn" ]; s_main_labels = [] };
@@ -158,6 +158,11 @@ let rules =
          (not int, char, immediate, float, string, bytes, int32, int64 or \
          nativeint, and no constant constructor under =/<>), generic \
          Hashtbl find/find_opt/mem/add/replace/remove, List.mem/assoc" };
+    { id = "H105";
+      summary =
+        "mutable float field in a lib/ record OCaml does not store flat \
+         (not every field a float): every store boxes a fresh float; keep \
+         mutable floats in an all-float record" };
     { id = "U101";
       summary =
         "top-level val of a lib/ interface that no other \

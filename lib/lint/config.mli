@@ -20,7 +20,8 @@ type t = {
       (** the telemetry subsystem itself implements the guard *)
   rng_modules : string list;  (** basenames allowed to touch [Random] *)
   mli_dirs : string list;
-      (** scope of M001, and of U101/U102's exported interfaces *)
+      (** scope of M001 and H105, and of U101/U102's exported
+          interfaces *)
   spawn_spec : spawn list;    (** worker entry points *)
   guard_path : string list;
       (** consecutive-component pattern of the telemetry guard
@@ -38,9 +39,10 @@ val default : t
     wire pktring packet node routing cc pathlet mtp_switch endpoint
     partition host], D001/T201
     over [lib] and [bin], [lib/telemetry] exempt from T201, [rng] may
-    use [Random], [.mli] required under [lib]; worker entry points
-    at [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] / [Exp_common]
-    job thunks, telemetry commit side forbidden off-main. *)
+    use [Random], [.mli] required and H105 under [lib]; worker entry
+    points at [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] /
+    [Exp_common] job thunks, telemetry commit side forbidden
+    off-main. *)
 
 val in_dirs : string -> string list -> bool
 

@@ -1,11 +1,11 @@
 (* Rule wiring: build the call graph once and run the per-reference
    rules (D001/D002/T201), the domain-safety analyses (P101/P102) and
    the hot-path ones (H101/H102) over it, scan the units for float
-   equality (D003), option boxes (H103) and polymorphic compare or
-   hash (H104), which need the typedtree, not the graph, and check the
-   scanned interfaces against every reference in the build
-   (U101/U102).  M001 is a property of the file set and lives in
-   [Driver].
+   equality (D003), option boxes (H103), polymorphic compare or hash
+   (H104) and boxed mutable floats (H105), which need the typedtree,
+   not the graph, and check the scanned interfaces against every
+   reference in the build (U101/U102).  M001 is a property of the file
+   set and lives in [Driver].
 
    [sort_uniq] with [Finding.compare] (which ignores the message)
    collapses the same rule firing at one site through several
@@ -40,4 +40,5 @@ let check ~config ~pragmas p =
     @ Hotpath.check ~config cg
     @ Optboxes.check ~config p.impls
     @ Polycmp.check ~config ~expand_env:p.expand_env p.impls
+    @ Flatfloat.check ~config ~expand_env:p.expand_env p.impls
     @ Exports.check ~config ~intfs:p.intfs p.world)

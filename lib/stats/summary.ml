@@ -2,12 +2,9 @@ type t = {
   mutable data : float array;
   mutable len : int;
   mutable sorted : float array option; (* cache, invalidated by add *)
-  mutable sum : float;
-  mutable sum_sq : float;
 }
 
-let create () =
-  { data = [||]; len = 0; sorted = None; sum = 0.0; sum_sq = 0.0 }
+let create () = { data = [||]; len = 0; sorted = None }
 
 let add t x =
   if t.len = Array.length t.data then begin
@@ -18,20 +15,37 @@ let add t x =
   end;
   t.data.(t.len) <- x;
   t.len <- t.len + 1;
-  t.sorted <- None;
-  t.sum <- t.sum +. x;
-  t.sum_sq <- t.sum_sq +. (x *. x)
+  t.sorted <- None
 
 let count t = t.len
 
-let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
+(* The moments are summed over the stored samples, in insertion order:
+   the same additions, in the same order, as running sums kept by [add]
+   would make, without float state that a mixed record would box on
+   every sample. *)
+let sum t =
+  let s = ref 0.0 in
+  for i = 0 to t.len - 1 do
+    s := !s +. t.data.(i)
+  done;
+  !s
+
+let sum_sq t =
+  let s = ref 0.0 in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    s := !s +. (x *. x)
+  done;
+  !s
+
+let mean t = if t.len = 0 then 0.0 else sum t /. float_of_int t.len
 
 let stddev t =
   if t.len < 2 then 0.0
   else
     let n = float_of_int t.len in
-    let m = t.sum /. n in
-    let var = (t.sum_sq /. n) -. (m *. m) in
+    let m = sum t /. n in
+    let var = (sum_sq t /. n) -. (m *. m) in
     sqrt (max 0.0 var)
 
 let cv t =

@@ -26,6 +26,16 @@ end)
 
 module Itbl = Hashtbl.Make (Int)
 
+(* The congestion state lives in an all-float record, which OCaml
+   stores flat: a store writes the unboxed double in place, where a
+   float field of the mixed [conn] record would box a fresh float on
+   every window update. *)
+type floats = {
+  mutable cwnd : float; (* bytes *)
+  mutable ssthresh : float;
+  mutable alpha : float; (* DCTCP *)
+}
+
 type conn = {
   stack : t;
   peer : Netsim.Packet.addr;
@@ -39,8 +49,7 @@ type conn = {
   mutable app_buffer : int; (* written, never transmitted *)
   mutable fin_pending : bool;
   mutable fin_seq : int; (* -1 until FIN sent *)
-  mutable cwnd : float; (* bytes *)
-  mutable ssthresh : float;
+  f : floats;
   mutable peer_rwnd : int;
   mutable dupacks : int;
   mutable recover : int; (* NewReno: in recovery while snd_una < recover *)
@@ -55,7 +64,6 @@ type conn = {
   mutable timed_seq : int; (* -1 = no RTT sample outstanding *)
   mutable timed_at : Engine.Time.t;
   (* DCTCP *)
-  mutable alpha : float;
   mutable ce_window_end : int;
   mutable acked_win : int;
   mutable marked_win : int;
@@ -174,7 +182,7 @@ let emit conn ~syn ~fin ~is_ack ~ece ~probe ~seq ~payload =
   in
   if payload > 0 && Telemetry.Ctx.on () then
     probe_event conn ~kind:Telemetry.Events.Send ~size:payload ~a:seq
-      ~b:(int_of_float conn.cwnd);
+      ~b:(int_of_float conn.f.cwnd);
   Netsim.Node.send stack.t_node pkt
 
 let send_pure_ack ~ece conn =
@@ -204,15 +212,15 @@ and on_rto conn =
       conn.n_timeouts <- conn.n_timeouts + 1;
       let mss = float_of_int mss_bytes in
       let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
-      conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mss);
-      conn.cwnd <- mss;
+      conn.f.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mss);
+      conn.f.cwnd <- mss;
       conn.recover <- conn.snd_nxt;
       conn.reduce_end <- conn.snd_nxt;
       conn.dupacks <- 0;
       Rtx.backoff conn.rtx;
       if Telemetry.Ctx.on () then
         probe_event conn ~kind:Telemetry.Events.Rto ~size:0
-          ~a:conn.consec_rtos ~b:(int_of_float conn.cwnd);
+          ~a:conn.consec_rtos ~b:(int_of_float conn.f.cwnd);
       retransmit_head conn;
       arm_rto conn
     end
@@ -276,7 +284,7 @@ let rec try_send conn =
       let flight = conn.snd_nxt - conn.snd_una in
       let wnd =
         Int.min
-          (Int.min (int_of_float conn.cwnd) conn.peer_rwnd)
+          (Int.min (int_of_float conn.f.cwnd) conn.peer_rwnd)
           conn.stack.t_snd_buf
       in
       let allowed = wnd - flight in
@@ -353,17 +361,17 @@ let in_recovery conn = conn.snd_una < conn.recover
 
 let grow_cwnd conn acked_bytes =
   if not (in_recovery conn) then begin
-    if conn.cwnd < conn.ssthresh then
-      conn.cwnd <- conn.cwnd +. float_of_int acked_bytes
+    if conn.f.cwnd < conn.f.ssthresh then
+      conn.f.cwnd <- conn.f.cwnd +. float_of_int acked_bytes
     else
-      conn.cwnd <-
-        conn.cwnd +. (mssf *. float_of_int acked_bytes /. conn.cwnd)
+      conn.f.cwnd <-
+        conn.f.cwnd +. (mssf *. float_of_int acked_bytes /. conn.f.cwnd)
   end
 
 let enter_loss_recovery conn =
   let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
-  conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
-  conn.cwnd <- conn.ssthresh;
+  conn.f.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
+  conn.f.cwnd <- conn.f.ssthresh;
   conn.recover <- conn.snd_nxt;
   conn.reduce_end <- conn.snd_nxt;
   retransmit_head conn;
@@ -375,14 +383,14 @@ let ecn_response conn =
     (match conn.stack.t_cc with
     | Reno ->
       let flight = float_of_int (conn.snd_nxt - conn.snd_una) in
-      conn.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
-      conn.cwnd <- conn.ssthresh
+      conn.f.ssthresh <- Float.max (flight /. 2.0) (2.0 *. mssf);
+      conn.f.cwnd <- conn.f.ssthresh
     | Dctcp ->
       (* Exit slow start (RFC 8257 s3.4); the proportional cwnd cut
          itself happens at the alpha window boundary below. *)
-      conn.ssthresh <-
+      conn.f.ssthresh <-
         Float.max
-          (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)))
+          (conn.f.cwnd *. (1.0 -. (conn.f.alpha /. 2.0)))
           (2.0 *. mssf));
     conn.reduce_end <- conn.snd_nxt
   end
@@ -394,13 +402,13 @@ let dctcp_account conn ~acked ~ece =
     conn.acked_win <- conn.acked_win + acked;
     if ece then conn.marked_win <- conn.marked_win + acked;
     if conn.snd_una >= conn.ce_window_end && conn.acked_win > 0 then begin
-      let f =
+      let frac =
         float_of_int conn.marked_win /. float_of_int conn.acked_win
       in
-      conn.alpha <- ((1.0 -. dctcp_g) *. conn.alpha) +. (dctcp_g *. f);
+      conn.f.alpha <- ((1.0 -. dctcp_g) *. conn.f.alpha) +. (dctcp_g *. frac);
       if conn.marked_win > 0 then
-        conn.cwnd <-
-          Float.max (mssf) (conn.cwnd *. (1.0 -. (conn.alpha /. 2.0)));
+        conn.f.cwnd <-
+          Float.max (mssf) (conn.f.cwnd *. (1.0 -. (conn.f.alpha /. 2.0)));
       conn.acked_win <- 0;
       conn.marked_win <- 0;
       conn.ce_window_end <- Int.max conn.snd_nxt (conn.snd_una + 1)
@@ -432,7 +440,7 @@ let process_ack conn (seg : Tcp_wire.t) =
     (* Full ACK ends recovery: deflate the dup-ACK-inflated window back
        to ssthresh (RFC 6582). *)
     if was_in_recovery && not (in_recovery conn) then
-      conn.cwnd <- Float.max (2.0 *. mssf) conn.ssthresh;
+      conn.f.cwnd <- Float.max (2.0 *. mssf) conn.f.ssthresh;
     conn.dupacks <- 0;
     conn.consec_rtos <- 0;
     Rtx.reset_backoff conn.rtx;
@@ -445,7 +453,7 @@ let process_ack conn (seg : Tcp_wire.t) =
     end;
     if Telemetry.Ctx.on () then
       probe_event conn ~kind:Telemetry.Events.Ack ~size:0 ~a:acked
-        ~b:(int_of_float conn.cwnd);
+        ~b:(int_of_float conn.f.cwnd);
     if in_recovery conn then
       (* NewReno partial ACK: the next hole is missing too. *)
       retransmit_head conn
@@ -466,7 +474,7 @@ let process_ack conn (seg : Tcp_wire.t) =
       (* Window inflation: each further dup-ACK means a packet left the
          network, so let a new one in (keeps the pipe busy during
          recovery instead of stalling until RTO). *)
-      conn.cwnd <- conn.cwnd +. mssf;
+      conn.f.cwnd <- conn.f.cwnd +. mssf;
       try_send conn
     end
   end
@@ -528,6 +536,21 @@ let rec insert_interval lo hi = function
     else if h < lo then (l, h) :: insert_interval lo hi rest
     else insert_interval (Int.min lo l) (Int.max hi h) rest
 
+(* Pull any now-contiguous out-of-order data.  A top-level function,
+   not a local closure over [conn], so an in-order segment allocates
+   nothing. *)
+let rec merge_ooo conn =
+  match conn.ooo with
+  | (lo, hi) :: rest when lo <= conn.rcv_nxt ->
+    conn.ooo <- rest;
+    if hi > conn.rcv_nxt then begin
+      let gain = hi - conn.rcv_nxt in
+      conn.rcv_nxt <- hi;
+      deliver conn gain
+    end;
+    merge_ooo conn
+  | _ -> ()
+
 let process_data conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
   if seg.fin then
     conn.remote_fin_seq <- seg.seq + seg.payload;
@@ -538,20 +561,7 @@ let process_data conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
       let accept = Int.min len avail in
       conn.rcv_nxt <- conn.rcv_nxt + accept;
       deliver conn accept;
-      (* Pull any now-contiguous out-of-order data. *)
-      let rec merge () =
-        match conn.ooo with
-        | (lo, hi) :: rest when lo <= conn.rcv_nxt ->
-          conn.ooo <- rest;
-          if hi > conn.rcv_nxt then begin
-            let gain = hi - conn.rcv_nxt in
-            conn.rcv_nxt <- hi;
-            deliver conn gain
-          end;
-          merge ()
-        | _ -> ()
-      in
-      merge ()
+      merge_ooo conn
     end
     else if seq > conn.rcv_nxt && seq + len <= conn.rcv_nxt + avail then
       conn.ooo <- insert_interval seq (seq + len) conn.ooo
@@ -569,16 +579,21 @@ let make_conn stack ~peer ~local_port ~remote_port ~rcv_buf ~state =
   let conn =
     { stack; peer; local_port; remote_port; c_rcv_buf = rcv_buf; state;
       snd_una = 0; snd_nxt = 0; app_buffer = 0; fin_pending = false;
-      fin_seq = -1; cwnd = float_of_int init_cwnd_bytes;
-      ssthresh = float_of_int infinite; peer_rwnd = infinite; dupacks = 0;
+      fin_seq = -1;
+      f =
+        { cwnd = float_of_int init_cwnd_bytes;
+          ssthresh = float_of_int infinite;
+          (* alpha starts at 1 (RFC 8257): the first marked window
+             halves, avoiding the slow-start overshoot a zero alpha
+             would allow. *)
+          alpha = 1.0 };
+      peer_rwnd = infinite; dupacks = 0;
       recover = 0; reduce_end = 0;
       (* simlint: allow H103 — once per connection, at setup *)
       rtx = Rtx.create ~min_rto:stack.t_min_rto ();
       rto_tm = placeholder; rto_set = false; persist_tm = placeholder;
-      timed_seq = -1; timed_at = 0;
-      (* alpha starts at 1 (RFC 8257): the first marked window halves,
-         avoiding the slow-start overshoot a zero alpha would allow. *)
-      alpha = 1.0; ce_window_end = 1; acked_win = 0; marked_win = 0;
+      timed_seq = -1; timed_at = 0; ce_window_end = 1; acked_win = 0;
+      marked_win = 0;
       rcv_nxt = 0; ooo = []; remote_fin_seq = -1; peer_fin_done = false;
       delivered = 0; buffered = 0; auto_read = true;
       consec_rtos = 0; c_aborted = false; on_error = None; on_data = None;
@@ -591,66 +606,67 @@ let make_conn stack ~peer ~local_port ~remote_port ~rcv_buf ~state =
   conn.persist_tm <- Engine.Sim.timer stack.t_sim (fun () -> on_persist conn);
   conn
 
-let handle_syn stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  match Itbl.find_opt stack.listeners seg.dst_port with
-  | None -> ()
-  | Some (rcv_buf, accept) ->
-    let conn =
-      match Conns.find_opt stack.conns (segment_key stack seg pkt) with
-      | Some existing -> existing (* duplicate SYN: re-answer *)
-      | None ->
-        let conn =
-          make_conn stack ~peer:pkt.Netsim.Packet.src
-            ~local_port:seg.dst_port ~remote_port:seg.src_port ~rcv_buf
-            ~state:Established
-        in
-        conn.rcv_nxt <- seg.seq + 1;
-        add_conn stack conn;
-        accept conn;
-        conn
-    in
-    (* SYN-ACK consumes our sequence byte 0. *)
-    emit conn ~syn:true ~fin:false ~is_ack:true ~ece:false ~probe:false
-      ~seq:0 ~payload:0;
-    if conn.snd_nxt = 0 then conn.snd_nxt <- 1
+let handle_syn stack (rcv_buf, accept) (seg : Tcp_wire.t)
+    (pkt : Netsim.Packet.t) =
+  let conn =
+    match Conns.find stack.conns (segment_key stack seg pkt) with
+    | existing -> existing (* duplicate SYN: re-answer *)
+    | exception Not_found ->
+      let conn =
+        make_conn stack ~peer:pkt.Netsim.Packet.src ~local_port:seg.dst_port
+          ~remote_port:seg.src_port ~rcv_buf ~state:Established
+      in
+      conn.rcv_nxt <- seg.seq + 1;
+      add_conn stack conn;
+      accept conn;
+      conn
+  in
+  (* SYN-ACK consumes our sequence byte 0. *)
+  emit conn ~syn:true ~fin:false ~is_ack:true ~ece:false ~probe:false
+    ~seq:0 ~payload:0;
+  if conn.snd_nxt = 0 then conn.snd_nxt <- 1
 
-let handle_segment stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  if seg.syn && not seg.is_ack then handle_syn stack seg pkt
-  else
-    match Conns.find_opt stack.conns (segment_key stack seg pkt) with
-    | None -> ()
-    | Some conn ->
-      if seg.syn && seg.is_ack && conn.state = Syn_sent then begin
-        (* Handshake complete on the active side. *)
-        conn.state <- Established;
-        conn.rcv_nxt <- seg.seq + 1;
-        conn.peer_rwnd <- seg.rwnd;
-        if seg.ack > conn.snd_una then conn.snd_una <- seg.ack;
-        Rtx.observe conn.rtx
-          (Engine.Sim.now stack.t_sim - conn.c_opened_at);
-        conn.timed_seq <- -1;
-        Engine.Sim.disarm conn.rto_tm;
-        conn.rto_set <- false;
-        send_pure_ack ~ece:false conn;
-        try_send conn
-      end
-      else begin
-        if seg.is_ack then process_ack conn seg;
-        if conn.state <> Closed then begin
-          if seg.payload > 0 || seg.fin then process_data conn seg pkt
-          else if seg.probe then send_pure_ack ~ece:false conn
-        end
-      end
+let handle_segment conn (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
+  if seg.syn && seg.is_ack && conn.state = Syn_sent then begin
+    (* Handshake complete on the active side. *)
+    conn.state <- Established;
+    conn.rcv_nxt <- seg.seq + 1;
+    conn.peer_rwnd <- seg.rwnd;
+    if seg.ack > conn.snd_una then conn.snd_una <- seg.ack;
+    Rtx.observe conn.rtx
+      (Engine.Sim.now conn.stack.t_sim - conn.c_opened_at);
+    conn.timed_seq <- -1;
+    Engine.Sim.disarm conn.rto_tm;
+    conn.rto_set <- false;
+    send_pure_ack ~ece:false conn;
+    try_send conn
+  end
+  else begin
+    if seg.is_ack then process_ack conn seg;
+    if conn.state <> Closed then begin
+      if seg.payload > 0 || seg.fin then process_data conn seg pkt
+      else if seg.probe then send_pure_ack ~ece:false conn
+    end
+  end
 
-let concerns_us stack (seg : Tcp_wire.t) (pkt : Netsim.Packet.t) =
-  if seg.syn && not seg.is_ack then Itbl.mem stack.listeners seg.dst_port
-  else Conns.mem stack.conns (segment_key stack seg pkt)
-
+(* One table lookup per segment, and no option box: a SYN is claimed
+   when a listener owns its port, any other segment when it names one
+   of our connections. *)
 let claim stack pkt =
   match pkt.Netsim.Packet.payload with
-  | Tcp_wire.Tcp seg when concerns_us stack seg pkt ->
-    handle_segment stack seg pkt;
-    true
+  | Tcp_wire.Tcp seg ->
+    if seg.syn && not seg.is_ack then (
+      match Itbl.find stack.listeners seg.dst_port with
+      | listener ->
+        handle_syn stack listener seg pkt;
+        true
+      | exception Not_found -> false)
+    else (
+      match Conns.find stack.conns (segment_key stack seg pkt) with
+      | conn ->
+        handle_segment conn seg pkt;
+        true
+      | exception Not_found -> false)
   | _ -> false
 
 let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
@@ -733,8 +749,8 @@ let bytes_delivered conn = conn.delivered
 let rx_buffered conn = conn.buffered
 let send_buffered conn = conn.app_buffer
 let unacked conn = conn.snd_nxt - conn.snd_una
-let cwnd_bytes conn = int_of_float conn.cwnd
-let ssthresh_bytes conn = int_of_float conn.ssthresh
+let cwnd_bytes conn = int_of_float conn.f.cwnd
+let ssthresh_bytes conn = int_of_float conn.f.ssthresh
 let retransmits conn = conn.n_retransmits
 let timeouts conn = conn.n_timeouts
 let is_open conn = conn.state <> Closed

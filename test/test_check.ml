@@ -61,7 +61,8 @@ let test_spec_rejects_garbage () =
     (fun (key, v) ->
       checkb (key ^ " " ^ v ^ " accepted") false (bad (with_line key v)))
     [ ("topo", "star 1"); ("delay_us", "0"); ("duration_us", "0");
-      ("qdisc", "red 1 0 0"); ("fault", "down 0 0 0") ];
+      ("qdisc", "red 1 0 0"); ("qdisc", "fifo 1"); ("qdisc", "ecn 1 0");
+      ("qdisc", "trim 1"); ("fault", "down 0 0 0") ];
   List.iter
     (fun (key, v) ->
       checkb (key ^ " " ^ v ^ " rejected") true (bad (with_line key v)))
@@ -69,6 +70,8 @@ let test_spec_rejects_garbage () =
       ("topo", "leaf_spine 2 2 0"); ("rate_mbps", "0"); ("delay_us", "-5");
       ("duration_us", "-100"); ("flow", "-1 1 1000 0"); ("flow", "0 1 0 0");
       ("flow", "0 1 1000 -10"); ("qdisc", "red 0 0 0");
+      ("qdisc", "fifo 0"); ("qdisc", "fifo -1"); ("qdisc", "ecn 0 0");
+      ("qdisc", "ecn 2 -1"); ("qdisc", "trim 0"); ("qdisc", "trim -1");
       ("fault", "down -1 100 200"); ("fault", "down 0 -5 100");
       ("fault", "corrupt 0 -5") ]
 

@@ -318,6 +318,36 @@ let test_h104_polymorphic_compare () =
   Alcotest.check triple "cold modules are not scanned" []
     (analyze [ unit_ compares ])
 
+let float_records =
+  "type mixed = { mutable count : int; mutable rate : float }\n\
+   type flat = { mutable lo : float; mutable hi : float }\n\
+   type fixed = { id : int; weight : float }\n\
+   type ns = float\n\
+   type aliased = { mutable n : int; mutable at : ns }\n\
+   module Inner = struct\n\
+  \  type r = { tag : string; mutable x : float }\n\
+   end\n\
+   type audited = {\n\
+  \  name : string;\n\
+  \  (* simlint: allow H105 — written once per run *)\n\
+  \  mutable total : float;\n\
+   }\n"
+
+let test_h105_boxed_float () =
+  (* A mutable float field boxes a fresh float on every store unless
+     every field of its record is a float, which OCaml stores flat.  An
+     all-float record and an immutable float field in a mixed record
+     are fine; an abbreviation of float and a nested module's record
+     count, and a pragma clears a site.  Only units under [mli_dirs]
+     are scanned. *)
+  Alcotest.check triple "mutable floats of mixed records fire H105"
+    [ ("lint_fixtures/typed/example.ml", 1, "H105");
+      ("lint_fixtures/typed/example.ml", 5, "H105");
+      ("lint_fixtures/typed/example.ml", 7, "H105") ]
+    (analyze [ unit_ float_records ]);
+  Alcotest.check triple "units outside mli_dirs are not scanned" []
+    (analyze [ unit_ ~file:"elsewhere/example.ml" float_records ])
+
 (* U101/U102: exports and optional parameters nothing uses.  Only
    units with an interface under [mli_dirs] export anything; every
    unit's references count, wherever it lives. *)
@@ -690,6 +720,7 @@ let suite =
     Alcotest.test_case "H103 option box" `Quick test_h103_option_box;
     Alcotest.test_case "H104 polymorphic compare" `Quick
       test_h104_polymorphic_compare;
+    Alcotest.test_case "H105 boxed mutable float" `Quick test_h105_boxed_float;
     Alcotest.test_case "U101 unreferenced export" `Quick test_u101_unreferenced;
     Alcotest.test_case "U101 test and example references" `Quick
       test_u101_test_and_example_refs;

@@ -345,11 +345,9 @@ let test_dctcp_steady_pool () =
     (fun client ~dst ~dst_port ->
       ignore (Transport.Tcp.stream client ~dst ~dst_port ()))
 
-(* The DCTCP flow above, over a lossless 10G pair: once warm, every
-   data segment and ack is sent in the segment of a packet its host
-   released earlier, so thousands of packets between 2 and 10 ms share
-   a small fixed set of segments. *)
-let test_dctcp_segments_steady () =
+(* The DCTCP flow above, over a lossless 10G pair, warmed up for 2 ms:
+   the simulator and the pair's two links. *)
+let warm_dctcp_stream () =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let a = Netsim.Topology.host topo "a" in
@@ -364,6 +362,13 @@ let test_dctcp_segments_steady () =
   ignore
     (Transport.Tcp.stream client ~dst:(Netsim.Node.addr b) ~dst_port:80 ());
   Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  (sim, ab, ba)
+
+(* Once warm, every data segment and ack is sent in the segment of a
+   packet its host released earlier, so thousands of packets between 2
+   and 10 ms share a small fixed set of segments. *)
+let test_dctcp_segments_steady () =
+  let sim, ab, ba = warm_dctcp_stream () in
   (* Distinct segments by physical identity. *)
   let segs = ref [] and pkts = ref 0 in
   let tap _ p =
@@ -379,6 +384,28 @@ let test_dctcp_segments_steady () =
   let n = List.length !segs in
   checkb "thousands of packets" true (!pkts > 5_000);
   checkb (Printf.sprintf "%d segments for %d packets" n !pkts) true (n <= 64)
+
+(* Past the warm-up, the whole per-segment path allocates nothing: the
+   stack finds the connection with one lookup and no option box, keeps
+   its congestion and RTT state in flat float records, and builds no
+   closure per in-order segment.  The bar leaves room for a rare
+   setup-time allocation, not for one box per segment. *)
+let test_dctcp_stream_allocates_nothing () =
+  let sim, ab, ba = warm_dctcp_stream () in
+  let delivered () =
+    Netsim.Link.delivered_pkts ab + Netsim.Link.delivered_pkts ba
+  in
+  let segs0 = delivered () in
+  let before = Gc.minor_words () in
+  Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+  let words = Gc.minor_words () -. before in
+  let segs = delivered () - segs0 in
+  let per_seg = words /. float_of_int segs in
+  checkb "thousands of segments" true (segs > 5_000);
+  checkb
+    (Printf.sprintf "%.4f minor words per delivered segment (bar 0.01)"
+       per_seg)
+    true (per_seg <= 0.01)
 
 (* The host releases only what a stack claims: an MTP packet for an
    unbound port and a TCP segment for a port nobody listens on pass the
@@ -507,6 +534,8 @@ let suite =
       test_dctcp_steady_pool;
     Alcotest.test_case "dctcp segments reach steady state" `Quick
       test_dctcp_segments_steady;
+    Alcotest.test_case "dctcp stream allocates nothing per segment" `Quick
+      test_dctcp_stream_allocates_nothing;
     Alcotest.test_case "unclaimed packet passes intact" `Quick
       test_unclaimed_packet_passes_intact;
     Alcotest.test_case "tcp releases a segment after handling it" `Quick
