@@ -462,6 +462,41 @@ let test_link_emits_events () =
         (List.mem "link.l0.queue_pkts" names
         && List.mem "link.l0.sent_bytes" names))
 
+(* A burst through a link whose qdisc marks, trims or drops: every
+   Mark, Trim and Drop event the link emits must match the qdisc's own
+   count, and each queue must do what it is there to show (at least
+   one mark, trim or drop). *)
+let test_link_qdisc_events () =
+  let burst = 12 in
+  List.iter
+    (fun (label, q) ->
+      with_ctx (fun () ->
+          let sim = Engine.Sim.create () in
+          let link =
+            Netsim.Link.create sim ~name:label ~rate:(Engine.Time.gbps 10)
+              ~delay:(Engine.Time.us 1) ~qdisc:q ()
+          in
+          Netsim.Link.set_dst link ignore;
+          for _ = 1 to burst do
+            Netsim.Link.send link (Testpkt.raw sim)
+          done;
+          Engine.Sim.run sim;
+          let mark = ref 0 and trim = ref 0 and drop = ref 0 in
+          Telemetry.Events.iter (Telemetry.Ctx.events ()) (fun r ->
+              match r.Telemetry.Events.kind with
+              | Telemetry.Events.Mark -> incr mark
+              | Telemetry.Events.Trim -> incr trim
+              | Telemetry.Events.Drop -> incr drop
+              | _ -> ());
+          let q = Netsim.Link.qdisc link in
+          checki (label ^ " marks") (q.Netsim.Qdisc.marks ()) !mark;
+          checki (label ^ " trims") (q.Netsim.Qdisc.trims ()) !trim;
+          checki (label ^ " drops") (q.Netsim.Qdisc.drops ()) !drop;
+          checkb (label ^ " acted") true (!mark + !trim + !drop > 0)))
+    [ ("ecn1", Netsim.Qdisc.ecn ~cap_pkts:1000 ~mark_threshold:1 ());
+      ("trim", Netsim.Qdisc.trimming ~cap_pkts:1 ~header_size:64 ());
+      ("fifo1", Netsim.Qdisc.fifo ~cap_pkts:1 ()) ]
+
 let suite =
   [ Alcotest.test_case "ring basic" `Quick test_ring_basic;
     Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
@@ -480,4 +515,6 @@ let suite =
     Alcotest.test_case "trace csv shape" `Quick test_trace_csv_shape;
     Alcotest.test_case "metrics csv runs" `Quick test_metrics_csv_runs;
     Alcotest.test_case "metrics jsonl parses" `Quick test_metrics_jsonl_parses;
-    Alcotest.test_case "link integration" `Quick test_link_emits_events ]
+    Alcotest.test_case "link integration" `Quick (fun () ->
+        test_link_emits_events ();
+        test_link_qdisc_events ()) ]
