@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test golden bench bench-smoke bench-datapath bench-parallel bench-record lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
+.PHONY: all build test golden bench bench-smoke bench-datapath bench-record lint loc check telemetry-check fuzz-smoke exhibits extensions sweeps examples clean
 
 all: build
 
@@ -41,13 +41,14 @@ bench:
 bench-smoke:
 	dune exec bench/suite/mtpbench.exe -- --smoke
 
-# Engine guardrails, one program writing every section of
+# Guardrails, one program writing every section of
 # _build/BENCH_engine.json: engine event/timer costs, dispatch at depth (8192
 # pending timers re-armed at random offsets), pooled packet
-# forwarding, the 64 -> 4096 host fabric-scale sweep, and the MTP
+# forwarding, the 64 -> 4096 host fabric-scale sweep, the MTP
 # sender's minor words and ns per acked packet at backlogs of 1, 16
-# and 128 messages, and a warm DCTCP stream's minor words per delivered
-# segment.  `--guardrail` fails on an allocation regression
+# and 128 messages, a warm DCTCP stream's minor words per delivered
+# segment, and the parallel runner: a fixed fig5 sweep at jobs
+# {1,2,4,8} and the partitioned leaf-spine scenario at jobs 1 vs 2.  `--guardrail` fails on an allocation regression
 # against the seed's words per event, on a timer re-arm, a pooled
 # packet forward or deep-heap dispatch allocating (bar 0.00 words per
 # re-arm, per packet and per event), on minor words/event growing
@@ -61,30 +62,21 @@ bench-smoke:
 # DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
 # messages must stay within 2.0x of the 1-message value (absolute ns
 # are recorded, not gated), the median of 11 per-round ratios of
-# passes run back to back.
+# passes run back to back.  The parallel section fails if any width's
+# sweep rows or the two scenario digests differ in any pass
+# (determinism), or the jobs=1 scenario's minor words per event exceed
+# 1.15x the value recorded in bench/datapath.ml; on multi-core hosts,
+# if the sweep at jobs=2 is slower than serial beyond 10%, or, on a
+# host with the recorded core count, if its speedup (median of 11
+# per-round ratios) falls below the recorded one beyond 10%.
 bench-datapath:
 	dune exec bench/datapath.exe -- --guardrail
 
-# Scaling bench: the fixed fig5 sweep at jobs {1,2,4,8} plus the
-# partitioned single-scenario exhibit at jobs 1 vs 2.  Writes
-# _build/BENCH_parallel.json (core count, scaling array, single-scenario
-# digest check and jobs=1 minor words per event; see README for the
-# schema).  Always fails if any width's rows or the scenario digests
-# differ (determinism).  `--guardrail` additionally enforces, on any
-# host, that the scenario's words per event stay within 1.15x of the
-# value recorded in bench/parallel.ml, and, on multi-core hosts, the
-# not-slower bound at the requested width and that the jobs=2 speedup
-# has not regressed below the committed BENCH_parallel.json baseline
-# beyond the tolerance; single-core hosts skip the wall-clock checks
-# with a JSON note.
-bench-parallel:
-	dune exec bench/parallel.exe -- --jobs 2 --guardrail
-
-# Commit what the last bench-datapath and bench-parallel runs wrote
-# under _build/: copies both files over the committed ones.  Only on
-# purpose; `make check` leaves the committed files as they are.
+# Commit what the last bench-datapath run wrote under _build/: copies
+# it over the committed BENCH_engine.json.  Only on purpose; `make
+# check` leaves the committed file as it is.
 bench-record:
-	cp _build/BENCH_engine.json _build/BENCH_parallel.json .
+	cp _build/BENCH_engine.json .
 
 # Static analysis: determinism, domain-safety, hot-path and
 # unused-surface policy (see DESIGN.md "Static analysis: simlint" and
@@ -118,29 +110,26 @@ fuzz-smoke:
 	dune exec bin/mtp_sim.exe -- fuzz --cases 200 --seed 1 --budget-s 120
 
 # CI gate: full build, the test suite, the benchmark's correctness
-# smoke (every workload's pins), a quick datapath bench that
-# must produce the allocation/throughput and fabric-scale guardrail
-# report, the parallel-runner scaling bench with its not-slower guardrail, a
-# shortened failover run exercising fault injection end to end and a
+# smoke (every workload's pins), the guardrail bench that must
+# produce the allocation/throughput, fabric-scale and parallel-runner
+# report, a shortened failover run exercising fault injection end to end and a
 # parallel `all --smoke` pass regenerating every exhibit on two
 # domains (diffed with the other stdout goldens), a telemetry
 # export check (JSONL parses, same-seed runs byte-identical), and the
 # corpus-replay + seeded-fuzz smoke.  It ends by checking that the
-# committed bench files are unchanged: the benches write under _build/.
+# committed bench file is unchanged: the bench writes under _build/.
 check:
 	dune build @all
 	$(MAKE) lint
 	dune runtest --force
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
-	rm -f _build/BENCH_engine.json _build/BENCH_parallel.json
+	rm -f _build/BENCH_engine.json
 	$(MAKE) bench-datapath
 	test -f _build/BENCH_engine.json
-	$(MAKE) bench-parallel
-	test -f _build/BENCH_parallel.json
 	dune build @test/golden/smoke
 	$(MAKE) telemetry-check
-	git diff --exit-code -- BENCH_engine.json BENCH_parallel.json
+	git diff --exit-code -- BENCH_engine.json
 
 # Run one exhibit twice with telemetry export on: the JSONL trace must
 # parse line by line and both same-seed runs must be byte-identical.

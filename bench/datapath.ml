@@ -1,6 +1,7 @@
-(* Engine guardrail bench: engine event/timer costs, pooled packet
+(* Guardrail bench: engine event/timer costs, pooled packet
    forwarding, the fabric-scale sweep, the MTP sender's per-ack cost
-   against its backlog, and a TCP stream's per-segment cost.
+   against its backlog, a TCP stream's per-segment cost, and the
+   multicore runner's determinism, scenario cost and speedup.
 
    Event dispatch is compared against the pre-refactor growth-seed
    baseline; a timer re-arm, a pooled packet forward and dispatch at
@@ -10,14 +11,14 @@
    of minor words per acked packet as one sender's backlog grows from
    1 to 128 messages, and bounds the growth of its ns per acked
    packet; the tcp section checks that a warm DCTCP stream allocates
-   (next to) nothing per delivered segment.  Results go to stdout and,
-   every section
-   in one pass, _build/BENCH_engine.json (with the host's core count),
-   which `make bench-record` commits.
+   (next to) nothing per delivered segment; the parallel section runs
+   a fixed sweep and one partitioned scenario at several widths.
+   Results go to stdout and, every section in one pass,
+   _build/BENCH_engine.json (with the host's core count), which
+   `make bench-record` commits.
 
    `--guardrail` additionally enforces the bars (non-zero exit on
-   regression) — wired into `make check` and CI next to the parallel
-   scaling bench. *)
+   regression) — wired into `make check` and CI. *)
 
 (* Pre-refactor (closure-heap engine) words per event, measured with
    the identical driver below on the growth seed. *)
@@ -30,10 +31,16 @@ let baseline_words_per_event = 18.00
    reported value is a median over the passes. *)
 let passes = 11
 
-let median xs =
+(* The median and the quartiles of [xs]. *)
+type spread = { q1 : float; med : float; q3 : float }
+
+let spread xs =
   let a = Array.of_list xs in
   Array.sort compare a;
-  a.(Array.length a / 2)
+  let n = Array.length a in
+  { q1 = a.(n / 4); med = a.(n / 2); q3 = a.(3 * n / 4) }
+
+let median xs = (spread xs).med
 
 (* Warm every pass once (fixes array sizes), then [passes] rounds that
    run each pass in turn.  Returns, per pass, its result in every
@@ -46,8 +53,8 @@ let interleave fs =
 (* simlint: allow D002 — host time is what the benchmark measures *)
 let clock () = Unix.gettimeofday ()
 
-(* One timed pass of [f], which returns its op count: (seconds, minor
-   words, ops). *)
+(* One timed pass of [f], which usually returns its op count:
+   (seconds, minor words, what [f] returned). *)
 let timed f =
   Gc.minor ();
   let w0 = Gc.minor_words () in
@@ -473,15 +480,10 @@ let mtp_pass ~backlog =
   for _ = 1 to backlog do
     start ()
   done;
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let t0 = clock () in
-  Engine.Sim.run sim;
-  let t1 = clock () in
-  let words = Gc.minor_words () -. w0 in
+  let secs, words, () = timed (fun () -> Engine.Sim.run sim) in
   assert (Mtp.Endpoint.completed ea = mtp_messages);
   let acked = float_of_int (mtp_messages * mtp_pkts_per_msg) in
-  (t1 -. t0, words /. acked, (t1 -. t0) *. 1e9 /. acked)
+  (secs, words /. acked, secs *. 1e9 /. acked)
 
 (* One pass per backlog in each round (1, 16, 128, 1, ...); each point
    is the median. *)
@@ -538,6 +540,105 @@ let tcp_stream () =
       Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
       delivered () - segs0)
 
+(* ----------------------------- Parallel ---------------------------- *)
+
+(* The multicore runner on fixed work: the sweep is eight fig5 flip
+   points at 2 ms (the embarrassingly parallel grid the evaluation is
+   made of) at jobs 1, 2, 4 and 8; the scenario is one partitioned
+   leaf-spine simulation (Ext_leafspine on Partition and Runner.Epoch)
+   at jobs 1 and 2.  Sweep rows and scenario digests must be identical
+   at every width and in every pass.  The jobs=1 scenario runs wholly
+   on the calling domain, so its minor words per event are exact and
+   gated on any host.  A speedup is the median over rounds of the
+   serial pass's time over the width's, with its quartiles.  On a
+   multi-core host the sweep at [judged_jobs] must not be slower than
+   serial beyond [par_tolerance], nor, on a host with [recorded_cores]
+   cores, slower than [recorded_speedup_2] beyond it; one core skips
+   both, since extra domains there only add GC coordination. *)
+
+let sweep_flips = [ 64; 96; 128; 192; 256; 384; 768; 1536 ]
+let par_duration = Engine.Time.ms 2
+let judged_jobs = 2
+let par_tolerance = 1.10
+
+(* Recorded values: the jobs=1 scenario's minor words per event
+   (re-record when the partition exchange or the per-event cost
+   changes on purpose), and the sweep's speedup at [judged_jobs] with
+   the core count of the host it was taken on. *)
+let scenario_recorded_words = 0.54
+let scenario_words_bar = 1.15
+let recorded_cores = 2
+let recorded_speedup_2 = 1.65
+
+let scenario_config =
+  { Experiments.Ext_leafspine.default with
+    Experiments.Ext_leafspine.duration = par_duration }
+
+type width = { w_jobs : int; w_wall : float; w_speedup : spread }
+
+type par = {
+  sweep : width list;
+  rows_identical : bool;
+  scenario : width list;
+  digests_identical : bool;
+  sc_words : float;
+}
+
+(* Every pass of [f ~jobs] for each of [widths], interleaved; whether
+   all returned the same [key]; and each width's median wall time and
+   speedup over the first width. *)
+let scaling widths f key =
+  let runs =
+    interleave (Array.of_list (List.map (fun jobs () -> timed (f ~jobs)) widths))
+  in
+  let secs i = List.map (fun (s, _, _) -> s) runs.(i) in
+  let k0 = key (List.hd runs.(0)) in
+  ( runs,
+    Array.for_all (List.for_all (fun r -> key r = k0)) runs,
+    List.mapi
+      (fun i jobs ->
+        { w_jobs = jobs; w_wall = median (secs i);
+          w_speedup = spread (List.map2 ( /. ) (secs 0) (secs i)) })
+      widths )
+
+let collect_par () =
+  let _, rows_identical, sweep =
+    scaling [ 1; 2; 4; 8 ]
+      (fun ~jobs () ->
+        Experiments.Exp_common.collect ~jobs (fun emit ->
+            Experiments.Sweeps.fig5_sweep_jobs ~flips_us:sweep_flips
+              ~duration:par_duration ~emit ()))
+      (fun (_, _, rows) -> rows)
+  in
+  let sc, digests_identical, scenario =
+    scaling [ 1; 2 ]
+      (fun ~jobs () -> Experiments.Ext_leafspine.run ~jobs scenario_config)
+      (fun (_, _, o) -> o.Experiments.Ext_leafspine.digest)
+  in
+  let per_event (_, w, o) =
+    w /. float_of_int (max 1 o.Experiments.Ext_leafspine.events)
+  in
+  { sweep; rows_identical; scenario; digests_identical;
+    sc_words = median (List.map per_event sc.(0)) }
+
+let judged p = (List.find (fun w -> w.w_jobs = judged_jobs) p.sweep).w_speedup
+
+let cores = Domain.recommended_domain_count ()
+
+(* Why a wall-clock bar of the parallel section went unchecked. *)
+let par_notes =
+  (if cores = 1 then
+     [ "single core: wall-clock guardrails skipped (extra domains on one \
+        core cost GC coordination; only determinism is checked)" ]
+   else [])
+  @
+  if cores <> recorded_cores then
+    [ Printf.sprintf
+        "speedup baseline recorded on %d core(s), this host has %d: \
+         speedup regression check skipped"
+        recorded_cores cores ]
+  else []
+
 (* ------------------------------ Report ----------------------------- *)
 
 type report = {
@@ -553,6 +654,7 @@ type report = {
   mtp : mtp_point list;
   tcp_words : float;
   tcp_rate : float;
+  par : par;
 }
 
 let collect () =
@@ -567,8 +669,9 @@ let collect () =
   let scale = collect_scale () in
   let mtp = collect_mtp () in
   let tcp_words, tcp_rate = per_op (interleave [| tcp_stream |]).(0) in
+  let par = collect_par () in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; dh_words;
-    dh_rate; scale; mtp; tcp_words; tcp_rate }
+    dh_rate; scale; mtp; tcp_words; tcp_rate; par }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -617,7 +720,25 @@ let print_report r =
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
   Printf.printf "\n== tcp endpoint (warm dctcp stream) ==\n";
   Printf.printf "%-14s %8.3f words/segment %10.0f segments/s (bar %.2f)\n"
-    "dctcp stream" r.tcp_words r.tcp_rate tcp_words_bar
+    "dctcp stream" r.tcp_words r.tcp_rate tcp_words_bar;
+  let p = r.par in
+  Printf.printf "\n== parallel runner (%d core(s)) ==\n" cores;
+  let widths label =
+    List.iter (fun w ->
+        Printf.printf "%-20s %8.3f s %6.2fx (q1 %.2f, q3 %.2f)\n"
+          (Printf.sprintf "%s --jobs %d" label w.w_jobs)
+          w.w_wall w.w_speedup.med w.w_speedup.q1 w.w_speedup.q3)
+  in
+  widths "sweep" p.sweep;
+  widths "scenario" p.scenario;
+  Printf.printf "%-20s %b, scenario digests identical %b\n"
+    "sweep rows identical" p.rows_identical p.digests_identical;
+  Printf.printf "%-20s %.4f (bar %.2f x %.2f)\n" "scenario words/event"
+    p.sc_words scenario_words_bar scenario_recorded_words;
+  Printf.printf "%-20s %.2fx at --jobs %d vs recorded %.2fx on %d core(s)\n"
+    "sweep speedup" (judged p).med judged_jobs recorded_speedup_2
+    recorded_cores;
+  List.iter (Printf.printf "note: %s\n") par_notes
 
 let write_json r =
   let oc = open_out "_build/BENCH_engine.json" in
@@ -643,8 +764,7 @@ let write_json r =
   },
   "scale": {
     "points": [|}
-    (Domain.recommended_domain_count ())
-    passes baseline_words_per_event r.ev_words
+    cores passes baseline_words_per_event r.ev_words
     r.tm_words r.pk_words r.ev_rate r.pk_rate deep_timers r.dh_words
     r.dh_rate
     (baseline_words_per_event /. Float.max 1e-9 r.ev_words);
@@ -678,14 +798,33 @@ let write_json r =
     m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
   Printf.fprintf oc
-    "  \"tcp\": {\n    \"minor_words_per_segment\": %.3f,\n    \"segments_per_sec\": %.0f,\n    \"words_bar\": %.2f\n  }\n}\n"
+    "  \"tcp\": {\n    \"minor_words_per_segment\": %.3f,\n    \"segments_per_sec\": %.0f,\n    \"words_bar\": %.2f\n  },\n"
     r.tcp_words r.tcp_rate tcp_words_bar;
+  let p = r.par and c = scenario_config in
+  let widths ws =
+    String.concat ","
+      (List.map
+         (fun w ->
+           Printf.sprintf
+             "\n        { \"jobs\": %d, \"workers\": %d, \"wall_s\": %.3f, \"speedup\": %.2f, \"speedup_q1\": %.2f, \"speedup_q3\": %.2f }"
+             w.w_jobs (min w.w_jobs (List.length sweep_flips)) w.w_wall
+             w.w_speedup.med w.w_speedup.q1 w.w_speedup.q3)
+         ws)
+  in
+  Printf.fprintf oc
+    "  \"parallel\": {\n    \"passes\": %d,\n    \"sweep\": {\n      \"points\": %d,\n      \"duration_ms\": 2,\n      \"rows_identical\": %b,\n      \"widths\": [%s\n      ]\n    },\n    \"scenario\": {\n      \"leaves\": %d,\n      \"spines\": %d,\n      \"hosts_per_leaf\": %d,\n      \"duration_ms\": 2,\n      \"digests_identical\": %b,\n      \"widths\": [%s\n      ],\n      \"jobs1_minor_words_per_event\": %.2f,\n      \"recorded_words_per_event\": %.2f,\n      \"words_bar\": %.2f\n    },\n    \"judged_jobs\": %d,\n    \"recorded_cores\": %d,\n    \"recorded_speedup\": %.2f,\n    \"tolerance\": %.2f,\n    \"notes\": [%s]\n  }\n}\n"
+    passes (List.length sweep_flips) p.rows_identical (widths p.sweep)
+    c.Experiments.Ext_leafspine.leaves c.Experiments.Ext_leafspine.spines
+    c.Experiments.Ext_leafspine.hosts_per_leaf p.digests_identical
+    (widths p.scenario) p.sc_words scenario_recorded_words scenario_words_bar
+    judged_jobs recorded_cores recorded_speedup_2 par_tolerance
+    (String.concat ", " (List.map (Printf.sprintf "%S") par_notes));
   close_out oc;
   Printf.printf "wrote _build/BENCH_engine.json\n"
 
 (* Allocation bars are stable across machines and enforced tightly;
-   the one wall-clock bar is a ratio within one run, so it holds on any
-   machine. *)
+   the wall-clock bars are ratios within one run, so they hold on any
+   machine (the parallel ones on any with more than one core). *)
 let guardrail r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -742,6 +881,24 @@ let guardrail r =
       "mtp ns/acked packet at a backlog of 128 is %.2fx that at 1 (bar \
        %.2fx): the send pump's per-ack cost grows with the backlog"
       ratio mtp_ns_ratio_bar;
+  let p = r.par in
+  if not p.rows_identical then
+    fail "parallel sweep rows differ between widths or passes";
+  if not p.digests_identical then
+    fail "partitioned scenario digests differ between jobs=1 and jobs=2";
+  if not (p.sc_words <= scenario_words_bar *. scenario_recorded_words) then
+    fail "jobs=1 scenario allocates %.2f minor words per event, above \
+          %.2fx the recorded %.2f"
+      p.sc_words scenario_words_bar scenario_recorded_words;
+  let j = (judged p).med in
+  if cores > 1 && j *. par_tolerance < 1.0 then
+    fail "sweep at --jobs %d runs at %.2fx serial speed (tolerance %.2f)"
+      judged_jobs j par_tolerance;
+  if cores > 1 && cores = recorded_cores
+     && j < recorded_speedup_2 /. par_tolerance then
+    fail "sweep speedup at --jobs %d %.2fx regressed below the recorded \
+          %.2fx (tolerance %.2f)"
+      judged_jobs j recorded_speedup_2 par_tolerance;
   match !failures with
   | [] ->
     Printf.printf "guardrail: OK\n";

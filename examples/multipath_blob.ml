@@ -18,8 +18,8 @@ let build () =
     Netsim.Topology.two_path topo ~rate_a:(Engine.Time.gbps 40)
       ~rate_b:(Engine.Time.gbps 10) ~delay_a:(Engine.Time.us 2)
       ~delay_b:(Engine.Time.us 4) ~edge_rate:(Engine.Time.gbps 100)
-      ~qdisc_a:(Netsim.Qdisc.trimming ~cap_pkts:64 ~header_size:64 ())
-      ~qdisc_b:(Netsim.Qdisc.trimming ~cap_pkts:64 ~header_size:64 ())
+      ~qdisc_a:(Netsim.Qdisc.trimming ~cap_pkts:64 ())
+      ~qdisc_b:(Netsim.Qdisc.trimming ~cap_pkts:64 ())
       ()
   in
   Mtp.Mtp_switch.stamp sim tp.Netsim.Topology.tp_link_a ~path_id:1

@@ -17,7 +17,7 @@ let run ~trim =
   let topo = Netsim.Topology.create sim in
   let qd =
     if trim then
-      Netsim.Qdisc.trimming ~cap_pkts:queue_pkts ~header_size:64 ()
+      Netsim.Qdisc.trimming ~cap_pkts:queue_pkts ()
     else Netsim.Qdisc.fifo ~cap_pkts:queue_pkts ()
   in
   let st =

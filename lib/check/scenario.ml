@@ -58,7 +58,7 @@ let make_qdisc spec counter () =
        into the range [Qdisc.red] accepts. *)
     let max_th = min cap (max max_th (min_th + 1)) in
     Qdisc.red ~rng ~cap_pkts:cap ~min_th ~max_th ()
-  | Spec.Q_trim cap -> Qdisc.trimming ~cap_pkts:cap ~header_size:64 ()
+  | Spec.Q_trim cap -> Qdisc.trimming ~cap_pkts:cap ()
 
 (* Hosts eligible as flow sources/destinations, in a deterministic
    order; flow indices are reduced mod these arrays so any spec maps

@@ -148,7 +148,6 @@ type t = {
   recent_queue : int Queue.t;
   bindings : (delivery -> unit) Itbl.t;
   ack_every : int;
-  ack_delay : Engine.Time.t;
   ack_acc : ack_acc Itbl.t;
   mutable ticker_running : bool;
   (* The flight table: one slot per data packet in flight, shared by
@@ -182,6 +181,10 @@ type t = {
    messages a receiver tracks (beyond it new messages are rejected). *)
 let mtu_payload = 1440
 let max_rx_messages = 1 lsl 20
+
+(* How long a coalescing receiver ([ack_every] > 1) holds SACK entries
+   before it flushes them short of [ack_every]. *)
+let ack_delay = Engine.Time.us 10
 
 let sim t = t.ep_sim
 let pathlets t = t.path_table
@@ -1046,7 +1049,7 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack =
     | fb -> acc.acc_fb <- fb);
     if acc.acc_count >= t.ack_every then flush_acks t ~dst acc
     else if not (Engine.Sim.armed acc.acc_tm) then
-      Engine.Sim.arm_after acc.acc_tm t.ack_delay
+      Engine.Sim.arm_after acc.acc_tm ack_delay
   end
 
 let deliver t rx =
@@ -1136,8 +1139,7 @@ let claim t pkt =
   | _ -> false
 
 let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
-    ?(max_msg_bytes = max_int / 4) ?(exclusion = true) ?(ack_every = 1)
-    ?(ack_delay = Engine.Time.us 10) host =
+    ?(max_msg_bytes = max_int / 4) ?(exclusion = true) ?(ack_every = 1) host =
   (* Coalesced SACKs go out behind the header's u8 count. *)
   if ack_every < 1 || ack_every > 0xff then
     invalid_arg "Endpoint.attach: ack_every must be in 1..255";
@@ -1158,7 +1160,7 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
          endpoint that finishes that many messages, where a full-size
          table would cost every endpoint 4096 words at attach. *)
       recent_done = Itbl.create 64; recent_queue = Queue.create ();
-      bindings = Itbl.create 8; ack_every; ack_delay;
+      bindings = Itbl.create 8; ack_every;
       ack_acc = Itbl.create 8; ticker_running = false; fl_at = [||];
       fl_charged = [||]; fl_rtx = [||]; fl_free = [||]; fl_nfree = 0;
       n_completed = 0;

@@ -34,7 +34,6 @@ val attach :
   ?max_msg_bytes:int ->
   ?exclusion:bool ->
   ?ack_every:int ->
-  ?ack_delay:Engine.Time.t ->
   Netsim.Host.t ->
   t
 (** Register an MTP endpoint with a host's dispatcher.  It claims
@@ -53,10 +52,9 @@ val attach :
 
     [ack_every] (default 1 = acknowledge every packet) enables
     feedback aggregation (paper §4): SACK entries towards a source are
-    coalesced until [ack_every] accumulate or [ack_delay] (default
-    10 us) elapses; NACKs and message-completing packets always flush
-    immediately.  An ack's SACK count is a u8, so [ack_every] must be
-    in 1..255.
+    coalesced until [ack_every] accumulate or 10 us elapse; NACKs and
+    message-completing packets always flush immediately.  An ack's
+    SACK count is a u8, so [ack_every] must be in 1..255.
 
     @raise Invalid_argument when [ack_every] is outside 1..255. *)
 

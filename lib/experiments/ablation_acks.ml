@@ -19,8 +19,7 @@ let run_variant ~duration ~ack_every =
   Mtp.Mtp_switch.stamp sim ab ~path_id:1 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
   let ea = Mtp.Endpoint.attach (Netsim.Host.create a) in
   let eb =
-    Mtp.Endpoint.attach ~ack_every ~ack_delay:(Engine.Time.us 10)
-      (Netsim.Host.create b)
+    Mtp.Endpoint.attach ~ack_every (Netsim.Host.create b)
   in
   let meter = Stats.Meter.create sim ~interval:(Engine.Time.us 50) () in
   Mtp.Endpoint.bind eb ~port:80 (fun d ->

@@ -16,7 +16,7 @@ let run_variant ~trim =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
   let qd =
-    if trim then Netsim.Qdisc.trimming ~cap_pkts:queue_pkts ~header_size:64 ()
+    if trim then Netsim.Qdisc.trimming ~cap_pkts:queue_pkts ()
     else Netsim.Qdisc.fifo ~cap_pkts:queue_pkts ()
   in
   let st =

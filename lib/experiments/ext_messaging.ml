@@ -33,13 +33,17 @@ let port = 80
 let drive cfg sim ~client ~server ~dst ~hosts =
   let module T = Netsim.Transport_intf in
   T.listen server ~port ();
+  let fcts = Stats.Summary.create () in
   let driver =
     Workload.Driver.closed_loop ~parallel:cfg.parallel ~size:cfg.msg_size
       (fun ~size ~on_complete ->
-        T.send_message client ~dst ~dst_port:port ~on_complete ~size ())
+        T.send_message client ~dst ~dst_port:port
+          ~on_complete:(fun fct ->
+            Stats.Summary.add fcts (Engine.Time.to_float_us fct);
+            on_complete fct)
+          ~size ())
   in
   Engine.Sim.run ~until:cfg.duration sim;
-  let fcts = Workload.Driver.fcts driver in
   let srv = T.stats server in
   { r_id = T.id client;
     r_sent = Workload.Driver.completed driver;

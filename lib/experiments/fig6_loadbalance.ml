@@ -42,8 +42,13 @@ let interarrival cfg ~mean_size =
   Workload.Driver.load_interarrival ~rate:(2 * cfg.path_rate) ~load:cfg.load
     ~mean_size
 
-let summarize (driver : Workload.Driver.t) ~retransmits =
-  let s = Workload.Driver.fcts driver in
+(* Completion times in microseconds, recorded by [timed] in the
+   [on_complete] each scheme hands its transport. *)
+let timed s on_complete fct =
+  Stats.Summary.add s (Engine.Time.to_float_us fct);
+  on_complete fct
+
+let summarize s ~retransmits =
   if Stats.Summary.count s = 0 then
     { fct_p50_us = 0.0; fct_p95_us = 0.0; fct_p99_us = 0.0;
       fct_mean_us = 0.0; completed = 0; retransmits }
@@ -72,10 +77,11 @@ let run_tcp cfg ~route =
   let rng = Engine.Rng.create (cfg.seed + 1) in
   let size_dist = sizes cfg in
   let mean_size = Workload.Dist.mean_estimate size_dist (Engine.Rng.create 7) 20_000 in
+  let fcts = Stats.Summary.create () in
   let send ~size ~on_complete =
     Transport.Tcp.Messaging.send_message client
       ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80
-      ~on_complete ~size ()
+      ~on_complete:(timed fcts on_complete) ~size ()
   in
   let driver =
     Workload.Driver.poisson sim ~rng ~size:size_dist
@@ -88,7 +94,7 @@ let run_tcp cfg ~route =
   (* Let in-flight transfers finish well past the arrival window. *)
   Engine.Sim.run ~until:(cfg.duration * 4) sim;
   let stats = Transport.Tcp.Messaging.stats client in
-  summarize driver ~retransmits:stats.Netsim.Transport_intf.retransmits
+  summarize fcts ~retransmits:stats.Netsim.Transport_intf.retransmits
 
 let run_mtp cfg =
   let sim, tp = build cfg in
@@ -118,11 +124,12 @@ let run_mtp cfg =
     in
     bucket size 0
   in
+  let fcts = Stats.Summary.create () in
   let send ~size ~on_complete =
     ignore
       (Mtp.Endpoint.send ea
          ~dst:(Netsim.Node.addr tp.Netsim.Topology.tp_dst) ~dst_port:80
-         ~pri:(pri_of size) ~on_complete ~size ())
+         ~pri:(pri_of size) ~on_complete:(timed fcts on_complete) ~size ())
   in
   let driver =
     Workload.Driver.poisson sim ~rng ~size:size_dist
@@ -133,7 +140,7 @@ let run_mtp cfg =
     ~at:(cfg.duration * 3)
     (fun () -> Workload.Driver.stop driver);
   Engine.Sim.run ~until:(cfg.duration * 4) sim;
-  summarize driver ~retransmits:(Mtp.Endpoint.retransmits ea)
+  summarize fcts ~retransmits:(Mtp.Endpoint.retransmits ea)
 
 type output = { ecmp : scheme_out; spray : scheme_out; mtp : scheme_out }
 

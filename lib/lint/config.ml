@@ -29,9 +29,9 @@ type t = {
    controllers, and the stamping qdisc hook), guarded by the bench's
    mtp section, the transports' send paths (tcp and its segment
    constructor, udp), which take every packet from the host pool, and
-   the partition exchange (conduit rings and inbox
-   timers), guarded by bench/parallel.exe's words per event; and time,
-   whose [tx_time] runs once per packet per link.  Matching
+   the partition exchange (conduit rings and inbox timers), guarded
+   by the words per event of bench/datapath.exe's parallel section;
+   and time, whose [tx_time] runs once per packet per link.  Matching
    is by module basename so a future move (say lib/netsim/link.ml ->
    lib/datapath/link.ml) keeps the rule. *)
 let default =

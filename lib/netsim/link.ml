@@ -148,29 +148,27 @@ let send t p =
   if p == Packet.none then invalid_arg "Link.send: Packet.none";
   t.n_sends <- t.n_sends + 1;
   if not t.up then drop_faulted t p
-  else if not (Telemetry.Ctx.on ()) then begin
-    (* Uninstrumented fast path: byte-for-byte the pre-telemetry code. *)
-    if t.q.Qdisc.enqueue p then kick t
-    else
-      (* Tail drop: with a pool the dropped packet goes straight back. *)
-      match t.pool with Some pool -> Packet.release pool p | None -> ()
-  end
   else begin
-    (* The qdisc may mark or trim the packet during enqueue; comparing
-       the flags around the call attributes those events to this hop
-       without touching every qdisc implementation. *)
-    let was_ce = Packet.ecn_ce p in
-    let was_trimmed = Packet.trimmed p in
+    (* The qdisc may mark or trim the packet during enqueue; with
+       telemetry on, comparing the flags around the call attributes
+       those events to this hop without touching every qdisc
+       implementation. *)
+    let traced = Telemetry.Ctx.on () in
+    let was_ce = traced && Packet.ecn_ce p in
+    let was_trimmed = traced && Packet.trimmed p in
     if t.q.Qdisc.enqueue p then begin
-      ev_emit t ~kind:Telemetry.Events.Enqueue p;
-      if Packet.ecn_ce p && not was_ce then
-        ev_emit t ~kind:Telemetry.Events.Mark p;
-      if Packet.trimmed p && not was_trimmed then
-        ev_emit t ~kind:Telemetry.Events.Trim p;
+      if traced then begin
+        ev_emit t ~kind:Telemetry.Events.Enqueue p;
+        if Packet.ecn_ce p && not was_ce then
+          ev_emit t ~kind:Telemetry.Events.Mark p;
+        if Packet.trimmed p && not was_trimmed then
+          ev_emit t ~kind:Telemetry.Events.Trim p
+      end;
       kick t
     end
     else begin
-      ev_emit t ~kind:Telemetry.Events.Drop p;
+      (* Tail drop: with a pool the dropped packet goes straight back. *)
+      if traced then ev_emit t ~kind:Telemetry.Events.Drop p;
       match t.pool with Some pool -> Packet.release pool p | None -> ()
     end
   end

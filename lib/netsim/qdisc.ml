@@ -139,7 +139,10 @@ let red ~rng ~cap_pkts ~min_th ~max_th () =
   { inner with name = "red"; enqueue;
     enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
 
-let trimming ~cap_pkts ~header_size () =
+(* Bytes a trimmed packet keeps: its headers, NDP-style. *)
+let trim_header_size = 64
+
+let trimming ~cap_pkts () =
   let data = F.create () in
   let headers = F.create () in
   let drops = ref 0 in
@@ -152,7 +155,7 @@ let trimming ~cap_pkts ~header_size () =
     end
     else if F.len headers < header_cap then begin
       Packet.set_trimmed p;
-      p.Packet.size <- Int.min p.Packet.size header_size;
+      p.Packet.size <- Int.min p.Packet.size trim_header_size;
       incr trims;
       F.push headers p;
       true

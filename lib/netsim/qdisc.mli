@@ -55,9 +55,9 @@ val red :
     (drops still happen at [cap_pkts]).  Randomness comes from the
     supplied [rng] so runs stay deterministic. *)
 
-val trimming : cap_pkts:int -> header_size:int -> unit -> t
+val trimming : cap_pkts:int -> unit -> t
 (** NDP-style: when the data queue is full, incoming packets are
-    trimmed to [header_size] bytes, flagged {!Packet.t.trimmed}, and
+    trimmed to 64 header bytes, flagged {!Packet.t.trimmed}, and
     placed on a strict-priority header queue (served first) so
     receivers learn about losses immediately.  Headers are only dropped
     when the header queue itself overflows (at [8 * cap_pkts]). *)

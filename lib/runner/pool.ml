@@ -29,8 +29,6 @@
      dominate, a spin barrier would burn the cores the simulation
      needs). *)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 (* The team's control block, its one exchange point.  The caller
    writes the round ([work], [n], [arg], [busy], [next]) and bumps
    [gen] under [m]; a worker that sees a new [gen] under [m] runs the
@@ -135,7 +133,9 @@ let round t ~n ~arg work =
   | None -> ()
 
 let map ?jobs f xs =
-  let requested = match jobs with Some j -> j | None -> default_jobs () in
+  let requested =
+    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
+  in
   if requested < 1 then
     invalid_arg "Runner.Pool.map: jobs must be >= 1 (0 means auto only at \
                  the CLI)";

@@ -8,9 +8,6 @@
     byte-identical whether run with [~jobs:1] or [~jobs:32]; this is the
     contract every exhibit relies on.  See DESIGN.md "Parallel runner". *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — one worker per core. *)
-
 type team
 (** The calling domain plus [jobs - 1] worker domains that wait on a
     condition variable between rounds. *)
@@ -30,7 +27,8 @@ val round : team -> n:int -> arg:int -> (int -> int -> unit) -> unit
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed as one {!round} on a
-    team of [min jobs (length xs)] domains (default {!default_jobs};
+    team of [min jobs (length xs)] domains (default one per core,
+    [Domain.recommended_domain_count ()];
     [~jobs:1] runs serially on the calling domain, spawning nothing),
     results in input order.  Every [f x] runs even if one raises; then
     the exception of the first failing index is re-raised — same

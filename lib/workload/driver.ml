@@ -1,24 +1,19 @@
 type send = size:int -> on_complete:(Engine.Time.t -> unit) -> unit
 
 type t = {
-  d_fcts : Stats.Summary.t;
   mutable n_started : int;
   mutable n_completed : int;
   mutable running : bool;
 }
 
-let fcts t = t.d_fcts
 let started t = t.n_started
 let completed t = t.n_completed
 let stop t = t.running <- false
 
 let create () =
-  { d_fcts = Stats.Summary.create (); n_started = 0; n_completed = 0;
-    running = true }
+  { n_started = 0; n_completed = 0; running = true }
 
-let record t fct =
-  t.n_completed <- t.n_completed + 1;
-  Stats.Summary.add t.d_fcts (Engine.Time.to_float_us fct)
+let record t (_ : Engine.Time.t) = t.n_completed <- t.n_completed + 1
 
 let poisson sim ~rng ~size ~mean_interarrival ?until send =
   let t = create () in

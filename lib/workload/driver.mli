@@ -1,17 +1,16 @@
 (** Transport-agnostic traffic drivers.
 
     A driver repeatedly invokes a [send] closure (MTP message, TCP
-    flow, UDP datagram — anything) according to an arrival process,
-    collecting completion times into a {!Stats.Summary.t}. *)
+    flow, UDP datagram — anything) according to an arrival process and
+    counts the transfers it started and completed.  It keeps no
+    completion times: a caller that wants them records each one in the
+    [on_complete] it hands its transport. *)
 
 type send = size:int -> on_complete:(Engine.Time.t -> unit) -> unit
 (** Start one transfer of [size] bytes; call [on_complete] with the
     completion time when it finishes. *)
 
 type t
-
-val fcts : t -> Stats.Summary.t
-(** Completion times, in microseconds. *)
 
 val started : t -> int
 

@@ -440,7 +440,7 @@ let test_endpoint_flight_conserved () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
        ~delay:(Engine.Time.us 2)
-       ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
+       ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ())
        ());
   let ea = Mtp.Endpoint.attach (Host.create a) in
   let eb = Mtp.Endpoint.attach (Host.create b) in

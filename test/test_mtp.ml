@@ -707,7 +707,7 @@ let test_endpoint_recovers_from_loss () =
 let test_endpoint_ndp_trimming_fast_recovery () =
   let sim, _, b, _, ea, eb =
     mtp_pair ~rate:(Engine.Time.gbps 1)
-      ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
+      ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ())
       ()
   in
   let got = ref 0 in
@@ -879,7 +879,7 @@ let test_endpoint_send_sequence_pinned () =
   let topo = Topology.create sim in
   let a = Topology.host topo "a" and b = Topology.host topo "b" in
   let seq = Buffer.create 4096 and n = ref 0 and data = ref 0 in
-  let inner = Qdisc.trimming ~cap_pkts:8 ~header_size:64 () in
+  let inner = Qdisc.trimming ~cap_pkts:8 () in
   let enqueue p =
     match p.Packet.payload with
     | Wire.Mtp h when not h.Wire.is_ack ->
@@ -941,7 +941,7 @@ let test_endpoint_multi_lane_sequence_pinned () =
        st.Topology.st_clients.(2) |]
   in
   let seq = Buffer.create 4096 and n = ref 0 and data = ref 0 in
-  let inner = Qdisc.trimming ~cap_pkts:8 ~header_size:64 () in
+  let inner = Qdisc.trimming ~cap_pkts:8 () in
   let enqueue p =
     match p.Packet.payload with
     | Wire.Mtp h when not h.Wire.is_ack ->
@@ -1123,7 +1123,7 @@ let test_endpoint_ack_coalescing_with_loss () =
   ignore
     (Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 1)
        ~delay:(Engine.Time.us 2)
-       ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ~header_size:64 ())
+       ~ab_qdisc:(Qdisc.trimming ~cap_pkts:8 ())
        ());
   let ea = Endpoint.attach (Host.create a) in
   let eb = Endpoint.attach ~ack_every:8 (Host.create b) in

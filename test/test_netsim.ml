@@ -51,7 +51,7 @@ let test_ecn_marks_above_threshold () =
   checki "marks counter" 2 (q.Qdisc.marks ())
 
 let test_trimming_trims_not_drops () =
-  let q = Qdisc.trimming ~cap_pkts:2 ~header_size:64 () in
+  let q = Qdisc.trimming ~cap_pkts:2 () in
   ignore (q.Qdisc.enqueue (pkt ()));
   ignore (q.Qdisc.enqueue (pkt ()));
   let extra = pkt () in
@@ -209,7 +209,7 @@ let test_qdisc_sentinel_table () =
       ("ecn", Qdisc.ecn ~cap_pkts:16 ~mark_threshold:2 (), fifo_order);
       ("red", Qdisc.red ~rng ~cap_pkts:16 ~min_th:2 ~max_th:8 (), fifo_order);
       (* Four fill the data queue; 4 and 5 are trimmed and served first. *)
-      ("trimming", Qdisc.trimming ~cap_pkts:4 ~header_size:64 (),
+      ("trimming", Qdisc.trimming ~cap_pkts:4 (),
        [ 4; 5; 0; 1; 2; 3 ]);
       (* Quantum 1514 against 1500-byte packets: class 1 earns two
          packets' worth per visit, class 0 one. *)

@@ -494,7 +494,7 @@ let test_link_qdisc_events () =
           checki (label ^ " drops") (q.Netsim.Qdisc.drops ()) !drop;
           checkb (label ^ " acted") true (!mark + !trim + !drop > 0)))
     [ ("ecn1", Netsim.Qdisc.ecn ~cap_pkts:1000 ~mark_threshold:1 ());
-      ("trim", Netsim.Qdisc.trimming ~cap_pkts:1 ~header_size:64 ());
+      ("trim", Netsim.Qdisc.trimming ~cap_pkts:1 ());
       ("fifo1", Netsim.Qdisc.fifo ~cap_pkts:1 ()) ]
 
 let suite =
