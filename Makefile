@@ -58,8 +58,9 @@ bench-smoke:
 # lookup or a switch ingress (through a real Routing.ecmp verdict)
 # allocating, or on MTP words per acked packet growing with the
 # backlog (bar 1.15x of the 1-message value) or, at 1 message,
-# exceeding 1.15x of the value recorded in bench/datapath.ml, or on the
-# DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
+# exceeding 1.15x of the value recorded in bench/datapath.ml (as must
+# the failover point: a two-path fabric with path A down and its
+# pathlet suspect), or on the DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
 # messages must stay within 2.0x of the 1-message value (absolute ns
 # are recorded, not gated), the median of 11 per-round ratios of
 # passes run back to back.  The parallel section fails if any width's

@@ -9,8 +9,9 @@
    permutation workload through 64 -> 4096 host fabrics and checks
    that minor words/event stay flat; the mtp section checks the same
    of minor words per acked packet as one sender's backlog grows from
-   1 to 128 messages, and bounds the growth of its ns per acked
-   packet; the tcp section checks that a warm DCTCP stream allocates
+   1 to 128 messages, bounds the growth of its ns per acked packet,
+   and bounds its words per acked packet while a failed path's
+   pathlet is suspect; the tcp section checks that a warm DCTCP stream allocates
    (next to) nothing per delivered segment; the parallel section runs
    a fixed sweep and one partitioned scenario at several widths.
    Results go to stdout and, every section in one pass,
@@ -508,6 +509,68 @@ let mtp_flatness pts = ((mtp_point pts 1).m_words, (mtp_point pts 128).m_words)
 let mtp_ns_ratio pts =
   paired (mtp_point pts 128).m_ns_runs (mtp_point pts 1).m_ns_runs
 
+(* The failover point: the two-path fabric and open-loop traffic of
+   [bench/suite]'s failover-mtp (one 100 KB message per 10 us, 100G
+   paths, an exclusion-aware ingress, a sender without exclusion
+   lists).  Path A goes down at 1 ms and routing withdraws it 0.5 ms
+   later; by 2 ms timeouts have turned its pathlet suspect, and every
+   send then passes the suspect views (steering skips it, probing
+   checks whether it is due).  Reported: minor words per acked packet
+   from 2 to 4 ms, with path A still down and its pathlet still
+   suspect, gated like the backlog-1 point against
+   [mtp_recorded_failover_words] (allocation is deterministic). *)
+let mtp_recorded_failover_words = 1.88
+
+let mtp_failover () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let g = Engine.Time.gbps 100 and delay = Engine.Time.us 1 in
+  let fifo () = Netsim.Qdisc.fifo ~cap_pkts:128 () in
+  let tp =
+    Netsim.Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:delay
+      ~delay_b:delay ~edge_rate:(Engine.Time.gbps 200) ~qdisc_a:(fifo ())
+      ~qdisc_b:(fifo ()) ()
+  in
+  let link_a = tp.Netsim.Topology.tp_link_a in
+  let routes = tp.Netsim.Topology.tp_routes in
+  let fault = Netsim.Fault.plan sim in
+  Netsim.Fault.link_down fault ~at:(Engine.Time.ms 1) link_a;
+  Netsim.Fault.reroute fault routes ~port:tp.Netsim.Topology.tp_port_a
+    ~detect:(Engine.Time.us 500) link_a;
+  Mtp.Mtp_switch.stamp sim link_a ~path_id:1 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
+  Mtp.Mtp_switch.stamp sim tp.Netsim.Topology.tp_link_b ~path_id:2
+    ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
+  Netsim.Switch.set_forward tp.Netsim.Topology.tp_ingress
+    (Mtp.Mtp_switch.exclusion_aware
+       ~port_paths:
+         [ (tp.Netsim.Topology.tp_port_a, 1); (tp.Netsim.Topology.tp_port_b, 2) ]
+       routes);
+  let ea =
+    Mtp.Endpoint.attach ~exclusion:false
+      (Netsim.Host.create tp.Netsim.Topology.tp_src)
+  in
+  let eb = Mtp.Endpoint.attach (Netsim.Host.create tp.Netsim.Topology.tp_dst) in
+  Mtp.Endpoint.bind eb ~port:80 (fun _ -> ());
+  let dst = Netsim.Node.addr tp.Netsim.Topology.tp_dst in
+  let sent = ref 0 in
+  Engine.Sim.periodic sim ~interval:(Engine.Time.us 10) (fun () ->
+      incr sent;
+      ignore
+        (Mtp.Endpoint.send ea ~dst ~dst_port:80
+           ~src_port:(30_000 + (!sent mod 1_000)) ~size:100_000 ());
+      true);
+  let table = Mtp.Endpoint.pathlets ea in
+  let path_a = { Mtp.Wire.path_id = 1; path_tc = 0 } in
+  let suspect () = Mtp.Pathlet.suspect table path_a in
+  Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  if not (suspect ()) then failwith "mtp failover: path A's pathlet not suspect";
+  let acks = Mtp.Endpoint.acks_sent eb in
+  let _, words, () =
+    timed (fun () -> Engine.Sim.run ~until:(Engine.Time.ms 4) sim)
+  in
+  if not (suspect ()) then failwith "mtp failover: path A's pathlet revived";
+  words /. float_of_int (Mtp.Endpoint.acks_sent eb - acks)
+
 (* ------------------------------- TCP ------------------------------- *)
 
 (* A backlogged DCTCP stream over a lossless 10G host pair, warmed up
@@ -652,6 +715,7 @@ type report = {
   dh_rate : float;
   scale : scale;
   mtp : mtp_point list;
+  mtp_failover_words : float;
   tcp_words : float;
   tcp_rate : float;
   par : par;
@@ -668,10 +732,11 @@ let collect () =
   let dh_words, dh_rate = per_op engine.(3) in
   let scale = collect_scale () in
   let mtp = collect_mtp () in
+  let mtp_failover_words = mtp_failover () in
   let tcp_words, tcp_rate = per_op (interleave [| tcp_stream |]).(0) in
   let par = collect_par () in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; dh_words;
-    dh_rate; scale; mtp; tcp_words; tcp_rate; par }
+    dh_rate; scale; mtp; mtp_failover_words; tcp_words; tcp_rate; par }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -718,6 +783,10 @@ let print_report r =
     "absolute" m1 mtp_recorded_words_1 mtp_words_bar;
   Printf.printf "%-14s %.2fx ns/acked pkt at 128 vs 1 (bar %.2fx)\n" "ns ratio"
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
+  Printf.printf
+    "%-14s %.2f words/acked pkt, path A down and suspect, vs recorded %.2f \
+     (bar %.2fx)\n"
+    "failover" r.mtp_failover_words mtp_recorded_failover_words mtp_words_bar;
   Printf.printf "\n== tcp endpoint (warm dctcp stream) ==\n";
   Printf.printf "%-14s %8.3f words/segment %10.0f segments/s (bar %.2f)\n"
     "dctcp stream" r.tcp_words r.tcp_rate tcp_words_bar;
@@ -794,9 +863,10 @@ let write_json r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f\n  },\n"
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f,\n    \"failover_words\": %.2f,\n    \"recorded_failover_words\": %.2f\n  },\n"
     m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
-    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar;
+    (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar r.mtp_failover_words
+    mtp_recorded_failover_words;
   Printf.fprintf oc
     "  \"tcp\": {\n    \"minor_words_per_segment\": %.3f,\n    \"segments_per_sec\": %.0f,\n    \"words_bar\": %.2f\n  },\n"
     r.tcp_words r.tcp_rate tcp_words_bar;
@@ -872,6 +942,12 @@ let guardrail r =
       "mtp words/acked packet at a backlog of 1: %.2f exceeds the recorded \
        %.2f by more than %.2fx"
       m1 mtp_recorded_words_1 mtp_words_bar;
+  if not (r.mtp_failover_words <= mtp_words_bar *. mtp_recorded_failover_words)
+  then
+    fail
+      "mtp words/acked packet with a suspect pathlet: %.2f exceeds the \
+       recorded %.2f by more than %.2fx"
+      r.mtp_failover_words mtp_recorded_failover_words mtp_words_bar;
   if not (r.tcp_words < tcp_words_bar) then
     fail "warm dctcp stream allocates %.3f minor words per delivered \
           segment (bar %.2f)" r.tcp_words tcp_words_bar;

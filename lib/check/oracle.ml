@@ -59,8 +59,24 @@ let pathlets_consistent tbl =
         note
           (Printf.sprintf "path %d excluded but unknown" r.Mtp.Wire.path_id))
     suspects;
+  (* The list is kept by key ([(path_id lsl 8) lor path_tc]), so it
+     must name each pathlet once, in increasing (id, tc) order. *)
+  let rec ordered = function
+    | a :: (b :: _ as rest) ->
+      let open Mtp.Wire in
+      if (a.path_id, a.path_tc) >= (b.path_id, b.path_tc) then
+        note
+          (Printf.sprintf "suspect list out of key order at path %d"
+             b.path_id);
+      ordered rest
+    | [ _ ] | [] -> ()
+  in
+  ordered suspects;
   List.iter
     (fun (r, cc) ->
+      if Mtp.Pathlet.suspect tbl r && not (List.mem r suspects) then
+        note
+          (Printf.sprintf "path %d suspect but not listed" r.Mtp.Wire.path_id);
       let w = Mtp.Cc.window cc in
       if w < 0 then
         note

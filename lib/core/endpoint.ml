@@ -20,12 +20,16 @@ let acked = -3
 type seen = { s_ref : Wire.path_ref; mutable s_at : Engine.Time.t }
 
 (* Per-destination path state.  [entries] are the pathlets acks named
-   for this destination, newest first, and [refs] their references in
-   the same order.  [live] caches [live_refs] for one scheduling epoch
+   for this destination, newest first, one [seen] record each, and
+   [refs] their references in the same order.  [prev_entries] and
+   [prev_refs] are the two lists from before the last reorder (see
+   [note_paths]).  [live] caches [live_refs] for one scheduling epoch
    (see [pump]). *)
 type dst_paths = {
   mutable entries : seen list;
   mutable refs : Wire.path_ref list;
+  mutable prev_entries : seen list;
+  mutable prev_refs : Wire.path_ref list;
   mutable live_epoch : int;
   mutable live : Wire.path_ref list;
   mutable lanes : lane list;
@@ -287,13 +291,15 @@ let path_for t ~dst ~tc =
 
 let current_path t ~dst = path_for t ~dst ~tc:0
 
+let no_paths () =
+  { entries = []; refs = []; prev_entries = []; prev_refs = [];
+    live_epoch = -1; live = []; lanes = [] }
+
 let dst_paths t dst =
   match Itbl.find t.dests dst with
   | d -> d
   | exception Not_found ->
-    let d =
-      { entries = []; refs = []; live_epoch = -1; live = []; lanes = [] }
-    in
+    let d = no_paths () in
     Itbl.add t.dests dst d;
     d
 
@@ -334,29 +340,71 @@ let rec restamp time fbs cells entries =
         restamp time fbs rest more
       | _ :: _ | [] -> false)
 
+let rec named_in r = function
+  | [] -> false
+  | { Wire.fb_path; _ } :: rest -> Wire.same_path fb_path r || named_in r rest
+
+(* Whether [a] and [b] hold the same records in the same order, leaving
+   out those of the pathlets [fbs] names. *)
+let rec same_unnamed fbs a b =
+  match (a, b) with
+  | s :: more, _ when named_in s.s_ref fbs -> same_unnamed fbs more b
+  | _, s :: more when named_in s.s_ref fbs -> same_unnamed fbs a more
+  | s :: more, s' :: more' -> s == s' && same_unnamed fbs more more'
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
+
+let rec unnamed fbs = function
+  | [] -> []
+  | s :: rest ->
+    if named_in s.s_ref fbs then unnamed fbs rest else s :: unnamed fbs rest
+
+(* [r]'s record in [entries], stamped [time], or a new one. *)
+let rec seen_at time r = function
+  | [] -> { s_ref = r; s_at = time }
+  | s :: rest ->
+    if Wire.same_path s.s_ref r then begin
+      s.s_at <- time;
+      s
+    end
+    else seen_at time r rest
+
+(* The records of the pathlets [cells] names, in order of first
+   mention and stamped [time], ahead of [tail]. *)
+let rec front time fbs entries tail = function
+  | [] -> tail
+  | { Wire.fb_path; _ } :: rest as cells ->
+    if Wire.first_mention fbs cells then
+      seen_at time fb_path entries :: front time fbs entries tail rest
+    else front time fbs entries tail rest
+
+let rec refs_of = function [] -> [] | s :: rest -> s.s_ref :: refs_of rest
+
 (* An ack's feedback names the pathlets its data packet crossed: they
    move to the front of the destination's list, newest first, stamped
    now.  On a stable path they already head it in the same order, and
-   the stamps are updated in place. *)
+   the stamps are updated in place.  A reorder keeps every pathlet's
+   record and the lists it replaces: an ack that restores that order,
+   as acks alternating between two paths do, swaps them back in, so
+   neither allocates. *)
 let note_paths t ~dst fbs =
   let time = Engine.Sim.now t.ep_sim in
   let d = dst_paths t dst in
   if not (restamp time fbs fbs d.entries) then begin
-    let rec named = function
-      | [] -> []
-      | ({ Wire.fb_path; _ } :: rest) as cells ->
-        if Wire.first_mention fbs cells then fb_path :: named rest
-        else named rest
-    in
-    let refs = named fbs in
-    let kept =
-      List.filter
-        (fun s -> not (List.exists (Wire.same_path s.s_ref) refs))
-        d.entries
-    in
-    let fresh = List.rev_map (fun r -> { s_ref = r; s_at = time }) refs in
-    d.entries <- List.rev_append fresh kept;
-    d.refs <- List.map (fun s -> s.s_ref) d.entries
+    let entries = d.entries and refs = d.refs in
+    if
+      restamp time fbs fbs d.prev_entries
+      && same_unnamed fbs d.prev_entries entries
+    then begin
+      d.entries <- d.prev_entries;
+      d.refs <- d.prev_refs
+    end
+    else begin
+      d.entries <- front time fbs entries (unnamed fbs entries) fbs;
+      d.refs <- refs_of d.entries
+    end;
+    d.prev_entries <- entries;
+    d.prev_refs <- refs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -711,9 +759,7 @@ let send_quantum t msg =
   !sent = quantum
 
 let nil_msg () =
-  let nowhere =
-    { entries = []; refs = []; live_epoch = -1; live = []; lanes = [] }
-  in
+  let nowhere = no_paths () in
   { tx_id = -1; tx_dst = -1; tx_dst_port = 0; tx_src_port = 0; tx_pri = 0;
     tx_tc = 0; tx_size = 0; tx_npkts = 0; tx_cookie = 0; tx_cookie2 = 0;
     tx_lane =
@@ -805,6 +851,31 @@ let rec fail_late t = function
     fail_message t msg;
     fail_late t rest
 
+(* Adds each pathlet of the list that [acc] lacks to its front. *)
+let rec blame acc = function
+  | [] -> acc
+  | r :: rest -> blame (if mem_path r acc then acc else r :: acc) rest
+
+(* Packets [i ..] of [msg]: each one in flight is lost and queued for
+   retransmission, its pathlets added to [blamed], newest first. *)
+let rec expire_pkts t msg i blamed =
+  if i >= msg.tx_npkts then blamed
+  else
+    let slot = msg.states.(i) in
+    if slot >= 0 then begin
+      let blamed = blame blamed t.fl_charged.(slot) in
+      leave_flight t msg i slot lost;
+      push_retx t msg i;
+      expire_pkts t msg (i + 1) blamed
+    end
+    else expire_pkts t msg (i + 1) blamed
+
+let rec note_losses tbl time = function
+  | [] -> ()
+  | r :: rest ->
+    Cc.on_loss (Pathlet.get tbl r) ~now:time;
+    note_losses tbl time rest
+
 (* Timeout sweep: every packet in flight of a timed-out message is
    presumed lost.  The loss (and the health strike) is attributed to
    the pathlets those packets were actually charged to, not the whole
@@ -816,21 +887,9 @@ let expire_one t time msg =
     probe_event t ~kind:Telemetry.Events.Rto ~dst:msg.tx_dst ~size:0
       ~a:msg.tx_id ~b:t.n_timeouts;
   msg.tx_last_progress <- time;
-  let blamed = ref [] in
-  for i = 0 to msg.tx_npkts - 1 do
-    let slot = msg.states.(i) in
-    if slot >= 0 then begin
-      List.iter
-        (fun r -> if not (mem_path r !blamed) then blamed := r :: !blamed)
-        t.fl_charged.(slot);
-      leave_flight t msg i slot lost;
-      push_retx t msg i
-    end
-  done;
-  List.iter
-    (fun r -> Cc.on_loss (Pathlet.get t.path_table r) ~now:time)
-    !blamed;
-  Pathlet.note_timeout t.path_table !blamed ~now:time
+  let blamed = expire_pkts t msg 0 [] in
+  note_losses t.path_table time blamed;
+  Pathlet.note_timeout t.path_table blamed ~now:time
 
 let rec expire t time = function
   | [] -> ()

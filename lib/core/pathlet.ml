@@ -11,7 +11,9 @@
    [suspect_after] times in a row with no forward progress is declared
    suspect and excluded from steering until a periodic probe (a real
    data packet routed over it) is acked, which clears the flag via
-   [note_progress]. *)
+   [note_progress].  Suspect entries are kept in a second list sorted
+   by key, changed only where the flag flips, so the steering and
+   probing views below read it without allocating. *)
 type entry = {
   e_ref : Wire.path_ref;
   e_one : Wire.path_ref list; (* [[e_ref]], the singleton charging target *)
@@ -32,14 +34,15 @@ type t = {
   probe_interval : Engine.Time.t;
   table : entry Tbl.t;
   mutable controlled : entry list; (* entries with a controller, by key *)
-  mutable n_suspect : int;
+  mutable suspected : entry list; (* suspect entries, by key *)
+  mutable suspect_refs : Wire.path_ref list; (* their [e_ref]s *)
   scratch : Cc.signal; (* [on_ack]'s per-pathlet fold *)
 }
 
 let create ?init_window ?(mss = 1440) ?(suspect_after = 3)
     ?(probe_interval = Engine.Time.us 500) algo =
   { default_algo = algo; init_window; mss; suspect_after; probe_interval;
-    table = Tbl.create 8; controlled = []; n_suspect = 0;
+    table = Tbl.create 8; controlled = []; suspected = []; suspect_refs = [];
     scratch = Cc.signal () }
 
 let key (r : Wire.path_ref) = (r.Wire.path_id lsl 8) lor r.Wire.path_tc
@@ -113,19 +116,30 @@ let strikes t r =
   | e -> e.consec_rto
   | exception Not_found -> 0
 
-let note_timeout t refs ~now =
-  List.iter
-    (fun r ->
-      let h = entry t r in
-      h.consec_rto <- h.consec_rto + 1;
-      if h.consec_rto >= t.suspect_after && not h.suspect then begin
-        h.suspect <- true;
-        (* First probe only after a full interval: the pathlet just
-           proved dead, give it time before spending a packet on it. *)
-        h.last_probe <- now;
-        t.n_suspect <- t.n_suspect + 1
-      end)
-    refs
+let rec refs_of = function [] -> [] | e :: rest -> e.e_ref :: refs_of rest
+
+let rec remove e = function
+  | [] -> []
+  | x :: rest -> if x == e then rest else x :: remove e rest
+
+let set_suspected t l =
+  t.suspected <- l;
+  t.suspect_refs <- refs_of l
+
+let rec note_timeout t refs ~now =
+  match refs with
+  | [] -> ()
+  | r :: rest ->
+    let h = entry t r in
+    h.consec_rto <- h.consec_rto + 1;
+    if h.consec_rto >= t.suspect_after && not h.suspect then begin
+      h.suspect <- true;
+      (* First probe only after a full interval: the pathlet just
+         proved dead, give it time before spending a packet on it. *)
+      h.last_probe <- now;
+      set_suspected t (insert_by_key h t.suspected)
+    end;
+    note_timeout t rest ~now
 
 let progress t r =
   match Tbl.find t.table (key r) with
@@ -134,7 +148,7 @@ let progress t r =
     h.consec_rto <- 0;
     if h.suspect then begin
       h.suspect <- false;
-      t.n_suspect <- t.n_suspect - 1
+      set_suspected t (remove h t.suspected)
     end
 
 let rec note_progress t = function
@@ -185,51 +199,36 @@ let on_ack t ~now ~acked ~rtt ~implicit_trim ~tc fbs =
 
 (* Suspect sets and probe choices must not depend on the hash layout:
    the suspect list lands in MTP header exclusion lists, so a
-   hash-function change would alter the wire trace.  Every view below
-   orders by key. *)
+   hash-function change would alter the wire trace.  Both views read
+   [suspected], which is in key order. *)
 
-let by_key (a : Wire.path_ref) b = compare (key a) (key b)
-
-let suspects t =
-  if t.n_suspect = 0 then []
-  else
-    (* simlint: allow D001 — fold result is sorted by key just below *)
-    Tbl.fold (fun _ e acc -> if e.suspect then e.e_ref :: acc else acc) t.table []
-    |> List.sort by_key
+let suspects t = t.suspect_refs
 
 (* Candidates come from the whole table, not the caller's live path
    list: a dead pathlet ages out of the per-destination path set (no
    acks name it), so the live list is exactly where a suspect never
-   appears.  Among the probe-eligible suspects the smallest key wins,
-   so the pick is stable across hash layouts. *)
-let probe_target t ~now =
-  if t.n_suspect = 0 then None
-  else
-    let best =
-      (* simlint: allow D001 — fold keeps the minimum key, order-free *)
-      Tbl.fold
-        (fun k e best ->
-          if e.suspect && now - e.last_probe >= t.probe_interval then
-            match best with
-            | Some (k', _) when k' <= k -> best
-            | Some _ | None -> Some (k, e)
-          else best)
-        t.table None
-    in
-    match best with
-    | None -> None
-    | Some (_, e) ->
+   appears.  Among the probe-eligible suspects the smallest key (the
+   first in [suspected]) wins, so the pick is stable across hash
+   layouts. *)
+let rec first_due t ~now = function
+  | [] -> None
+  | e :: rest ->
+    if now - e.last_probe >= t.probe_interval then begin
       e.last_probe <- now;
       Some e.e_ref
+    end
+    else first_due t ~now rest
+
+let probe_target t ~now = first_due t ~now t.suspected
 
 (* -------------------------- steering views ------------------------- *)
 
 (* Suspect pathlets are invisible to steering — unless every offered
    pathlet is suspect, in which case filtering would wedge the sender,
    so we fall back to the unfiltered view and let probing sort it out.
-   The [n_suspect = 0] fast path keeps the common (healthy) case
-   allocation-free and branch-cheap; the walks below are top-level
-   recursions so they allocate no closure either. *)
+   The walks below pass over suspects when [skip] holds; they are
+   top-level recursions and make no filtered copy, so they allocate
+   nothing, and with no suspect at all they cost one test. *)
 
 let rec all_suspect_from t = function
   | [] -> true
@@ -237,16 +236,18 @@ let rec all_suspect_from t = function
 
 let all_suspect t refs = refs != [] && all_suspect_from t refs
 
-let skip_suspects t refs = t.n_suspect > 0 && not (all_suspect t refs)
+let skip_suspects t refs = t.suspected != [] && not (all_suspect t refs)
 
 let slack t e = Cc.window (cc_of t e) - e.flight
 
-let headroom t refs =
-  let live =
-    if skip_suspects t refs then List.filter (fun r -> not (suspect t r)) refs
-    else refs
-  in
-  List.fold_left (fun acc r -> Int.min acc (slack t (entry t r))) max_int live
+let rec min_slack t skip acc = function
+  | [] -> acc
+  | r :: rest ->
+    let e = entry t r in
+    let acc = if skip && e.suspect then acc else Int.min acc (slack t e) in
+    min_slack t skip acc rest
+
+let headroom t refs = min_slack t (skip_suspects t refs) max_int refs
 
 let rec sum_slack t skip acc = function
   | [] -> acc
@@ -258,28 +259,26 @@ let rec sum_slack t skip acc = function
 let headroom_sum t refs = sum_slack t (skip_suspects t refs) 0 refs
 
 (* Ties keep the earlier pathlet. *)
-let rec best_from t best best_slack = function
+let rec best_from t skip best best_slack = function
   | [] -> best
   | r :: rest ->
     let e = entry t r in
-    let s = slack t e in
-    if s > best_slack then best_from t e s rest
-    else best_from t best best_slack rest
+    if skip && e.suspect then best_from t skip best best_slack rest
+    else
+      let s = slack t e in
+      if s > best_slack then best_from t skip e s rest
+      else best_from t skip best best_slack rest
 
-let best_of t refs =
-  let refs =
-    if skip_suspects t refs then List.filter (fun r -> not (suspect t r)) refs
-    else refs
-  in
-  match refs with
+(* The first candidate opens the walk; the winner is its own singleton
+   charging target, so no list is made. *)
+let rec best_of_from t skip = function
   | [] -> []
-  | [ r ] ->
-    (* The lone candidate is its own singleton: no new list. *)
-    ignore (get t r);
-    refs
-  | first :: rest ->
-    let e = entry t first in
-    (best_from t e (slack t e) rest).e_one
+  | r :: rest ->
+    let e = entry t r in
+    if skip && e.suspect then best_of_from t skip rest
+    else (best_from t skip e (slack t e) rest).e_one
+
+let best_of t refs = best_of_from t (skip_suspects t refs) refs
 
 let known t =
   List.filter_map

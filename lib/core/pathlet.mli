@@ -35,7 +35,8 @@ val discharge : t -> Wire.path_ref list -> int -> unit
 val headroom : t -> Wire.path_ref list -> int
 (** [min over pathlets (window - inflight)]; how many more bytes may
     enter the network on a path composed of these pathlets.  Suspect
-    pathlets are ignored unless every listed pathlet is suspect. *)
+    pathlets are ignored unless every listed pathlet is suspect.
+    Allocates nothing once the listed pathlets have controllers. *)
 
 val headroom_sum : t -> Wire.path_ref list -> int
 (** [sum over pathlets max(0, window - inflight)]: the aggregate send
@@ -45,8 +46,11 @@ val headroom_sum : t -> Wire.path_ref list -> int
 
 val best_of : t -> Wire.path_ref list -> Wire.path_ref list
 (** The pathlet with the most headroom, as a singleton charging target
-    (empty input returns empty).  Suspect pathlets are never chosen
-    unless every listed pathlet is suspect. *)
+    (empty input returns empty; ties keep the earlier pathlet).
+    Suspect pathlets are never chosen unless every listed pathlet is
+    suspect.  The target is the pathlet's own kept singleton, and
+    suspects are passed over in the walk, so nothing is allocated once
+    the listed pathlets have controllers. *)
 
 val on_ack :
   t ->
@@ -85,13 +89,17 @@ val strikes : t -> Wire.path_ref -> int
 (** Current consecutive-RTO count (0 after any progress). *)
 
 val suspects : t -> Wire.path_ref list
-(** All currently suspect pathlets (empty in the healthy fast path). *)
+(** All currently suspect pathlets, in increasing [(path_id, path_tc)]
+    order (empty in the healthy fast path).  The list is kept, changed
+    only when a pathlet turns suspect or recovers, so reading it
+    allocates nothing. *)
 
 val probe_target : t -> now:Engine.Time.t -> Wire.path_ref option
-(** A suspect pathlet whose probe interval has elapsed, if any; marks
-    it probed.  The caller routes one real data packet over it — an
-    ack whose path feedback names the pathlet then revives it via
-    {!note_progress}. *)
+(** The suspect pathlet with the smallest [(path_id, path_tc)] whose
+    probe interval has elapsed, if any; marks it probed.  The caller
+    routes one real data packet over it — an ack whose path feedback
+    names the pathlet then revives it via {!note_progress}.  Only a
+    due probe allocates (its option). *)
 
 val known : t -> (Wire.path_ref * Cc.t) list
 (** All pathlets seen so far. *)

@@ -252,6 +252,48 @@ let test_pathlet_suspect_probe_revive () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e)
 
+(* With one of two pathlets suspect, the steering views read the kept
+   suspect list and skip it in place: no filtered copy, no fold closure,
+   no option while no probe is due. *)
+let test_suspect_views_allocate_nothing () =
+  let tbl =
+    Mtp.Pathlet.create ~suspect_after:1 ~probe_interval:(Engine.Time.us 100)
+      Mtp.Cc.Dctcp
+  in
+  let both = [ r1; r2 ] in
+  ignore (Mtp.Pathlet.get tbl r1);
+  ignore (Mtp.Pathlet.get tbl r2);
+  Mtp.Pathlet.note_timeout tbl [ r1 ] ~now:0;
+  checkb "one suspect" true (Mtp.Pathlet.suspect tbl r1);
+  let n = 10_000 and now = Engine.Time.us 50 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.0)) (what ^ ": no minor words") 0.0 (words f))
+    [ ("best_of", fun () -> ignore (Mtp.Pathlet.best_of tbl both));
+      ("headroom", fun () -> ignore (Mtp.Pathlet.headroom tbl both));
+      ("headroom_sum", fun () -> ignore (Mtp.Pathlet.headroom_sum tbl both));
+      ("suspects", fun () -> ignore (Mtp.Pathlet.suspects tbl));
+      ("probe_target", fun () -> ignore (Mtp.Pathlet.probe_target tbl ~now)) ];
+  checkb "best_of skips the suspect" true (Mtp.Pathlet.best_of tbl both = [ r2 ]);
+  checki "headroom is the live pathlet's"
+    (Mtp.Pathlet.headroom tbl [ r2 ])
+    (Mtp.Pathlet.headroom tbl both);
+  checkb "suspects listed" true (Mtp.Pathlet.suspects tbl = [ r1 ]);
+  checkb "no probe due yet" true (Mtp.Pathlet.probe_target tbl ~now = None);
+  (* A second suspect, with the larger key, goes after the first. *)
+  Mtp.Pathlet.note_timeout tbl [ r2 ] ~now;
+  checkb "suspects in key order" true (Mtp.Pathlet.suspects tbl = both);
+  match Check.Oracle.pathlets_consistent tbl with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let mtp_pair () =
   let sim = Engine.Sim.create () in
   let topo = Topology.create sim in
@@ -528,6 +570,8 @@ let suite =
     Alcotest.test_case "audit leaks" `Quick test_pool_leak_flagged;
     Alcotest.test_case "pathlet suspect/probe" `Quick
       test_pathlet_suspect_probe_revive;
+    Alcotest.test_case "suspect views allocate nothing" `Quick
+      test_suspect_views_allocate_nothing;
     Alcotest.test_case "endpoint deadline error" `Quick
       test_endpoint_deadline_on_error;
     Alcotest.test_case "endpoint deadline met" `Quick

@@ -836,6 +836,53 @@ let test_endpoint_current_path_order () =
     [ [ 1 ]; [ 1 ]; [ 2; 1 ]; [ 1; 2 ]; [ 1; 2 ]; [ 1 ]; [ 2; 1 ] ]
     (ids (List.rev !seen))
 
+(* One long message sprayed packet by packet over a two-path fabric
+   whose links both stamp (two messages to one destination share its
+   send budget, and the pump fills it from one of them, so two messages
+   hashed onto the two paths leave one path nearly idle): acks for the
+   two paths alternate, so
+   most acks reorder the destination's pathlet list, and each such
+   reorder restores the order from before the last one.  Once warm,
+   that swap allocates nothing (measured: 0.001 words per acked
+   packet; 48 when each reorder rebuilt the lists). *)
+let test_endpoint_path_flips_allocate_nothing () =
+  let sim = Engine.Sim.create () in
+  let topo = Topology.create sim in
+  let g = Engine.Time.gbps 10 and delay = Engine.Time.us 1 in
+  let tp =
+    Topology.two_path topo ~rate_a:g ~rate_b:g ~delay_a:delay ~delay_b:delay
+      ~edge_rate:(Engine.Time.gbps 40) ()
+  in
+  Netsim.Switch.set_forward tp.Topology.tp_ingress
+    (Netsim.Routing.spray tp.Topology.tp_routes);
+  Mtp_switch.stamp sim tp.Topology.tp_link_a ~path_id:1
+    ~mode:(Mtp_switch.Ecn_mark 20);
+  Mtp_switch.stamp sim tp.Topology.tp_link_b ~path_id:2
+    ~mode:(Mtp_switch.Ecn_mark 20);
+  (* No exclusion lists: their advisory half is rebuilt whenever the
+     two paths' ECN marks change which one is congested. *)
+  let ea = Endpoint.attach ~exclusion:false (Host.create tp.Topology.tp_src) in
+  let eb = Endpoint.attach (Host.create tp.Topology.tp_dst) in
+  Endpoint.bind eb ~port:80 (fun _ -> ());
+  let dst = Node.addr tp.Topology.tp_dst in
+  ignore (Endpoint.send ea ~dst ~dst_port:80 ~size:50_000_000 ());
+  Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
+  let sends () =
+    (Link.sends tp.Topology.tp_link_a, Link.sends tp.Topology.tp_link_b)
+  in
+  let acks = Endpoint.acks_sent eb and a0, b0 = sends () in
+  let before = Gc.minor_words () in
+  Engine.Sim.run ~until:(Engine.Time.ms 10) sim;
+  let words = Gc.minor_words () -. before in
+  let acked = Endpoint.acks_sent eb - acks and a1, b1 = sends () in
+  checkb "thousands of packets acked" true (acked > 5_000);
+  checkb "both paths carry data" true (a1 - a0 > 1_000 && b1 - b0 > 1_000);
+  checki "still sending" 1 (Endpoint.active_messages ea);
+  let per_ack = words /. float_of_int acked in
+  checkb
+    (Printf.sprintf "%.3f words per acked packet (%d acks)" per_ack acked)
+    true (per_ack < 0.05)
+
 (* The pump may skip a message whose next payload is at least one it
    already refused for the same (dst, tc), but never a smaller one: a
    short message behind a window-blocked elephant leaves at once. *)
@@ -1793,6 +1840,8 @@ let suite =
       test_endpoint_tracks_current_path;
     Alcotest.test_case "endpoint current path order" `Quick
       test_endpoint_current_path_order;
+    Alcotest.test_case "path-order flips allocate nothing" `Quick
+      test_endpoint_path_flips_allocate_nothing;
     Alcotest.test_case "endpoint short msg passes blocked" `Quick
       test_endpoint_short_message_passes_blocked_one;
     Alcotest.test_case "endpoint send sequence pinned" `Quick
