@@ -12,9 +12,11 @@ test:
 
 # Regenerate the goldens and print what changed:
 # test/golden/fig5-2ms.digest (MD5 of the fig5 telemetry trace, metrics
-# and stdout) and test/golden/corpus.digest (MD5 of every corpus
+# and stdout), test/golden/telemetry-jobs.digest (MD5 of the
+# par-leafspine trace and the extensions trace and metrics, exported at
+# --jobs 2) and test/golden/corpus.digest (MD5 of every corpus
 # case's single-sim and partitioned jobs=1 outcome; `dune runtest`
-# fails while either differs) and the stdout
+# fails while any differs) and the stdout
 # goldens all-smoke.expected, failover-smoke.expected,
 # par-leafspine-{dctcp,mtp}.expected and one <example>.expected per
 # example (`dune build @test/golden/smoke` fails while they differ).

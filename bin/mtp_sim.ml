@@ -50,9 +50,9 @@ let dump_series =
 let jobs_arg =
   let doc =
     "Worker domains for parallelizable commands (extensions, sweeps, \
-     failover, all, par-leafspine); 0 picks one per core.  Output is \
-     byte-identical for any value.  Values above 1 refuse \
-     $(b,--trace)/$(b,--metrics) (telemetry is main-domain only)."
+     failover, all, par-leafspine); 0 picks one per core.  Output, \
+     $(b,--trace) and $(b,--metrics) files included, is byte-identical \
+     for any value."
   in
   Arg.(value & opt (int_at_least 0) 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -97,18 +97,6 @@ let output_opts =
         let jobs =
           if jobs = 0 then Domain.recommended_domain_count () else jobs
         in
-        (* Telemetry's context is a main-domain singleton (one shared
-           event ring, no locks); worker domains would race it, so the
-           combination is refused outright rather than exporting a
-           silently incomplete trace.  See DESIGN.md "Parallel
-           runner". *)
-        if jobs > 1 && (trace <> None || metrics <> None) then begin
-          Format.eprintf
-            "mtp_sim: --trace/--metrics require --jobs 1 (telemetry is \
-             main-domain only; worker domains would race the shared event \
-             ring)@.";
-          Stdlib.exit 2
-        end;
         csv_target := csv;
         (* Validate export paths up front: a typo'd directory should
            be a usage error now, not an uncaught Sys_error from the

@@ -120,7 +120,6 @@ let stamp sim link ~path_id ~mode =
     | Wire.Mtp _ -> ()
     | _ -> ()
   in
-  (* simlint: allow H103 — once per link, at setup *)
   Netsim.Link.set_qdisc link (Netsim.Qdisc.with_hooks ~on_enqueue inner)
 
 let alternate_path sim sw ~dst ~ports ~interval ~fallback =

@@ -39,12 +39,15 @@ let mean_between data ~lo ~hi =
   Stats.Timeseries.mean (Stats.Timeseries.between data ~lo ~hi)
 
 (* Heterogeneous job grids: the existential packs each job's work
-   (runs on a worker domain) with its commit (runs on the main domain,
-   in submission order, after the whole pool drains).  Workers return
-   the commit closure partially applied to the work's value, so the
-   pool itself only ever sees one result type and the commit side
-   never races: everything observable happens on main, in list order,
-   whatever [jobs] is. *)
+   (runs on a worker domain) with its commit (runs on the calling
+   domain, in submission order, after the whole pool drains).  Workers
+   return the commit closure partially applied to the work's value, so
+   the pool itself only ever sees one result type and the commit side
+   never races: everything observable happens on the caller, in list
+   order, whatever [jobs] is.  With telemetry on, each job's work runs
+   under a staged context of its own, and the caller absorbs them in
+   submission order before the first commit: the order a serial run
+   emits in. *)
 type job = Job : (unit -> 'a) * ('a -> unit) -> job
 
 let job work ~commit = Job (work, commit)
@@ -52,12 +55,15 @@ let job work ~commit = Job (work, commit)
 let barrier commit = Job ((fun () -> ()), commit)
 
 let run_jobs ?(jobs = 1) (js : job list) =
-  Runner.Pool.map ~jobs
-    (fun (Job (work, commit)) ->
-      let v = work () in
-      fun () -> commit v)
-    js
-  |> List.iter (fun k -> k ())
+  let done_ =
+    Runner.Pool.map ~jobs
+      (fun (Job (work, commit), ctx) ->
+        let v = Telemetry.Ctx.within ctx work () in
+        (ctx, fun () -> commit v))
+      (List.map (fun j -> (j, Telemetry.Ctx.stage ())) js)
+  in
+  List.iter (fun (ctx, _) -> Telemetry.Ctx.absorb ctx) done_;
+  List.iter (fun (_, k) -> k ()) done_
 
 let collect ?jobs grid =
   let out = ref None in

@@ -47,7 +47,7 @@ type job
 val job : (unit -> 'a) -> commit:('a -> unit) -> job
 (** [job work ~commit]: [work] runs on a worker domain and must be
     closed (own [Sim], own seed, no shared mutable state); [commit]
-    runs on the main domain and may mutate shared state (fill a row
+    runs on the calling domain and may mutate shared state (fill a row
     slot, print). *)
 
 val barrier : (unit -> unit) -> job
@@ -59,7 +59,9 @@ val run_jobs : ?jobs:int -> job list -> unit
 (** Execute all works on the pool ([?jobs] as {!Runner.Pool.map}),
     then run every commit on the calling domain in submission order.
     Commits see every work completed; output is byte-identical for
-    any [jobs]. *)
+    any [jobs].  With telemetry on, each work emits into a context of
+    its own ({!Telemetry.Ctx.stage}), absorbed in submission order
+    before the first commit, so telemetry exports are too. *)
 
 val collect : ?jobs:int -> (('a -> unit) -> job list) -> 'a
 (** [collect ~jobs grid] runs [grid emit] with {!run_jobs} and returns

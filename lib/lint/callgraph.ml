@@ -8,9 +8,8 @@
 
      - [g_guard]: the reference sits in the then-branch of an
        [if ... Ctx.on () ... then] test.  Such branches are dead on
-       worker domains (the guard refuses off-main) and dead on
-       disabled runs, so domain-safety reachability and hot-path
-       allocation both skip them;
+       disabled runs, so hot-path allocation (H102) and the telemetry
+       guard rule (T201) skip them;
      - [g_raise]: the reference sits inside an argument of
        raise/failwith/invalid_arg — the cold error path, exempt from
        allocation accounting (H101, H102).

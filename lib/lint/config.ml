@@ -54,16 +54,11 @@ let default =
         { s_path = [ "Exp_common"; "job" ]; s_main_labels = [ "commit" ] } ];
     guard_path = [ "Ctx"; "on" ];
     (* Commit-side surfaces that must stay off worker domains: the
-       telemetry singleton's mutators and exporters, and Exp_common's
-       main-domain result sinks. *)
+       telemetry exporters, which read the calling domain's context
+       once the grid has absorbed every job's, and Exp_common's result
+       sinks. *)
     offmain_forbidden =
-      [ [ "Telemetry"; "Registry" ];
-        [ "Telemetry"; "Export" ];
-        [ "Telemetry"; "Events"; "emit" ];
-        [ "Telemetry"; "Ctx"; "enable" ];
-        [ "Telemetry"; "Ctx"; "disable" ];
-        [ "Telemetry"; "Ctx"; "reset" ];
-        [ "Telemetry"; "Ctx"; "mark_run" ];
+      [ [ "Telemetry"; "Export" ];
         [ "Exp_common"; "print" ];
         [ "Exp_common"; "write_csv" ] ];
     (* Allocators of non-atomic shared-mutable cells for P101.  Atomic,
@@ -138,9 +133,8 @@ let rules =
          mutable state read or written by worker-reachable code" };
     { id = "P102";
       summary =
-        "main-domain-only API (Telemetry Registry/Export/emit, \
-         Ctx mutators, Exp_common commit side) reachable from a worker \
-         entry point outside an [if Telemetry.Ctx.on () then] branch" };
+        "main-domain-only API (Telemetry.Export, Exp_common commit \
+         side) reachable from a worker entry point" };
     { id = "H102";
       summary =
         "function outside the hot set that allocates (H101 \

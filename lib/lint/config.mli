@@ -25,7 +25,7 @@ type t = {
   spawn_spec : spawn list;    (** worker entry points *)
   guard_path : string list;
       (** consecutive-component pattern of the telemetry guard
-          ([["Ctx"; "on"]]); branches under it are main-domain-only *)
+          ([["Ctx"; "on"]]); T201 and H102 read branches under it *)
   offmain_forbidden : string list list;
       (** P102: consecutive-component patterns of main-domain-only
           APIs *)
@@ -41,8 +41,8 @@ val default : t
     over [lib] and [bin], [lib/telemetry] exempt from T201, [rng] may
     use [Random], [.mli] required and H105 under [lib]; worker entry
     points at [Domain.spawn] / [Runner.Pool] / [Runner.Epoch] /
-    [Exp_common] job thunks, telemetry commit side forbidden
-    off-main. *)
+    [Exp_common] job thunks, telemetry exporters and [Exp_common]
+    result sinks forbidden off-main. *)
 
 val in_dirs : string -> string list -> bool
 

@@ -8,18 +8,14 @@
          ref);
      (c) a function reachable from a worker entry point that reads or
          writes a module-scope mutable cell.
-   Guarded references ([if ... Ctx.on () ... then]) are exempt: the
-   guard returns false off the main domain, so the branch is dead on
-   workers.  Audited exchange points (the runner team's control
-   block, the telemetry guard's own flag read) carry an inline P101
-   pragma.
+   Telemetry-guarded branches ([if Ctx.on () then]) run on workers
+   too (each job and partition emits into a context of its own), so
+   they are followed like any other code.  Audited exchange points
+   (the runner team's control block) carry an inline P101 pragma.
 
-   P102 — main-domain-only API enforcement.  The telemetry commit
-   side and Exp_common's result sinks ([Config.offmain_forbidden])
-   must be unreachable from worker entry points outside guard
-   branches.  This is the static replacement for the runtime-only
-   [Ctx.on] check: a clean run proves every worker-reachable
-   telemetry site is dominated by the guard. *)
+   P102 — main-domain-only API enforcement.  The telemetry exporters
+   and Exp_common's result sinks ([Config.offmain_forbidden]) must be
+   unreachable from worker entry points. *)
 
 let forbidden config path =
   List.exists
@@ -42,45 +38,39 @@ let check ~config ~audited (cg : Callgraph.t) =
               domain-local, or pragma an audited exchange point"
              c.cap_desc c.cap_spawn c.cap_spawn_line))
     cg.cg_captures;
-  (* (b) direct references from worker-entry arguments, plus P102 on
-     the same references. *)
-  let unguarded_args =
-    List.filter
-      (fun (a : Callgraph.spawn_arg) -> not a.sa_ref.Callgraph.g_guard)
-      cg.cg_spawn_args
+  (* P101 and P102 on one worker-reachable reference; [via] says how a
+     worker reaches it. *)
+  let audit ~file ~via (r : Callgraph.vref) =
+    let target = Callgraph.dotted r.Callgraph.g_path in
+    (match Hashtbl.find_opt cg.cg_cells target with
+    | Some cell when not (audited cell.Callgraph.cl_file cell.cl_line) ->
+      add ~file ~line:r.Callgraph.g_line ~rule:"P101"
+        ~msg:
+          (Printf.sprintf
+             "%s (%s at %s:%d) is module-scope mutable state %s; make it \
+              Atomic, pass it through the job, or pragma an audited \
+              exchange point"
+             target cell.cl_desc cell.cl_file cell.cl_line via)
+    | _ -> ());
+    if forbidden config r.Callgraph.g_path then
+      add ~file ~line:r.Callgraph.g_line ~rule:"P102"
+        ~msg:(Printf.sprintf "%s is main-domain-only but is %s" target via)
   in
+  (* (b) direct references from worker-entry arguments. *)
   List.iter
     (fun (a : Callgraph.spawn_arg) ->
-      let target = Callgraph.dotted a.sa_ref.Callgraph.g_path in
-      (match Hashtbl.find_opt cg.cg_cells target with
-      | Some cell when not (audited cell.Callgraph.cl_file cell.cl_line) ->
-        add ~file:a.sa_file ~line:a.sa_ref.Callgraph.g_line ~rule:"P101"
-          ~msg:
-            (Printf.sprintf
-               "%s (%s at %s:%d) is module-scope mutable state referenced \
-                by a worker-entry argument of %s"
-               target cell.cl_desc cell.cl_file cell.cl_line a.sa_spawn)
-      | _ -> ());
-      if forbidden config a.sa_ref.Callgraph.g_path then
-        add ~file:a.sa_file ~line:a.sa_ref.Callgraph.g_line ~rule:"P102"
-          ~msg:
-            (Printf.sprintf
-               "%s is main-domain-only but a worker-entry argument of %s \
-                calls it outside a Telemetry.Ctx.on guard"
-               target a.sa_spawn))
-    unguarded_args;
+      audit ~file:a.sa_file a.sa_ref
+        ~via:("referenced by a worker-entry argument of " ^ a.sa_spawn))
+    cg.cg_spawn_args;
   (* (c) the interprocedural tier: close over the graph from worker
      roots, then audit every reachable function's references. *)
   let roots =
     List.map
       (fun (a : Callgraph.spawn_arg) ->
         Callgraph.dotted a.sa_ref.Callgraph.g_path)
-      unguarded_args
+      cg.cg_spawn_args
   in
-  let reach =
-    Reach.reachable cg.cg_nodes ~roots
-      ~follow:(fun r -> not r.Callgraph.g_guard)
-  in
+  let reach = Reach.reachable cg.cg_nodes ~roots ~follow:(fun _ -> true) in
   (* simlint: allow D001 — collected pairs are sorted before use *)
   let reached = Hashtbl.fold (fun k w acc -> (k, w) :: acc) reach [] in
   List.iter
@@ -93,32 +83,10 @@ let check ~config ~audited (cg : Callgraph.t) =
          init-time accesses are not worker accesses. *)
       | Some n when not n.Callgraph.n_fun -> ()
       | Some n ->
-        List.iter
-          (fun (r : Callgraph.vref) ->
-            if not r.Callgraph.g_guard then begin
-              let target = Callgraph.dotted r.Callgraph.g_path in
-              (match Hashtbl.find_opt cg.cg_cells target with
-              | Some cell when not (audited cell.Callgraph.cl_file cell.cl_line)
-                ->
-                add ~file:n.n_file ~line:r.Callgraph.g_line ~rule:"P101"
-                  ~msg:
-                    (Printf.sprintf
-                       "%s (%s at %s:%d) is module-scope mutable state \
-                        reached from worker entry point %s via %s; make it \
-                        Atomic, pass it through the job, or pragma an \
-                        audited exchange point"
-                       target cell.cl_desc cell.cl_file cell.cl_line witness
-                       name)
-              | _ -> ());
-              if forbidden config r.Callgraph.g_path then
-                add ~file:n.n_file ~line:r.Callgraph.g_line ~rule:"P102"
-                  ~msg:
-                    (Printf.sprintf
-                       "%s is main-domain-only but is reachable from worker \
-                        entry point %s via %s outside a Telemetry.Ctx.on \
-                        guard"
-                       target witness name)
-            end)
-          n.n_refs)
+        let via =
+          Printf.sprintf "reached from worker entry point %s via %s"
+            witness name
+        in
+        List.iter (audit ~file:n.n_file ~via) n.n_refs)
     (List.sort compare reached);
   List.rev !findings

@@ -36,8 +36,8 @@ let d002 ~rng_ok path =
   | [ "Domain"; "self" ] ->
     Some
       "Domain.self ()-dependent branching varies with runner scheduling; \
-       behavior must be domain-independent (pragma guard/pool internals \
-       with a reason)"
+       behavior must be domain-independent (pragma pool internals with \
+       a reason)"
   | "Random" :: _ :: _ when not rng_ok ->
     Some
       "ambient Random.* outside Engine.Rng; draw from the seeded Engine.Rng \

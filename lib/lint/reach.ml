@@ -1,6 +1,6 @@
 (* Transitive closure over the call graph.  Edges are a node's global
    references that (a) the [follow] filter accepts — worker
-   reachability skips guarded references, hot-path reachability skips
+   reachability follows every reference, hot-path reachability skips
    guarded and raise-argument ones — and (b) resolve to another node.
    References to values outside the graph (stdlib, parameters,
    mli-hidden helpers of unscanned units) fall off the edge set, which

@@ -60,7 +60,7 @@ let deliver t p =
    link's retained name).  [a]/[b] carry the instantaneous queue
    state. *)
 let ev_emit t ~kind (p : Packet.t) =
-  (* simlint: allow T201 — emit helper, every caller guards with Ctx.on *) (* simlint: allow P102 — same audit: the Ctx.on guard sits at each call site *)
+  (* simlint: allow T201 — emit helper, every caller guards with Ctx.on *)
   Telemetry.Events.emit
     (Telemetry.Ctx.events ())
     ~at:(Engine.Sim.now t.sim) ~kind ~point:t.link_name ~uid:p.Packet.uid

@@ -210,18 +210,28 @@ let exchange t =
 
 let run ?(jobs = 1) ~until t =
   let lookahead = lookahead t in
+  let staged = Array.map (fun _ -> Telemetry.Ctx.stage ()) t.p_sims in
+  let absorb () =
+    if Telemetry.Ctx.on () then Array.iter Telemetry.Ctx.absorb staged
+  in
   let parts =
-    Array.map
-      (fun s ->
-        { Runner.Epoch.advance = (fun limit -> Engine.Sim.run_before s ~limit);
+    Array.mapi
+      (fun i s ->
+        let under = Telemetry.Ctx.within staged.(i) in
+        { Runner.Epoch.advance =
+            under (fun limit -> Engine.Sim.run_before s ~limit);
           (* simlint: allow H103 — once per run, after the last window *)
-          finish = (fun u -> Engine.Sim.run ~until:u s);
+          finish = under (fun u -> Engine.Sim.run ~until:u s);
           next_time = (fun () -> Engine.Sim.next_time s) })
       t.p_sims
   in
   (* simlint: allow H103 — once per run *)
-  Runner.Epoch.run ~jobs ~lookahead ~until ~exchange:(fun () -> exchange t)
-    parts
+  Runner.Epoch.run ~jobs ~lookahead ~until
+    ~exchange:(fun () ->
+      absorb ();
+      exchange t)
+    parts;
+  absorb ()
 
 (* The leaf-per-partition cut of [Topology.leaf_spine]; its links are
    the topology's, in creation order. *)

@@ -9,12 +9,7 @@
     epoch barrier.  Driven by [Runner.Epoch.run] with lookahead = the
     minimum conduit delay, the result is byte-identical for any
     [jobs] value; see DESIGN.md "Conservative parallel DES" for the
-    argument.
-
-    Telemetry note: worker domains never emit telemetry
-    ([Telemetry.Ctx] guards are main-domain only), so export files
-    from a [jobs > 1] run cover only main-domain activity — the CLI
-    already refuses [--trace]/[--metrics] with [--jobs > 1]. *)
+    argument. *)
 
 type t
 
@@ -41,7 +36,10 @@ val run : ?jobs:int -> until:Engine.Time.t -> t -> unit
 (** Drive the whole world to [until] with [Runner.Epoch.run]:
     lookahead-sized windows, [jobs] workers, canonical exchange at
     every barrier.  [jobs = 1] (default) is the sequential reference
-    — byte-identical state to any other [jobs] value. *)
+    — byte-identical state to any other [jobs] value.  With telemetry
+    on, each partition emits into a staged context of its own
+    ([Telemetry.Ctx.stage]), absorbed in partition order after every
+    window, so the export too is the same for any [jobs]. *)
 
 (** {1 Leaf-per-partition Clos} *)
 

@@ -301,23 +301,12 @@ let fair_mark ~classify ?shares ~cap_pkts ~mark_threshold () =
   { inner with name = "fair_mark"; enqueue;
     enqueue_burst = burst_of_enqueue enqueue; marks = (fun () -> !marks) }
 
-let with_hooks ?on_enqueue ?on_drop ?on_dequeue inner =
-  let run hook p = match hook with None -> () | Some f -> f p in
+let with_hooks ~on_enqueue inner =
   let enqueue p =
     if inner.enqueue p then begin
-      run on_enqueue p;
+      on_enqueue p;
       true
     end
-    else begin
-      run on_drop p;
-      false
-    end
+    else false
   in
-  let dequeue () =
-    let p = inner.dequeue () in
-    if p != Packet.none then run on_dequeue p;
-    p
-  in
-  { inner with enqueue; dequeue;
-    enqueue_burst = burst_of_enqueue enqueue;
-    dequeue_burst = burst_of_dequeue dequeue }
+  { inner with enqueue; enqueue_burst = burst_of_enqueue enqueue }

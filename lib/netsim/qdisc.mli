@@ -92,13 +92,7 @@ val fair_mark :
     [shares] defaults to equal shares among active classes and must
     sum to ~1. *)
 
-val with_hooks :
-  ?on_enqueue:(Packet.t -> unit) ->
-  ?on_drop:(Packet.t -> unit) ->
-  ?on_dequeue:(Packet.t -> unit) ->
-  t ->
-  t
-(** Wrap a qdisc with observation hooks.  [on_enqueue] fires after a
+val with_hooks : on_enqueue:(Packet.t -> unit) -> t -> t
+(** Wrap a qdisc with an enqueue hook: [on_enqueue] fires after a
     successful enqueue (the packet may be mutated by the hook, e.g. to
-    stamp congestion feedback); [on_drop] fires when the inner qdisc
-    refuses a packet. *)
+    stamp congestion feedback).  Dequeues are the inner qdisc's own. *)

@@ -48,6 +48,17 @@ let add t v =
     end
   end
 
+(* Every cell is an integer count, so the sums are exact. *)
+let absorb t ~from =
+  if (t.scale, t.lo, t.hi, Array.length t.counts)
+     <> (from.scale, from.lo, from.hi, Array.length from.counts)
+  then invalid_arg "Histogram.absorb: layouts differ";
+  Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) from.counts;
+  t.under <- t.under + from.under;
+  t.over <- t.over + from.over;
+  t.nan_count <- t.nan_count + from.nan_count;
+  t.total <- t.total + from.total
+
 let count t = t.total
 
 let bucket_count t = Array.length t.counts

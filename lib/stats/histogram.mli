@@ -13,6 +13,11 @@ val add : t -> float -> unit
 (** NaN samples are filed in a dedicated {!invalid} cell, never in a
     bucket. *)
 
+val absorb : t -> from:t -> unit
+(** Add every count of [from] into [t].
+    @raise Invalid_argument unless both have the same scale, bounds and
+    bucket count. *)
+
 val count : t -> int
 (** Total samples recorded, excluding {!invalid} ones. *)
 

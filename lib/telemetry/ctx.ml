@@ -5,62 +5,91 @@ type t = {
   mutable runs : (string * Registry.row list) list; (* newest first *)
 }
 
-let global =
-  (* simlint: allow P101 — audited exchange point: workers only ever read [enabled] (through [on], which then refuses them by domain id); all writes happen on main, and enable/disable/reset/mark_run stay P102-forbidden off-main, so a worker-reachable mutation is still a finding *)
+let off () =
   { enabled = false; ev = Events.create ~capacity:1 ();
     reg = Registry.create (); runs = [] }
 
-(* The context is a main-domain singleton: one shared ring and
-   registry, no locks.  Worker domains of the parallel runner
-   (Runner.Pool) run whole simulations concurrently, and letting them
-   emit into the shared ring would race both the ring cursor and the
-   registry tables.  The guard is by domain id: telemetry observed
-   off the main domain is silently off ([on] is the single branch
-   every instrumented site takes), and enabling it there is a
-   programming error that raises.  This module loads on the main
-   domain (libraries initialize before any [Domain.spawn]), so the id
-   captured here is the right anchor. *)
-let main_domain = (Domain.self () :> int) (* simlint: allow D002 — anchor for the main-domain guard, not a behavior branch *)
+(* Every domain starts on a disabled context of its own, its [home];
+   [within] makes a staged one its [cur]rent context while a job or a
+   partition runs.  Nothing is shared between domains but [live], the
+   number of home contexts enabled: a staged context exists only while
+   the context that staged it is enabled, so it needs no count. *)
+type domain = { mutable cur : t; home : t }
 
-let on_main () = (Domain.self () :> int) = main_domain (* simlint: allow D002 — the guard itself: telemetry must refuse worker domains *)
+let own () =
+  let c = off () in
+  { cur = c; home = c }
+
+let slot = Domain.DLS.new_key own
+
+let current () = (Domain.DLS.get slot).cur
+
+let live = Atomic.make 0
 
 (* The one branch every instrumented hot path takes.  With telemetry
-   disabled this short-circuits on the flag load alone, so the PR-1
-   words/op guardrails are untouched; the domain check costs one
-   noalloc primitive call and only on enabled runs. *)
-let on () = global.enabled && on_main ()
+   off everywhere this short-circuits on one atomic load, so the
+   words/op guardrails are untouched; the domain-local read is paid
+   only while some context is enabled. *)
+let on () = Atomic.get live > 0 && (current ()).enabled
 
-let events () = global.ev
+let events () = (current ()).ev
 
-let metrics () = global.reg
+let metrics () = (current ()).reg
+
+let fresh c ~capacity =
+  c.ev <- Events.create ~capacity ();
+  c.reg <- Registry.create ();
+  c.runs <- []
 
 let enable ?(events_capacity = 65_536) () =
-  if not (on_main ()) then
-    failwith
-      "Telemetry.Ctx.enable: telemetry is main-domain only (worker domains \
-       would race the shared event ring; run with --jobs 1)";
-  if not global.enabled then begin
-    global.ev <- Events.create ~capacity:events_capacity ();
-    global.reg <- Registry.create ();
-    global.runs <- [];
-    global.enabled <- true
+  let c = current () in
+  if not c.enabled then begin
+    fresh c ~capacity:events_capacity;
+    c.enabled <- true;
+    if c == (Domain.DLS.get slot).home then Atomic.incr live
   end
 
-let disable () = global.enabled <- false
+let disable () =
+  let c = current () in
+  if c.enabled then begin
+    c.enabled <- false;
+    if c == (Domain.DLS.get slot).home then Atomic.decr live
+  end
 
 let reset () =
-  let cap = Events.capacity global.ev in
-  let enabled = global.enabled in
-  global.enabled <- false;
-  if enabled then begin
-    global.ev <- Events.create ~capacity:cap ();
-    global.reg <- Registry.create ();
-    global.runs <- [];
-    global.enabled <- true
-  end
+  let c = current () in
+  if c.enabled then fresh c ~capacity:(Events.capacity c.ev)
 
 let mark_run label =
   if on () then
-    global.runs <- (label, Registry.snapshot global.reg) :: global.runs
+    let c = current () in
+    c.runs <- (label, Registry.snapshot c.reg) :: c.runs
 
-let runs () = List.rev global.runs
+let runs () = List.rev (current ()).runs
+
+let stage () =
+  if on () then
+    Some
+      { enabled = true;
+        ev = Events.create ~capacity:(Events.capacity (events ())) ();
+        reg = Registry.create (); runs = [] }
+  else None
+
+let within staged f =
+  match staged with
+  | None -> f
+  | Some c ->
+    fun x ->
+      let d = Domain.DLS.get slot in
+      let saved = d.cur in
+      d.cur <- c;
+      Fun.protect ~finally:(fun () -> d.cur <- saved) (fun () -> f x)
+
+let absorb = function
+  | None -> ()
+  | Some s ->
+    let c = current () in
+    Events.absorb c.ev ~from:s.ev;
+    Registry.absorb c.reg ~from:s.reg;
+    c.runs <- s.runs @ c.runs;
+    s.runs <- []

@@ -1,18 +1,17 @@
-(** The process-wide telemetry context.
+(** The telemetry context: an event ring, a metrics registry and run
+    marks, reached without threading a handle through each
+    constructor.
 
-    One global context serves every layer without threading a handle
-    through each constructor.  It is disabled by default: an
-    instrumented hot path pays exactly one branch ({!on}) and performs
-    no allocation, registration or event emission — the PR-1 bench
-    guardrails hold with telemetry off.
+    Each domain has a {e current} context.  It starts as the domain's
+    own, disabled: an instrumented hot path then pays one branch
+    ({!on}) and performs no allocation, registration or event
+    emission — the bench guardrails hold with telemetry off.
 
-    The context is {b main-domain only}.  The parallel runner
-    ([Runner.Pool]) executes whole simulations on worker domains, and
-    a shared unlocked ring cannot accept concurrent emitters: {!on}
-    therefore answers [false] off the main domain (instrumented sites
-    simply skip), {!mark_run} is a no-op there, and {!enable} raises.
-    [mtp_sim] enforces the corresponding CLI contract by refusing
-    [--trace]/[--metrics] combined with [--jobs > 1].
+    A job or a partition runs, on whichever domain, under a {e staged}
+    context that belongs to it: [Exp_common.run_jobs] stages one per
+    job and [Partition.run] one per partition, and the calling domain
+    {!absorb}s them in job or partition order.  The export of a run is
+    therefore the one a serial run makes, for any [--jobs].
 
     Typical use (what [mtp_sim --trace/--metrics] does): {!enable}
     before building the simulation, run, then hand {!events} and
@@ -20,17 +19,16 @@
 
 val on : unit -> bool
 (** Fast guard for instrumentation sites:
-    [if Ctx.on () then Events.emit (Ctx.events ()) ...].
-    Always [false] off the main domain, whatever the enabled state. *)
+    [if Ctx.on () then Events.emit (Ctx.events ()) ...].  [true] when
+    the calling domain's current context is enabled. *)
 
 val events : unit -> Events.t
 
 val metrics : unit -> Registry.t
 
 val enable : ?events_capacity:int -> unit -> unit
-(** Switch telemetry on with a fresh event ring (default capacity
-    65536) and registry.  No-op when already enabled.  Raises
-    [Failure] when called off the main domain. *)
+(** Switch the current context on with a fresh event ring (default
+    capacity 65536) and registry.  No-op when already enabled. *)
 
 val disable : unit -> unit
 (** Stop collection; retained events and metric values survive for
@@ -41,9 +39,27 @@ val reset : unit -> unit
     (test isolation). *)
 
 val mark_run : string -> unit
-(** Take a labeled registry snapshot — called by the experiment
-    harness at per-run boundaries so exports separate, say, the DCTCP
-    and MTP halves of one exhibit.  No-op when disabled. *)
+(** Take a labeled snapshot of the current registry — called by the
+    experiment harness at per-run boundaries so exports separate, say,
+    the DCTCP and MTP halves of one exhibit.  Inside a job it
+    snapshots that job's own metrics.  No-op when disabled. *)
 
 val runs : unit -> (string * Registry.row list) list
 (** Marked snapshots, oldest first. *)
+
+(** {1 Staging} *)
+
+type t
+
+val stage : unit -> t option
+(** An empty enabled context with the current one's ring capacity, or
+    [None] when the current context is off (then nothing is staged). *)
+
+val within : t option -> ('a -> 'b) -> 'a -> 'b
+(** [within staged f] is [f] made to run with the staged context as
+    the calling domain's current one, restoring the previous one
+    afterwards (also when [f] raises); with [None] it is [f] itself. *)
+
+val absorb : t option -> unit
+(** Append a staged context's events, metrics ({!Registry.absorb}) and
+    run marks to the current context, and empty it for reuse. *)

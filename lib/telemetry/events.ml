@@ -50,7 +50,8 @@ type record_ = {
 }
 
 type t = {
-  ring : record_ array; (* preallocated; emission mutates in place *)
+  mutable ring : record_ array; (* doubles up to [cap], then is reused *)
+  cap : int;
   mutable next : int;   (* ring slot the next event writes *)
   mutable total : int;  (* events ever emitted *)
 }
@@ -61,14 +62,26 @@ let blank () =
 
 let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Events.create: capacity";
-  { ring = Array.init capacity (fun _ -> blank ()); next = 0; total = 0 }
+  { ring = Array.init (Int.min capacity 64) (fun _ -> blank ());
+    cap = capacity; next = 0; total = 0 }
 
-let capacity t = Array.length t.ring
+let capacity t = t.cap
 
-(* All arguments are immediates (or an already-retained string), so an
-   emission is nine stores into a recycled record: no allocation on
-   the hot path, whether or not the ring later wraps. *)
+(* Rings start small, so a staged context of a quiet job or partition
+   holds few records; from the first wrap on, [next] stays below
+   [cap] = the ring's length and this never runs. *)
+let grow t =
+  let old = t.ring in
+  let n = Array.length old in
+  t.ring <-
+    Array.init (Int.min t.cap (2 * n)) (fun i ->
+        if i < n then old.(i) else blank ())
+
+(* All arguments are immediates (or an already-retained string), so
+   once the ring is at capacity an emission is nine stores into a
+   recycled record: no allocation on the hot path. *)
 let emit t ~at ~kind ~point ~uid ~src ~dst ~size ~a ~b =
+  if t.next = Array.length t.ring then grow t;
   let r = t.ring.(t.next) in
   r.at <- at;
   r.kind <- kind;
@@ -79,20 +92,33 @@ let emit t ~at ~kind ~point ~uid ~src ~dst ~size ~a ~b =
   r.size <- size;
   r.a <- a;
   r.b <- b;
-  t.next <- (t.next + 1) mod Array.length t.ring;
+  t.next <- (t.next + 1) mod t.cap;
   t.total <- t.total + 1
 
 let total t = t.total
 
-let retained t = min t.total (Array.length t.ring)
+let retained t = Int.min t.total t.cap
 
 let dropped t = t.total - retained t
 
 (* Oldest-first iteration over the retained window. *)
 let iter t f =
-  let cap = Array.length t.ring in
+  let cap = t.cap in
   let n = retained t in
   let start = if t.total <= cap then 0 else t.next in
   for i = 0 to n - 1 do
     f t.ring.((start + i) mod cap)
   done
+
+(* The last [cap] events of a stream are the last [cap] of its last
+   [cap] ones, so replaying [from]'s window and counting what it lost
+   leaves [t] as if it had seen [from]'s whole stream. *)
+let absorb t ~from =
+  if capacity from <> capacity t then
+    invalid_arg "Events.absorb: capacities differ";
+  iter from (fun r ->
+      emit t ~at:r.at ~kind:r.kind ~point:r.point ~uid:r.uid ~src:r.src
+        ~dst:r.dst ~size:r.size ~a:r.a ~b:r.b);
+  t.total <- t.total + dropped from;
+  from.next <- 0;
+  from.total <- 0

@@ -1,9 +1,10 @@
 (** Structured event trace: typed records in a bounded ring.
 
-    Replaces stringly tracing on hot paths.  The ring is preallocated
-    and records are mutated in place, so emitting an event allocates
-    nothing; when the ring is full the oldest events are overwritten
-    (the exporters report how many were lost, never silently).
+    Replaces stringly tracing on hot paths.  The ring doubles up to
+    its capacity and its records are then mutated in place, so a full
+    ring's emission allocates nothing; the oldest events are then
+    overwritten (the exporters report how many were lost, never
+    silently).
 
     Emission call sites are expected to be guarded by
     {!Ctx.on} so a disabled simulation pays one branch and nothing
@@ -48,7 +49,8 @@ type record_ = private {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Ring of [capacity] (default 65536) preallocated records. *)
+(** Ring of at most [capacity] (default 65536) records, allocated as
+    events arrive. *)
 
 val capacity : t -> int
 
@@ -78,3 +80,9 @@ val dropped : t -> int
 
 val iter : t -> (record_ -> unit) -> unit
 (** Oldest-first over the retained window. *)
+
+val absorb : t -> from:t -> unit
+(** Append [from]'s retained records, oldest first, add the count it
+    overwrote to {!total}, and empty [from]: [t] then retains and
+    reports what one ring fed both streams in turn would.
+    @raise Invalid_argument unless both have the same capacity. *)

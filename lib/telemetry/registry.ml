@@ -34,6 +34,21 @@ let histogram t ?(scale = `Linear) ~lo ~hi ~buckets name =
     Hashtbl.add t.tbl name (Histogram { hist });
     hist
 
+(* Each name acts on its own entry of [t], so hash order cannot show;
+   every entry leaves [from]. *)
+let absorb t ~from =
+  Hashtbl.filter_map_inplace
+    (fun name metric ->
+      (match (metric, Hashtbl.find_opt t.tbl name) with
+      | Gauge g, _ -> set_gauge t name g.read
+      | Histogram h, Some (Histogram into) ->
+        Stats.Histogram.absorb into.hist ~from:h.hist
+      | Histogram _, None -> Hashtbl.add t.tbl name metric
+      | Histogram _, Some (Gauge _) ->
+        invalid_arg ("Registry.histogram: " ^ name ^ " is not a histogram"));
+      None)
+    from.tbl
+
 type row = {
   row_name : string;
   row_kind : string; (* "gauge" | "histogram" *)

@@ -33,6 +33,11 @@ val histogram :
     histogram is returned and the bounds arguments are ignored.
     @raise Invalid_argument if the name is bound to a gauge. *)
 
+val absorb : t -> from:t -> unit
+(** Fold [from] into [t] as if [t] had seen its registrations and
+    samples: gauges replace by name, histogram counts add up (the
+    bounds must match).  [from] is left empty. *)
+
 (** {1 Snapshots} *)
 
 type row = {

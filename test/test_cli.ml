@@ -6,7 +6,9 @@
    config) must then exit 0 at its test values, and once per flag at
    each lowest value its kind accepts (an Int's bound, a seed's 0 and
    -1, --jobs 0) exit 0, or 2 where the exhibit's check refuses it.
-   `all` and `fuzz` are not exhibits, so their rows are written here.
+   An exhibit that runs must also exit 0 with --trace and --metrics at
+   --jobs 2.  `all` and `fuzz` are not exhibits, so their rows are
+   written here.
    More cases: a removed knob, a fabric above the 4096-host cap, a
    chain count above the 35 535-port cap (per host, and fig3's hosts x
    chains) and a value that would overflow once scaled exit 2, and
@@ -117,6 +119,15 @@ let rows =
 let expect code args =
   Alcotest.(check int) ("mtp_sim " ^ String.concat " " args) code (status args)
 
+(* Telemetry follows each job and partition onto its worker domain, so
+   an export at --jobs 2 is a run like any other. *)
+let expect_traced args =
+  let trace = Filename.temp_file "cli" ".jsonl" in
+  let metrics = Filename.temp_file "cli" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ trace; metrics ])
+    (fun () -> expect 0 (args @ [ "--trace"; trace; "--metrics"; metrics ]))
+
 let check_row r () =
   let argv under v =
     r.cmd
@@ -128,6 +139,8 @@ let check_row r () =
     r.flags;
   if r.runs then begin
     expect 0 (argv "" "");
+    if List.exists (fun f -> f.name = "jobs") r.flags then
+      expect_traced (argv "jobs" "2");
     List.iter
       (fun f -> List.iter (fun (v, code) -> expect code (argv f.name v)) f.lowest)
       r.flags

@@ -234,10 +234,11 @@ let test_p102_worker_reachable_telemetry () =
            "let job () = Telemetry.Ctx.mark_run \"x\"\n\
             let go () = ignore (Domain.spawn job)\n" ])
 
-let test_p102_guarded_clean () =
-  (* The same call under [if Telemetry.Ctx.on () then] is statically
-     dead on workers: no finding. *)
-  Alcotest.check triple "Ctx.on-guarded mark_run is clean" []
+let test_p102_guarded_fires () =
+  (* The same call under [if Telemetry.Ctx.on () then] fires too:
+     guarded branches run on workers, under the job's own context. *)
+  Alcotest.check triple "Ctx.on-guarded mark_run fires P102"
+    [ ("lint_fixtures/typed/example.ml", 1, "P102") ]
     (analyze
        [ telemetry_stub;
          unit_
@@ -715,7 +716,8 @@ let suite =
       test_p101_module_scope_cell;
     Alcotest.test_case "P102 worker-reachable telemetry" `Quick
       test_p102_worker_reachable_telemetry;
-    Alcotest.test_case "P102 guarded clean" `Quick test_p102_guarded_clean;
+    Alcotest.test_case "P102 guarded branch fires" `Quick
+      test_p102_guarded_fires;
     Alcotest.test_case "H102 two-hop helper" `Quick test_h102_two_hop_helper;
     Alcotest.test_case "H103 option box" `Quick test_h103_option_box;
     Alcotest.test_case "H104 polymorphic compare" `Quick

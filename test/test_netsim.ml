@@ -180,20 +180,14 @@ let prop_qdisc_conservation =
       !accepted = !out && q.Qdisc.pkt_length () = 0 && q.Qdisc.byte_length () = 0)
 
 let test_hooks_fire () =
-  let enq = ref 0 and deq = ref 0 and dropped = ref 0 in
+  let enq = ref 0 in
   let q =
-    Qdisc.with_hooks
-      ~on_enqueue:(fun _ -> incr enq)
-      ~on_drop:(fun _ -> incr dropped)
-      ~on_dequeue:(fun _ -> incr deq)
-      (Qdisc.fifo ~cap_pkts:1 ())
+    Qdisc.with_hooks ~on_enqueue:(fun _ -> incr enq) (Qdisc.fifo ~cap_pkts:1 ())
   in
   ignore (q.Qdisc.enqueue (pkt ()));
   ignore (q.Qdisc.enqueue (pkt ()));
   ignore (q.Qdisc.dequeue ());
-  checki "enqueue hook" 1 !enq;
-  checki "drop hook" 1 !dropped;
-  checki "dequeue hook" 1 !deq
+  checki "enqueue hook, not on a refusal" 1 !enq
 
 (* Every policy answers an empty queue with the [Packet.none] sentinel
    (never a queued packet) and pops in its policy's order: FIFO for the
@@ -201,7 +195,7 @@ let test_hooks_fire () =
    for [wrr].  Six 1500-byte packets, entities alternating 0/1. *)
 let test_qdisc_sentinel_table () =
   let entity p = p.Packet.entity in
-  let dequeued = ref 0 in
+  let enqueued = ref 0 in
   let rng = Engine.Rng.create 5 in
   let fifo_order = [ 0; 1; 2; 3; 4; 5 ] in
   let table =
@@ -219,7 +213,7 @@ let test_qdisc_sentinel_table () =
        Qdisc.fair_mark ~classify:entity ~cap_pkts:16 ~mark_threshold:2 (),
        fifo_order);
       ("with_hooks",
-       Qdisc.with_hooks ~on_dequeue:(fun _ -> incr dequeued)
+       Qdisc.with_hooks ~on_enqueue:(fun _ -> incr enqueued)
          (Qdisc.fifo ~cap_pkts:16 ()),
        fifo_order) ]
   in
@@ -242,7 +236,7 @@ let test_qdisc_sentinel_table () =
       checki (name ^ ": no packets left") 0 (q.Qdisc.pkt_length ());
       checki (name ^ ": no bytes left") 0 (q.Qdisc.byte_length ()))
     table;
-  checki "on_dequeue fires per packet, not on empty" 6 !dequeued
+  checki "on_enqueue fires per accepted packet" 6 !enqueued
 
 (* ------------------------------- Link ------------------------------ *)
 

@@ -12,7 +12,8 @@
    End-to-end (the jobs-invariance tests): the fig5/fig6 sweeps, the
    failover experiment, sweep replications and the partitioned
    single-scenario exhibit (Ext_leafspine) must produce byte-identical
-   printed output/digests at [~jobs:1] and wider.  These run the real
+   printed output/digests at [~jobs:1] and wider, and the leaf-spine
+   exhibit byte-identical telemetry traces.  These run the real
    exhibits at reduced scale on real domains. *)
 
 let checkb = Alcotest.(check bool)
@@ -318,15 +319,32 @@ let test_par_leafspine_jobs_invariant () =
           duration = Engine.Time.us 400;
           scheme }
       in
-      let out jobs = L.run ~jobs config in
-      let o1 = out 1 and o2 = out 2 and o4 = out 4 in
+      (* Traced: each partition emits into its own context, absorbed
+         in partition order after every window. *)
+      let out jobs =
+        let path = Filename.temp_file "par-leafspine" ".jsonl" in
+        Telemetry.Ctx.enable ();
+        Telemetry.Ctx.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Telemetry.Ctx.disable ();
+            Sys.remove path)
+          (fun () ->
+            let o = L.run ~jobs config in
+            Telemetry.Export.write_trace path;
+            (o, In_channel.with_open_bin path In_channel.input_all))
+      in
+      let (o1, t1), (o2, t2), (o4, t4) = (out 1, out 2, out 4) in
       Alcotest.(check string)
         (name ^ ": digest byte-identical, jobs 1 vs 2")
         o1.L.digest o2.L.digest;
       Alcotest.(check string)
         (name ^ ": digest byte-identical, jobs 1 vs 4")
         o1.L.digest o4.L.digest;
-      checkb (name ^ ": messages completed") true (o1.L.messages > 0))
+      checkb (name ^ ": trace byte-identical, jobs 1 vs 2") true (t1 = t2);
+      checkb (name ^ ": trace byte-identical, jobs 1 vs 4") true (t1 = t4);
+      checkb (name ^ ": messages completed") true (o1.L.messages > 0);
+      checkb (name ^ ": events traced") true (String.length t1 > 0))
     [ ("dctcp flows", L.Dctcp_flows); ("dctcp messages", L.Dctcp_messages);
       ("mtp", L.Mtp) ]
 

@@ -1,5 +1,5 @@
 (* Tests for the telemetry subsystem: event ring, metrics registry,
-   global context, and the JSONL/CSV exporters.
+   per-domain contexts, and the JSONL/CSV exporters.
 
    The exporters are validated with a small recursive-descent JSON
    parser below, so a malformed escape or a bare NaN in the output is a
@@ -171,7 +171,7 @@ end
 
 (* ------------------------------ helpers ----------------------------- *)
 
-(* Every test that touches the global context runs inside this wrapper
+(* Every test that touches the context runs inside this wrapper
    so a failure cannot leak an enabled context into unrelated tests
    (the whole suite asserts telemetry-off costs elsewhere). *)
 let with_ctx ?events_capacity f =
@@ -300,28 +300,69 @@ let test_ctx_mark_run_labels () =
       let labels = List.map fst (Telemetry.Ctx.runs ()) in
       Alcotest.(check (list string)) "oldest first" [ "dctcp"; "mtp" ] labels)
 
-(* The context is a main-domain singleton: the parallel runner's
-   worker domains must never reach the shared ring.  Off the main
-   domain [on] answers false (instrumented sites skip), [mark_run] is
-   a no-op, and [enable] raises — the chosen behaviour for the
-   telemetry-vs-domains decision (see DESIGN.md "Parallel runner"). *)
-let test_ctx_main_domain_only () =
-  with_ctx (fun () ->
-      checkb "on() true on the main domain" true (Telemetry.Ctx.on ());
-      checkb "on() false on a worker domain" false
-        (Domain.join (Domain.spawn (fun () -> Telemetry.Ctx.on ())));
-      checkb "enable raises on a worker domain" true
-        (Domain.join
-           (Domain.spawn (fun () ->
-                match Telemetry.Ctx.enable () with
-                | () -> false
-                | exception Failure _ -> true)));
-      Telemetry.Ctx.mark_run "on-main";
-      Domain.join
-        (Domain.spawn (fun () -> Telemetry.Ctx.mark_run "off-main"));
-      Alcotest.(check (list string)) "off-main mark_run is a no-op"
-        [ "on-main" ]
-        (List.map fst (Telemetry.Ctx.runs ())))
+(* Each job of a grid emits into a context of its own, which the
+   calling domain absorbs in submission order before the first commit:
+   both exports are the same bytes at any jobs value, and so are the
+   retained window and the overwritten count once the ring wraps.
+   Wider than one job, no work emits before every job has started, so
+   each runs on a domain of its own and the calling domain cannot
+   claim them all. *)
+let test_worker_telemetry_job_order () =
+  let grid jobs =
+    let started = Atomic.make 0 in
+    List.init 3 (fun k ->
+        Experiments.Exp_common.job
+          (fun () ->
+            Atomic.incr started;
+            while jobs > 1 && Atomic.get started < 3 do
+              Domain.cpu_relax ()
+            done;
+            if Telemetry.Ctx.on () then begin
+              let reg = Telemetry.Ctx.metrics () in
+              for i = 0 to 2 do
+                emit (Telemetry.Ctx.events ()) ~at:((10 * k) + i)
+                  ~uid:((10 * k) + i) ~src:k
+              done;
+              Telemetry.Registry.set_gauge reg "job.last" (fun () ->
+                  float_of_int k);
+              Telemetry.Registry.set_gauge reg (Printf.sprintf "job%d" k)
+                (fun () -> float_of_int k);
+              Stats.Histogram.add
+                (Telemetry.Registry.histogram reg ~lo:0.0 ~hi:4.0 ~buckets:4
+                   "job.k")
+                (float_of_int k);
+              Telemetry.Ctx.mark_run (Printf.sprintf "work%d" k)
+            end)
+          ~commit:(fun () -> Telemetry.Ctx.mark_run (Printf.sprintf "commit%d" k)))
+  in
+  let export ?events_capacity jobs =
+    with_ctx ?events_capacity (fun () ->
+        Experiments.Exp_common.run_jobs ~jobs (grid jobs);
+        let ev = Telemetry.Ctx.events () in
+        ( capture (fun p -> Telemetry.Export.write_trace p),
+          capture (fun p -> Telemetry.Export.write_metrics p),
+          (Telemetry.Events.retained ev, Telemetry.Events.dropped ev),
+          List.map fst (Telemetry.Ctx.runs ()) ))
+  in
+  let same label (t1, m1, w1, _) (t3, m3, w3, _) =
+    checks (label ^ ": trace, jobs 1 vs 3") t1 t3;
+    checks (label ^ ": metrics, jobs 1 vs 3") m1 m3;
+    Alcotest.(check (pair int int)) (label ^ ": retained, dropped") w1 w3
+  in
+  let ((trace, metrics, _, marks) as full) = export 1 in
+  same "full ring" full (export 3);
+  checki "every job's events" 9 (List.length (lines trace));
+  List.iter
+    (fun row -> checkb row true (Astring_like.contains metrics row))
+    [ "end,job.k,histogram,count,3\n"; "end,job.last,gauge,value,2\n";
+      "end,job0,gauge,value,0\n" ];
+  Alcotest.(check (list string))
+    "job marks in job order, before the commits"
+    [ "work0"; "work1"; "work2"; "commit0"; "commit1"; "commit2" ]
+    marks;
+  let ((_, _, window, _) as wrapped) = export ~events_capacity:4 1 in
+  same "wrapped ring" wrapped (export ~events_capacity:4 3);
+  Alcotest.(check (pair int int)) "wrapped retained, dropped" (4, 5) window
 
 (* ------------------------------ export ------------------------------ *)
 
@@ -507,8 +548,8 @@ let suite =
     Alcotest.test_case "ctx off by default" `Quick test_ctx_disabled_by_default;
     Alcotest.test_case "ctx enable/reset" `Quick test_ctx_enable_reset;
     Alcotest.test_case "ctx run marks" `Quick test_ctx_mark_run_labels;
-    Alcotest.test_case "ctx main-domain only" `Quick
-      test_ctx_main_domain_only;
+    Alcotest.test_case "worker telemetry commits in job order" `Quick
+      test_worker_telemetry_job_order;
     Alcotest.test_case "trace jsonl parses" `Quick test_trace_jsonl_parses;
     Alcotest.test_case "trace truncation marker" `Quick
       test_trace_jsonl_reports_truncation;
