@@ -62,7 +62,8 @@ bench-smoke:
 # backlog (bar 1.15x of the 1-message value) or, at 1 message,
 # exceeding 1.15x of the value recorded in bench/datapath.ml (as must
 # the failover point: a two-path fabric with path A down and its
-# pathlet suspect), or on the DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
+# pathlet suspect, and MTP words per 1-packet message over the host
+# pair), or on the DCTCP stream reaching 0.05 words per segment.  MTP ns per acked packet at 128
 # messages must stay within 2.0x of the 1-message value (absolute ns
 # are recorded, not gated), the median of 11 per-round ratios of
 # passes run back to back.  The parallel section fails if any width's

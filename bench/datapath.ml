@@ -10,9 +10,11 @@
    that minor words/event stay flat; the mtp section checks the same
    of minor words per acked packet as one sender's backlog grows from
    1 to 128 messages, bounds the growth of its ns per acked packet,
-   and bounds its words per acked packet while a failed path's
-   pathlet is suspect; the tcp section checks that a warm DCTCP stream allocates
-   (next to) nothing per delivered segment; the parallel section runs
+   bounds its words per acked packet while a failed path's pathlet is
+   suspect, and bounds its words per 1-packet message (beside TCP's
+   connection per message, recorded as the reference); the tcp section
+   checks that a warm DCTCP stream allocates (next to) nothing per
+   delivered segment; the parallel section runs
    a fixed sweep and one partitioned scenario at several widths.
    Results go to stdout and, every section in one pass,
    _build/BENCH_engine.json (with the host's core count), which
@@ -440,7 +442,7 @@ let flat_floor = 0.25
 
 (* Minor words per acked packet at a backlog of 1 when last recorded
    (allocation is deterministic, so the same on any machine). *)
-let mtp_recorded_words_1 = 6.10
+let mtp_recorded_words_1 = 1.91
 let mtp_words_bar = 1.15
 let mtp_ns_ratio_bar = 2.0
 
@@ -519,7 +521,7 @@ let mtp_ns_ratio pts =
    from 2 to 4 ms, with path A still down and its pathlet still
    suspect, gated like the backlog-1 point against
    [mtp_recorded_failover_words] (allocation is deterministic). *)
-let mtp_recorded_failover_words = 1.88
+let mtp_recorded_failover_words = 0.40
 
 let mtp_failover () =
   let sim = Engine.Sim.create () in
@@ -570,6 +572,66 @@ let mtp_failover () =
   in
   if not (suspect ()) then failwith "mtp failover: path A's pathlet revived";
   words /. float_of_int (Mtp.Endpoint.acks_sent eb - acks)
+
+(* The per-message cost, which the points above hide by dividing over
+   16-packet messages: a stamped 10G host pair (the backlog bench's)
+   carries [msg_messages] 1-packet messages, one outstanding (a
+   completion sends the next), through the packed transport interface.
+   Reported: minor words and events per message over [Sim.run]
+   (deterministic, so one pass).  MTP's words are gated like the
+   backlog-1 point against [mtp_recorded_msg_words].  TCP with one
+   connection per message is recorded beside it as the reference and
+   not gated: its handshake, connection record, timers and FIN per
+   message are fig 3's point. *)
+let msg_messages = 4_096
+let mtp_recorded_msg_words = 22.24
+
+type msg_point = { mp_words : float; mp_events : float }
+
+let per_message attach =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let a = Netsim.Topology.host topo "a" and b = Netsim.Topology.host topo "b" in
+  let ab, _ =
+    Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2)
+      ~ab_qdisc:(Netsim.Qdisc.fifo ~cap_pkts:256 ())
+      ()
+  in
+  Mtp.Mtp_switch.stamp sim ab ~path_id:3 ~mode:(Mtp.Mtp_switch.Ecn_mark 20);
+  let client = attach (Netsim.Host.create a) in
+  let server = attach (Netsim.Host.create b) in
+  Netsim.Transport_intf.listen server ~port:80 ();
+  let dst = Netsim.Node.addr b in
+  let started = ref 0 and completed = ref 0 in
+  let rec start () =
+    if !started < msg_messages then begin
+      incr started;
+      Netsim.Transport_intf.send_message client ~dst ~dst_port:80
+        ~on_complete:(fun _ ->
+          incr completed;
+          start ())
+        ~size:1440 ()
+    end
+  in
+  start ();
+  let _, words, () = timed (fun () -> Engine.Sim.run sim) in
+  assert (!completed = msg_messages);
+  let n = float_of_int msg_messages in
+  { mp_words = words /. n;
+    mp_events = float_of_int (Engine.Sim.events_processed sim) /. n }
+
+let mtp_per_message () =
+  per_message (fun host ->
+      Netsim.Transport_intf.pack
+        (module Mtp.Endpoint.Messaging)
+        (Mtp.Endpoint.attach host))
+
+let tcp_per_message () =
+  per_message (fun host ->
+      Netsim.Transport_intf.pack
+        (module Transport.Tcp.Messaging)
+        (Transport.Tcp.attach host))
 
 (* ------------------------------- TCP ------------------------------- *)
 
@@ -716,6 +778,8 @@ type report = {
   scale : scale;
   mtp : mtp_point list;
   mtp_failover_words : float;
+  mtp_msg : msg_point;
+  tcp_msg : msg_point;
   tcp_words : float;
   tcp_rate : float;
   par : par;
@@ -733,10 +797,12 @@ let collect () =
   let scale = collect_scale () in
   let mtp = collect_mtp () in
   let mtp_failover_words = mtp_failover () in
+  let mtp_msg = mtp_per_message () and tcp_msg = tcp_per_message () in
   let tcp_words, tcp_rate = per_op (interleave [| tcp_stream |]).(0) in
   let par = collect_par () in
   { ev_words; ev_rate; tm_words; tm_rate; pk_words; pk_rate; dh_words;
-    dh_rate; scale; mtp; mtp_failover_words; tcp_words; tcp_rate; par }
+    dh_rate; scale; mtp; mtp_failover_words; mtp_msg; tcp_msg; tcp_words;
+    tcp_rate; par }
 
 let print_report r =
   Printf.printf "== datapath guardrails ==\n";
@@ -787,6 +853,15 @@ let print_report r =
     "%-14s %.2f words/acked pkt, path A down and suspect, vs recorded %.2f \
      (bar %.2fx)\n"
     "failover" r.mtp_failover_words mtp_recorded_failover_words mtp_words_bar;
+  Printf.printf
+    "%-14s %.2f words/msg, %.2f events/msg over 1-packet messages vs \
+     recorded %.2f (bar %.2fx)\n"
+    "per message" r.mtp_msg.mp_words r.mtp_msg.mp_events
+    mtp_recorded_msg_words mtp_words_bar;
+  Printf.printf
+    "%-14s %.2f words/msg, %.2f events/msg, a connection per message \
+     (reference, not gated)\n"
+    "tcp reference" r.tcp_msg.mp_words r.tcp_msg.mp_events;
   Printf.printf "\n== tcp endpoint (warm dctcp stream) ==\n";
   Printf.printf "%-14s %8.3f words/segment %10.0f segments/s (bar %.2f)\n"
     "dctcp stream" r.tcp_words r.tcp_rate tcp_words_bar;
@@ -863,10 +938,12 @@ let write_json r =
     r.mtp;
   let m1, m128 = mtp_flatness r.mtp in
   Printf.fprintf oc
-    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f,\n    \"failover_words\": %.2f,\n    \"recorded_failover_words\": %.2f\n  },\n"
+    "\n    ],\n    \"flatness_words_1\": %.2f,\n    \"flatness_words_128\": %.2f,\n    \"flatness_bar\": %.2f,\n    \"flatness_floor\": %.2f,\n    \"recorded_words_1\": %.2f,\n    \"words_1_bar\": %.2f,\n    \"ns_ratio_128_to_1\": %.2f,\n    \"ns_ratio_bar\": %.2f,\n    \"failover_words\": %.2f,\n    \"recorded_failover_words\": %.2f,\n    \"per_message\": {\n      \"msg_pkts\": 1,\n      \"messages\": %d,\n      \"minor_words_per_msg\": %.2f,\n      \"events_per_msg\": %.2f,\n      \"recorded_words_per_msg\": %.2f,\n      \"tcp_conn_per_msg_minor_words_per_msg\": %.2f,\n      \"tcp_conn_per_msg_events_per_msg\": %.2f\n    }\n  },\n"
     m1 m128 flatness_bar flat_floor mtp_recorded_words_1 mtp_words_bar
     (mtp_ns_ratio r.mtp) mtp_ns_ratio_bar r.mtp_failover_words
-    mtp_recorded_failover_words;
+    mtp_recorded_failover_words msg_messages r.mtp_msg.mp_words
+    r.mtp_msg.mp_events mtp_recorded_msg_words r.tcp_msg.mp_words
+    r.tcp_msg.mp_events;
   Printf.fprintf oc
     "  \"tcp\": {\n    \"minor_words_per_segment\": %.3f,\n    \"segments_per_sec\": %.0f,\n    \"words_bar\": %.2f\n  },\n"
     r.tcp_words r.tcp_rate tcp_words_bar;
@@ -948,6 +1025,11 @@ let guardrail r =
       "mtp words/acked packet with a suspect pathlet: %.2f exceeds the \
        recorded %.2f by more than %.2fx"
       r.mtp_failover_words mtp_recorded_failover_words mtp_words_bar;
+  if not (r.mtp_msg.mp_words <= mtp_words_bar *. mtp_recorded_msg_words) then
+    fail
+      "mtp words per 1-packet message: %.2f exceeds the recorded %.2f by \
+       more than %.2fx"
+      r.mtp_msg.mp_words mtp_recorded_msg_words mtp_words_bar;
   if not (r.tcp_words < tcp_words_bar) then
     fail "warm dctcp stream allocates %.3f minor words per delivered \
           segment (bar %.2f)" r.tcp_words tcp_words_bar;

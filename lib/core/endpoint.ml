@@ -24,7 +24,8 @@ type seen = { s_ref : Wire.path_ref; mutable s_at : Engine.Time.t }
    [refs] their references in the same order.  [prev_entries] and
    [prev_refs] are the two lists from before the last reorder (see
    [note_paths]).  [live] caches [live_refs] for one scheduling epoch
-   (see [pump]). *)
+   (see [pump]), and [prev_live] is the live set before it changed
+   last. *)
 type dst_paths = {
   mutable entries : seen list;
   mutable refs : Wire.path_ref list;
@@ -32,6 +33,7 @@ type dst_paths = {
   mutable prev_refs : Wire.path_ref list;
   mutable live_epoch : int;
   mutable live : Wire.path_ref list;
+  mutable prev_live : Wire.path_ref list;
   mutable lanes : lane list;
 }
 
@@ -50,54 +52,75 @@ and lane = {
   mutable ln_short : int;
 }
 
+(* An exclusion list naming suspects ([sl_out], see [with_suspects]),
+   and what it was built from: the suspect list, the message's path
+   set and the congested pathlets. *)
+type suspect_list = {
+  mutable sl_sus : Wire.path_ref list;
+  mutable sl_path : Wire.path_ref list;
+  mutable sl_cong : Wire.path_ref list;
+  mutable sl_out : Wire.path_ref list;
+}
+
 (* A message's next packet: none, a full-MTU one, or a shorter one
    (only a message's last packet can be). *)
 type readiness = Dry | Full | Short
 
+(* A message's records are recycled (see [retire_msg]), so every field
+   is mutable and the arrays may be longer than the message: only
+   [states.(0 .. tx_npkts - 1)] and [got]'s first [(rx_npkts + 7) / 8]
+   bytes are the message's. *)
 type txmsg = {
-  tx_id : int;
-  tx_dst : Netsim.Packet.addr;
-  tx_dst_port : int;
-  tx_src_port : int;
-  tx_pri : int;
-  tx_tc : int;
-  tx_size : int;
-  tx_npkts : int;
-  tx_cookie : int;
-  tx_cookie2 : int;
-  tx_lane : lane;
-  states : int array; (* a flight slot, [unsent], [lost] or [acked] *)
+  mutable tx_id : int;
+  mutable tx_dst : Netsim.Packet.addr;
+  mutable tx_dst_port : int;
+  mutable tx_src_port : int;
+  mutable tx_pri : int;
+  mutable tx_tc : int;
+  mutable tx_size : int;
+  mutable tx_npkts : int;
+  mutable tx_cookie : int;
+  mutable tx_cookie2 : int;
+  mutable tx_lane : lane;
+  mutable states : int array; (* a flight slot, [unsent], [lost] or [acked] *)
   mutable acked_pkts : int;
   mutable n_inflight : int; (* packets holding a flight slot *)
   mutable scan : int; (* all packets below this index are not [unsent] *)
   (* Packet numbers awaiting retransmission, a FIFO ring allocated on
-     the first loss: a packet is queued only on leaving flight, so at
-     most [tx_npkts] wait at once. *)
+     the first loss (or kept from an earlier message, if as large): a
+     packet is queued only on leaving flight, so at most [tx_npkts]
+     wait at once. *)
   mutable retx : int array;
   mutable retx_head : int;
   mutable retx_len : int;
   mutable tx_ready : readiness; (* as counted in [tx_lane] *)
-  tx_created : Engine.Time.t;
-  tx_deadline : Engine.Time.t option; (* absolute; abort past this *)
+  mutable tx_created : Engine.Time.t;
+  (* absolute; abort past this ([no_deadline]: never) *)
+  mutable tx_deadline : Engine.Time.t;
   mutable tx_last_progress : Engine.Time.t;
-  tx_on_complete : (Engine.Time.t -> unit) option;
-  tx_on_error : (Engine.Time.t -> unit) option;
+  (* [no_callback] when the sender gave none *)
+  mutable tx_on_complete : Engine.Time.t -> unit;
+  mutable tx_on_error : Engine.Time.t -> unit;
 }
 
 type rxmsg = {
-  rx_src : Netsim.Packet.addr;
-  rx_src_port : int;
-  rx_dst_port : int;
-  rx_id : int;
-  rx_size : int;
-  rx_npkts : int;
-  rx_cookie : int;
-  rx_cookie2 : int;
-  rx_pri : int;
-  got : Bytes.t; (* bitmap *)
+  mutable rx_src : Netsim.Packet.addr;
+  mutable rx_src_port : int;
+  mutable rx_dst_port : int;
+  mutable rx_id : int;
+  mutable rx_size : int;
+  mutable rx_npkts : int;
+  mutable rx_cookie : int;
+  mutable rx_cookie2 : int;
+  mutable rx_pri : int;
+  mutable got : Bytes.t; (* bitmap *)
   mutable rx_count : int;
-  rx_first : Engine.Time.t;
+  mutable rx_first : Engine.Time.t;
 }
+
+let no_deadline = max_int
+
+let no_callback (_ : Engine.Time.t) = ()
 
 (* Pending coalesced acknowledgement towards one source.  The reply's
    class, ports and msg id are copied from the latest packet: its
@@ -142,15 +165,34 @@ type t = {
   nil_msg : txmsg; (* fills the unused tails of both arrays *)
   mutable epoch : int;
   (* The advisory exclusion list, valid while [excl_epoch = epoch] and
-     no pathlet is suspect (see [exclusion_list]). *)
+     no pathlet is suspect, and the one before it changed last (see
+     [exclusion_list]). *)
   mutable excl_epoch : int;
   mutable excl : Wire.path_ref list;
+  mutable prev_excl : Wire.path_ref list;
+  (* The list with suspects, valid for [sus_epoch] when its suspects and
+     path set are the ones asked for, and the one before it (see
+     [with_suspects]). *)
+  mutable sus_epoch : int;
+  mutable sus_cur : suspect_list;
+  mutable sus_prev : suspect_list;
   dests : dst_paths Itbl.t;
   (* Receiver state keyed by [rx_key]. *)
   rx_table : rxmsg Itbl.t;
   recent_done : unit Itbl.t;
   recent_queue : int Queue.t;
-  bindings : (delivery -> unit) Itbl.t;
+  (* A port's binding, handed the completed message (see [deliver]). *)
+  bindings : (rxmsg -> unit) Itbl.t;
+  (* Finished records, for the next [send] or new message received:
+     [tx_spare.(0 .. n_tx_spare - 1)] and [rx_spare.(0 .. n_rx_spare -
+     1)].  A record is parked only once its callback has returned and
+     no table, [active] or [again] holds it ([retire_msg],
+     [retire_rx]). *)
+  mutable tx_spare : txmsg array;
+  mutable n_tx_spare : int;
+  mutable rx_spare : rxmsg array;
+  mutable n_rx_spare : int;
+  nil_rx : rxmsg; (* fills [rx_spare]'s unused tail *)
   ack_every : int;
   ack_acc : ack_acc Itbl.t;
   mutable ticker_running : bool;
@@ -272,12 +314,13 @@ let rec same_live t time live = function
     else same_live t time live rest
 
 (* The cached [refs] when every entry is live, the last live set [live]
-   when the live entries still name it (neither allocates), else a
-   filtered copy. *)
+   or the one before it when the live entries still name it (none of
+   these allocates), else a filtered copy. *)
 let live_refs t d =
   let time = Engine.Sim.now t.ep_sim in
   if all_live t time d.entries then d.refs
   else if same_live t time d.live d.entries then d.live
+  else if same_live t time d.prev_live d.entries then d.prev_live
   else
     List.filter_map
       (fun s -> if is_live t time s then Some s.s_ref else None)
@@ -293,7 +336,7 @@ let current_path t ~dst = path_for t ~dst ~tc:0
 
 let no_paths () =
   { entries = []; refs = []; prev_entries = []; prev_refs = [];
-    live_epoch = -1; live = []; lanes = [] }
+    live_epoch = -1; live = []; prev_live = []; lanes = [] }
 
 let dst_paths t dst =
   match Itbl.find t.dests dst with
@@ -303,11 +346,9 @@ let dst_paths t dst =
     Itbl.add t.dests dst d;
     d
 
-let lane_for t ~dst ~tc =
-  let d = dst_paths t dst in
-  match List.find (fun ln -> ln.ln_tc = tc) d.lanes with
-  | ln -> ln
-  | exception Not_found ->
+let rec find_lane d tc = function
+  | ln :: rest -> if ln.ln_tc = tc then ln else find_lane d tc rest
+  | [] ->
     let ln =
       { ln_dst = d; ln_tc = tc; ln_default = default_path tc; ln_epoch = -1;
         ln_refused = 0; ln_ready = 0; ln_short = 0 }
@@ -315,12 +356,20 @@ let lane_for t ~dst ~tc =
     d.lanes <- ln :: d.lanes;
     ln
 
+let lane_for t ~dst ~tc =
+  let d = dst_paths t dst in
+  find_lane d tc d.lanes
+
 (* [path_for] of the lane, computing the live set at most once per
-   scheduling epoch. *)
+   scheduling epoch.  A live set that flips back is the kept one. *)
 let lane_path t ln =
   let d = ln.ln_dst in
   if d.live_epoch <> t.epoch then begin
-    d.live <- live_refs t d;
+    let live = live_refs t d in
+    if live != d.live then begin
+      d.prev_live <- d.live;
+      d.live <- live
+    end;
     d.live_epoch <- t.epoch
   end;
   match d.live with [] -> ln.ln_default | refs -> refs
@@ -496,8 +545,7 @@ let rec mem_path r = function
    the switch's all-excluded fallback (plain flow hash) would steer
    traffic straight back onto the dead pathlet, so congestion entries
    that would complete such a cover are dropped. *)
-let with_suspects t ~path sus =
-  let congested = Pathlet.congested_paths t.path_table ~now:(now t) in
+let build_with_suspects ~path sus congested =
   let merged =
     (* simlint: allow H101 — per packet only while a pathlet is suspect *)
     sus @ List.filter (fun r -> not (mem_path r sus)) congested
@@ -512,18 +560,61 @@ let with_suspects t ~path sus =
       else r :: acc)
     [] merged
 
+let built_from t ~path sus sl =
+  sl.sl_sus == sus && sl.sl_path == path
+  && Pathlet.is_congested_paths t.path_table ~now:(now t) sl.sl_cong
+
+(* Built from no suspect list, so it never holds. *)
+let no_suspect_list () =
+  { sl_sus = []; sl_path = []; sl_cong = []; sl_out = [] }
+
+(* The list depends on the suspects, the path set and the congested
+   pathlets, and congestion is fixed within a scheduling epoch (see
+   [refused]): it is checked at most once per epoch and path set,
+   and built only when neither it nor the one before it still holds,
+   as acks alternating between two states would otherwise have it
+   rebuilt per packet. *)
+let with_suspects t ~path sus =
+  let cur = t.sus_cur in
+  if not (t.sus_epoch = t.epoch && cur.sl_sus == sus && cur.sl_path == path)
+  then begin
+    if not (built_from t ~path sus cur) then begin
+      let prev = t.sus_prev in
+      t.sus_prev <- cur;
+      t.sus_cur <- prev;
+      if not (built_from t ~path sus prev) then begin
+        let congested = Pathlet.congested_paths t.path_table ~now:(now t) in
+        prev.sl_sus <- sus;
+        prev.sl_path <- path;
+        prev.sl_cong <- congested;
+        prev.sl_out <- build_with_suspects ~path sus congested
+      end
+    end;
+    t.sus_epoch <- t.epoch
+  end;
+  t.sus_cur.sl_out
+
 (* No suspects: the first [max_excluded] congested pathlets, last
    first.  The full advisory list goes out even when it names every
    known pathlet (the network may have alternatives the sender cannot
    see).  It depends on congestion state alone, which is fixed within
    a scheduling epoch (see [refused]): it is checked once per epoch,
-   and rebuilt only when it changed. *)
+   swapped with the one before it when congestion returns to that, and
+   rebuilt only when it changed to a third. *)
+let is_advisory t l =
+  Pathlet.is_advisory t.path_table ~now:(now t) ~max:max_excluded l
+
 let exclusion_list t ~path =
   match Pathlet.suspects t.path_table with
   | [] ->
     if t.excl_epoch <> t.epoch then begin
-      t.excl <-
-        Pathlet.advisory t.path_table ~now:(now t) ~max:max_excluded t.excl;
+      if not (is_advisory t t.excl) then begin
+        let older = t.prev_excl in
+        t.prev_excl <- t.excl;
+        t.excl <-
+          (if is_advisory t older then older
+           else Pathlet.advisory t.path_table ~now:(now t) ~max:max_excluded)
+      end;
       t.excl_epoch <- t.epoch
     end;
     t.excl
@@ -612,7 +703,8 @@ let note_next t msg =
   end
 
 let push_retx t msg i =
-  if Array.length msg.retx = 0 then msg.retx <- Array.make msg.tx_npkts 0;
+  if Array.length msg.retx < msg.tx_npkts then
+    msg.retx <- Array.make msg.tx_npkts 0;
   let cap = Array.length msg.retx in
   msg.retx.((msg.retx_head + msg.retx_len) mod cap) <- i;
   msg.retx_len <- msg.retx_len + 1;
@@ -626,15 +718,22 @@ let take_next t msg =
   else msg.scan <- msg.scan + 1;
   note_next t msg
 
+(* [a], or a copy twice as long when its [n] slots are all in use,
+   the new tail filled with [nil]: the endpoint's arrays of messages
+   and records grow by doubling and never shrink. *)
+let room a n nil =
+  if n < Array.length a then a
+  else begin
+    let bigger = Array.make (Int.max 8 (2 * n)) nil in
+    Array.blit a 0 bigger 0 n;
+    bigger
+  end
+
 (* Ids only grow, so a new message goes after every message of its
    priority or a more urgent one. *)
 let insert_active t msg =
   let n = t.n_active in
-  if n = Array.length t.active then begin
-    let bigger = Array.make (Int.max 8 (2 * n)) t.nil_msg in
-    Array.blit t.active 0 bigger 0 n;
-    t.active <- bigger
-  end;
+  t.active <- room t.active n t.nil_msg;
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -663,6 +762,68 @@ let remove_active t msg =
   t.n_active <- n - 1
 
 (* ------------------------------------------------------------------ *)
+(* Message records                                                      *)
+
+let blank_msg lane =
+  { tx_id = -1; tx_dst = -1; tx_dst_port = 0; tx_src_port = 0; tx_pri = 0;
+    tx_tc = 0; tx_size = 0; tx_npkts = 0; tx_cookie = 0; tx_cookie2 = 0;
+    tx_lane = lane; states = [||]; acked_pkts = 0; n_inflight = 0; scan = 0;
+    retx = [||]; retx_head = 0; retx_len = 0; tx_ready = Dry; tx_created = 0;
+    tx_deadline = no_deadline; tx_last_progress = 0;
+    tx_on_complete = no_callback; tx_on_error = no_callback }
+
+let nil_msg () =
+  blank_msg
+    { ln_dst = no_paths (); ln_tc = 0; ln_default = []; ln_epoch = -1;
+      ln_refused = 0; ln_ready = 0; ln_short = 0 }
+
+(* A finished or failed message's record, once its callback has
+   returned: it has left [tx_table] and [active], and [again] is empty
+   outside the pump.  It lets go of its callbacks for the GC. *)
+let retire_msg t msg =
+  msg.tx_on_complete <- no_callback;
+  msg.tx_on_error <- no_callback;
+  let n = t.n_tx_spare in
+  t.tx_spare <- room t.tx_spare n t.nil_msg;
+  t.tx_spare.(n) <- msg;
+  t.n_tx_spare <- n + 1
+
+(* A parked record, or a fresh one: [send] sets every field. *)
+let spare_msg t =
+  let n = t.n_tx_spare - 1 in
+  if n < 0 then blank_msg t.nil_msg.tx_lane
+  else begin
+    let msg = t.tx_spare.(n) in
+    t.tx_spare.(n) <- t.nil_msg;
+    t.n_tx_spare <- n;
+    msg
+  end
+
+let blank_rx () =
+  { rx_src = -1; rx_src_port = 0; rx_dst_port = 0; rx_id = 0; rx_size = 0;
+    rx_npkts = 0; rx_cookie = 0; rx_cookie2 = 0; rx_pri = 0;
+    got = Bytes.empty; rx_count = 0; rx_first = 0 }
+
+(* A delivered message's record, once its binding has returned: it has
+   left [rx_table]. *)
+let retire_rx t rx =
+  let n = t.n_rx_spare in
+  t.rx_spare <- room t.rx_spare n t.nil_rx;
+  t.rx_spare.(n) <- rx;
+  t.n_rx_spare <- n + 1
+
+(* A parked record, or a fresh one: [process_data] sets every field. *)
+let spare_rx t =
+  let n = t.n_rx_spare - 1 in
+  if n < 0 then blank_rx ()
+  else begin
+    let rx = t.rx_spare.(n) in
+    t.rx_spare.(n) <- t.nil_rx;
+    t.n_rx_spare <- n;
+    rx
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Message failure (deadline exceeded)                                  *)
 
 let fail_message t msg =
@@ -681,9 +842,8 @@ let fail_message t msg =
     probe_event t ~kind:Telemetry.Events.Fail ~dst:msg.tx_dst ~size:msg.tx_size
       ~a:msg.tx_id
       ~b:(int_of_float (Engine.Time.to_float_us (now t - msg.tx_created)));
-  match msg.tx_on_error with
-  | Some f -> f (now t - msg.tx_created)
-  | None -> ()
+  msg.tx_on_error (now t - msg.tx_created);
+  retire_msg t msg
 
 (* ------------------------------------------------------------------ *)
 (* The send pump                                                        *)
@@ -758,24 +918,8 @@ let send_quantum t msg =
   done;
   !sent = quantum
 
-let nil_msg () =
-  let nowhere = no_paths () in
-  { tx_id = -1; tx_dst = -1; tx_dst_port = 0; tx_src_port = 0; tx_pri = 0;
-    tx_tc = 0; tx_size = 0; tx_npkts = 0; tx_cookie = 0; tx_cookie2 = 0;
-    tx_lane =
-      { ln_dst = nowhere; ln_tc = 0; ln_default = []; ln_epoch = -1;
-        ln_refused = 0; ln_ready = 0; ln_short = 0 };
-    states = [||]; acked_pkts = 0; n_inflight = 0; scan = 0; retx = [||];
-    retx_head = 0; retx_len = 0; tx_ready = Dry; tx_created = 0;
-    tx_deadline = None; tx_last_progress = 0; tx_on_complete = None;
-    tx_on_error = None }
-
 let push_again t msg =
-  if t.n_again = Array.length t.again then begin
-    let bigger = Array.make (Int.max 8 (2 * t.n_again)) t.nil_msg in
-    Array.blit t.again 0 bigger 0 t.n_again;
-    t.again <- bigger
-  end;
+  t.again <- room t.again t.n_again t.nil_msg;
   t.again.(t.n_again) <- msg;
   t.n_again <- t.n_again + 1
 
@@ -813,8 +957,7 @@ let rec max_rto tbl acc = function
    messages of [tx_table]) by its own closure-free recursion that
    conses only due messages, so a tick with nothing due allocates
    nothing. *)
-let past_deadline time msg =
-  match msg.tx_deadline with Some d -> time >= d | None -> false
+let past_deadline time msg = time >= msg.tx_deadline
 
 let rec late t time i acc =
   if i >= t.n_active then acc
@@ -962,9 +1105,8 @@ let finish_message t msg =
     probe_event t ~kind:Telemetry.Events.Complete ~dst:msg.tx_dst
       ~size:msg.tx_size ~a:msg.tx_id ~b:(int_of_float latency_us)
   end;
-  match msg.tx_on_complete with
-  | Some f -> f (now t - msg.tx_created)
-  | None -> ()
+  msg.tx_on_complete (now t - msg.tx_created);
+  retire_msg t msg
 
 (* SACKed packets.  [fbs] is the ack's path feedback, [tc] its traffic
    class. *)
@@ -1111,16 +1253,13 @@ let send_ack t ~dst (header : Wire.t) ~urgent ~nack =
       Engine.Sim.arm_after acc.acc_tm ack_delay
   end
 
+(* A binding reads what it hands on from [rx] before it returns: the
+   record is recycled after. *)
 let deliver t rx =
   t.n_delivered <- t.n_delivered + 1;
-  match Itbl.find_opt t.bindings rx.rx_dst_port with
-  | None -> ()
-  | Some callback ->
-    callback
-      { dl_src = rx.rx_src; dl_src_port = rx.rx_src_port;
-        dl_msg_id = rx.rx_id; dl_size = rx.rx_size; dl_cookie = rx.rx_cookie;
-        dl_cookie2 = rx.rx_cookie2; dl_pri = rx.rx_pri;
-        dl_latency = now t - rx.rx_first }
+  match Itbl.find t.bindings rx.rx_dst_port with
+  | callback -> callback rx
+  | exception Not_found -> ()
 
 (* Receiver state key: msg ids are wire u32s, so the source address
    sits above them. *)
@@ -1139,7 +1278,8 @@ let receive t ~src (header : Wire.t) key rx =
   if complete then begin
     Itbl.remove t.rx_table key;
     remember_done t key;
-    deliver t rx
+    deliver t rx;
+    retire_rx t rx
   end
 
 let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
@@ -1161,17 +1301,23 @@ let process_data t (header : Wire.t) (pkt : Netsim.Packet.t) =
       then t.n_rejected <- t.n_rejected + 1
       else begin
         (* The header announces the full geometry up front, so the
-           receiver allocates exactly one bitmap — the bounded buffering
-           property of §2.2. *)
-        let rx =
-          { rx_src = src; rx_src_port = header.Wire.src_port;
-            rx_dst_port = header.Wire.dst_port; rx_id = header.Wire.msg_id;
-            rx_size = header.Wire.msg_len; rx_npkts = header.Wire.msg_pkts;
-            rx_cookie = header.Wire.cookie; rx_cookie2 = header.Wire.cookie2;
-            rx_pri = header.Wire.msg_pri;
-            got = Bytes.make ((header.Wire.msg_pkts + 7) / 8) '\000';
-            rx_count = 0; rx_first = now t }
-        in
+           receiver needs exactly one bitmap — the bounded buffering
+           property of §2.2 — or reuses a large enough one. *)
+        let rx = spare_rx t in
+        rx.rx_src <- src;
+        rx.rx_src_port <- header.Wire.src_port;
+        rx.rx_dst_port <- header.Wire.dst_port;
+        rx.rx_id <- header.Wire.msg_id;
+        rx.rx_size <- header.Wire.msg_len;
+        rx.rx_npkts <- header.Wire.msg_pkts;
+        rx.rx_cookie <- header.Wire.cookie;
+        rx.rx_cookie2 <- header.Wire.cookie2;
+        rx.rx_pri <- header.Wire.msg_pri;
+        let bytes = (header.Wire.msg_pkts + 7) / 8 in
+        if Bytes.length rx.got < bytes then rx.got <- Bytes.make bytes '\000'
+        else Bytes.fill rx.got 0 bytes '\000';
+        rx.rx_count <- 0;
+        rx.rx_first <- now t;
         Itbl.add t.rx_table key rx;
         receive t ~src header key rx
       end
@@ -1214,12 +1360,15 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
       active = [||]; n_active = 0; n_ready_lanes = 0; shut_epoch = -1;
       n_shut = 0; again = [||]; n_again = 0;
       nil_msg = nil_msg (); epoch = 0; excl_epoch = -1; excl = [];
+      prev_excl = []; sus_epoch = -1; sus_cur = no_suspect_list ();
+      sus_prev = no_suspect_list ();
       dests = Itbl.create 8; rx_table = Itbl.create 64;
       (* Starts small: it grows toward its 4096-key window only on an
          endpoint that finishes that many messages, where a full-size
          table would cost every endpoint 4096 words at attach. *)
       recent_done = Itbl.create 64; recent_queue = Queue.create ();
-      bindings = Itbl.create 8; ack_every;
+      bindings = Itbl.create 8; tx_spare = [||]; n_tx_spare = 0;
+      rx_spare = [||]; n_rx_spare = 0; nil_rx = blank_rx (); ack_every;
       ack_acc = Itbl.create 8; ticker_running = false; fl_at = [||];
       fl_charged = [||]; fl_rtx = [||]; fl_free = [||]; fl_nfree = 0;
       n_completed = 0;
@@ -1250,7 +1399,13 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
   Netsim.Host.register host ~name:"mtp" (claim t);
   t
 
-let bind t ~port callback = Itbl.replace t.bindings port callback
+let bind t ~port callback =
+  Itbl.replace t.bindings port (fun rx ->
+      callback
+        { dl_src = rx.rx_src; dl_src_port = rx.rx_src_port;
+          dl_msg_id = rx.rx_id; dl_size = rx.rx_size;
+          dl_cookie = rx.rx_cookie; dl_cookie2 = rx.rx_cookie2;
+          dl_pri = rx.rx_pri; dl_latency = now t - rx.rx_first })
 
 let unbind t ~port = Itbl.remove t.bindings port
 
@@ -1273,17 +1428,33 @@ let send t ~dst ~dst_port ?src_port ?(pri = 0) ?(tc = 0) ?(cookie = 0)
   let id = t.next_msg_id in
   t.next_msg_id <- t.next_msg_id + 1;
   let npkts = (size + t.mtu - 1) / t.mtu in
-  let msg =
-    { tx_id = id; tx_dst = dst; tx_dst_port = dst_port; tx_src_port = src_port;
-      tx_pri = pri; tx_tc = tc; tx_size = size; tx_npkts = npkts;
-      tx_cookie = cookie; tx_cookie2 = cookie2; tx_lane = lane_for t ~dst ~tc;
-      states = Array.make npkts unsent; acked_pkts = 0; n_inflight = 0;
-      scan = 0; retx = [||]; retx_head = 0; retx_len = 0; tx_ready = Dry;
-      tx_created = now t;
-      tx_deadline = Option.map (fun d -> now t + d) deadline;
-      tx_last_progress = now t;
-      tx_on_complete = on_complete; tx_on_error = on_error }
-  in
+  let msg = spare_msg t in
+  msg.tx_id <- id;
+  msg.tx_dst <- dst;
+  msg.tx_dst_port <- dst_port;
+  msg.tx_src_port <- src_port;
+  msg.tx_pri <- pri;
+  msg.tx_tc <- tc;
+  msg.tx_size <- size;
+  msg.tx_npkts <- npkts;
+  msg.tx_cookie <- cookie;
+  msg.tx_cookie2 <- cookie2;
+  msg.tx_lane <- lane_for t ~dst ~tc;
+  if Array.length msg.states < npkts then msg.states <- Array.make npkts unsent
+  else Array.fill msg.states 0 npkts unsent;
+  msg.acked_pkts <- 0;
+  msg.n_inflight <- 0;
+  msg.scan <- 0;
+  msg.retx_head <- 0;
+  msg.retx_len <- 0;
+  msg.tx_ready <- Dry;
+  msg.tx_created <- now t;
+  msg.tx_deadline <-
+    (match deadline with Some d -> now t + d | None -> no_deadline);
+  msg.tx_last_progress <- now t;
+  msg.tx_on_complete <-
+    (match on_complete with Some f -> f | None -> no_callback);
+  msg.tx_on_error <- (match on_error with Some f -> f | None -> no_callback);
   Itbl.add t.tx_table id msg;
   insert_active t msg;
   note_next t msg;
@@ -1396,12 +1567,12 @@ let check_pump t =
     Array.iteri
       (fun p slot ->
         if slot >= 0 then begin
-          if slot >= cap || owner.(slot) <> 0 then
+          if slot >= cap || owner.(slot) <> 0 || p >= m.tx_npkts then
             failwith
               (Printf.sprintf
                  "flight: message %d packet %d names slot %d, which is out \
-                  of range, free or named before"
-                 m.tx_id p slot);
+                  of range, free, named before or past its %d packets"
+                 m.tx_id p slot m.tx_npkts);
           owner.(slot) <- m.tx_id;
           incr named
         end)
@@ -1415,7 +1586,37 @@ let check_pump t =
   if !in_flight <> cap - t.fl_nfree then
     failwith
       (Printf.sprintf "flight: %d slots in use for %d packets in flight"
-         (cap - t.fl_nfree) !in_flight)
+         (cap - t.fl_nfree) !in_flight);
+  (* The free lists: a parked record is parked once, sits in no table
+     and in neither [active] nor [again] (tails included), and holds no
+     flight slot. *)
+  let named_in a m = Array.exists (fun m' -> m' == m) a in
+  let in_table tbl m =
+    (* simlint: allow D001 — a membership test: any order gives the same answer *)
+    Itbl.fold (fun _ m' acc -> acc || m' == m) tbl false
+  in
+  for k = 0 to t.n_tx_spare - 1 do
+    let m = t.tx_spare.(k) in
+    let fail what =
+      failwith (Printf.sprintf "free list: message %d %s" m.tx_id what)
+    in
+    if named_in (Array.sub t.tx_spare 0 k) m then fail "is parked twice";
+    if in_table t.tx_table m then fail "is still unacknowledged";
+    if named_in t.active m then fail "is still in the active list";
+    if named_in t.again m then fail "is still in the pump's again list";
+    if m.n_inflight <> 0 || Array.exists (fun slot -> slot >= 0) m.states then
+      fail "still holds a flight slot"
+  done;
+  for k = 0 to t.n_rx_spare - 1 do
+    let rx = t.rx_spare.(k) in
+    let fail what =
+      failwith
+        (Printf.sprintf "free list: received message %d from %d %s" rx.rx_id
+           rx.rx_src what)
+    in
+    if named_in (Array.sub t.rx_spare 0 k) rx then fail "is parked twice";
+    if in_table t.rx_table rx then fail "is still being received"
+  done
 
 let completed t = t.n_completed
 let failed t = t.n_failed
@@ -1435,16 +1636,18 @@ module Messaging = struct
 
   let id = "mtp"
 
+  (* Hands on one record per message, not a [delivery] copied into a
+     second one. *)
   let listen t ~port ?on_data ?on_message () =
-    bind t ~port (fun dl ->
-        (match on_data with Some f -> f dl.dl_size | None -> ());
+    Itbl.replace t.bindings port (fun rx ->
+        (match on_data with Some f -> f rx.rx_size | None -> ());
         match on_message with
         | Some f ->
           f
-            { Netsim.Transport_intf.msg_src = dl.dl_src;
-              msg_src_port = dl.dl_src_port;
-              msg_size = dl.dl_size;
-              msg_latency = dl.dl_latency }
+            { Netsim.Transport_intf.msg_src = rx.rx_src;
+              msg_src_port = rx.rx_src_port;
+              msg_size = rx.rx_size;
+              msg_latency = now t - rx.rx_first }
         | None -> ())
 
   let send_message t ~dst ~dst_port ?on_complete ~size () =

@@ -11,7 +11,13 @@
     Reliability: lost packets are recovered by NACKs (when an NDP-style
     trimming switch turned the packet into a header) or by a
     per-message retransmission timer.  Completion fires when every
-    packet has been acknowledged. *)
+    packet has been acknowledged.
+
+    An endpoint reuses its message records: a finished message's
+    record, and a delivered one's, is parked once its callback has
+    returned and taken by a later message, its packet-state array or
+    bitmap with it when large enough.  Callbacks receive values, never
+    a record, so nothing they keep can change under them. *)
 
 type t
 
@@ -61,7 +67,8 @@ val attach :
 val sim : t -> Engine.Sim.t
 
 val bind : t -> port:int -> (delivery -> unit) -> unit
-(** Deliver completed messages for [port] to the callback. *)
+(** Deliver completed messages for [port] to the callback, one fresh
+    [delivery] each. *)
 
 val unbind : t -> port:int -> unit
 (** Remove a binding (late deliveries are dropped). *)
@@ -118,7 +125,11 @@ val check_pump : t -> unit
     messages with a next packet and with a sub-MTU one, and the count
     of lanes with a ready message, equal a recount.  The flight
     table's slots in use number the packets in flight, each named by
-    exactly one of them; the free slots charge nothing.
+    exactly one of them; the free slots charge nothing.  A parked
+    message record is parked once, sits in no table and in neither the
+    active list nor the pump's list of quantum users, and holds no
+    flight slot; a parked received message is no longer being
+    received.
 
     @raise Failure naming the first discrepancy. *)
 

@@ -132,13 +132,20 @@ let alternate_path sim sw ~dst ~ports ~interval ~fallback =
         Netsim.Switch.forward ports.(!current)
       else fallback pkt)
 
-let excluded_in header port_paths port =
-  match List.assoc_opt port port_paths with
-  | None -> false
-  | Some path_id ->
-    List.exists
-      (fun (r : Wire.path_ref) -> r.Wire.path_id = path_id)
-      header.Wire.path_exclude
+let rec names_path_id path_id = function
+  | [] -> false
+  | (r : Wire.path_ref) :: rest ->
+    r.Wire.path_id = path_id || names_path_id path_id rest
+
+(* Whether the header excludes the path of [port] (its first entry in
+   [port_paths]); walked per port of every excluding packet, so it
+   boxes no option and builds no closure. *)
+let rec excluded_in header port_paths port =
+  match port_paths with
+  | [] -> false
+  | (p, path_id) :: rest ->
+    if Int.equal p port then names_path_id path_id header.Wire.path_exclude
+    else excluded_in header rest port
 
 let exclusion_aware ~port_paths routes pkt =
   let ports = Netsim.Routing.ports_for routes pkt.Netsim.Packet.dst in

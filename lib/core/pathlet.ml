@@ -316,7 +316,21 @@ let rec first_rev n acc = function
   | r :: rest when n > 0 -> first_rev (n - 1) (r :: acc) rest
   | _ :: _ | [] -> acc
 
-let advisory t ~now ~max prev =
-  match match_congested ~now max prev t.controlled with
-  | [] -> prev
-  | _ :: _ -> first_rev max [] (congested_paths t ~now)
+let is_advisory t ~now ~max l =
+  match match_congested ~now max l t.controlled with
+  | [] -> true
+  | _ :: _ -> false
+
+let advisory t ~now ~max = first_rev max [] (congested_paths t ~now)
+
+let rec congested_is ~now l = function
+  | [] -> ( match l with [] -> true | _ :: _ -> false)
+  | e :: rest -> (
+    match e.cc with
+    | Some cc when Cc.congested cc ~now -> (
+      match l with
+      | r :: more when Wire.same_path r e.e_ref -> congested_is ~now more rest
+      | _ :: _ | [] -> false)
+    | Some _ | None -> congested_is ~now l rest)
+
+let is_congested_paths t ~now l = congested_is ~now l t.controlled

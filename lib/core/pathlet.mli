@@ -108,10 +108,16 @@ val congested_paths : t -> now:Engine.Time.t -> Wire.path_ref list
 (** Pathlets whose controllers saw congestion within the last two
     RTTs — candidates for the header's path-exclude list. *)
 
-val advisory :
-  t -> now:Engine.Time.t -> max:int -> Wire.path_ref list -> Wire.path_ref list
-(** [advisory t ~now ~max prev]: the first [max] {!congested_paths},
-    last first, as the header's advisory exclusion list.  [prev]
-    itself when it already is that list, found by a walk that
-    allocates nothing, so a caller that keeps its last answer builds a
-    new list only when congestion changes. *)
+val is_congested_paths : t -> now:Engine.Time.t -> Wire.path_ref list -> bool
+(** Whether the list is {!congested_paths}, found by a walk that
+    allocates nothing. *)
+
+val advisory : t -> now:Engine.Time.t -> max:int -> Wire.path_ref list
+(** [advisory t ~now ~max]: the first [max] {!congested_paths}, last
+    first, as the header's advisory exclusion list. *)
+
+val is_advisory :
+  t -> now:Engine.Time.t -> max:int -> Wire.path_ref list -> bool
+(** Whether the list is [advisory t ~now ~max], found by a walk that
+    allocates nothing: a caller that keeps its last answers builds a
+    new list only when congestion moves to a set it has not kept. *)

@@ -23,7 +23,7 @@ let create node =
   if Node.has_handler node then
     invalid_arg "Host.create: the node already has a packet handler";
   let t =
-    { h_node = node; h_pool = Packet.pool (Node.sim node); h_stacks = [];
+    { h_node = node; h_pool = Node.pool node; h_stacks = [];
       h_unclaimed = 0 }
   in
   Node.set_handler node (fun pkt -> offer t pkt t.h_stacks);

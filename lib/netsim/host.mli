@@ -1,4 +1,4 @@
-(** A host: node + registered transport stacks + shared packet pool.
+(** A host: node + registered transport stacks + the node's packet pool.
 
     The one way to put transports on a node.  [create] takes over the
     node's packet handler; each transport's [attach] registers a claim
@@ -10,14 +10,18 @@
     Packet ownership: every stack sends packets taken from {!pool}
     ({!Packet.take}).  When a claim answers [true], the host releases
     the packet, payload and all, into {!pool} for a later send to
-    refill; so a claim must keep no reference to the packet or its
-    payload after it returns.  A claim answering [false] must leave the
-    packet as it found it, for the next stack. *)
+    refill.  The pool is the node's ({!Node.pool}), which {!Topology}
+    shares among every host of a simulator, so a packet released here
+    may refill any of those hosts' next sends.  So a claim must keep
+    no reference to the packet or its payload after it returns.  A
+    claim answering [false] must leave the packet as it found it, for
+    the next stack. *)
 
 type t
 
 val create : Node.t -> t
-(** Take over the node's packet handler, with a fresh packet pool.
+(** Take over the node's packet handler; stacks send from the node's
+    pool.
     @raise Invalid_argument if the node already has a handler (a
     second host on one node would unplug every stack on the first). *)
 

@@ -2,6 +2,7 @@ module Itbl = Hashtbl.Make (Int)
 
 type t = {
   sim : Engine.Sim.t;
+  node_pool : Packet.pool;
   node_name : string;
   node_addr : Packet.addr;
   mutable link : Link.t option;
@@ -9,13 +10,15 @@ type t = {
   mutable handle_packet : (Packet.t -> unit) option;
 }
 
-let create sim ~name ~addr =
-  { sim; node_name = name; node_addr = addr; link = None;
-    routes = Itbl.create 4; handle_packet = None }
+let create pool ~name ~addr =
+  { sim = Packet.pool_sim pool; node_pool = pool; node_name = name;
+    node_addr = addr; link = None; routes = Itbl.create 4;
+    handle_packet = None }
 
 let addr t = t.node_addr
 let name t = t.node_name
 let sim t = t.sim
+let pool t = t.node_pool
 
 let attach t link = t.link <- Some link
 

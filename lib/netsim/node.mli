@@ -9,11 +9,17 @@
 
 type t
 
-val create : Engine.Sim.t -> name:string -> addr:Packet.addr -> t
+val create : Packet.pool -> name:string -> addr:Packet.addr -> t
+(** A node in the pool's simulator.  Its stacks send from that pool and
+    its {!Host} releases claimed packets into it; {!Topology} hands one
+    pool to every host it builds in a simulator. *)
 
 val addr : t -> Packet.addr
 val name : t -> string
 val sim : t -> Engine.Sim.t
+
+val pool : t -> Packet.pool
+(** The pool given at {!create}. *)
 
 val attach : t -> Link.t -> unit
 (** Set the host's default uplink. *)

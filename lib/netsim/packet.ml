@@ -46,7 +46,7 @@ let none =
    its payload for the next sender to refill.  The cap: a host that
    receives more than it sends would otherwise park the surplus for
    the rest of the run. *)
-let max_parked = 512
+let max_parked = 4096
 
 type pool = {
   pool_sim : Engine.Sim.t;
@@ -119,6 +119,8 @@ let take p ~entity ~prio ~flow_hash ~payload ~src ~dst ~size =
 
 let recycle ?(flow_hash = 0) p ~src ~dst ~size () =
   take p ~entity:0 ~prio:0 ~flow_hash ~payload:Raw ~src ~dst ~size
+
+let pool_sim p = p.pool_sim
 
 let pool_free p = p.free_len
 

@@ -64,23 +64,30 @@ val set_trimmed : t -> unit
     the links and switches while it travels (a device built with a
     pool releases the packets it drops), then the stack on the
     destination host that claims it, after which that host {!release}s
-    it into its own pool ({!Host}).  So packets migrate between pools: a
-    host that receives more than it sends parks the surplus (up to
-    {!max_parked}), one that sends more takes fresh records.  A parked
+    it into its pool ({!Host}).  {!Topology} gives every host of a
+    simulator one pool, so within a simulator a packet one host
+    releases refills any host's next send; a packet crossing into
+    another partition parks in that partition's pool.  A pool parks
+    what its hosts released beyond what they took back (up to
+    {!max_parked}), and hands out fresh records only past its peak of
+    packets in use.  A parked
     packet keeps its payload: a sender whose protocol's header box is
     the {!parked_payload} refills it and passes it to {!take}, so a
     steady exchange allocates neither records nor headers. *)
 
 type pool
-(** A free-list of released packets belonging to one simulator. *)
+(** A free-list of released packets belonging to one simulator: the
+    one {!Topology} shares among its hosts there, or a raw source's
+    own. *)
 
 val pool : Engine.Sim.t -> pool
 (** An empty pool; its free-list starts with room for 64 packets and
     grows as needed, up to {!max_parked}. *)
 
 val max_parked : int
-(** Packets one pool parks at most (512); past it a released packet is
-    left to the GC. *)
+(** Packets one pool parks at most (4096, the measured peak of parked
+    packets of a simulator's shared pool, rounded up to a power of
+    two); past it a released packet is left to the GC. *)
 
 val release : pool -> t -> unit
 (** Park a packet for reuse, payload and all.  The caller must not
@@ -115,6 +122,9 @@ val recycle :
     defaults to [0].  Kept for the raw sources that still call it;
     transports use {!take}. *)
 
+val pool_sim : pool -> Engine.Sim.t
+(** The simulator whose uids and clock {!take} stamps. *)
+
 val pool_free : pool -> int
 (** Packets currently parked. *)
 
@@ -125,8 +135,8 @@ val pool_live : pool -> int
 (** Packets checked out via {!take} and not yet {!release}d into this
     pool — the population a conservation audit must find in queues and
     on wires when one pool's packets stay among its own users.
-    Negative for a host pool that has taken back more packets than it
-    sent. *)
+    Negative for a pool that has taken back more packets than it sent
+    (a partition's, when packets from other partitions park in it). *)
 
 val flow_hash_of : src:addr -> dst:addr -> src_port:int -> dst_port:int -> int
 (** Deterministic 5-tuple-style hash for ECMP. *)

@@ -23,6 +23,7 @@ type conduit =
 
 type t = {
   sims : Engine.Sim.t array;
+  pools : Packet.pool array; (* one per simulator, shared by its hosts *)
   conduit : conduit;
   mutable next_addr : int;
   mutable hosts : Node.t list;
@@ -31,7 +32,8 @@ type t = {
 }
 
 let partitioned sims ~conduit =
-  { sims; conduit; next_addr = 0; hosts = []; switches = []; links = [] }
+  { sims; pools = Array.map Packet.pool sims; conduit; next_addr = 0;
+    hosts = []; switches = []; links = [] }
 
 let create sim =
   let no_conduit : conduit =
@@ -56,7 +58,7 @@ let part t sim =
 let place t ~groups g = (g mod groups) * nparts t / groups
 
 let host ?(part = 0) t name =
-  let node = Node.create t.sims.(part) ~name ~addr:t.next_addr in
+  let node = Node.create t.pools.(part) ~name ~addr:t.next_addr in
   t.next_addr <- t.next_addr + 1;
   t.hosts <- node :: t.hosts;
   node

@@ -9,7 +9,12 @@
     {!Link} when both ends share a partition and the world's
     {!conduit} when they do not.  Names, addresses, routes and ECMP
     salts never depend on the cut, so a partitioned build forwards
-    exactly like its single-sim counterpart. *)
+    exactly like its single-sim counterpart.
+
+    A topology also owns one {!Packet.pool} per simulator and gives it
+    to every host it builds there ({!Node.pool}): the stacks of every
+    host of a simulator send from that pool and their {!Host}s release
+    claimed packets into it. *)
 
 type t
 
@@ -60,7 +65,7 @@ val place : t -> groups:int -> int -> int
 
 val host : ?part:int -> t -> string -> Node.t
 (** Fresh host with the next address, in partition [part] (default
-    0). *)
+    0), sending from and releasing into that partition's pool. *)
 
 val switch : ?part:int -> t -> string -> Switch.t
 val hosts : t -> Node.t array

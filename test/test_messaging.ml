@@ -81,7 +81,7 @@ let test_pktring_fifo () =
 
 let test_host_dispatch_order () =
   let sim = Engine.Sim.create () in
-  let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+  let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
   let host = Netsim.Host.create node in
   let seen = ref [] in
   (* First stack claims even uids, second claims everything. *)
@@ -108,7 +108,7 @@ let test_host_dispatch_order () =
 
 let test_host_counts_unclaimed () =
   let sim = Engine.Sim.create () in
-  let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+  let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
   let host = Netsim.Host.create node in
   Netsim.Node.receive node (Testpkt.raw ~src:2 ~dst:1 ~size:64 sim);
   checki "unclaimed counted" 1 (Netsim.Host.unclaimed host)
@@ -123,10 +123,10 @@ let test_host_refuses_handled_node () =
       (Invalid_argument "Host.create: the node already has a packet handler")
       (fun () -> ignore (Netsim.Host.create node))
   in
-  let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+  let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
   ignore (Netsim.Host.create node);
   refused node;
-  let raw = Netsim.Node.create sim ~name:"r" ~addr:2 in
+  let raw = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"r" ~addr:2 in
   Netsim.Node.set_handler raw (fun _ -> ());
   refused raw
 
@@ -138,7 +138,7 @@ let test_host_refuses_handled_node () =
 let test_host_dispatch_allocates_nothing () =
   let words_per_run stacks =
     let sim = Engine.Sim.create () in
-    let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+    let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
     let host = Netsim.Host.create node in
     let pool = Netsim.Host.pool host in
     let claimed = ref 0 in
@@ -168,6 +168,44 @@ let test_host_dispatch_allocates_nothing () =
   in
   Alcotest.(check (float 0.0)) "one stack" 0.0 (words_per_run 1);
   Alcotest.(check (float 0.0)) "two stacks" 0.0 (words_per_run 2)
+
+(* The hosts a topology builds in one simulator share its pool: a
+   packet b claims is released into the pool a sends from, and is the
+   record a's next send takes.  Another simulator's topology has a pool
+   of its own. *)
+let test_hosts_share_a_pool () =
+  let sim = Engine.Sim.create () in
+  let topo = Netsim.Topology.create sim in
+  let a = Netsim.Topology.host topo "a" and b = Netsim.Topology.host topo "b" in
+  let ab, _ =
+    Netsim.Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 2) ()
+  in
+  let ha = Netsim.Host.create a and hb = Netsim.Host.create b in
+  let pool = Netsim.Host.pool ha in
+  checkb "one pool for both hosts" true (pool == Netsim.Host.pool hb);
+  Netsim.Host.register hb ~name:"sink" (fun _ -> true);
+  let ea = Mtp.Endpoint.attach ha in
+  let first =
+    Netsim.Packet.recycle pool ~src:(Netsim.Node.addr a)
+      ~dst:(Netsim.Node.addr b) ~size:64 ()
+  in
+  Netsim.Node.send a first;
+  Engine.Sim.run sim;
+  checki "b released it into the shared pool" 1 (Netsim.Packet.pool_free pool);
+  let sent = ref [] in
+  Netsim.Link.add_tap ab (fun _ p -> sent := p :: !sent);
+  ignore
+    (Mtp.Endpoint.send ea ~dst:(Netsim.Node.addr b) ~dst_port:80 ~size:100 ());
+  (* The sink swallows the data, so nothing acks it: run past its
+     flight only. *)
+  Engine.Sim.run ~until:(Engine.Time.us 20) sim;
+  (match !sent with
+  | [ p ] -> checkb "a's next send takes b's record" true (p == first)
+  | ps -> Alcotest.failf "%d packets sent, not one" (List.length ps));
+  let other = Netsim.Topology.create (Engine.Sim.create ()) in
+  checkb "another simulator, another pool" true
+    (Netsim.Node.pool (Netsim.Topology.host other "c") != pool)
 
 (* ----------------------- Transport round-trips --------------------- *)
 
@@ -414,7 +452,7 @@ let test_dctcp_stream_allocates_nothing () =
    parked in the host's pool, and both count as unclaimed. *)
 let test_unclaimed_packet_passes_intact () =
   let sim = Engine.Sim.create () in
-  let node = Netsim.Node.create sim ~name:"h" ~addr:1 in
+  let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
   let host = Netsim.Host.create node in
   ignore (Mtp.Endpoint.attach host);
   ignore (Transport.Tcp.attach host);
@@ -522,6 +560,8 @@ let suite =
       test_host_refuses_handled_node;
     Alcotest.test_case "host dispatch allocates nothing" `Quick
       test_host_dispatch_allocates_nothing;
+    Alcotest.test_case "hosts of one simulator share a pool" `Quick
+      test_hosts_share_a_pool;
     Alcotest.test_case "roundtrip tcp" `Quick test_roundtrip_tcp;
     Alcotest.test_case "roundtrip dctcp" `Quick test_roundtrip_dctcp;
     Alcotest.test_case "roundtrip udp" `Quick test_roundtrip_udp;
