@@ -161,8 +161,8 @@ let datapath_packets () =
   let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.pool sim in
   let link =
-    Netsim.Link.create sim ~name:"wire" ~rate:(Engine.Time.gbps 100)
-      ~delay:(Engine.Time.us 1) ~pool ()
+    Netsim.Link.create pool ~name:"wire" ~rate:(Engine.Time.gbps 100)
+      ~delay:(Engine.Time.us 1) ()
   in
   let delivered = ref 0 in
   Netsim.Link.set_dst link (fun pkt ->
@@ -353,32 +353,35 @@ let run_lookup () =
    ports (cycling flow_hash spreads the probe over all of them) and
    [Link.send] on the chosen egress.  The egress queues hold nothing
    ([cap_pkts:0]), so every send is a tail drop and the simulator never
-   needs to run; without a pool the drop releases nothing.  A verdict
-   boxed per packet would show here as 2 words per call. *)
+   needs to run: each call takes its probe from the switch's pool and
+   the drop releases it there, so the next call reuses the record.  A
+   verdict boxed per packet would show here as 2 words per call. *)
 let ingress_ports = 4
 
 let run_ingress () =
-  let sim = Engine.Sim.create () in
-  let sw = Netsim.Switch.create sim ~name:"sw" () in
+  let pool = Netsim.Packet.pool (Engine.Sim.create ()) in
+  let sw = Netsim.Switch.create pool ~name:"sw" in
   let routes = Netsim.Routing.create () in
   for i = 0 to ingress_ports - 1 do
     let egress =
-      Netsim.Link.create sim ~name:(Printf.sprintf "egress%d" i)
+      Netsim.Link.create pool ~name:(Printf.sprintf "egress%d" i)
         ~rate:fabric_rate ~delay ~qdisc:(Netsim.Qdisc.fifo ~cap_pkts:0 ()) ()
     in
     Netsim.Routing.add routes 1 (Netsim.Switch.add_port sw egress)
   done;
   Netsim.Switch.set_forward sw (Netsim.Routing.ecmp routes);
-  let pool = Netsim.Packet.pool sim in
-  let probe = Netsim.Packet.recycle pool ~src:0 ~dst:1 ~size:1500 () in
-  (* Warm the live port set so its lazy refresh is off the clock. *)
-  Netsim.Switch.receive sw probe;
+  let probe flow_hash =
+    Netsim.Packet.take pool ~entity:0 ~prio:0 ~flow_hash
+      ~payload:Netsim.Packet.Raw ~src:0 ~dst:1 ~size:1500
+  in
+  (* Warm the live port set so its lazy refresh is off the clock, and
+     park the record every call then reuses. *)
+  Netsim.Switch.receive sw (probe 0);
   let words, rate =
-    zero_alloc_loop ingress_calls (fun i ->
-        probe.Netsim.Packet.flow_hash <- i;
-        Netsim.Switch.receive sw probe)
+    zero_alloc_loop ingress_calls (fun i -> Netsim.Switch.receive sw (probe i))
   in
   assert (Netsim.Switch.forwarded sw = ingress_calls + 1);
+  assert (fst (Netsim.Packet.pool_stats pool) = 1);
   (words, rate)
 
 type scale = {

@@ -1,15 +1,11 @@
-(* Packet-conservation ledger.
-
-   Generalizes the hand-rolled accounting in test/test_oracle.ml:
-   instead of relying on a packet pool's live count (transports take
-   packets from the sending host's pool and the receiving host
-   releases them into its own, so one pool's count says nothing about
-   its own packets), the ledger works from the per-device counters
-   every link and switch maintains:
+(* Packet-conservation ledger, from the per-device counters every link
+   and switch maintains (so it holds wherever packets come from), and
+   for a watched pool from its live count:
 
    - link:    sends = delivered + qdisc drops + fault drops
                       + queued + in-flight
    - switch:  received + injected = forwarded + dropped + consumed
+   - pool:    live = queued + in-flight on the watched links + held
 
    Baselines are snapshotted at [watch_*] time, so the ledger checks
    deltas and can be installed on a warm topology.  Watch devices

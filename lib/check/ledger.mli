@@ -2,9 +2,8 @@
     delivered, dropped (counted), or still queued/in flight — per
     link, per switch, and optionally per packet pool.
 
-    The link and switch checks work from per-device counters, so they
-    also cover transports, whose packets move from the sending host's
-    pool to the receiving host's:
+    The link and switch checks work from per-device counters, whichever
+    pools the packets come from:
     - link: [sends = delivered + qdisc drops + fault_drops + queued +
       in-flight];
     - switch: [received + injected = forwarded + dropped + consumed].
@@ -23,9 +22,8 @@ val watch_link : t -> Netsim.Link.t -> unit
 val watch_switch : t -> Netsim.Switch.t -> unit
 
 val watch_pool : t -> Netsim.Packet.pool -> unit
-(** Also assert the pool invariant ([pool_live] = queued + in-flight
-    across the watched links + [held]) — only meaningful when the
-    watched links are exactly the pool's users. *)
+(** Also assert [pool_live] = queued + in-flight on the watched links
+    + [held], so watch every link the pool's packets travel. *)
 
 val failures : ?held:int -> t -> string list
 (** All violated invariants, one message each (empty = conserved).

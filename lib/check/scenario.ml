@@ -21,7 +21,11 @@
    interleave depends on one global heap's tie-breaking, which a
    partitioned world deliberately does not reproduce, so partitioned
    digests are compared with each other across [jobs] values, never
-   with the single-sim one. *)
+   with the single-sim one.
+
+   The ledger watches every link and switch, and in a single-sim build
+   the topology's one pool; a partitioned build leaves the pool out,
+   since packets cross pools there and conduit rings are not links. *)
 
 open Netsim
 
@@ -276,6 +280,7 @@ let build ?(fault : fault_mode = As_spec) ?(partitioned = false)
   let ledger = Ledger.create () in
   Array.iter (Ledger.watch_link ledger) links;
   Array.iter (Ledger.watch_switch ledger) switches;
+  if not partitioned then Ledger.watch_pool ledger (Node.pool hosts.(0));
   let monotone = Array.init nparts (fun _ -> Oracle.monotone ()) in
   Array.iteri
     (fun i l -> Link.add_tap l (Oracle.tap monotone.(link_part.(i))))
@@ -371,9 +376,12 @@ let digest t =
             string_of_int (Engine.Sim.now (Topology.sim ~part:p t.topo)))));
   Buffer.contents buf
 
+(* Unclaimed and absorbed packets stay out of the pool. *)
 let oracle_failures t =
   let errors = List.filter_map (function Ok () -> None | Error m -> Some m) in
-  Ledger.failures t.ledger
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let held = sum Host.unclaimed t.host_wraps + sum Switch.consumed t.switches in
+  Ledger.failures ~held t.ledger
   @ errors (Array.to_list (Array.map Oracle.monotone_result t.monotone))
   @ errors [ Oracle.completions_once t.completions ]
   @ errors (List.map Oracle.endpoint_ok t.endpoints)

@@ -141,7 +141,7 @@ module Itbl = Hashtbl.Make (Int)
 type t = {
   ep_node : Netsim.Node.t;
   ep_sim : Engine.Sim.t;
-  ep_pool : Netsim.Packet.pool; (* the host's *)
+  ep_pool : Netsim.Packet.pool; (* the node's *)
   entity : int;
   mtu : int;
   max_msg_bytes : int;
@@ -1351,7 +1351,7 @@ let attach ?(algo = Cc.Dctcp) ?init_window ?(entity = 0)
   let node = Netsim.Host.node host in
   let t =
     { ep_node = node; ep_sim = Netsim.Node.sim node;
-      ep_pool = Netsim.Host.pool host; entity;
+      ep_pool = Netsim.Node.pool node; entity;
       mtu = mtu_payload; max_msg_bytes; exclusion;
       path_table =
         (* simlint: allow H103 — once per endpoint, at attach *)

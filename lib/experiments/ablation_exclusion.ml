@@ -35,7 +35,7 @@ let run_variant ~duration ~seed ~exclusion =
   let interferer_gap =
     Engine.Time.tx_time ~bytes:1500 ~rate:(Engine.Time.mbps 8_500)
   in
-  let interferer_pool = Netsim.Packet.pool sim in
+  let interferer_pool = Netsim.Node.pool tp.Netsim.Topology.tp_src in
   Engine.Sim.periodic sim ~interval:interferer_gap (fun () ->
       Netsim.Link.send tp.Netsim.Topology.tp_link_a
         (Netsim.Packet.take interferer_pool ~entity:0 ~prio:0 ~flow_hash:0

@@ -1,6 +1,5 @@
 type t = {
-  sw : Netsim.Switch.t;
-  pool : Netsim.Packet.pool; (* the acks and aggregated packets *)
+  sw : Netsim.Switch.t; (* its pool makes the acks and aggregated packets *)
   ps : Netsim.Packet.addr;
   ps_switch_port : int;
   workers : int;
@@ -26,7 +25,8 @@ let ack_worker t (h : Mtp.Wire.t) ~worker =
   in
   (* Route the ACK back through normal forwarding. *)
   Netsim.Switch.receive t.sw
-    (Mtp.Wire.packet t.pool ~src:t.ps ~dst:worker ~entity:0 (Mtp.Wire.Mtp ack))
+    (Mtp.Wire.packet (Netsim.Switch.pool t.sw) ~src:t.ps ~dst:worker
+       ~entity:0 (Mtp.Wire.Mtp ack))
 
 let inject_aggregated t (h : Mtp.Wire.t) ~round =
   let msg_id =
@@ -45,14 +45,13 @@ let inject_aggregated t (h : Mtp.Wire.t) ~round =
   header.Mtp.Wire.path_feedback <- [];
   t.n_injected <- t.n_injected + 1;
   Netsim.Switch.inject t.sw ~port:t.ps_switch_port
-    (Mtp.Wire.packet t.pool
+    (Mtp.Wire.packet (Netsim.Switch.pool t.sw)
        ~src:t.ps (* the PS sees a fabric-originated message *)
        ~dst:t.ps ~entity:0 (Mtp.Wire.Mtp header))
 
 let install sw ~ps ~ps_port ~ps_switch_port ~workers () =
   let t =
-    { sw; pool = Netsim.Packet.pool (Netsim.Switch.sim sw); ps;
-      ps_switch_port; workers; partial = Hashtbl.create 64;
+    { sw; ps; ps_switch_port; workers; partial = Hashtbl.create 64;
       n_absorbed = 0; n_injected = 0; n_rounds = 0;
       rounds_seen = Hashtbl.create 16; next_msg = 0;
       agg_ids = Hashtbl.create 16 }

@@ -1,6 +1,5 @@
 type t = {
-  sw : Netsim.Switch.t;
-  pool : Netsim.Packet.pool; (* the crafted acks and replies *)
+  sw : Netsim.Switch.t; (* its pool makes the crafted acks and replies *)
   server : Netsim.Packet.addr;
   server_port : int;
   client_port_of : Netsim.Packet.addr -> int;
@@ -51,16 +50,15 @@ let inject_reply t ~client ~client_app_port ~key ~size =
         ~pkt_len
     in
     let pkt =
-      Mtp.Wire.packet t.pool ~src:t.server ~dst:client ~entity:0
-        (Mtp.Wire.Mtp header)
+      Mtp.Wire.packet (Netsim.Switch.pool t.sw) ~src:t.server ~dst:client
+        ~entity:0 (Mtp.Wire.Mtp header)
     in
     Netsim.Switch.inject t.sw ~port pkt
   done
 
 let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
   let t =
-    { sw; pool = Netsim.Packet.pool (Netsim.Switch.sim sw); server;
-      server_port; client_port_of; capacity;
+    { sw; server; server_port; client_port_of; capacity;
       entries = Hashtbl.create 64; lru = Queue.create (); next_msg = 0;
       n_hits = 0; n_misses = 0; n_learned = 0 }
   in
@@ -90,8 +88,8 @@ let install sw ~server ~server_port ~client_port_of ?(capacity = 64) () =
             in
             Netsim.Switch.inject t.sw
               ~port:(t.client_port_of pkt.Netsim.Packet.src)
-              (Mtp.Wire.packet t.pool ~src:server ~dst:pkt.Netsim.Packet.src
-                 ~entity:0 (Mtp.Wire.Mtp ack));
+              (Mtp.Wire.packet (Netsim.Switch.pool sw) ~src:server
+                 ~dst:pkt.Netsim.Packet.src ~entity:0 (Mtp.Wire.Mtp ack));
             inject_reply t ~client:pkt.Netsim.Packet.src
               ~client_app_port:h.Mtp.Wire.src_port ~key ~size;
             Netsim.Switch.Absorb

@@ -136,9 +136,7 @@ let blackhole t ?from ?until sw ~dst =
   Switch.add_ingress_hook sw (fun p ->
       if p.Packet.dst = dst && active (Engine.Sim.now t.sim) then begin
         t.n_blackholed <- t.n_blackholed + 1;
-        (match Switch.pool sw with
-        | Some pool -> Packet.release pool p
-        | None -> ());
+        Packet.release (Switch.pool sw) p;
         Switch.Absorb
       end
       else Switch.Continue)

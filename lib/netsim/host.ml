@@ -1,13 +1,14 @@
-(* A host: a node plus a registry of transport stacks and a shared
-   packet pool.  The host owns the node's packet handler and offers
-   each inbound packet to the registered stacks in registration order.
-   It is the only way a stack receives packets. *)
+(* A host: a node plus a registry of transport stacks, releasing what
+   they claim into the node's packet pool.  The host owns the node's
+   packet handler and offers each inbound packet to the registered
+   stacks in registration order.  It is the only way a stack receives
+   packets. *)
 
 type entry = { stk_name : string; claim : Packet.t -> bool }
 
 type t = {
   h_node : Node.t;
-  h_pool : Packet.pool;
+  h_pool : Packet.pool;  (* [Node.pool h_node], one load per release *)
   mutable h_stacks : entry list;
   mutable h_unclaimed : int;
 }
@@ -23,8 +24,7 @@ let create node =
   if Node.has_handler node then
     invalid_arg "Host.create: the node already has a packet handler";
   let t =
-    { h_node = node; h_pool = Node.pool node; h_stacks = [];
-      h_unclaimed = 0 }
+    { h_node = node; h_pool = Node.pool node; h_stacks = []; h_unclaimed = 0 }
   in
   Node.set_handler node (fun pkt -> offer t pkt t.h_stacks);
   t
@@ -35,6 +35,5 @@ let register t ~name claim =
 
 let node t = t.h_node
 let addr t = Node.addr t.h_node
-let pool t = t.h_pool
 let unclaimed t = t.h_unclaimed
 let stacks t = List.map (fun e -> e.stk_name) t.h_stacks

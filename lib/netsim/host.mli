@@ -1,4 +1,4 @@
-(** A host: node + registered transport stacks + the node's packet pool.
+(** A host: node + registered transport stacks.
 
     The one way to put transports on a node.  [create] takes over the
     node's packet handler; each transport's [attach] registers a claim
@@ -7,11 +7,11 @@
     where two stacks could claim the same packet the one registered
     first wins.  A node that carries several stacks shares one host.
 
-    Packet ownership: every stack sends packets taken from {!pool}
-    ({!Packet.take}).  When a claim answers [true], the host releases
-    the packet, payload and all, into {!pool} for a later send to
-    refill.  The pool is the node's ({!Node.pool}), which {!Topology}
-    shares among every host of a simulator, so a packet released here
+    Packet ownership: every stack sends packets taken from the node's
+    pool ({!Node.pool}, {!Packet.take}).  When a claim answers [true],
+    the host releases the packet, payload and all, into that pool for
+    a later send to refill.  {!Topology} shares one pool among every
+    host of a simulator, so a packet released here
     may refill any of those hosts' next sends.  So a claim must keep
     no reference to the packet or its payload after it returns.  A
     claim answering [false] must leave the packet as it found it, for
@@ -29,8 +29,6 @@ val register : t -> name:string -> (Packet.t -> bool) -> unit
 
 val node : t -> Node.t
 val addr : t -> Packet.addr
-val pool : t -> Packet.pool
-(** The pool every stack sends from and claimed packets return to. *)
 
 val unclaimed : t -> int
 (** Inbound packets no registered stack claimed. *)

@@ -39,7 +39,7 @@ type t = {
   mutable n_sends : int;
   mutable n_delivered : int;
   flight : Pktring.t;
-  pool : Packet.pool option;
+  pool : Packet.pool;  (* where every dropped packet goes *)
   mutable cur : Packet.t;  (* the packet being serialised *)
   mutable on_deliver : unit -> unit;
   mutable tx_timer : Engine.Sim.timer;  (* fires at [cur]'s completion *)
@@ -70,7 +70,7 @@ let ev_emit t ~kind (p : Packet.t) =
 let drop_faulted t p =
   t.n_fault_drops <- t.n_fault_drops + 1;
   if Telemetry.Ctx.on () then ev_emit t ~kind:Telemetry.Events.Drop p;
-  match t.pool with Some pool -> Packet.release pool p | None -> ()
+  Packet.release t.pool p
 
 (* Start serialising the queue head; its completion fires [tx_done]. *)
 let start t =
@@ -97,7 +97,8 @@ let tx_done t =
   Engine.Sim.after t.sim t.link_delay t.on_deliver;
   start t
 
-let create sim ~name ~rate ~delay ?qdisc ?pool () =
+let create pool ~name ~rate ~delay ?qdisc () =
+  let sim = Packet.pool_sim pool in
   let q = match qdisc with Some q -> q | None -> Qdisc.fifo ~cap_pkts:1000 () in
   let dummy = Engine.Sim.timer sim ignore in
   let t =
@@ -167,9 +168,9 @@ let send t p =
       kick t
     end
     else begin
-      (* Tail drop: with a pool the dropped packet goes straight back. *)
+      (* Tail drop: the dropped packet goes straight back. *)
       if traced then ev_emit t ~kind:Telemetry.Events.Drop p;
-      match t.pool with Some pool -> Packet.release pool p | None -> ()
+      Packet.release t.pool p
     end
   end
 

@@ -13,19 +13,17 @@
 type t
 
 val create :
-  Engine.Sim.t ->
+  Packet.pool ->
   name:string ->
   rate:Engine.Time.rate ->
   delay:Engine.Time.t ->
   ?qdisc:Qdisc.t ->
-  ?pool:Packet.pool ->
   unit ->
   t
-(** [qdisc] defaults to a 1000-packet drop-tail FIFO.  The destination
-    must be wired with {!set_dst} before the first {!send}.  With
-    [pool], tail-dropped packets are released back to it — only safe
-    when no other component retains references to in-flight
-    packets. *)
+(** A link transmitting in the pool's simulator; every packet it drops
+    goes back to [pool] ({!Packet.pool} states who owns a packet).
+    [qdisc] defaults to a 1000-packet drop-tail FIFO.  The destination
+    must be wired with {!set_dst} before the first {!send}. *)
 
 val set_dst : t -> (Packet.t -> unit) -> unit
 (** The destination handler: every delivered packet is handed to it
@@ -38,7 +36,7 @@ val add_tap : t -> (Engine.Time.t -> Packet.t -> unit) -> unit
 
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission.  Drops (qdisc refusals) are
-    counted on the qdisc. *)
+    counted on the qdisc and released to the link's pool. *)
 
 val qdisc : t -> Qdisc.t
 
@@ -53,7 +51,7 @@ val set_down : t -> unit
 (** Fail the link: the in-progress serialisation is aborted, queued
     packets are flushed, and packets still propagating are lost on
     arrival.  Every packet lost this way is counted in {!fault_drops}
-    and released back to the pool (when the link has one).  While down,
+    and released back to the link's pool.  While down,
     {!send} drops immediately.  Idempotent. *)
 
 val set_up : t -> unit

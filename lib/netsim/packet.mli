@@ -59,25 +59,30 @@ val set_trimmed : t -> unit
 
 (** {1 Pooling}
 
-    Every transport sends packets taken from its host's pool
-    ({!Host.pool}) with {!take}.  A packet belongs to whoever holds it:
-    the links and switches while it travels (a device built with a
-    pool releases the packets it drops), then the stack on the
-    destination host that claims it, after which that host {!release}s
-    it into its pool ({!Host}).  {!Topology} gives every host of a
-    simulator one pool, so within a simulator a packet one host
-    releases refills any host's next send; a packet crossing into
-    another partition parks in that partition's pool.  A pool parks
-    what its hosts released beyond what they took back (up to
-    {!max_parked}), and hands out fresh records only past its peak of
-    packets in use.  A parked
-    packet keeps its payload: a sender whose protocol's header box is
-    the {!parked_payload} refills it and passes it to {!take}, so a
-    steady exchange allocates neither records nor headers. *)
+    Every transport sends packets taken with {!take} from its node's
+    pool ({!Node.pool}), and {!Topology} gives every host, switch and
+    link of a simulator one pool.  A packet belongs to whoever holds
+    it, and the holder that ends its life releases it into its
+    simulator's pool:
+    - a link or switch releases every packet it drops (tail drop, fault
+      drop, [Switch.Drop]);
+    - a host releases a packet once a stack claims it ({!Host});
+    - a packet no stack claims is not released: the host counts it
+      ([Host.unclaimed]) and leaves it intact;
+    - a switch hook that answers [Switch.Absorb] owns the packet (an
+      aggregator keeps the absorbed header as its template), so the
+      switch never releases it.
+    A packet crossing into another partition parks in that partition's
+    pool.  A pool parks what was released beyond what was taken back
+    (up to {!max_parked}), and hands out fresh records only past its
+    peak of packets in use.  A parked packet keeps its payload: a
+    sender whose protocol's header box is the {!parked_payload}
+    refills it and passes it to {!take}, so a steady exchange
+    allocates neither records nor headers. *)
 
 type pool
 (** A free-list of released packets belonging to one simulator: the
-    one {!Topology} shares among its hosts there, or a raw source's
+    one {!Topology} shares among its devices there, or a raw source's
     own. *)
 
 val pool : Engine.Sim.t -> pool

@@ -22,16 +22,16 @@
    scheduled before the window that executes it.)
 
    Packet ownership crosses the cut with the packet: the source
-   partition drops every reference when the conduit fires (conduit
-   links carry no pool, and the outbox is drained at the barrier), and
-   the destination only sees the packet after the barrier's
-   happens-before edge.  Payloads travel with the same ownership: a
-   header belongs to one packet (one header, one packet — rewriters
-   copy, and the host that claims a packet parks it, header and all,
-   for a later send of its own), so every write a payload sees (the
-   stamp of an MTP header's feedback list, [Mtp_switch.stamp], and that
-   refill) is made by whoever holds that packet, and no two domains
-   ever race on one.
+   partition drops every reference when the conduit fires (a packet
+   its conduit link drops parks in the source partition's pool, and
+   the outbox is drained at the barrier), and the destination only
+   sees the packet after the barrier's happens-before edge.  Payloads
+   travel with the same ownership: a header belongs to one packet
+   (one header, one packet — rewriters copy, and the host that claims
+   a packet parks it, header and all, for a later send of its own), so
+   every write a payload sees (the stamp of an MTP header's feedback
+   list, [Mtp_switch.stamp], and that refill) is made by whoever holds
+   that packet, and no two domains ever race on one.
 
    Canonical order without a sort.  The exchange walks the conduits in
    creation order and reserves the destination sim's next seq
@@ -149,13 +149,11 @@ let create ?(seed = 42) ~nparts () =
   in
   let reg = { rev = []; count = 0; order = [||] } in
   let unarmed = Engine.Sim.timer sims.(0) ignore in
-  let conduit ~src ~dst ~name ~rate ~delay ?qdisc ~deliver () =
+  let conduit pool ~dst ~name ~rate ~delay ?qdisc ~deliver () =
     if delay <= 0 then
       invalid_arg "Partition: cross-partition delay must be > 0";
-    let src_sim = sims.(src) and dst_sim = sims.(dst) in
-    let link =
-      Link.create src_sim ~name ~rate ~delay:Engine.Time.zero ?qdisc ()
-    in
+    let src_sim = Packet.pool_sim pool and dst_sim = sims.(dst) in
+    let link = Link.create pool ~name ~rate ~delay:Engine.Time.zero ?qdisc () in
     let c =
       { c_delay = delay; c_dst = dst_sim; c_out = ring (); c_in = ring ();
         c_deliver = deliver; c_timer = unarmed }

@@ -13,13 +13,12 @@ let forward i =
   else Forward i
 
 type t = {
-  sim : Engine.Sim.t;
   switch_name : string;
   mutable ports : Link.t array;
   mutable forward : (Packet.t -> action) option;
   mutable hooks : (Packet.t -> verdict) list; (* forward order *)
   mutable taps : (Engine.Time.t -> Packet.t -> unit) list; (* forward order *)
-  pool : Packet.pool option;
+  pool : Packet.pool;  (* where [Drop]ped packets go *)
   mutable n_forwarded : int;
   mutable n_dropped : int;
   mutable n_consumed : int;
@@ -31,9 +30,9 @@ type t = {
   mutable n_injected : int;
 }
 
-let create sim ~name ?pool () =
+let create pool ~name =
   let t =
-    { sim; switch_name = name; ports = [||]; forward = None; hooks = [];
+    { switch_name = name; ports = [||]; forward = None; hooks = [];
       taps = []; pool; n_forwarded = 0; n_dropped = 0; n_consumed = 0;
       n_received = 0; n_injected = 0 }
   in
@@ -50,7 +49,7 @@ let create sim ~name ?pool () =
   t
 
 let name t = t.switch_name
-let sim t = t.sim
+let sim t = Packet.pool_sim t.pool
 let pool t = t.pool
 
 let add_port t link =
@@ -85,7 +84,7 @@ let rec run_hooks p = function
 
 let receive t p =
   t.n_received <- t.n_received + 1;
-  if t.taps != [] then List.iter (fun f -> f (Engine.Sim.now t.sim) p) t.taps;
+  if t.taps != [] then List.iter (fun f -> f (Engine.Sim.now (sim t)) p) t.taps;
   match run_hooks p t.hooks with
   | Absorb -> t.n_consumed <- t.n_consumed + 1
   | Continue -> (
@@ -101,10 +100,10 @@ let receive t p =
         if Telemetry.Ctx.on () then
           Telemetry.Events.emit
             (Telemetry.Ctx.events ())
-            ~at:(Engine.Sim.now t.sim) ~kind:Telemetry.Events.Drop
+            ~at:(Engine.Sim.now (sim t)) ~kind:Telemetry.Events.Drop
             ~point:t.switch_name ~uid:p.Packet.uid ~src:p.Packet.src
             ~dst:p.Packet.dst ~size:p.Packet.size ~a:0 ~b:0;
-        (match t.pool with Some pool -> Packet.release pool p | None -> ())))
+        Packet.release t.pool p))
 
 let forwarded t = t.n_forwarded
 let dropped t = t.n_dropped

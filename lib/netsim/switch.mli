@@ -10,27 +10,26 @@ type t
 
 type action =
   | Forward of int  (** Egress on the given port. *)
-  | Drop  (** Discard (counted). *)
+  | Drop  (** Discard (counted) into the switch's pool. *)
 
 type verdict =
   | Continue  (** Proceed to the next hook / forwarding. *)
-  | Absorb  (** Packet fully handled by the hook. *)
+  | Absorb  (** Handled by the hook, which now owns the packet. *)
 
 val forward : int -> action
 (** [forward i] is [Forward i], shared rather than allocated for every
     port below 256: forwarding functions return it so a verdict costs
     no allocation. *)
 
-val create : Engine.Sim.t -> name:string -> ?pool:Packet.pool -> unit -> t
-(** With [pool], packets the forwarding function [Drop]s are released
-    back to it — only safe when no other component retains references
-    to in-flight packets. *)
+val create : Packet.pool -> name:string -> t
+(** A switch in the pool's simulator, which takes back every packet it
+    [Drop]s ({!Packet.pool} states who owns a packet). *)
 
 val name : t -> string
 val sim : t -> Engine.Sim.t
 
-val pool : t -> Packet.pool option
-(** The pool dropped packets are released to, if any. *)
+val pool : t -> Packet.pool
+(** The pool given at {!create}, for device-generated packets too. *)
 
 val add_port : t -> Link.t -> int
 (** Register an egress link; returns its port number. *)

@@ -11,7 +11,7 @@
    which list it in [t], newest first. *)
 
 type conduit =
-  src:int ->
+  Packet.pool ->
   dst:int ->
   name:string ->
   rate:Engine.Time.rate ->
@@ -22,8 +22,7 @@ type conduit =
   Link.t
 
 type t = {
-  sims : Engine.Sim.t array;
-  pools : Packet.pool array; (* one per simulator, shared by its hosts *)
+  pools : Packet.pool array; (* one per simulator, shared by its devices *)
   conduit : conduit;
   mutable next_addr : int;
   mutable hosts : Node.t list;
@@ -32,25 +31,25 @@ type t = {
 }
 
 let partitioned sims ~conduit =
-  { sims; pools = Array.map Packet.pool sims; conduit; next_addr = 0;
+  { pools = Array.map Packet.pool sims; conduit; next_addr = 0;
     hosts = []; switches = []; links = [] }
 
 let create sim =
   let no_conduit : conduit =
-   fun ~src:_ ~dst:_ ~name:_ ~rate:_ ~delay:_ ?qdisc:_ ~deliver:_ () ->
+   fun _ ~dst:_ ~name:_ ~rate:_ ~delay:_ ?qdisc:_ ~deliver:_ () ->
     invalid_arg "Topology: a single-sim topology has no conduits"
   in
   partitioned [| sim |] ~conduit:no_conduit
 
-let nparts t = Array.length t.sims
+let nparts t = Array.length t.pools
 
-let sim ?(part = 0) t = t.sims.(part)
+let sim ?(part = 0) t = Packet.pool_sim t.pools.(part)
 
 let part t sim =
   let rec find p =
-    if p = Array.length t.sims then
+    if p = Array.length t.pools then
       invalid_arg "Topology.part: simulator not in this topology"
-    else if t.sims.(p) == sim then p
+    else if Packet.pool_sim t.pools.(p) == sim then p
     else find (p + 1)
   in
   find 0
@@ -64,7 +63,7 @@ let host ?(part = 0) t name =
   node
 
 let switch ?(part = 0) t name =
-  let sw = Switch.create t.sims.(part) ~name () in
+  let sw = Switch.create t.pools.(part) ~name in
   t.switches <- sw :: t.switches;
   sw
 
@@ -87,29 +86,29 @@ let arrow from into =
   (* simlint: allow H102 — link naming, once per link at setup *)
   from ^ "->" ^ into
 
+(* [from] is the sending device's pool, [into] the receiver's sim. *)
 let connect t ~from ~name ~rate ~delay ?qdisc (into, deliver) =
   let link =
-    if from == into then begin
+    if Packet.pool_sim from == into then begin
       let link = Link.create from ~name ~rate ~delay ?qdisc () in
       Link.set_dst link deliver;
       link
     end
     else
-      t.conduit ~src:(part t from) ~dst:(part t into) ~name ~rate ~delay
-        ?qdisc ~deliver ()
+      t.conduit from ~dst:(part t into) ~name ~rate ~delay ?qdisc ~deliver ()
   in
   t.links <- link :: t.links;
   link
 
 let wire_host_to_switch t node sw ~rate ~delay ?down_qdisc () =
   let up =
-    connect t ~from:(Node.sim node)
+    connect t ~from:(Node.pool node)
       ~name:(arrow (Node.name node) (Switch.name sw))
       ~rate ~delay (into_switch sw)
   in
   Node.attach node up;
   let down =
-    connect t ~from:(Switch.sim sw)
+    connect t ~from:(Switch.pool sw)
       ~name:(arrow (Switch.name sw) (Node.name node))
       ~rate ~delay ?qdisc:down_qdisc (into_node node)
   in
@@ -117,12 +116,12 @@ let wire_host_to_switch t node sw ~rate ~delay ?down_qdisc () =
 
 let wire_switch_pair t a b ~rate ~delay ?ab_qdisc () =
   let ab =
-    connect t ~from:(Switch.sim a)
+    connect t ~from:(Switch.pool a)
       ~name:(arrow (Switch.name a) (Switch.name b))
       ~rate ~delay ?qdisc:ab_qdisc (into_switch b)
   in
   let ba =
-    connect t ~from:(Switch.sim b)
+    connect t ~from:(Switch.pool b)
       ~name:(arrow (Switch.name b) (Switch.name a))
       ~rate ~delay (into_switch a)
   in
@@ -132,12 +131,12 @@ let wire_switch_pair t a b ~rate ~delay ?ab_qdisc () =
 
 let wire_host_pair t a b ~rate ~delay ?ab_qdisc ?ba_qdisc () =
   let ab =
-    connect t ~from:(Node.sim a)
+    connect t ~from:(Node.pool a)
       ~name:(arrow (Node.name a) (Node.name b))
       ~rate ~delay ?qdisc:ab_qdisc (into_node b)
   in
   let ba =
-    connect t ~from:(Node.sim b)
+    connect t ~from:(Node.pool b)
       ~name:(arrow (Node.name b) (Node.name a))
       ~rate ~delay ?qdisc:ba_qdisc (into_node a)
   in
@@ -220,7 +219,7 @@ let two_path t ~rate_a ~rate_b ~delay_a ~delay_b ~edge_rate ?qdisc_a ?qdisc_b
   let dst_port = wire_host_to_switch t dst egress ~rate:edge_rate
       ~delay:(Engine.Time.ns 500) () in
   let path ~name ~rate ~delay ?qdisc () =
-    connect t ~from:(Switch.sim ingress) ~name ~rate ~delay ?qdisc
+    connect t ~from:(Switch.pool ingress) ~name ~rate ~delay ?qdisc
       (into_switch egress)
   in
   let link_a = path ~name:"pathA" ~rate:rate_a ~delay:delay_a ?qdisc:qdisc_a () in
@@ -229,7 +228,7 @@ let two_path t ~rate_a ~rate_b ~delay_a ~delay_b ~edge_rate ?qdisc_a ?qdisc_b
   let port_b = Switch.add_port ingress link_b in
   (* Dedicated reverse link so ACKs never queue behind data. *)
   let reverse =
-    connect t ~from:(Switch.sim egress) ~name:"reverse"
+    connect t ~from:(Switch.pool egress) ~name:"reverse"
       ~rate:(Engine.Time.gbps 400) ~delay:delay_a (into_switch ingress)
   in
   let reverse_port = Switch.add_port egress reverse in

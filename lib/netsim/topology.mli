@@ -12,14 +12,15 @@
     exactly like its single-sim counterpart.
 
     A topology also owns one {!Packet.pool} per simulator and gives it
-    to every host it builds there ({!Node.pool}): the stacks of every
-    host of a simulator send from that pool and their {!Host}s release
-    claimed packets into it. *)
+    to every host, switch and link it builds there ({!Node.pool},
+    {!Switch.pool}): the stacks of every host of a simulator send from
+    that pool, their {!Host}s release claimed packets into it, and its
+    links and switches release what they drop into it. *)
 
 type t
 
 type conduit =
-  src:int ->
+  Packet.pool ->
   dst:int ->
   name:string ->
   rate:Engine.Time.rate ->
@@ -28,9 +29,10 @@ type conduit =
   deliver:(Packet.t -> unit) ->
   unit ->
   Link.t
-(** How a world realises a link from partition [src] to partition
-    [dst]: the returned link transmits in [src], and each packet it
-    delivers reaches [deliver] in [dst] [delay] later. *)
+(** How a world realises a link from the partition of a pool to
+    partition [dst]: the returned link transmits in the pool's
+    simulator and drops into the pool, and each packet it delivers
+    reaches [deliver] in [dst] [delay] later. *)
 
 val create : Engine.Sim.t -> t
 (** A single-sim topology: one partition, no conduits. *)

@@ -94,7 +94,7 @@ type conn = {
 and t = {
   t_node : Netsim.Node.t;
   t_sim : Engine.Sim.t;
-  t_pool : Netsim.Packet.pool; (* the host's *)
+  t_pool : Netsim.Packet.pool; (* the node's *)
   t_cc : cc;
   t_snd_buf : int; (* flight cap: models the socket send buffer *)
   t_min_rto : Engine.Time.t;
@@ -674,7 +674,7 @@ let attach ?(cc = Reno) ?snd_buf ?(min_rto = Engine.Time.us 50)
   let node = Netsim.Host.node host in
   let stack =
     { t_node = node; t_sim = Netsim.Node.sim node;
-      t_pool = Netsim.Host.pool host; t_cc = cc;
+      t_pool = Netsim.Node.pool node; t_cc = cc;
       t_snd_buf = (match snd_buf with Some b -> b | None -> infinite);
       t_min_rto = min_rto; t_max_retries = max_retries; t_entity = entity;
       conns = Conns.create 32;

@@ -55,7 +55,7 @@ let attach host =
   let node = Netsim.Host.node host in
   let t =
     { u_node = node; u_sim = Netsim.Node.sim node;
-      pool = Netsim.Host.pool host; listeners = Itbl.create 4;
+      pool = Netsim.Node.pool node; listeners = Itbl.create 4;
       partial = Itbl.create 32; next_msg = 0; rx_bytes = 0;
       completed = 0; tx_msgs = 0 }
   in

@@ -119,7 +119,7 @@ let test_dispatch_error_context () =
 let test_ledger_catches_theft () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"audited" ~rate:(Engine.Time.gbps 1)
+    Link.create (Packet.pool sim) ~name:"audited" ~rate:(Engine.Time.gbps 1)
       ~delay:(Engine.Time.us 1) ()
   in
   Link.set_dst link (fun _ -> ());

@@ -33,7 +33,7 @@ let pooled_link ?(rate = Engine.Time.gbps 1) ?(delay = Engine.Time.us 1)
     ?qdisc () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
-  let link = Link.create sim ~name:"l" ~rate ~delay ?qdisc ~pool () in
+  let link = Link.create pool ~name:"l" ~rate ~delay ?qdisc () in
   let delivered = ref 0 in
   Link.set_dst link (fun p ->
       incr delivered;
@@ -139,9 +139,9 @@ let test_corrupt_rate_and_validation () =
 let test_blackhole_absorbs_in_window () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
-  let sw = Switch.create sim ~name:"s" ~pool () in
+  let sw = Switch.create pool ~name:"s" in
   let out =
-    Link.create sim ~name:"out" ~rate:(Engine.Time.gbps 10) ~delay:0 ~pool ()
+    Link.create pool ~name:"out" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
   in
   let delivered = ref 0 in
   Link.set_dst out (fun p ->

@@ -138,9 +138,9 @@ let test_host_refuses_handled_node () =
 let test_host_dispatch_allocates_nothing () =
   let words_per_run stacks =
     let sim = Engine.Sim.create () in
-    let node = Netsim.Node.create (Netsim.Packet.pool sim) ~name:"h" ~addr:1 in
+    let pool = Netsim.Packet.pool sim in
+    let node = Netsim.Node.create pool ~name:"h" ~addr:1 in
     let host = Netsim.Host.create node in
-    let pool = Netsim.Host.pool host in
     let claimed = ref 0 in
     for i = 1 to stacks do
       let last = i = stacks in
@@ -182,8 +182,8 @@ let test_hosts_share_a_pool () =
       ~delay:(Engine.Time.us 2) ()
   in
   let ha = Netsim.Host.create a and hb = Netsim.Host.create b in
-  let pool = Netsim.Host.pool ha in
-  checkb "one pool for both hosts" true (pool == Netsim.Host.pool hb);
+  let pool = Netsim.Node.pool a in
+  checkb "one pool for both hosts" true (pool == Netsim.Node.pool b);
   Netsim.Host.register hb ~name:"sink" (fun _ -> true);
   let ea = Mtp.Endpoint.attach ha in
   let first =
@@ -334,8 +334,8 @@ let steady_exchange stacks_of_hosts drive =
   T.listen server ~port:80 ();
   drive client ~dst:(Netsim.Host.addr hb) ~dst_port:80;
   let snapshot () =
-    ( Netsim.Packet.pool_stats (Netsim.Host.pool ha),
-      Netsim.Packet.pool_stats (Netsim.Host.pool hb),
+    ( Netsim.Packet.pool_stats (Netsim.Node.pool a),
+      Netsim.Packet.pool_stats (Netsim.Node.pool b),
       (T.stats server).T.rx_bytes )
   in
   Engine.Sim.run ~until:(Engine.Time.ms 2) sim;
@@ -485,7 +485,7 @@ let test_unclaimed_packet_passes_intact () =
   offer (Transport.Tcp_wire.packet pool ~src:2 ~dst:1 ~entity:0 seg);
   checki "both reached the sink" 2 (List.length !seen);
   checki "both unclaimed" 2 (Netsim.Host.unclaimed host);
-  checki "nothing released" 0 (Netsim.Packet.pool_free (Netsim.Host.pool host))
+  checki "nothing released" 0 (Netsim.Packet.pool_free (Netsim.Node.pool node))
 
 (* A claimed segment goes back to the pool only once handled.  Every
    a->b segment arrives CE-marked, and b's first delivery opens a

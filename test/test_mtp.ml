@@ -259,7 +259,7 @@ let test_blob_rejects_empty () =
 
 let test_mutate_rejects_bad_factor () =
   let sim = Engine.Sim.create () in
-  let sw = Netsim.Switch.create sim ~name:"sw" () in
+  let sw = Netsim.Switch.create (Netsim.Packet.pool sim) ~name:"sw" in
   Alcotest.check_raises "factor must be in (0, 1]"
     (Invalid_argument "Mutate.install: factor") (fun () ->
       ignore (Innetwork.Mutate.install sw ~dst_port:1 ~factor:1.5 ()))
@@ -1410,13 +1410,13 @@ let test_host_pool_capped () =
   Endpoint.bind eb ~port:80 (fun _ -> ());
   let deepest = ref 0 in
   Link.add_tap ab (fun _ _ ->
-      deepest := Int.max !deepest (Packet.pool_free (Host.pool hb)));
+      deepest := Int.max !deepest (Packet.pool_free (Node.pool b)));
   ignore (Endpoint.send ea ~dst:(Node.addr b) ~dst_port:80 ~size ());
   Engine.Sim.run sim;
   checki "delivered" 1 (Endpoint.delivered_messages eb);
   checki "reaches the cap, never past it" Packet.max_parked !deepest;
   checki "holds the cap at the end" Packet.max_parked
-    (Packet.pool_free (Host.pool hb))
+    (Packet.pool_free (Node.pool b))
 
 let test_endpoint_completion_send_keeps_nack () =
   (* One ack SACKs a's first message, which completes it, and NACKs a
@@ -1449,7 +1449,7 @@ let test_endpoint_completion_send_keeps_nack () =
       ~tc:0 ~src_port:80 ~dst_port:0 ~msg_id:first ~ack_path_feedback:[]
   in
   Node.receive a
-    (Wire.packet (Host.pool hb) ~src:(Node.addr b) ~dst:(Node.addr a)
+    (Wire.packet (Node.pool b) ~src:(Node.addr b) ~dst:(Node.addr a)
        ~entity:0 (Wire.Mtp ack));
   checki "first completed" 1 (Endpoint.completed ea);
   checki "the NACK was read" 1 (Endpoint.nacks_received ea);
@@ -1599,7 +1599,8 @@ let test_policy_shares () =
 let test_policy_install_fair_share () =
   let sim = Engine.Sim.create () in
   let link =
-    Netsim.Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
+    Netsim.Link.create (Netsim.Packet.pool sim) ~name:"l"
+      ~rate:(Engine.Time.gbps 10) ~delay:0 ()
   in
   let p = Policy.equal_shares ~entities:[ 1; 2 ] in
   Policy.install_fair_share p link ~cap_pkts:128 ~mark_threshold:4;
@@ -1685,15 +1686,15 @@ let test_stamp_fresh_header_allocates_nothing () =
      rest above, so both shared one-entry lists are handed out. *)
   let n = 10_000 in
   let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
+    Link.create pool ~name:"l" ~rate:(Engine.Time.gbps 10)
       ~delay:(Engine.Time.us 1)
       ~qdisc:(Qdisc.fifo ~cap_pkts:(2 * n) ())
       ()
   in
   Mtp_switch.stamp sim link ~path_id:7 ~mode:(Mtp_switch.Ecn_mark (n / 2));
   let q = Link.qdisc link in
-  let pool = Packet.pool sim in
   (* Warm up: the hook meets traffic class 0 once (its stamps are made
      then), and the FIFO's storage grows with packets the hook
      ignores. *)
@@ -1813,16 +1814,16 @@ let test_stamp_shares_no_list_across_packets () =
      both; B stops at the tap after hop 1.  Both took hop 1's shared
      one-entry list; A's second stamp must copy it, not extend it. *)
   let sim = Engine.Sim.create () in
+  let pool = Packet.pool sim in
   let mk name path_id =
     let l =
-      Link.create sim ~name ~rate:(Engine.Time.gbps 10)
+      Link.create pool ~name ~rate:(Engine.Time.gbps 10)
         ~delay:(Engine.Time.us 1) ()
     in
     Mtp_switch.stamp sim l ~path_id ~mode:(Mtp_switch.Ecn_mark 100);
     l
   in
   let hop1 = mk "hop1" 1 and hop2 = mk "hop2" 2 in
-  let pool = Packet.pool sim in
   let header_of p =
     match p.Packet.payload with
     | Wire.Mtp h -> h

@@ -245,7 +245,8 @@ let test_qdisc_sentinel_table () =
 let test_link_refuses_sentinel () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
+    Link.create (Packet.pool sim) ~name:"l"
+      ~rate:(Engine.Time.gbps 100) ~delay:0 ()
   in
   Link.set_dst link ignore;
   Alcotest.check_raises "Packet.none refused"
@@ -257,7 +258,7 @@ let test_link_refuses_sentinel () =
 let test_link_serialization_and_delay () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 100)
+    Link.create (Packet.pool sim) ~name:"l" ~rate:(Engine.Time.gbps 100)
       ~delay:(Engine.Time.us 1) ()
   in
   let arrivals = ref [] in
@@ -275,7 +276,7 @@ let test_link_serialization_and_delay () =
 let test_link_drops_when_queue_full () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.mbps 1)
+    Link.create (Packet.pool sim) ~name:"l" ~rate:(Engine.Time.mbps 1)
       ~delay:(Engine.Time.us 1)
       ~qdisc:(Qdisc.fifo ~cap_pkts:2 ())
       ()
@@ -293,7 +294,8 @@ let test_link_drops_when_queue_full () =
 let test_link_utilization_accounting () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
+    Link.create (Packet.pool sim) ~name:"l"
+      ~rate:(Engine.Time.gbps 10) ~delay:0 ()
   in
   Link.set_dst link (fun _ -> ());
   for _ = 1 to 100 do
@@ -306,7 +308,8 @@ let test_link_utilization_accounting () =
 let test_link_utilization_zero_window () =
   let sim = Engine.Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay:0 ()
+    Link.create (Packet.pool sim) ~name:"l"
+      ~rate:(Engine.Time.gbps 10) ~delay:0 ()
   in
   Link.set_dst link (fun _ -> ());
   Link.send link (pkt ());
@@ -323,9 +326,10 @@ let test_link_utilization_zero_window () =
 
 let build_switch_pair () =
   let sim = Engine.Sim.create () in
-  let sw = Switch.create sim ~name:"sw" () in
+  let pool = Packet.pool sim in
+  let sw = Switch.create pool ~name:"sw" in
   let out =
-    Link.create sim ~name:"out" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
+    Link.create pool ~name:"out" ~rate:(Engine.Time.gbps 100) ~delay:0 ()
   in
   let got = ref [] in
   Link.set_dst out (fun p -> got := p :: !got);
@@ -357,7 +361,8 @@ let test_switch_hook_absorbs () =
   Switch.receive sw (pkt ~size:1500 ());
   Engine.Sim.run sim;
   checki "one absorbed" 1 (Switch.consumed sw);
-  checki "one through" 1 (List.length !got)
+  checki "one through" 1 (List.length !got);
+  checki "the hook keeps what it absorbs" 0 (Packet.pool_free (Switch.pool sw))
 
 let test_switch_hook_order () =
   let sim, sw, port, _ = build_switch_pair () in
@@ -397,9 +402,9 @@ let test_pooled_hop_allocates_nothing () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
   let rate = Engine.Time.gbps 100 and delay = Engine.Time.us 1 in
-  let link name = Link.create sim ~name ~rate ~delay ~pool () in
+  let link name = Link.create pool ~name ~rate ~delay () in
   let up = link "up" and out0 = link "out0" and out1 = link "out1" in
-  let sw = Switch.create sim ~name:"sw" ~pool () in
+  let sw = Switch.create pool ~name:"sw" in
   let routes = Routing.create () in
   Routing.add routes 1 (Switch.add_port sw out0);
   Routing.add routes 1 (Switch.add_port sw out1);
@@ -1380,8 +1385,8 @@ let test_link_occupancy_pinned () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
   let link =
-    Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10)
-      ~delay:(Engine.Time.us 5) ~pool ()
+    Link.create pool ~name:"l" ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 5) ()
   in
   let delivered = ref 0 in
   Link.set_dst link (fun p ->
@@ -1427,7 +1432,8 @@ let test_link_two_events_per_packet () =
     (fun delay ->
       let sim = Engine.Sim.create () in
       let link =
-        Link.create sim ~name:"l" ~rate:(Engine.Time.gbps 10) ~delay ()
+        Link.create (Packet.pool sim) ~name:"l"
+          ~rate:(Engine.Time.gbps 10) ~delay ()
       in
       let delivered = ref 0 in
       Link.set_dst link (fun _ -> incr delivered);
@@ -1440,6 +1446,79 @@ let test_link_two_events_per_packet () =
       checki (Printf.sprintf "events at delay %d ns" delay) (2 * n)
         (Engine.Sim.events_processed sim))
     [ Engine.Time.us 1; 0 ]
+
+(* ------------------------ Drops park in the pool -------------------- *)
+
+(* [p] was dropped: it is the one packet parked in [pool], and the
+   next take hands out that very record rather than a fresh one. *)
+let check_parked pool p =
+  checki "parked" 1 (Packet.pool_free pool);
+  let fresh, _ = Packet.pool_stats pool in
+  let again = Packet.recycle pool ~src:0 ~dst:1 ~size:100 () in
+  checkb "the dropped record is reused" true (again == p);
+  checki "no fresh record" fresh (fst (Packet.pool_stats pool))
+
+(* A host pair from [Topology], [a] in partition 0 and [b] in the last
+   one (the same when there is one), sending [a]'s packet to [b]. *)
+let drop_pair ?ab_qdisc topo =
+  let a = Topology.host topo "a" in
+  let b = Topology.host ~part:(Topology.nparts topo - 1) topo "b" in
+  let ab, _ =
+    Topology.wire_host_pair topo a b ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 1) ?ab_qdisc ()
+  in
+  let p =
+    Packet.recycle (Node.pool a) ~src:(Node.addr a) ~dst:(Node.addr b)
+      ~size:1500 ()
+  in
+  (a, b, ab, p)
+
+let test_tail_drop_parks () =
+  let topo = Topology.create (Engine.Sim.create ()) in
+  let a, _, ab, p = drop_pair ~ab_qdisc:(Qdisc.fifo ~cap_pkts:0 ()) topo in
+  Node.send a p;
+  checki "tail drop" 1 ((Link.qdisc ab).Qdisc.drops ());
+  check_parked (Node.pool a) p
+
+let test_fault_drop_parks () =
+  let topo = Topology.create (Engine.Sim.create ()) in
+  let a, _, ab, p = drop_pair topo in
+  Link.set_down ab;
+  Node.send a p;
+  checki "fault drop" 1 (Link.fault_drops ab);
+  check_parked (Node.pool a) p
+
+let test_switch_drop_parks () =
+  let sim = Engine.Sim.create () in
+  let star =
+    Topology.star (Topology.create sim) ~n:1 ~rate:(Engine.Time.gbps 10)
+      ~delay:(Engine.Time.us 1) ()
+  in
+  let sw = star.Topology.st_switch and cli = star.Topology.st_clients.(0) in
+  checkb "the switch shares the hosts' pool" true
+    (Switch.pool sw == Node.pool cli);
+  Switch.set_forward sw (fun _ -> Switch.Drop);
+  let p =
+    Packet.recycle (Node.pool cli) ~src:(Node.addr cli)
+      ~dst:(Node.addr star.Topology.st_server) ~size:1500 ()
+  in
+  Node.send cli p;
+  Engine.Sim.run sim;
+  checki "dropped" 1 (Switch.dropped sw);
+  check_parked (Node.pool cli) p
+
+(* A conduit link drops in its source partition: the packet parks in
+   that partition's pool, never the destination's. *)
+let test_conduit_drop_parks_at_source () =
+  let world = Partition.create ~nparts:2 () in
+  let a, b, ab, p =
+    drop_pair ~ab_qdisc:(Qdisc.fifo ~cap_pkts:0 ()) (Partition.topology world)
+  in
+  checkb "a conduit" true (Link.sim ab != Node.sim b);
+  Node.send a p;
+  checki "tail drop" 1 ((Link.qdisc ab).Qdisc.drops ());
+  checki "nothing in the destination's pool" 0 (Packet.pool_free (Node.pool b));
+  check_parked (Node.pool a) p
 
 let suite =
   [ Alcotest.test_case "packet uids" `Quick test_packet_uids_unique;
@@ -1523,4 +1602,12 @@ let suite =
     Alcotest.test_case "switch forward shared" `Quick
       test_switch_forward_shared;
     Alcotest.test_case "pooled hop allocates nothing" `Quick
-      test_pooled_hop_allocates_nothing ]
+      test_pooled_hop_allocates_nothing;
+    Alcotest.test_case "tail drop parks in the pool" `Quick
+      test_tail_drop_parks;
+    Alcotest.test_case "fault drop parks in the pool" `Quick
+      test_fault_drop_parks;
+    Alcotest.test_case "switch drop parks in the pool" `Quick
+      test_switch_drop_parks;
+    Alcotest.test_case "conduit drop parks at the source" `Quick
+      test_conduit_drop_parks_at_source ]

@@ -13,13 +13,9 @@ let checki = Alcotest.(check int)
 let conservation_run ~delay ~rate2 () =
   let sim = Engine.Sim.create () in
   let pool = Packet.pool sim in
-  let l1 =
-    Link.create sim ~name:"a" ~rate:(Engine.Time.gbps 10) ~delay ~pool ()
-  in
-  let l2 =
-    Link.create sim ~name:"b" ~rate:rate2 ~delay ~pool ()
-  in
-  let sw = Switch.create sim ~name:"sw" ~pool () in
+  let l1 = Link.create pool ~name:"a" ~rate:(Engine.Time.gbps 10) ~delay () in
+  let l2 = Link.create pool ~name:"b" ~rate:rate2 ~delay () in
+  let sw = Switch.create pool ~name:"sw" in
   let port = Switch.add_port sw l2 in
   Switch.set_forward sw (fun _ -> Switch.Forward port);
   Link.set_dst l1 (fun p -> Switch.receive sw p);

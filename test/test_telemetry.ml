@@ -476,7 +476,8 @@ let test_link_emits_events () =
   with_ctx (fun () ->
       let sim = Engine.Sim.create () in
       let link =
-        Netsim.Link.create sim ~name:"l0" ~rate:(Engine.Time.gbps 10)
+        Netsim.Link.create (Netsim.Packet.pool sim) ~name:"l0"
+          ~rate:(Engine.Time.gbps 10)
           ~delay:(Engine.Time.us 1) ()
       in
       let delivered = ref 0 in
@@ -514,7 +515,8 @@ let test_link_qdisc_events () =
       with_ctx (fun () ->
           let sim = Engine.Sim.create () in
           let link =
-            Netsim.Link.create sim ~name:label ~rate:(Engine.Time.gbps 10)
+            Netsim.Link.create (Netsim.Packet.pool sim) ~name:label
+              ~rate:(Engine.Time.gbps 10)
               ~delay:(Engine.Time.us 1) ~qdisc:q ()
           in
           Netsim.Link.set_dst link ignore;
